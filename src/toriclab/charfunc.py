@@ -9,7 +9,9 @@ satisfies the basis condition on every triangle of the sphere.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .combinatorics import SimplicialSphere2, Triangle
 from .errors import InternalError, ParseError, ValidationError
@@ -83,6 +85,15 @@ class CharacteristicPair:
             raise ValidationError(
                 f"sphere has {self.sphere.m} vertices but lambda has {self.lam.m} values")
 
+    @cached_property
+    def integrals(self) -> dict[tuple[int, int, int], int]:
+        """Every nonzero degree-3 integral of the pair, keyed by sorted
+        index multiset; built on first use by
+        :func:`toriclab.cohomology.integral_table` and kept here."""
+        from .cohomology import integral_table  # cohomology imports this module
+
+        return integral_table(self)
+
 
 @dataclass(frozen=True)
 class StarVerdict:
@@ -141,22 +152,23 @@ def four_color(sphere: SimplicialSphere2) -> FacetColoring:
                 best, best_key = v, key
         return best
 
-    def solve() -> bool:
-        v = pick()
-        if v is None:
-            return True
+    # Depth-first search on an explicit stack, one frame per colored
+    # vertex: the vertex and the colors still to try, free at the time it
+    # was picked.  Recursion would overflow at about a thousand vertices.
+    frames: list[tuple[int, Iterator[str]]] = []
+    v = pick()
+    while v is not None:
         taken = {assignment[u] for u in adj[v]}
-        for color in COLORS:
-            if color in taken:
-                continue
-            assignment[v] = color
-            if solve():
-                return True
-            assignment[v] = None
-        return False
-
-    if not solve():
-        raise InternalError("4-coloring search exhausted on a planar graph")
+        frames.append((v, iter([c for c in COLORS if c not in taken])))
+        while frames:
+            u, untried = frames[-1]
+            assignment[u] = next(untried, None)
+            if assignment[u] is not None:
+                break
+            frames.pop()
+        else:
+            raise InternalError("4-coloring search exhausted on a planar graph")
+        v = pick()
     coloring = FacetColoring(tuple(assignment))
     if not coloring.is_proper(sphere):
         raise InternalError("solver produced an improper coloring")

@@ -1,17 +1,24 @@
-"""Exact intersection calculus for complete unimodular fans and pairs.
+"""Exact intersection calculus for characteristic pairs and fans.
 
-Degree-3 products of facet classes are evaluated by closed-form case
-analysis instead of materializing a quotient ring:
+A degree-3 product of facet classes v_i v_j v_k is nonzero at only O(m)
+index multisets, and each of those has a closed form:
 
-  * three distinct indices: 1 if the triple is a cone of the fan, else 0;
-  * a repeated index over a wall: the negated wall coefficient -a_s;
-  * a triple index: eliminated through a linear relation given by the dual
-    covector of the ray inside its first maximal cone.
+  * a triangle {i, j, k} of the sphere: the sign of the vector determinant
+    taken in the triangle's oriented order;
+  * a wall {i, j} with apexes p < q: v_i^2 v_j = -<mu, lambda(q)> v_i v_j v_q,
+    where mu is the covector with <mu, lambda(i)> = 1 that vanishes on
+    lambda(j) and lambda(p) (the linear relation of mu times v_i v_j);
+  * a vertex i: v_i^3 = -sum over neighbours t of <mu, lambda(t)> v_i^2 v_t,
+    with mu the dual covector of lambda(i) in the first triangle containing i.
 
-The same scheme extends to arbitrary characteristic pairs, where triangle
-values become orientation-weighted determinant signs (+-1) and repeated
-indices are reduced with the same covector trick; on fans (oriented so all
-cone determinants are positive) the two calculi agree entirely.
+:func:`integral_table` computes exactly these nonzero values, keyed by
+sorted multiset, in one pass over the triangles and one over the walls.
+The table is cached once per pair as ``CharacteristicPair.integrals``; a fan
+reaches it through its cached ``Fan3.characteristic_pair``, oriented so
+every cone has a positive determinant, where the wall rule reduces to the
+negated wall coefficients -a1, -a2.  Everything else here -- triple
+integrals, the Chern number, volume polynomials, edge functionals and the
+wall pairings of :mod:`toriclab.cone` -- is a sparse sum over that table.
 
 Volume polynomials collect every degree-3 integral with multinomial
 weights; their values at valid support parameters are Euclidean volumes of
@@ -23,15 +30,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .charfunc import CharacteristicPair
 from .combinatorics import SimplicialSphere2
 from .errors import SupportInvalid, ValidationError
-from .fan import Fan3
+from .fan import Fan3, characteristic_pair
 from .lattice import Vec3, det3, dot, dual_covector
 
 Multiset = tuple[int, int, int]
+
+# multinomial weight of a monomial in (c_1 v_1 + ... + c_m v_m)^3 / 3!, by
+# its number of distinct indices
+_VOLUME_WEIGHT = {3: Fraction(1), 2: Fraction(1, 2), 1: Fraction(1, 6)}
 
 
 def _sign(x: int) -> int:
@@ -72,61 +82,82 @@ def betti_numbers(sphere: SimplicialSphere2) -> tuple[int, int, int, int]:
     return tuple(h)
 
 
-class IntersectionTable:
-    """Memoized degree-3 integrals of one fan, keyed by sorted multiset."""
+def integral_table(pair: CharacteristicPair) -> dict[Multiset, int]:
+    """Every nonzero degree-3 integral of the pair, keyed by sorted multiset.
 
-    def __init__(self, fan: Fan3):
-        self.fan = fan
-        self._memo: dict[Multiset, int] = {}
-        self._triangles = set(fan.sphere.triangles)
+    Use ``pair.integrals``, which builds this once and keeps it.  Raises
+    ValidationError when a triangle's vectors are degenerate or, where a
+    covector is needed, fail the basis condition.
+    """
+    sphere, lam = pair.sphere, pair.lam
 
-    def value(self, indices) -> int:
-        key = _as_multiset(indices, self.fan.m)
-        if key not in self._memo:
-            self._memo[key] = self._compute(key)
-        return self._memo[key]
+    def covector(i: int, j: int, k: int) -> Vec3:
+        try:
+            return dual_covector(lam[i], lam[j], lam[k])
+        except ValueError:
+            raise ValidationError(
+                f"triangle {(i, j, k)} violates the basis condition; "
+                f"the signed calculus needs it to hold") from None
 
-    def _compute(self, key: Multiset) -> int:
-        i, j, k = key
-        if i != j and j != k:
-            return 1 if key in self._triangles else 0
-        if i == j == k:
-            return self._cube(i)
-        rep, other = (i, k) if i == j else (j, i)
-        return self._square(rep, other)
+    table: dict[Multiset, int] = {}
+    first: dict[int, Multiset] = {}
+    for key, (a, b, c) in zip(sphere.triangles, sphere.oriented):
+        d = det3(lam[a], lam[b], lam[c])
+        if d == 0:
+            raise ValidationError(f"triangle {key} has degenerate vectors (det 0)")
+        table[key] = _sign(d)
+        for i in key:
+            first.setdefault(i, key)
+    cube_mu = {i: covector(i, *(x for x in tri if x != i))
+               for i, tri in first.items()}
 
-    def _square(self, i: int, j: int) -> int:
-        """Integral of v_i^2 v_j."""
-        pair = tuple(sorted((i, j)))
-        wall = self.fan.wall_table.get(pair)
-        if wall is None:
-            return 0
-        i1, i2 = wall.pair
-        return -wall.a[0] if i == i1 else -wall.a[1]
-
-    def _cube(self, i: int) -> int:
-        """Integral of v_i^3, reduced through the first cone containing i."""
-        tri = next(t for t in self.fan.sphere.triangles if i in t)
-        j, k = (x for x in tri if x != i)
-        mu = dual_covector(self.fan.rays[i], self.fan.rays[j], self.fan.rays[k])
-        total = 0
-        for t in range(self.fan.m):
-            if t == i:
-                continue
-            c = dot(mu, self.fan.rays[t])
-            if c:
-                total -= c * self._square(i, t)
-        return total
+    cubes = [0] * sphere.m
+    for u, v in sphere.walls:
+        p, q = sorted(sphere.wall_apexes((u, v)))
+        far = table[tuple(sorted((u, v, q)))]
+        for i, j in ((u, v), (v, u)):
+            square = -dot(covector(i, j, p), lam[q]) * far
+            if square:
+                table[tuple(sorted((i, i, j)))] = square
+                cubes[i] -= dot(cube_mu[i], lam[j]) * square
+    for i, cube in enumerate(cubes):
+        if cube:
+            table[(i, i, i)] = cube
+    return table
 
 
-@lru_cache(maxsize=None)
-def intersection_table(f: Fan3) -> IntersectionTable:
-    return IntersectionTable(f)
+def intersection_table(f: Fan3) -> dict[Multiset, int]:
+    """The fan's nonzero integrals: the table of its characteristic pair."""
+    return characteristic_pair(f).integrals
+
+
+def signed_intersection_table(pair: CharacteristicPair) -> dict[Multiset, int]:
+    """The pair's nonzero integrals, cached on the pair."""
+    return pair.integrals
 
 
 def triple_intersection(f: Fan3, indices) -> int:
     """The integral of v_i v_j v_k over the fan's toric space."""
-    return intersection_table(f).value(indices)
+    key = _as_multiset(indices, f.m)
+    return intersection_table(f).get(key, 0)
+
+
+def signed_triple_intersection(pair: CharacteristicPair, indices) -> int:
+    """Integral of v_i v_j v_k for an arbitrary characteristic pair."""
+    key = _as_multiset(indices, pair.lam.m)
+    return pair.integrals.get(key, 0)
+
+
+def wall_pairing(pair: CharacteristicPair, wall) -> dict[int, int]:
+    """Entries t -> integral of v_u v_v v_t for the wall {u, v}.
+
+    Every other entry is zero: t must be an endpoint or an apex of the wall
+    for {u, v, t} to span a face of the sphere.
+    """
+    u, v = wall
+    table = pair.integrals
+    return {t: table.get(tuple(sorted((u, v, t))), 0)
+            for t in (u, v, *pair.sphere.wall_apexes(wall))}
 
 
 def chern_number_c1c2(f: Fan3) -> int:
@@ -136,12 +167,8 @@ def chern_number_c1c2(f: Fan3) -> int:
     second elementary symmetric class with the first one.  It must equal
     gauss_bonnet_sum(f); a mismatch indicates an internal bug.
     """
-    table = intersection_table(f)
-    total = 0
-    for w in f.walls:
-        i1, i2 = w.pair
-        total += sum(table.value((i1, i2, t)) for t in range(f.m))
-    return total
+    pair = characteristic_pair(f)
+    return sum(sum(wall_pairing(pair, w.pair).values()) for w in f.walls)
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +209,9 @@ def volume_polynomial(f: Fan3) -> VolumePolynomial:
     c_i^2 c_j it is the integral over 2; of c_i^3 over 6 — the multinomial
     weights of (c_1 v_1 + ... + c_m v_m)^3 / 3!.
     """
-    table = intersection_table(f)
-    coeffs = []
-    for i in range(f.m):
-        for j in range(i, f.m):
-            for k in range(j, f.m):
-                v = table.value((i, j, k))
-                if not v:
-                    continue
-                if i == j == k:
-                    weight = Fraction(1, 6)
-                elif i == j or j == k:
-                    weight = Fraction(1, 2)
-                else:
-                    weight = Fraction(1)
-                coeffs.append(((i, j, k), weight * v))
-    return VolumePolynomial(fan=f, coeffs=tuple(coeffs))
+    coeffs = tuple((key, _VOLUME_WEIGHT[len(set(key))] * v)
+                   for key, v in sorted(intersection_table(f).items()))
+    return VolumePolynomial(fan=f, coeffs=coeffs)
 
 
 def serialize_volume_polynomial(V: VolumePolynomial) -> str:
@@ -223,20 +237,27 @@ def edge_functional(f: Fan3, pair, c) -> Fraction:
     w = f.wall_table.get(tuple(sorted(pair)))
     if w is None:
         raise ValidationError(f"{tuple(sorted(pair))} is not a wall of this fan")
-    table = intersection_table(f)
+    return _edge(f, w, _support_values(f, c))
+
+
+def _support_values(f: Fan3, c) -> list[Fraction]:
     c = [Fraction(x) for x in c]
     if len(c) != f.m:
         raise ValidationError(f"{len(c)} values for {f.m} rays")
-    i1, i2 = w.pair
-    return sum((c[t] * table.value((i1, i2, t)) for t in range(f.m)),
-               Fraction(0))
+    return c
+
+
+def _edge(f: Fan3, w, c: list[Fraction]) -> Fraction:
+    entries = wall_pairing(characteristic_pair(f), w.pair)
+    return sum((c[t] * v for t, v in entries.items()), Fraction(0))
 
 
 def certify_support(f: Fan3, c) -> None:
     """Raise SupportInvalid listing every wall with a non-positive edge."""
+    c = _support_values(f, c)
     bad = []
     for w in f.walls:
-        v = edge_functional(f, w.pair, c)
+        v = _edge(f, w, c)
         if v <= 0:
             bad.append((tuple(sorted(w.pair)), v))
     if bad:
@@ -253,96 +274,3 @@ def evaluate_volume(V: VolumePolynomial, c) -> Fraction:
     c = [Fraction(x) for x in c]
     certify_support(V.fan, c)
     return V(c)
-
-
-# ---------------------------------------------------------------------------
-# signed calculus for general characteristic pairs
-
-
-class SignedIntersectionTable:
-    """Degree-3 integrals of a characteristic pair.
-
-    Distinct triples evaluate to the orientation sign of the triangle times
-    the sign of the ray determinant (a permutation-invariant product);
-    repeated indices reduce through dual covectors exactly as in the fan
-    case.  Values lie in {0, +1, -1} on distinct triples.
-    """
-
-    def __init__(self, pair: CharacteristicPair):
-        self.pair = pair
-        self._memo: dict[Multiset, int] = {}
-        self._triangles = set(pair.sphere.triangles)
-        self._apexes = {w: pair.sphere.wall_apexes(w) for w in pair.sphere.walls}
-
-    def value(self, indices) -> int:
-        key = _as_multiset(indices, self.pair.lam.m)
-        if key not in self._memo:
-            self._memo[key] = self._compute(key)
-        return self._memo[key]
-
-    def _distinct(self, i: int, j: int, k: int) -> int:
-        if tuple(sorted((i, j, k))) not in self._triangles:
-            return 0
-        lam = self.pair.lam
-        d = det3(lam[i], lam[j], lam[k])
-        if d == 0:
-            raise ValidationError(
-                f"triangle {(i, j, k)} has degenerate vectors (det 0)")
-        return self.pair.sphere.orientation_sign(i, j, k) * _sign(d)
-
-    def _compute(self, key: Multiset) -> int:
-        i, j, k = key
-        if i != j and j != k:
-            return self._distinct(i, j, k)
-        if i == j == k:
-            return self._cube(i)
-        rep, other = (i, k) if i == j else (j, i)
-        return self._square(rep, other)
-
-    def _mu_for(self, i: int, j: int, k: int) -> Vec3:
-        lam = self.pair.lam
-        try:
-            return dual_covector(lam[i], lam[j], lam[k])
-        except ValueError:
-            raise ValidationError(
-                f"triangle {(i, j, k)} violates the basis condition; "
-                f"the signed calculus needs it to hold") from None
-
-    def _square(self, i: int, j: int) -> int:
-        """Integral of v_i^2 v_j, via a covector vanishing on lambda(j)."""
-        wall = tuple(sorted((i, j)))
-        if wall not in self._apexes:
-            return 0
-        t = min(self._apexes[wall])
-        mu = self._mu_for(i, j, t)
-        lam = self.pair.lam
-        total = 0
-        for s in self._apexes[wall]:
-            c = dot(mu, lam[s])
-            if c:
-                total -= c * self._distinct(s, i, j)
-        return total
-
-    def _cube(self, i: int) -> int:
-        tri = next(t for t in self.pair.sphere.triangles if i in t)
-        j, k = (x for x in tri if x != i)
-        mu = self._mu_for(i, j, k)
-        lam = self.pair.lam
-        total = 0
-        for t in range(lam.m):
-            if t == i:
-                continue
-            c = dot(mu, lam[t])
-            if c:
-                total -= c * self._square(i, t)
-        return total
-
-
-@lru_cache(maxsize=None)
-def signed_intersection_table(pair: CharacteristicPair) -> SignedIntersectionTable:
-    return SignedIntersectionTable(pair)
-
-
-def signed_triple_intersection(pair: CharacteristicPair, indices) -> int:
-    """Integral of v_i v_j v_k for an arbitrary characteristic pair."""
-    return signed_intersection_table(pair).value(indices)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from collections import Counter, defaultdict
+from functools import cached_property
 
 from .errors import ParseError, ValidationError
 
@@ -134,26 +135,33 @@ class SimplicialSphere2:
         return cls(m=m, triangles=tuple(tris), oriented=tuple(oriented),
                    walls=tuple(sorted(wall_tris)))
 
+    @cached_property
+    def _apexes(self) -> dict[int, dict[int, tuple[int, ...]]]:
+        """``_apexes[u][v]``: the apexes of the wall {u, v}, in the order of
+        their triangles in ``triangles``, stored under both endpoints.
+
+        Built on first use, so spheres that never ask for adjacency (the
+        polytope pipeline) do not pay for it.
+        """
+        index: dict[int, dict[int, tuple[int, ...]]] = {v: {} for v in range(self.m)}
+        for a, b, c in self.triangles:
+            for u, v, apex in ((a, b, c), (a, c, b), (b, c, a)):
+                index[u][v] = index[v][u] = index[u].get(v, ()) + (apex,)
+        return index
+
     def wall_apexes(self, wall: Wall) -> tuple[int, int]:
         """The two vertices completing the given wall to triangles."""
         u, v = sorted(wall)
-        apexes = [next(x for x in t if x != u and x != v)
-                  for t in self.triangles if u in t and v in t]
-        if len(apexes) != 2:
-            raise ValidationError(f"{(u, v)} is not a wall of this sphere")
-        return apexes[0], apexes[1]
+        try:
+            return self._apexes[u][v]
+        except KeyError:
+            raise ValidationError(f"{(u, v)} is not a wall of this sphere") from None
 
     def vertex_degree(self, v: int) -> int:
-        return sum(1 for w in self.walls if v in w)
+        return len(self._apexes[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = set()
-        for a, b in self.walls:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return tuple(sorted(out))
+        return tuple(sorted(self._apexes[v]))
 
     def orientation_sign(self, i: int, j: int, k: int) -> int:
         """+1 if (i, j, k) is an even permutation of the stored oriented

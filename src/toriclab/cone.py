@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .charfunc import CharacteristicPair
-from .cohomology import signed_triple_intersection, triple_intersection
+from .cohomology import wall_pairing
 from .errors import CertificationFailure, InternalError, NotFound, NoWitness
 from .exactlp import ConeMembership, cone_membership, positive_functional
-from .fan import Fan3
+from .fan import Fan3, characteristic_pair
 
 __all__ = [
     "WallClass",
@@ -86,26 +86,24 @@ class ObstructionWitness:
 
 def wall_classes(f: Fan3) -> tuple[WallClass, ...]:
     """Pairing vectors for every wall, in sorted wall order."""
-    out = []
-    for w in f.walls:
-        key = w.key
-        vec = tuple(triple_intersection(f, key + (t,)) for t in range(f.m))
-        if all(v == 0 for v in vec):
-            raise InternalError(f"wall class {key} vanished")
-        out.append(WallClass(key, vec))
-    return tuple(out)
+    return _wall_classes(characteristic_pair(f), [w.key for w in f.walls])
 
 
 def signed_wall_classes(pair: CharacteristicPair) -> tuple[WallClass, ...]:
     """Pairing vectors of a general characteristic pair, via the signed
     integrals.  Same shape as :func:`wall_classes`, no fan required."""
-    m = pair.lam.m
+    return _wall_classes(pair, pair.sphere.walls)
+
+
+def _wall_classes(pair: CharacteristicPair, walls) -> tuple[WallClass, ...]:
     out = []
-    for key in pair.sphere.walls:
-        vec = tuple(signed_triple_intersection(pair, key + (t,)) for t in range(m))
-        if all(v == 0 for v in vec):
+    for key in walls:
+        vec = [0] * pair.lam.m
+        for t, v in wall_pairing(pair, key).items():
+            vec[t] = v
+        if not any(vec):
             raise InternalError(f"wall class {key} vanished")
-        out.append(WallClass(key, vec))
+        out.append(WallClass(key, tuple(vec)))
     return tuple(out)
 
 

@@ -130,6 +130,29 @@ class Fan3:
             raise InternalError("raw fan (validate=False) has no wall table")
         return {w: _compute_wall(self, w) for w in self.sphere.walls}
 
+    @cached_property
+    def characteristic_pair(self) -> CharacteristicPair:
+        """The sphere with its geometric orientation, plus the rays.
+
+        Triangles are oriented so every ray determinant is positive; once
+        every wall is certified (a non-fan raises OrientationError here)
+        this orientation is globally consistent.  The fan's intersection
+        calculus is the signed calculus of this pair, cached on it, so
+        every cone contributes +1.
+        """
+        if self.sphere is None:
+            raise InternalError("raw fan has no sphere")
+        self.wall_table  # certify every wall first
+        oriented = []
+        for (i, j, k) in self.sphere.triangles:
+            d = det3(self.rays[i], self.rays[j], self.rays[k])
+            if d == 0:
+                raise ValidationError(f"cone {(i, j, k)} is degenerate: det = 0")
+            oriented.append((i, j, k) if d > 0 else (i, k, j))
+        sphere = SimplicialSphere2.from_triangles(self.m, self.sphere.triangles,
+                                                  oriented=oriented)
+        return CharacteristicPair(sphere, CharacteristicFunction(self.rays))
+
     @property
     def walls(self) -> tuple[Wall, ...]:
         """Walls in deterministic (sorted-pair lexicographic) order."""
@@ -300,24 +323,9 @@ def _pierce(f: Fan3, x: Vec3):
 
 
 def characteristic_pair(f: Fan3) -> CharacteristicPair:
-    """The fan's sphere with its geometric orientation, plus its rays.
-
-    Triangles are oriented so every ray determinant is positive; for a
-    complete fan this orientation is globally consistent, which is exactly
-    what makes the signed intersection calculus agree with the unsigned
-    fan calculus.
-    """
-    if f.sphere is None:
-        raise InternalError("raw fan has no sphere")
-    oriented = []
-    for (i, j, k) in f.sphere.triangles:
-        d = det3(f.rays[i], f.rays[j], f.rays[k])
-        if d == 0:
-            raise ValidationError(f"cone {(i, j, k)} is degenerate: det = 0")
-        oriented.append((i, j, k) if d > 0 else (i, k, j))
-    sphere = SimplicialSphere2.from_triangles(f.m, f.sphere.triangles,
-                                              oriented=oriented)
-    return CharacteristicPair(sphere, CharacteristicFunction(f.rays))
+    """The fan's sphere with its geometric orientation, plus its rays
+    (built once per fan, see ``Fan3.characteristic_pair``)."""
+    return f.characteristic_pair
 
 
 _RAY_RE = re.compile(r"^R\s+(\d+)\s*:\s*(-?\d+)\s+(-?\d+)\s+(-?\d+)$")

@@ -53,11 +53,6 @@ def is_primitive(a: Vec3) -> bool:
     return gcd(gcd(abs(a[0]), abs(a[1])), abs(a[2])) == 1
 
 
-def matvec(rows: tuple[Vec3, Vec3, Vec3], a: Vec3) -> Vec3:
-    """Apply the integer matrix given by its rows to the column vector a."""
-    return (dot(rows[0], a), dot(rows[1], a), dot(rows[2], a))
-
-
 def dual_covector(a: Vec3, b: Vec3, c: Vec3) -> Vec3:
     """Integer covector m with <m,a> = 1, <m,b> = <m,c> = 0.
 

@@ -174,6 +174,24 @@ def _solve_exact(rows, rhs, n):
         sol[col] = aug[k][n]
     return sol
 
+
+def _rank(rows):
+    """Rank of a list of rational vectors, by exact row reduction."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((k for k in range(rank, len(rows)) if rows[k][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for k in range(rank + 1, len(rows)):
+            if rows[k][col] != 0:
+                factor = rows[k][col] / rows[rank][col]
+                rows[k] = [x - factor * y for x, y in zip(rows[k], rows[rank])]
+        rank += 1
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # convex-geometry volume oracle: vertex enumeration + facet triangulation
 
@@ -289,12 +307,17 @@ def zero_in_convex_hull(vectors):
     By the theorem of the alternative this decides feasibility of the
     system {<v, y> >= 1 for all v}: a witness y exists iff 0 is NOT in the
     convex hull.
+
+    By Caratheodory, a minimal subset with 0 in its convex hull is affinely
+    independent, so it has at most rank + 1 members and the solve below
+    finds its convex coefficients as the unique solution; larger subsets
+    need not be tried.
     """
     vecs = [[Fraction(x) for x in v] for v in vectors]
     if not vecs:
         return False
     dim = len(vecs[0])
-    for r in range(1, len(vecs) + 1):
+    for r in range(1, min(len(vecs), _rank(vecs) + 1) + 1):
         for subset in itertools.combinations(vecs, r):
             rows = [[subset[j][k] for j in range(r)] for k in range(dim)]
             rows.append([Fraction(1)] * r)

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from oracles import apply_matrix, has_proper_coloring, random_unimodular
+from subdivision import subdivided_cp3
 from test_combinatorics import ICOSA_TRIANGLES, cube, dodecahedron, tet
 from toriclab.charfunc import (
     COLOR_VECTORS,
@@ -69,6 +70,12 @@ class TestFourColor:
             # the first differently-colored vertex (by id) is colored b
             first_other = next(x for x in c.colors if x != "a")
             assert first_other == "b"
+
+    def test_stacked_sphere_past_the_recursion_limit(self):
+        # about 1100 vertices: a recursive search would need a frame each
+        s = subdivided_cp3(1100, seed=1)[0].sphere
+        c = four_color(s)
+        assert all(c.colors[u] != c.colors[v] for u, v in s.walls)
 
 
 class TestColoringToCharfunc:

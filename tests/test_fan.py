@@ -7,6 +7,8 @@ asserted for every stock fan.
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +269,14 @@ class TestSerialization:
         with pytest.raises(ParseError, match="support"):
             parse_fan(serialize_fan(load_fan("cp3")).rstrip()
                       + "\nsupport: 1 1 x 1\n")
+
+    def test_readme_example_parses(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"^```\n(fan3 .*?)^```", readme.read_text(), re.M | re.S)
+        assert len(blocks) == 1
+        f = parse_fan(blocks[0])
+        assert f == load_fan("cp3")
+        check_complete(f)
 
     def test_wrong_support_count(self):
         with pytest.raises(ValidationError, match="support"):

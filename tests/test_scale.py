@@ -1,0 +1,71 @@
+"""The intersection calculus on seeded star subdivisions of cp3.
+
+Large fans are held to identities that must hold exactly: Gauss-Bonnet and
+the Chern number, annihilation of the wall classes by the linear relations,
+the Betti numbers, and the closed-form volume of the cut simplex.  Small
+fans are compared entry by entry with the oracles in ``oracles.py``, which
+share no code with the library.
+"""
+
+import pytest
+
+from toriclab.cohomology import (
+    betti_numbers,
+    chern_number_c1c2,
+    evaluate_volume,
+    intersection_table,
+    volume_polynomial,
+)
+from toriclab.cone import signed_wall_classes, wall_classes
+from toriclab.fan import characteristic_pair, check_complete, gauss_bonnet_sum
+
+from oracles import integral_table_oracle, polytope_volume_oracle
+from subdivision import subdivided_cp3
+
+
+@pytest.fixture(scope="module", params=[20, 60, 200])
+def subdivided(request):
+    m = request.param
+    f, volume = subdivided_cp3(m, seed=m)
+    check_complete(f)
+    return f, volume
+
+
+def test_gauss_bonnet_and_chern_number_are_24(subdivided):
+    f, _ = subdivided
+    assert gauss_bonnet_sum(f) == 24
+    assert chern_number_c1c2(f) == 24
+
+
+def test_relations_annihilate_every_wall_class(subdivided):
+    f, _ = subdivided
+    for mu in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        coeffs = [sum(a * b for a, b in zip(mu, r)) for r in f.rays]
+        for cls in wall_classes(f):
+            assert sum(c * p for c, p in zip(coeffs, cls.pairing)) == 0, (mu, cls.wall)
+
+
+def test_signed_classes_equal_unsigned(subdivided):
+    f, _ = subdivided
+    assert signed_wall_classes(characteristic_pair(f)) == wall_classes(f)
+
+
+def test_betti_numbers(subdivided):
+    f, _ = subdivided
+    assert betti_numbers(f.sphere) == (1, f.m - 3, f.m - 3, 1)
+
+
+def test_volume_is_the_cut_simplex_and_cubic(subdivided):
+    f, volume = subdivided
+    v = volume_polynomial(f)
+    assert evaluate_volume(v, f.support) == volume
+    for t in (2, 3):
+        assert v([t * c for c in f.support]) == t ** 3 * volume
+
+
+@pytest.mark.parametrize("m", [6, 9])
+def test_small_fans_match_the_oracles(m):
+    f, volume = subdivided_cp3(m, seed=m)
+    oracle = integral_table_oracle(f.rays, f.maximal_cones)
+    assert intersection_table(f) == {ms: v for ms, v in oracle.items() if v}
+    assert polytope_volume_oracle(f.rays, f.support) == volume
