@@ -66,6 +66,7 @@ from .errors import (
     InternalError,
     NotFound,
     NoWitness,
+    NotUnimodular,
     OrientationError,
     ParseError,
     SupportInvalid,
@@ -76,6 +77,7 @@ from .exactlp import cone_membership, positive_functional
 from .fan import (
     Fan3,
     Wall,
+    certify_fan,
     characteristic_pair,
     check_complete,
     check_unimodular,

@@ -8,6 +8,7 @@ satisfies the basis condition on every triangle of the sphere.
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -128,48 +129,77 @@ def four_color(sphere: SimplicialSphere2) -> FacetColoring:
     fixed order a, b, c, d.  Vertex 0 therefore always receives 'a' and the
     first differently-colored vertex receives 'b'.
 
+    The choice is incremental.  ``seen[v][c]`` counts the neighbors of v
+    colored c, and ``sat[v]`` the nonzero counts; both are updated whenever
+    a vertex is colored, recolored or uncolored.  A heap holds entries
+    (-saturation, -degree, id) with lazy deletion: an entry is live while
+    its vertex is uncolored and its saturation is current.  Every change of
+    an uncolored vertex's saturation, and every uncoloring, pushes a fresh
+    entry, so each uncolored vertex always has a live entry and the least
+    live entry is the vertex the rule above picks.  A coloring without
+    backtracking therefore costs O(m log m).
+
     The skeleton is planar, so a proper 4-coloring exists; exhaustion of
     the search would indicate corrupted input or a solver bug and raises
     InternalError.
     """
     m = sphere.m
-    adj: list[set[int]] = [set() for _ in range(m)]
+    adj: list[list[int]] = [[] for _ in range(m)]
     for u, v in sphere.walls:
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].append(v)
+        adj[v].append(u)
 
-    assignment: list[str | None] = [None] * m
+    color: list[int | None] = [None] * m  # index into COLORS
+    seen = [[0] * len(COLORS) for _ in range(m)]
+    sat = [0] * m
+    heap = [(0, -len(adj[v]), v) for v in range(m)]
+    heapq.heapify(heap)
+
+    def recolor(u: int, c: int | None) -> None:
+        old, color[u] = color[u], c
+        for w in adj[u]:
+            s = sat[w]
+            if old is not None:
+                seen[w][old] -= 1
+                if seen[w][old] == 0:
+                    s -= 1
+            if c is not None:
+                seen[w][c] += 1
+                if seen[w][c] == 1:
+                    s += 1
+            if s != sat[w]:
+                sat[w] = s
+                if color[w] is None:
+                    heapq.heappush(heap, (-s, -len(adj[w]), w))
+        if c is None:
+            heapq.heappush(heap, (-sat[u], -len(adj[u]), u))
 
     def pick() -> int | None:
-        best = None
-        best_key = None
-        for v in range(m):
-            if assignment[v] is not None:
-                continue
-            sat = len({assignment[u] for u in adj[v] if assignment[u] is not None})
-            key = (-sat, -len(adj[v]), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        return best
+        while heap:
+            neg_sat, _, v = heap[0]
+            if color[v] is None and sat[v] == -neg_sat:
+                return v
+            heapq.heappop(heap)
+        return None
 
     # Depth-first search on an explicit stack, one frame per colored
     # vertex: the vertex and the colors still to try, free at the time it
     # was picked.  Recursion would overflow at about a thousand vertices.
-    frames: list[tuple[int, Iterator[str]]] = []
+    frames: list[tuple[int, Iterator[int]]] = []
     v = pick()
     while v is not None:
-        taken = {assignment[u] for u in adj[v]}
-        frames.append((v, iter([c for c in COLORS if c not in taken])))
+        frames.append((v, iter([c for c, n in enumerate(seen[v]) if not n])))
         while frames:
             u, untried = frames[-1]
-            assignment[u] = next(untried, None)
-            if assignment[u] is not None:
+            c = next(untried, None)
+            recolor(u, c)
+            if c is not None:
                 break
             frames.pop()
         else:
             raise InternalError("4-coloring search exhausted on a planar graph")
         v = pick()
-    coloring = FacetColoring(tuple(assignment))
+    coloring = FacetColoring(tuple(COLORS[c] for c in color))
     if not coloring.is_proper(sphere):
         raise InternalError("solver produced an improper coloring")
     return coloring

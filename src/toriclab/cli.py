@@ -38,8 +38,14 @@ from .cohomology import (
 from .cone import delzant_obstruction_witness, extremal_walls
 from .combinatorics import dual_sphere, face_histogram, is_fullerene, parse_polytope
 from .corpus import corpus_get, corpus_names
-from .errors import ParseError, SupportInvalid, ToricLabError, ValidationError
-from .fan import ENV_SEED, check_complete, check_unimodular, gauss_bonnet_sum, parse_fan
+from .errors import (
+    NotUnimodular,
+    ParseError,
+    SupportInvalid,
+    ToricLabError,
+    ValidationError,
+)
+from .fan import ENV_SEED, certify_fan, gauss_bonnet_sum, parse_fan
 
 __all__ = ["main"]
 
@@ -173,16 +179,17 @@ def cmd_fan_report(args) -> int:
     rpt.add("rays", f.m)
     rpt.add("cones", len(f.maximal_cones))
 
-    verdict = check_unimodular(f)
-    rpt.add("unimodular", verdict.ok)
-    if not verdict.ok:
+    try:
+        certify_fan(f)
+    except NotUnimodular as exc:
+        rpt.add("unimodular", False)
         rpt.add(
             "unimodular_violations",
-            {str(tri): det for tri, det in verdict.violations},
+            {str(tri): det for tri, det in exc.violations},
         )
         rpt.emit(args.json)
         return 1
-    check_complete(f)
+    rpt.add("unimodular", True)
     rpt.add("complete", True)
     rpt.add("completeness_seed", int(os.environ.get(ENV_SEED, "0")))
 
@@ -248,6 +255,7 @@ def _parse_support(arg: str, m: int):
 def cmd_fan_volume(args) -> int:
     text = _read(args.file)
     f = parse_fan(text)
+    certify_fan(f)
     rpt = Report("fan volume", args.file, text)
     rpt.add("name", f.name)
     if args.support is not None:
@@ -279,6 +287,7 @@ def cmd_fan_volume(args) -> int:
 def cmd_fan_extremal(args) -> int:
     text = _read(args.file)
     f = parse_fan(text)
+    certify_fan(f)
     rpt = Report("fan extremal", args.file, text)
     rpt.add("name", f.name)
     analysis = extremal_walls(f)
@@ -300,6 +309,7 @@ def cmd_fan_extremal(args) -> int:
 def cmd_fan_witness(args) -> int:
     text = _read(args.file)
     f = parse_fan(text)
+    certify_fan(f)
     rpt = Report("fan witness", args.file, text)
     rpt.add("name", f.name)
     w = delzant_obstruction_witness(f)

@@ -232,8 +232,8 @@ class SimplePolytope3:
     @classmethod
     def from_facets(cls, name: str, facets) -> "SimplePolytope3":
         cycles = [tuple(int(v) for v in f) for f in facets]
-        _validate_cycles(cycles)
-        cycles = _normalize_orientation(cycles)
+        edge_owner, succ = _validate_cycles(cycles)
+        cycles = _normalize_orientation(cycles, edge_owner, succ)
         return cls(name=name, facets=tuple(_canon_cycle(c) for c in cycles))
 
     @property
@@ -257,7 +257,23 @@ class SimplePolytope3:
         return tuple(i for i, f in enumerate(self.facets) if v in f)
 
 
-def _validate_cycles(cycles) -> None:
+def _incidence(cycles) -> tuple[dict[Wall, list[int]], list[dict[int, int]]]:
+    """One pass over facet cycles without repeated vertices: the facets
+    owning each (sorted) edge, in facet order, and for each facet the map
+    vertex -> next vertex along its cycle."""
+    edge_owner: dict[Wall, list[int]] = defaultdict(list)
+    succ = []
+    for i, cyc in enumerate(cycles):
+        nxt = dict(_directed_edges(cyc))
+        for u, v in nxt.items():
+            edge_owner[(u, v) if u < v else (v, u)].append(i)
+        succ.append(nxt)
+    return edge_owner, succ
+
+
+def _validate_cycles(cycles):
+    """Check the cycles describe a simple 3-polytope; return their
+    :func:`_incidence` maps."""
     if not cycles:
         raise ValidationError("polytope has no facets")
     for i, cyc in enumerate(cycles):
@@ -275,10 +291,7 @@ def _validate_cycles(cycles) -> None:
         if n != 3:
             raise ValidationError(f"vertex {v} lies in {n} facets")
 
-    edge_owner: dict[Wall, list[int]] = defaultdict(list)
-    for i, cyc in enumerate(cycles):
-        for u, v in _directed_edges(cyc):
-            edge_owner[tuple(sorted((u, v)))].append(i)
+    edge_owner, succ = _incidence(cycles)
     for e, owners in sorted(edge_owner.items()):
         if len(owners) != 2:
             raise ValidationError(f"edge {e} lies in {len(owners)} facets")
@@ -297,31 +310,25 @@ def _validate_cycles(cycles) -> None:
         raise ValidationError(
             f"Euler characteristic {v_count - e_count + f_count} != 2 "
             f"(v={v_count}, e={e_count}, f={f_count})")
+    return edge_owner, succ
 
 
-def _normalize_orientation(cycles):
+def _normalize_orientation(cycles, edge_owner, succ):
     """Flip facet cycles so every edge is traversed once in each direction.
 
-    Facet 0 is kept as given; consistency is propagated across shared edges.
+    Facet 0 is kept as given; consistency is propagated across shared
+    edges.  ``edge_owner`` and ``succ`` are the :func:`_incidence` maps of
+    ``cycles``.
     """
-    edge_owner: dict[Wall, list[int]] = defaultdict(list)
-    for i, cyc in enumerate(cycles):
-        for u, v in _directed_edges(cyc):
-            edge_owner[tuple(sorted((u, v)))].append(i)
-
-    out = list(cycles)
     state: dict[int, bool] = {0: False}  # facet -> flipped?
     stack = [0]
     while stack:
         i = stack.pop()
-        cyc = tuple(reversed(out[i])) if state[i] else out[i]
-        directed = set(_directed_edges(cyc))
-        for u, v in directed:
-            e = tuple(sorted((u, v)))
-            j = next(o for o in edge_owner[e] if o != i)
-            j_directed = set(_directed_edges(out[j]))
+        cyc = tuple(reversed(cycles[i])) if state[i] else cycles[i]
+        for u, v in _directed_edges(cyc):
+            j = next(o for o in edge_owner[(u, v) if u < v else (v, u)] if o != i)
             # consistent iff j traverses this edge in the opposite direction
-            needs_flip = (u, v) in j_directed
+            needs_flip = succ[j].get(u) == v
             if j in state:
                 if state[j] != needs_flip:
                     raise ValidationError("facet cycles are not consistently orientable")
@@ -330,7 +337,7 @@ def _normalize_orientation(cycles):
                 stack.append(j)
     if len(state) != len(cycles):
         raise ValidationError("facet adjacency graph is disconnected")
-    return [tuple(reversed(out[i])) if state[i] else out[i] for i in range(len(out))]
+    return [tuple(reversed(c)) if state[i] else c for i, c in enumerate(cycles)]
 
 
 def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
@@ -338,23 +345,25 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
 
     Each polytope vertex lies in exactly three facets and becomes one
     triangle, oriented by walking the facets around the vertex in the
-    direction induced by the normalized facet cycles.
+    direction induced by the normalized facet cycles, starting from its
+    lowest facet.  One :func:`_incidence` pass indexes the edges and the
+    cycle successors, so every step of a walk is a dict lookup and the
+    dualisation is linear in the size of p apart from sorting (plus the
+    linear re-validation in :meth:`SimplicialSphere2.from_triangles`).
     """
-    edge_owner: dict[Wall, list[int]] = defaultdict(list)
+    edge_owner, succ = _incidence(p.facets)
+    lowest: dict[int, int] = {}
     for i, cyc in enumerate(p.facets):
-        for u, v in _directed_edges(cyc):
-            edge_owner[tuple(sorted((u, v)))].append(i)
+        for v in cyc:
+            lowest.setdefault(v, i)
 
     oriented = []
-    for v in sorted({x for f in p.facets for x in f}):
-        incident = p.vertex_facets(v)
-        walk = [min(incident)]
+    for v in sorted(lowest):
+        walk = [lowest[v]]
         while True:
             f = walk[-1]
-            cyc = p.facets[f]
-            succ = cyc[(cyc.index(v) + 1) % len(cyc)]
-            e = tuple(sorted((v, succ)))
-            g = next(o for o in edge_owner[e] if o != f)
+            s = succ[f][v]
+            g = next(o for o in edge_owner[(v, s) if v < s else (s, v)] if o != f)
             if g == walk[0]:
                 break
             walk.append(g)
@@ -372,17 +381,20 @@ def dual_polytope(sphere: SimplicialSphere2, name: str) -> SimplePolytope3:
 
     Facet i of the result corresponds to sphere vertex i; polytope vertex t
     corresponds to sphere triangle number t (position in sphere.triangles).
+    One pass indexes the triangles by wall and by vertex, so building the
+    cycles is linear in the size of the sphere.
     """
     wall_tris: dict[Wall, list[int]] = defaultdict(list)
+    vertex_tris: list[list[int]] = [[] for _ in range(sphere.m)]
     for idx, (a, b, c) in enumerate(sphere.triangles):
         for w in ((a, b), (a, c), (b, c)):
             wall_tris[w].append(idx)
+        for v in (a, b, c):
+            vertex_tris[v].append(idx)
 
     facets = []
-    for v in range(sphere.m):
-        incident = [i for i, t in enumerate(sphere.triangles) if v in t]
-        start = min(incident)
-        cycle = [start]
+    for v, incident in enumerate(vertex_tris):
+        cycle = [incident[0]]
         while True:
             idx = cycle[-1]
             rep = sphere.oriented[idx]

@@ -173,8 +173,15 @@ def extremal_walls(f: Fan3) -> ConeAnalysis:
     A group is extremal when its representative vector is not a
     nonnegative combination of the classes outside the group.  Fans
     without support parameters still get the full grouping and
-    extremality scan, but the analysis is marked uncertified.
+    extremality scan, but the analysis is marked uncertified.  The
+    analysis is computed once per fan and cached as
+    ``Fan3.cone_analysis``.
     """
+    return f.cone_analysis
+
+
+def _analyse_cone(f: Fan3) -> ConeAnalysis:
+    """The uncached computation behind :func:`extremal_walls`."""
     classes = wall_classes(f)
     grouped = _group_classes(classes)
     groups = tuple(tuple(cls.wall for cls in g) for g in grouped)

@@ -13,6 +13,16 @@ class ValidationError(ToricLabError):
     """A parsed object violates a structural invariant."""
 
 
+class NotUnimodular(ValidationError):
+    """Some maximal cone of a fan has ray determinant other than +-1;
+    ``violations`` holds each such (cone, determinant)."""
+
+    def __init__(self, violations):
+        super().__init__("fan is not unimodular: " + ", ".join(
+            f"cone {cone} has determinant {det}" for cone, det in violations))
+        self.violations = violations
+
+
 class InternalError(ToricLabError):
     """An impossible state was reached; indicates corrupt input or a bug."""
 

@@ -37,6 +37,7 @@ from .errors import (
     IncompleteFan,
     InternalError,
     NotFound,
+    NotUnimodular,
     OrientationError,
     ParseError,
     ValidationError,
@@ -152,6 +153,14 @@ class Fan3:
         sphere = SimplicialSphere2.from_triangles(self.m, self.sphere.triangles,
                                                   oriented=oriented)
         return CharacteristicPair(sphere, CharacteristicFunction(self.rays))
+
+    @cached_property
+    def cone_analysis(self):
+        """The effective-cone analysis of :func:`toriclab.cone.extremal_walls`,
+        with its exact LPs solved once per fan and kept here."""
+        from .cone import _analyse_cone  # cone imports this module
+
+        return _analyse_cone(self)
 
     @property
     def walls(self) -> tuple[Wall, ...]:
@@ -301,6 +310,16 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
             f"cones: {hits}")
     raise InternalError("piercing test kept hitting cone boundaries; "
                         "input is degenerate beyond repair")
+
+
+def certify_fan(f: Fan3) -> CompletenessCertificate:
+    """The certification step every fan command runs before analysing its
+    input: :func:`check_unimodular` (raising NotUnimodular), then
+    :func:`check_complete` (raising IncompleteFan)."""
+    verdict = check_unimodular(f)
+    if not verdict.ok:
+        raise NotUnimodular(verdict.violations)
+    return check_complete(f)
 
 
 def _pierce(f: Fan3, x: Vec3):

@@ -75,6 +75,42 @@ def has_proper_coloring(num_vertices, edges, num_colors) -> bool:
     return extend(0)
 
 
+def dsatur_coloring(num_vertices, edges, colors="abcd"):
+    """The library's 4-coloring search, restated as plain recursion.
+
+    Each step rescans every uncolored vertex for the least key
+    (-saturation, -degree, id), where saturation counts the distinct
+    colors among its colored neighbors, and tries the colors still free
+    for it in the given order, undoing the choice when the rest of the
+    search fails.  Returns the coloring as a string (None if the search is
+    exhausted) and the number of colors undone by backtracking.
+    """
+    adj = [set() for _ in range(num_vertices)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    assigned = [None] * num_vertices
+    undone = 0
+
+    def extend():
+        nonlocal undone
+        free = [v for v in range(num_vertices) if assigned[v] is None]
+        if not free:
+            return True
+        v = min(free, key=lambda x: (
+            -len({assigned[u] for u in adj[x]} - {None}), -len(adj[x]), x))
+        for c in [c for c in colors if c not in {assigned[u] for u in adj[v]}]:
+            assigned[v] = c
+            if extend():
+                return True
+            undone += 1
+        assigned[v] = None
+        return False
+
+    found = extend()
+    return ("".join(assigned) if found else None), undone
+
+
 # ---------------------------------------------------------------------------
 # dense linear-algebra oracle for degree-3 integrals over a fan
 #

@@ -10,7 +10,12 @@ import random
 
 import pytest
 
-from oracles import apply_matrix, has_proper_coloring, random_unimodular
+from oracles import (
+    apply_matrix,
+    dsatur_coloring,
+    has_proper_coloring,
+    random_unimodular,
+)
 from subdivision import subdivided_cp3
 from test_combinatorics import ICOSA_TRIANGLES, cube, dodecahedron, tet
 from toriclab.charfunc import (
@@ -25,6 +30,7 @@ from toriclab.charfunc import (
     parse_charfunc,
 )
 from toriclab.combinatorics import SimplicialSphere2, dual_sphere
+from toriclab.corpus import POLYTOPE_NAMES, load_polytope
 from toriclab.errors import ParseError, ValidationError
 from toriclab.lattice import det3
 
@@ -76,6 +82,60 @@ class TestFourColor:
         s = subdivided_cp3(1100, seed=1)[0].sphere
         c = four_color(s)
         assert all(c.colors[u] != c.colors[v] for u, v in s.walls)
+
+
+def nanotube_sphere(k):
+    """The sphere dual to the (5,0) capped nanotube fullerene C_{20+10k}:
+    two poles of degree 5 and k + 2 rings of five vertices."""
+    top, bottom = 0, 1 + 5 * (k + 2)
+
+    def ring(r, i):
+        return 1 + 5 * r + i % 5
+
+    tris = []
+    for i in range(5):
+        tris.append((top, ring(0, i), ring(0, i + 1)))
+        for r in range(k + 1):
+            tris.append((ring(r, i), ring(r + 1, i), ring(r, i + 1)))
+            tris.append((ring(r, i + 1), ring(r + 1, i), ring(r + 1, i + 1)))
+        tris.append((bottom, ring(k + 1, i + 1), ring(k + 1, i)))
+    return SimplicialSphere2.from_triangles(bottom + 1, tris)
+
+
+def relabelled(s, seed):
+    perm = list(range(s.m))
+    random.Random(seed).shuffle(perm)
+    return SimplicialSphere2.from_triangles(
+        s.m, [tuple(perm[v] for v in t) for t in s.triangles])
+
+
+class TestColoringMatchesReference:
+    """``four_color`` must make exactly the choices of the plain
+    rescanning search in ``oracles.dsatur_coloring``."""
+
+    @staticmethod
+    def check(s):
+        expected, undone = dsatur_coloring(s.m, s.walls)
+        assert "".join(four_color(s).colors) == expected
+        return undone
+
+    def test_corpus_polytopes(self):
+        for name in POLYTOPE_NAMES:
+            self.check(dual_sphere(load_polytope(name)))
+
+    @pytest.mark.parametrize("m", [8, 30, 100, 300])
+    def test_stacked_spheres(self, m):
+        for seed in range(3):
+            self.check(subdivided_cp3(m, seed)[0].sphere)
+
+    def test_relabelled_fullerenes_backtrack(self):
+        # Ids set the tie-breaks, so relabelling changes the search; on
+        # these fullerene duals most labellings force some backtracking.
+        spheres = [dual_sphere(load_polytope("dodecahedron")),
+                   nanotube_sphere(4), nanotube_sphere(10)]
+        undone = [self.check(relabelled(s, seed))
+                  for s in spheres for seed in range(10)]
+        assert sum(n > 0 for n in undone) >= 20
 
 
 class TestColoringToCharfunc:

@@ -7,7 +7,7 @@ import pytest
 from toriclab.cli import main
 from toriclab.combinatorics import parse_polytope
 from toriclab.corpus import FAN_NAMES, POLYTOPE_NAMES, corpus_get
-from toriclab.fan import parse_fan
+from toriclab.fan import Fan3, parse_fan, serialize_fan
 
 
 def run(capsys, *argv):
@@ -235,6 +235,35 @@ def test_nonunimodular_fan_reports_and_fails(capsys, tmp_path):
     assert "unimodular: no" in out
     assert "unimodular_violations" in out
     assert "(0, 1, 3)" in out
+
+
+def test_nonunimodular_fan_fails_every_analysis(capsys, tmp_path):
+    text = corpus_get("cp3").text.replace("R 3: -1 -1 -1", "R 3: -1 -1 -2")
+    path = tmp_path / "nonuni.fan"
+    path.write_text(text)
+    for cmd in ("volume", "extremal", "witness"):
+        code, out, err = run(capsys, "fan", cmd, str(path))
+        assert (code, out) == (1, ""), cmd
+        assert err == ("error: fan is not unimodular: "
+                       "cone (0, 1, 3) has determinant -2\n"), cmd
+
+
+def test_every_fan_command_certifies_first(capsys, tmp_path):
+    # The antipodal cube pair: unimodular cones on the octahedron, but
+    # opposite rays are equal, so it is no fan.  Every command must stop
+    # at the completeness certificate, with one message.
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    cones = parse_fan(corpus_get("cube-fan").text).maximal_cones
+    f = Fan3.from_data("cube-pair", (e1, e1, e2, e2, e3, e3), cones)
+    path = tmp_path / "cube-pair.fan"
+    path.write_text(serialize_fan(f))
+    errors = set()
+    for cmd in ("report", "volume", "extremal", "witness"):
+        code, out, err = run(capsys, "fan", cmd, str(path))
+        assert (code, out) == (1, ""), cmd
+        errors.add(err)
+    assert errors == {"error: apexes 4, 5 of wall (0, 2) do not lie strictly "
+                      "on opposite sides (determinants 1, 1)\n"}
 
 
 def test_incomplete_fan_fails(capsys, tmp_path):

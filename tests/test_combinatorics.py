@@ -20,6 +20,8 @@ from toriclab.combinatorics import (
 )
 from toriclab.errors import ParseError, ValidationError
 
+from subdivision import subdivided_cp3
+
 TET_FACETS = [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)]
 CUBE_FACETS = [
     (0, 1, 2, 3),
@@ -155,8 +157,12 @@ class TestDualSphere:
         assert sorted(s.wall_apexes((0, 1))) == [2, 3]
 
     def test_double_dual_recovers_polytope(self):
-        for facets in (TET_FACETS, CUBE_FACETS, PRISM5_FACETS, TRUNC_TET_FACETS):
-            p = SimplePolytope3.from_facets("x", facets)
+        polytopes = [SimplePolytope3.from_facets("x", facets) for facets in
+                     (TET_FACETS, CUBE_FACETS, PRISM5_FACETS, TRUNC_TET_FACETS)]
+        # a stacked sphere on 1000 vertices, dualised once to get a polytope
+        stacked = subdivided_cp3(1000, seed=3)[0].sphere
+        polytopes.append(dual_polytope(stacked, "x"))
+        for p in polytopes:
             s = dual_sphere(p)
             tri_of_vertex = {
                 v: s.triangles.index(tuple(sorted(p.vertex_facets(v))))

@@ -405,3 +405,23 @@ def test_obstruction_wall_is_extremal():
         key = tuple(sorted(w.wall))
         group = next(g for g in an.groups if key in g)
         assert group[0] in an.extremal, name
+
+
+def test_cone_lps_are_solved_once_per_fan(monkeypatch):
+    import toriclab.cone as cone_module
+
+    calls = []
+
+    def counting(x, generators):
+        calls.append(x)
+        return cone_membership(x, generators)
+
+    monkeypatch.setattr(cone_module, "cone_membership", counting)
+    for name in FAN_NAMES:
+        calls.clear()
+        f = load_fan(name)
+        an = extremal_walls(f)
+        delzant_obstruction_witness(f)
+        assert len(calls) == len(an.groups), name
+        # an uncertified copy is a new fan with its own analysis
+        assert extremal_walls(f.with_support(None)) is not an
