@@ -9,7 +9,8 @@ Reports are plain text by default and structured JSON with ``--json``;
 every number is exact (integers, or rationals rendered ``p/q``), and a
 report is byte-deterministic for a fixed input except for the trailing
 timing field.  Exit codes: 0 all checks pass, 1 validation or
-certification failure, 2 parse error.
+certification failure (or an internal error, reported on one line
+without a traceback), 2 parse error.
 """
 
 from __future__ import annotations
@@ -406,6 +407,13 @@ def main(argv=None) -> int:
         return 2
     except ToricLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(
+            f"error: internal error in {args.command} {args.subcommand}: "
+            f"{type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
         return 1
 
 

@@ -108,13 +108,12 @@ def _wall_classes(pair: CharacteristicPair, walls) -> tuple[WallClass, ...]:
 
 
 def _positively_proportional(u: Sequence[int], v: Sequence[int]) -> bool:
+    """v = q u for some q > 0, decided by signs and cross-multiplication."""
     k = next((i for i, a in enumerate(u) if a != 0), None)
-    if k is None or v[k] == 0:
+    if k is None or v[k] == 0 or (u[k] > 0) != (v[k] > 0):
         return False
-    q = Fraction(v[k], u[k])
-    if q <= 0:
-        return False
-    return all(Fraction(b) == q * a for a, b in zip(u, v))
+    uk, vk = u[k], v[k]
+    return all(uk * b == vk * a for a, b in zip(u, v))
 
 
 def _group_classes(classes):

@@ -1,10 +1,11 @@
 """Exact rational linear programming.
 
-A small phase-1 simplex over :class:`fractions.Fraction` with Bland's
-pivoting rule, which terminates without cycling.  There are no tolerances
-anywhere: every verdict comes with a certificate that is re-verified by
-exact substitution before it is returned, so a caller can trust either
-answer unconditionally.
+A small phase-1 simplex with Bland's pivoting rule, which terminates
+without cycling.  It pivots fraction-free: the system is scaled to integers
+once, and every tableau entry stays an integer over one common
+denominator.  There are no tolerances anywhere: every verdict comes with a
+certificate that is re-verified by exact substitution before it is
+returned, so a caller can trust either answer unconditionally.
 
 Two feasibility questions are exposed:
 
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InternalError
@@ -35,8 +38,22 @@ __all__ = [
 ]
 
 
-def _fractions(v) -> list[Fraction]:
-    return [Fraction(x) for x in v]
+def _integral(rows) -> tuple[list[list[int]], int]:
+    """The rows times one positive integer, the lcm of all denominators:
+    the integer rows and that scale.
+
+    Ints and Fractions are read through ``numerator``/``denominator``
+    without building a Fraction; anything else ``Fraction`` accepts
+    (floats, Decimals, strings) is converted first.
+    """
+    rows = [list(r) for r in rows]
+    try:
+        dens = {x.denominator for r in rows for x in r}
+    except AttributeError:
+        rows = [[Fraction(x) for x in r] for r in rows]
+        dens = {x.denominator for r in rows for x in r}
+    scale = lcm(*dens)
+    return [[x.numerator * (scale // x.denominator) for x in r] for r in rows], scale
 
 
 @dataclass(frozen=True)
@@ -61,91 +78,102 @@ def phase1_simplex(rows: Sequence[Sequence], rhs: Sequence) -> Phase1Result:
     Minimizes the sum of artificial variables with Bland's rule.  When the
     minimum is positive the system is infeasible and the simplex
     multipliers give the alternative certificate.
+
+    The whole system is first multiplied by the lcm of its denominators.
+    One positive scale keeps the sign of every reduced cost and multiplies
+    every ratio of an entering column by the same factor, so Bland's rule
+    picks the same entering column, leaving row and tie-breaks as on the
+    rational system; the solution and the artificial reduced costs, hence
+    the Farkas vector, are unchanged as well.  The tableau is then pivoted
+    fraction-free (Edmonds/Bareiss): it holds integers ``T`` and ``z``
+    together with the basis determinant ``d > 0``, and the rational tableau
+    and reduced costs are ``T / d`` and ``z / d``.  Pivoting on
+    ``p = T[r][e] > 0`` keeps row r, maps every other row (and z) to
+    ``(p * T[i] - T[i][e] * T[r]) // d``, a division that is exact, and
+    sets ``d = p``.  Signs and ratio comparisons are read off the integers,
+    so the pivots are those of the rational tableau.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    a = [_fractions(r) for r in rows]
-    b = _fractions(rhs)
+    *a, b = _integral([*rows, rhs])[0]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
     if any(len(r) != ncols for r in a) or len(b) != nrows:
         raise InternalError("ragged linear system")
 
     # Orient every row so the right-hand side is nonnegative, remembering
     # the flips to undo on the certificate.
-    signs = []
+    signs = [1] * nrows
     for i in range(nrows):
         if b[i] < 0:
             a[i] = [-x for x in a[i]]
             b[i] = -b[i]
-            signs.append(-1)
-        else:
-            signs.append(1)
+            signs[i] = -1
 
     # Tableau: real columns, artificial columns, right-hand side.
-    width = ncols + nrows + 1
     tab = []
     for i in range(nrows):
-        row = a[i] + [Fraction(0)] * nrows + [b[i]]
-        row[ncols + i] = Fraction(1)
+        row = a[i] + [0] * nrows + [b[i]]
+        row[ncols + i] = 1
         tab.append(row)
     basis = [ncols + i for i in range(nrows)]
 
     # Reduced-cost row for minimizing the artificial sum: cost 1 on each
     # artificial, 0 elsewhere, minus the sum of the (basic) rows.
-    z = [Fraction(0)] * width
-    for j in range(ncols + nrows):
-        z[j] = (Fraction(1) if j >= ncols else Fraction(0)) - sum(
-            tab[i][j] for i in range(nrows)
-        )
-    z[-1] = -sum(b)
+    z = [-sum(col) for col in zip(*a)] + [0] * nrows + [-sum(b)]
+    d = 1
 
     while True:
         enter = next((j for j in range(ncols + nrows) if z[j] < 0), None)
         if enter is None:
             break
+        # Least ratio T[i][-1] / T[i][enter], ties to the least basic
+        # variable, compared by cross-multiplication.
         pivot = None
-        best = None
-        for i in range(nrows):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[pivot]
-                ):
-                    best = ratio
-                    pivot = i
+        for i, row in enumerate(tab):
+            t = row[enter]
+            if t <= 0:
+                continue
+            if pivot is not None:
+                diff = row[-1] * den - num * t
+                if diff > 0 or (diff == 0 and basis[i] > basis[pivot]):
+                    continue
+            pivot, num, den = i, row[-1], t
         if pivot is None:
             raise InternalError("phase-1 objective unbounded below")
-        piv = tab[pivot][enter]
-        tab[pivot] = [x / piv for x in tab[pivot]]
-        for i in range(nrows):
-            if i != pivot and tab[i][enter]:
-                c = tab[i][enter]
-                tab[i] = [x - c * y for x, y in zip(tab[i], tab[pivot])]
-        if z[enter]:
-            c = z[enter]
-            z = [x - c * y for x, y in zip(z, tab[pivot])]
+        prow = tab[pivot]
+        p = prow[enter]
+        for i, row in enumerate(tab):
+            if i == pivot:
+                continue
+            c = row[enter]
+            if c:
+                tab[i] = [(p * x - c * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                tab[i] = [p * x // d for x in row]
+        c = z[enter]
+        z = [(p * x - c * y) // d for x, y in zip(z, prow)]
+        d = p
         basis[pivot] = enter
 
-    objective = -z[-1]
-    if objective == 0:
-        x = [Fraction(0)] * ncols
+    if z[-1] == 0:
+        # The solution is x / d.
+        x = [0] * ncols
         for i, var in enumerate(basis):
             if var < ncols:
                 x[var] = tab[i][-1]
-        for i in range(nrows):
-            if sum(c * v for c, v in zip(a[i], x)) != b[i]:
-                raise InternalError("simplex produced a non-solution")
-        return Phase1Result(solution=tuple(x), farkas=None)
+        if any(v < 0 for v in x) or any(
+            sum(map(mul, r, x)) != v * d for r, v in zip(a, b)
+        ):
+            raise InternalError("simplex produced a non-solution")
+        return Phase1Result(solution=tuple(Fraction(v, d) for v in x), farkas=None)
 
-    # Infeasible: multipliers from the artificial reduced costs, with the
-    # row flips undone, certify the alternative.
-    y = [signs[i] * (Fraction(1) - z[ncols + i]) for i in range(nrows)]
-    for j in range(ncols):
-        if sum(y[i] * signs[i] * a[i][j] for i in range(nrows)) > 0:
-            raise InternalError("invalid infeasibility certificate")
-    dotb = sum(y[i] * signs[i] * b[i] for i in range(nrows))
-    if dotb <= 0:
+    # Infeasible: the multipliers 1 - z_art / d, read off the artificial
+    # reduced costs, certify the alternative once the row flips are undone.
+    y = [d - z[ncols + i] for i in range(nrows)]
+    if any(sum(map(mul, y, col)) > 0 for col in zip(*a)) or sum(map(mul, y, b)) <= 0:
         raise InternalError("invalid infeasibility certificate")
-    return Phase1Result(solution=None, farkas=tuple(y))
+    return Phase1Result(
+        solution=None, farkas=tuple(Fraction(s * v, d) for s, v in zip(signs, y))
+    )
 
 
 @dataclass(frozen=True)
@@ -164,36 +192,33 @@ class ConeMembership:
 
 def cone_membership(x: Sequence, generators: Sequence[Sequence]) -> ConeMembership:
     """Decide whether x is a nonnegative combination of the generators."""
-    target = _fractions(x)
-    gens = [_fractions(g) for g in generators]
+    # One common scale for x and the generators changes neither answer.
+    target, *gens = _integral([x, *generators])[0]
     dim = len(target)
     if any(len(g) != dim for g in gens):
         raise InternalError("generator dimension mismatch")
     if not gens:
-        if all(v == 0 for v in target):
+        if not any(target):
             return ConeMembership(True, (), None)
-        sep = tuple(
-            Fraction(1) if v > 0 else Fraction(-1) if v < 0 else Fraction(0)
-            for v in target
-        )
+        sep = tuple(Fraction((v > 0) - (v < 0)) for v in target)
         return ConeMembership(False, None, sep)
 
-    columns = [[g[k] for g in gens] for k in range(dim)]
+    columns = [list(col) for col in zip(*gens)]
     res = phase1_simplex(columns, target)
     if res.feasible:
-        r = res.solution
-        assembled = [
-            sum(r[s] * gens[s][k] for s in range(len(gens))) for k in range(dim)
-        ]
-        if assembled != target or any(c < 0 for c in r):
+        # The coefficients over their common denominator q.
+        (coef,), q = _integral([res.solution])
+        if any(c < 0 for c in coef) or any(
+            sum(map(mul, coef, col)) != q * v for col, v in zip(columns, target)
+        ):
             raise InternalError("membership coefficients failed verification")
-        return ConeMembership(True, r, None)
-    sep = res.farkas
-    if any(sum(a * b for a, b in zip(sep, g)) > 0 for g in gens):
+        return ConeMembership(True, res.solution, None)
+    (sep,), _ = _integral([res.farkas])
+    if any(sum(map(mul, sep, g)) > 0 for g in gens):
         raise InternalError("separator fails on a generator")
-    if sum(a * b for a, b in zip(sep, target)) <= 0:
+    if sum(map(mul, sep, target)) <= 0:
         raise InternalError("separator fails on the target")
-    return ConeMembership(False, None, sep)
+    return ConeMembership(False, None, res.farkas)
 
 
 @dataclass(frozen=True)
@@ -212,35 +237,33 @@ class PositiveFunctional:
 
 def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:
     """Find y with <row, y> >= 1 for all rows, or prove none exists."""
-    mat = [_fractions(r) for r in rows]
+    mat, scale = _integral(rows)
     if not mat:
         return PositiveFunctional(True, (), None)
     dim = len(mat[0])
     if any(len(r) != dim for r in mat):
         raise InternalError("ragged row list")
 
-    # Standard form: R y+ - R y- - s = 1 with y+, y-, s >= 0.
+    # Standard form R y+ - R y- - s = 1 with y+, y-, s >= 0, times scale.
     k = len(mat)
     system = []
     for i, r in enumerate(mat):
-        slack = [Fraction(0)] * k
-        slack[i] = Fraction(-1)
-        system.append(list(r) + [-v for v in r] + slack)
-    ones = [Fraction(1)] * k
-    res = phase1_simplex(system, ones)
+        slack = [0] * k
+        slack[i] = -scale
+        system.append(r + [-v for v in r] + slack)
+    res = phase1_simplex(system, [scale] * k)
     if res.feasible:
-        sol = res.solution
-        y = tuple(sol[j] - sol[dim + j] for j in range(dim))
-        if any(sum(a * b for a, b in zip(r, y)) < 1 for r in mat):
+        # y over the common denominator q of the solution.
+        (sol,), q = _integral([res.solution])
+        y = [sol[j] - sol[dim + j] for j in range(dim)]
+        if any(sum(map(mul, r, y)) < scale * q for r in mat):
             raise InternalError("functional failed verification")
-        return PositiveFunctional(True, y, None)
+        return PositiveFunctional(True, tuple(Fraction(v, q) for v in y), None)
 
-    pi = res.farkas
+    (pi,), _ = _integral([res.farkas])
     total = sum(pi)
     if total <= 0 or any(p < 0 for p in pi):
         raise InternalError("invalid convex certificate")
-    coeffs = tuple(p / total for p in pi)
-    for kk in range(dim):
-        if sum(coeffs[i] * mat[i][kk] for i in range(k)) != 0:
-            raise InternalError("convex certificate does not hit zero")
-    return PositiveFunctional(False, None, coeffs)
+    if any(sum(map(mul, pi, col)) for col in zip(*mat)):
+        raise InternalError("convex certificate does not hit zero")
+    return PositiveFunctional(False, None, tuple(Fraction(p, total) for p in pi))

@@ -365,3 +365,56 @@ def zero_in_convex_hull(vectors):
             if all(a >= 0 for a in sol):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# rational phase-1 simplex
+
+
+def phase1_reference(rows, rhs):
+    """``A x = b, x >= 0`` by a dense rational tableau with Bland's rule.
+
+    Rows with a negative right-hand side are negated first, one artificial
+    variable per row starts basic, and the sum of the artificials is
+    minimised: enter the first column of negative reduced cost, leave by
+    the least ratio, ties to the least basic variable.  Returns
+    ``(solution, None)`` when the minimum is zero and otherwise
+    ``(None, farkas)`` with farkas_i = sign_i * (1 - reduced cost of
+    artificial i), a vector y with y A <= 0 and y b > 0.  No verification:
+    callers compare the answer itself.
+    """
+    a = [[Fraction(v) for v in r] for r in rows]
+    b = [Fraction(v) for v in rhs]
+    n, k = len(a[0]) if a else 0, len(a)
+    sign = [-1 if v < 0 else 1 for v in b]
+    tab = []
+    for i in range(k):
+        art = [Fraction(int(i == j)) for j in range(k)]
+        tab.append([sign[i] * v for v in a[i]] + art + [sign[i] * b[i]])
+    basis = list(range(n, n + k))
+    cost = [Fraction(0)] * n + [Fraction(1)] * k + [Fraction(0)]
+    red = [cost[j] - sum(t[j] for t in tab) for j in range(n + k + 1)]
+    while True:
+        enter = next((j for j in range(n + k) if red[j] < 0), None)
+        if enter is None:
+            break
+        rows_in = [i for i in range(k) if tab[i][enter] > 0]
+        if not rows_in:
+            raise ValueError("phase-1 objective unbounded")
+        leave = min(rows_in, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for i in range(k):
+            f = tab[i][enter]
+            if i != leave and f:
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
+        f = red[enter]
+        red = [v - f * w for v, w in zip(red, tab[leave])]
+        basis[leave] = enter
+    if red[-1] == 0:
+        x = [Fraction(0)] * n
+        for i, var in enumerate(basis):
+            if var < n:
+                x[var] = tab[i][-1]
+        return tuple(x), None
+    return None, tuple(sign[i] * (1 - red[n + i]) for i in range(k))

@@ -192,6 +192,24 @@ def test_fan_witness_cube(capsys, fan_file):
     assert "dual_face: quadrangular" in out
 
 
+def test_unexpected_exception_is_reported_without_traceback(
+    capsys, fan_file, monkeypatch
+):
+    import toriclab.cli as cli
+
+    def broken(args):
+        raise RuntimeError("simulated failure")
+
+    monkeypatch.setattr(cli, "cmd_fan_witness", broken)
+    code, out, err = run(capsys, "fan", "witness", fan_file("cp3"))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == (
+        "error: internal error in fan witness: RuntimeError: simulated failure\n"
+    )
+
+
 def test_fan_extremal_cube(capsys, fan_file):
     code, out, _ = run(capsys, "fan", "extremal", fan_file("cube-fan"), "--json")
     assert code == 0

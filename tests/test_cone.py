@@ -1,9 +1,11 @@
 """Tests for the exact LP engine and the effective-cone analysis.
 
-The simplex is validated two independent ways: every certificate is
-re-verified by exact substitution inside the library, and the decisions
-are compared against subset-enumeration oracles (`cone_member_bruteforce`,
-`zero_in_convex_hull`) that share no code with the simplex.
+The simplex is validated three independent ways: every certificate is
+re-verified by exact substitution inside the library, the decisions are
+compared against subset-enumeration oracles (`cone_member_bruteforce`,
+`zero_in_convex_hull`) that share no code with the simplex, and its whole
+answer is compared with `phase1_reference`, a rational tableau that makes
+the same Bland pivots.
 """
 
 import itertools
@@ -26,9 +28,15 @@ from toriclab.cone import (
 )
 from toriclab.corpus import FAN_NAMES, load_fan
 from toriclab.errors import NoWitness
-from toriclab.exactlp import cone_membership, phase1_simplex, positive_functional
+from toriclab.exactlp import (
+    Phase1Result,
+    cone_membership,
+    phase1_simplex,
+    positive_functional,
+)
 
-from oracles import cone_member_bruteforce, zero_in_convex_hull
+from oracles import cone_member_bruteforce, phase1_reference, zero_in_convex_hull
+from subdivision import subdivided_cp3
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +62,85 @@ def test_phase1_requires_nonnegativity():
     # x = -1 has no nonnegative solution even though the system is square.
     res = phase1_simplex([[1]], [-1])
     assert not res.feasible
+
+
+def _random_systems(count, seed):
+    """Small seeded systems: mixed denominators, zero rows, negative
+    right-hand sides, and entries in -2..2, so ratio ties are frequent.
+    Half take b = A x0 for a random x0 >= 0 and are feasible."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randrange(0, 5), rng.randrange(0, 6)
+        dens = rng.choice([(1,), (1, 2), (1, 2, 3), (1, 4, 6)])
+
+        def entry():
+            if rng.random() < 0.4:
+                return 0
+            return Fraction(rng.randrange(-2, 3), rng.choice(dens))
+
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows and rng.random() < 0.2:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        if ncols and rng.random() < 0.5:
+            x0 = [Fraction(rng.randrange(0, 3), rng.choice(dens)) for _ in range(ncols)]
+            rhs = [sum(a * x for a, x in zip(r, x0)) for r in rows]
+        else:
+            rhs = [entry() for _ in range(nrows)]
+        yield rows, rhs
+
+
+def test_phase1_matches_the_rational_tableau_on_random_systems():
+    feasible = 0
+    for rows, rhs in _random_systems(400, seed=4):
+        got = phase1_simplex(rows, rhs)
+        assert got == Phase1Result(*phase1_reference(rows, rhs))
+        feasible += got.feasible
+    assert 100 <= feasible <= 300
+
+
+@pytest.fixture(scope="module")
+def library_lps():
+    """Every system the cone analysis hands to the simplex: extremality
+    and positive-functional LPs on the corpus fans, on support-free star
+    subdivisions of cp3 with m = 8..14 and on the antipodal cube pair."""
+    import toriclab.exactlp as exactlp
+
+    solve = exactlp.phase1_simplex
+    systems = []
+
+    def recording(rows, rhs):
+        systems.append((rows, rhs))
+        return solve(rows, rhs)
+
+    fans = [load_fan(name) for name in FAN_NAMES] + [
+        subdivided_cp3(m, seed=m)[0].with_support(None) for m in range(8, 15)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "phase1_simplex", recording)
+        for f in fans:
+            strict_convexity_witness(extremal_walls(f).classes)
+        strict_convexity_witness(signed_wall_classes(_antipodal_cube_pair()))
+    return systems
+
+
+def test_phase1_matches_the_rational_tableau_on_library_lps(library_lps):
+    feasible = 0
+    for rows, rhs in library_lps:
+        got = phase1_simplex(rows, rhs)
+        assert got == Phase1Result(*phase1_reference(rows, rhs))
+        feasible += got.feasible
+    # 148 systems, 65 of them feasible
+    assert len(library_lps) >= 140
+    assert 50 <= feasible <= len(library_lps) - 50
+
+
+def test_phase1_reads_floats_decimals_and_strings_as_fractions():
+    from decimal import Decimal
+
+    exact = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), 1]], [1, Fraction(-1, 2)]
+    loose = [[0.5, "1/3"], [Decimal("0.25"), True]], ["1", -0.5]
+    assert phase1_simplex(*loose) == phase1_simplex(*exact)
+    assert phase1_simplex(*exact) == Phase1Result(*phase1_reference(*exact))
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +298,43 @@ def test_grouping_collects_positive_multiples_only():
         [(0, 1), (0, 2)],
         [(1, 2)],
     ]
+
+
+def _fraction_quotient_groups(classes):
+    """Greedy grouping in first-appearance order, with v ~ u when the
+    quotient q = v[k] / u[k] at the first nonzero entry of u is positive
+    and v = q u entry by entry, all in Fractions."""
+    def proportional(u, v):
+        k = next((i for i, a in enumerate(u) if a != 0), None)
+        if k is None or v[k] == 0:
+            return False
+        q = Fraction(v[k], u[k])
+        return q > 0 and all(Fraction(b) == q * a for a, b in zip(u, v))
+
+    groups = []
+    for cls in classes:
+        for g in groups:
+            if proportional(g[0].pairing, cls.pairing):
+                g.append(cls)
+                break
+        else:
+            groups.append([cls])
+    return [[cls.wall for cls in g] for g in groups]
+
+
+def test_grouping_matches_fraction_quotients():
+    fans = [load_fan(name) for name in FAN_NAMES] + [
+        subdivided_cp3(m, seed=m)[0].with_support(None) for m in range(8, 25)
+    ]
+    for f in fans:
+        classes = wall_classes(f)
+        expected = _fraction_quotient_groups(classes)
+        got = [[cls.wall for cls in g] for g in _group_classes(classes)]
+        assert got == expected, f.name
+    signed = signed_wall_classes(_antipodal_cube_pair())
+    assert [[cls.wall for cls in g] for g in _group_classes(signed)] == (
+        _fraction_quotient_groups(signed)
+    )
 
 
 def test_extremality_matches_bruteforce_on_small_corpus_fans():

@@ -4,7 +4,8 @@ Large fans are held to identities that must hold exactly: Gauss-Bonnet and
 the Chern number, annihilation of the wall classes by the linear relations,
 the Betti numbers, and the closed-form volume of the cut simplex.  Small
 fans are compared entry by entry with the oracles in ``oracles.py``, which
-share no code with the library.
+share no code with the library.  The exact-LP route of the cone analysis
+runs on a support-free fan with m = 24 and its certificates are checked.
 """
 
 import pytest
@@ -16,7 +17,13 @@ from toriclab.cohomology import (
     intersection_table,
     volume_polynomial,
 )
-from toriclab.cone import signed_wall_classes, wall_classes
+from toriclab.cone import (
+    delzant_obstruction_witness,
+    extremal_walls,
+    signed_wall_classes,
+    strict_convexity_witness,
+    wall_classes,
+)
 from toriclab.fan import characteristic_pair, check_complete, gauss_bonnet_sum
 
 from oracles import integral_table_oracle, polytope_volume_oracle
@@ -69,3 +76,36 @@ def test_small_fans_match_the_oracles(m):
     oracle = integral_table_oracle(f.rays, f.maximal_cones)
     assert intersection_table(f) == {ms: v for ms, v in oracle.items() if v}
     assert polytope_volume_oracle(f.rays, f.support) == volume
+
+
+def test_cone_lps_at_m24_without_support(monkeypatch):
+    import toriclab.cone as cone_module
+
+    f = subdivided_cp3(24, seed=24)[0].with_support(None)
+    solve = cone_module.cone_membership
+    answers = []
+
+    def recording(x, generators):
+        answers.append((x, generators, solve(x, generators)))
+        return answers[-1][2]
+
+    monkeypatch.setattr(cone_module, "cone_membership", recording)
+    an = extremal_walls(f)
+    assert len(answers) == len(an.groups)
+    assert an.extremal
+    members = [(x, gens, res) for x, gens, res in answers if res.member]
+    reps = {g[0] for g in an.groups} - set(an.extremal)
+    assert sorted(x for x, _, _ in members) == sorted(
+        cls.pairing for cls in an.classes if cls.wall in reps
+    )
+    for x, gens, res in members:
+        assert all(c >= 0 for c in res.coefficients)
+        for k in range(f.m):
+            assert sum(c * g[k] for c, g in zip(res.coefficients, gens)) == x[k]
+
+    w = delzant_obstruction_witness(f)
+    assert w.dual_face_size in (3, 4)
+    assert w.dual_face_size == f.sphere.vertex_degree(w.vertex)
+
+    y = strict_convexity_witness(an.classes)
+    assert all(sum(a * b for a, b in zip(y, cls.pairing)) >= 1 for cls in an.classes)
