@@ -32,6 +32,7 @@ from .cohomology import (
     certify_support,
     chern_number_c1c2,
     edge_functional,
+    edge_functionals,
     evaluate_volume,
     linear_relation,
     serialize_volume_polynomial,

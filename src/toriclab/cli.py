@@ -32,7 +32,7 @@ from .charfunc import (
 from .cohomology import (
     betti_numbers,
     chern_number_c1c2,
-    edge_functional,
+    edge_functionals,
     serialize_volume_polynomial,
     volume_polynomial,
 )
@@ -269,7 +269,7 @@ def cmd_fan_volume(args) -> int:
         )
     rpt.add("support", support)
 
-    functionals = {str(w.key): edge_functional(f, w.key, support) for w in f.walls}
+    functionals = {str(k): v for k, v in edge_functionals(f, support).items()}
     rpt.add("edge_functionals", functionals)
     bad = [k for k, v in functionals.items() if v <= 0]
     if bad:

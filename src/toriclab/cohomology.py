@@ -23,6 +23,16 @@ wall pairings of :mod:`toriclab.cone` -- is a sparse sum over that table.
 Volume polynomials collect every degree-3 integral with multinomial
 weights; their values at valid support parameters are Euclidean volumes of
 the corresponding simple polytopes.
+
+Support parameters are evaluated over one common denominator.  The values
+c_1, ..., c_m are read once as integer numerators C_t over the least common
+denominator D of all of them (c_t = C_t / D).  Every multinomial weight
+times 6 is an integer, so a volume is the integer sum S of 6 * weight *
+integral * C_i C_j C_k divided by 6 D^3, and an edge functional is the
+integer sum E of integral * C_t divided by D.  Signs are decided on S and E
+alone; a ``Fraction`` is built only for a value handed back to the caller
+or named in a ``SupportInvalid`` message, so each query normalises once
+instead of at every product and sum.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .charfunc import CharacteristicPair
 from .combinatorics import SimplicialSphere2
@@ -39,9 +50,10 @@ from .lattice import Vec3, det3, dot, dual_covector
 
 Multiset = tuple[int, int, int]
 
-# multinomial weight of a monomial in (c_1 v_1 + ... + c_m v_m)^3 / 3!, by
-# its number of distinct indices
-_VOLUME_WEIGHT = {3: Fraction(1), 2: Fraction(1, 2), 1: Fraction(1, 6)}
+# six times the multinomial weight of a monomial in
+# (c_1 v_1 + ... + c_m v_m)^3 / 3!, by its number of distinct indices: the
+# weights are 1, 1/2 and 1/6
+_SIX_WEIGHT = {3: 6, 2: 3, 1: 1}
 
 
 def _sign(x: int) -> int:
@@ -180,26 +192,36 @@ class VolumePolynomial:
     """Homogeneous cubic in m variables with exact rational coefficients.
 
     Keys of ``coeffs`` are sorted index multisets (i <= j <= k); only
-    nonzero coefficients are stored.
+    nonzero coefficients are stored.  ``terms`` holds the same polynomial
+    as integers ``(i, j, k, 6 * coefficient)``, the view evaluation uses.
     """
 
     fan: Fan3
     coeffs: tuple[tuple[Multiset, Fraction], ...] = field(repr=False)
+    terms: tuple[tuple[int, int, int, int], ...] = field(repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return self.fan.m
 
+    @cached_property
+    def _coefficients(self) -> dict[Multiset, Fraction]:
+        return dict(self.coeffs)
+
     def coefficient(self, indices) -> Fraction:
         key = _as_multiset(indices, self.m)
-        return dict(self.coeffs).get(key, Fraction(0))
+        return self._coefficients.get(key, Fraction(0))
 
     def __call__(self, c) -> Fraction:
         c = [Fraction(x) for x in c]
         if len(c) != self.m:
             raise ValidationError(f"{len(c)} values for {self.m} variables")
-        return sum((coeff * c[i] * c[j] * c[k]
-                    for (i, j, k), coeff in self.coeffs), Fraction(0))
+        return self._value(*_over_common_denominator(c))
+
+    def _value(self, C: list[int], D: int) -> Fraction:
+        """The value at c_t = C[t] / D."""
+        S = sum(w * C[i] * C[j] * C[k] for i, j, k, w in self.terms)
+        return Fraction(S, 6 * D ** 3)
 
 
 def volume_polynomial(f: Fan3) -> VolumePolynomial:
@@ -209,9 +231,10 @@ def volume_polynomial(f: Fan3) -> VolumePolynomial:
     c_i^2 c_j it is the integral over 2; of c_i^3 over 6 — the multinomial
     weights of (c_1 v_1 + ... + c_m v_m)^3 / 3!.
     """
-    coeffs = tuple((key, _VOLUME_WEIGHT[len(set(key))] * v)
-                   for key, v in sorted(intersection_table(f).items()))
-    return VolumePolynomial(fan=f, coeffs=coeffs)
+    terms = tuple((*key, _SIX_WEIGHT[len(set(key))] * v)
+                  for key, v in sorted(intersection_table(f).items()))
+    coeffs = tuple(((i, j, k), Fraction(w, 6)) for i, j, k, w in terms)
+    return VolumePolynomial(fan=f, coeffs=coeffs, terms=terms)
 
 
 def serialize_volume_polynomial(V: VolumePolynomial) -> str:
@@ -226,6 +249,25 @@ def serialize_volume_polynomial(V: VolumePolynomial) -> str:
     return "\n".join(out) + "\n"
 
 
+def _over_common_denominator(c: list[Fraction]) -> tuple[list[int], int]:
+    """The numerators C_t of c over the least common denominator D."""
+    D = math.lcm(*(x.denominator for x in c))
+    return [x.numerator * (D // x.denominator) for x in c], D
+
+
+def _scaled_support(f: Fan3, c) -> tuple[list[int], int]:
+    """Support parameters for the fan's rays, as numerators over one D."""
+    c = [Fraction(x) for x in c]
+    if len(c) != f.m:
+        raise ValidationError(f"{len(c)} values for {f.m} rays")
+    return _over_common_denominator(c)
+
+
+def _edge_numerator(pair: CharacteristicPair, w, C: list[int]) -> int:
+    """D times the edge functional of wall w at c_t = C[t] / D."""
+    return sum(C[t] * v for t, v in wall_pairing(pair, w.pair).items())
+
+
 def edge_functional(f: Fan3, pair, c) -> Fraction:
     """The derivative of the volume polynomial along a wall, evaluated at c.
 
@@ -237,40 +279,42 @@ def edge_functional(f: Fan3, pair, c) -> Fraction:
     w = f.wall_table.get(tuple(sorted(pair)))
     if w is None:
         raise ValidationError(f"{tuple(sorted(pair))} is not a wall of this fan")
-    return _edge(f, w, _support_values(f, c))
+    C, D = _scaled_support(f, c)
+    return Fraction(_edge_numerator(characteristic_pair(f), w, C), D)
 
 
-def _support_values(f: Fan3, c) -> list[Fraction]:
-    c = [Fraction(x) for x in c]
-    if len(c) != f.m:
-        raise ValidationError(f"{len(c)} values for {f.m} rays")
-    return c
+def edge_functionals(f: Fan3, c) -> dict[tuple[int, int], Fraction]:
+    """:func:`edge_functional` at every wall, keyed by sorted wall pair in
+    the order of ``f.walls``; c is read once for all of them."""
+    C, D = _scaled_support(f, c)
+    pair = characteristic_pair(f)
+    return {w.key: Fraction(_edge_numerator(pair, w, C), D) for w in f.walls}
 
 
-def _edge(f: Fan3, w, c: list[Fraction]) -> Fraction:
-    entries = wall_pairing(characteristic_pair(f), w.pair)
-    return sum((c[t] * v for t, v in entries.items()), Fraction(0))
+def _certify_scaled(f: Fan3, C: list[int], D: int) -> None:
+    pair = characteristic_pair(f)
+    bad = []
+    for w in f.walls:
+        e = _edge_numerator(pair, w, C)
+        if e <= 0:
+            bad.append((w.key, e))
+    if bad:
+        detail = ", ".join(f"wall {p}: {Fraction(e, D)}" for p, e in bad)
+        raise SupportInvalid(f"non-positive edge functionals: {detail}")
 
 
 def certify_support(f: Fan3, c) -> None:
     """Raise SupportInvalid listing every wall with a non-positive edge."""
-    c = _support_values(f, c)
-    bad = []
-    for w in f.walls:
-        v = _edge(f, w, c)
-        if v <= 0:
-            bad.append((tuple(sorted(w.pair)), v))
-    if bad:
-        detail = ", ".join(f"wall {p}: {v}" for p, v in bad)
-        raise SupportInvalid(f"non-positive edge functionals: {detail}")
+    _certify_scaled(f, *_scaled_support(f, c))
 
 
 def evaluate_volume(V: VolumePolynomial, c) -> Fraction:
     """Volume of the polytope cut out by support parameters c.
 
     The parameters must define a polytope whose normal fan is V's fan;
-    this is certified by edge-functional positivity before evaluating.
+    this is certified by edge-functional positivity before evaluating,
+    over the same common denominator.
     """
-    c = [Fraction(x) for x in c]
-    certify_support(V.fan, c)
-    return V(c)
+    C, D = _scaled_support(V.fan, c)
+    _certify_scaled(V.fan, C, D)
+    return V._value(C, D)

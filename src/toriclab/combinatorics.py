@@ -10,7 +10,7 @@ convention used by the signed intersection calculus downstream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections import Counter, defaultdict
 from functools import cached_property
 
@@ -52,7 +52,9 @@ class SimplicialSphere2:
         """Validate a triangle list as a 2-sphere and fix an orientation.
 
         If ``oriented`` is not given, an orientation is constructed by
-        propagation from the lexicographically first triangle.
+        propagation from the lexicographically first triangle.  One index,
+        wall -> apexes, serves the wall check, every vertex link, the
+        propagation and the connectivity walk.
         """
         tris = sorted(tuple(sorted(t)) for t in triangles)
         if len(set(tris)) != len(tris):
@@ -63,77 +65,76 @@ class SimplicialSphere2:
             if not all(0 <= v < m for v in t):
                 raise ValidationError(f"triangle {t} uses a vertex outside 0..{m - 1}")
 
-        wall_tris: dict[Wall, list[int]] = defaultdict(list)
-        for idx, (a, b, c) in enumerate(tris):
-            for w in ((a, b), (a, c), (b, c)):
-                wall_tris[w].append(idx)
-        for w, owners in wall_tris.items():
-            if len(owners) != 2:
+        apexes: dict[Wall, list[int]] = defaultdict(list)
+        for a, b, c in tris:
+            apexes[(a, b)].append(c)
+            apexes[(a, c)].append(b)
+            apexes[(b, c)].append(a)
+        for w, tops in apexes.items():
+            if len(tops) != 2:
                 raise ValidationError(
-                    f"wall {w} lies in {len(owners)} triangles (expected 2)")
+                    f"wall {w} lies in {len(tops)} triangles (expected 2)")
 
         # Euler characteristic of a 2-sphere
-        if m - len(wall_tris) + len(tris) != 2:
+        if m - len(apexes) + len(tris) != 2:
             raise ValidationError(
-                f"Euler characteristic {m - len(wall_tris) + len(tris)} != 2")
+                f"Euler characteristic {m - len(apexes) + len(tris)} != 2")
 
-        # the link of every vertex must be one cycle
-        link_edges: dict[int, list[Wall]] = defaultdict(list)
-        for a, b, c in tris:
-            link_edges[a].append((b, c))
-            link_edges[b].append((a, c))
-            link_edges[c].append((a, b))
+        # The link of every vertex must be one cycle.  Each neighbour u of v
+        # has exactly two link neighbours, the apexes of the wall {u, v}, so
+        # the link is 2-regular; it is one cycle iff a walk from one
+        # neighbour visits all of them.
+        around: list[list[int]] = [[] for _ in range(m)]
+        for u, v in apexes:
+            around[u].append(v)
+            around[v].append(u)
         for v in range(m):
-            edges = link_edges.get(v)
-            if not edges:
+            if not around[v]:
                 raise ValidationError(f"vertex {v} lies in no triangle")
-            deg = Counter()
-            for x, y in edges:
-                deg[x] += 1
-                deg[y] += 1
-            if any(d != 2 for d in deg.values()) or len(edges) != len(deg):
-                raise ValidationError(f"link of vertex {v} is not a single cycle")
-            # connectivity of the link
-            adj = defaultdict(list)
-            for x, y in edges:
-                adj[x].append(y)
-                adj[y].append(x)
-            seen = {edges[0][0]}
-            stack = [edges[0][0]]
-            while stack:
-                for u in adj[stack.pop()]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) != len(deg):
+            start = prev = around[v][0]
+            cur = apexes[(v, start) if v < start else (start, v)][0]
+            steps = 1
+            while cur != start:
+                p, q = apexes[(v, cur) if v < cur else (cur, v)]
+                prev, cur = cur, q if p == prev else p
+                steps += 1
+            if steps != len(around[v]):
                 raise ValidationError(f"link of vertex {v} is not a single cycle")
 
         if oriented is None:
-            oriented = _orient_by_propagation(tris, wall_tris)
+            oriented = _orient_by_propagation(tris, apexes)
+            _check_orientation_consistent(oriented)
         else:
-            oriented = tuple(tuple(t) for t in oriented)
-            if [tuple(sorted(t)) for t in oriented] != list(tris):
-                raise ValidationError("oriented representatives do not match triangles")
-        _check_orientation_consistent(oriented)
+            oriented = _checked_orientation(oriented, tris)
 
-        # connectivity of the whole complex follows from the propagation /
-        # consistency walk only if the triangle adjacency graph is connected
-        seen_t = {0}
+        # connectivity of the whole complex: with every link a cycle, the
+        # triangles are connected exactly when the 1-skeleton is
+        seen = [False] * m
+        seen[0] = True
         stack = [0]
-        tri_adj = defaultdict(list)
-        for owners in wall_tris.values():
-            tri_adj[owners[0]].append(owners[1])
-            tri_adj[owners[1]].append(owners[0])
+        reached = 1
         while stack:
-            for u in tri_adj[stack.pop()]:
-                if u not in seen_t:
-                    seen_t.add(u)
+            for u in around[stack.pop()]:
+                if not seen[u]:
+                    seen[u] = True
+                    reached += 1
                     stack.append(u)
-        if len(seen_t) != len(tris):
+        if reached != m:
             raise ValidationError("sphere complex is disconnected")
 
         return cls(m=m, triangles=tuple(tris), oriented=tuple(oriented),
-                   walls=tuple(sorted(wall_tris)))
+                   walls=tuple(sorted(apexes)))
+
+    def reoriented(self, oriented) -> "SimplicialSphere2":
+        """This sphere with other oriented representatives.
+
+        The triangles are already validated, so only the orientation is
+        checked: it must match the triangles and be globally consistent.
+        The result shares this sphere's adjacency index.
+        """
+        sphere = replace(self, oriented=_checked_orientation(oriented, self.triangles))
+        sphere.__dict__["_apexes"] = self._apexes  # cached_property slot
+        return sphere
 
     @cached_property
     def _apexes(self) -> dict[int, dict[int, tuple[int, ...]]]:
@@ -163,11 +164,19 @@ class SimplicialSphere2:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self._apexes[v]))
 
+    @cached_property
+    def _position(self) -> dict[Triangle, int]:
+        """Triangle -> its position in ``triangles``."""
+        return {t: n for n, t in enumerate(self.triangles)}
+
     def orientation_sign(self, i: int, j: int, k: int) -> int:
         """+1 if (i, j, k) is an even permutation of the stored oriented
         representative of the triangle {i, j, k}, else -1."""
         key = tuple(sorted((i, j, k)))
-        rep = self.oriented[self.triangles.index(key)]
+        try:
+            rep = self.oriented[self._position[key]]
+        except KeyError:
+            raise ValidationError(f"{key} is not a triangle of this sphere") from None
         return _permutation_sign((i, j, k), rep)
 
 
@@ -182,17 +191,18 @@ def _permutation_sign(t: Triangle, rep: Triangle) -> int:
     return sign
 
 
-def _orient_by_propagation(tris, wall_tris) -> tuple[Triangle, ...]:
-    """Orient all triangles consistently, seeding from the first one."""
-    oriented: dict[int, Triangle] = {0: tris[0]}
-    stack = [0]
+def _orient_by_propagation(tris, apexes) -> tuple[Triangle, ...]:
+    """Orient all triangles consistently, seeding from the first one.
+
+    ``apexes`` maps each wall to the apexes of its two triangles."""
+    oriented: dict[Triangle, Triangle] = {tris[0]: tris[0]}
+    stack = [tris[0]]
     while stack:
-        idx = stack.pop()
-        a, b, c = oriented[idx]
-        for u, v in ((a, b), (b, c), (c, a)):
-            w = (u, v) if u < v else (v, u)
-            other = next(t for t in wall_tris[w] if t != idx)
-            apex = next(x for x in tris[other] if x != u and x != v)
+        a, b, c = oriented[stack.pop()]
+        for u, v, own in ((a, b, c), (b, c, a), (c, a, b)):
+            p, q = apexes[(u, v) if u < v else (v, u)]
+            apex = q if p == own else p
+            other = tuple(sorted((u, v, apex)))
             want = (v, u, apex)  # traverse the shared wall in reverse
             if other in oriented:
                 if _permutation_sign(want, oriented[other]) != 1:
@@ -202,7 +212,17 @@ def _orient_by_propagation(tris, wall_tris) -> tuple[Triangle, ...]:
                 stack.append(other)
     if len(oriented) != len(tris):
         raise ValidationError("sphere complex is disconnected")
-    return tuple(oriented[i] for i in range(len(tris)))
+    return tuple(oriented[t] for t in tris)
+
+
+def _checked_orientation(oriented, tris) -> tuple[Triangle, ...]:
+    """Given oriented representatives as tuples, checked against the sorted
+    triangles ``tris`` and for global consistency."""
+    oriented = tuple(tuple(t) for t in oriented)
+    if [tuple(sorted(t)) for t in oriented] != list(tris):
+        raise ValidationError("oriented representatives do not match triangles")
+    _check_orientation_consistent(oriented)
+    return oriented
 
 
 def _check_orientation_consistent(oriented) -> None:

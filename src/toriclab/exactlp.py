@@ -94,6 +94,16 @@ def phase1_simplex(rows: Sequence[Sequence], rhs: Sequence) -> Phase1Result:
     so the pivots are those of the rational tableau.
     """
     *a, b = _integral([*rows, rhs])[0]
+    return _phase1_integral(a, b)
+
+
+def _phase1_integral(a: list[list[int]], b: list[int]) -> Phase1Result:
+    """:func:`phase1_simplex` on a system that is already in integers.
+
+    The entry point for callers that build their systems from integers,
+    which need no scaling.  ``a`` and ``b`` are left unmodified.
+    """
+    a, b = list(a), list(b)
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if any(len(r) != ncols for r in a) or len(b) != nrows:
@@ -204,7 +214,7 @@ def cone_membership(x: Sequence, generators: Sequence[Sequence]) -> ConeMembersh
         return ConeMembership(False, None, sep)
 
     columns = [list(col) for col in zip(*gens)]
-    res = phase1_simplex(columns, target)
+    res = _phase1_integral(columns, target)
     if res.feasible:
         # The coefficients over their common denominator q.
         (coef,), q = _integral([res.solution])
@@ -251,7 +261,7 @@ def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:
         slack = [0] * k
         slack[i] = -scale
         system.append(r + [-v for v in r] + slack)
-    res = phase1_simplex(system, [scale] * k)
+    res = _phase1_integral(system, [scale] * k)
     if res.feasible:
         # y over the common denominator q of the solution.
         (sol,), q = _integral([res.solution])

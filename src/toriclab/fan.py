@@ -150,8 +150,7 @@ class Fan3:
             if d == 0:
                 raise ValidationError(f"cone {(i, j, k)} is degenerate: det = 0")
             oriented.append((i, j, k) if d > 0 else (i, k, j))
-        sphere = SimplicialSphere2.from_triangles(self.m, self.sphere.triangles,
-                                                  oriented=oriented)
+        sphere = self.sphere.reoriented(oriented)
         return CharacteristicPair(sphere, CharacteristicFunction(self.rays))
 
     @cached_property
@@ -323,7 +322,11 @@ def certify_fan(f: Fan3) -> CompletenessCertificate:
 
 
 def _pierce(f: Fan3, x: Vec3):
-    """Maximal cones whose interior contains x (exact barycentric solve)."""
+    """Maximal cones whose interior contains x (exact barycentric solve).
+
+    By Cramer's rule the barycentric coordinates of x are det3(...) / d, so
+    their signs are those of the integers det3(...) * sign(d).
+    """
     hits = []
     boundary = False
     for c in f.maximal_cones:
@@ -331,9 +334,8 @@ def _pierce(f: Fan3, x: Vec3):
         d = det3(la, lb, lc)
         if d == 0:
             raise ValidationError(f"cone {c} is degenerate: det = 0")
-        coeffs = (Fraction(det3(x, lb, lc), d),
-                  Fraction(det3(la, x, lc), d),
-                  Fraction(det3(la, lb, x), d))
+        s = 1 if d > 0 else -1
+        coeffs = (s * det3(x, lb, lc), s * det3(la, x, lc), s * det3(la, lb, x))
         if all(t > 0 for t in coeffs):
             hits.append(c)
         elif all(t >= 0 for t in coeffs):

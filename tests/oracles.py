@@ -418,3 +418,17 @@ def phase1_reference(rows, rhs):
                 x[var] = tab[i][-1]
         return tuple(x), None
     return None, tuple(sign[i] * (1 - red[n + i]) for i in range(k))
+
+
+# ---------------------------------------------------------------------------
+# volume polynomial values
+
+
+def volume_value_reference(coeffs, c):
+    """The cubic ``sum coeff * c_i c_j c_k`` at c, one ``Fraction`` product
+    and sum per term; ``coeffs`` are ((i, j, k), coefficient) pairs."""
+    c = [Fraction(x) for x in c]
+    total = Fraction(0)
+    for (i, j, k), coeff in coeffs:
+        total += Fraction(coeff) * c[i] * c[j] * c[k]
+    return total

@@ -16,8 +16,10 @@ import pytest
 from toriclab.charfunc import CharacteristicFunction, CharacteristicPair
 from toriclab.cohomology import (
     betti_numbers,
+    certify_support,
     chern_number_c1c2,
     edge_functional,
+    edge_functionals,
     evaluate_volume,
     intersection_table,
     linear_relation,
@@ -33,7 +35,9 @@ from toriclab.errors import (IncompleteFan, OrientationError, SupportInvalid,
                              ValidationError)
 from toriclab.fan import Fan3, characteristic_pair, check_complete
 
-from oracles import integral_table_oracle, polytope_volume_oracle
+from oracles import (integral_table_oracle, polytope_volume_oracle,
+                     volume_value_reference)
+from subdivision import subdivided_cp3
 from test_combinatorics import ICOSA_TRIANGLES
 
 
@@ -246,6 +250,22 @@ def test_random_supports_match_geometry_oracle():
         assert w(c) == polytope_volume_oracle(g.rays, c)
 
 
+def test_values_match_the_fraction_sum_at_mixed_denominators():
+    # Evaluation runs over one common denominator; the plain Fraction sum
+    # of the coefficients must give the same value for every input type.
+    for name in FAN_NAMES:
+        f = load_fan(name)
+        v = volume_polynomial(f)
+        mixed = [Fraction(-(t + 1) ** 2, 2 * t + 3) for t in range(f.m)]
+        for c in (f.support, mixed, [Fraction(x, -7) for x in f.support],
+                  list(range(-2, f.m - 2)), [str(x) for x in mixed],
+                  [Fraction(1, 2 ** 90)] * f.m):
+            assert v(c) == volume_value_reference(v.coeffs, c), (name, c)
+        with pytest.raises(ValidationError, match=f"^{f.m - 1} values for "
+                                                  f"{f.m} variables$"):
+            v(f.support[1:])
+
+
 def _third_difference(v, m, i, j, k):
     """Exact third mixed difference of a cubic polynomial = third partial."""
 
@@ -343,6 +363,71 @@ def test_edge_functionals_positive_at_corpus_supports():
         f = load_fan(name)
         for w in f.walls:
             assert edge_functional(f, w.pair, f.support) > 0, (name, w.pair)
+
+
+def _edge_reference(f, c):
+    """Every edge functional as a Fraction sum over the intersection table,
+    in wall order, and the SupportInvalid text it implies (None if valid)."""
+    table = intersection_table(f)
+    c = [Fraction(x) for x in c]
+    edges = {}
+    for w in f.walls:
+        u, v = w.key
+        edges[w.key] = sum((c[t] * table.get(tuple(sorted((u, v, t))), 0)
+                            for t in range(f.m)), Fraction(0))
+    bad = [f"wall {k}: {e}" for k, e in edges.items() if e <= 0]
+    message = "non-positive edge functionals: " + ", ".join(bad) if bad else None
+    return edges, message
+
+
+def _invalid_supports():
+    """(fan, support) with zero edges, negative edges and 2^-90
+    denominators, next to valid supports of the same fans."""
+    cube = load_fan("cube-fan")
+    yield cube, (1, -1, 1, 1, 1, 1)  # four edges of length zero
+    yield cube, (1, -2, 1, 1, 1, 1)  # the same edges, negative
+    yield cube, ("1/3", Fraction(-1, 3), 1, 1, 1, 1)
+    f, _ = subdivided_cp3(20, seed=5)
+    last = f.m - 1
+    delta = Fraction(1, 2 ** (last - 3))  # the depth of the last cut
+    tiny = Fraction(1, 2 ** 90)
+    for shift in (0, delta - tiny, delta, delta + tiny, -tiny):
+        c = list(f.support)
+        c[last] += shift
+        yield f, c
+    for k in range(3):
+        yield f, [x + (-1) ** (t + k) * t * tiny for t, x in enumerate(f.support)]
+
+
+def test_support_checks_match_a_fraction_restatement():
+    outcomes = set()
+    for f, c in _invalid_supports():
+        edges, message = _edge_reference(f, c)
+        assert edge_functionals(f, c) == edges
+        assert list(edge_functionals(f, c)) == [w.key for w in f.walls]
+        for key, e in edges.items():
+            assert edge_functional(f, key, c) == e
+        v = volume_polynomial(f)
+        if message is None:
+            certify_support(f, c)
+            assert evaluate_volume(v, c) == volume_value_reference(v.coeffs, c)
+            outcomes.add("valid")
+            continue
+        for check in (lambda: certify_support(f, c), lambda: evaluate_volume(v, c)):
+            with pytest.raises(SupportInvalid) as err:
+                check()
+            assert str(err.value) == message
+        outcomes.add("zero" if min(edges.values()) == 0 else "negative")
+    assert outcomes == {"valid", "zero", "negative"}
+
+
+def test_support_checks_reject_a_wrong_length():
+    f = load_fan("cp3")
+    for check in (lambda c: certify_support(f, c), lambda c: edge_functionals(f, c),
+                  lambda c: edge_functional(f, (0, 1), c),
+                  lambda c: evaluate_volume(volume_polynomial(f), c)):
+        with pytest.raises(ValidationError, match="^3 values for 4 rays$"):
+            check((1, 1, 1))
 
 
 # ---------------------------------------------------------------------------

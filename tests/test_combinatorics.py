@@ -152,6 +152,26 @@ class TestDualSphere:
         assert s.orientation_sign(rep[1], rep[0], rep[2]) == -1
         assert s.orientation_sign(rep[1], rep[2], rep[0]) == 1
 
+    def test_orientation_sign_on_every_triangle(self):
+        s = dual_sphere(dodecahedron())
+        for t, rep in zip(s.triangles, s.oriented):
+            a, b, c = rep
+            assert s.orientation_sign(a, b, c) == s.orientation_sign(b, c, a) == 1
+            assert s.orientation_sign(b, a, c) == s.orientation_sign(a, c, b) == -1
+        with pytest.raises(ValidationError, match="not a triangle"):
+            s.orientation_sign(0, 1, 11)
+
+    def test_reoriented_checks_only_the_orientation(self):
+        s = dual_sphere(dodecahedron())
+        flipped = [(a, c, b) for a, b, c in s.oriented]
+        r = s.reoriented(flipped)
+        assert r == SimplicialSphere2.from_triangles(s.m, s.triangles, oriented=flipped)
+        assert r._apexes is s._apexes
+        with pytest.raises(ValidationError, match="^orientation traverses edge"):
+            s.reoriented(flipped[:1] + list(s.oriented[1:]))
+        with pytest.raises(ValidationError, match="do not match triangles"):
+            s.reoriented(s.oriented[1:])
+
     def test_wall_apexes(self):
         s = dual_sphere(tet())
         assert sorted(s.wall_apexes((0, 1))) == [2, 3]
@@ -226,6 +246,45 @@ class TestValidation:
         tris = TET_FACETS + [tuple(v + 4 for v in t) for t in TET_FACETS]
         with pytest.raises(ValidationError, match="Euler|disconnect"):
             SimplicialSphere2.from_triangles(8, tris)
+
+    # Complexes with Euler characteristic 2 that are not spheres, so the
+    # link, orientability and connectivity checks must catch them.
+    TORUS = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1),
+             (6, 0, 2), (0, 3, 2), (1, 4, 3), (2, 5, 4), (3, 6, 5), (4, 0, 6),
+             (5, 1, 0), (6, 2, 1)]
+    RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (1, 2, 4),
+           (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+
+    @staticmethod
+    def shifted(tris, k, glue=None):
+        """Triangles with every vertex moved by k, except one vertex glued
+        to the given target."""
+        return [tuple(glue[1] if v == glue[0] else v + k for v in t) if glue
+                else tuple(v + k for v in t) for t in tris]
+
+    def test_torus_beside_a_tetrahedron_is_disconnected(self):
+        tris = self.TORUS + self.shifted(TET_FACETS, 7)
+        with pytest.raises(ValidationError, match="^sphere complex is disconnected$"):
+            SimplicialSphere2.from_triangles(11, tris)
+        # the same failure when a consistent orientation is supplied (both
+        # lists traverse every wall once in each direction)
+        reps = sorted(self.TORUS + self.shifted(TET_FACETS, 7),
+                      key=lambda t: tuple(sorted(t)))
+        with pytest.raises(ValidationError, match="^sphere complex is disconnected$"):
+            SimplicialSphere2.from_triangles(11, tris, oriented=reps)
+
+    def test_two_projective_planes_are_not_orientable(self):
+        tris = self.RP2 + self.shifted(self.RP2, 6)
+        with pytest.raises(ValidationError, match="^sphere complex is not orientable$"):
+            SimplicialSphere2.from_triangles(12, tris)
+
+    def test_pinched_vertex_link_is_two_cycles(self):
+        # a torus with two tetrahedra glued on at single vertices
+        tris = (self.TORUS + self.shifted(TET_FACETS, 6, (0, 0))
+                + self.shifted(TET_FACETS, 9, (0, 3)))
+        with pytest.raises(ValidationError,
+                           match="^link of vertex 0 is not a single cycle$"):
+            SimplicialSphere2.from_triangles(13, tris)
 
 
 class TestSerialization:

@@ -102,10 +102,12 @@ def test_phase1_matches_the_rational_tableau_on_random_systems():
 def library_lps():
     """Every system the cone analysis hands to the simplex: extremality
     and positive-functional LPs on the corpus fans, on support-free star
-    subdivisions of cp3 with m = 8..14 and on the antipodal cube pair."""
+    subdivisions of cp3 with m = 8..14 and on the antipodal cube pair.
+    Those LPs are built from integers and enter the simplex through its
+    integer entry point, which is recorded here."""
     import toriclab.exactlp as exactlp
 
-    solve = exactlp.phase1_simplex
+    solve = exactlp._phase1_integral
     systems = []
 
     def recording(rows, rhs):
@@ -116,7 +118,7 @@ def library_lps():
         subdivided_cp3(m, seed=m)[0].with_support(None) for m in range(8, 15)
     ]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactlp, "phase1_simplex", recording)
+        mp.setattr(exactlp, "_phase1_integral", recording)
         for f in fans:
             strict_convexity_witness(extremal_walls(f).classes)
         strict_convexity_witness(signed_wall_classes(_antipodal_cube_pair()))

@@ -8,20 +8,25 @@ asserted for every stock fan.
 
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from oracles import apply_matrix, det3x3, random_unimodular
+from subdivision import subdivided_cp3
 from toriclab.corpus import FAN_NAMES, load_fan
+from toriclab.combinatorics import SimplicialSphere2
 from toriclab.errors import (
     IncompleteFan,
+    InternalError,
     OrientationError,
     ParseError,
     ValidationError,
 )
 from toriclab.fan import (
     Fan3,
+    _pierce,
     characteristic_pair,
     check_complete,
     check_unimodular,
@@ -215,6 +220,77 @@ class TestCheckComplete:
         assert c == a
 
 
+def _pierce_reference(f, x):
+    """Cones with x in their interior, and whether x hit a cone boundary,
+    from the barycentric coordinates as Fractions (Cramer's rule)."""
+    hits, boundary = [], False
+    for c in f.maximal_cones:
+        rows = [f.rays[i] for i in c]
+        d = det3x3(rows)
+        coords = [Fraction(det3x3(rows[:k] + [x] + rows[k + 1:]), d) for k in range(3)]
+        if all(t > 0 for t in coords):
+            hits.append(c)
+        elif all(t >= 0 for t in coords):
+            boundary = True
+    return hits, boundary
+
+
+def _certificate_reference(f, seed):
+    """Part (c) of check_complete restated: the first sampled direction off
+    every cone boundary, its cone and the number of draws."""
+    rng = random.Random(seed)
+    for attempt in range(1, 65):
+        direction = tuple(rng.randint(-997, 997) for _ in range(3))
+        if direction == (0, 0, 0):
+            continue
+        hits, boundary = _pierce_reference(f, direction)
+        if not boundary:
+            assert len(hits) == 1
+            return direction, hits[0], attempt
+
+
+def _antipodal_cube_fan():
+    """Opposite cube facets with equal rays: a sphere of cones that is not
+    a fan, since every cone lies in the positive octant."""
+    return Fan3.from_data("pair", (E1, E1, E2, E2, E3, E3),
+                          load_fan("cube-fan").maximal_cones)
+
+
+class TestPiercing:
+    FANS = [*FAN_NAMES, 20, 60, 104]
+
+    @staticmethod
+    def fan(name):
+        return subdivided_cp3(name, seed=name)[0] if isinstance(name, int) else load_fan(name)
+
+    def test_signs_match_the_fraction_solve(self):
+        rng = random.Random(3)
+        fans = [self.fan(name) for name in self.FANS] + [_antipodal_cube_fan()]
+        boundary = 0
+        for f in fans:
+            for _ in range(60):
+                x = tuple(rng.randint(-3, 3) for _ in range(3))
+                got = _pierce(f, x)
+                assert got == _pierce_reference(f, x), (f.name, x)
+                boundary += got[1]
+        # small directions often lie on a cone boundary
+        assert boundary >= 50
+
+    def test_antipodal_cube_fan_is_pierced_eight_times(self):
+        f = _antipodal_cube_fan()
+        hits, boundary = _pierce(f, (1, 2, 3))
+        assert (hits, boundary) == _pierce_reference(f, (1, 2, 3))
+        assert len(hits) == 8 and not boundary
+
+    @pytest.mark.parametrize("name", FANS)
+    def test_certificates_match_the_restatement(self, name):
+        f = self.fan(name)
+        for seed in range(4):
+            cert = check_complete(f, seed=seed)
+            assert (cert.direction, cert.cone, cert.attempts) == \
+                _certificate_reference(f, seed)
+
+
 class TestInvariance:
     def test_unimodular_transform_preserves_wall_data(self):
         rng = random.Random(11)
@@ -238,6 +314,24 @@ class TestCharacteristicPair:
             for (i, j, k) in pair.sphere.oriented:
                 assert det3(f.rays[i], f.rays[j], f.rays[k]) == 1
             assert check_star_condition(pair).ok
+
+    def test_sphere_equals_a_full_revalidation(self):
+        # Only the orientation is checked when the pair is built; the
+        # result must be the sphere that a full validation gives.
+        fans = all_corpus_fans() + [subdivided_cp3(m, seed=m)[0] for m in (20, 104)]
+        for f in fans:
+            sphere = characteristic_pair(f).sphere
+            assert sphere == SimplicialSphere2.from_triangles(
+                f.m, f.sphere.triangles, oriented=sphere.oriented)
+            assert sphere.triangles is f.sphere.triangles
+
+    def test_non_fans_fail_before_the_orientation(self):
+        with pytest.raises(OrientationError, match="no ordering gives"):
+            characteristic_pair(_antipodal_cube_fan())
+        raw = Fan3.from_data("raw", [E1, E2, E3, (-1, -1, -1)], SIMPLEX_CONES,
+                             validate=False)
+        with pytest.raises(InternalError, match="raw fan"):
+            characteristic_pair(raw)
 
 
 class TestSerialization:

@@ -8,6 +8,8 @@ share no code with the library.  The exact-LP route of the cone analysis
 runs on a support-free fan with m = 24 and its certificates are checked.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from toriclab.cohomology import (
@@ -26,7 +28,8 @@ from toriclab.cone import (
 )
 from toriclab.fan import characteristic_pair, check_complete, gauss_bonnet_sum
 
-from oracles import integral_table_oracle, polytope_volume_oracle
+from oracles import (integral_table_oracle, polytope_volume_oracle,
+                     volume_value_reference)
 from subdivision import subdivided_cp3
 
 
@@ -68,6 +71,17 @@ def test_volume_is_the_cut_simplex_and_cubic(subdivided):
     assert evaluate_volume(v, f.support) == volume
     for t in (2, 3):
         assert v([t * c for c in f.support]) == t ** 3 * volume
+
+
+@pytest.mark.parametrize("m", [20, 60, 104])
+def test_volume_values_match_the_fraction_sum(m):
+    f, volume = subdivided_cp3(m, seed=m + 1)
+    v = volume_polynomial(f)
+    third = [x / 3 - Fraction(t % 5, 7) for t, x in enumerate(f.support)]
+    for c in (f.support, [2 * x for x in f.support], third,
+              [-x for x in f.support], [str(x) for x in third]):
+        assert v(c) == volume_value_reference(v.coeffs, c)
+    assert v(f.support) == volume == evaluate_volume(v, f.support)
 
 
 @pytest.mark.parametrize("m", [6, 9])
