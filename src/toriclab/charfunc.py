@@ -87,13 +87,23 @@ class CharacteristicPair:
                 f"sphere has {self.sphere.m} vertices but lambda has {self.lam.m} values")
 
     @cached_property
+    def _calculus(self):
+        from .cohomology import integral_table  # cohomology imports this module
+
+        return integral_table(self)
+
+    @property
     def integrals(self) -> dict[tuple[int, int, int], int]:
         """Every nonzero degree-3 integral of the pair, keyed by sorted
         index multiset; built on first use by
         :func:`toriclab.cohomology.integral_table` and kept here."""
-        from .cohomology import integral_table  # cohomology imports this module
+        return self._calculus[0]
 
-        return integral_table(self)
+    @property
+    def pairings(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """Each wall's nonzero entries ``(t, integral of v_u v_v v_t)``,
+        keyed by wall in ``sphere.walls`` order; built with the integrals."""
+        return self._calculus[1]
 
 
 @dataclass(frozen=True)

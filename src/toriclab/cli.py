@@ -16,6 +16,7 @@ without a traceback), 2 parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -172,6 +173,14 @@ def cmd_polytope_color(args) -> int:
 # fan commands
 
 
+def _add_cone_verdicts(rpt: Report, analysis) -> None:
+    """The extremal walls, then the strict convexity witness or the note
+    saying why there is none."""
+    rpt.add("extremal_walls", [str(w) for w in analysis.extremal])
+    rpt.add("strict_convexity_witness",
+            analysis.note if analysis.witness is None else analysis.witness)
+
+
 def cmd_fan_report(args) -> int:
     text = _read(args.file)
     f = parse_fan(text)
@@ -218,25 +227,8 @@ def cmd_fan_report(args) -> int:
             + " pairing " + _fmt(rep.pairing)
         )
     rpt.add("cone_groups", groups)
-    rpt.add("extremal_walls", [str(w) for w in analysis.extremal])
-    if analysis.witness is not None:
-        rpt.add("strict_convexity_witness", analysis.witness)
-    else:
-        rpt.add("strict_convexity_witness", analysis.note)
-
-    w = delzant_obstruction_witness(f)
-    rpt.add(
-        "obstruction_witness",
-        {
-            "wall": w.wall,
-            "a": w.a,
-            "curvature": w.curvature,
-            "case": w.case,
-            "vertex": w.vertex,
-            "neighbors": w.neighbors,
-            "dual_face_size": w.dual_face_size,
-        },
-    )
+    _add_cone_verdicts(rpt, analysis)
+    rpt.add("obstruction_witness", dataclasses.asdict(delzant_obstruction_witness(f)))
     rpt.emit(args.json)
     return 0 if gb == 24 else 1
 
@@ -298,11 +290,7 @@ def cmd_fan_extremal(args) -> int:
         {f"group_{i}": " ".join(str(w) for w in g)
          for i, g in enumerate(analysis.groups)},
     )
-    rpt.add("extremal_walls", [str(w) for w in analysis.extremal])
-    if analysis.witness is not None:
-        rpt.add("strict_convexity_witness", analysis.witness)
-    else:
-        rpt.add("strict_convexity_witness", analysis.note)
+    _add_cone_verdicts(rpt, analysis)
     rpt.emit(args.json)
     return 0
 
@@ -314,13 +302,8 @@ def cmd_fan_witness(args) -> int:
     rpt = Report("fan witness", args.file, text)
     rpt.add("name", f.name)
     w = delzant_obstruction_witness(f)
-    rpt.add("wall", w.wall)
-    rpt.add("a", w.a)
-    rpt.add("curvature", w.curvature)
-    rpt.add("case", w.case)
-    rpt.add("vertex", w.vertex)
-    rpt.add("neighbors", w.neighbors)
-    rpt.add("dual_face_size", w.dual_face_size)
+    for key, value in dataclasses.asdict(w).items():
+        rpt.add(key, value)
     face = "triangular" if w.dual_face_size == 3 else "quadrangular"
     rpt.add("dual_face", face)
     rpt.emit(args.json)

@@ -13,12 +13,16 @@ index multisets, and each of those has a closed form:
 
 :func:`integral_table` computes exactly these nonzero values, keyed by
 sorted multiset, in one pass over the triangles and one over the walls.
-The table is cached once per pair as ``CharacteristicPair.integrals``; a fan
-reaches it through its cached ``Fan3.characteristic_pair``, oriented so
-every cone has a positive determinant, where the wall rule reduces to the
-negated wall coefficients -a1, -a2.  Everything else here -- triple
-integrals, the Chern number, volume polynomials, edge functionals and the
-wall pairings of :mod:`toriclab.cone` -- is a sparse sum over that table.
+The wall pass also records each wall's pairing: the at most four nonzero
+integrals v_u v_v v_t, at the two endpoints and the two apexes t of the
+wall {u, v}.  Both are cached once per pair, as
+``CharacteristicPair.integrals`` and ``CharacteristicPair.pairings``; a
+fan reaches them through its cached ``Fan3.characteristic_pair``,
+oriented so every cone has a positive determinant, where the wall rule
+reduces to the negated wall coefficients -a1, -a2.  Triple integrals and
+volume polynomials are sparse sums over the table; the Chern number, edge
+functionals and the wall classes of :mod:`toriclab.cone` read the
+pairings.
 
 Volume polynomials collect every degree-3 integral with multinomial
 weights; their values at valid support parameters are Euclidean volumes of
@@ -49,6 +53,8 @@ from .fan import Fan3, characteristic_pair
 from .lattice import Vec3, det3, dot, dual_covector
 
 Multiset = tuple[int, int, int]
+# wall (u, v) -> its nonzero entries (t, integral of v_u v_v v_t)
+Pairings = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 # six times the multinomial weight of a monomial in
 # (c_1 v_1 + ... + c_m v_m)^3 / 3!, by its number of distinct indices: the
@@ -94,10 +100,13 @@ def betti_numbers(sphere: SimplicialSphere2) -> tuple[int, int, int, int]:
     return tuple(h)
 
 
-def integral_table(pair: CharacteristicPair) -> dict[Multiset, int]:
-    """Every nonzero degree-3 integral of the pair, keyed by sorted multiset.
+def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int], Pairings]:
+    """Every nonzero degree-3 integral of the pair, keyed by sorted
+    multiset, and every wall's nonzero pairing entries (t, integral of
+    v_u v_v v_t), keyed by wall in ``sphere.walls`` order.
 
-    Use ``pair.integrals``, which builds this once and keeps it.  Raises
+    Use ``pair.integrals`` and ``pair.pairings``, which build these once
+    and keep them.  Raises
     ValidationError when a triangle's vectors are degenerate or, where a
     covector is needed, fail the basis condition.
     """
@@ -124,52 +133,34 @@ def integral_table(pair: CharacteristicPair) -> dict[Multiset, int]:
                for i, tri in first.items()}
 
     cubes = [0] * sphere.m
+    pairings: Pairings = {}
     for u, v in sphere.walls:
         p, q = sorted(sphere.wall_apexes((u, v)))
-        far = table[tuple(sorted((u, v, q)))]
+        near, far = table[tuple(sorted((u, v, p)))], table[tuple(sorted((u, v, q)))]
+        entries = []
         for i, j in ((u, v), (v, u)):
             square = -dot(covector(i, j, p), lam[q]) * far
             if square:
                 table[tuple(sorted((i, i, j)))] = square
                 cubes[i] -= dot(cube_mu[i], lam[j]) * square
+                entries.append((i, square))
+        pairings[(u, v)] = (*entries, (p, near), (q, far))
     for i, cube in enumerate(cubes):
         if cube:
             table[(i, i, i)] = cube
-    return table
-
-
-def intersection_table(f: Fan3) -> dict[Multiset, int]:
-    """The fan's nonzero integrals: the table of its characteristic pair."""
-    return characteristic_pair(f).integrals
-
-
-def signed_intersection_table(pair: CharacteristicPair) -> dict[Multiset, int]:
-    """The pair's nonzero integrals, cached on the pair."""
-    return pair.integrals
+    return table, pairings
 
 
 def triple_intersection(f: Fan3, indices) -> int:
     """The integral of v_i v_j v_k over the fan's toric space."""
     key = _as_multiset(indices, f.m)
-    return intersection_table(f).get(key, 0)
+    return characteristic_pair(f).integrals.get(key, 0)
 
 
 def signed_triple_intersection(pair: CharacteristicPair, indices) -> int:
     """Integral of v_i v_j v_k for an arbitrary characteristic pair."""
     key = _as_multiset(indices, pair.lam.m)
     return pair.integrals.get(key, 0)
-
-
-def wall_pairing(pair: CharacteristicPair, wall) -> dict[int, int]:
-    """Entries t -> integral of v_u v_v v_t for the wall {u, v}.
-
-    Every other entry is zero: t must be an endpoint or an apex of the wall
-    for {u, v, t} to span a face of the sphere.
-    """
-    u, v = wall
-    table = pair.integrals
-    return {t: table.get(tuple(sorted((u, v, t))), 0)
-            for t in (u, v, *pair.sphere.wall_apexes(wall))}
 
 
 def chern_number_c1c2(f: Fan3) -> int:
@@ -179,8 +170,8 @@ def chern_number_c1c2(f: Fan3) -> int:
     second elementary symmetric class with the first one.  It must equal
     gauss_bonnet_sum(f); a mismatch indicates an internal bug.
     """
-    pair = characteristic_pair(f)
-    return sum(sum(wall_pairing(pair, w.pair).values()) for w in f.walls)
+    pairings = characteristic_pair(f).pairings
+    return sum(v for entries in pairings.values() for _, v in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +223,7 @@ def volume_polynomial(f: Fan3) -> VolumePolynomial:
     weights of (c_1 v_1 + ... + c_m v_m)^3 / 3!.
     """
     terms = tuple((*key, _SIX_WEIGHT[len(set(key))] * v)
-                  for key, v in sorted(intersection_table(f).items()))
+                  for key, v in sorted(characteristic_pair(f).integrals.items()))
     coeffs = tuple(((i, j, k), Fraction(w, 6)) for i, j, k, w in terms)
     return VolumePolynomial(fan=f, coeffs=coeffs, terms=terms)
 
@@ -263,9 +254,10 @@ def _scaled_support(f: Fan3, c) -> tuple[list[int], int]:
     return _over_common_denominator(c)
 
 
-def _edge_numerator(pair: CharacteristicPair, w, C: list[int]) -> int:
-    """D times the edge functional of wall w at c_t = C[t] / D."""
-    return sum(C[t] * v for t, v in wall_pairing(pair, w.pair).items())
+def _edge_numerator(entries, C: list[int]) -> int:
+    """D times the edge functional of a wall with pairing entries
+    (t, value), at c_t = C[t] / D."""
+    return sum(C[t] * v for t, v in entries)
 
 
 def edge_functional(f: Fan3, pair, c) -> Fraction:
@@ -276,28 +268,28 @@ def edge_functional(f: Fan3, pair, c) -> Fraction:
     polytope edge dual to the wall has positive length, so positivity over
     all walls certifies that c are genuine support parameters for the fan.
     """
-    w = f.wall_table.get(tuple(sorted(pair)))
-    if w is None:
-        raise ValidationError(f"{tuple(sorted(pair))} is not a wall of this fan")
+    key = tuple(sorted(pair))
+    entries = characteristic_pair(f).pairings.get(key)
+    if entries is None:
+        raise ValidationError(f"{key} is not a wall of this fan")
     C, D = _scaled_support(f, c)
-    return Fraction(_edge_numerator(characteristic_pair(f), w, C), D)
+    return Fraction(_edge_numerator(entries, C), D)
 
 
 def edge_functionals(f: Fan3, c) -> dict[tuple[int, int], Fraction]:
     """:func:`edge_functional` at every wall, keyed by sorted wall pair in
     the order of ``f.walls``; c is read once for all of them."""
     C, D = _scaled_support(f, c)
-    pair = characteristic_pair(f)
-    return {w.key: Fraction(_edge_numerator(pair, w, C), D) for w in f.walls}
+    return {key: Fraction(_edge_numerator(entries, C), D)
+            for key, entries in characteristic_pair(f).pairings.items()}
 
 
 def _certify_scaled(f: Fan3, C: list[int], D: int) -> None:
-    pair = characteristic_pair(f)
     bad = []
-    for w in f.walls:
-        e = _edge_numerator(pair, w, C)
+    for key, entries in characteristic_pair(f).pairings.items():
+        e = _edge_numerator(entries, C)
         if e <= 0:
-            bad.append((w.key, e))
+            bad.append((key, e))
     if bad:
         detail = ", ".join(f"wall {p}: {Fraction(e, D)}" for p, e in bad)
         raise SupportInvalid(f"non-positive edge functionals: {detail}")

@@ -1,9 +1,12 @@
 """Effective-cone analysis of wall classes.
 
 Every wall pairs against the m ray classes through the degree-3 integrals,
-giving an integer vector per wall.  These vectors generate a cone; this
-module groups them by positive proportionality, decides which groups sit
-on extreme rays (one exact LP per group, each answer certified), finds or
+giving an integer vector per wall with at most four nonzero entries, read
+off the pairings cached on the characteristic pair
+(``CharacteristicPair.pairings``).  These vectors generate a cone; this
+module groups them by positive proportionality (one dict keyed by each
+vector's primitive integer direction), decides which groups sit on
+extreme rays (one exact LP per group, each answer certified), finds or
 refutes a strict-convexity witness, and extracts the positive-curvature
 extremal wall whose endpoint forces a triangular or quadrangular face of
 the dual polytope.
@@ -11,12 +14,12 @@ the dual polytope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .charfunc import CharacteristicPair
-from .cohomology import wall_pairing
 from .errors import CertificationFailure, InternalError, NotFound, NoWitness
 from .exactlp import ConeMembership, cone_membership, positive_functional
 from .fan import Fan3, characteristic_pair
@@ -85,21 +88,18 @@ class ObstructionWitness:
 
 
 def wall_classes(f: Fan3) -> tuple[WallClass, ...]:
-    """Pairing vectors for every wall, in sorted wall order."""
-    return _wall_classes(characteristic_pair(f), [w.key for w in f.walls])
+    """Pairing vectors for every wall, in sorted wall order (the order of
+    ``f.walls``)."""
+    return signed_wall_classes(characteristic_pair(f))
 
 
 def signed_wall_classes(pair: CharacteristicPair) -> tuple[WallClass, ...]:
     """Pairing vectors of a general characteristic pair, via the signed
-    integrals.  Same shape as :func:`wall_classes`, no fan required."""
-    return _wall_classes(pair, pair.sphere.walls)
-
-
-def _wall_classes(pair: CharacteristicPair, walls) -> tuple[WallClass, ...]:
+    integrals, in ``pair.sphere.walls`` order.  No fan required."""
     out = []
-    for key in walls:
+    for key, entries in pair.pairings.items():
         vec = [0] * pair.lam.m
-        for t, v in wall_pairing(pair, key).items():
+        for t, v in entries:
             vec[t] = v
         if not any(vec):
             raise InternalError(f"wall class {key} vanished")
@@ -107,25 +107,20 @@ def _wall_classes(pair: CharacteristicPair, walls) -> tuple[WallClass, ...]:
     return tuple(out)
 
 
-def _positively_proportional(u: Sequence[int], v: Sequence[int]) -> bool:
-    """v = q u for some q > 0, decided by signs and cross-multiplication."""
-    k = next((i for i, a in enumerate(u) if a != 0), None)
-    if k is None or v[k] == 0 or (u[k] > 0) != (v[k] > 0):
-        return False
-    uk, vk = u[k], v[k]
-    return all(uk * b == vk * a for a, b in zip(u, v))
+def _group_classes(classes) -> list[list[WallClass]]:
+    """The classes grouped by positive proportionality, groups in
+    first-appearance order and classes in input order within each.
 
-
-def _group_classes(classes):
-    groups: list[list[WallClass]] = []
+    Positively proportional nonzero vectors (integer or rational) share
+    one primitive integer vector, so that vector is the group's key.
+    """
+    groups: dict[tuple[int, ...], list[WallClass]] = {}
     for cls in classes:
-        for g in groups:
-            if _positively_proportional(g[0].pairing, cls.pairing):
-                g.append(cls)
-                break
-        else:
-            groups.append([cls])
-    return groups
+        den = math.lcm(*(x.denominator for x in cls.pairing))
+        ints = [x.numerator * (den // x.denominator) for x in cls.pairing]
+        g = math.gcd(*ints)
+        groups.setdefault(tuple(x // g for x in ints), []).append(cls)
+    return list(groups.values())
 
 
 def strict_convexity_witness(classes, c_tilde=None):

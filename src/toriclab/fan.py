@@ -76,19 +76,18 @@ class CompletenessCertificate:
 class Fan3:
     """An immutable simplicial fan in Z^3.
 
-    ``sphere`` is the cone complex validated as a simplicial 2-sphere; it
-    is None only when the fan was built with ``validate=False`` (raw mode,
-    for feeding deliberately broken complexes to check_complete).
+    ``sphere`` is the cone complex, validated by :meth:`from_data` as a
+    simplicial 2-sphere of non-degenerate cones.
     """
 
     name: str
     rays: tuple[Vec3, ...]
     maximal_cones: tuple[Triangle, ...]
-    sphere: SimplicialSphere2 | None
+    sphere: SimplicialSphere2
     support: tuple[Fraction, ...] | None
 
     @classmethod
-    def from_data(cls, name, rays, cones, support=None, validate=True) -> "Fan3":
+    def from_data(cls, name, rays, cones, support=None) -> "Fan3":
         rays = tuple(tuple(int(x) for x in r) for r in rays)
         cones = tuple(sorted(tuple(sorted(int(i) for i in c)) for c in cones))
         m = len(rays)
@@ -100,15 +99,13 @@ class Fan3:
                 raise ValidationError(f"cone {c} does not have 3 distinct rays")
             if not all(0 <= i < m for i in c):
                 raise ValidationError(f"cone {c} references a ray outside 0..{m - 1}")
-        sphere = None
-        if validate:
-            for c in cones:
-                if det3(rays[c[0]], rays[c[1]], rays[c[2]]) == 0:
-                    raise ValidationError(f"cone {c} is degenerate: det = 0")
-            try:
-                sphere = SimplicialSphere2.from_triangles(m, cones)
-            except ValidationError as e:
-                raise ValidationError(f"cone complex is not a 2-sphere: {e}") from None
+        for c in cones:
+            if det3(rays[c[0]], rays[c[1]], rays[c[2]]) == 0:
+                raise ValidationError(f"cone {c} is degenerate: det = 0")
+        try:
+            sphere = SimplicialSphere2.from_triangles(m, cones)
+        except ValidationError as e:
+            raise ValidationError(f"cone complex is not a 2-sphere: {e}") from None
         if support is not None:
             support = tuple(Fraction(x) for x in support)
             if len(support) != m:
@@ -126,9 +123,8 @@ class Fan3:
 
     @cached_property
     def wall_table(self) -> dict[tuple[int, int], Wall]:
-        """All walls keyed by sorted pair, computed once."""
-        if self.sphere is None:
-            raise InternalError("raw fan (validate=False) has no wall table")
+        """All walls keyed by sorted pair, in ``sphere.walls`` order,
+        computed once."""
         return {w: _compute_wall(self, w) for w in self.sphere.walls}
 
     @cached_property
@@ -141,8 +137,6 @@ class Fan3:
         calculus is the signed calculus of this pair, cached on it, so
         every cone contributes +1.
         """
-        if self.sphere is None:
-            raise InternalError("raw fan has no sphere")
         self.wall_table  # certify every wall first
         oriented = []
         for (i, j, k) in self.sphere.triangles:
@@ -161,10 +155,10 @@ class Fan3:
 
         return _analyse_cone(self)
 
-    @property
+    @cached_property
     def walls(self) -> tuple[Wall, ...]:
         """Walls in deterministic (sorted-pair lexicographic) order."""
-        return tuple(self.wall_table[k] for k in sorted(self.wall_table))
+        return tuple(self.wall_table.values())
 
     def with_support(self, support) -> "Fan3":
         return Fan3.from_data(self.name, self.rays, self.maximal_cones,
@@ -255,29 +249,16 @@ def check_unimodular(f: Fan3) -> UnimodularVerdict:
 def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
     """Certify completeness, or raise IncompleteFan naming the failure.
 
-    Three-part test: (a) the cone complex is a simplicial 2-sphere, (b) at
-    every wall the two apex rays lie strictly on opposite sides of the
-    wall's plane, (c) a pseudo-random generic rational direction lies in
-    exactly one maximal cone (resampled while it hits a cone boundary).
-    The sampler is seeded by ``seed``, or by the TORICLAB_SEED environment
-    variable (default 0), so runs are reproducible.
+    The cone complex is already a simplicial 2-sphere (``Fan3.from_data``
+    validates it).  Two tests remain: (a) at every wall the two apex rays
+    lie strictly on opposite sides of the wall's plane, (b) a pseudo-random
+    generic rational direction lies in exactly one maximal cone (resampled
+    while it hits a cone boundary).  The sampler is seeded by ``seed``, or
+    by the TORICLAB_SEED environment variable (default 0), so runs are
+    reproducible.
     """
-    # (a) sphere test, with a sharper message for uneven walls
-    owners: dict[tuple[int, int], int] = {}
-    for c in f.maximal_cones:
-        for wll in ((c[0], c[1]), (c[0], c[2]), (c[1], c[2])):
-            owners[wll] = owners.get(wll, 0) + 1
-    for wll, n in sorted(owners.items()):
-        if n != 2:
-            raise IncompleteFan(f"wall {wll} lies in {n} maximal cones (expected 2)")
+    # (a) apexes strictly on opposite sides of each wall plane
     sphere = f.sphere
-    if sphere is None:
-        try:
-            sphere = SimplicialSphere2.from_triangles(f.m, f.maximal_cones)
-        except ValidationError as e:
-            raise IncompleteFan(f"cone complex is not a 2-sphere: {e}") from None
-
-    # (b) apexes strictly on opposite sides of each wall plane
     for u, v in sphere.walls:
         p, q = sphere.wall_apexes((u, v))
         dp = det3(f.rays[u], f.rays[v], f.rays[p])
@@ -287,7 +268,7 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
                 f"apexes {p}, {q} of wall ({u}, {v}) do not lie strictly on "
                 f"opposite sides (determinants {dp}, {dq})")
 
-    # (c) generic-ray piercing
+    # (b) generic-ray piercing
     if seed is None:
         seed = int(os.environ.get(ENV_SEED, "0"))
     rng = random.Random(seed)

@@ -40,10 +40,6 @@ def add(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def scale(k: int, a: Vec3) -> Vec3:
-    return (k * a[0], k * a[1], k * a[2])
-
-
 def neg(a: Vec3) -> Vec3:
     return (-a[0], -a[1], -a[2])
 

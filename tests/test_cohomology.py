@@ -21,10 +21,8 @@ from toriclab.cohomology import (
     edge_functional,
     edge_functionals,
     evaluate_volume,
-    intersection_table,
     linear_relation,
     serialize_volume_polynomial,
-    signed_intersection_table,
     signed_triple_intersection,
     triple_intersection,
     volume_polynomial,
@@ -368,7 +366,7 @@ def test_edge_functionals_positive_at_corpus_supports():
 def _edge_reference(f, c):
     """Every edge functional as a Fraction sum over the intersection table,
     in wall order, and the SupportInvalid text it implies (None if valid)."""
-    table = intersection_table(f)
+    table = characteristic_pair(f).integrals
     c = [Fraction(x) for x in c]
     edges = {}
     for w in f.walls:
@@ -508,6 +506,7 @@ def test_signed_relations_annihilate():
 
 def test_signed_table_caches_per_pair():
     pair = _cube_pair()
-    assert signed_intersection_table(pair) is signed_intersection_table(pair)
+    assert pair.integrals is pair.integrals
+    assert pair.pairings is pair.pairings
     f = load_fan("cp3")
-    assert intersection_table(f) is intersection_table(f)
+    assert characteristic_pair(f).integrals is characteristic_pair(f).integrals

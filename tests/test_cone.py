@@ -327,7 +327,7 @@ def _fraction_quotient_groups(classes):
 def test_grouping_matches_fraction_quotients():
     fans = [load_fan(name) for name in FAN_NAMES] + [
         subdivided_cp3(m, seed=m)[0].with_support(None) for m in range(8, 25)
-    ]
+    ] + [subdivided_cp3(m, seed=m)[0] for m in (60, 104)]
     for f in fans:
         classes = wall_classes(f)
         expected = _fraction_quotient_groups(classes)
@@ -551,3 +551,31 @@ def test_cone_lps_are_solved_once_per_fan(monkeypatch):
         assert len(calls) == len(an.groups), name
         # an uncertified copy is a new fan with its own analysis
         assert extremal_walls(f.with_support(None)) is not an
+
+
+def test_wall_pairings_are_built_once_per_pair(monkeypatch):
+    import toriclab.cohomology as cohomology_module
+    from toriclab.cohomology import (certify_support, chern_number_c1c2,
+                                     edge_functionals, evaluate_volume,
+                                     volume_polynomial)
+    from toriclab.fan import characteristic_pair
+
+    built = []
+    integral_table = cohomology_module.integral_table
+
+    def counting(pair):
+        built.append(pair)
+        return integral_table(pair)
+
+    monkeypatch.setattr(cohomology_module, "integral_table", counting)
+    for name in FAN_NAMES:
+        built.clear()
+        f = load_fan(name)
+        chern_number_c1c2(f)
+        certify_support(f, f.support)
+        edge_functionals(f, f.support)
+        evaluate_volume(volume_polynomial(f), f.support)
+        classes = wall_classes(f)
+        assert signed_wall_classes(characteristic_pair(f)) == classes
+        extremal_walls(f)
+        assert built == [characteristic_pair(f)], name

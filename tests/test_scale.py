@@ -1,8 +1,9 @@
 """The intersection calculus on seeded star subdivisions of cp3.
 
 Large fans are held to identities that must hold exactly: Gauss-Bonnet and
-the Chern number, annihilation of the wall classes by the linear relations,
-the Betti numbers, and the closed-form volume of the cut simplex.  Small
+the Chern number, each wall class read off its wall relation, annihilation
+of the wall classes by the linear relations, the Betti numbers, and the
+closed-form volume of the cut simplex.  Small
 fans are compared entry by entry with the oracles in ``oracles.py``, which
 share no code with the library.  The exact-LP route of the cone analysis
 runs on a support-free fan with m = 24 and its certificates are checked.
@@ -16,7 +17,6 @@ from toriclab.cohomology import (
     betti_numbers,
     chern_number_c1c2,
     evaluate_volume,
-    intersection_table,
     volume_polynomial,
 )
 from toriclab.cone import (
@@ -55,6 +55,22 @@ def test_relations_annihilate_every_wall_class(subdivided):
             assert sum(c * p for c, p in zip(coeffs, cls.pairing)) == 0, (mu, cls.wall)
 
 
+def test_wall_classes_read_off_the_wall_relation(subdivided):
+    # ray(i) + ray(i') = a1 ray(i1) + a2 ray(i2) is the wall class: 1 at
+    # both apexes, -a1 at i1, -a2 at i2, and its entries sum to the
+    # wall's curvature 2 - a1 - a2.
+    f, _ = subdivided
+    classes = wall_classes(f)
+    assert [cls.wall for cls in classes] == [w.key for w in f.walls]
+    for w, cls in zip(f.walls, classes):
+        (i1, i2), (i, ip), (a1, a2) = w.pair, w.apexes, w.a
+        expected = [0] * f.m
+        expected[i] = expected[ip] = 1
+        expected[i1], expected[i2] = -a1, -a2
+        assert list(cls.pairing) == expected, w.key
+        assert sum(cls.pairing) == w.curvature, w.key
+
+
 def test_signed_classes_equal_unsigned(subdivided):
     f, _ = subdivided
     assert signed_wall_classes(characteristic_pair(f)) == wall_classes(f)
@@ -88,7 +104,7 @@ def test_volume_values_match_the_fraction_sum(m):
 def test_small_fans_match_the_oracles(m):
     f, volume = subdivided_cp3(m, seed=m)
     oracle = integral_table_oracle(f.rays, f.maximal_cones)
-    assert intersection_table(f) == {ms: v for ms, v in oracle.items() if v}
+    assert characteristic_pair(f).integrals == {ms: v for ms, v in oracle.items() if v}
     assert polytope_volume_oracle(f.rays, f.support) == volume
 
 
