@@ -5,6 +5,11 @@ Parsing normalizes all cycles to a single consistent rotational direction
 (facet 0 keeps its given direction and is declared counterclockwise), so the
 dual sphere inherits one global orientation.  That orientation is the sign
 convention used by the signed intersection calculus downstream.
+
+One incidence pass per polytope indexes each edge's facets and each
+facet's cycle successors.  Validation, orientation and :func:`dual_sphere`
+all read that index, which the polytope keeps.  Validation sorts only
+after it has found a fault, to name the first one in sorted order.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from collections import Counter, defaultdict
+from itertools import chain
 from functools import cached_property
 
 from .errors import ParseError, ValidationError
@@ -24,12 +30,6 @@ def _canon_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     """Rotate a cycle so its smallest vertex comes first (direction kept)."""
     k = cycle.index(min(cycle))
     return cycle[k:] + cycle[:k]
-
-
-def _directed_edges(cycle: tuple[int, ...]):
-    n = len(cycle)
-    for i in range(n):
-        yield cycle[i], cycle[(i + 1) % n]
 
 
 @dataclass(frozen=True)
@@ -244,6 +244,13 @@ class SimplePolytope3:
     Cycles are stored in the normalized orientation (facet 0's direction as
     given, all others made consistent with it) and rotated so each cycle
     starts at its smallest vertex.
+
+    The incidence index (:attr:`_index`) is kept on the polytope: each
+    edge's two facets, and each facet's successor map in the normalized
+    orientation.  :meth:`from_facets` stores the maps its validation pass
+    built; a polytope made by the constructor or ``dataclasses.replace``
+    builds them on first use.  The index is not a field, so equality and
+    hashing see only ``name`` and ``facets``.
     """
 
     name: str
@@ -251,10 +258,17 @@ class SimplePolytope3:
 
     @classmethod
     def from_facets(cls, name: str, facets) -> "SimplePolytope3":
-        cycles = [tuple(int(v) for v in f) for f in facets]
+        cycles = [tuple(map(int, f)) for f in facets]
         edge_owner, succ = _validate_cycles(cycles)
         cycles = _normalize_orientation(cycles, edge_owner, succ)
-        return cls(name=name, facets=tuple(_canon_cycle(c) for c in cycles))
+        p = cls(name=name, facets=tuple(_canon_cycle(c) for c in cycles))
+        p.__dict__["_index"] = edge_owner, succ  # cached_property slot
+        return p
+
+    @cached_property
+    def _index(self) -> tuple[dict[Wall, list[int]], list[dict[int, int]]]:
+        """The :func:`_incidence` maps of the stored facet cycles."""
+        return _incidence(self.facets)
 
     @property
     def num_facets(self) -> int:
@@ -266,12 +280,11 @@ class SimplePolytope3:
 
     @property
     def edges(self) -> tuple[Wall, ...]:
-        es = {tuple(sorted(e)) for f in self.facets for e in _directed_edges(f)}
-        return tuple(sorted(es))
+        return tuple(sorted(self._index[0]))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._index[0])
 
     def vertex_facets(self, v: int) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.facets) if v in f)
@@ -284,16 +297,21 @@ def _incidence(cycles) -> tuple[dict[Wall, list[int]], list[dict[int, int]]]:
     edge_owner: dict[Wall, list[int]] = defaultdict(list)
     succ = []
     for i, cyc in enumerate(cycles):
-        nxt = dict(_directed_edges(cyc))
+        nxt = dict(zip(cyc, cyc[1:] + cyc[:1]))
         for u, v in nxt.items():
             edge_owner[(u, v) if u < v else (v, u)].append(i)
         succ.append(nxt)
-    return edge_owner, succ
+    return dict(edge_owner), succ
 
 
 def _validate_cycles(cycles):
     """Check the cycles describe a simple 3-polytope; return their
-    :func:`_incidence` maps."""
+    :func:`_incidence` maps.
+
+    Each scan over vertices, edges or facet pairs first decides, without
+    sorting, whether anything is wrong.  Only then does it sort, to name
+    the first fault in sorted order.
+    """
     if not cycles:
         raise ValidationError("polytope has no facets")
     for i, cyc in enumerate(cycles):
@@ -303,25 +321,31 @@ def _validate_cycles(cycles):
             raise ValidationError(f"facet {i} repeats a vertex in its cycle")
 
     ids = {v for cyc in cycles for v in cyc}
-    if ids != set(range(len(ids))):
+    # len(ids) distinct integers are 0..len(ids)-1 iff all lie in that range
+    if min(ids) < 0 or max(ids) >= len(ids):
         raise ValidationError("vertex ids are not 0-based contiguous integers")
 
-    incidence = Counter(v for cyc in cycles for v in set(cyc))
-    for v, n in sorted(incidence.items()):
-        if n != 3:
-            raise ValidationError(f"vertex {v} lies in {n} facets")
+    incidence = Counter(chain.from_iterable(cycles))
+    if set(incidence.values()) != {3}:
+        for v, n in sorted(incidence.items()):
+            if n != 3:
+                raise ValidationError(f"vertex {v} lies in {n} facets")
 
     edge_owner, succ = _incidence(cycles)
-    for e, owners in sorted(edge_owner.items()):
-        if len(owners) != 2:
-            raise ValidationError(f"edge {e} lies in {len(owners)} facets")
-        if owners[0] == owners[1]:
-            raise ValidationError(f"facet {owners[0]} is adjacent to itself along {e}")
+    owners = edge_owner.values()
+    if set(map(len, owners)) != {2} or any(a == b for a, b in owners):
+        for e, o in sorted(edge_owner.items()):
+            if len(o) != 2:
+                raise ValidationError(f"edge {e} lies in {len(o)} facets")
+            if o[0] == o[1]:
+                raise ValidationError(f"facet {o[0]} is adjacent to itself along {e}")
 
-    pair_edges = Counter(tuple(sorted(o)) for o in edge_owner.values())
-    for pair, n in sorted(pair_edges.items()):
-        if n > 1:
-            raise ValidationError(f"facets {pair[0]} and {pair[1]} share {n} edges")
+    # each owner pair is in facet order, so sorted
+    if len(set(map(tuple, owners))) != len(edge_owner):
+        pair_edges = Counter(map(tuple, owners))
+        for pair, n in sorted(pair_edges.items()):
+            if n > 1:
+                raise ValidationError(f"facets {pair[0]} and {pair[1]} share {n} edges")
 
     v_count = len(ids)
     e_count = len(edge_owner)
@@ -338,15 +362,17 @@ def _normalize_orientation(cycles, edge_owner, succ):
 
     Facet 0 is kept as given; consistency is propagated across shared
     edges.  ``edge_owner`` and ``succ`` are the :func:`_incidence` maps of
-    ``cycles``.
+    ``cycles``; the successor maps of flipped facets are inverted in
+    place, so they describe the returned cycles.
     """
     state: dict[int, bool] = {0: False}  # facet -> flipped?
     stack = [0]
     while stack:
         i = stack.pop()
-        cyc = tuple(reversed(cycles[i])) if state[i] else cycles[i]
-        for u, v in _directed_edges(cyc):
-            j = next(o for o in edge_owner[(u, v) if u < v else (v, u)] if o != i)
+        cyc = cycles[i][::-1] if state[i] else cycles[i]
+        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+            a, b = edge_owner[(u, v) if u < v else (v, u)]
+            j = b if a == i else a
             # consistent iff j traverses this edge in the opposite direction
             needs_flip = succ[j].get(u) == v
             if j in state:
@@ -357,7 +383,11 @@ def _normalize_orientation(cycles, edge_owner, succ):
                 stack.append(j)
     if len(state) != len(cycles):
         raise ValidationError("facet adjacency graph is disconnected")
-    return [tuple(reversed(c)) if state[i] else c for i, c in enumerate(cycles)]
+    for i, flipped in state.items():
+        if flipped:
+            c = cycles[i]
+            succ[i] = dict(zip(c, c[-1:] + c[:-1]))  # vertex -> predecessor
+    return [c[::-1] if state[i] else c for i, c in enumerate(cycles)]
 
 
 def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
@@ -366,34 +396,39 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     Each polytope vertex lies in exactly three facets and becomes one
     triangle, oriented by walking the facets around the vertex in the
     direction induced by the normalized facet cycles, starting from its
-    lowest facet.  One :func:`_incidence` pass indexes the edges and the
-    cycle successors, so every step of a walk is a dict lookup and the
-    dualisation is linear in the size of p apart from sorting (plus the
-    linear re-validation in :meth:`SimplicialSphere2.from_triangles`).
+    lowest facet.  The walk reads the polytope's kept incidence index
+    (edge -> facets, facet -> cycle successors), so every step is a dict
+    lookup and no index is rebuilt.  Each triangle is sorted once, as a
+    (sorted, oriented) pair; the dualisation is linear in the size of p
+    apart from that sort (plus the linear re-validation in
+    :meth:`SimplicialSphere2.from_triangles`).
     """
-    edge_owner, succ = _incidence(p.facets)
+    edge_owner, succ = p._index
     lowest: dict[int, int] = {}
     for i, cyc in enumerate(p.facets):
         for v in cyc:
             lowest.setdefault(v, i)
 
-    oriented = []
+    pairs = []
     for v in sorted(lowest):
-        walk = [lowest[v]]
+        f = first = lowest[v]
+        walk = [first]
         while True:
-            f = walk[-1]
             s = succ[f][v]
-            g = next(o for o in edge_owner[(v, s) if v < s else (s, v)] if o != f)
-            if g == walk[0]:
+            g, h = edge_owner[(v, s) if v < s else (s, v)]
+            f = h if g == f else g
+            if f == first:
                 break
-            walk.append(g)
+            walk.append(f)
         if len(walk) != 3:
             raise ValidationError(f"vertex {v} is not simple: facet walk {walk}")
-        oriented.append(tuple(walk))
+        a, b, c = walk
+        # the walk starts at the lowest facet around v
+        pairs.append(((a, b, c) if b < c else (a, c, b), (a, b, c)))
 
-    oriented.sort(key=lambda t: tuple(sorted(t)))
+    pairs.sort()
     return SimplicialSphere2.from_triangles(
-        p.num_facets, [tuple(sorted(t)) for t in oriented], oriented=oriented)
+        p.num_facets, [t for t, _ in pairs], oriented=[o for _, o in pairs])
 
 
 def dual_polytope(sphere: SimplicialSphere2, name: str) -> SimplePolytope3:
@@ -401,7 +436,8 @@ def dual_polytope(sphere: SimplicialSphere2, name: str) -> SimplePolytope3:
 
     Facet i of the result corresponds to sphere vertex i; polytope vertex t
     corresponds to sphere triangle number t (position in sphere.triangles).
-    One pass indexes the triangles by wall and by vertex, so building the
+    One pass indexes each wall's two triangles and each vertex's
+    triangles, so every step of a walk is a dict lookup and building the
     cycles is linear in the size of the sphere.
     """
     wall_tris: dict[Wall, list[int]] = defaultdict(list)
@@ -417,11 +453,11 @@ def dual_polytope(sphere: SimplicialSphere2, name: str) -> SimplePolytope3:
         cycle = [incident[0]]
         while True:
             idx = cycle[-1]
-            rep = sphere.oriented[idx]
-            k = rep.index(v)
-            succ = rep[(k + 1) % 3]  # walk around v following the orientation
-            w = tuple(sorted((v, succ)))
-            nxt = next(t for t in wall_tris[w] if t != idx)
+            a, b, c = sphere.oriented[idx]
+            # walk around v following the orientation
+            succ = b if a == v else c if b == v else a
+            t, u = wall_tris[(v, succ) if v < succ else (succ, v)]
+            nxt = u if t == idx else t
             if nxt == cycle[0]:
                 break
             cycle.append(nxt)
@@ -486,7 +522,7 @@ def parse_polytope(text: str) -> SimplePolytope3:
             raise ParseError(f"facet ids must appear in order; got {match.group(1)} "
                              f"where {k} was expected")
         try:
-            cycle = tuple(int(tok) for tok in match.group(2).split())
+            cycle = tuple(map(int, match.group(2).split()))
         except ValueError:
             raise ParseError(f"non-integer vertex id in {line!r}") from None
         facets.append(cycle)

@@ -6,8 +6,11 @@ values.  Structural identities (Euler relation, sum over facets of
 (6-k)*p_k = 12, double-dual isomorphism) are asserted as exact invariants.
 """
 
+import dataclasses
+
 import pytest
 
+import toriclab.combinatorics as combinatorics_module
 from toriclab.combinatorics import (
     SimplePolytope3,
     SimplicialSphere2,
@@ -203,6 +206,35 @@ class TestDualSphere:
             assert orig == {canon(f) for f in back.facets}
 
 
+def test_incidence_is_built_once_per_polytope(monkeypatch):
+    text = serialize_polytope(dodecahedron())
+    calls = []
+    incidence = combinatorics_module._incidence
+
+    def counting(cycles):
+        calls.append(len(cycles))
+        return incidence(cycles)
+
+    monkeypatch.setattr(combinatorics_module, "_incidence", counting)
+    p = parse_polytope(text)
+    dual_sphere(p)
+    assert (p.num_edges, len(p.edges)) == (30, 30)
+    assert calls == [12]
+
+
+def test_constructed_polytopes_dualise_the_same():
+    # a flipped facet, so the kept successor maps of from_facets differ
+    # from the given cycles
+    flipped = [f[::-1] if i == 3 else f for i, f in enumerate(CUBE_FACETS)]
+    stacked = subdivided_cp3(60, seed=1)[0].sphere
+    for p in (SimplePolytope3.from_facets("cube", flipped),
+              dual_polytope(stacked, "stacked")):
+        for q in (SimplePolytope3(p.name, p.facets), dataclasses.replace(p, name="q")):
+            assert "_index" not in vars(q)
+            assert dual_sphere(q) == dual_sphere(p)
+            assert (q.edges, q.num_edges) == (p.edges, p.num_edges)
+
+
 class TestValidation:
     def test_vertex_in_wrong_number_of_facets(self):
         bad = [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2), (0, 1, 3)]
@@ -226,6 +258,27 @@ class TestValidation:
         # every vertex lies in 3 facets, but edge (0, 2) lies in only one
         bad = [(0, 1, 2, 3, 4, 5), (0, 2, 1), (2, 4, 3), (4, 0, 5), (1, 3, 5)]
         with pytest.raises(ValidationError, match=r"edge \(0, 2\) lies in 1"):
+            SimplePolytope3.from_facets("bad", bad)
+
+    # Several faults of one validation scan.  In each document the fault met
+    # first in facet order is not the smallest one, and the message names
+    # the smallest.
+    @pytest.mark.parametrize("bad, message", [
+        # vertex 3 is met first; vertices 0, 2 and 3 lie in 4 facets
+        ([(3, 1, 2), (3, 0, 1), (3, 2, 0), (1, 0, 2), (3, 0, 2)],
+         "vertex 0 lies in 4 facets"),
+        # test_open_edge with 0 and 5 swapped: edge (2, 5) is met first
+        ([(5, 1, 2, 3, 4, 0), (5, 2, 1), (2, 4, 3), (4, 5, 0), (1, 3, 0)],
+         r"edge \(0, 1\) lies in 1 facets"),
+        # three blocks joined in a chain by double edges: the outer facet 0
+        # shares both edges of each double edge with the facet between the
+        # blocks (3, then 1), and both sides of the middle square (2)
+        ([(2, 0, 4, 6, 8, 10, 9, 7, 5, 1), (6, 8, 11, 9, 7), (4, 6, 7, 5),
+          (0, 4, 5, 1, 3), (0, 2, 3), (2, 1, 3), (8, 10, 11), (11, 10, 9)],
+         "facets 0 and 1 share 2 edges"),
+    ])
+    def test_scans_name_the_smallest_fault(self, bad, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             SimplePolytope3.from_facets("bad", bad)
 
     def test_sphere_wall_in_three_triangles(self):
@@ -294,6 +347,16 @@ class TestSerialization:
             q = parse_polytope(text)
             assert q == p
             assert serialize_polytope(q) == text
+
+    def test_kept_index_leaves_equality_and_hash_alone(self):
+        for p in (tet(), cube(), dodecahedron()):
+            assert "_index" in vars(p)
+            q = parse_polytope(serialize_polytope(p))
+            assert q == p and hash(q) == hash(p)
+            bare = SimplePolytope3(p.name, p.facets)
+            assert bare == p and hash(bare) == hash(p)
+            assert bare.num_edges == p.num_edges  # builds the bare index
+            assert bare == p and hash(bare) == hash(p)
 
     def test_comments_and_blank_lines_ignored(self):
         text = serialize_polytope(tet())
