@@ -147,17 +147,15 @@ def four_color(sphere: SimplicialSphere2) -> FacetColoring:
     an uncolored vertex's saturation, and every uncoloring, pushes a fresh
     entry, so each uncolored vertex always has a live entry and the least
     live entry is the vertex the rule above picks.  A coloring without
-    backtracking therefore costs O(m log m).
+    backtracking therefore costs O(m log m).  The neighbour lists are the
+    sphere's kept ones; their order cannot change a pick, nor the coloring.
 
     The skeleton is planar, so a proper 4-coloring exists; exhaustion of
     the search would indicate corrupted input or a solver bug and raises
     InternalError.
     """
     m = sphere.m
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for u, v in sphere.walls:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = sphere._index[1]
 
     color: list[int | None] = [None] * m  # index into COLORS
     seen = [[0] * len(COLORS) for _ in range(m)]

@@ -9,12 +9,15 @@ convention used by the signed intersection calculus downstream.
 One incidence pass per polytope indexes each edge's facets and each
 facet's cycle successors.  Validation, orientation and :func:`dual_sphere`
 all read that index, which the polytope keeps.  Validation sorts only
-after it has found a fault, to name the first one in sorted order.
+after it has found a fault, to name the first one in sorted order.  Each
+sphere likewise keeps the wall index its validation built, which every
+adjacency query, :func:`dual_polytope` and the 4-coloring read.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from collections import Counter, defaultdict
 from itertools import chain
@@ -40,6 +43,11 @@ class SimplicialSphere2:
     representative per triangle (aligned with ``triangles``) such that every
     wall is traversed once in each direction, i.e. the orientation is
     globally consistent.  ``walls`` are the sorted 2-element faces.
+
+    The :func:`_wall_index` maps are kept on the sphere (:attr:`_index`),
+    as stored by :meth:`from_triangles` or built on first use, and read by
+    the adjacency queries, :func:`dual_polytope` and ``four_color``.  They
+    are not a field, so equality and hashing see only the fields.
     """
 
     m: int
@@ -52,9 +60,8 @@ class SimplicialSphere2:
         """Validate a triangle list as a 2-sphere and fix an orientation.
 
         If ``oriented`` is not given, an orientation is constructed by
-        propagation from the lexicographically first triangle.  One index,
-        wall -> apexes, serves the wall check, every vertex link, the
-        propagation and the connectivity walk.
+        propagation from the lexicographically first triangle.  The kept
+        :func:`_wall_index` maps serve every check and the propagation.
         """
         tris = sorted(tuple(sorted(t)) for t in triangles)
         if len(set(tris)) != len(tris):
@@ -65,11 +72,7 @@ class SimplicialSphere2:
             if not all(0 <= v < m for v in t):
                 raise ValidationError(f"triangle {t} uses a vertex outside 0..{m - 1}")
 
-        apexes: dict[Wall, list[int]] = defaultdict(list)
-        for a, b, c in tris:
-            apexes[(a, b)].append(c)
-            apexes[(a, c)].append(b)
-            apexes[(b, c)].append(a)
+        apexes, around = _wall_index(m, tris)
         for w, tops in apexes.items():
             if len(tops) != 2:
                 raise ValidationError(
@@ -84,10 +87,6 @@ class SimplicialSphere2:
         # has exactly two link neighbours, the apexes of the wall {u, v}, so
         # the link is 2-regular; it is one cycle iff a walk from one
         # neighbour visits all of them.
-        around: list[list[int]] = [[] for _ in range(m)]
-        for u, v in apexes:
-            around[u].append(v)
-            around[v].append(u)
         for v in range(m):
             if not around[v]:
                 raise ValidationError(f"vertex {v} lies in no triangle")
@@ -122,62 +121,65 @@ class SimplicialSphere2:
         if reached != m:
             raise ValidationError("sphere complex is disconnected")
 
-        return cls(m=m, triangles=tuple(tris), oriented=tuple(oriented),
-                   walls=tuple(sorted(apexes)))
+        sphere = cls(m=m, triangles=tuple(tris), oriented=tuple(oriented),
+                     walls=tuple(sorted(apexes)))
+        sphere.__dict__["_index"] = apexes, around  # cached_property slot
+        return sphere
 
     def reoriented(self, oriented) -> "SimplicialSphere2":
         """This sphere with other oriented representatives.
 
         The triangles are already validated, so only the orientation is
         checked: it must match the triangles and be globally consistent.
-        The result shares this sphere's adjacency index.
+        The result shares this sphere's kept wall index; it builds none.
         """
         sphere = replace(self, oriented=_checked_orientation(oriented, self.triangles))
-        sphere.__dict__["_apexes"] = self._apexes  # cached_property slot
+        sphere.__dict__["_index"] = self._index  # cached_property slot
         return sphere
 
     @cached_property
-    def _apexes(self) -> dict[int, dict[int, tuple[int, ...]]]:
-        """``_apexes[u][v]``: the apexes of the wall {u, v}, in the order of
-        their triangles in ``triangles``, stored under both endpoints.
-
-        Built on first use, so spheres that never ask for adjacency (the
-        polytope pipeline) do not pay for it.
-        """
-        index: dict[int, dict[int, tuple[int, ...]]] = {v: {} for v in range(self.m)}
-        for a, b, c in self.triangles:
-            for u, v, apex in ((a, b, c), (a, c, b), (b, c, a)):
-                index[u][v] = index[v][u] = index[u].get(v, ()) + (apex,)
-        return index
+    def _index(self) -> tuple[dict[Wall, tuple[int, ...]], dict[int, list[int]]]:
+        """The :func:`_wall_index` maps of the stored triangles."""
+        return _wall_index(self.m, self.triangles)
 
     def wall_apexes(self, wall: Wall) -> tuple[int, int]:
         """The two vertices completing the given wall to triangles."""
         u, v = sorted(wall)
         try:
-            return self._apexes[u][v]
+            return self._index[0][(u, v)]
         except KeyError:
             raise ValidationError(f"{(u, v)} is not a wall of this sphere") from None
 
     def vertex_degree(self, v: int) -> int:
-        return len(self._apexes[v])
+        return len(self._index[1][v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._apexes[v]))
-
-    @cached_property
-    def _position(self) -> dict[Triangle, int]:
-        """Triangle -> its position in ``triangles``."""
-        return {t: n for n, t in enumerate(self.triangles)}
+        return tuple(sorted(self._index[1][v]))
 
     def orientation_sign(self, i: int, j: int, k: int) -> int:
         """+1 if (i, j, k) is an even permutation of the stored oriented
         representative of the triangle {i, j, k}, else -1."""
         key = tuple(sorted((i, j, k)))
-        try:
-            rep = self.oriented[self._position[key]]
-        except KeyError:
-            raise ValidationError(f"{key} is not a triangle of this sphere") from None
-        return _permutation_sign((i, j, k), rep)
+        n = bisect_left(self.triangles, key)
+        if n == len(self.triangles) or self.triangles[n] != key:
+            raise ValidationError(f"{key} is not a triangle of this sphere")
+        return _permutation_sign((i, j, k), self.oriented[n])
+
+
+def _wall_index(m: int, tris) -> tuple[dict[Wall, tuple[int, ...]], dict[int, list[int]]]:
+    """For sorted triangles on vertices 0..m-1: the apexes of each (sorted)
+    wall, in the order of their triangles, and each vertex's neighbours,
+    in the order their walls are first met."""
+    apexes: dict[Wall, list[int]] = defaultdict(list)
+    for a, b, c in tris:
+        apexes[(a, b)].append(c)
+        apexes[(a, c)].append(b)
+        apexes[(b, c)].append(a)
+    around: dict[int, list[int]] = {v: [] for v in range(m)}
+    for u, v in apexes:
+        around[u].append(v)
+        around[v].append(u)
+    return {w: tuple(t) for w, t in apexes.items()}, around
 
 
 def _permutation_sign(t: Triangle, rep: Triangle) -> int:
@@ -249,8 +251,8 @@ class SimplePolytope3:
     edge's two facets, and each facet's successor map in the normalized
     orientation.  :meth:`from_facets` stores the maps its validation pass
     built; a polytope made by the constructor or ``dataclasses.replace``
-    builds them on first use.  The index is not a field, so equality and
-    hashing see only ``name`` and ``facets``.
+    validates its cycles and builds them on first use.  The index is not a
+    field, so equality and hashing see only ``name`` and ``facets``.
     """
 
     name: str
@@ -267,8 +269,8 @@ class SimplePolytope3:
 
     @cached_property
     def _index(self) -> tuple[dict[Wall, list[int]], list[dict[int, int]]]:
-        """The :func:`_incidence` maps of the stored facet cycles."""
-        return _incidence(self.facets)
+        """The :func:`_validate_cycles` maps of the stored facet cycles."""
+        return _validate_cycles(self.facets)
 
     @property
     def num_facets(self) -> int:
@@ -413,7 +415,7 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     for v in sorted(lowest):
         f = first = lowest[v]
         walk = [first]
-        while True:
+        while len(walk) <= 3:  # a longer walk is not simple
             s = succ[f][v]
             g, h = edge_owner[(v, s) if v < s else (s, v)]
             f = h if g == f else g
@@ -436,34 +438,33 @@ def dual_polytope(sphere: SimplicialSphere2, name: str) -> SimplePolytope3:
 
     Facet i of the result corresponds to sphere vertex i; polytope vertex t
     corresponds to sphere triangle number t (position in sphere.triangles).
-    One pass indexes each wall's two triangles and each vertex's
-    triangles, so every step of a walk is a dict lookup and building the
-    cycles is linear in the size of the sphere.
+    The walk around each vertex starts at its lowest triangle and reads the
+    sphere's kept adjacency index: the far apex of each wall comes from
+    the index and its triangle is found by bisection in the sorted
+    ``triangles``, and a vertex's degree is its neighbour count.
     """
-    wall_tris: dict[Wall, list[int]] = defaultdict(list)
-    vertex_tris: list[list[int]] = [[] for _ in range(sphere.m)]
-    for idx, (a, b, c) in enumerate(sphere.triangles):
-        for w in ((a, b), (a, c), (b, c)):
-            wall_tris[w].append(idx)
-        for v in (a, b, c):
-            vertex_tris[v].append(idx)
+    apexes, around = sphere._index
+    tris = sphere.triangles
+    lowest: dict[int, int] = {}
+    for idx, t in enumerate(tris):
+        for v in t:
+            lowest.setdefault(v, idx)
 
     facets = []
-    for v, incident in enumerate(vertex_tris):
-        cycle = [incident[0]]
+    for v, nbrs in around.items():
+        cycle = [lowest[v]]
         while True:
-            idx = cycle[-1]
-            a, b, c = sphere.oriented[idx]
-            # walk around v following the orientation
-            succ = b if a == v else c if b == v else a
-            t, u = wall_tris[(v, succ) if v < succ else (succ, v)]
-            nxt = u if t == idx else t
+            a, b, c = sphere.oriented[cycle[-1]]
+            # cross the wall from v to its successor; ``own`` is this apex
+            succ, own = (b, c) if a == v else (c, a) if b == v else (a, b)
+            p, q = apexes[(v, succ) if v < succ else (succ, v)]
+            nxt = bisect_left(tris, tuple(sorted((v, succ, q if p == own else p))))
             if nxt == cycle[0]:
                 break
             cycle.append(nxt)
-            if len(cycle) > len(incident):
+            if len(cycle) > len(nbrs):
                 raise ValidationError(f"triangles around vertex {v} do not close up")
-        if len(cycle) != len(incident):
+        if len(cycle) != len(nbrs):
             raise ValidationError(f"triangles around vertex {v} form more than one cycle")
         facets.append(tuple(cycle))
     return SimplePolytope3.from_facets(name, facets)

@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 import toriclab.combinatorics as combinatorics_module
+from toriclab.charfunc import four_color
 from toriclab.combinatorics import (
     SimplePolytope3,
     SimplicialSphere2,
@@ -21,7 +22,10 @@ from toriclab.combinatorics import (
     parse_polytope,
     serialize_polytope,
 )
+from toriclab.cone import delzant_obstruction_witness
+from toriclab.corpus import corpus_get
 from toriclab.errors import ParseError, ValidationError
+from toriclab.fan import characteristic_pair, parse_fan
 
 from subdivision import subdivided_cp3
 
@@ -164,12 +168,21 @@ class TestDualSphere:
         with pytest.raises(ValidationError, match="not a triangle"):
             s.orientation_sign(0, 1, 11)
 
+    def test_orientation_sign_rejects_keys_beyond_the_triangles(self):
+        # the two ends of the bisection: below the first triangle and
+        # above the last one
+        s = dual_sphere(dodecahedron())
+        for key in ((-1, 0, 1), (1, 0, -1), (11, 12, 13), (13, 11, 12)):
+            assert not s.triangles[0] <= tuple(sorted(key)) <= s.triangles[-1]
+            with pytest.raises(ValidationError, match="not a triangle"):
+                s.orientation_sign(*key)
+
     def test_reoriented_checks_only_the_orientation(self):
         s = dual_sphere(dodecahedron())
         flipped = [(a, c, b) for a, b, c in s.oriented]
         r = s.reoriented(flipped)
         assert r == SimplicialSphere2.from_triangles(s.m, s.triangles, oriented=flipped)
-        assert r._apexes is s._apexes
+        assert r._index is s._index
         with pytest.raises(ValidationError, match="^orientation traverses edge"):
             s.reoriented(flipped[:1] + list(s.oriented[1:]))
         with pytest.raises(ValidationError, match="do not match triangles"):
@@ -220,6 +233,68 @@ def test_incidence_is_built_once_per_polytope(monkeypatch):
     dual_sphere(p)
     assert (p.num_edges, len(p.edges)) == (30, 30)
     assert calls == [12]
+
+
+def test_wall_index_is_built_once_per_sphere(monkeypatch):
+    calls = []
+    wall_index = combinatorics_module._wall_index
+
+    def counting(m, tris):
+        calls.append(m)
+        return wall_index(m, tris)
+
+    p = dodecahedron()
+    monkeypatch.setattr(combinatorics_module, "_wall_index", counting)
+    f = parse_fan(corpus_get("flatwall").text)
+    f.wall_table
+    characteristic_pair(f).integrals
+    delzant_obstruction_witness(f)
+    assert calls == [7]
+
+    calls.clear()
+    s = dual_sphere(p)
+    [s.wall_apexes(w) for w in s.walls]
+    [(s.neighbors(v), s.vertex_degree(v)) for v in range(s.m)]
+    four_color(s)
+    dual_polytope(s, "x")
+    assert calls == [12]
+
+
+def sphere_answers(s):
+    return (s.walls,
+            [s.wall_apexes(w) for w in s.walls],
+            [s.wall_apexes(w[::-1]) for w in s.walls],
+            [(s.neighbors(v), s.vertex_degree(v)) for v in range(s.m)],
+            [(s.orientation_sign(a, b, c), s.orientation_sign(b, a, c))
+             for a, b, c in s.oriented],
+            four_color(s),
+            dual_polytope(s, "x").facets)
+
+
+def test_constructed_spheres_answer_the_same():
+    stacked = subdivided_cp3(60, seed=1)[0].sphere
+    icosa = SimplicialSphere2.from_triangles(12, ICOSA_TRIANGLES)
+    for s in (icosa, dual_sphere(cube()), stacked):
+        assert "_index" in vars(s)
+        for t in (SimplicialSphere2(s.m, s.triangles, s.oriented, s.walls),
+                  dataclasses.replace(s)):
+            assert "_index" not in vars(t)
+            assert t == s and hash(t) == hash(s)
+            assert sphere_answers(t) == sphere_answers(s)
+            assert t == s and hash(t) == hash(s)
+
+
+# The cube without its last facet (3, 7, 4, 0), completed three ways and
+# built with the constructor, which checks nothing
+@pytest.mark.parametrize("last, message", [
+    ([(0, 4, 7, 3)], r"vertex 0 is not simple: facet walk \[0, 2, 5, 2\]"),
+    ([(0, 4, 3, 7)], r"edge \(0, 3\) lies in 1 facets"),
+    ([], "vertex 0 lies in 2 facets"),
+])
+def test_constructed_faults_are_named(last, message):
+    p = SimplePolytope3("x", tuple(CUBE_FACETS[:5]) + tuple(last))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        dual_sphere(p)
 
 
 def test_constructed_polytopes_dualise_the_same():

@@ -1,5 +1,6 @@
 """The documented examples run: every demo script, and every `toriclab`
-line of the README's "Command line" block, each in a fresh process."""
+line of the README's "Command line" block, each in a fresh process; every
+document of its "File formats" section parses."""
 
 import os
 import re
@@ -9,6 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from toriclab.combinatorics import parse_polytope
+from toriclab.fan import parse_fan
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -57,3 +61,15 @@ def test_readme_command_line_block_runs(tmp_path):
         assert proc.returncode == 0, (line, proc.stderr)
         if target is not None:
             (tmp_path / target).write_text(proc.stdout, encoding="utf-8")
+
+
+def test_readme_file_format_blocks_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### File formats", 1)[1].split("\n## ", 1)[0]
+    parsers = {"poly3": parse_polytope, "fan3": parse_fan}
+    kinds = []
+    for block in re.findall(r"```\n(.*?)```", section, re.S):
+        kind = block.split(None, 1)[0]
+        parsers[kind](block)
+        kinds.append(kind)
+    assert sorted(set(kinds)) == ["fan3", "poly3"]
