@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -47,7 +46,7 @@ from .errors import (
     ToricLabError,
     ValidationError,
 )
-from .fan import ENV_SEED, certify_fan, gauss_bonnet_sum, parse_fan
+from .fan import certify_fan, env_seed, gauss_bonnet_sum, parse_fan
 
 __all__ = ["main"]
 
@@ -201,7 +200,7 @@ def cmd_fan_report(args) -> int:
         return 1
     rpt.add("unimodular", True)
     rpt.add("complete", True)
-    rpt.add("completeness_seed", int(os.environ.get(ENV_SEED, "0")))
+    rpt.add("completeness_seed", env_seed())
 
     walls = {}
     for w in f.walls:

@@ -28,15 +28,15 @@ Volume polynomials collect every degree-3 integral with multinomial
 weights; their values at valid support parameters are Euclidean volumes of
 the corresponding simple polytopes.
 
-Support parameters are evaluated over one common denominator.  The values
-c_1, ..., c_m are read once as integer numerators C_t over the least common
-denominator D of all of them (c_t = C_t / D).  Every multinomial weight
-times 6 is an integer, so a volume is the integer sum S of 6 * weight *
-integral * C_i C_j C_k divided by 6 D^3, and an edge functional is the
-integer sum E of integral * C_t divided by D.  Signs are decided on S and E
-alone; a ``Fraction`` is built only for a value handed back to the caller
-or named in a ``SupportInvalid`` message, so each query normalises once
-instead of at every product and sum.
+Support parameters are evaluated over one common denominator: the values
+c_1, ..., c_m are read once, by ``lattice.over_common_denominator``, as
+integer numerators C_t over their least common denominator D.  Every
+multinomial weight times 6 is an integer, so a volume is the integer sum S
+of 6 * weight * integral * C_i C_j C_k divided by 6 D^3, and an edge
+functional is the integer sum E of integral * C_t divided by D.  Signs are
+decided on S and E alone; a ``Fraction`` is built only for a value handed
+back to the caller or named in a ``SupportInvalid`` message, so each query
+normalises once instead of at every product and sum.
 """
 
 from __future__ import annotations
@@ -44,13 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .charfunc import CharacteristicPair
 from .combinatorics import SimplicialSphere2
 from .errors import SupportInvalid, ValidationError
 from .fan import Fan3, characteristic_pair
-from .lattice import Vec3, det3, dot, dual_covector
+from .lattice import Vec3, det3, dot, dual_covector, over_common_denominator
 
 Multiset = tuple[int, int, int]
 # wall (u, v) -> its nonzero entries (t, integral of v_u v_v v_t)
@@ -182,32 +181,29 @@ def chern_number_c1c2(f: Fan3) -> int:
 class VolumePolynomial:
     """Homogeneous cubic in m variables with exact rational coefficients.
 
-    Keys of ``coeffs`` are sorted index multisets (i <= j <= k); only
-    nonzero coefficients are stored.  ``terms`` holds the same polynomial
-    as integers ``(i, j, k, 6 * coefficient)``, the view evaluation uses.
+    ``terms`` holds the nonzero coefficients as integers
+    ``(i, j, k, 6 * coefficient)``, sorted by index multiset
+    (i <= j <= k); ``coeffs`` reads them as ``(multiset, coefficient)``.
     """
 
     fan: Fan3
-    coeffs: tuple[tuple[Multiset, Fraction], ...] = field(repr=False)
-    terms: tuple[tuple[int, int, int, int], ...] = field(repr=False, compare=False)
+    terms: tuple[tuple[int, int, int, int], ...] = field(repr=False)
 
     @property
     def m(self) -> int:
         return self.fan.m
 
-    @cached_property
-    def _coefficients(self) -> dict[Multiset, Fraction]:
-        return dict(self.coeffs)
+    @property
+    def coeffs(self) -> tuple[tuple[Multiset, Fraction], ...]:
+        return tuple(((i, j, k), Fraction(w, 6)) for i, j, k, w in self.terms)
 
     def coefficient(self, indices) -> Fraction:
         key = _as_multiset(indices, self.m)
-        return self._coefficients.get(key, Fraction(0))
+        six = _SIX_WEIGHT[len(set(key))] * triple_intersection(self.fan, key)
+        return Fraction(six, 6)
 
     def __call__(self, c) -> Fraction:
-        c = [Fraction(x) for x in c]
-        if len(c) != self.m:
-            raise ValidationError(f"{len(c)} values for {self.m} variables")
-        return self._value(*_over_common_denominator(c))
+        return self._value(*_scaled(c, self.m, "variables"))
 
     def _value(self, C: list[int], D: int) -> Fraction:
         """The value at c_t = C[t] / D."""
@@ -224,8 +220,7 @@ def volume_polynomial(f: Fan3) -> VolumePolynomial:
     """
     terms = tuple((*key, _SIX_WEIGHT[len(set(key))] * v)
                   for key, v in sorted(characteristic_pair(f).integrals.items()))
-    coeffs = tuple(((i, j, k), Fraction(w, 6)) for i, j, k, w in terms)
-    return VolumePolynomial(fan=f, coeffs=coeffs, terms=terms)
+    return VolumePolynomial(fan=f, terms=terms)
 
 
 def serialize_volume_polynomial(V: VolumePolynomial) -> str:
@@ -240,18 +235,12 @@ def serialize_volume_polynomial(V: VolumePolynomial) -> str:
     return "\n".join(out) + "\n"
 
 
-def _over_common_denominator(c: list[Fraction]) -> tuple[list[int], int]:
-    """The numerators C_t of c over the least common denominator D."""
-    D = math.lcm(*(x.denominator for x in c))
-    return [x.numerator * (D // x.denominator) for x in c], D
-
-
-def _scaled_support(f: Fan3, c) -> tuple[list[int], int]:
-    """Support parameters for the fan's rays, as numerators over one D."""
-    c = [Fraction(x) for x in c]
-    if len(c) != f.m:
-        raise ValidationError(f"{len(c)} values for {f.m} rays")
-    return _over_common_denominator(c)
+def _scaled(c, m: int, what: str) -> tuple[list[int], int]:
+    """m values c for the named variables, as numerators over one D."""
+    (C,), D = over_common_denominator([c])
+    if len(C) != m:
+        raise ValidationError(f"{len(C)} values for {m} {what}")
+    return C, D
 
 
 def _edge_numerator(entries, C: list[int]) -> int:
@@ -272,14 +261,14 @@ def edge_functional(f: Fan3, pair, c) -> Fraction:
     entries = characteristic_pair(f).pairings.get(key)
     if entries is None:
         raise ValidationError(f"{key} is not a wall of this fan")
-    C, D = _scaled_support(f, c)
+    C, D = _scaled(c, f.m, "rays")
     return Fraction(_edge_numerator(entries, C), D)
 
 
 def edge_functionals(f: Fan3, c) -> dict[tuple[int, int], Fraction]:
     """:func:`edge_functional` at every wall, keyed by sorted wall pair in
     the order of ``f.walls``; c is read once for all of them."""
-    C, D = _scaled_support(f, c)
+    C, D = _scaled(c, f.m, "rays")
     return {key: Fraction(_edge_numerator(entries, C), D)
             for key, entries in characteristic_pair(f).pairings.items()}
 
@@ -297,7 +286,7 @@ def _certify_scaled(f: Fan3, C: list[int], D: int) -> None:
 
 def certify_support(f: Fan3, c) -> None:
     """Raise SupportInvalid listing every wall with a non-positive edge."""
-    _certify_scaled(f, *_scaled_support(f, c))
+    _certify_scaled(f, *_scaled(c, f.m, "rays"))
 
 
 def evaluate_volume(V: VolumePolynomial, c) -> Fraction:
@@ -307,6 +296,6 @@ def evaluate_volume(V: VolumePolynomial, c) -> Fraction:
     this is certified by edge-functional positivity before evaluating,
     over the same common denominator.
     """
-    C, D = _scaled_support(V.fan, c)
+    C, D = _scaled(c, V.m, "rays")
     _certify_scaled(V.fan, C, D)
     return V._value(C, D)

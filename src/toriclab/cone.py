@@ -17,12 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .charfunc import CharacteristicPair
-from .errors import CertificationFailure, InternalError, NotFound, NoWitness
-from .exactlp import ConeMembership, cone_membership, positive_functional
+from .errors import (CertificationFailure, InternalError, NotFound, NoWitness,
+                     ValidationError)
+from .exactlp import cone_membership, positive_functional
 from .fan import Fan3, characteristic_pair
+from .lattice import over_common_denominator
 
 __all__ = [
     "WallClass",
@@ -116,8 +119,7 @@ def _group_classes(classes) -> list[list[WallClass]]:
     """
     groups: dict[tuple[int, ...], list[WallClass]] = {}
     for cls in classes:
-        den = math.lcm(*(x.denominator for x in cls.pairing))
-        ints = [x.numerator * (den // x.denominator) for x in cls.pairing]
+        (ints,), _ = over_common_denominator([cls.pairing])
         g = math.gcd(*ints)
         groups.setdefault(tuple(x // g for x in ints), []).append(cls)
     return list(groups.values())
@@ -129,18 +131,21 @@ def strict_convexity_witness(classes, c_tilde=None):
     was produced.
 
     With ``c_tilde`` the check is pure verification — the products are the
-    edge functionals of the candidate support.  Without it, a feasibility
+    edge functionals of the candidate support, decided on its integer
+    numerators over one common denominator.  Without it, a feasibility
     LP searches for any witness; infeasibility comes back with convex
     coefficients combining the pairing vectors to zero, which makes a
     positive functional impossible.  The refusal is a return value, not an
     exception.
     """
     if c_tilde is not None:
-        cand = tuple(Fraction(x) for x in c_tilde)
+        (C,), D = over_common_denominator([c_tilde])
+        classes = tuple(classes)
+        if classes and len(C) != len(classes[0].pairing):
+            raise ValidationError(f"candidate has {len(C)} entries for "
+                                  f"{len(classes[0].pairing)} rays")
         failing = tuple(
-            cls.wall
-            for cls in classes
-            if sum(c * p for c, p in zip(cand, cls.pairing)) <= 0
+            cls.wall for cls in classes if sum(map(mul, C, cls.pairing)) <= 0
         )
         if failing:
             return NoWitness(
@@ -148,7 +153,7 @@ def strict_convexity_witness(classes, c_tilde=None):
                 + ", ".join(str(w) for w in failing),
                 failing=failing,
             )
-        return cand
+        return tuple(Fraction(v, D) for v in C)
     res = positive_functional([cls.pairing for cls in classes])
     if res.found:
         return res.y

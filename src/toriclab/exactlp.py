@@ -1,8 +1,9 @@
 """Exact rational linear programming.
 
 A small phase-1 simplex with Bland's pivoting rule, which terminates
-without cycling.  It pivots fraction-free: the system is scaled to integers
-once, and every tableau entry stays an integer over one common
+without cycling.  It pivots fraction-free: the system is read into
+integers once, by :func:`toriclab.lattice.over_common_denominator`, and
+every tableau entry and certificate stays an integer over one common
 denominator.  There are no tolerances anywhere: every verdict comes with a
 certificate that is re-verified by exact substitution before it is
 returned, so a caller can trust either answer unconditionally.
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InternalError
+from .lattice import over_common_denominator
 
 __all__ = [
     "Phase1Result",
@@ -36,24 +37,6 @@ __all__ = [
     "cone_membership",
     "positive_functional",
 ]
-
-
-def _integral(rows) -> tuple[list[list[int]], int]:
-    """The rows times one positive integer, the lcm of all denominators:
-    the integer rows and that scale.
-
-    Ints and Fractions are read through ``numerator``/``denominator``
-    without building a Fraction; anything else ``Fraction`` accepts
-    (floats, Decimals, strings) is converted first.
-    """
-    rows = [list(r) for r in rows]
-    try:
-        dens = {x.denominator for r in rows for x in r}
-    except AttributeError:
-        rows = [[Fraction(x) for x in r] for r in rows]
-        dens = {x.denominator for r in rows for x in r}
-    scale = lcm(*dens)
-    return [[x.numerator * (scale // x.denominator) for x in r] for r in rows], scale
 
 
 @dataclass(frozen=True)
@@ -79,7 +62,7 @@ def phase1_simplex(rows: Sequence[Sequence], rhs: Sequence) -> Phase1Result:
     minimum is positive the system is infeasible and the simplex
     multipliers give the alternative certificate.
 
-    The whole system is first multiplied by the lcm of its denominators.
+    The whole system is first multiplied by its least common denominator.
     One positive scale keeps the sign of every reduced cost and multiplies
     every ratio of an entering column by the same factor, so Bland's rule
     picks the same entering column, leaving row and tie-breaks as on the
@@ -93,15 +76,24 @@ def phase1_simplex(rows: Sequence[Sequence], rhs: Sequence) -> Phase1Result:
     sets ``d = p``.  Signs and ratio comparisons are read off the integers,
     so the pivots are those of the rational tableau.
     """
-    *a, b = _integral([*rows, rhs])[0]
-    return _phase1_integral(a, b)
+    *a, b = over_common_denominator([*rows, rhs])[0]
+    x, y, d = _phase1_integral(a, b)
+    if x is not None:
+        if any(v < 0 for v in x) or any(
+            sum(map(mul, r, x)) != v * d for r, v in zip(a, b)
+        ):
+            raise InternalError("simplex produced a non-solution")
+        return Phase1Result(solution=tuple(Fraction(v, d) for v in x), farkas=None)
+    if any(sum(map(mul, y, col)) > 0 for col in zip(*a)) or sum(map(mul, y, b)) <= 0:
+        raise InternalError("invalid infeasibility certificate")
+    return Phase1Result(solution=None, farkas=tuple(Fraction(v, d) for v in y))
 
 
-def _phase1_integral(a: list[list[int]], b: list[int]) -> Phase1Result:
-    """:func:`phase1_simplex` on a system that is already in integers.
-
-    The entry point for callers that build their systems from integers,
-    which need no scaling.  ``a`` and ``b`` are left unmodified.
+def _phase1_integral(a: list[list[int]], b: list[int]):
+    """:func:`phase1_simplex` on a system already in integers, answered in
+    integers: ``(x, None, d)`` with the solution ``x / d``, or
+    ``(None, y, d)`` with the Farkas vector ``y / d``, where ``d > 0``.
+    The caller verifies it.  ``a`` and ``b`` are left unmodified.
     """
     a, b = list(a), list(b)
     nrows = len(a)
@@ -170,20 +162,11 @@ def _phase1_integral(a: list[list[int]], b: list[int]) -> Phase1Result:
         for i, var in enumerate(basis):
             if var < ncols:
                 x[var] = tab[i][-1]
-        if any(v < 0 for v in x) or any(
-            sum(map(mul, r, x)) != v * d for r, v in zip(a, b)
-        ):
-            raise InternalError("simplex produced a non-solution")
-        return Phase1Result(solution=tuple(Fraction(v, d) for v in x), farkas=None)
+        return x, None, d
 
     # Infeasible: the multipliers 1 - z_art / d, read off the artificial
     # reduced costs, certify the alternative once the row flips are undone.
-    y = [d - z[ncols + i] for i in range(nrows)]
-    if any(sum(map(mul, y, col)) > 0 for col in zip(*a)) or sum(map(mul, y, b)) <= 0:
-        raise InternalError("invalid infeasibility certificate")
-    return Phase1Result(
-        solution=None, farkas=tuple(Fraction(s * v, d) for s, v in zip(signs, y))
-    )
+    return None, [s * (d - z[ncols + i]) for i, s in enumerate(signs)], d
 
 
 @dataclass(frozen=True)
@@ -203,7 +186,7 @@ class ConeMembership:
 def cone_membership(x: Sequence, generators: Sequence[Sequence]) -> ConeMembership:
     """Decide whether x is a nonnegative combination of the generators."""
     # One common scale for x and the generators changes neither answer.
-    target, *gens = _integral([x, *generators])[0]
+    target, *gens = over_common_denominator([x, *generators])[0]
     dim = len(target)
     if any(len(g) != dim for g in gens):
         raise InternalError("generator dimension mismatch")
@@ -214,21 +197,18 @@ def cone_membership(x: Sequence, generators: Sequence[Sequence]) -> ConeMembersh
         return ConeMembership(False, None, sep)
 
     columns = [list(col) for col in zip(*gens)]
-    res = _phase1_integral(columns, target)
-    if res.feasible:
-        # The coefficients over their common denominator q.
-        (coef,), q = _integral([res.solution])
+    coef, sep, d = _phase1_integral(columns, target)
+    if coef is not None:
         if any(c < 0 for c in coef) or any(
-            sum(map(mul, coef, col)) != q * v for col, v in zip(columns, target)
+            sum(map(mul, coef, col)) != d * v for col, v in zip(columns, target)
         ):
             raise InternalError("membership coefficients failed verification")
-        return ConeMembership(True, res.solution, None)
-    (sep,), _ = _integral([res.farkas])
+        return ConeMembership(True, tuple(Fraction(c, d) for c in coef), None)
     if any(sum(map(mul, sep, g)) > 0 for g in gens):
         raise InternalError("separator fails on a generator")
     if sum(map(mul, sep, target)) <= 0:
         raise InternalError("separator fails on the target")
-    return ConeMembership(False, None, res.farkas)
+    return ConeMembership(False, None, tuple(Fraction(v, d) for v in sep))
 
 
 @dataclass(frozen=True)
@@ -247,7 +227,7 @@ class PositiveFunctional:
 
 def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:
     """Find y with <row, y> >= 1 for all rows, or prove none exists."""
-    mat, scale = _integral(rows)
+    mat, scale = over_common_denominator(rows)
     if not mat:
         return PositiveFunctional(True, (), None)
     dim = len(mat[0])
@@ -261,16 +241,13 @@ def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:
         slack = [0] * k
         slack[i] = -scale
         system.append(r + [-v for v in r] + slack)
-    res = _phase1_integral(system, [scale] * k)
-    if res.feasible:
-        # y over the common denominator q of the solution.
-        (sol,), q = _integral([res.solution])
+    sol, pi, d = _phase1_integral(system, [scale] * k)
+    if sol is not None:
         y = [sol[j] - sol[dim + j] for j in range(dim)]
-        if any(sum(map(mul, r, y)) < scale * q for r in mat):
+        if any(sum(map(mul, r, y)) < scale * d for r in mat):
             raise InternalError("functional failed verification")
-        return PositiveFunctional(True, tuple(Fraction(v, q) for v in y), None)
+        return PositiveFunctional(True, tuple(Fraction(v, d) for v in y), None)
 
-    (pi,), _ = _integral([res.farkas])
     total = sum(pi)
     if total <= 0 or any(p < 0 for p in pi):
         raise InternalError("invalid convex certificate")

@@ -44,8 +44,6 @@ from .errors import (
 )
 from .lattice import Vec3, add, det3, is_primitive, sub
 
-ENV_SEED = "TORICLAB_SEED"
-
 
 @dataclass(frozen=True)
 class Wall:
@@ -92,6 +90,8 @@ class Fan3:
         cones = tuple(sorted(tuple(sorted(int(i) for i in c)) for c in cones))
         m = len(rays)
         for i, r in enumerate(rays):
+            if len(r) != 3:
+                raise ValidationError(f"ray {i} = {r} is not an integer 3-vector")
             if not is_primitive(r):
                 raise ValidationError(f"ray {i} = {r} is not primitive")
         for c in cones:
@@ -270,7 +270,7 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
 
     # (b) generic-ray piercing
     if seed is None:
-        seed = int(os.environ.get(ENV_SEED, "0"))
+        seed = env_seed()
     rng = random.Random(seed)
     for attempt in range(1, 65):
         direction = tuple(rng.randint(-997, 997) for _ in range(3))
@@ -290,6 +290,15 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
             f"cones: {hits}")
     raise InternalError("piercing test kept hitting cone boundaries; "
                         "input is degenerate beyond repair")
+
+
+def env_seed() -> int:
+    """The integer in TORICLAB_SEED (default 0), the piercing seed."""
+    value = os.environ.get("TORICLAB_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValidationError(f"TORICLAB_SEED is not an integer: {value!r}") from None
 
 
 def certify_fan(f: Fan3) -> CompletenessCertificate:

@@ -1,12 +1,14 @@
 """Exact integer 3-vector arithmetic used throughout the package.
 
 Everything here is plain Python int arithmetic, so values never overflow
-and no floating point is involved anywhere.
+and no floating point is involved anywhere.  Rationals become integers
+only in :func:`over_common_denominator`, the package's one such reader.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 Vec3 = tuple[int, int, int]
 
@@ -59,3 +61,21 @@ def dual_covector(a: Vec3, b: Vec3, c: Vec3) -> Vec3:
         raise ValueError(f"({a}, {b}, {c}) is not a lattice basis: det = {d}")
     bc = cross(b, c)
     return bc if d == 1 else neg(bc)
+
+
+def over_common_denominator(rows) -> tuple[list[list[int]], int]:
+    """The rows times one positive integer D, the least common denominator
+    of all their entries: the integer numerator rows and D.
+
+    Ints and Fractions are read through ``numerator``/``denominator``
+    without building a Fraction; anything else ``Fraction`` accepts
+    (floats, Decimals, strings) is converted first.
+    """
+    rows = [list(r) for r in rows]
+    try:
+        dens = {x.denominator for r in rows for x in r}
+    except AttributeError:
+        rows = [[Fraction(x) for x in r] for r in rows]
+        dens = {x.denominator for r in rows for x in r}
+    scale = lcm(*dens)
+    return [[x.numerator * (scale // x.denominator) for x in r] for r in rows], scale

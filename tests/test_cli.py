@@ -295,6 +295,21 @@ def test_incomplete_fan_fails(capsys, tmp_path):
     assert "not a 2-sphere" in err
 
 
+def test_malformed_seed_fails_every_fan_command(capsys, fan_file, monkeypatch):
+    monkeypatch.setenv("TORICLAB_SEED", "abc")
+    for cmd in ("report", "volume", "extremal", "witness"):
+        code, out, err = run(capsys, "fan", cmd, fan_file("cp3"))
+        assert (code, out) == (1, ""), cmd
+        assert err == "error: TORICLAB_SEED is not an integer: 'abc'\n", cmd
+
+
+def test_report_names_the_seed_it_certified_with(capsys, fan_file, monkeypatch):
+    monkeypatch.setenv("TORICLAB_SEED", "7")
+    code, out, _ = run(capsys, "fan", "report", fan_file("cp3"))
+    assert code == 0
+    assert "completeness_seed: 7" in out
+
+
 def test_nonprimitive_ray_fails_validation(capsys, tmp_path):
     text = corpus_get("cp3").text.replace("R 0: 1 0 0", "R 0: 2 0 0")
     path = tmp_path / "scaled.fan"

@@ -10,7 +10,9 @@ the same Bland pivots.
 
 import itertools
 import random
+import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -26,8 +28,9 @@ from toriclab.cone import (
     strict_convexity_witness,
     wall_classes,
 )
+from toriclab.cohomology import certify_support
 from toriclab.corpus import FAN_NAMES, load_fan
-from toriclab.errors import NoWitness
+from toriclab.errors import InternalError, NoWitness, SupportInvalid, ValidationError
 from toriclab.exactlp import (
     Phase1Result,
     cone_membership,
@@ -134,6 +137,33 @@ def test_phase1_matches_the_rational_tableau_on_library_lps(library_lps):
     # 148 systems, 65 of them feasible
     assert len(library_lps) >= 140
     assert 50 <= feasible <= len(library_lps) - 50
+
+
+def test_every_entry_point_verifies_the_certificate_it_gets(monkeypatch):
+    # The integer simplex hands back a wrong answer of either kind: a zero
+    # solution, or a negated Farkas vector.  Each public entry point must
+    # refuse it rather than return it.
+    import toriclab.exactlp as exactlp
+
+    solve = exactlp._phase1_integral
+
+    def tampered(a, b):
+        x, y, d = solve(a, b)
+        if x is not None:
+            return [0] * len(x), None, d
+        return None, [-v for v in y], d
+
+    monkeypatch.setattr(exactlp, "_phase1_integral", tampered)
+    for call, message in (
+        (lambda: phase1_simplex([[1, 0], [0, 1]], [3, 5]), "non-solution"),
+        (lambda: phase1_simplex([[1, 1], [1, 1]], [1, 2]), "infeasibility certificate"),
+        (lambda: cone_membership([1, 1], [[1, 0], [0, 1]]), "membership coefficients"),
+        (lambda: cone_membership([-1, 0], [[1, 0], [0, 1]]), "separator fails"),
+        (lambda: positive_functional([[1, 0], [0, 1]]), "functional failed"),
+        (lambda: positive_functional([[1], [-1]]), "convex certificate"),
+    ):
+        with pytest.raises(InternalError, match=message):
+            call()
 
 
 def test_phase1_reads_floats_decimals_and_strings_as_fractions():
@@ -391,6 +421,69 @@ def test_candidate_witness_rejected_with_failing_walls():
     res = strict_convexity_witness(classes, (1, -1, 1, 1, 1, 1))
     assert isinstance(res, NoWitness)
     assert set(res.failing) == {(2, 4), (2, 5), (3, 4), (3, 5)}
+
+
+def test_candidate_of_the_wrong_length_is_refused():
+    classes = wall_classes(load_fan("cube-fan"))
+    for cand, n in (((1,) * 9, 9), ((1, 1), 2)):
+        with pytest.raises(ValidationError,
+                           match=f"^candidate has {n} entries for 6 rays$"):
+            strict_convexity_witness(classes, cand)
+
+
+def test_candidate_check_reads_fraction_classes():
+    classes = wall_classes(load_fan("cube-fan"))
+    rng = random.Random(5)
+    scaled = []
+    for c in classes:
+        q = Fraction(rng.randrange(1, 9), rng.randrange(1, 7))
+        scaled.append(WallClass(c.wall, tuple(v * q for v in c.pairing)))
+    for cand in ((1,) * 6, (1, -1, 1, 1, 1, 1), ("1/2", 2, 0.5, 1, 3, Fraction(1, 3))):
+        want = strict_convexity_witness(classes, cand)
+        got = strict_convexity_witness(scaled, cand)
+        if isinstance(want, NoWitness):
+            assert got.failing == want.failing and str(got) == str(want)
+        else:
+            assert got == want
+
+
+def _certify_support_failing(f, c):
+    """The walls certify_support names as failing, in its order."""
+    try:
+        certify_support(f, c)
+    except SupportInvalid as exc:
+        return tuple((int(u), int(v))
+                     for u, v in re.findall(r"wall \((\d+), (\d+)\)", str(exc)))
+    return ()
+
+
+def _cut_pushed(classes, c, t, factor):
+    """The support c with cut t moved inward until the first edge whose
+    length depends on it reaches 0 (factor 1), or further (factor > 1).
+
+    An edge's length is c . pairing, so moving c_t by delta changes it by
+    delta * pairing[t]; edges with pairing[t] > 0 reach 0 at
+    delta = -length / pairing[t]."""
+    deltas = [-sum(map(mul, c, cls.pairing)) / cls.pairing[t]
+              for cls in classes if cls.pairing[t] > 0]
+    c = list(c)
+    c[t] += factor * max(deltas)
+    return c
+
+
+def test_candidate_check_and_certify_support_name_the_same_walls():
+    fans = [load_fan(name) for name in FAN_NAMES] + [
+        subdivided_cp3(m, seed=0)[0] for m in (20, 104, 1004)]
+    for f in fans:
+        classes = wall_classes(f)
+        cuts = range(f.m) if f.m <= 104 else (f.m - 1,)
+        pushed = [_cut_pushed(classes, f.support, t, k) for t in cuts for k in (1, 2)]
+        assert strict_convexity_witness(classes, f.support) == f.support
+        assert _certify_support_failing(f, f.support) == ()
+        for c in pushed:
+            res = strict_convexity_witness(classes, c)
+            assert isinstance(res, NoWitness), f.name
+            assert res.failing == _certify_support_failing(f, c), f.name
 
 
 def test_lp_witness_found_without_candidate():

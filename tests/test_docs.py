@@ -1,6 +1,7 @@
 """The documented examples run: every demo script, and every `toriclab`
 line of the README's "Command line" block, each in a fresh process; every
-document of its "File formats" section parses."""
+document of its "File formats" section parses; its "Library map" names
+every module."""
 
 import os
 import re
@@ -73,3 +74,11 @@ def test_readme_file_format_blocks_parse():
         parsers[kind](block)
         kinds.append(kind)
     assert sorted(set(kinds)) == ["fan3", "poly3"]
+
+
+def test_library_map_names_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library map", 1)[1].split("\n## ", 1)[0]
+    mapped = set(re.findall(r"^\| `toriclab\.(\w+)`", section, re.M))
+    modules = {p.stem for p in (ROOT / "src" / "toriclab").glob("*.py")}
+    assert mapped == modules - {"__init__"}

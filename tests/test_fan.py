@@ -66,6 +66,11 @@ class TestStructure:
         with pytest.raises(ValidationError, match="ray 0 .* not primitive"):
             Fan3.from_data("bad", [(0, 0, 2), E2, E3, (-1, -1, -1)], SIMPLEX_CONES)
 
+    def test_ray_that_is_not_a_3_vector_rejected(self):
+        with pytest.raises(ValidationError,
+                           match=r"^ray 3 = \(1, 0\) is not an integer 3-vector$"):
+            Fan3.from_data("bad", [E1, E2, E3, (1, 0)], SIMPLEX_CONES)
+
     def test_degenerate_cone_rejected(self):
         with pytest.raises(ValidationError, match="degenerate"):
             Fan3.from_data("bad", [E1, E2, (1, 1, 0), (-1, -1, -1)], SIMPLEX_CONES)
