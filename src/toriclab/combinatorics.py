@@ -6,12 +6,12 @@ Parsing normalizes all cycles to a single consistent rotational direction
 dual sphere inherits one global orientation.  That orientation is the sign
 convention used by the signed intersection calculus downstream.
 
-One incidence pass per polytope indexes each edge's facets and each
-facet's cycle successors.  Validation, orientation and :func:`dual_sphere`
-all read that index, which the polytope keeps.  Validation sorts only
-after it has found a fault, to name the first one in sorted order.  Each
-sphere likewise keeps the wall index its validation built, which every
-adjacency query, :func:`dual_polytope` and the 4-coloring read.
+Each polytope keeps the index of its one incidence pass (edge -> facets,
+facet -> cycle successors), read by validation, orientation and
+:func:`dual_sphere`, which emits sorted triangles and their oriented
+representatives.  A sphere keeps one wall index (ascending apex pairs and
+neighbour lists), which its checks, adjacency queries, :func:`dual_polytope`
+and the 4-coloring read.  Faults are named after a sort or ordered scan.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from collections import Counter, defaultdict
 from itertools import chain
 from functools import cached_property
+from operator import lt
 
 from .errors import ParseError, ValidationError
 
@@ -44,10 +45,10 @@ class SimplicialSphere2:
     wall is traversed once in each direction, i.e. the orientation is
     globally consistent.  ``walls`` are the sorted 2-element faces.
 
-    The :func:`_wall_index` maps are kept on the sphere (:attr:`_index`),
-    as stored by :meth:`from_triangles` or built on first use, and read by
-    the adjacency queries, :func:`dual_polytope` and ``four_color``.  They
-    are not a field, so equality and hashing see only the fields.
+    One wall index is kept (:attr:`_index`): each wall's apexes, ascending,
+    and each vertex's neighbours, as stored by :meth:`from_triangles` or
+    built on first use.  It is not a field, so equality and hashing see
+    only the fields.
     """
 
     m: int
@@ -59,24 +60,31 @@ class SimplicialSphere2:
     def from_triangles(cls, m, triangles, oriented=None) -> "SimplicialSphere2":
         """Validate a triangle list as a 2-sphere and fix an orientation.
 
-        If ``oriented`` is not given, an orientation is constructed by
-        propagation from the lexicographically first triangle.  The kept
-        :func:`_wall_index` maps serve every check and the propagation.
+        Sorted triangles with ``oriented`` representatives, as from
+        :func:`dual_sphere`, are indexed by one directed-edge map
+        (:func:`_oriented_index`); other input, and any fault, by the scan
+        below, which names the first fault.  The other checks read the kept
+        wall index; without ``oriented``, its apexes orient by propagation.
         """
-        tris = sorted(tuple(sorted(t)) for t in triangles)
-        if len(set(tris)) != len(tris):
-            raise ValidationError("duplicate triangle in sphere")
-        for t in tris:
-            if len(set(t)) != 3:
-                raise ValidationError(f"degenerate triangle {t}")
-            if not all(0 <= v < m for v in t):
-                raise ValidationError(f"triangle {t} uses a vertex outside 0..{m - 1}")
-
-        apexes, around = _wall_index(m, tris)
-        for w, tops in apexes.items():
-            if len(tops) != 2:
-                raise ValidationError(
-                    f"wall {w} lies in {len(tops)} triangles (expected 2)")
+        tris = triangles = tuple(map(tuple, triangles))
+        if oriented is not None:
+            oriented = tuple(map(tuple, oriented))
+        index = oriented is not None and _oriented_index(m, triangles, oriented)
+        if not index:
+            tris = sorted(tuple(sorted(t)) for t in triangles)
+            if len(set(tris)) != len(tris):
+                raise ValidationError("duplicate triangle in sphere")
+            for t in tris:
+                if len(set(t)) != 3:
+                    raise ValidationError(f"degenerate triangle {t}")
+                if not all(0 <= v < m for v in t):
+                    raise ValidationError(f"triangle {t} uses a vertex outside 0..{m - 1}")
+            index = _wall_index(m, tris)
+            for w, tops in index[0].items():
+                if len(tops) != 2:
+                    raise ValidationError(
+                        f"wall {w} lies in {len(tops)} triangles (expected 2)")
+        apexes, around = index
 
         # Euler characteristic of a 2-sphere
         if m - len(apexes) + len(tris) != 2:
@@ -102,8 +110,7 @@ class SimplicialSphere2:
 
         if oriented is None:
             oriented = _orient_by_propagation(tris, apexes)
-            _check_orientation_consistent(oriented)
-        else:
+        if tris is not triangles:  # not checked by _oriented_index
             oriented = _checked_orientation(oriented, tris)
 
         # connectivity of the whole complex: with every link a cycle, the
@@ -121,9 +128,9 @@ class SimplicialSphere2:
         if reached != m:
             raise ValidationError("sphere complex is disconnected")
 
-        sphere = cls(m=m, triangles=tuple(tris), oriented=tuple(oriented),
+        sphere = cls(m=m, triangles=tuple(tris), oriented=oriented,
                      walls=tuple(sorted(apexes)))
-        sphere.__dict__["_index"] = apexes, around  # cached_property slot
+        sphere.__dict__["_index"] = index  # cached_property slot
         return sphere
 
     def reoriented(self, oriented) -> "SimplicialSphere2":
@@ -182,6 +189,31 @@ def _wall_index(m: int, tris) -> tuple[dict[Wall, tuple[int, ...]], dict[int, li
     return {w: tuple(t) for w, t in apexes.items()}, around
 
 
+def _oriented_index(m: int, tris, oriented):
+    """The wall index of sorted triangles with aligned, consistent
+    representatives, or None."""
+    if len(oriented) != len(tris) or not all(map(lt, tris, tris[1:])):
+        return None
+    nxt: dict[Wall, int] = {}  # the rotations of every representative
+    apexes: dict[Wall, tuple[int, int]] = {}
+    around: dict[int, list[int]] = {v: [] for v in range(m)}
+    try:
+        for (a, b, c), (x, y, z) in zip(tris, oriented):
+            nxt[x, y], nxt[y, z], nxt[z, x] = z, x, y
+            # it matches (a, b, c) iff it wrote c after a -> b or b -> a
+            if not (0 <= a < b < c < m and c in (nxt.get((a, b)), nxt.get((b, a)))):
+                return None
+        for (u, v), w in nxt.items():
+            around[u].append(v)
+            if u < v:  # each wall once, its apexes ascending
+                x = nxt[v, u]
+                apexes[u, v] = (w, x) if w < x else (x, w)
+    except (KeyError, ValueError):  # an edge without its reverse; no triple
+        return None
+    # no edge traversed twice and each reversed: every wall in two triangles
+    return (apexes, around) if len(nxt) == 3 * len(tris) == 2 * len(apexes) else None
+
+
 def _permutation_sign(t: Triangle, rep: Triangle) -> int:
     # both are permutations of the same 3 distinct values
     perm = [rep.index(x) for x in t]
@@ -223,11 +255,6 @@ def _checked_orientation(oriented, tris) -> tuple[Triangle, ...]:
     oriented = tuple(tuple(t) for t in oriented)
     if [tuple(sorted(t)) for t in oriented] != list(tris):
         raise ValidationError("oriented representatives do not match triangles")
-    _check_orientation_consistent(oriented)
-    return oriented
-
-
-def _check_orientation_consistent(oriented) -> None:
     seen: set[tuple[int, int]] = set()
     for a, b, c in oriented:
         for e in ((a, b), (b, c), (c, a)):
@@ -237,6 +264,7 @@ def _check_orientation_consistent(oriented) -> None:
     for u, v in list(seen):
         if (v, u) not in seen:
             raise ValidationError(f"orientation is inconsistent across wall {(u, v)}")
+    return oriented
 
 
 @dataclass(frozen=True)
@@ -260,7 +288,7 @@ class SimplePolytope3:
 
     @classmethod
     def from_facets(cls, name: str, facets) -> "SimplePolytope3":
-        cycles = [tuple(map(int, f)) for f in facets]
+        cycles = [tuple(f) for f in facets]
         edge_owner, succ = _validate_cycles(cycles)
         cycles = _normalize_orientation(cycles, edge_owner, succ)
         p = cls(name=name, facets=tuple(_canon_cycle(c) for c in cycles))
@@ -287,9 +315,6 @@ class SimplePolytope3:
     @property
     def num_edges(self) -> int:
         return len(self._index[0])
-
-    def vertex_facets(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.facets) if v in f)
 
 
 def _incidence(cycles) -> tuple[dict[Wall, list[int]], list[dict[int, int]]]:
@@ -322,6 +347,9 @@ def _validate_cycles(cycles):
         if len(set(cyc)) != len(cyc):
             raise ValidationError(f"facet {i} repeats a vertex in its cycle")
 
+    if not all(isinstance(v, int) for v in chain.from_iterable(cycles)):
+        i = next(i for i, c in enumerate(cycles) if not all(isinstance(v, int) for v in c))
+        raise ValidationError(f"facet {i} = {cycles[i]} has a non-integer vertex id")
     ids = {v for cyc in cycles for v in cyc}
     # len(ids) distinct integers are 0..len(ids)-1 iff all lie in that range
     if min(ids) < 0 or max(ids) >= len(ids):
@@ -397,40 +425,38 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
 
     Each polytope vertex lies in exactly three facets and becomes one
     triangle, oriented by walking the facets around the vertex in the
-    direction induced by the normalized facet cycles, starting from its
-    lowest facet.  The walk reads the polytope's kept incidence index
-    (edge -> facets, facet -> cycle successors), so every step is a dict
-    lookup and no index is rebuilt.  Each triangle is sorted once, as a
-    (sorted, oriented) pair; the dualisation is linear in the size of p
-    apart from that sort (plus the linear re-validation in
-    :meth:`SimplicialSphere2.from_triangles`).
+    direction of the normalized facet cycles (read from the polytope's kept
+    index), from its lowest facet: the first facet in order that holds it.
+    So the triangles come out grouped by lowest facet, and sorting each
+    small group emits them sorted, ready for the one-pass check of
+    :meth:`SimplicialSphere2.from_triangles`.
     """
     edge_owner, succ = p._index
-    lowest: dict[int, int] = {}
+    pairs, bad, placed = [], [], set()
     for i, cyc in enumerate(p.facets):
+        group = []
         for v in cyc:
-            lowest.setdefault(v, i)
-
-    pairs = []
-    for v in sorted(lowest):
-        f = first = lowest[v]
-        walk = [first]
-        while len(walk) <= 3:  # a longer walk is not simple
-            s = succ[f][v]
-            g, h = edge_owner[(v, s) if v < s else (s, v)]
-            f = h if g == f else g
-            if f == first:
-                break
-            walk.append(f)
-        if len(walk) != 3:
-            raise ValidationError(f"vertex {v} is not simple: facet walk {walk}")
-        a, b, c = walk
-        # the walk starts at the lowest facet around v
-        pairs.append(((a, b, c) if b < c else (a, c, b), (a, b, c)))
-
-    pairs.sort()
-    return SimplicialSphere2.from_triangles(
-        p.num_facets, [t for t, _ in pairs], oriented=[o for _, o in pairs])
+            if v in placed:
+                continue
+            placed.add(v)
+            f, walk = i, [i]
+            while len(walk) <= 3:  # a longer walk is not simple
+                s = succ[f][v]
+                g, h = edge_owner[(v, s) if v < s else (s, v)]
+                f = h if g == f else g
+                if f == i:
+                    break
+                walk.append(f)
+            if len(walk) != 3:
+                bad.append((v, walk))
+                continue
+            _, b, c = walk
+            group.append(((i, b, c) if b < c else (i, c, b), (i, b, c)))
+        pairs += sorted(group)
+    if bad:  # the smallest, as a scan in vertex order names it
+        raise ValidationError("vertex {} is not simple: facet walk {}".format(*min(bad)))
+    tris, reps = zip(*pairs)
+    return SimplicialSphere2.from_triangles(p.num_facets, tris, oriented=reps)
 
 
 def dual_polytope(sphere: SimplicialSphere2, name: str) -> SimplePolytope3:

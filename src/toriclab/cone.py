@@ -182,9 +182,18 @@ def extremal_walls(f: Fan3) -> ConeAnalysis:
 def _analyse_cone(f: Fan3) -> ConeAnalysis:
     """The uncached computation behind :func:`extremal_walls`."""
     classes = wall_classes(f)
+    # the fan's own support is checked before any LP is solved
+    if f.support is not None:
+        witness = strict_convexity_witness(classes, f.support)
+        if isinstance(witness, NoWitness):
+            raise witness
+        note = ""
+    else:
+        witness = None
+        note = UNCERTIFIED_NOTE
+
     grouped = _group_classes(classes)
     groups = tuple(tuple(cls.wall for cls in g) for g in grouped)
-
     extremal = []
     for gi, g in enumerate(grouped):
         rep = g[0]
@@ -194,15 +203,6 @@ def _analyse_cone(f: Fan3) -> ConeAnalysis:
         ]
         if not cone_membership(rep.pairing, outside).member:
             extremal.append(rep.wall)
-
-    if f.support is not None:
-        witness = strict_convexity_witness(classes, f.support)
-        if isinstance(witness, NoWitness):
-            raise witness
-        note = ""
-    else:
-        witness = None
-        note = UNCERTIFIED_NOTE
     return ConeAnalysis(
         classes=classes,
         groups=groups,

@@ -86,14 +86,18 @@ class Fan3:
 
     @classmethod
     def from_data(cls, name, rays, cones, support=None) -> "Fan3":
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
-        cones = tuple(sorted(tuple(sorted(int(i) for i in c)) for c in cones))
+        rays = tuple(map(tuple, rays))
         m = len(rays)
         for i, r in enumerate(rays):
-            if len(r) != 3:
+            if len(r) != 3 or not all(isinstance(x, int) for x in r):
                 raise ValidationError(f"ray {i} = {r} is not an integer 3-vector")
             if not is_primitive(r):
                 raise ValidationError(f"ray {i} = {r} is not primitive")
+        cones = tuple(map(tuple, cones))
+        for c in cones:
+            if not all(isinstance(i, int) for i in c):
+                raise ValidationError(f"cone {c} has a non-integer ray id")
+        cones = tuple(sorted(tuple(sorted(c)) for c in cones))
         for c in cones:
             if len(set(c)) != 3:
                 raise ValidationError(f"cone {c} does not have 3 distinct rays")
@@ -107,7 +111,7 @@ class Fan3:
         except ValidationError as e:
             raise ValidationError(f"cone complex is not a 2-sphere: {e}") from None
         if support is not None:
-            support = tuple(Fraction(x) for x in support)
+            support = tuple(x if type(x) is Fraction else Fraction(x) for x in support)
             if len(support) != m:
                 raise ValidationError(
                     f"{len(support)} support parameters for {m} rays")

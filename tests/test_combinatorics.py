@@ -7,6 +7,7 @@ values.  Structural identities (Euler relation, sum over facets of
 """
 
 import dataclasses
+from collections import defaultdict
 
 import pytest
 
@@ -23,7 +24,7 @@ from toriclab.combinatorics import (
     serialize_polytope,
 )
 from toriclab.cone import delzant_obstruction_witness
-from toriclab.corpus import corpus_get
+from toriclab.corpus import POLYTOPE_NAMES, corpus_get, load_polytope
 from toriclab.errors import ParseError, ValidationError
 from toriclab.fan import characteristic_pair, parse_fan
 
@@ -200,10 +201,14 @@ class TestDualSphere:
         polytopes.append(dual_polytope(stacked, "x"))
         for p in polytopes:
             s = dual_sphere(p)
-            tri_of_vertex = {
-                v: s.triangles.index(tuple(sorted(p.vertex_facets(v))))
-                for v in range(p.num_vertices)
-            }
+            # each vertex's facets, ascending, in one pass over the facets
+            facets_of = defaultdict(list)
+            for i, f in enumerate(p.facets):
+                for v in f:
+                    facets_of[v].append(i)
+            position = {t: k for k, t in enumerate(s.triangles)}
+            tri_of_vertex = {v: position[tuple(fs)] for v, fs in facets_of.items()}
+            assert len(tri_of_vertex) == p.num_vertices
             back = dual_polytope(s, "x")
 
             def canon(c):
@@ -236,20 +241,23 @@ def test_incidence_is_built_once_per_polytope(monkeypatch):
 
 
 def test_wall_index_is_built_once_per_sphere(monkeypatch):
+    # a fan's sphere keeps the wall index of the ordered scan, a dual
+    # sphere the index of the directed-edge pass, and neither builds both
     calls = []
-    wall_index = combinatorics_module._wall_index
+    for name in ("_wall_index", "_oriented_index"):
+        def counting(m, *args, name=name, build=getattr(combinatorics_module, name)):
+            calls.append((name, m))
+            return build(m, *args)
 
-    def counting(m, tris):
-        calls.append(m)
-        return wall_index(m, tris)
+        monkeypatch.setattr(combinatorics_module, name, counting)
 
     p = dodecahedron()
-    monkeypatch.setattr(combinatorics_module, "_wall_index", counting)
+    calls.clear()
     f = parse_fan(corpus_get("flatwall").text)
     f.wall_table
     characteristic_pair(f).integrals
     delzant_obstruction_witness(f)
-    assert calls == [7]
+    assert calls == [("_wall_index", 7)]
 
     calls.clear()
     s = dual_sphere(p)
@@ -257,7 +265,7 @@ def test_wall_index_is_built_once_per_sphere(monkeypatch):
     [(s.neighbors(v), s.vertex_degree(v)) for v in range(s.m)]
     four_color(s)
     dual_polytope(s, "x")
-    assert calls == [12]
+    assert calls == [("_oriented_index", 12)]
 
 
 def sphere_answers(s):
@@ -297,6 +305,40 @@ def test_constructed_faults_are_named(last, message):
         dual_sphere(p)
 
 
+def test_non_simple_vertices_are_named_smallest_first():
+    # facet 0 is walked from vertex 3, which is not simple either
+    p = SimplePolytope3("x", ((3, 0, 1, 2),) + tuple(CUBE_FACETS[1:5]) + ((0, 4, 7, 3),))
+    with pytest.raises(ValidationError,
+                       match=r"^vertex 0 is not simple: facet walk \[0, 2, 5, 2\]$"):
+        dual_sphere(p)
+
+
+@pytest.mark.parametrize("family", ["corpus", "stacked-60", "stacked-300",
+                                    "stacked-1000", "nanotubes"])
+def test_dual_path_agrees_with_propagation(family):
+    from test_charfunc import nanotube_sphere, relabelled  # it imports this module
+
+    if family == "corpus":
+        polytopes = [load_polytope(name) for name in POLYTOPE_NAMES]
+    elif family == "nanotubes":
+        spheres = [nanotube_sphere(k) for k in (0, 4, 25)]
+        spheres += [relabelled(nanotube_sphere(10), seed) for seed in range(3)]
+        polytopes = [dual_polytope(t, "x") for t in spheres]
+    else:
+        m = int(family.split("-")[1])
+        polytopes = [dual_polytope(subdivided_cp3(m, seed=0)[0].sphere, "x")]
+    for p in polytopes:
+        s = dual_sphere(p)
+        t = SimplicialSphere2.from_triangles(s.m, s.triangles)  # oriented by propagation
+        assert (s.triangles, s.walls, s._index[0]) == (t.triangles, t.walls, t._index[0])
+        # one orientation up to a global sign, and the same answers read
+        # from either path's index
+        assert len({t.orientation_sign(*o) for o in s.oriented}) == 1
+        assert sphere_answers(s) == sphere_answers(t.reoriented(s.oriented))
+        # triangles in another order take the ordered scan to the same sphere
+        assert SimplicialSphere2.from_triangles(s.m, s.triangles[::-1], s.oriented) == s
+
+
 def test_constructed_polytopes_dualise_the_same():
     # a flipped facet, so the kept successor maps of from_facets differ
     # from the given cycles
@@ -323,6 +365,17 @@ class TestValidation:
     def test_repeated_vertex_in_cycle(self):
         with pytest.raises(ValidationError, match="repeats a vertex"):
             SimplePolytope3.from_facets("bad", [(0, 1, 2, 1), (0, 2, 1), (0, 1, 2)])
+
+    @pytest.mark.parametrize("last, message", [
+        ((1, 3, 2.9), r"facet 3 = \(1, 3, 2.9\)"),  # int() would read (1, 3, 2)
+        ((1, 3, "2"), r"facet 3 = \(1, 3, '2'\)"),
+        ((1, 3, 2.0), r"facet 3 = \(1, 3, 2.0\)"),
+    ])
+    def test_non_integer_vertex_id(self, last, message):
+        with pytest.raises(ValidationError, match=f"^{message} has a non-integer vertex id$"):
+            SimplePolytope3.from_facets("bad", TET_FACETS[:3] + [last])
+        with pytest.raises(ValidationError, match=f"^{message} has a non-integer vertex id$"):
+            dual_sphere(SimplePolytope3("bad", tuple(TET_FACETS[:3]) + (last,)))
 
     def test_noncontiguous_ids(self):
         bad = [(0, 1, 2), (0, 7, 1), (0, 2, 7), (1, 7, 2)]
@@ -355,6 +408,13 @@ class TestValidation:
     def test_scans_name_the_smallest_fault(self, bad, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             SimplePolytope3.from_facets("bad", bad)
+
+    def test_missing_reverse_edge_is_named(self):
+        # from_triangles cannot reach this message: every wall lies in two
+        # triangles by then, so a missing reverse is an edge traversed twice
+        with pytest.raises(ValidationError,
+                           match=r"^orientation is inconsistent across wall \(\d, \d\)$"):
+            combinatorics_module._checked_orientation([(0, 1, 2)], [(0, 1, 2)])
 
     def test_sphere_wall_in_three_triangles(self):
         tris = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
@@ -389,6 +449,53 @@ class TestValidation:
         to the given target."""
         return [tuple(glue[1] if v == glue[0] else v + k for v in t) if glue
                 else tuple(v + k for v in t) for t in tris]
+
+    # Every message of the oriented path, each named as by the ordered
+    # scan.  A missing reverse edge is always also an edge traversed
+    # twice, because every wall already lies in two triangles, so the
+    # scan's "inconsistent across wall" message cannot be reached here.
+    OCTA = [(0, 2, 3), (0, 2, 5), (0, 3, 4), (0, 4, 5),
+            (1, 2, 3), (1, 2, 5), (1, 3, 4), (1, 4, 5)]
+    OCTA_REPS = [(0, 3, 2), (0, 2, 5), (0, 4, 3), (0, 5, 4),
+                 (1, 2, 3), (1, 5, 2), (1, 3, 4), (1, 4, 5)]
+    TWO_TETS = TORUS + shifted(TET_FACETS, 6, (0, 0)) + shifted(TET_FACETS, 9, (0, 3))
+    # a torus and a stacked sphere glued along the 3-cycle 1-5-7, both
+    # consistently oriented: every directed edge of the cycle is
+    # traversed twice, and the Euler characteristic is 2
+    GLUED = [(0, 1, 5), (0, 1, 7), (0, 2, 3), (0, 2, 5), (0, 3, 4), (0, 4, 7), (1, 2, 3),
+             (1, 2, 4), (1, 3, 7), (1, 4, 5), (1, 5, 6), (1, 5, 8), (1, 6, 7), (1, 7, 8),
+             (2, 4, 7), (2, 5, 7), (3, 4, 5), (3, 5, 7), (5, 6, 7), (5, 7, 8)]
+    GLUED_REPS = [(0, 1, 5), (7, 1, 0), (3, 0, 2), (2, 0, 5), (4, 0, 3), (7, 0, 4),
+                  (1, 3, 2), (2, 4, 1), (7, 3, 1), (1, 4, 5), (6, 1, 5), (8, 5, 1),
+                  (7, 1, 6), (7, 8, 1), (7, 4, 2), (5, 7, 2), (3, 5, 4), (7, 5, 3),
+                  (5, 7, 6), (7, 5, 8)]
+
+    @pytest.mark.parametrize("m, tris, reps, message", [
+        (6, OCTA + OCTA[:1], OCTA_REPS + OCTA_REPS[:1], "duplicate triangle in sphere"),
+        (6, OCTA[:7] + [(0, 0, 1)], OCTA_REPS[:7] + [(0, 0, 1)],
+         r"degenerate triangle \(0, 0, 1\)"),
+        (6, OCTA[:7] + [(0, 1)], OCTA_REPS[:7] + [(0, 1)], r"degenerate triangle \(0, 1\)"),
+        (6, OCTA[:7] + [(3, 4, 6)], OCTA_REPS[:7] + [(3, 4, 6)],
+         r"triangle \(3, 4, 6\) uses a vertex outside 0..5"),
+        (5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)], [(0, 1, 2), (1, 0, 3), (0, 1, 4)],
+         r"wall \(0, 1\) lies in 3 triangles \(expected 2\)"),
+        (9, GLUED, GLUED_REPS, r"wall \(1, 5\) lies in 4 triangles \(expected 2\)"),
+        (7, TORUS, TORUS, "Euler characteristic 0 != 2"),
+        (13, TWO_TETS, TWO_TETS, "link of vertex 0 is not a single cycle"),
+        (6, OCTA, [(0, 2, 3)] + OCTA_REPS[1:], r"orientation traverses edge \(0, 2\) twice"),
+        (6, OCTA, OCTA_REPS[1:] + OCTA_REPS[:1],
+         "oriented representatives do not match triangles"),
+        (6, OCTA, OCTA_REPS[:7] + [(1, 4)], "oriented representatives do not match triangles"),
+        (6, OCTA, OCTA_REPS[1:], "oriented representatives do not match triangles"),
+        # representatives belong to the sorted triangles, not the given order
+        (6, OCTA[::-1], OCTA_REPS[::-1], "oriented representatives do not match triangles"),
+        (11, TORUS + shifted(TET_FACETS, 7),
+         sorted(TORUS + shifted(TET_FACETS, 7), key=lambda t: tuple(sorted(t))),
+         "sphere complex is disconnected"),
+    ])
+    def test_oriented_faults_are_named(self, m, tris, reps, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SimplicialSphere2.from_triangles(m, tris, oriented=reps)
 
     def test_torus_beside_a_tetrahedron_is_disconnected(self):
         tris = self.TORUS + self.shifted(TET_FACETS, 7)

@@ -646,6 +646,28 @@ def test_cone_lps_are_solved_once_per_fan(monkeypatch):
         assert extremal_walls(f.with_support(None)) is not an
 
 
+def test_support_is_checked_before_any_lp(monkeypatch):
+    import toriclab.cone as cone_module
+    from toriclab.fan import Fan3
+
+    calls = []
+
+    def counting(x, generators):
+        calls.append(x)
+        return cone_membership(x, generators)
+
+    monkeypatch.setattr(cone_module, "cone_membership", counting)
+    f = subdivided_cp3(24, seed=0)[0]
+    g = Fan3.from_data(f.name, f.rays, f.maximal_cones,
+                       support=(-f.support[0],) + f.support[1:])
+    want = strict_convexity_witness(wall_classes(g), g.support)
+    assert isinstance(want, NoWitness)
+    with pytest.raises(NoWitness) as err:
+        extremal_walls(g)
+    assert str(err.value) == str(want)
+    assert calls == []
+
+
 def test_wall_pairings_are_built_once_per_pair(monkeypatch):
     import toriclab.cohomology as cohomology_module
     from toriclab.cohomology import (certify_support, chern_number_c1c2,

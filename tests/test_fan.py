@@ -71,6 +71,31 @@ class TestStructure:
                            match=r"^ray 3 = \(1, 0\) is not an integer 3-vector$"):
             Fan3.from_data("bad", [E1, E2, E3, (1, 0)], SIMPLEX_CONES)
 
+    @pytest.mark.parametrize("ray", [(1.7, 0, 0), ("a", 0, 0), "100", (Fraction(1), 0, 0)])
+    def test_ray_with_non_integer_entries_rejected(self, ray):
+        # read with int(), (1.7, 0, 0) and "100" were the ray (1, 0, 0) and
+        # ("a", 0, 0) escaped as a bare ValueError
+        with pytest.raises(ValidationError,
+                           match=f"^ray 0 = {re.escape(str(tuple(ray)))} "
+                                 "is not an integer 3-vector$"):
+            Fan3.from_data("bad", [ray, E2, E3, (-1, -1, -1)], SIMPLEX_CONES)
+
+    @pytest.mark.parametrize("cone", [(0, 2, "x"), (0, 2, 3.5), (0, 2, 3.0)])
+    def test_cone_with_a_non_integer_id_rejected(self, cone):
+        cones = SIMPLEX_CONES[:2] + [cone] + SIMPLEX_CONES[3:]
+        with pytest.raises(ValidationError,
+                           match=f"^cone {re.escape(str(cone))} has a non-integer ray id$"):
+            Fan3.from_data("bad", [E1, E2, E3, (-1, -1, -1)], cones)
+
+    def test_support_is_read_once(self):
+        support = [Fraction(1), Fraction(3, 2), 2, "5/2"]
+        f = Fan3.from_data("s", [E1, E2, E3, (-1, -1, -1)], SIMPLEX_CONES, support=support)
+        assert f.support == (1, Fraction(3, 2), 2, Fraction(5, 2))
+        assert all(type(c) is Fraction for c in f.support)
+        assert f.support[0] is support[0] and f.support[1] is support[1]
+        g = parse_fan(serialize_fan(f))
+        assert g == f and all(type(c) is Fraction for c in g.support)
+
     def test_degenerate_cone_rejected(self):
         with pytest.raises(ValidationError, match="degenerate"):
             Fan3.from_data("bad", [E1, E2, (1, 1, 0), (-1, -1, -1)], SIMPLEX_CONES)
