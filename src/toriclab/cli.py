@@ -218,12 +218,12 @@ def cmd_fan_report(args) -> int:
     rpt.add("betti", betti_numbers(f.sphere))
 
     analysis = extremal_walls(f)
+    by_wall = {c.wall: c for c in analysis.classes}
     groups = {}
     for idx, g in enumerate(analysis.groups):
-        rep = next(c for c in analysis.classes if c.wall == g[0])
         groups[f"group_{idx}"] = (
             "walls " + " ".join(str(w) for w in g)
-            + " pairing " + _fmt(rep.pairing)
+            + " pairing " + _fmt(by_wall[g[0]].pairing)
         )
     rpt.add("cone_groups", groups)
     _add_cone_verdicts(rpt, analysis)

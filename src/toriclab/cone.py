@@ -1,15 +1,15 @@
 """Effective-cone analysis of wall classes.
 
-Every wall pairs against the m ray classes through the degree-3 integrals,
-giving an integer vector per wall with at most four nonzero entries, read
-off the pairings cached on the characteristic pair
-(``CharacteristicPair.pairings``).  These vectors generate a cone; this
-module groups them by positive proportionality (one dict keyed by each
-vector's primitive integer direction), decides which groups sit on
-extreme rays (one exact LP per group, each answer certified), finds or
-refutes a strict-convexity witness, and extracts the positive-curvature
-extremal wall whose endpoint forces a triangular or quadrangular face of
-the dual polytope.
+Every wall pairs against the m ray classes through the degree-3 integrals.
+A :class:`WallClass` stores only the pairing's at most four nonzero
+entries, read off ``CharacteristicPair.pairings``; the dense m-vector is
+derived when ``WallClass.pairing`` is read, for the exact LPs and the
+reports.  These vectors generate a cone; this module groups them by
+positive proportionality (one dict keyed by each class's sparse primitive
+integer vector), decides which groups sit on extreme rays (one exact LP
+per group, each answer certified), finds or refutes a strict-convexity
+witness, and extracts the positive-curvature extremal wall whose endpoint
+forces a triangular or quadrangular face of the dual polytope.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional
 
 from .charfunc import CharacteristicPair
+from .cohomology import _edge_numerator
 from .errors import (CertificationFailure, InternalError, NotFound, NoWitness,
                      ValidationError)
 from .exactlp import cone_membership, positive_functional
@@ -44,24 +44,38 @@ UNCERTIFIED_NOTE = "uncertified: no strict convexity witness supplied"
 
 @dataclass(frozen=True)
 class WallClass:
-    """A wall with its pairing vector: entry t is the integral over the
-    wall class times the class of ray t.  Nonzero at the two apexes, so the
-    vector itself is never zero."""
+    """A wall with its pairing vector over m rays: entry t is the integral
+    over the wall class times the class of ray t.
+
+    Only the nonzero entries are stored, as ``(t, value)`` pairs sorted by
+    t, so two classes are equal exactly when their vectors are.  There are
+    at most four, and the two apexes are always among them, so the vector
+    is never zero.  The dense vector ``pairing`` is built when read.
+    """
 
     wall: tuple[int, int]
-    pairing: tuple[int, ...]
+    entries: tuple[tuple[int, int], ...]
+    m: int
+
+    @property
+    def pairing(self) -> tuple[int, ...]:
+        vec = [0] * self.m
+        for t, v in self.entries:
+            vec[t] = v
+        return tuple(vec)
 
 
 @dataclass(frozen=True)
 class ConeAnalysis:
     """Grouping and extremality data for the cone spanned by wall classes.
 
-    ``groups`` partitions the walls into positive-proportionality classes
-    (each listed in first-appearance order, walls sorted within); the first
-    wall of a group is its representative.  ``extremal`` lists the
-    representatives whose ray is extreme.  ``witness``, when present, pairs
-    strictly positively with every class; ``note`` flags the uncertified
-    no-support case.
+    ``classes`` are stored sparse, in wall order; each dense ``pairing``
+    is derived when read.  ``groups`` partitions the walls into
+    positive-proportionality classes (each listed in first-appearance
+    order, walls sorted within); the first wall of a group is its
+    representative.  ``extremal`` lists the representatives whose ray is
+    extreme.  ``witness``, when present, pairs strictly positively with
+    every class; ``note`` flags the uncertified no-support case.
     """
 
     classes: tuple[WallClass, ...]
@@ -91,22 +105,19 @@ class ObstructionWitness:
 
 
 def wall_classes(f: Fan3) -> tuple[WallClass, ...]:
-    """Pairing vectors for every wall, in sorted wall order (the order of
+    """The wall class of every wall, in sorted wall order (the order of
     ``f.walls``)."""
     return signed_wall_classes(characteristic_pair(f))
 
 
 def signed_wall_classes(pair: CharacteristicPair) -> tuple[WallClass, ...]:
-    """Pairing vectors of a general characteristic pair, via the signed
+    """Wall classes of a general characteristic pair, via the signed
     integrals, in ``pair.sphere.walls`` order.  No fan required."""
     out = []
     for key, entries in pair.pairings.items():
-        vec = [0] * pair.lam.m
-        for t, v in entries:
-            vec[t] = v
-        if not any(vec):
+        if not entries:
             raise InternalError(f"wall class {key} vanished")
-        out.append(WallClass(key, tuple(vec)))
+        out.append(WallClass(key, tuple(sorted(entries)), pair.lam.m))
     return tuple(out)
 
 
@@ -115,13 +126,15 @@ def _group_classes(classes) -> list[list[WallClass]]:
     first-appearance order and classes in input order within each.
 
     Positively proportional nonzero vectors (integer or rational) share
-    one primitive integer vector, so that vector is the group's key.
+    one primitive integer vector, so that vector's nonzero entries
+    ``(t, x)`` are the group's key.
     """
-    groups: dict[tuple[int, ...], list[WallClass]] = {}
+    groups: dict[tuple[tuple[int, int], ...], list[WallClass]] = {}
     for cls in classes:
-        (ints,), _ = over_common_denominator([cls.pairing])
+        (ints,), _ = over_common_denominator([[v for _, v in cls.entries]])
         g = math.gcd(*ints)
-        groups.setdefault(tuple(x // g for x in ints), []).append(cls)
+        key = tuple((t, x // g) for (t, _), x in zip(cls.entries, ints))
+        groups.setdefault(key, []).append(cls)
     return list(groups.values())
 
 
@@ -141,11 +154,11 @@ def strict_convexity_witness(classes, c_tilde=None):
     if c_tilde is not None:
         (C,), D = over_common_denominator([c_tilde])
         classes = tuple(classes)
-        if classes and len(C) != len(classes[0].pairing):
+        if classes and len(C) != classes[0].m:
             raise ValidationError(f"candidate has {len(C)} entries for "
-                                  f"{len(classes[0].pairing)} rays")
+                                  f"{classes[0].m} rays")
         failing = tuple(
-            cls.wall for cls in classes if sum(map(mul, C, cls.pairing)) <= 0
+            cls.wall for cls in classes if _edge_numerator(cls.entries, C) <= 0
         )
         if failing:
             return NoWitness(
@@ -194,15 +207,13 @@ def _analyse_cone(f: Fan3) -> ConeAnalysis:
 
     grouped = _group_classes(classes)
     groups = tuple(tuple(cls.wall for cls in g) for g in grouped)
+    # the LPs take dense rows: each class is expanded once per analysis
+    rows = [[cls.pairing for cls in g] for g in grouped]
     extremal = []
-    for gi, g in enumerate(grouped):
-        rep = g[0]
-        outside = [
-            cls.pairing for gj, other in enumerate(grouped) if gj != gi
-            for cls in other
-        ]
-        if not cone_membership(rep.pairing, outside).member:
-            extremal.append(rep.wall)
+    for gi, g in enumerate(groups):
+        outside = [p for gj, other in enumerate(rows) if gj != gi for p in other]
+        if not cone_membership(rows[gi][0], outside).member:
+            extremal.append(g[0])
     return ConeAnalysis(
         classes=classes,
         groups=groups,

@@ -36,7 +36,6 @@ from .combinatorics import SimplicialSphere2, Triangle
 from .errors import (
     IncompleteFan,
     InternalError,
-    NotFound,
     NotUnimodular,
     OrientationError,
     ParseError,
@@ -220,18 +219,6 @@ def classify_wall(f: Fan3, pair) -> str:
 def gauss_bonnet_sum(f: Fan3) -> int:
     """Total unimodular curvature over all walls (24 for complete fans)."""
     return sum(w.curvature for w in f.walls)
-
-
-def positive_curvature_wall(f: Fan3) -> Wall:
-    """First wall (in deterministic order) with curvature > 0.
-
-    Every complete fan has one; exhaustion means the input is not a
-    complete fan and raises NotFound.
-    """
-    for w in f.walls:
-        if w.curvature > 0:
-            return w
-    raise NotFound("no wall of positive curvature: input cannot be a complete fan")
 
 
 @dataclass(frozen=True)

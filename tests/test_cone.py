@@ -9,6 +9,7 @@ the same Bland pivots.
 """
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -322,9 +323,9 @@ def test_blowup_middle_group_not_extremal():
 
 
 def test_grouping_collects_positive_multiples_only():
-    a = WallClass((0, 1), (1, 2, 0))
-    b = WallClass((0, 2), (2, 4, 0))     # 2a: same group
-    c = WallClass((1, 2), (-1, -2, 0))   # -a: different group
+    a = WallClass((0, 1), ((0, 1), (1, 2)), 3)
+    b = WallClass((0, 2), ((0, 2), (1, 4)), 3)     # 2a: same group
+    c = WallClass((1, 2), ((0, -1), (1, -2)), 3)   # -a: different group
     groups = _group_classes((a, b, c))
     assert [[cls.wall for cls in g] for g in groups] == [
         [(0, 1), (0, 2)],
@@ -369,6 +370,31 @@ def test_grouping_matches_fraction_quotients():
     )
 
 
+@pytest.fixture(scope="module")
+def cp3_1004():
+    """The support fan cp3+1000 (seed 0): 1004 rays, 3006 walls."""
+    return subdivided_cp3(1004, seed=0)[0]
+
+
+def test_sparse_classes_at_scale(cp3_1004):
+    f = cp3_1004
+    classes = wall_classes(f)
+    assert [cls.wall for cls in classes] == [w.key for w in f.walls]
+    for cls, w in zip(classes, f.walls):
+        rays = [t for t, _ in cls.entries]
+        assert 1 <= len(rays) <= 4 and rays == sorted(set(rays)), w.key
+        assert all(v != 0 for _, v in cls.entries), w.key
+        assert sum(v for _, v in cls.entries) == w.curvature, w.key
+    # reference: group the dense vectors by their primitive vector
+    dense: dict[tuple[int, ...], list] = {}
+    for cls in classes:
+        vec = cls.pairing
+        g = math.gcd(*vec)
+        dense.setdefault(tuple(x // g for x in vec), []).append(cls.wall)
+    got = [[cls.wall for cls in g] for g in _group_classes(classes)]
+    assert got == list(dense.values())
+
+
 def test_extremality_matches_bruteforce_on_small_corpus_fans():
     # Definition check without any LP: a representative is extremal iff it
     # is not a nonnegative combination of the classes outside its group.
@@ -391,7 +417,7 @@ def test_extremality_invariant_under_rescaling_and_permutation():
     scaled = []
     for c in base.classes:
         q = Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
-        scaled.append(WallClass(c.wall, tuple(v * q for v in c.pairing)))
+        scaled.append(WallClass(c.wall, tuple((t, v * q) for t, v in c.entries), c.m))
     rng.shuffle(scaled)
     groups = _group_classes(scaled)
     extremal = set()
@@ -437,7 +463,7 @@ def test_candidate_check_reads_fraction_classes():
     scaled = []
     for c in classes:
         q = Fraction(rng.randrange(1, 9), rng.randrange(1, 7))
-        scaled.append(WallClass(c.wall, tuple(v * q for v in c.pairing)))
+        scaled.append(WallClass(c.wall, tuple((t, v * q) for t, v in c.entries), c.m))
     for cand in ((1,) * 6, (1, -1, 1, 1, 1, 1), ("1/2", 2, 0.5, 1, 3, Fraction(1, 3))):
         want = strict_convexity_witness(classes, cand)
         got = strict_convexity_witness(scaled, cand)
@@ -471,9 +497,9 @@ def _cut_pushed(classes, c, t, factor):
     return c
 
 
-def test_candidate_check_and_certify_support_name_the_same_walls():
+def test_candidate_check_and_certify_support_name_the_same_walls(cp3_1004):
     fans = [load_fan(name) for name in FAN_NAMES] + [
-        subdivided_cp3(m, seed=0)[0] for m in (20, 104, 1004)]
+        subdivided_cp3(m, seed=0)[0] for m in (20, 104)] + [cp3_1004]
     for f in fans:
         classes = wall_classes(f)
         cuts = range(f.m) if f.m <= 104 else (f.m - 1,)

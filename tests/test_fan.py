@@ -33,7 +33,6 @@ from toriclab.fan import (
     curvature,
     gauss_bonnet_sum,
     parse_fan,
-    positive_curvature_wall,
     serialize_fan,
     wall_data,
 )
@@ -191,13 +190,6 @@ class TestGaussBonnet:
         assert curvs == [2, 2, 2, 2, 2, 2, 4, 4, 4]
         curvs = sorted(w.curvature for w in load_fan("flatwall").walls)
         assert curvs == [0, 0, 0] + [2] * 12
-
-    def test_positive_curvature_wall(self):
-        assert positive_curvature_wall(load_fan("cp3")).pair == (0, 1)
-        w = positive_curvature_wall(load_fan("flatwall"))
-        assert w.curvature > 0
-        # deterministic: first positive-curvature wall in sorted order
-        assert tuple(sorted(w.pair)) == (0, 3)
 
 
 class TestCheckUnimodular:
