@@ -13,6 +13,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 from .combinatorics import SimplicialSphere2, Triangle
 from .errors import InternalError, ParseError, ValidationError
@@ -54,7 +55,14 @@ class CharacteristicFunction:
     vectors: tuple[Vec3, ...]
 
     def __post_init__(self):
-        for i, v in enumerate(self.vectors):
+        # With int entries only, equal vectors pass or fail alike (1.0 == 1
+        # would hide), so each distinct one is checked once: a coloring has
+        # at most four.  A failure is named by the scan over every index.
+        vectors = self.vectors
+        if (all(map(isinstance, chain.from_iterable(vectors), repeat(int)))
+                and all(len(v) == 3 and is_primitive(v) for v in dict.fromkeys(vectors))):
+            return
+        for i, v in enumerate(vectors):
             if len(v) != 3 or not all(isinstance(x, int) for x in v):
                 raise ValidationError(f"lambda({i}) = {v!r} is not an integer 3-vector")
             if not is_primitive(v):

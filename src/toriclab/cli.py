@@ -4,6 +4,8 @@ Subcommands mirror the library layers: ``polytope`` for combinatorial
 input (validation, coloring, characteristic pair, Betti numbers),
 ``fan`` for lattice input (curvature, Gauss-Bonnet, volume, effective
 cone, obstruction witness), and ``corpus`` for the built-in examples.
+Each command imports only the layers it runs, so a call of ``polytope
+color`` never loads the fan layers and only ``corpus`` loads the corpus.
 
 Reports are plain text by default and structured JSON with ``--json``;
 every number is exact (integers, or rationals rendered ``p/q``), and a
@@ -23,22 +25,6 @@ import sys
 import time
 from fractions import Fraction
 
-from .charfunc import (
-    CharacteristicPair,
-    check_star_condition,
-    coloring_to_charfunc,
-    four_color,
-)
-from .cohomology import (
-    betti_numbers,
-    chern_number_c1c2,
-    edge_functionals,
-    serialize_volume_polynomial,
-    volume_polynomial,
-)
-from .cone import delzant_obstruction_witness, extremal_walls
-from .combinatorics import dual_sphere, face_histogram, is_fullerene, parse_polytope
-from .corpus import corpus_get, corpus_names
 from .errors import (
     NotUnimodular,
     ParseError,
@@ -46,7 +32,6 @@ from .errors import (
     ToricLabError,
     ValidationError,
 )
-from .fan import certify_fan, env_seed, gauss_bonnet_sum, parse_fan
 
 __all__ = ["main"]
 
@@ -122,6 +107,9 @@ def _histogram_str(hist: dict[int, int]) -> str:
 
 
 def _coloring_block(sphere):
+    from .charfunc import (CharacteristicPair, check_star_condition,
+                           coloring_to_charfunc, four_color)
+
     coloring = four_color(sphere)
     lam = coloring_to_charfunc(coloring)
     verdict = check_star_condition(CharacteristicPair(sphere, lam))
@@ -129,6 +117,9 @@ def _coloring_block(sphere):
 
 
 def cmd_polytope_report(args) -> int:
+    from .combinatorics import (betti_numbers, dual_sphere, face_histogram,
+                                is_fullerene, parse_polytope)
+
     text = _read(args.file)
     p = parse_polytope(text)
     rpt = Report("polytope report", args.file, text)
@@ -158,6 +149,8 @@ def cmd_polytope_report(args) -> int:
 
 
 def cmd_polytope_color(args) -> int:
+    from .combinatorics import dual_sphere, parse_polytope
+
     text = _read(args.file)
     p = parse_polytope(text)
     coloring, lam, verdict = _coloring_block(dual_sphere(p))
@@ -181,6 +174,11 @@ def _add_cone_verdicts(rpt: Report, analysis) -> None:
 
 
 def cmd_fan_report(args) -> int:
+    from .cohomology import chern_number_c1c2
+    from .combinatorics import betti_numbers
+    from .cone import delzant_obstruction_witness, extremal_walls
+    from .fan import certify_fan, env_seed, gauss_bonnet_sum, parse_fan
+
     text = _read(args.file)
     f = parse_fan(text)
     rpt = Report("fan report", args.file, text)
@@ -245,6 +243,10 @@ def _parse_support(arg: str, m: int):
 
 
 def cmd_fan_volume(args) -> int:
+    from .cohomology import (edge_functionals, serialize_volume_polynomial,
+                             volume_polynomial)
+    from .fan import certify_fan, parse_fan
+
     text = _read(args.file)
     f = parse_fan(text)
     certify_fan(f)
@@ -277,6 +279,9 @@ def cmd_fan_volume(args) -> int:
 
 
 def cmd_fan_extremal(args) -> int:
+    from .cone import extremal_walls
+    from .fan import certify_fan, parse_fan
+
     text = _read(args.file)
     f = parse_fan(text)
     certify_fan(f)
@@ -295,6 +300,9 @@ def cmd_fan_extremal(args) -> int:
 
 
 def cmd_fan_witness(args) -> int:
+    from .cone import delzant_obstruction_witness
+    from .fan import certify_fan, parse_fan
+
     text = _read(args.file)
     f = parse_fan(text)
     certify_fan(f)
@@ -314,6 +322,8 @@ def cmd_fan_witness(args) -> int:
 
 
 def cmd_corpus_list(args) -> int:
+    from .corpus import corpus_get, corpus_names
+
     for name in corpus_names():
         entry = corpus_get(name)
         print(f"{entry.name} ({entry.kind}): {entry.note}")
@@ -321,6 +331,8 @@ def cmd_corpus_list(args) -> int:
 
 
 def cmd_corpus_get(args) -> int:
+    from .corpus import corpus_get
+
     entry = corpus_get(args.name)
     sys.stdout.write(entry.text)
     return 0

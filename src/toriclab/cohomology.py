@@ -41,12 +41,11 @@ normalises once instead of at every product and sum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charfunc import CharacteristicPair
-from .combinatorics import SimplicialSphere2
+from .combinatorics import betti_numbers  # noqa: F401  (kept importable from here)
 from .errors import SupportInvalid, ValidationError
 from .fan import Fan3, characteristic_pair
 from .lattice import Vec3, det3, dot, dual_covector, over_common_denominator
@@ -85,18 +84,6 @@ class LinearRelation:
 def linear_relation(f: Fan3, mu) -> LinearRelation:
     mu = tuple(int(x) for x in mu)
     return LinearRelation(mu=mu, coeffs=tuple(dot(mu, r) for r in f.rays))
-
-
-def betti_numbers(sphere: SimplicialSphere2) -> tuple[int, int, int, int]:
-    """Even-degree Betti numbers (b0, b2, b4, b6) via the h-vector of the
-    sphere; for an m-vertex 2-sphere this works out to (1, m-3, m-3, 1)."""
-    fvec = (1, sphere.m, len(sphere.walls), len(sphere.triangles))
-    n = 3
-    h = []
-    for k in range(n + 1):
-        h.append(sum((-1) ** (k - i) * math.comb(n - i, k - i) * fvec[i]
-                     for i in range(k + 1)))
-    return tuple(h)
 
 
 def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int], Pairings]:

@@ -16,6 +16,7 @@ and the 4-coloring read.  Faults are named after a sort or ordered scan.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -399,12 +400,11 @@ def _normalize_orientation(cycles, edge_owner, succ):
     stack = [0]
     while stack:
         i = stack.pop()
-        cyc = cycles[i][::-1] if state[i] else cycles[i]
-        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+        for u, v in succ[i].items():  # i's cycle as given, flipped or not
             a, b = edge_owner[(u, v) if u < v else (v, u)]
             j = b if a == i else a
-            # consistent iff j traverses this edge in the opposite direction
-            needs_flip = succ[j].get(u) == v
+            # j needs a flip iff, as given, it runs this edge the way i ends up
+            needs_flip = (succ[j].get(u) == v) != state[i]
             if j in state:
                 if state[j] != needs_flip:
                     raise ValidationError("facet cycles are not consistently orientable")
@@ -504,6 +504,18 @@ def face_histogram(p: SimplePolytope3) -> dict[int, int]:
 def is_fullerene(p: SimplePolytope3) -> bool:
     """True iff every facet is a pentagon or a hexagon."""
     return set(face_histogram(p)) <= {5, 6}
+
+
+def betti_numbers(sphere: SimplicialSphere2) -> tuple[int, int, int, int]:
+    """Even-degree Betti numbers (b0, b2, b4, b6) via the h-vector of the
+    sphere; for an m-vertex 2-sphere this works out to (1, m-3, m-3, 1)."""
+    fvec = (1, sphere.m, len(sphere.walls), len(sphere.triangles))
+    n = 3
+    h = []
+    for k in range(n + 1):
+        h.append(sum((-1) ** (k - i) * math.comb(n - i, k - i) * fvec[i]
+                     for i in range(k + 1)))
+    return tuple(h)
 
 
 _HEADER_RE = re.compile(r"^poly3\s+(\S.*)$")

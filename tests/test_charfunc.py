@@ -200,6 +200,22 @@ class TestStarCondition:
         with pytest.raises(ValidationError, match="not primitive"):
             CharacteristicFunction((E1, E2, (0, 0, 2)))
 
+    def test_repeated_bad_vector_named_at_its_first_index(self):
+        # each distinct vector is checked once, at its first index
+        bad = (0, 0, 2)
+        with pytest.raises(ValidationError,
+                           match=r"^lambda\(2\) = \(0, 0, 2\) is not primitive$"):
+            CharacteristicFunction((E1, E2, bad, E3, bad, E1, bad))
+        with pytest.raises(ValidationError,
+                           match=r"^lambda\(3\) = \(1, 2\) is not an integer"):
+            CharacteristicFunction((E1, E2, E3, (1, 2), E1, (1, 2)))
+
+    def test_non_int_entry_equal_to_an_int_vector_rejected(self):
+        # (1.0, 0, 0) == E1, so it must not pass as a repeat of E1
+        with pytest.raises(ValidationError,
+                           match=r"^lambda\(3\) = \(1\.0, 0, 0\) is not an integer"):
+            CharacteristicFunction((E1, E2, E3, (1.0, 0, 0), E1))
+
 
 class TestTheorem:
     """Every simple 3-polytope admits a characteristic function: the

@@ -444,6 +444,35 @@ class TestValidation:
            (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
 
     @staticmethod
+    def dual_cycles(tris):
+        """Facet cycles dual to a closed triangulated surface: facet v walks
+        the triangles (as vertex ids) around vertex v."""
+        cycles = []
+        for v in range(max(map(max, tris)) + 1):
+            around = [k for k, t in enumerate(tris) if v in t]
+            cyc = [around.pop(0)]
+            while around:
+                nxt = next(k for k in around if len(set(tris[cyc[-1]]) & set(tris[k])) == 2)
+                around.remove(nxt)
+                cyc.append(nxt)
+            cycles.append(tuple(cyc))
+        return cycles
+
+    # Facet cycles that pass every local check and have Euler characteristic
+    # 2 but are not a sphere, so the orientation pass must catch them.
+    def test_two_hemi_dodecahedra_are_not_orientable(self):
+        cycles = self.dual_cycles(self.RP2 + self.shifted(self.RP2, 6))
+        with pytest.raises(ValidationError,
+                           match="^facet cycles are not consistently orientable$"):
+            SimplePolytope3.from_facets("bad", cycles)
+
+    def test_tetrahedron_beside_a_heawood_torus_is_disconnected(self):
+        cycles = self.dual_cycles(TET_FACETS + self.shifted(self.TORUS, 4))
+        with pytest.raises(ValidationError,
+                           match="^facet adjacency graph is disconnected$"):
+            SimplePolytope3.from_facets("bad", cycles)
+
+    @staticmethod
     def shifted(tris, k, glue=None):
         """Triangles with every vertex moved by k, except one vertex glued
         to the given target."""

@@ -1,8 +1,9 @@
 """The documented examples run: every demo script, and every `toriclab`
 line of the README's "Command line" block, each in a fresh process; every
 document of its "File formats" section parses; its "Library map" names
-every module."""
+every module; the package's name table names where each export lives."""
 
+import importlib
 import os
 import re
 import shlex
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import toriclab
 from toriclab.combinatorics import parse_polytope
 from toriclab.fan import parse_fan
 
@@ -82,3 +84,32 @@ def test_library_map_names_every_module():
     mapped = set(re.findall(r"^\| `toriclab\.(\w+)`", section, re.M))
     modules = {p.stem for p in (ROOT / "src" / "toriclab").glob("*.py")}
     assert mapped == modules - {"__init__"}
+
+
+# The names ``from toriclab import *`` gave before the package resolved them
+# on first use; the table must neither lose nor gain one.
+EXPORTED = """
+    CertificationFailure CharacteristicFunction CharacteristicPair ConeAnalysis
+    FacetColoring Fan3 IncompleteFan InternalError NoWitness NotFound
+    NotUnimodular ObstructionWitness OrientationError ParseError
+    SimplePolytope3 SimplicialSphere2 SupportInvalid ToricLabError
+    ValidationError Wall WallClass betti_numbers certify_fan certify_support
+    characteristic_pair check_complete check_star_condition check_unimodular
+    chern_number_c1c2 classify_wall coloring_to_charfunc cone_membership
+    corpus_get corpus_names curvature delzant_obstruction_witness
+    dual_polytope dual_sphere edge_functional edge_functionals
+    evaluate_volume extremal_walls face_histogram four_color
+    gauss_bonnet_sum is_fullerene linear_relation load_fan load_polytope
+    parse_charfunc parse_fan parse_polytope positive_functional
+    serialize_fan serialize_polytope serialize_volume_polynomial
+    signed_triple_intersection signed_wall_classes strict_convexity_witness
+    triple_intersection volume_polynomial wall_classes wall_data
+""".split()
+
+
+def test_name_table_names_the_defining_module():
+    assert len(EXPORTED) == 63
+    assert sorted(toriclab.__all__) == sorted(EXPORTED)
+    for name, module in toriclab._MODULE_OF.items():
+        obj = getattr(importlib.import_module(f"toriclab.{module}"), name)
+        assert obj.__module__ == f"toriclab.{module}", (name, module)

@@ -1,0 +1,104 @@
+"""The package resolves its names on first use, and each command loads only
+the layers it runs.  Module sets are read in fresh processes, since this
+one has every layer loaded already."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import toriclab
+from toriclab.corpus import corpus_get
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Run toriclab.cli as ``python -m`` would; report the exit code and the
+# loaded toriclab modules on the last line of stderr.
+RUN_CLI = """
+import json, runpy, sys
+sys.argv = ["toriclab", *sys.argv[1:]]
+try:
+    runpy.run_module("toriclab.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m.removeprefix("toriclab.") for m in sys.modules if m.startswith("toriclab."))
+print(json.dumps([code, loaded]), file=sys.stderr)
+"""
+
+POLYTOPE = ["charfunc", "combinatorics", "errors", "lattice"]
+VOLUME = sorted(POLYTOPE + ["cohomology", "fan"])
+CONE = sorted(VOLUME + ["cone", "exactlp"])
+CORPUS = sorted(POLYTOPE + ["corpus", "fan"])
+
+
+def _python(*argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_layer(tmp_path):
+    # a layer module is an attribute too, loaded when first read
+    proc = _python("-c", "import sys, toriclab\n"
+                   "print(sorted(m for m in sys.modules if m.startswith('toriclab')))\n"
+                   "print(len(toriclab.corpus.ENTRIES), toriclab.cone.__name__)",
+                   cwd=tmp_path)
+    assert proc.stdout.splitlines() == ["['toriclab']", "10 toriclab.cone"], proc.stderr
+
+
+def test_every_exported_name_is_its_modules_object():
+    assert len(toriclab.__all__) == len(set(toriclab.__all__))
+    for name in toriclab.__all__:
+        module = importlib.import_module(f"toriclab.{toriclab._MODULE_OF[name]}")
+        assert getattr(toriclab, name) is getattr(module, name), name
+    assert set(toriclab.__all__) <= set(dir(toriclab))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        toriclab.no_such_name
+    assert not hasattr(toriclab, "integral_table")  # not exported
+
+
+COMMANDS = [
+    (["polytope", "report", "d.poly", "--json"], POLYTOPE),
+    (["polytope", "color", "d.poly"], POLYTOPE),
+    (["fan", "volume", "cp3.fan", "--polynomial"], VOLUME),
+    (["fan", "report", "cp3.fan"], CONE),
+    (["fan", "extremal", "cp3.fan"], CONE),
+    (["fan", "witness", "cp3.fan", "--json"], CONE),
+    (["corpus", "list"], CORPUS),
+    (["corpus", "get", "cp3"], CORPUS),
+]
+
+
+def _run_cli(tmp_path, argv):
+    (tmp_path / "d.poly").write_text(corpus_get("dodecahedron").text)
+    (tmp_path / "cp3.fan").write_text(corpus_get("cp3").text)
+    proc = _python("-c", RUN_CLI, *argv, cwd=tmp_path)
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    return code, loaded, proc.stderr
+
+
+@pytest.mark.parametrize("argv, modules", COMMANDS,
+                         ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
+def test_each_command_loads_only_its_layers(tmp_path, argv, modules):
+    code, loaded, err = _run_cli(tmp_path, argv)
+    assert code == 0, err
+    assert loaded == modules
+
+
+FILE_COMMANDS = [argv[:2] for argv, _ in COMMANDS if argv[0] != "corpus"]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
+def test_no_command_reading_a_file_loads_the_corpus(tmp_path, command):
+    code, loaded, err = _run_cli(tmp_path, [*command, "missing"])
+    assert code == 2 and "error: cannot read missing" in err
+    assert "corpus" not in loaded
