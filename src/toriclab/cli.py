@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
-import json
 import sys
 import time
 from fractions import Fraction
@@ -37,6 +35,7 @@ __all__ = ["main"]
 
 
 def _digest(text: str) -> str:
+    import hashlib  # only reports carry a digest
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -78,6 +77,7 @@ class Report:
         ms = int((time.perf_counter() - self._start) * 1000)
         self.add("timing_ms", ms)
         if as_json:
+            import json  # only --json reports need it
             data = {k: _jsonable(v) for k, v in self.items}
             print(json.dumps(data, indent=2))
         else:

@@ -6,12 +6,12 @@ Parsing normalizes all cycles to a single consistent rotational direction
 dual sphere inherits one global orientation.  That orientation is the sign
 convention used by the signed intersection calculus downstream.
 
-Each polytope keeps the index of its one incidence pass (edge -> facets,
-facet -> cycle successors), read by validation, orientation and
-:func:`dual_sphere`, which emits sorted triangles and their oriented
-representatives.  A sphere keeps one wall index (ascending apex pairs and
-neighbour lists), which its checks, adjacency queries, :func:`dual_polytope`
-and the 4-coloring read.  Faults are named after a sort or ordered scan.
+Each polytope keeps one half-edge index (start vertex, facet and twin of
+every half-edge, in int arrays), read by validation, orientation and
+:func:`dual_sphere`.  A sphere keeps one wall index (an int-keyed map from
+directed walls to apexes, and neighbour lists), which its checks, adjacency
+queries, :func:`dual_polytope` and the 4-coloring read.  Faults are named
+after a sort or ordered scan.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from collections import Counter, defaultdict
-from itertools import chain
+from itertools import accumulate, chain, groupby, repeat
 from functools import cached_property
-from operator import lt
+from operator import eq, lt
 
 from .errors import ParseError, ValidationError
 
@@ -46,10 +46,11 @@ class SimplicialSphere2:
     wall is traversed once in each direction, i.e. the orientation is
     globally consistent.  ``walls`` are the sorted 2-element faces.
 
-    One wall index is kept (:attr:`_index`): each wall's apexes, ascending,
-    and each vertex's neighbours, as stored by :meth:`from_triangles` or
-    built on first use.  It is not a field, so equality and hashing see
-    only the fields.
+    One wall index is kept (:attr:`_index`): a map from each directed wall
+    ``x * m + y`` to an apex, the two directions of a wall holding its two
+    apexes, and each vertex's neighbours, as stored by
+    :meth:`from_triangles` or built on first use.  It is not a field, so
+    equality and hashing see only the fields.
     """
 
     m: int
@@ -62,15 +63,15 @@ class SimplicialSphere2:
         """Validate a triangle list as a 2-sphere and fix an orientation.
 
         Sorted triangles with ``oriented`` representatives, as from
-        :func:`dual_sphere`, are indexed by one directed-edge map
-        (:func:`_oriented_index`); other input, and any fault, by the scan
+        :func:`dual_sphere`, are indexed by their directed walls
+        (:func:`_directed_index`); other input, and any fault, by the scan
         below, which names the first fault.  The other checks read the kept
-        wall index; without ``oriented``, its apexes orient by propagation.
+        wall index, by which propagation orients when ``oriented`` is None.
         """
         tris = triangles = tuple(map(tuple, triangles))
         if oriented is not None:
             oriented = tuple(map(tuple, oriented))
-        index = oriented is not None and _oriented_index(m, triangles, oriented)
+        index = oriented is not None and _directed_index(m, triangles, oriented)
         if not index:
             tris = sorted(tuple(sorted(t)) for t in triangles)
             if len(set(tris)) != len(tris):
@@ -80,17 +81,13 @@ class SimplicialSphere2:
                     raise ValidationError(f"degenerate triangle {t}")
                 if not all(0 <= v < m for v in t):
                     raise ValidationError(f"triangle {t} uses a vertex outside 0..{m - 1}")
-            index = _wall_index(m, tris)
-            for w, tops in index[0].items():
-                if len(tops) != 2:
-                    raise ValidationError(
-                        f"wall {w} lies in {len(tops)} triangles (expected 2)")
-        apexes, around = index
+            index = _apex_index(m, tris)
+        nxt, around, walls = index
 
         # Euler characteristic of a 2-sphere
-        if m - len(apexes) + len(tris) != 2:
+        if m - len(walls) + len(tris) != 2:
             raise ValidationError(
-                f"Euler characteristic {m - len(apexes) + len(tris)} != 2")
+                f"Euler characteristic {m - len(walls) + len(tris)} != 2")
 
         # The link of every vertex must be one cycle.  Each neighbour u of v
         # has exactly two link neighbours, the apexes of the wall {u, v}, so
@@ -100,38 +97,33 @@ class SimplicialSphere2:
             if not around[v]:
                 raise ValidationError(f"vertex {v} lies in no triangle")
             start = prev = around[v][0]
-            cur = apexes[(v, start) if v < start else (start, v)][0]
+            cur = nxt[v * m + start]
             steps = 1
             while cur != start:
-                p, q = apexes[(v, cur) if v < cur else (cur, v)]
-                prev, cur = cur, q if p == prev else p
+                p = nxt[v * m + cur]
+                prev, cur = cur, nxt[cur * m + v] if p == prev else p
                 steps += 1
             if steps != len(around[v]):
                 raise ValidationError(f"link of vertex {v} is not a single cycle")
 
         if oriented is None:
-            oriented = _orient_by_propagation(tris, apexes)
-        if tris is not triangles:  # not checked by _oriented_index
+            oriented = _orient_by_propagation(m, tris, nxt)
+        if tris is not triangles:  # not checked by _directed_index
             oriented = _checked_orientation(oriented, tris)
 
         # connectivity of the whole complex: with every link a cycle, the
         # triangles are connected exactly when the 1-skeleton is
-        seen = [False] * m
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            for u in around[stack.pop()]:
-                if not seen[u]:
-                    seen[u] = True
-                    reached += 1
-                    stack.append(u)
-        if reached != m:
+        seen = frontier = {0}
+        while frontier:
+            frontier = set(chain.from_iterable(map(around.__getitem__, frontier)))
+            frontier -= seen
+            seen |= frontier
+        if len(seen) != m:
             raise ValidationError("sphere complex is disconnected")
 
         sphere = cls(m=m, triangles=tuple(tris), oriented=oriented,
-                     walls=tuple(sorted(apexes)))
-        sphere.__dict__["_index"] = index  # cached_property slot
+                     walls=tuple(map(divmod, walls, repeat(m))))
+        sphere.__dict__["_index"] = nxt, around  # cached_property slot
         return sphere
 
     def reoriented(self, oriented) -> "SimplicialSphere2":
@@ -146,17 +138,21 @@ class SimplicialSphere2:
         return sphere
 
     @cached_property
-    def _index(self) -> tuple[dict[Wall, tuple[int, ...]], dict[int, list[int]]]:
-        """The :func:`_wall_index` maps of the stored triangles."""
-        return _wall_index(self.m, self.triangles)
+    def _index(self) -> tuple[dict[int, int], dict[int, list[int]]]:
+        """The :func:`_apex_index` maps of the stored triangles."""
+        return _apex_index(self.m, self.triangles)[:2]
 
     def wall_apexes(self, wall: Wall) -> tuple[int, int]:
-        """The two vertices completing the given wall to triangles."""
-        u, v = sorted(wall)
-        try:
-            return self._index[0][(u, v)]
-        except KeyError:
-            raise ValidationError(f"{(u, v)} is not a wall of this sphere") from None
+        """The two vertices completing the given wall to triangles, ascending."""
+        u, v = wall
+        if u > v:
+            u, v = v, u
+        m, nxt = self.m, self._index[0]
+        p = nxt.get(u * m + v) if 0 <= u < v < m else None
+        if p is None:
+            raise ValidationError(f"{(u, v)} is not a wall of this sphere")
+        q = nxt[v * m + u]
+        return (p, q) if p < q else (q, p)
 
     def vertex_degree(self, v: int) -> int:
         return len(self._index[1][v])
@@ -171,80 +167,76 @@ class SimplicialSphere2:
         n = bisect_left(self.triangles, key)
         if n == len(self.triangles) or self.triangles[n] != key:
             raise ValidationError(f"{key} is not a triangle of this sphere")
-        return _permutation_sign((i, j, k), self.oriented[n])
+        rep = self.oriented[n]  # an even permutation is a rotation
+        return 1 if rep[rep.index(i) - 2] == j else -1
 
 
-def _wall_index(m: int, tris) -> tuple[dict[Wall, tuple[int, ...]], dict[int, list[int]]]:
-    """For sorted triangles on vertices 0..m-1: the apexes of each (sorted)
-    wall, in the order of their triangles, and each vertex's neighbours,
-    in the order their walls are first met."""
-    apexes: dict[Wall, list[int]] = defaultdict(list)
+def _apex_index(m: int, tris):
+    """For sorted triangles on 0..m-1: the wall index (wall {u, v} keeps its
+    two apexes under ``u * m + v`` and ``v * m + u``), each vertex's
+    neighbours and the sorted wall codes ``u * m + v`` (u < v).  Names the
+    first wall met that does not lie in two triangles."""
+    apexes: dict[int, list[int]] = defaultdict(list)
     for a, b, c in tris:
-        apexes[(a, b)].append(c)
-        apexes[(a, c)].append(b)
-        apexes[(b, c)].append(a)
+        apexes[a * m + b].append(c)
+        apexes[a * m + c].append(b)
+        apexes[b * m + c].append(a)
+    nxt: dict[int, int] = {}
     around: dict[int, list[int]] = {v: [] for v in range(m)}
-    for u, v in apexes:
+    for w, tops in apexes.items():
+        u, v = divmod(w, m)
+        if len(tops) != 2:
+            raise ValidationError(f"wall {(u, v)} lies in {len(tops)} triangles (expected 2)")
+        nxt[w], nxt[v * m + u] = tops
         around[u].append(v)
         around[v].append(u)
-    return {w: tuple(t) for w, t in apexes.items()}, around
+    return nxt, around, sorted(apexes)
 
 
-def _oriented_index(m: int, tris, oriented):
-    """The wall index of sorted triangles with aligned, consistent
-    representatives, or None."""
+def _directed_index(m: int, tris, oriented):
+    """As :func:`_apex_index`, for sorted triangles whose aligned
+    representatives run every wall once each way, else None: ``x * m + y``
+    maps to z for each rotation (x, y, z) of a representative."""
     if len(oriented) != len(tris) or not all(map(lt, tris, tris[1:])):
         return None
-    nxt: dict[Wall, int] = {}  # the rotations of every representative
-    apexes: dict[Wall, tuple[int, int]] = {}
+    nxt: dict[int, int] = {}
     around: dict[int, list[int]] = {v: [] for v in range(m)}
     try:
         for (a, b, c), (x, y, z) in zip(tris, oriented):
-            nxt[x, y], nxt[y, z], nxt[z, x] = z, x, y
+            nxt[x * m + y], nxt[y * m + z], nxt[z * m + x] = z, x, y
             # it matches (a, b, c) iff it wrote c after a -> b or b -> a
-            if not (0 <= a < b < c < m and c in (nxt.get((a, b)), nxt.get((b, a)))):
+            if not (0 <= a < b < c < m and c in (nxt.get(a * m + b), nxt.get(b * m + a))):
                 return None
-        for (u, v), w in nxt.items():
-            around[u].append(v)
-            if u < v:  # each wall once, its apexes ascending
-                x = nxt[v, u]
-                apexes[u, v] = (w, x) if w < x else (x, w)
-    except (KeyError, ValueError):  # an edge without its reverse; no triple
+            around[x].append(y)
+            around[y].append(z)
+            around[z].append(x)
+    except ValueError:  # not a triple
         return None
-    # no edge traversed twice and each reversed: every wall in two triangles
-    return (apexes, around) if len(nxt) == 3 * len(tris) == 2 * len(apexes) else None
+    walls = {a * m + b for a, b, _ in tris}
+    walls.update([a * m + c for a, _, c in tris], [b * m + c for _, b, c in tris])
+    # no directed wall written twice, and 3T/2 walls: each wall in two
+    # triangles, so run once each way
+    if len(nxt) != 3 * len(tris) or 2 * len(walls) != len(nxt):
+        return None
+    return nxt, around, sorted(walls)
 
 
-def _permutation_sign(t: Triangle, rep: Triangle) -> int:
-    # both are permutations of the same 3 distinct values
-    perm = [rep.index(x) for x in t]
-    sign = 1
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
-
-
-def _orient_by_propagation(tris, apexes) -> tuple[Triangle, ...]:
-    """Orient all triangles consistently, seeding from the first one.
-
-    ``apexes`` maps each wall to the apexes of its two triangles."""
+def _orient_by_propagation(m: int, tris, nxt) -> tuple[Triangle, ...]:
+    """Orient all triangles consistently, seeding from the first one and
+    reading the far apex of each wall from the wall index ``nxt``."""
     oriented: dict[Triangle, Triangle] = {tris[0]: tris[0]}
     stack = [tris[0]]
     while stack:
         a, b, c = oriented[stack.pop()]
         for u, v, own in ((a, b, c), (b, c, a), (c, a, b)):
-            p, q = apexes[(u, v) if u < v else (v, u)]
-            apex = q if p == own else p
+            apex = nxt[u * m + v] + nxt[v * m + u] - own  # the far one
             other = tuple(sorted((u, v, apex)))
-            want = (v, u, apex)  # traverse the shared wall in reverse
-            if other in oriented:
-                if _permutation_sign(want, oriented[other]) != 1:
-                    raise ValidationError("sphere complex is not orientable")
-            else:
-                oriented[other] = want
+            rep = oriented.get(other)
+            if rep is None:
+                oriented[other] = (v, u, apex)  # the shared wall in reverse
                 stack.append(other)
+            elif rep[rep.index(v) - 2] != u:  # u does not follow v
+                raise ValidationError("sphere complex is not orientable")
     if len(oriented) != len(tris):
         raise ValidationError("sphere complex is disconnected")
     return tuple(oriented[t] for t in tris)
@@ -276,12 +268,11 @@ class SimplePolytope3:
     given, all others made consistent with it) and rotated so each cycle
     starts at its smallest vertex.
 
-    The incidence index (:attr:`_index`) is kept on the polytope: each
-    edge's two facets, and each facet's successor map in the normalized
-    orientation.  :meth:`from_facets` stores the maps its validation pass
-    built; a polytope made by the constructor or ``dataclasses.replace``
-    validates its cycles and builds them on first use.  The index is not a
-    field, so equality and hashing see only ``name`` and ``facets``.
+    The half-edge index (:attr:`_index`, see :func:`_half_edges`) is kept:
+    :meth:`from_facets` stores the one its validation built, reversed along
+    the facets it flipped; a polytope made by the constructor or
+    ``dataclasses.replace`` validates its cycles and builds it on first use.
+    It is not a field, so equality and hashing see only the fields.
     """
 
     name: str
@@ -290,16 +281,17 @@ class SimplePolytope3:
     @classmethod
     def from_facets(cls, name: str, facets) -> "SimplePolytope3":
         cycles = [tuple(f) for f in facets]
-        edge_owner, succ = _validate_cycles(cycles)
-        cycles = _normalize_orientation(cycles, edge_owner, succ)
-        p = cls(name=name, facets=tuple(_canon_cycle(c) for c in cycles))
-        p.__dict__["_index"] = edge_owner, succ  # cached_property slot
+        index = _half_edges(cycles)
+        flipped = _orient(index, cycles)
+        p = cls(name=name, facets=tuple(_canon_cycle(c[::-1] if f else c)
+                                        for c, f in zip(cycles, flipped)))
+        p.__dict__["_index"] = index  # cached_property slot
         return p
 
     @cached_property
-    def _index(self) -> tuple[dict[Wall, list[int]], list[dict[int, int]]]:
-        """The :func:`_validate_cycles` maps of the stored facet cycles."""
-        return _validate_cycles(self.facets)
+    def _index(self) -> tuple[list[int], list[int], list[int]]:
+        """The :func:`_half_edges` index of the stored facet cycles."""
+        return _half_edges(self.facets)
 
     @property
     def num_facets(self) -> int:
@@ -307,38 +299,38 @@ class SimplePolytope3:
 
     @property
     def num_vertices(self) -> int:
-        return len({v for f in self.facets for v in f})
+        return len(self._index[0]) // 3
 
     @property
     def edges(self) -> tuple[Wall, ...]:
-        return tuple(sorted(self._index[0]))
+        flat = self._index[0]
+        return tuple(sorted({(u, v) if u < v else (v, u)
+                             for u, v in zip(flat, _heads(flat, self.facets))}))
 
     @property
     def num_edges(self) -> int:
-        return len(self._index[0])
+        return len(self._index[2]) // 2
 
 
-def _incidence(cycles) -> tuple[dict[Wall, list[int]], list[dict[int, int]]]:
-    """One pass over facet cycles without repeated vertices: the facets
-    owning each (sorted) edge, in facet order, and for each facet the map
-    vertex -> next vertex along its cycle."""
-    edge_owner: dict[Wall, list[int]] = defaultdict(list)
-    succ = []
-    for i, cyc in enumerate(cycles):
-        nxt = dict(zip(cyc, cyc[1:] + cyc[:1]))
-        for u, v in nxt.items():
-            edge_owner[(u, v) if u < v else (v, u)].append(i)
-        succ.append(nxt)
-    return dict(edge_owner), succ
+def _heads(flat, cycles) -> list:
+    """``flat``, laid out as the cycles, with each entry replaced by the
+    next one in its cycle: for vertices, where each half-edge runs to."""
+    heads, s = flat[1:] + flat[:1], 0
+    for e in accumulate(map(len, cycles)):
+        heads[e - 1], s = flat[s], e
+    return heads
 
 
-def _validate_cycles(cycles):
-    """Check the cycles describe a simple 3-polytope; return their
-    :func:`_incidence` maps.
+def _half_edges(cycles) -> tuple[list[int], list[int], list[int]]:
+    """Check the cycles describe a simple 3-polytope; return its half-edge
+    index ``(flat, face, twin)``.
 
-    Each scan over vertices, edges or facet pairs first decides, without
-    sorting, whether anything is wrong.  Only then does it sort, to name
-    the first fault in sorted order.
+    Half-edge h runs from vertex ``flat[h]`` to the next vertex of facet
+    ``face[h]``, facet after facet in cycle order; ``twin[h]`` is the other
+    half-edge on its edge, paired by one sort by the edge code
+    ``min(u, v) * n + max(u, v)``.  Each scan decides with counts and that
+    sort whether anything is wrong; only then does it sort to name the
+    first fault in sorted order.
     """
     if not cycles:
         raise ValidationError("polytope has no facets")
@@ -348,114 +340,124 @@ def _validate_cycles(cycles):
         if len(set(cyc)) != len(cyc):
             raise ValidationError(f"facet {i} repeats a vertex in its cycle")
 
-    if not all(isinstance(v, int) for v in chain.from_iterable(cycles)):
+    flat = list(chain.from_iterable(cycles))
+    if not all(map(isinstance, flat, repeat(int))):
         i = next(i for i, c in enumerate(cycles) if not all(isinstance(v, int) for v in c))
         raise ValidationError(f"facet {i} = {cycles[i]} has a non-integer vertex id")
-    ids = {v for cyc in cycles for v in cyc}
-    # len(ids) distinct integers are 0..len(ids)-1 iff all lie in that range
-    if min(ids) < 0 or max(ids) >= len(ids):
+    n = len(set(flat))
+    # n distinct integers are 0..n-1 iff all lie in that range
+    if min(flat) < 0 or max(flat) >= n:
         raise ValidationError("vertex ids are not 0-based contiguous integers")
 
-    incidence = Counter(chain.from_iterable(cycles))
+    incidence = Counter(flat)
     if set(incidence.values()) != {3}:
-        for v, n in sorted(incidence.items()):
-            if n != 3:
-                raise ValidationError(f"vertex {v} lies in {n} facets")
+        for v, k in sorted(incidence.items()):
+            if k != 3:
+                raise ValidationError(f"vertex {v} lies in {k} facets")
 
-    edge_owner, succ = _incidence(cycles)
-    owners = edge_owner.values()
-    if set(map(len, owners)) != {2} or any(a == b for a, b in owners):
-        for e, o in sorted(edge_owner.items()):
+    face = list(chain.from_iterable(repeat(i, len(c)) for i, c in enumerate(cycles)))
+    codes = [u * n + v if u < v else v * n + u for u, v in zip(flat, _heads(flat, cycles))]
+    order = sorted(range(len(flat)), key=codes.__getitem__)
+    first, second = order[0::2], order[1::2]
+    edge_codes = list(map(codes.__getitem__, first))
+    # the sort is stable, so each edge's owners are in facet order
+    one, other = list(map(face.__getitem__, first)), list(map(face.__getitem__, second))
+    # every code exactly twice, on two facets
+    if (edge_codes != list(map(codes.__getitem__, second))
+            or not all(map(lt, edge_codes, edge_codes[1:])) or any(map(eq, one, other))):
+        for code, hs in groupby(order, codes.__getitem__):
+            o, e = [face[h] for h in hs], divmod(code, n)
             if len(o) != 2:
                 raise ValidationError(f"edge {e} lies in {len(o)} facets")
             if o[0] == o[1]:
                 raise ValidationError(f"facet {o[0]} is adjacent to itself along {e}")
 
-    # each owner pair is in facet order, so sorted
-    if len(set(map(tuple, owners))) != len(edge_owner):
-        pair_edges = Counter(map(tuple, owners))
-        for pair, n in sorted(pair_edges.items()):
-            if n > 1:
-                raise ValidationError(f"facets {pair[0]} and {pair[1]} share {n} edges")
+    shared = Counter(zip(one, other))
+    if len(shared) != len(one):
+        for (a, b), k in sorted(shared.items()):
+            if k > 1:
+                raise ValidationError(f"facets {a} and {b} share {k} edges")
 
-    v_count = len(ids)
-    e_count = len(edge_owner)
-    f_count = len(cycles)
-    if v_count - e_count + f_count != 2:
+    e_count, f_count = len(one), len(cycles)
+    if n - e_count + f_count != 2:
         raise ValidationError(
-            f"Euler characteristic {v_count - e_count + f_count} != 2 "
-            f"(v={v_count}, e={e_count}, f={f_count})")
-    return edge_owner, succ
+            f"Euler characteristic {n - e_count + f_count} != 2 "
+            f"(v={n}, e={e_count}, f={f_count})")
+    twin = [0] * len(flat)
+    for a, b in zip(first, second):
+        twin[a], twin[b] = b, a
+    return flat, face, twin
 
 
-def _normalize_orientation(cycles, edge_owner, succ):
-    """Flip facet cycles so every edge is traversed once in each direction.
-
-    Facet 0 is kept as given; consistency is propagated across shared
-    edges.  ``edge_owner`` and ``succ`` are the :func:`_incidence` maps of
-    ``cycles``; the successor maps of flipped facets are inverted in
-    place, so they describe the returned cycles.
-    """
-    state: dict[int, bool] = {0: False}  # facet -> flipped?
+def _orient(index, cycles) -> list[bool]:
+    """Which facets to flip so every edge is run once each way.  Facet 0
+    keeps its direction and the others follow across twins; a twin runs its
+    edge the same way exactly when it starts at the same vertex.  Flipped
+    facets are reversed in the index, in place."""
+    flat, face, twin = index
+    same = list(map(eq, flat, map(flat.__getitem__, twin)))
+    across = list(map(face.__getitem__, twin))
+    ends = list(accumulate(map(len, cycles)))
+    starts = [0, *ends[:-1]]
+    flipped: list[bool | None] = [False] + [None] * (len(cycles) - 1)
     stack = [0]
     while stack:
         i = stack.pop()
-        for u, v in succ[i].items():  # i's cycle as given, flipped or not
-            a, b = edge_owner[(u, v) if u < v else (v, u)]
-            j = b if a == i else a
-            # j needs a flip iff, as given, it runs this edge the way i ends up
-            needs_flip = (succ[j].get(u) == v) != state[i]
-            if j in state:
-                if state[j] != needs_flip:
-                    raise ValidationError("facet cycles are not consistently orientable")
-            else:
-                state[j] = needs_flip
+        flip_i = flipped[i]
+        for j, alike in zip(across[starts[i]:ends[i]], same[starts[i]:ends[i]]):
+            need = alike != flip_i  # as given, j runs the edge the way i ends up
+            if flipped[j] is None:
+                flipped[j] = need
                 stack.append(j)
-    if len(state) != len(cycles):
+            elif flipped[j] != need:
+                raise ValidationError("facet cycles are not consistently orientable")
+    if None in flipped:
         raise ValidationError("facet adjacency graph is disconnected")
-    for i, flipped in state.items():
-        if flipped:
-            c = cycles[i]
-            succ[i] = dict(zip(c, c[-1:] + c[:-1]))  # vertex -> predecessor
-    return [c[::-1] if state[i] else c for i, c in enumerate(cycles)]
+    if any(flipped):
+        # half-edge s + j (v_j -> v_j+1) of a reversed facet moves to
+        # e - 2 - j, and the last one stays; the move is its own inverse
+        move = list(range(len(flat)))
+        for s, e, f in zip(starts, ends, flipped):
+            if f:
+                flat[s:e] = reversed(flat[s:e])
+                move[s:e - 1] = range(e - 2, s - 1, -1)
+        twin[:] = [move[twin[h]] for h in move]
+    return flipped
+
+
+def _raise_unclosed_walk(p: SimplePolytope3) -> None:
+    """Name the smallest vertex whose walk over its facets, as their cycles
+    run from its lowest, does not close after three.  There is one whenever
+    a twin runs its edge the same way."""
+    flat, face, twin = p._index
+    heads = _heads(list(range(len(flat))), p.facets)  # the next half-edge
+    for v, h in sorted(dict(zip(reversed(flat), reversed(range(len(flat))))).items()):
+        walk = [face[h]]
+        while len(walk) <= 3 and face[twin[h]] != walk[0]:  # longer is not simple
+            t = twin[h]
+            walk.append(face[t])
+            h = t if flat[t] == v else heads[t]  # the new facet's half-edge from v
+        if len(walk) != 3:
+            raise ValidationError(f"vertex {v} is not simple: facet walk {walk}")
 
 
 def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     """The dual simplicial 2-sphere: sphere vertex i <-> facet i of p.
 
-    Each polytope vertex lies in exactly three facets and becomes one
-    triangle, oriented by walking the facets around the vertex in the
-    direction of the normalized facet cycles (read from the polytope's kept
-    index), from its lowest facet: the first facet in order that holds it.
-    So the triangles come out grouped by lowest facet, and sorting each
-    small group emits them sorted, ready for the one-pass check of
-    :meth:`SimplicialSphere2.from_triangles`.
+    The neighbours of vertex i are the facets of the twins of facet i's
+    half-edges, in cycle order.  Each polytope vertex becomes the triangle
+    (i, b, c) read at its lowest facet i, b and c being the neighbours across
+    the edges the cycle leaves and enters it by.  The triangles are emitted
+    sorted, as :meth:`SimplicialSphere2.from_triangles` checks them in one pass.
     """
-    edge_owner, succ = p._index
-    pairs, bad, placed = [], [], set()
-    for i, cyc in enumerate(p.facets):
-        group = []
-        for v in cyc:
-            if v in placed:
-                continue
-            placed.add(v)
-            f, walk = i, [i]
-            while len(walk) <= 3:  # a longer walk is not simple
-                s = succ[f][v]
-                g, h = edge_owner[(v, s) if v < s else (s, v)]
-                f = h if g == f else g
-                if f == i:
-                    break
-                walk.append(f)
-            if len(walk) != 3:
-                bad.append((v, walk))
-                continue
-            _, b, c = walk
-            group.append(((i, b, c) if b < c else (i, c, b), (i, b, c)))
-        pairs += sorted(group)
-    if bad:  # the smallest, as a scan in vertex order names it
-        raise ValidationError("vertex {} is not simple: facet walk {}".format(*min(bad)))
-    tris, reps = zip(*pairs)
+    flat, face, twin = p._index
+    if any(map(eq, flat, map(flat.__getitem__, twin))):  # not oriented
+        _raise_unclosed_walk(p)
+    across = list(map(face.__getitem__, twin))
+    # at the vertex each half-edge runs into: b across the next half-edge, c
+    # across this one, kept where i is the lowest of the three facets
+    tris, reps = zip(*sorted(((i, b, c) if b < c else (i, c, b), (i, b, c)) for i, b, c
+                             in zip(face, _heads(across, p.facets), across) if b > i < c))
     return SimplicialSphere2.from_triangles(p.num_facets, tris, oriented=reps)
 
 
@@ -464,30 +466,25 @@ def dual_polytope(sphere: SimplicialSphere2, name: str) -> SimplePolytope3:
 
     Facet i of the result corresponds to sphere vertex i; polytope vertex t
     corresponds to sphere triangle number t (position in sphere.triangles).
-    The walk around each vertex starts at its lowest triangle and reads the
-    sphere's kept adjacency index: the far apex of each wall comes from
-    the index and its triangle is found by bisection in the sorted
-    ``triangles``, and a vertex's degree is its neighbour count.
+    The walk around a vertex reads each wall's far apex from the sphere's
+    kept wall index and finds its triangle by bisection; it may start
+    anywhere, as :meth:`SimplePolytope3.from_facets` rotates each cycle.
     """
-    apexes, around = sphere._index
-    tris = sphere.triangles
-    lowest: dict[int, int] = {}
-    for idx, t in enumerate(tris):
-        for v in t:
-            lowest.setdefault(v, idx)
-
+    nxt, around = sphere._index
+    m, tris = sphere.m, sphere.triangles
     facets = []
     for v, nbrs in around.items():
-        cycle = [lowest[v]]
+        # start at the triangle beyond the wall to the first neighbour
+        cycle = [bisect_left(tris, tuple(sorted((v, nbrs[0], nxt[v * m + nbrs[0]]))))]
         while True:
             a, b, c = sphere.oriented[cycle[-1]]
             # cross the wall from v to its successor; ``own`` is this apex
             succ, own = (b, c) if a == v else (c, a) if b == v else (a, b)
-            p, q = apexes[(v, succ) if v < succ else (succ, v)]
-            nxt = bisect_left(tris, tuple(sorted((v, succ, q if p == own else p))))
-            if nxt == cycle[0]:
+            apex = nxt[v * m + succ] + nxt[succ * m + v] - own  # the far one
+            nxt_t = bisect_left(tris, tuple(sorted((v, succ, apex))))
+            if nxt_t == cycle[0]:
                 break
-            cycle.append(nxt)
+            cycle.append(nxt_t)
             if len(cycle) > len(nbrs):
                 raise ValidationError(f"triangles around vertex {v} do not close up")
         if len(cycle) != len(nbrs):
@@ -522,13 +519,6 @@ _HEADER_RE = re.compile(r"^poly3\s+(\S.*)$")
 _FACET_RE = re.compile(r"^F\s+(\d+)\s*:\s*(.*)$")
 
 
-def _strip_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
-
-
 def parse_polytope(text: str) -> SimplePolytope3:
     """Parse a POLY3 document.
 
@@ -537,7 +527,7 @@ def parse_polytope(text: str) -> SimplePolytope3:
         facets <m>
         F <id>: <v1> <v2> ... <vk>     (m lines, ids 0..m-1 in order)
     """
-    lines = list(_strip_lines(text))
+    lines = [ln for raw in text.splitlines() if (ln := raw.split("#", 1)[0].strip())]
     if not lines:
         raise ParseError("empty POLY3 document")
     head = _HEADER_RE.match(lines[0])

@@ -57,6 +57,15 @@ class WallClass:
     entries: tuple[tuple[int, int], ...]
     m: int
 
+    def __post_init__(self) -> None:
+        prev = -1
+        for t, v in self.entries:
+            if not prev < t < self.m or not v:
+                why = (f"outside rays 0..{self.m - 1}" if not 0 <= t < self.m
+                       else "out of ray order" if t <= prev else "zero")
+                raise ValidationError(f"wall class {self.wall}: entry {(t, v)} is {why}")
+            prev = t
+
     @property
     def pairing(self) -> tuple[int, ...]:
         vec = [0] * self.m

@@ -227,13 +227,13 @@ class TestDualSphere:
 def test_incidence_is_built_once_per_polytope(monkeypatch):
     text = serialize_polytope(dodecahedron())
     calls = []
-    incidence = combinatorics_module._incidence
+    half_edges = combinatorics_module._half_edges
 
     def counting(cycles):
         calls.append(len(cycles))
-        return incidence(cycles)
+        return half_edges(cycles)
 
-    monkeypatch.setattr(combinatorics_module, "_incidence", counting)
+    monkeypatch.setattr(combinatorics_module, "_half_edges", counting)
     p = parse_polytope(text)
     dual_sphere(p)
     assert (p.num_edges, len(p.edges)) == (30, 30)
@@ -242,9 +242,9 @@ def test_incidence_is_built_once_per_polytope(monkeypatch):
 
 def test_wall_index_is_built_once_per_sphere(monkeypatch):
     # a fan's sphere keeps the wall index of the ordered scan, a dual
-    # sphere the index of the directed-edge pass, and neither builds both
+    # sphere the index of the directed-wall pass, and neither builds both
     calls = []
-    for name in ("_wall_index", "_oriented_index"):
+    for name in ("_apex_index", "_directed_index"):
         def counting(m, *args, name=name, build=getattr(combinatorics_module, name)):
             calls.append((name, m))
             return build(m, *args)
@@ -257,7 +257,7 @@ def test_wall_index_is_built_once_per_sphere(monkeypatch):
     f.wall_table
     characteristic_pair(f).integrals
     delzant_obstruction_witness(f)
-    assert calls == [("_wall_index", 7)]
+    assert calls == [("_apex_index", 7)]
 
     calls.clear()
     s = dual_sphere(p)
@@ -265,7 +265,7 @@ def test_wall_index_is_built_once_per_sphere(monkeypatch):
     [(s.neighbors(v), s.vertex_degree(v)) for v in range(s.m)]
     four_color(s)
     dual_polytope(s, "x")
-    assert calls == [("_oriented_index", 12)]
+    assert calls == [("_directed_index", 12)]
 
 
 def sphere_answers(s):
@@ -313,8 +313,26 @@ def test_non_simple_vertices_are_named_smallest_first():
         dual_sphere(p)
 
 
+def counted_from_scratch(facets):
+    """(edges, number of edges, number of vertices) of facet cycles, read
+    off the cycles alone."""
+    edges = {tuple(sorted(e)) for f in facets for e in zip(f, f[1:] + f[:1])}
+    return tuple(sorted(edges)), len(edges), len({v for f in facets for v in f})
+
+
+def flipped_and_rotated(p):
+    """The facet cycles of p with every other facet reversed, starting at
+    facet 1, and facet i rotated by i places."""
+    out = []
+    for i, f in enumerate(p.facets):
+        f = f[::-1] if i % 2 else f
+        k = i % len(f)
+        out.append(f[k:] + f[:k])
+    return out
+
+
 @pytest.mark.parametrize("family", ["corpus", "stacked-60", "stacked-300",
-                                    "stacked-1000", "nanotubes"])
+                                    "stacked-1000", "nanotubes", "flipped"])
 def test_dual_path_agrees_with_propagation(family):
     from test_charfunc import nanotube_sphere, relabelled  # it imports this module
 
@@ -324,13 +342,23 @@ def test_dual_path_agrees_with_propagation(family):
         spheres = [nanotube_sphere(k) for k in (0, 4, 25)]
         spheres += [relabelled(nanotube_sphere(10), seed) for seed in range(3)]
         polytopes = [dual_polytope(t, "x") for t in spheres]
+    elif family == "flipped":
+        # a 137-facet nanotube and a 1000-facet stacked dual, with half of
+        # their facets reversed: from_facets flips them back
+        polytopes = []
+        for t in (nanotube_sphere(25), subdivided_cp3(1000, seed=2)[0].sphere):
+            p = dual_polytope(t, "x")
+            q = SimplePolytope3.from_facets("x", flipped_and_rotated(p))
+            assert q == p and dual_sphere(q) == dual_sphere(p)
+            polytopes.append(q)
     else:
         m = int(family.split("-")[1])
         polytopes = [dual_polytope(subdivided_cp3(m, seed=0)[0].sphere, "x")]
     for p in polytopes:
+        assert (p.edges, p.num_edges, p.num_vertices) == counted_from_scratch(p.facets)
         s = dual_sphere(p)
         t = SimplicialSphere2.from_triangles(s.m, s.triangles)  # oriented by propagation
-        assert (s.triangles, s.walls, s._index[0]) == (t.triangles, t.walls, t._index[0])
+        assert (s.triangles, s.walls) == (t.triangles, t.walls)
         # one orientation up to a global sign, and the same answers read
         # from either path's index
         assert len({t.orientation_sign(*o) for o in s.oriented}) == 1

@@ -333,6 +333,19 @@ def test_grouping_collects_positive_multiples_only():
     ]
 
 
+@pytest.mark.parametrize("entries, why", [
+    # the same vector as ((0, 1), (1, 2)), stored out of order
+    (((1, 2), (0, 1)), r"entry \(0, 1\) is out of ray order"),
+    # an explicit zero would split the class from its positive multiples
+    (((0, 1), (1, 2), (2, 0)), r"entry \(2, 0\) is zero"),
+    (((0, 1), (3, 2)), r"entry \(3, 2\) is outside rays 0..2"),
+    (((-1, 1), (0, 2)), r"entry \(-1, 1\) is outside rays 0..2"),
+])
+def test_wall_class_refuses_entries_outside_its_sparse_form(entries, why):
+    with pytest.raises(ValidationError, match=rf"^wall class \(0, 1\): {why}$"):
+        WallClass((0, 1), entries, 3)
+
+
 def _fraction_quotient_groups(classes):
     """Greedy grouping in first-appearance order, with v ~ u when the
     quotient q = v[k] / u[k] at the first nonzero entry of u is positive

@@ -102,3 +102,26 @@ def test_no_command_reading_a_file_loads_the_corpus(tmp_path, command):
     code, loaded, err = _run_cli(tmp_path, [*command, "missing"])
     assert code == 2 and "error: cannot read missing" in err
     assert "corpus" not in loaded
+
+
+# The stdlib modules a command should not load, read after the command has
+# run; ``pass`` stands for the command in a bare interpreter, since ``site``
+# may load modules of its own.
+PROBE = """
+import runpy, sys
+sys.argv = ["toriclab", *sys.argv[1:]]
+try:
+    {run}
+except SystemExit as exc:
+    print("exit", exc.code)
+print(sorted(m for m in ("hashlib", "json") if m in sys.modules))
+"""
+
+
+def test_polytope_color_loads_neither_hashlib_nor_json(tmp_path):
+    # it prints no report, so it needs no digest and no JSON
+    (tmp_path / "d.poly").write_text(corpus_get("dodecahedron").text)
+    bare = _python("-c", PROBE.format(run="pass"), cwd=tmp_path)
+    run = PROBE.format(run='runpy.run_module("toriclab.cli", run_name="__main__")')
+    color = _python("-c", run, "polytope", "color", "d.poly", cwd=tmp_path)
+    assert color.stdout.splitlines()[-2:] == ["exit 0", bare.stdout.strip()], color.stderr

@@ -7,18 +7,23 @@ closed-form volume of the cut simplex.  Small
 fans are compared entry by entry with the oracles in ``oracles.py``, which
 share no code with the library.  The exact-LP route of the cone analysis
 runs on a support-free fan with m = 24 and its certificates are checked.
+Polytopes of about 1100 facets are held to the f-vector, the Betti numbers,
+a proper coloring with the star condition, and the double dual.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from toriclab.charfunc import (CharacteristicPair, check_star_condition,
+                               coloring_to_charfunc, four_color)
 from toriclab.cohomology import (
     betti_numbers,
     chern_number_c1c2,
     evaluate_volume,
     volume_polynomial,
 )
+from toriclab.combinatorics import dual_polytope, dual_sphere
 from toriclab.cone import (
     delzant_obstruction_witness,
     extremal_walls,
@@ -31,6 +36,7 @@ from toriclab.fan import characteristic_pair, check_complete, gauss_bonnet_sum
 from oracles import (integral_table_oracle, polytope_volume_oracle,
                      volume_value_reference)
 from subdivision import subdivided_cp3
+from test_charfunc import nanotube_sphere
 
 
 @pytest.fixture(scope="module", params=[20, 60, 200])
@@ -139,3 +145,33 @@ def test_cone_lps_at_m24_without_support(monkeypatch):
 
     y = strict_convexity_witness(an.classes)
     assert all(sum(a * b for a, b in zip(y, cls.pairing)) >= 1 for cls in an.classes)
+
+
+@pytest.mark.parametrize("family", ["nanotube", "stacked"])
+def test_polytope_invariants_at_scale(family):
+    # the (5,0) nanotube C_2200 (1102 facets), or the dual of a stacked
+    # sphere on 1100 vertices
+    t = nanotube_sphere(218) if family == "nanotube" else subdivided_cp3(1100, seed=4)[0].sphere
+    p = dual_polytope(t, family)
+    s = dual_sphere(p)
+    F = p.num_facets
+    assert F == t.m and (len(s.walls), len(s.triangles)) == (3 * F - 6, 2 * F - 4)
+    assert betti_numbers(s) == (1, F - 3, F - 3, 1)
+    coloring = four_color(s)
+    assert all(coloring.colors[u] != coloring.colors[v] for u, v in s.walls)
+    assert check_star_condition(CharacteristicPair(s, coloring_to_charfunc(coloring))).ok
+    # the double dual is p with vertex x renamed to the triangle of its
+    # three facets; facets keep their numbers and their direction
+    triangle = {tri: k for k, tri in enumerate(s.triangles)}
+    facets_of = {}
+    for i, f in enumerate(p.facets):
+        for x in f:
+            facets_of.setdefault(x, []).append(i)
+    name = {x: triangle[tuple(fs)] for x, fs in facets_of.items()}
+    back = dual_polytope(s, family)
+    assert back.facets == tuple(_canon(tuple(name[x] for x in f)) for f in p.facets)
+
+
+def _canon(cycle):
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k]
