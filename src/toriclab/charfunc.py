@@ -234,7 +234,7 @@ def parse_charfunc(text: str) -> CharacteristicFunction:
     """Parse a CHARFUNC block: `lambda <m>` then m lines `L <id>: <x> <y> <z>`."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("lambda"):
+    if not lines or lines[0].split()[0] != "lambda":
         raise ParseError("expected 'lambda <m>' header")
     try:
         m = int(lines[0].split()[1])

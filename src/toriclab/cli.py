@@ -230,6 +230,19 @@ def cmd_fan_report(args) -> int:
     return 0 if gb == 24 else 1
 
 
+def _certified_fan(args, command: str):
+    """The prologue of every fan analysis but the report: read, parse and
+    certify the file, then open the report with the fan's name."""
+    from .fan import certify_fan, parse_fan
+
+    text = _read(args.file)
+    f = parse_fan(text)
+    certify_fan(f)
+    rpt = Report(command, args.file, text)
+    rpt.add("name", f.name)
+    return f, rpt
+
+
 def _parse_support(arg: str, m: int):
     parts = [s.strip() for s in arg.split(",")]
     if len(parts) != m:
@@ -245,13 +258,8 @@ def _parse_support(arg: str, m: int):
 def cmd_fan_volume(args) -> int:
     from .cohomology import (edge_functionals, serialize_volume_polynomial,
                              volume_polynomial)
-    from .fan import certify_fan, parse_fan
 
-    text = _read(args.file)
-    f = parse_fan(text)
-    certify_fan(f)
-    rpt = Report("fan volume", args.file, text)
-    rpt.add("name", f.name)
+    f, rpt = _certified_fan(args, "fan volume")
     if args.support is not None:
         support = _parse_support(args.support, f.m)
     elif f.support is not None:
@@ -280,13 +288,8 @@ def cmd_fan_volume(args) -> int:
 
 def cmd_fan_extremal(args) -> int:
     from .cone import extremal_walls
-    from .fan import certify_fan, parse_fan
 
-    text = _read(args.file)
-    f = parse_fan(text)
-    certify_fan(f)
-    rpt = Report("fan extremal", args.file, text)
-    rpt.add("name", f.name)
+    f, rpt = _certified_fan(args, "fan extremal")
     analysis = extremal_walls(f)
     rpt.add("wall_classes", {str(c.wall): c.pairing for c in analysis.classes})
     rpt.add(
@@ -301,13 +304,8 @@ def cmd_fan_extremal(args) -> int:
 
 def cmd_fan_witness(args) -> int:
     from .cone import delzant_obstruction_witness
-    from .fan import certify_fan, parse_fan
 
-    text = _read(args.file)
-    f = parse_fan(text)
-    certify_fan(f)
-    rpt = Report("fan witness", args.file, text)
-    rpt.add("name", f.name)
+    f, rpt = _certified_fan(args, "fan witness")
     w = delzant_obstruction_witness(f)
     for key, value in dataclasses.asdict(w).items():
         rpt.add(key, value)

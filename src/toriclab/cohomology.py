@@ -65,9 +65,12 @@ def _sign(x: int) -> int:
 
 
 def _as_multiset(indices, m: int) -> Multiset:
-    t = tuple(sorted(int(i) for i in indices))
+    t = tuple(indices)
     if len(t) != 3:
         raise ValidationError(f"need exactly 3 indices, got {indices!r}")
+    if not all(isinstance(i, int) for i in t):
+        raise ValidationError(f"indices {indices!r} are not all integers")
+    t = tuple(sorted(t))
     if not all(0 <= i < m for i in t):
         raise ValidationError(f"index out of range in {t}")
     return t
@@ -82,7 +85,9 @@ class LinearRelation:
 
 
 def linear_relation(f: Fan3, mu) -> LinearRelation:
-    mu = tuple(int(x) for x in mu)
+    mu = tuple(mu)
+    if len(mu) != 3 or not all(isinstance(x, int) for x in mu):
+        raise ValidationError(f"mu = {mu} is not an integer 3-vector")
     return LinearRelation(mu=mu, coeffs=tuple(dot(mu, r) for r in f.rays))
 
 

@@ -534,7 +534,7 @@ def parse_polytope(text: str) -> SimplePolytope3:
     if not head:
         raise ParseError(f"expected 'poly3 <name>', got {lines[0]!r}")
     name = head.group(1).strip()
-    if len(lines) < 2 or not lines[1].startswith("facets"):
+    if len(lines) < 2 or lines[1].split()[0] != "facets":
         raise ParseError("expected 'facets <m>' on line 2")
     try:
         m = int(lines[1].split()[1])

@@ -6,17 +6,19 @@ integers once, by :func:`toriclab.lattice.over_common_denominator`, and
 every tableau entry and certificate stays an integer over one common
 denominator.  There are no tolerances anywhere: every verdict comes with a
 certificate that is re-verified by exact substitution before it is
-returned, so a caller can trust either answer unconditionally.
+returned, so a caller can trust either answer unconditionally.  Every entry
+point poses one system to the same verified solve and only translates its
+answer.
 
-Two feasibility questions are exposed:
+Two feasibility questions are exposed besides :func:`phase1_simplex`:
 
 * :func:`cone_membership` — is a vector a nonnegative combination of given
   generators?  Yields the coefficients, or a separating functional that is
   nonpositive on every generator and positive on the target.
 * :func:`positive_functional` — is there a vector pairing to at least 1
-  with every row?  Yields the vector, or convex-combination coefficients
-  exhibiting 0 as a convex combination of the rows (which makes any
-  positive pairing impossible).
+  with every row?  Posed as Gordan's alternative, it yields the vector, or
+  convex-combination coefficients exhibiting 0 as a convex combination of
+  the rows (which makes any positive pairing impossible).
 """
 
 from __future__ import annotations
@@ -77,16 +79,24 @@ def phase1_simplex(rows: Sequence[Sequence], rhs: Sequence) -> Phase1Result:
     so the pivots are those of the rational tableau.
     """
     *a, b = over_common_denominator([*rows, rhs])[0]
+    return Phase1Result(*_verified(a, b, "simplex produced a non-solution",
+                                   "invalid infeasibility certificate"))
+
+
+def _verified(a: list[list[int]], b: list[int], bad_solution: str, bad_farkas: str):
+    """:func:`_phase1_integral` with its answer checked by substitution (a
+    failed check raises InternalError with the caller's message for it),
+    read as rationals: ``(solution, None)`` or ``(None, farkas)``."""
     x, y, d = _phase1_integral(a, b)
     if x is not None:
         if any(v < 0 for v in x) or any(
             sum(map(mul, r, x)) != v * d for r, v in zip(a, b)
         ):
-            raise InternalError("simplex produced a non-solution")
-        return Phase1Result(solution=tuple(Fraction(v, d) for v in x), farkas=None)
+            raise InternalError(bad_solution)
+        return tuple(Fraction(v, d) for v in x), None
     if any(sum(map(mul, y, col)) > 0 for col in zip(*a)) or sum(map(mul, y, b)) <= 0:
-        raise InternalError("invalid infeasibility certificate")
-    return Phase1Result(solution=None, farkas=tuple(Fraction(v, d) for v in y))
+        raise InternalError(bad_farkas)
+    return None, tuple(Fraction(v, d) for v in y)
 
 
 def _phase1_integral(a: list[list[int]], b: list[int]):
@@ -197,18 +207,10 @@ def cone_membership(x: Sequence, generators: Sequence[Sequence]) -> ConeMembersh
         return ConeMembership(False, None, sep)
 
     columns = [list(col) for col in zip(*gens)]
-    coef, sep, d = _phase1_integral(columns, target)
-    if coef is not None:
-        if any(c < 0 for c in coef) or any(
-            sum(map(mul, coef, col)) != d * v for col, v in zip(columns, target)
-        ):
-            raise InternalError("membership coefficients failed verification")
-        return ConeMembership(True, tuple(Fraction(c, d) for c in coef), None)
-    if any(sum(map(mul, sep, g)) > 0 for g in gens):
-        raise InternalError("separator fails on a generator")
-    if sum(map(mul, sep, target)) <= 0:
-        raise InternalError("separator fails on the target")
-    return ConeMembership(False, None, tuple(Fraction(v, d) for v in sep))
+    coef, sep = _verified(columns, target,
+                          "membership coefficients failed verification",
+                          "separator fails on a generator or the target")
+    return ConeMembership(coef is not None, coef, sep)
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,13 @@ class PositiveFunctional:
 
 
 def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:
-    """Find y with <row, y> >= 1 for all rows, or prove none exists."""
+    """Find y with <row, y> >= 1 for all rows, or prove none exists.
+
+    Gordan's alternative on the integer rows r_i = scale * row_i: either
+    some pi >= 0 has sum_i pi_i (r_i, 1) = (0, ..., 0, 1), the convex
+    certificate, or the verified Farkas vector (z, t) has z·r_i + t <= 0
+    and t > 0, so y = -scale·z/t pairs to at least 1 with every row.
+    """
     mat, scale = over_common_denominator(rows)
     if not mat:
         return PositiveFunctional(True, (), None)
@@ -234,23 +242,10 @@ def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:
     if any(len(r) != dim for r in mat):
         raise InternalError("ragged row list")
 
-    # Standard form R y+ - R y- - s = 1 with y+, y-, s >= 0, times scale.
-    k = len(mat)
-    system = []
-    for i, r in enumerate(mat):
-        slack = [0] * k
-        slack[i] = -scale
-        system.append(r + [-v for v in r] + slack)
-    sol, pi, d = _phase1_integral(system, [scale] * k)
-    if sol is not None:
-        y = [sol[j] - sol[dim + j] for j in range(dim)]
-        if any(sum(map(mul, r, y)) < scale * d for r in mat):
-            raise InternalError("functional failed verification")
-        return PositiveFunctional(True, tuple(Fraction(v, d) for v in y), None)
-
-    total = sum(pi)
-    if total <= 0 or any(p < 0 for p in pi):
-        raise InternalError("invalid convex certificate")
-    if any(sum(map(mul, pi, col)) for col in zip(*mat)):
-        raise InternalError("convex certificate does not hit zero")
-    return PositiveFunctional(False, None, tuple(Fraction(p, total) for p in pi))
+    system = [list(col) for col in zip(*mat)] + [[1] * len(mat)]
+    pi, zt = _verified(system, [0] * dim + [1], "invalid convex certificate",
+                       "functional failed verification")
+    if pi is not None:
+        return PositiveFunctional(False, None, pi)
+    *z, t = zt
+    return PositiveFunctional(True, tuple(-scale * v / t for v in z), None)

@@ -3,16 +3,20 @@
 All arithmetic is exact (arbitrary-precision integers and fractions).  A
 fan is stored as primitive rays plus maximal cones; the cone complex is
 required to triangulate a 2-sphere, which together with the wall sign
-condition and a generic-ray piercing test certifies completeness.
+condition and a generic-ray piercing test certifies completeness.  Each
+cone's ray determinant is computed once and kept on the fan.
 
-Wall bookkeeping follows a fixed normalization: the wall pair (i1, i2) and
-its two apexes (i, i') are ordered so that
+Wall bookkeeping follows a fixed normalization: the wall pair (i1, i2) is
+sorted and its two apexes (i, i') are ordered so that
 
     det(ray(i1), ray(i2), ray(i))  = +1
     det(ray(i1), ray(i2), ray(i')) = -1
 
-and then the integers a1 = det(ray(i'), ray(i2), ray(i)),
-a2 = det(ray(i1), ray(i'), ray(i)) satisfy the exact wall relation
+so the sign pair of the two apex determinants decides the order: (+1, -1)
+keeps the sphere's apex order, (-1, +1) swaps it, anything else is no
+unimodular wall (swapping i1, i2 would only negate both).  Then the
+integers a1 = det(ray(i'), ray(i2), ray(i)), a2 = det(ray(i1), ray(i'),
+ray(i)) satisfy the exact wall relation
 
     ray(i) + ray(i') = a1 * ray(i1) + a2 * ray(i2).
 
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .charfunc import CharacteristicFunction, CharacteristicPair
+from .charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
 from .combinatorics import SimplicialSphere2, Triangle
 from .errors import (
     IncompleteFan,
@@ -74,7 +78,9 @@ class Fan3:
     """An immutable simplicial fan in Z^3.
 
     ``sphere`` is the cone complex, validated by :meth:`from_data` as a
-    simplicial 2-sphere of non-degenerate cones.
+    simplicial 2-sphere of non-degenerate cones.  The cone determinants
+    (:attr:`_cone_dets`, aligned with ``maximal_cones``) are kept as
+    :meth:`from_data` computes them; they are not a field.
     """
 
     name: str
@@ -102,9 +108,7 @@ class Fan3:
                 raise ValidationError(f"cone {c} does not have 3 distinct rays")
             if not all(0 <= i < m for i in c):
                 raise ValidationError(f"cone {c} references a ray outside 0..{m - 1}")
-        for c in cones:
-            if det3(rays[c[0]], rays[c[1]], rays[c[2]]) == 0:
-                raise ValidationError(f"cone {c} is degenerate: det = 0")
+        dets = _cone_determinants(rays, cones)
         try:
             sphere = SimplicialSphere2.from_triangles(m, cones)
         except ValidationError as e:
@@ -114,15 +118,18 @@ class Fan3:
             if len(support) != m:
                 raise ValidationError(
                     f"{len(support)} support parameters for {m} rays")
-        return cls(name=name, rays=rays, maximal_cones=cones,
-                   sphere=sphere, support=support)
+        fan = cls(name=name, rays=rays, maximal_cones=cones,
+                  sphere=sphere, support=support)
+        fan.__dict__["_cone_dets"] = dets  # cached_property slot
+        return fan
 
     @property
     def m(self) -> int:
         return len(self.rays)
 
-    def ray(self, i: int) -> Vec3:
-        return self.rays[i]
+    @cached_property
+    def _cone_dets(self) -> tuple[int, ...]:
+        return _cone_determinants(self.rays, self.maximal_cones)
 
     @cached_property
     def wall_table(self) -> dict[tuple[int, int], Wall]:
@@ -141,12 +148,8 @@ class Fan3:
         every cone contributes +1.
         """
         self.wall_table  # certify every wall first
-        oriented = []
-        for (i, j, k) in self.sphere.triangles:
-            d = det3(self.rays[i], self.rays[j], self.rays[k])
-            if d == 0:
-                raise ValidationError(f"cone {(i, j, k)} is degenerate: det = 0")
-            oriented.append((i, j, k) if d > 0 else (i, k, j))
+        oriented = [(i, j, k) if d > 0 else (i, k, j)
+                    for (i, j, k), d in zip(self.maximal_cones, self._cone_dets)]
         sphere = self.sphere.reoriented(oriented)
         return CharacteristicPair(sphere, CharacteristicFunction(self.rays))
 
@@ -168,21 +171,25 @@ class Fan3:
                               support=support)
 
 
+def _cone_determinants(rays, cones) -> tuple[int, ...]:
+    """det3 of each cone's rays; a degenerate cone is refused."""
+    dets = tuple(det3(rays[a], rays[b], rays[c]) for a, b, c in cones)
+    if 0 in dets:
+        raise ValidationError(f"cone {cones[dets.index(0)]} is degenerate: det = 0")
+    return dets
+
+
 def _compute_wall(f: Fan3, wall_pair: tuple[int, int]) -> Wall:
-    u, v = wall_pair
+    i1, i2 = wall_pair
     p, q = f.sphere.wall_apexes(wall_pair)
-    for i1, i2 in ((u, v), (v, u)):
-        for i, ip in ((p, q), (q, p)):
-            if (det3(f.rays[i1], f.rays[i2], f.rays[i]) == 1
-                    and det3(f.rays[i1], f.rays[i2], f.rays[ip]) == -1):
-                return _finish_wall(f, i1, i2, i, ip)
-    raise OrientationError(
-        f"wall {wall_pair}: no ordering gives determinants +1/-1 for the "
-        f"two apexes; the cone pair is not unimodular or not on opposite sides")
-
-
-def _finish_wall(f: Fan3, i1, i2, i, ip) -> Wall:
-    l1, l2, li, lp = f.rays[i1], f.rays[i2], f.rays[i], f.rays[ip]
+    l1, l2 = f.rays[i1], f.rays[i2]
+    dets = (det3(l1, l2, f.rays[p]), det3(l1, l2, f.rays[q]))
+    if dets not in ((1, -1), (-1, 1)):
+        raise OrientationError(
+            f"wall {wall_pair}: no ordering gives determinants +1/-1 for the "
+            f"two apexes; the cone pair is not unimodular or not on opposite sides")
+    i, ip = (p, q) if dets[0] == 1 else (q, p)
+    li, lp = f.rays[i], f.rays[ip]
     a1 = det3(lp, l2, li)
     a2 = det3(l1, lp, li)
     if add(li, lp) != add(tuple(a1 * x for x in l1), tuple(a2 * x for x in l2)):
@@ -221,20 +228,12 @@ def gauss_bonnet_sum(f: Fan3) -> int:
     return sum(w.curvature for w in f.walls)
 
 
-@dataclass(frozen=True)
-class UnimodularVerdict:
-    ok: bool
-    violations: tuple[tuple[Triangle, int], ...]  # (cone, determinant)
-
-
-def check_unimodular(f: Fan3) -> UnimodularVerdict:
-    """Every maximal cone must have ray determinant +-1."""
-    bad = []
-    for c in f.maximal_cones:
-        d = det3(f.rays[c[0]], f.rays[c[1]], f.rays[c[2]])
-        if d not in (1, -1):
-            bad.append((c, d))
-    return UnimodularVerdict(ok=not bad, violations=tuple(bad))
+def check_unimodular(f: Fan3) -> StarVerdict:
+    """Every maximal cone must have ray determinant +-1: the star condition
+    of the rays, read off the kept cone determinants."""
+    bad = tuple((c, d) for c, d in zip(f.maximal_cones, f._cone_dets)
+                if d not in (1, -1))
+    return StarVerdict(ok=not bad, violations=bad)
 
 
 def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
@@ -310,11 +309,8 @@ def _pierce(f: Fan3, x: Vec3):
     """
     hits = []
     boundary = False
-    for c in f.maximal_cones:
+    for c, d in zip(f.maximal_cones, f._cone_dets):
         la, lb, lc = (f.rays[i] for i in c)
-        d = det3(la, lb, lc)
-        if d == 0:
-            raise ValidationError(f"cone {c} is degenerate: det = 0")
         s = 1 if d > 0 else -1
         coeffs = (s * det3(x, lb, lc), s * det3(la, x, lc), s * det3(la, lb, x))
         if all(t > 0 for t in coeffs):
@@ -355,7 +351,7 @@ def parse_fan(text: str) -> Fan3:
     name = head.group(1).strip()
 
     def count(idx, word):
-        if idx >= len(lines) or not lines[idx].startswith(word):
+        if idx >= len(lines) or lines[idx].split()[0] != word:
             raise ParseError(f"expected '{word} <n>' on line {idx + 1}")
         try:
             return int(lines[idx].split()[1])

@@ -50,6 +50,39 @@ def det3x3(rows) -> int:
 
 
 # ---------------------------------------------------------------------------
+# wall normalization by search
+
+
+def wall_records_bruteforce(rays, triangles):
+    """Every wall {u, v} (u < v) of a triangle list, normalized by trying
+    all four orderings of its pair and apexes: the first (i1, i2, i, i')
+    with det(i1, i2, i) = +1 and det(i1, i2, i') = -1 gives the record
+    ``(pair, apexes, a, curvature, classification)`` with
+    a1 = det(i', i2, i) and a2 = det(i1, i', i).  A wall that no ordering
+    normalizes maps to None."""
+    apexes = {}
+    for t in triangles:
+        for k in range(3):
+            u, v = sorted(t[:k] + t[k + 1:])
+            apexes.setdefault((u, v), []).append(t[k])
+
+    def det(i, j, k):
+        return det3x3((rays[i], rays[j], rays[k]))
+
+    records = {}
+    for (u, v), (p, q) in sorted(apexes.items()):
+        records[(u, v)] = None
+        for i1, i2, i, ip in ((u, v, p, q), (u, v, q, p), (v, u, p, q), (v, u, q, p)):
+            if det(i1, i2, i) == 1 and det(i1, i2, ip) == -1:
+                a = (det(ip, i2, i), det(i1, ip, i))
+                curv = 2 - a[0] - a[1]
+                cls = "convex" if curv > 0 else ("flat" if curv == 0 else "concave")
+                records[(u, v)] = ((i1, i2), (i, ip), a, curv, cls)
+                break
+    return records
+
+
+# ---------------------------------------------------------------------------
 # graph coloring brute force
 
 

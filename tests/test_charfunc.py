@@ -251,3 +251,5 @@ class TestSerialization:
             parse_charfunc("lambda 1\nL 0: 1 0\n")
         with pytest.raises(ParseError):
             parse_charfunc("rays 1\nR 0: 1 0 0\n")
+        with pytest.raises(ParseError, match="^expected 'lambda <m>' header$"):
+            parse_charfunc("lambdax 1\nL 0: 1 0 0\n")

@@ -9,6 +9,7 @@ tetrahedra — pure convex geometry, no cohomology.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,27 @@ def test_bad_indices_rejected():
         triple_intersection(f, (0, 1))
     with pytest.raises(ValidationError):
         triple_intersection(f, (0, 1, 9))
+
+
+@pytest.mark.parametrize("indices", [(0.9, 1, 2), ("a", 1, 2), (Fraction(1), 1, 2)])
+def test_non_integer_indices_rejected(indices):
+    # an index is refused unless it is an int, as a ray entry is; int()
+    # used to truncate 0.9 to the (0, 1, 2) integral
+    f = load_fan("cp3")
+    message = rf"^indices {re.escape(repr(indices))} are not all integers$"
+    with pytest.raises(ValidationError, match=message):
+        triple_intersection(f, indices)
+    with pytest.raises(ValidationError, match=message):
+        signed_triple_intersection(characteristic_pair(f), indices)
+    with pytest.raises(ValidationError, match=message):
+        volume_polynomial(f).coefficient(indices)
+
+
+@pytest.mark.parametrize("mu", [(1.7, 0, 0), (1, 0), (1, 0, 0, 0), ("1", 0, 0)])
+def test_linear_relation_rejects_a_non_integer_3_vector(mu):
+    with pytest.raises(ValidationError,
+                       match=rf"^mu = {re.escape(str(mu))} is not an integer 3-vector$"):
+        linear_relation(load_fan("cp3"), mu)
 
 
 # ---------------------------------------------------------------------------

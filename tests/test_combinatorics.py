@@ -621,3 +621,7 @@ class TestSerialization:
             parse_polytope("poly3 x\nfacets 1\nF 1: 0 1 2\n")
         with pytest.raises(ParseError):
             parse_polytope("poly3 x\nfacets 1\nF 0: 0 one 2\n")
+        # the count keyword is the whole first token, not a prefix of it
+        with pytest.raises(ParseError, match="^expected 'facets <m>' on line 2$"):
+            parse_polytope(serialize_polytope(tet()).replace(
+                "facets 4", "facetsZ 4"))

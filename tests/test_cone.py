@@ -135,7 +135,7 @@ def test_phase1_matches_the_rational_tableau_on_library_lps(library_lps):
         got = phase1_simplex(rows, rhs)
         assert got == Phase1Result(*phase1_reference(rows, rhs))
         feasible += got.feasible
-    # 148 systems, 65 of them feasible
+    # 148 systems, 54 of them feasible
     assert len(library_lps) >= 140
     assert 50 <= feasible <= len(library_lps) - 50
 
@@ -174,6 +174,37 @@ def test_phase1_reads_floats_decimals_and_strings_as_fractions():
     loose = [[0.5, "1/3"], [Decimal("0.25"), True]], ["1", -0.5]
     assert phase1_simplex(*loose) == phase1_simplex(*exact)
     assert phase1_simplex(*exact) == Phase1Result(*phase1_reference(*exact))
+
+
+def test_positive_functional_on_fractional_rows():
+    # Rows over mixed denominators, so the common scale that the
+    # functional is read back through is not 1, in dimensions 4 to 6.
+    # Half the lists get a row that puts zero in the hull of two others.
+    rng = random.Random(15)
+    found = 0
+    for _ in range(60):
+        dim = rng.choice([4, 5, 6])
+        rows = [
+            tuple(Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3, 5)))
+                  for _ in range(dim))
+            for _ in range(rng.randrange(1, 7))
+        ]
+        if rng.random() < 0.5:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = Fraction(rng.randrange(1, 4), rng.choice((2, 3)))
+            rows.insert(rng.randrange(len(rows) + 1),
+                        tuple(-c * (x + y) for x, y in zip(a, b)))
+        res = positive_functional(rows)
+        assert res.found == (not zero_in_convex_hull(rows))
+        if res.found:
+            found += 1
+            assert all(sum(a * b for a, b in zip(r, res.y)) >= 1 for r in rows)
+        else:
+            assert sum(res.farkas) == 1
+            assert all(c >= 0 for c in res.farkas)
+            for k in range(dim):
+                assert sum(c * r[k] for c, r in zip(res.farkas, rows)) == 0
+    assert 15 <= found <= 45
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import apply_matrix, det3x3, random_unimodular
+from oracles import (apply_matrix, det3x3, random_unimodular,
+                     wall_records_bruteforce)
 from subdivision import subdivided_cp3
 from toriclab.corpus import FAN_NAMES, load_fan
 from toriclab.combinatorics import SimplicialSphere2
@@ -23,9 +24,13 @@ from toriclab.errors import (
     ParseError,
     ValidationError,
 )
+import toriclab.fan as fan_module
 from toriclab.fan import (
     Fan3,
+    Wall,
+    _compute_wall,
     _pierce,
+    certify_fan,
     characteristic_pair,
     check_complete,
     check_unimodular,
@@ -36,7 +41,8 @@ from toriclab.fan import (
     serialize_fan,
     wall_data,
 )
-from toriclab.charfunc import check_star_condition
+from toriclab.charfunc import (CharacteristicFunction, CharacteristicPair,
+                               check_star_condition)
 from toriclab.lattice import add, det3, sub
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -204,6 +210,43 @@ class TestCheckUnimodular:
         # det(e1, e2, (1,1,2)) = 2; the other cones through ray 3 stay +-1
         assert verdict.violations == (((0, 1, 3), 2),)
 
+    def test_is_the_star_condition_of_the_rays(self):
+        cp3 = load_fan("cp3")
+        f = Fan3.from_data("nonuni", cp3.rays[:3] + ((-1, -1, -2),), cp3.maximal_cones)
+        pair = CharacteristicPair(f.sphere, CharacteristicFunction(f.rays))
+        verdict = check_unimodular(f)
+        assert verdict == check_star_condition(pair)
+        assert verdict.violations == (((0, 1, 3), -2),)
+
+    def test_cone_determinants_are_built_once(self, monkeypatch):
+        # parsing computes them; certification, walls and the orientation
+        # read the kept ones
+        text = serialize_fan(load_fan("flatwall"))
+        calls = []
+        build = fan_module._cone_determinants
+
+        def counting(rays, cones):
+            calls.append(len(cones))
+            return build(rays, cones)
+
+        monkeypatch.setattr(fan_module, "_cone_determinants", counting)
+        f = parse_fan(text)
+        certify_fan(f)
+        f.wall_table
+        characteristic_pair(f)
+        assert calls == [10]
+
+    def test_constructor_fan_builds_them_on_first_read(self):
+        f = load_fan("cube-fan")
+        g = Fan3(f.name, f.rays, f.maximal_cones, f.sphere, f.support)
+        assert "_cone_dets" not in g.__dict__
+        assert check_unimodular(g) == check_unimodular(f)
+        assert g._cone_dets == f._cone_dets
+        cp3 = load_fan("cp3")
+        flat = Fan3("flat", (E1, E2, E3, (1, 1, 0)), cp3.maximal_cones, cp3.sphere, None)
+        with pytest.raises(ValidationError, match=r"^cone \(0, 1, 3\) is degenerate"):
+            check_unimodular(flat)
+
 
 class TestCheckComplete:
     def test_corpus_fans_complete(self):
@@ -312,6 +355,32 @@ class TestPiercing:
                 _certificate_reference(f, seed)
 
 
+class TestWallNormalization:
+    @pytest.mark.parametrize("name", [*FAN_NAMES, 20, 104, 1004])
+    def test_sign_pair_equals_the_four_ordering_search(self, name):
+        f = TestPiercing.fan(name)
+        records = wall_records_bruteforce(f.rays, f.maximal_cones)
+        assert records == {key: (w.pair, w.apexes, w.a, w.curvature, w.classification)
+                           for key, w in f.wall_table.items()}
+
+    @pytest.mark.parametrize("make", [
+        _antipodal_cube_fan,
+        lambda: Fan3.from_data("notfan", [E1, E2, E3, (1, 1, 1)], SIMPLEX_CONES),
+    ])
+    def test_refuses_exactly_where_the_search_fails(self, make):
+        f = make()
+        records = wall_records_bruteforce(f.rays, f.maximal_cones)
+        assert None in records.values()
+        for key, record in records.items():
+            if record is None:
+                with pytest.raises(OrientationError, match="no ordering gives"):
+                    _compute_wall(f, key)
+            else:
+                assert _compute_wall(f, key) == Wall(*record)
+        with pytest.raises(OrientationError):
+            f.wall_table
+
+
 class TestInvariance:
     def test_unimodular_transform_preserves_wall_data(self):
         rng = random.Random(11)
@@ -380,6 +449,12 @@ class TestSerialization:
         with pytest.raises(ParseError, match="support"):
             parse_fan(serialize_fan(load_fan("cp3")).rstrip()
                       + "\nsupport: 1 1 x 1\n")
+        # a count keyword is the whole first token, not a prefix of it
+        text = serialize_fan(load_fan("cp3"))
+        with pytest.raises(ParseError, match="^expected 'rays <n>' on line 2$"):
+            parse_fan(text.replace("rays 4", "raysfoo 4"))
+        with pytest.raises(ParseError, match="^expected 'cones <n>' on line 7$"):
+            parse_fan(text.replace("cones 4", "conesXY 4"))
 
     def test_readme_example_parses(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"
