@@ -40,8 +40,8 @@ _EXPORTS = {
              "strict_convexity_witness", "wall_classes"),
     "corpus": ("corpus_get", "corpus_names", "load_fan", "load_polytope"),
     "errors": ("CertificationFailure", "IncompleteFan", "InternalError", "NotFound",
-               "NoWitness", "NotUnimodular", "OrientationError", "ParseError",
-               "SupportInvalid", "ToricLabError", "ValidationError"),
+               "NoWitness", "NotUnimodular", "ParseError", "SupportInvalid",
+               "ToricLabError", "ValidationError"),
     "exactlp": ("cone_membership", "positive_functional"),
     "fan": ("Fan3", "Wall", "certify_fan", "characteristic_pair", "check_complete",
             "check_unimodular", "classify_wall", "curvature", "gauss_bonnet_sum",

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charfunc import CharacteristicPair
-from .combinatorics import betti_numbers  # noqa: F401  (kept importable from here)
 from .errors import SupportInvalid, ValidationError
 from .fan import Fan3, characteristic_pair
 from .lattice import Vec3, det3, dot, dual_covector, over_common_denominator
@@ -265,12 +264,13 @@ def edge_functionals(f: Fan3, c) -> dict[tuple[int, int], Fraction]:
             for key, entries in characteristic_pair(f).pairings.items()}
 
 
+def _non_positive_edges(walls, C: list[int]) -> list[tuple[tuple[int, int], int]]:
+    """(wall, edge numerator at C) for each (wall, entries) with one <= 0."""
+    return [(w, e) for w, entries in walls if (e := _edge_numerator(entries, C)) <= 0]
+
+
 def _certify_scaled(f: Fan3, C: list[int], D: int) -> None:
-    bad = []
-    for key, entries in characteristic_pair(f).pairings.items():
-        e = _edge_numerator(entries, C)
-        if e <= 0:
-            bad.append((key, e))
+    bad = _non_positive_edges(characteristic_pair(f).pairings.items(), C)
     if bad:
         detail = ", ".join(f"wall {p}: {Fraction(e, D)}" for p, e in bad)
         raise SupportInvalid(f"non-positive edge functionals: {detail}")

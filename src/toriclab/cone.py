@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .charfunc import CharacteristicPair
-from .cohomology import _edge_numerator
+from .cohomology import _non_positive_edges
 from .errors import (CertificationFailure, InternalError, NotFound, NoWitness,
                      ValidationError)
 from .exactlp import cone_membership, positive_functional
@@ -166,9 +166,8 @@ def strict_convexity_witness(classes, c_tilde=None):
         if classes and len(C) != classes[0].m:
             raise ValidationError(f"candidate has {len(C)} entries for "
                                   f"{classes[0].m} rays")
-        failing = tuple(
-            cls.wall for cls in classes if _edge_numerator(cls.entries, C) <= 0
-        )
+        failing = tuple(wall for wall, _ in _non_positive_edges(
+            ((cls.wall, cls.entries) for cls in classes), C))
         if failing:
             return NoWitness(
                 "candidate pairs non-positively with walls "

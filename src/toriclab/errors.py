@@ -28,11 +28,8 @@ class InternalError(ToricLabError):
 
 
 class IncompleteFan(ToricLabError):
-    """A fan failed one of the completeness certification tests."""
-
-
-class OrientationError(ToricLabError):
-    """No ordering of a wall satisfies the positive-basis convention."""
+    """A fan failed a completeness test.  ``fan.certify_fan`` runs them
+    before any wall is read, so every fan analysis refuses a non-fan."""
 
 
 class NotFound(ToricLabError):

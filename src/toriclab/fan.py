@@ -2,9 +2,11 @@
 
 All arithmetic is exact (arbitrary-precision integers and fractions).  A
 fan is stored as primitive rays plus maximal cones; the cone complex is
-required to triangulate a 2-sphere, which together with the wall sign
-condition and a generic-ray piercing test certifies completeness.  Each
-cone's ray determinant is computed once and kept on the fan.
+required to triangulate a 2-sphere.  Each cone's ray determinant is
+computed once and kept on the fan.  :func:`certify_fan` (unimodular cones,
+the wall sign condition and a generic-ray piercing test) runs once per
+fan, before any wall is read, so every analysis refuses a non-fan with
+its error and no other.
 
 Wall bookkeeping follows a fixed normalization: the wall pair (i1, i2) is
 sorted and its two apexes (i, i') are ordered so that
@@ -12,11 +14,10 @@ sorted and its two apexes (i, i') are ordered so that
     det(ray(i1), ray(i2), ray(i))  = +1
     det(ray(i1), ray(i2), ray(i')) = -1
 
-so the sign pair of the two apex determinants decides the order: (+1, -1)
-keeps the sphere's apex order, (-1, +1) swaps it, anything else is no
-unimodular wall (swapping i1, i2 would only negate both).  Then the
-integers a1 = det(ray(i'), ray(i2), ray(i)), a2 = det(ray(i1), ray(i'),
-ray(i)) satisfy the exact wall relation
+The apex determinants are read off the kept cone determinants; on a
+certified fan they are +-1 with opposite signs, so the first decides the
+order.  Then the integers a1 = det(ray(i'), ray(i2), ray(i)),
+a2 = det(ray(i1), ray(i'), ray(i)) satisfy the exact wall relation
 
     ray(i) + ray(i') = a1 * ray(i1) + a2 * ray(i2).
 
@@ -37,14 +38,8 @@ from functools import cached_property
 
 from .charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
 from .combinatorics import SimplicialSphere2, Triangle
-from .errors import (
-    IncompleteFan,
-    InternalError,
-    NotUnimodular,
-    OrientationError,
-    ParseError,
-    ValidationError,
-)
+from .errors import (IncompleteFan, InternalError, NotUnimodular, ParseError,
+                     ValidationError)
 from .lattice import Vec3, add, det3, is_primitive, sub
 
 
@@ -52,8 +47,8 @@ from .lattice import Vec3, add, det3, is_primitive, sub
 class Wall:
     """One wall of a fan with its normalized data (see module docstring)."""
 
-    pair: tuple[int, int]      # (i1, i2), positive-basis order
-    apexes: tuple[int, int]    # (i, i'), det +1 / det -1 sides
+    pair: tuple[int, int]      # (i1, i2), sorted
+    apexes: tuple[int, int]    # (i, i'), det +1 / det -1 sides: the order
     a: tuple[int, int]
     curvature: int
     classification: str        # convex | flat | concave
@@ -61,7 +56,7 @@ class Wall:
     @property
     def key(self) -> tuple[int, int]:
         """The wall as a sorted pair, for lookups."""
-        return tuple(sorted(self.pair))
+        return self.pair
 
 
 @dataclass(frozen=True)
@@ -79,8 +74,8 @@ class Fan3:
 
     ``sphere`` is the cone complex, validated by :meth:`from_data` as a
     simplicial 2-sphere of non-degenerate cones.  The cone determinants
-    (:attr:`_cone_dets`, aligned with ``maximal_cones``) are kept as
-    :meth:`from_data` computes them; they are not a field.
+    (:attr:`_cone_dets`, keyed by cone) and the completeness certificate
+    are kept once made; they are not fields.
     """
 
     name: str
@@ -128,28 +123,33 @@ class Fan3:
         return len(self.rays)
 
     @cached_property
-    def _cone_dets(self) -> tuple[int, ...]:
+    def _cone_dets(self) -> dict[Triangle, int]:
         return _cone_determinants(self.rays, self.maximal_cones)
 
     @cached_property
+    def certificate(self) -> "CompletenessCertificate":
+        """:func:`check_complete`'s certificate, seeded by TORICLAB_SEED."""
+        return check_complete(self, env_seed())
+
+    @cached_property
     def wall_table(self) -> dict[tuple[int, int], Wall]:
-        """All walls keyed by sorted pair, in ``sphere.walls`` order,
-        computed once."""
+        """All walls keyed by sorted pair, in ``sphere.walls`` order, made
+        once, after :func:`certify_fan`."""
+        certify_fan(self)
         return {w: _compute_wall(self, w) for w in self.sphere.walls}
 
     @cached_property
     def characteristic_pair(self) -> CharacteristicPair:
         """The sphere with its geometric orientation, plus the rays.
 
-        Triangles are oriented so every ray determinant is positive; once
-        every wall is certified (a non-fan raises OrientationError here)
-        this orientation is globally consistent.  The fan's intersection
-        calculus is the signed calculus of this pair, cached on it, so
-        every cone contributes +1.
+        Triangles are oriented so every ray determinant is positive; the
+        fan is certified first, so this orientation is globally
+        consistent.  The fan's intersection calculus is the signed
+        calculus of this pair, cached on it, so every cone contributes +1.
         """
-        self.wall_table  # certify every wall first
+        certify_fan(self)
         oriented = [(i, j, k) if d > 0 else (i, k, j)
-                    for (i, j, k), d in zip(self.maximal_cones, self._cone_dets)]
+                    for (i, j, k), d in self._cone_dets.items()]
         sphere = self.sphere.reoriented(oriented)
         return CharacteristicPair(sphere, CharacteristicFunction(self.rays))
 
@@ -166,29 +166,33 @@ class Fan3:
         """Walls in deterministic (sorted-pair lexicographic) order."""
         return tuple(self.wall_table.values())
 
-    def with_support(self, support) -> "Fan3":
-        return Fan3.from_data(self.name, self.rays, self.maximal_cones,
-                              support=support)
 
-
-def _cone_determinants(rays, cones) -> tuple[int, ...]:
-    """det3 of each cone's rays; a degenerate cone is refused."""
-    dets = tuple(det3(rays[a], rays[b], rays[c]) for a, b, c in cones)
+def _cone_determinants(rays, cones) -> dict[Triangle, int]:
+    """det3 of each cone's rays, keyed by cone; a degenerate cone is refused."""
+    dets = [det3(rays[a], rays[b], rays[c]) for a, b, c in cones]
     if 0 in dets:
         raise ValidationError(f"cone {cones[dets.index(0)]} is degenerate: det = 0")
-    return dets
+    return dict(zip(cones, dets))
+
+
+def _apex_determinants(f: Fan3, wall: tuple[int, int]) -> tuple[int, int, int, int]:
+    """The apexes p < q of the sorted wall (u, v) and det(ray(u), ray(v),
+    ray(x)) at x = p, q: the kept determinant of the cone {u, v, x},
+    negated exactly when u < x < v (sorting is then one transposition)."""
+    u, v = wall
+    p, q = f.sphere.wall_apexes(wall)
+    dets = f._cone_dets
+    dp, dq = (dets[x, u, v] if x < u else -dets[u, x, v] if x < v else dets[u, v, x]
+              for x in (p, q))
+    return p, q, dp, dq
 
 
 def _compute_wall(f: Fan3, wall_pair: tuple[int, int]) -> Wall:
+    """The normalized wall of a certified fan (see module docstring)."""
     i1, i2 = wall_pair
-    p, q = f.sphere.wall_apexes(wall_pair)
+    p, q, dp, _ = _apex_determinants(f, wall_pair)
+    i, ip = (p, q) if dp > 0 else (q, p)
     l1, l2 = f.rays[i1], f.rays[i2]
-    dets = (det3(l1, l2, f.rays[p]), det3(l1, l2, f.rays[q]))
-    if dets not in ((1, -1), (-1, 1)):
-        raise OrientationError(
-            f"wall {wall_pair}: no ordering gives determinants +1/-1 for the "
-            f"two apexes; the cone pair is not unimodular or not on opposite sides")
-    i, ip = (p, q) if dets[0] == 1 else (q, p)
     li, lp = f.rays[i], f.rays[ip]
     a1 = det3(lp, l2, li)
     a2 = det3(l1, lp, li)
@@ -231,8 +235,7 @@ def gauss_bonnet_sum(f: Fan3) -> int:
 def check_unimodular(f: Fan3) -> StarVerdict:
     """Every maximal cone must have ray determinant +-1: the star condition
     of the rays, read off the kept cone determinants."""
-    bad = tuple((c, d) for c, d in zip(f.maximal_cones, f._cone_dets)
-                if d not in (1, -1))
+    bad = tuple((c, d) for c, d in f._cone_dets.items() if d not in (1, -1))
     return StarVerdict(ok=not bad, violations=bad)
 
 
@@ -243,24 +246,22 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
     validates it).  Two tests remain: (a) at every wall the two apex rays
     lie strictly on opposite sides of the wall's plane, (b) a pseudo-random
     generic rational direction lies in exactly one maximal cone (resampled
-    while it hits a cone boundary).  The sampler is seeded by ``seed``, or
-    by the TORICLAB_SEED environment variable (default 0), so runs are
-    reproducible.
+    while it hits a cone boundary).  The sampler is seeded by ``seed``, so
+    runs are reproducible.  Without a seed this is the fan's kept
+    certificate, ``Fan3.certificate``, seeded by the TORICLAB_SEED
+    environment variable (default 0); a seed makes a fresh one.
     """
+    if seed is None:
+        return f.certificate
     # (a) apexes strictly on opposite sides of each wall plane
-    sphere = f.sphere
-    for u, v in sphere.walls:
-        p, q = sphere.wall_apexes((u, v))
-        dp = det3(f.rays[u], f.rays[v], f.rays[p])
-        dq = det3(f.rays[u], f.rays[v], f.rays[q])
-        if dp == 0 or dq == 0 or (dp > 0) == (dq > 0):
+    for u, v in f.sphere.walls:
+        p, q, dp, dq = _apex_determinants(f, (u, v))
+        if (dp > 0) == (dq > 0):
             raise IncompleteFan(
                 f"apexes {p}, {q} of wall ({u}, {v}) do not lie strictly on "
                 f"opposite sides (determinants {dp}, {dq})")
 
     # (b) generic-ray piercing
-    if seed is None:
-        seed = env_seed()
     rng = random.Random(seed)
     for attempt in range(1, 65):
         direction = tuple(rng.randint(-997, 997) for _ in range(3))
@@ -292,13 +293,13 @@ def env_seed() -> int:
 
 
 def certify_fan(f: Fan3) -> CompletenessCertificate:
-    """The certification step every fan command runs before analysing its
-    input: :func:`check_unimodular` (raising NotUnimodular), then
-    :func:`check_complete` (raising IncompleteFan)."""
+    """The one certification of a fan, run before its walls are read:
+    :func:`check_unimodular` (raising NotUnimodular), then the kept
+    ``Fan3.certificate`` (raising IncompleteFan)."""
     verdict = check_unimodular(f)
     if not verdict.ok:
         raise NotUnimodular(verdict.violations)
-    return check_complete(f)
+    return f.certificate
 
 
 def _pierce(f: Fan3, x: Vec3):
@@ -309,7 +310,7 @@ def _pierce(f: Fan3, x: Vec3):
     """
     hits = []
     boundary = False
-    for c, d in zip(f.maximal_cones, f._cone_dets):
+    for c, d in f._cone_dets.items():
         la, lb, lc = (f.rays[i] for i in c)
         s = 1 if d > 0 else -1
         coeffs = (s * det3(x, lb, lc), s * det3(la, x, lc), s * det3(la, lb, x))

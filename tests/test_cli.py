@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from branched import branched_cover_text
 from toriclab.cli import main
 from toriclab.combinatorics import parse_polytope
 from toriclab.corpus import FAN_NAMES, POLYTOPE_NAMES, corpus_get
-from toriclab.fan import Fan3, parse_fan, serialize_fan
+from toriclab.errors import IncompleteFan
+from toriclab.fan import Fan3, certify_fan, parse_fan, serialize_fan
 
 
 def run(capsys, *argv):
@@ -282,6 +284,20 @@ def test_every_fan_command_certifies_first(capsys, tmp_path):
         errors.add(err)
     assert errors == {"error: apexes 4, 5 of wall (0, 2) do not lie strictly "
                       "on opposite sides (determinants 1, 1)\n"}
+
+
+def test_branched_cover_is_refused_with_the_library_message(capsys, tmp_path,
+                                                            monkeypatch):
+    # Every wall check passes on the degree-2 cover of the sphere; each
+    # command refuses it with certify_fan's message, as the library does.
+    monkeypatch.delenv("TORICLAB_SEED", raising=False)
+    path = tmp_path / "branched-cover.fan"
+    path.write_text(branched_cover_text())
+    with pytest.raises(IncompleteFan, match="lies in 2 maximal cones") as e:
+        certify_fan(parse_fan(branched_cover_text()))
+    for cmd in ("report", "volume", "extremal", "witness"):
+        code, out, err = run(capsys, "fan", cmd, str(path))
+        assert (code, out, err) == (1, "", f"error: {e.value}\n"), cmd
 
 
 def test_incomplete_fan_fails(capsys, tmp_path):

@@ -16,7 +16,6 @@ import pytest
 
 from toriclab.charfunc import CharacteristicFunction, CharacteristicPair
 from toriclab.cohomology import (
-    betti_numbers,
     certify_support,
     chern_number_c1c2,
     edge_functional,
@@ -28,10 +27,9 @@ from toriclab.cohomology import (
     triple_intersection,
     volume_polynomial,
 )
-from toriclab.combinatorics import SimplicialSphere2
+from toriclab.combinatorics import SimplicialSphere2, betti_numbers
 from toriclab.corpus import FAN_NAMES, load_fan, load_polytope
-from toriclab.errors import (IncompleteFan, OrientationError, SupportInvalid,
-                             ValidationError)
+from toriclab.errors import IncompleteFan, SupportInvalid, ValidationError
 from toriclab.fan import Fan3, characteristic_pair, check_complete
 
 from oracles import (integral_table_oracle, polytope_volume_oracle,
@@ -474,11 +472,11 @@ def _cube_pair():
 
 
 def test_signed_cube_pair_not_a_fan():
-    # All eight cones land on the positive octant, so wall normalization
-    # cannot put the two apexes on opposite sides.
+    # All eight cones land on the positive octant, so no wall has its two
+    # apexes on opposite sides: certification refuses it before the walls.
     pair = _cube_pair()
     f = Fan3.from_data("x", pair.lam.vectors, pair.sphere.triangles)
-    with pytest.raises(OrientationError):
+    with pytest.raises(IncompleteFan, match="opposite sides"):
         f.wall_table
     with pytest.raises(IncompleteFan):
         check_complete(f)

@@ -38,9 +38,15 @@ from toriclab.exactlp import (
     phase1_simplex,
     positive_functional,
 )
+from toriclab.fan import Fan3
 
 from oracles import cone_member_bruteforce, phase1_reference, zero_in_convex_hull
 from subdivision import subdivided_cp3
+
+
+def support_free(f):
+    """The fan f without its support parameters."""
+    return Fan3.from_data(f.name, f.rays, f.maximal_cones)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +125,7 @@ def library_lps():
         return solve(rows, rhs)
 
     fans = [load_fan(name) for name in FAN_NAMES] + [
-        subdivided_cp3(m, seed=m)[0].with_support(None) for m in range(8, 15)
+        support_free(subdivided_cp3(m, seed=m)[0]) for m in range(8, 15)
     ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactlp, "_phase1_integral", recording)
@@ -401,7 +407,7 @@ def _fraction_quotient_groups(classes):
 
 def test_grouping_matches_fraction_quotients():
     fans = [load_fan(name) for name in FAN_NAMES] + [
-        subdivided_cp3(m, seed=m)[0].with_support(None) for m in range(8, 25)
+        support_free(subdivided_cp3(m, seed=m)[0]) for m in range(8, 25)
     ] + [subdivided_cp3(m, seed=m)[0] for m in (60, 104)]
     for f in fans:
         classes = wall_classes(f)
@@ -623,7 +629,7 @@ def test_signed_pair_grouping_pairs_opposites_apart():
 
 def test_no_support_marks_analysis_uncertified():
     f = load_fan("cube-fan")
-    bare = f.with_support(None)
+    bare = support_free(f)
     an = extremal_walls(bare)
     assert an.witness is None
     assert an.note == UNCERTIFIED_NOTE
@@ -713,7 +719,7 @@ def test_cone_lps_are_solved_once_per_fan(monkeypatch):
         delzant_obstruction_witness(f)
         assert len(calls) == len(an.groups), name
         # an uncertified copy is a new fan with its own analysis
-        assert extremal_walls(f.with_support(None)) is not an
+        assert extremal_walls(support_free(f)) is not an
 
 
 def test_support_is_checked_before_any_lp(monkeypatch):

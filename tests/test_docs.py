@@ -91,7 +91,7 @@ def test_library_map_names_every_module():
 EXPORTED = """
     CertificationFailure CharacteristicFunction CharacteristicPair ConeAnalysis
     FacetColoring Fan3 IncompleteFan InternalError NoWitness NotFound
-    NotUnimodular ObstructionWitness OrientationError ParseError
+    NotUnimodular ObstructionWitness ParseError
     SimplePolytope3 SimplicialSphere2 SupportInvalid ToricLabError
     ValidationError Wall WallClass betti_numbers certify_fan certify_support
     characteristic_pair check_complete check_star_condition check_unimodular
@@ -108,7 +108,7 @@ EXPORTED = """
 
 
 def test_name_table_names_the_defining_module():
-    assert len(EXPORTED) == 63
+    assert len(EXPORTED) == 62
     assert sorted(toriclab.__all__) == sorted(EXPORTED)
     for name, module in toriclab._MODULE_OF.items():
         obj = getattr(importlib.import_module(f"toriclab.{module}"), name)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from branched import branched_cover_text
 from oracles import (apply_matrix, det3x3, random_unimodular,
                      wall_records_bruteforce)
 from subdivision import subdivided_cp3
@@ -20,7 +21,6 @@ from toriclab.corpus import FAN_NAMES, load_fan
 from toriclab.combinatorics import SimplicialSphere2
 from toriclab.errors import (
     IncompleteFan,
-    OrientationError,
     ParseError,
     ValidationError,
 )
@@ -28,6 +28,7 @@ import toriclab.fan as fan_module
 from toriclab.fan import (
     Fan3,
     Wall,
+    _apex_determinants,
     _compute_wall,
     _pierce,
     certify_fan,
@@ -182,7 +183,7 @@ class TestWallData:
         # boundary-of-simplex complex whose fourth ray points into the
         # first octant: apexes of wall (0,1) are on the same side
         f = Fan3.from_data("notfan", [E1, E2, E3, (1, 1, 1)], SIMPLEX_CONES)
-        with pytest.raises(OrientationError):
+        with pytest.raises(IncompleteFan, match="opposite sides"):
             wall_data(f, (0, 1))
 
 
@@ -372,13 +373,89 @@ class TestWallNormalization:
         records = wall_records_bruteforce(f.rays, f.maximal_cones)
         assert None in records.values()
         for key, record in records.items():
-            if record is None:
-                with pytest.raises(OrientationError, match="no ordering gives"):
-                    _compute_wall(f, key)
-            else:
+            if record is not None:
                 assert _compute_wall(f, key) == Wall(*record)
-        with pytest.raises(OrientationError):
+        # certification names the first wall the search cannot order
+        u, v = min(key for key, record in records.items() if record is None)
+        with pytest.raises(IncompleteFan, match=rf"of wall \({u}, {v}\) do not lie"):
             f.wall_table
+
+    @pytest.mark.parametrize("name", [*FAN_NAMES, 20, 104, 1004, "pair", "notfan"])
+    def test_apex_determinants_are_read_off_the_cones(self, name):
+        if name == "pair":
+            f = _antipodal_cube_fan()
+        elif name == "notfan":
+            f = Fan3.from_data("notfan", [E1, E2, E3, (1, 1, 1)], SIMPLEX_CONES)
+        else:
+            f = TestPiercing.fan(name)
+        for u, v in f.sphere.walls:
+            p, q = f.sphere.wall_apexes((u, v))
+            assert _apex_determinants(f, (u, v)) == (
+                p, q, det3(f.rays[u], f.rays[v], f.rays[p]),
+                det3(f.rays[u], f.rays[v], f.rays[q])), (name, u, v)
+
+
+class TestCertification:
+    """Every analysis certifies the fan first, through one kept
+    certificate, so a sphere of cones that is no fan has one refusal."""
+
+    @staticmethod
+    def analyses():
+        from toriclab.cohomology import (chern_number_c1c2, edge_functionals,
+                                         volume_polynomial)
+        from toriclab.cone import (delzant_obstruction_witness, extremal_walls,
+                                   wall_classes)
+
+        return [lambda f: f.walls, gauss_bonnet_sum, chern_number_c1c2,
+                volume_polynomial, lambda f: edge_functionals(f, [1] * f.m),
+                wall_classes, extremal_walls, delzant_obstruction_witness]
+
+    def test_branched_cover_is_refused_by_every_analysis(self, monkeypatch):
+        monkeypatch.delenv("TORICLAB_SEED", raising=False)
+        text = branched_cover_text()
+        f = parse_fan(text)
+        # unimodular, and every wall has its apexes on opposite sides
+        assert check_unimodular(f).ok
+        for wall in f.sphere.walls:
+            _, _, dp, dq = _apex_determinants(f, wall)
+            assert dp * dq == -1
+        with pytest.raises(IncompleteFan, match="lies in 2 maximal cones") as e:
+            certify_fan(f)
+        for analysis in self.analyses():
+            with pytest.raises(IncompleteFan) as got:
+                analysis(parse_fan(text))
+            assert str(got.value) == str(e.value), analysis
+
+    def test_one_piercing_pass_per_fan(self, monkeypatch):
+        monkeypatch.delenv("TORICLAB_SEED", raising=False)
+        directions = []
+        pierce = fan_module._pierce
+
+        def counting(f, x):
+            directions.append(x)
+            return pierce(f, x)
+
+        monkeypatch.setattr(fan_module, "_pierce", counting)
+        f = load_fan("blowup-cp3")
+        cert = certify_fan(f)
+        assert check_complete(f) is cert
+        for analysis in self.analyses():
+            analysis(f)
+        # one piercing pass: one draw per attempt, ending at the certificate
+        assert len(directions) == cert.attempts
+        assert directions[-1] == cert.direction
+        fresh = check_complete(f, seed=7)
+        assert len(directions) == cert.attempts + fresh.attempts
+        assert (fresh.direction, fresh.cone, fresh.attempts) == \
+            _certificate_reference(f, 7)
+        assert check_complete(f) is cert
+
+    def test_seed_is_read_at_the_first_certification(self, monkeypatch):
+        f = load_fan("cube-fan")
+        monkeypatch.setenv("TORICLAB_SEED", "7")
+        f.wall_table
+        monkeypatch.setenv("TORICLAB_SEED", "8")
+        assert check_complete(f) == check_complete(f, seed=7)
 
 
 class TestInvariance:
@@ -416,7 +493,7 @@ class TestCharacteristicPair:
             assert sphere.triangles is f.sphere.triangles
 
     def test_non_fans_fail_before_the_orientation(self):
-        with pytest.raises(OrientationError, match="no ordering gives"):
+        with pytest.raises(IncompleteFan, match="opposite sides"):
             characteristic_pair(_antipodal_cube_fan())
 
 

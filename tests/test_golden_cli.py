@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from branched import branched_cover_text
 from toriclab.cli import main
 from toriclab.corpus import FAN_NAMES, POLYTOPE_NAMES, corpus_get
 
@@ -39,6 +40,7 @@ def _cube_pair_text():
 def _documents():
     docs = {f"{name}.fan": corpus_get(name).text for name in FAN_NAMES}
     docs["cube-pair.fan"] = _cube_pair_text()
+    docs["branched-cover.fan"] = branched_cover_text()
     docs["cp3-nonuni.fan"] = corpus_get("cp3").text.replace(
         "R 3: -1 -1 -1", "R 3: -1 -1 -2")
     docs.update({f"{name}.poly": corpus_get(name).text for name in POLYTOPE_NAMES})
@@ -82,7 +84,7 @@ def run_all(capsys):
 def test_reports_match_the_golden_digests(capsys, documents):
     golden = json.loads(GOLDEN.read_text())
     got = run_all(capsys)
-    assert len(got) == 85
+    assert len(got) == 95
     assert sorted(got) == sorted(golden)
     changed = [argv for argv in got if got[argv] != golden[argv]]
     assert changed == []

@@ -18,12 +18,11 @@ import pytest
 from toriclab.charfunc import (CharacteristicPair, check_star_condition,
                                coloring_to_charfunc, four_color)
 from toriclab.cohomology import (
-    betti_numbers,
     chern_number_c1c2,
     evaluate_volume,
     volume_polynomial,
 )
-from toriclab.combinatorics import dual_polytope, dual_sphere
+from toriclab.combinatorics import betti_numbers, dual_polytope, dual_sphere
 from toriclab.cone import (
     delzant_obstruction_witness,
     extremal_walls,
@@ -31,7 +30,7 @@ from toriclab.cone import (
     strict_convexity_witness,
     wall_classes,
 )
-from toriclab.fan import characteristic_pair, check_complete, gauss_bonnet_sum
+from toriclab.fan import Fan3, characteristic_pair, check_complete, gauss_bonnet_sum
 
 from oracles import (integral_table_oracle, polytope_volume_oracle,
                      volume_value_reference)
@@ -117,7 +116,8 @@ def test_small_fans_match_the_oracles(m):
 def test_cone_lps_at_m24_without_support(monkeypatch):
     import toriclab.cone as cone_module
 
-    f = subdivided_cp3(24, seed=24)[0].with_support(None)
+    g = subdivided_cp3(24, seed=24)[0]
+    f = Fan3.from_data(g.name, g.rays, g.maximal_cones)
     solve = cone_module.cone_membership
     answers = []
 
