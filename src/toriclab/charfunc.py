@@ -9,14 +9,13 @@ satisfies the basis condition on every triangle of the sphere.
 from __future__ import annotations
 
 import heapq
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 
-from .combinatorics import SimplicialSphere2, Triangle
-from .errors import InternalError, ParseError, ValidationError
+from .combinatorics import SimplicialSphere2, Triangle, _Lines
+from .errors import InternalError, ValidationError
 from .lattice import Vec3, det3, is_primitive
 
 COLORS = ("a", "b", "c", "d")
@@ -227,30 +226,12 @@ def coloring_to_charfunc(coloring: FacetColoring) -> CharacteristicFunction:
         tuple(COLOR_VECTORS[c] for c in coloring.colors))
 
 
-_LAMBDA_LINE_RE = re.compile(r"^L\s+(\d+)\s*:\s*(-?\d+)\s+(-?\d+)\s+(-?\d+)$")
-
-
 def parse_charfunc(text: str) -> CharacteristicFunction:
-    """Parse a CHARFUNC block: `lambda <m>` then m lines `L <id>: <x> <y> <z>`."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0].split()[0] != "lambda":
-        raise ParseError("expected 'lambda <m>' header")
-    try:
-        m = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(f"malformed header {lines[0]!r}") from None
-    if len(lines) != m + 1:
-        raise ParseError(f"expected {m} vector lines, found {len(lines) - 1}")
-    vectors = []
-    for k, ln in enumerate(lines[1:]):
-        match = _LAMBDA_LINE_RE.match(ln)
-        if not match:
-            raise ParseError(f"malformed vector line {ln!r}")
-        if int(match.group(1)) != k:
-            raise ParseError(f"vector ids must appear in order; got {match.group(1)} "
-                             f"where {k} was expected")
-        vectors.append(tuple(int(match.group(g)) for g in (2, 3, 4)))
+    """Parse a CHARFUNC block, `lambda <m>` then m lines `L <id>: <x> <y> <z>`
+    (line grammar: :class:`~toriclab.combinatorics._Lines`)."""
+    doc = _Lines(text)
+    vectors = doc.records("L", "vector", doc.count("lambda"), width=3)
+    doc.end()
     return CharacteristicFunction(tuple(vectors))
 
 

@@ -177,7 +177,7 @@ def cmd_fan_report(args) -> int:
     from .cohomology import chern_number_c1c2
     from .combinatorics import betti_numbers
     from .cone import delzant_obstruction_witness, extremal_walls
-    from .fan import certify_fan, env_seed, gauss_bonnet_sum, parse_fan
+    from .fan import COMPLETENESS_SEED, certify_fan, gauss_bonnet_sum, parse_fan
 
     text = _read(args.file)
     f = parse_fan(text)
@@ -198,7 +198,7 @@ def cmd_fan_report(args) -> int:
         return 1
     rpt.add("unimodular", True)
     rpt.add("complete", True)
-    rpt.add("completeness_seed", env_seed())
+    rpt.add("completeness_seed", COMPLETENESS_SEED)
 
     walls = {}
     for w in f.walls:
@@ -256,8 +256,8 @@ def _parse_support(arg: str, m: int):
 
 
 def cmd_fan_volume(args) -> int:
-    from .cohomology import (edge_functionals, serialize_volume_polynomial,
-                             volume_polynomial)
+    from .cohomology import (certify_support, edge_functionals,
+                             serialize_volume_polynomial, volume_polynomial)
 
     f, rpt = _certified_fan(args, "fan volume")
     if args.support is not None:
@@ -272,12 +272,11 @@ def cmd_fan_volume(args) -> int:
 
     functionals = {str(k): v for k, v in edge_functionals(f, support).items()}
     rpt.add("edge_functionals", functionals)
-    bad = [k for k, v in functionals.items() if v <= 0]
-    if bad:
+    try:
+        certify_support(f, support)
+    except SupportInvalid:
         rpt.emit(args.json)
-        raise SupportInvalid(
-            "non-positive edge functionals at walls: " + ", ".join(bad)
-        )
+        raise
     v = volume_polynomial(f)
     if args.polynomial:
         rpt.add("polynomial", serialize_volume_polynomial(v).splitlines())

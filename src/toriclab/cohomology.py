@@ -125,7 +125,7 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int], Pairi
     cubes = [0] * sphere.m
     pairings: Pairings = {}
     for u, v in sphere.walls:
-        p, q = sorted(sphere.wall_apexes((u, v)))
+        p, q = sphere.wall_apexes((u, v))
         near, far = table[tuple(sorted((u, v, p)))], table[tuple(sorted((u, v, q)))]
         entries = []
         for i, j in ((u, v), (v, u)):

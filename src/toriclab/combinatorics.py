@@ -17,7 +17,6 @@ after a sort or ordered scan.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from collections import Counter, defaultdict
@@ -271,8 +270,9 @@ class SimplePolytope3:
     The half-edge index (:attr:`_index`, see :func:`_half_edges`) is kept:
     :meth:`from_facets` stores the one its validation built, reversed along
     the facets it flipped; a polytope made by the constructor or
-    ``dataclasses.replace`` validates its cycles and builds it on first use.
-    It is not a field, so equality and hashing see only the fields.
+    ``dataclasses.replace`` validates and orients its cycles the same way
+    on first use, leaving the stored cycles as given.  It is not a field,
+    so equality and hashing see only the fields.
     """
 
     name: str
@@ -290,8 +290,11 @@ class SimplePolytope3:
 
     @cached_property
     def _index(self) -> tuple[list[int], list[int], list[int]]:
-        """The :func:`_half_edges` index of the stored facet cycles."""
-        return _half_edges(self.facets)
+        """The :func:`_half_edges` index of the stored facet cycles, oriented
+        by :func:`_orient` as :meth:`from_facets` orients it."""
+        index = _half_edges(self.facets)
+        _orient(index, self.facets)
+        return index
 
     @property
     def num_facets(self) -> int:
@@ -362,15 +365,14 @@ def _half_edges(cycles) -> tuple[list[int], list[int], list[int]]:
     edge_codes = list(map(codes.__getitem__, first))
     # the sort is stable, so each edge's owners are in facet order
     one, other = list(map(face.__getitem__, first)), list(map(face.__getitem__, second))
-    # every code exactly twice, on two facets
+    # every code exactly twice; two half-edges of one facet on one edge
+    # would need a repeated vertex or a 2-cycle, both refused above
     if (edge_codes != list(map(codes.__getitem__, second))
-            or not all(map(lt, edge_codes, edge_codes[1:])) or any(map(eq, one, other))):
+            or not all(map(lt, edge_codes, edge_codes[1:]))):
         for code, hs in groupby(order, codes.__getitem__):
-            o, e = [face[h] for h in hs], divmod(code, n)
-            if len(o) != 2:
-                raise ValidationError(f"edge {e} lies in {len(o)} facets")
-            if o[0] == o[1]:
-                raise ValidationError(f"facet {o[0]} is adjacent to itself along {e}")
+            k = len(list(hs))
+            if k != 2:
+                raise ValidationError(f"edge {divmod(code, n)} lies in {k} facets")
 
     shared = Counter(zip(one, other))
     if len(shared) != len(one):
@@ -425,22 +427,6 @@ def _orient(index, cycles) -> list[bool]:
     return flipped
 
 
-def _raise_unclosed_walk(p: SimplePolytope3) -> None:
-    """Name the smallest vertex whose walk over its facets, as their cycles
-    run from its lowest, does not close after three.  There is one whenever
-    a twin runs its edge the same way."""
-    flat, face, twin = p._index
-    heads = _heads(list(range(len(flat))), p.facets)  # the next half-edge
-    for v, h in sorted(dict(zip(reversed(flat), reversed(range(len(flat))))).items()):
-        walk = [face[h]]
-        while len(walk) <= 3 and face[twin[h]] != walk[0]:  # longer is not simple
-            t = twin[h]
-            walk.append(face[t])
-            h = t if flat[t] == v else heads[t]  # the new facet's half-edge from v
-        if len(walk) != 3:
-            raise ValidationError(f"vertex {v} is not simple: facet walk {walk}")
-
-
 def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     """The dual simplicial 2-sphere: sphere vertex i <-> facet i of p.
 
@@ -451,8 +437,6 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     sorted, as :meth:`SimplicialSphere2.from_triangles` checks them in one pass.
     """
     flat, face, twin = p._index
-    if any(map(eq, flat, map(flat.__getitem__, twin))):  # not oriented
-        _raise_unclosed_walk(p)
     across = list(map(face.__getitem__, twin))
     # at the vertex each half-edge runs into: b across the next half-edge, c
     # across this one, kept where i is the lowest of the three facets
@@ -515,46 +499,106 @@ def betti_numbers(sphere: SimplicialSphere2) -> tuple[int, int, int, int]:
     return tuple(h)
 
 
-_HEADER_RE = re.compile(r"^poly3\s+(\S.*)$")
-_FACET_RE = re.compile(r"^F\s+(\d+)\s*:\s*(.*)$")
+def _natural(token: str) -> int | None:
+    """The value of a ``<digits>`` token, else None."""
+    try:
+        return int(token) if token.isdecimal() else None
+    except ValueError:  # past int()'s digit limit
+        return None
+
+
+class _Lines:
+    """The line grammar shared by the poly3, fan3 and lambda documents.
+
+    A document is read as its content lines: '#' starts a comment, lines
+    are stripped and blank ones dropped.  It is a sequence of sections,
+    read in order through one cursor:
+
+        <kind> <name>           the header (poly3 and fan3 only)
+        <word> <n>              a count: two tokens, n a non-negative decimal
+        <tag> <k>: <ints>       n records, ids k = 0..n-1 in order; cones
+                                are written ``C: <ints>``, with no id
+
+    Integers are ``-?<digits>``, or ``<digits>`` where they may not be
+    signed; ids and counts are ``<digits>``.  A document ends after its
+    last section.  Refusals are ParseErrors naming the line.
+    """
+
+    def __init__(self, text: str):
+        self.lines = [ln for raw in text.splitlines() if (ln := raw.split("#", 1)[0].strip())]
+        self.at = 0
+
+    def header(self, kind: str) -> str:
+        """The name on the ``<kind> <name>`` line."""
+        if not self.lines:
+            raise ParseError(f"empty {kind.upper()} document")
+        parts = self.lines[0].split(None, 1)
+        if len(parts) != 2 or parts[0] != kind:
+            raise ParseError(f"expected '{kind} <name>', got {self.lines[0]!r}")
+        self.at = 1
+        return parts[1]
+
+    def count(self, word: str) -> int:
+        """The n of the ``<word> <n>`` line."""
+        at = self.at
+        tokens = self.lines[at].split() if at < len(self.lines) else []
+        if tokens[:1] != [word]:
+            raise ParseError(f"expected '{word} <n>' on line {at + 1}")
+        n = _natural(tokens[1]) if len(tokens) == 2 else None
+        if n is None:
+            raise ParseError(f"malformed count line {self.lines[at]!r}")
+        self.at = at + 1
+        return n
+
+    def records(self, tag: str, noun: str, n: int, width: int | None = None,
+                numbered: bool = True, signed: bool = True) -> list[tuple[int, ...]]:
+        """The integers of n records ``<tag> <k>:`` (``<tag>:`` unless
+        ``numbered``), ``width`` of them if given, none negative unless
+        ``signed``."""
+        at, self.at = self.at, self.at + n
+        lines = self.lines[at:self.at]
+        if len(lines) < n:
+            lines.append("")  # the first missing line, refused below
+        out = []
+        for k, line in enumerate(lines):
+            head, colon, body = line.partition(":")
+            label = head.split()
+            try:
+                ints = tuple(map(int, body.split()))
+            except ValueError:
+                ints = None
+            got = _natural(label[1]) if numbered and len(label) == 2 else k
+            if (not colon or ints is None or len(label) != 1 + numbered or label[0] != tag
+                    or got is None or (width is not None and len(ints) != width)
+                    # int() also reads '+1' and '1_0': refused, it reads -?\d+
+                    or "+" in body or "_" in body or (not signed and "-" in body)):
+                raise ParseError(f"malformed {noun} line {line!r}")
+            if got != k:
+                raise ParseError(f"{noun} ids must appear in order; got {label[1]} "
+                                 f"where {k} was expected")
+            out.append(ints)
+        return out
+
+    def end(self, optional: str | None = None) -> str | None:
+        """Refuse any line left, but for one starting with ``optional``,
+        which is returned (None when absent)."""
+        rest = self.lines[self.at:]
+        last = rest.pop(0) if optional and rest and rest[0].startswith(optional) else None
+        if rest:
+            raise ParseError(f"unexpected trailing line {rest[0]!r}")
+        return last
 
 
 def parse_polytope(text: str) -> SimplePolytope3:
-    """Parse a POLY3 document.
-
-    Grammar (UTF-8, line based, '#' starts a comment):
+    """Parse a POLY3 document (line grammar: :class:`_Lines`):
         poly3 <name>
         facets <m>
         F <id>: <v1> <v2> ... <vk>     (m lines, ids 0..m-1 in order)
     """
-    lines = [ln for raw in text.splitlines() if (ln := raw.split("#", 1)[0].strip())]
-    if not lines:
-        raise ParseError("empty POLY3 document")
-    head = _HEADER_RE.match(lines[0])
-    if not head:
-        raise ParseError(f"expected 'poly3 <name>', got {lines[0]!r}")
-    name = head.group(1).strip()
-    if len(lines) < 2 or lines[1].split()[0] != "facets":
-        raise ParseError("expected 'facets <m>' on line 2")
-    try:
-        m = int(lines[1].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(f"malformed facet count line {lines[1]!r}") from None
-    if len(lines) != 2 + m:
-        raise ParseError(f"expected {m} facet lines, found {len(lines) - 2}")
-    facets = []
-    for k, line in enumerate(lines[2:]):
-        match = _FACET_RE.match(line)
-        if not match:
-            raise ParseError(f"malformed facet line {line!r}")
-        if int(match.group(1)) != k:
-            raise ParseError(f"facet ids must appear in order; got {match.group(1)} "
-                             f"where {k} was expected")
-        try:
-            cycle = tuple(map(int, match.group(2).split()))
-        except ValueError:
-            raise ParseError(f"non-integer vertex id in {line!r}") from None
-        facets.append(cycle)
+    doc = _Lines(text)
+    name = doc.header("poly3")
+    facets = doc.records("F", "facet", doc.count("facets"))
+    doc.end()
     return SimplePolytope3.from_facets(name, facets)
 
 

@@ -20,9 +20,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .charfunc import CharacteristicPair
-from .cohomology import _non_positive_edges
-from .errors import (CertificationFailure, InternalError, NotFound, NoWitness,
-                     ValidationError)
+from .cohomology import _non_positive_edges, certify_support
+from .errors import CertificationFailure, NotFound, NoWitness, ValidationError
 from .exactlp import cone_membership, positive_functional
 from .fan import Fan3, characteristic_pair
 from .lattice import over_common_denominator
@@ -122,12 +121,9 @@ def wall_classes(f: Fan3) -> tuple[WallClass, ...]:
 def signed_wall_classes(pair: CharacteristicPair) -> tuple[WallClass, ...]:
     """Wall classes of a general characteristic pair, via the signed
     integrals, in ``pair.sphere.walls`` order.  No fan required."""
-    out = []
-    for key, entries in pair.pairings.items():
-        if not entries:
-            raise InternalError(f"wall class {key} vanished")
-        out.append(WallClass(key, tuple(sorted(entries)), pair.lam.m))
-    return tuple(out)
+    m = pair.lam.m
+    return tuple(WallClass(key, tuple(sorted(entries)), m)
+                 for key, entries in pair.pairings.items())
 
 
 def _group_classes(classes) -> list[list[WallClass]]:
@@ -188,7 +184,9 @@ def strict_convexity_witness(classes, c_tilde=None):
 def extremal_walls(f: Fan3) -> ConeAnalysis:
     """Group the wall classes, test each group for extremality by exact
     LP, and attach the support-parameter convexity witness when one is
-    available.
+    available.  A fan's own support is certified first, by
+    :func:`toriclab.cohomology.certify_support`, which raises
+    SupportInvalid before any LP is solved.
 
     A group is extremal when its representative vector is not a
     nonnegative combination of the classes outside the group.  Fans
@@ -203,15 +201,13 @@ def extremal_walls(f: Fan3) -> ConeAnalysis:
 def _analyse_cone(f: Fan3) -> ConeAnalysis:
     """The uncached computation behind :func:`extremal_walls`."""
     classes = wall_classes(f)
-    # the fan's own support is checked before any LP is solved
+    # the fan's own support is certified before any LP is solved; its edge
+    # functionals are the products a witness must make positive
     if f.support is not None:
-        witness = strict_convexity_witness(classes, f.support)
-        if isinstance(witness, NoWitness):
-            raise witness
-        note = ""
+        certify_support(f, f.support)
+        witness, note = f.support, ""
     else:
-        witness = None
-        note = UNCERTIFIED_NOTE
+        witness, note = None, UNCERTIFIED_NOTE
 
     grouped = _group_classes(classes)
     groups = tuple(tuple(cls.wall for cls in g) for g in grouped)

@@ -43,9 +43,9 @@ class SupportInvalid(ToricLabError):
 class NoWitness(ToricLabError):
     """Strict convexity of the effective cone could not be certified.
 
-    Used both as a raised error and as a plain return value carrying the
-    refutation: ``farkas`` holds convex coefficients combining the wall
-    classes to zero, ``failing`` the walls a candidate paired
+    The library returns it, as a plain value carrying the refutation, and
+    no longer raises it: ``farkas`` holds convex coefficients combining
+    the wall classes to zero, ``failing`` the walls a candidate paired
     non-positively with.
     """
 

@@ -29,18 +29,19 @@ a complete unimodular fan, the curvature is 24.
 
 from __future__ import annotations
 
-import os
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
-from .combinatorics import SimplicialSphere2, Triangle
+from .combinatorics import SimplicialSphere2, Triangle, _Lines
 from .errors import (IncompleteFan, InternalError, NotUnimodular, ParseError,
                      ValidationError)
 from .lattice import Vec3, add, det3, is_primitive, sub
+
+# the piercing seed of every fan's kept completeness certificate
+COMPLETENESS_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ class Fan3:
 
     @cached_property
     def certificate(self) -> "CompletenessCertificate":
-        """:func:`check_complete`'s certificate, seeded by TORICLAB_SEED."""
-        return check_complete(self, env_seed())
+        """:func:`check_complete`'s certificate at ``COMPLETENESS_SEED``."""
+        return check_complete(self, COMPLETENESS_SEED)
 
     @cached_property
     def wall_table(self) -> dict[tuple[int, int], Wall]:
@@ -248,8 +249,8 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
     generic rational direction lies in exactly one maximal cone (resampled
     while it hits a cone boundary).  The sampler is seeded by ``seed``, so
     runs are reproducible.  Without a seed this is the fan's kept
-    certificate, ``Fan3.certificate``, seeded by the TORICLAB_SEED
-    environment variable (default 0); a seed makes a fresh one.
+    certificate, ``Fan3.certificate``, made at ``COMPLETENESS_SEED``; a
+    seed makes a fresh one.
     """
     if seed is None:
         return f.certificate
@@ -281,15 +282,6 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
             f"cones: {hits}")
     raise InternalError("piercing test kept hitting cone boundaries; "
                         "input is degenerate beyond repair")
-
-
-def env_seed() -> int:
-    """The integer in TORICLAB_SEED (default 0), the piercing seed."""
-    value = os.environ.get("TORICLAB_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"TORICLAB_SEED is not an integer: {value!r}") from None
 
 
 def certify_fan(f: Fan3) -> CompletenessCertificate:
@@ -327,14 +319,8 @@ def characteristic_pair(f: Fan3) -> CharacteristicPair:
     return f.characteristic_pair
 
 
-_RAY_RE = re.compile(r"^R\s+(\d+)\s*:\s*(-?\d+)\s+(-?\d+)\s+(-?\d+)$")
-_CONE_RE = re.compile(r"^C\s*:\s*(\d+)\s+(\d+)\s+(\d+)$")
-
-
 def parse_fan(text: str) -> Fan3:
-    """Parse a FAN3 document.
-
-    Grammar (line based, '#' comments):
+    """Parse a FAN3 document (line grammar: :class:`~toriclab.combinatorics._Lines`):
         fan3 <name>
         rays <m>
         R <id>: <x> <y> <z>          (m lines, ids in order)
@@ -342,56 +328,18 @@ def parse_fan(text: str) -> Fan3:
         C: <i> <j> <k>               (f lines)
         support: <c1> ... <cm>       (optional; rationals as p/q or integers)
     """
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ParseError("empty FAN3 document")
-    head = re.match(r"^fan3\s+(\S.*)$", lines[0])
-    if not head:
-        raise ParseError(f"expected 'fan3 <name>', got {lines[0]!r}")
-    name = head.group(1).strip()
-
-    def count(idx, word):
-        if idx >= len(lines) or lines[idx].split()[0] != word:
-            raise ParseError(f"expected '{word} <n>' on line {idx + 1}")
-        try:
-            return int(lines[idx].split()[1])
-        except (IndexError, ValueError):
-            raise ParseError(f"malformed count line {lines[idx]!r}") from None
-
-    m = count(1, "rays")
-    rays = []
-    for k in range(m):
-        ln = lines[2 + k] if 2 + k < len(lines) else ""
-        match = _RAY_RE.match(ln)
-        if not match:
-            raise ParseError(f"malformed ray line {ln!r}")
-        if int(match.group(1)) != k:
-            raise ParseError(f"ray ids must appear in order; got {match.group(1)} "
-                             f"where {k} was expected")
-        rays.append(tuple(int(match.group(g)) for g in (2, 3, 4)))
-
-    ncones = count(2 + m, "cones")
-    cones = []
-    for k in range(ncones):
-        idx = 3 + m + k
-        ln = lines[idx] if idx < len(lines) else ""
-        match = _CONE_RE.match(ln)
-        if not match:
-            raise ParseError(f"malformed cone line {ln!r}")
-        cones.append(tuple(int(match.group(g)) for g in (1, 2, 3)))
-
+    doc = _Lines(text)
+    name = doc.header("fan3")
+    rays = doc.records("R", "ray", doc.count("rays"), width=3)
+    cones = doc.records("C", "cone", doc.count("cones"), width=3, numbered=False,
+                        signed=False)
+    line = doc.end("support:")
     support = None
-    rest = lines[3 + m + ncones:]
-    if rest:
-        if len(rest) != 1 or not rest[0].startswith("support:"):
-            raise ParseError(f"unexpected trailing line {rest[0]!r}")
-        toks = rest[0].split(":", 1)[1].split()
+    if line is not None:
         try:
-            support = [Fraction(t) for t in toks]
+            support = [Fraction(t) for t in line[len("support:"):].split()]
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"malformed support parameters {rest[0]!r}") from None
-
+            raise ParseError(f"malformed support parameters {line!r}") from None
     return Fan3.from_data(name, rays, cones, support=support)
 
 

@@ -251,5 +251,8 @@ class TestSerialization:
             parse_charfunc("lambda 1\nL 0: 1 0\n")
         with pytest.raises(ParseError):
             parse_charfunc("rays 1\nR 0: 1 0 0\n")
-        with pytest.raises(ParseError, match="^expected 'lambda <m>' header$"):
+        with pytest.raises(ParseError, match="^expected 'lambda <n>' on line 1$"):
             parse_charfunc("lambdax 1\nL 0: 1 0 0\n")
+        text = format_charfunc(coloring_to_charfunc(four_color(dual_sphere(cube()))))
+        with pytest.raises(ParseError, match="^malformed count line 'lambda 6 rays'$"):
+            parse_charfunc(text.replace("lambda 6", "lambda 6 rays"))

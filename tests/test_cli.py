@@ -8,7 +8,8 @@ from branched import branched_cover_text
 from toriclab.cli import main
 from toriclab.combinatorics import parse_polytope
 from toriclab.corpus import FAN_NAMES, POLYTOPE_NAMES, corpus_get
-from toriclab.errors import IncompleteFan
+from toriclab.cohomology import certify_support
+from toriclab.errors import IncompleteFan, SupportInvalid
 from toriclab.fan import Fan3, certify_fan, parse_fan, serialize_fan
 
 
@@ -178,6 +179,30 @@ def test_fan_volume_malformed_support(capsys, fan_file):
     assert "bad support value" in err
 
 
+def test_fan_volume_needs_support(capsys, tmp_path):
+    path = tmp_path / "cp3.fan"
+    path.write_text(corpus_get("cp3").text.replace("support: 1 1 1 1\n", ""))
+    code, out, err = run(capsys, "fan", "volume", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: no support parameters: none in the file and no --support given\n"
+
+
+def test_invalid_support_is_refused_with_one_message(capsys, tmp_path):
+    # every fan command refuses it with certify_support's message
+    text = corpus_get("cube-fan").text.replace("support: 1 1 1 1 1 1",
+                                               "support: 1 1 1 1 1 -3")
+    path = tmp_path / "cube-fan.fan"
+    path.write_text(text)
+    f = parse_fan(text)
+    with pytest.raises(SupportInvalid) as e:
+        certify_support(f, f.support)
+    for cmd in ("report", "volume", "extremal", "witness"):
+        code, out, err = run(capsys, "fan", cmd, str(path))
+        assert (code, err) == (1, f"error: {e.value}\n"), cmd
+        # fan volume prints its report up to the edge functionals
+        assert ("edge_functionals" in out) == (cmd == "volume"), cmd
+
+
 def test_fan_witness_cp3(capsys, fan_file):
     code, out, _ = run(capsys, "fan", "witness", fan_file("cp3"))
     assert code == 0
@@ -246,6 +271,13 @@ def test_garbage_grammar_is_a_parse_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_negative_count_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "negative.fan"
+    path.write_text("fan3 x\nrays -4\ncones 0\nsupport:\n")
+    code, out, err = run(capsys, "fan", "report", str(path))
+    assert (code, out, err) == (2, "", "error: malformed count line 'rays -4'\n")
+
+
 def test_nonunimodular_fan_reports_and_fails(capsys, tmp_path):
     text = corpus_get("cp3").text.replace("R 3: -1 -1 -1", "R 3: -1 -1 -2")
     path = tmp_path / "nonuni.fan"
@@ -309,21 +341,6 @@ def test_incomplete_fan_fails(capsys, tmp_path):
     code, _, err = run(capsys, "fan", "report", str(path))
     assert code == 1
     assert "not a 2-sphere" in err
-
-
-def test_malformed_seed_fails_every_fan_command(capsys, fan_file, monkeypatch):
-    monkeypatch.setenv("TORICLAB_SEED", "abc")
-    for cmd in ("report", "volume", "extremal", "witness"):
-        code, out, err = run(capsys, "fan", cmd, fan_file("cp3"))
-        assert (code, out) == (1, ""), cmd
-        assert err == "error: TORICLAB_SEED is not an integer: 'abc'\n", cmd
-
-
-def test_report_names_the_seed_it_certified_with(capsys, fan_file, monkeypatch):
-    monkeypatch.setenv("TORICLAB_SEED", "7")
-    code, out, _ = run(capsys, "fan", "report", fan_file("cp3"))
-    assert code == 0
-    assert "completeness_seed: 7" in out
 
 
 def test_nonprimitive_ray_fails_validation(capsys, tmp_path):

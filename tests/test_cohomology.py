@@ -21,13 +21,14 @@ from toriclab.cohomology import (
     edge_functional,
     edge_functionals,
     evaluate_volume,
+    integral_table,
     linear_relation,
     serialize_volume_polynomial,
     signed_triple_intersection,
     triple_intersection,
     volume_polynomial,
 )
-from toriclab.combinatorics import SimplicialSphere2, betti_numbers
+from toriclab.combinatorics import SimplicialSphere2, betti_numbers, dual_sphere
 from toriclab.corpus import FAN_NAMES, load_fan, load_polytope
 from toriclab.errors import IncompleteFan, SupportInvalid, ValidationError
 from toriclab.fan import Fan3, characteristic_pair, check_complete
@@ -368,6 +369,12 @@ def test_edge_functional_examples():
     assert edge_functional(cp3, (0, 1), cp3.support) == 4
 
 
+def test_edge_functional_needs_a_wall():
+    # rays 0 and 1 of the cube fan are opposite
+    with pytest.raises(ValidationError, match=r"^\(0, 1\) is not a wall of this fan$"):
+        edge_functional(load_fan("cube-fan"), (1, 0), [1] * 6)
+
+
 def test_edge_functional_vanishes_on_collapsed_edge():
     cube = load_fan("cube-fan")
     # The flat slab collapses the edges parallel to the first axis.
@@ -522,6 +529,20 @@ def test_signed_relations_annihilate():
                 for t in range(6)
             )
             assert total == 0, (mu, dd)
+
+
+@pytest.mark.parametrize("last, message", [
+    ((1, 1, 2), r"triangle \(3, 0, 1\) violates the basis condition; "
+                "the signed calculus needs it to hold"),
+    ((1, 1, 0), r"triangle \(0, 1, 3\) has degenerate vectors \(det 0\)"),
+])
+def test_signed_calculus_needs_the_star_condition(last, message):
+    # the tetrahedron with lambda = e1, e2, e3 and a fourth vector
+    tet = dual_sphere(load_polytope("tetrahedron"))
+    pair = CharacteristicPair(tet, CharacteristicFunction(((1, 0, 0), (0, 1, 0),
+                                                           (0, 0, 1), last)))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        integral_table(pair)
 
 
 def test_signed_table_caches_per_pair():

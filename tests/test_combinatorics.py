@@ -7,6 +7,7 @@ values.  Structural identities (Euler relation, sum over facets of
 """
 
 import dataclasses
+import re
 from collections import defaultdict
 
 import pytest
@@ -192,6 +193,9 @@ class TestDualSphere:
     def test_wall_apexes(self):
         s = dual_sphere(tet())
         assert sorted(s.wall_apexes((0, 1))) == [2, 3]
+        # the cube's facets 0 and 1 are opposite
+        with pytest.raises(ValidationError, match=r"^\(0, 1\) is not a wall of this sphere$"):
+            dual_sphere(cube()).wall_apexes((1, 0))
 
     def test_double_dual_recovers_polytope(self):
         polytopes = [SimplePolytope3.from_facets("x", facets) for facets in
@@ -293,24 +297,29 @@ def test_constructed_spheres_answer_the_same():
 
 
 # The cube without its last facet (3, 7, 4, 0), completed three ways and
-# built with the constructor, which checks nothing
+# built with the constructor, which checks nothing; reversed, the facet is
+# no fault, and the dual is the one from_facets gives
 @pytest.mark.parametrize("last, message", [
-    ([(0, 4, 7, 3)], r"vertex 0 is not simple: facet walk \[0, 2, 5, 2\]"),
+    ([(0, 4, 7, 3)], None),
     ([(0, 4, 3, 7)], r"edge \(0, 3\) lies in 1 facets"),
     ([], "vertex 0 lies in 2 facets"),
 ])
 def test_constructed_faults_are_named(last, message):
-    p = SimplePolytope3("x", tuple(CUBE_FACETS[:5]) + tuple(last))
-    with pytest.raises(ValidationError, match=f"^{message}$"):
-        dual_sphere(p)
+    cycles = tuple(CUBE_FACETS[:5]) + tuple(last)
+    p = SimplePolytope3("x", cycles)
+    if message is None:
+        assert dual_sphere(p) == dual_sphere(SimplePolytope3.from_facets("x", cycles))
+    else:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            dual_sphere(p)
 
 
 def test_non_simple_vertices_are_named_smallest_first():
-    # facet 0 is walked from vertex 3, which is not simple either
-    p = SimplePolytope3("x", ((3, 0, 1, 2),) + tuple(CUBE_FACETS[1:5]) + ((0, 4, 7, 3),))
-    with pytest.raises(ValidationError,
-                       match=r"^vertex 0 is not simple: facet walk \[0, 2, 5, 2\]$"):
-        dual_sphere(p)
+    # facet 0 starts at vertex 3 and facet 5 is reversed: every vertex is
+    # simple, and the constructor-made polytope dualises as from_facets does
+    cycles = ((3, 0, 1, 2),) + tuple(CUBE_FACETS[1:5]) + ((0, 4, 7, 3),)
+    p = SimplePolytope3("x", cycles)
+    assert dual_sphere(p) == dual_sphere(SimplePolytope3.from_facets("x", cycles))
 
 
 def counted_from_scratch(facets):
@@ -381,6 +390,10 @@ def test_constructed_polytopes_dualise_the_same():
 
 
 class TestValidation:
+    def test_no_facets(self):
+        with pytest.raises(ValidationError, match="^polytope has no facets$"):
+            SimplePolytope3.from_facets("x", [])
+
     def test_vertex_in_wrong_number_of_facets(self):
         bad = [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2), (0, 1, 3)]
         with pytest.raises(ValidationError, match="vertex 0 lies in 4 facets"):
@@ -499,6 +512,12 @@ class TestValidation:
         with pytest.raises(ValidationError,
                            match="^facet adjacency graph is disconnected$"):
             SimplePolytope3.from_facets("bad", cycles)
+
+    def test_heawood_map_is_a_torus(self):
+        # the dual of the 7-vertex torus: 7 hexagons, each pair adjacent once
+        with pytest.raises(ValidationError,
+                           match=r"^Euler characteristic 0 != 2 \(v=14, e=21, f=7\)$"):
+            SimplePolytope3.from_facets("heawood", self.dual_cycles(self.TORUS))
 
     @staticmethod
     def shifted(tris, k, glue=None):
@@ -622,6 +641,23 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_polytope("poly3 x\nfacets 1\nF 0: 0 one 2\n")
         # the count keyword is the whole first token, not a prefix of it
-        with pytest.raises(ParseError, match="^expected 'facets <m>' on line 2$"):
+        with pytest.raises(ParseError, match="^expected 'facets <n>' on line 2$"):
             parse_polytope(serialize_polytope(tet()).replace(
                 "facets 4", "facetsZ 4"))
+
+    @pytest.mark.parametrize("line, bad, message", [
+        ("facets 12", "facets 12 99", "malformed count line 'facets 12 99'"),
+        ("facets 12", "facets +12", "malformed count line 'facets +12'"),
+        ("facets 12", "facets 10000000000000", "malformed facet line ''"),
+        # int() reads these as 3 and 10; the grammar's integers are -?<digits>
+        ("F 3: 2 3 10 11 8", "F 3: 2 +3 10 11 8", "malformed facet line 'F 3: 2 +3 10 11 8'"),
+        ("F 3: 2 3 10 11 8", "F 3: 2 3 1_0 11 8", "malformed facet line 'F 3: 2 3 1_0 11 8'"),
+        ("F 11: 15 17 18 19 16", "F 11: 15 17 18 19 16\nF 12: 0 1 2",
+         "unexpected trailing line 'F 12: 0 1 2'"),
+    ], ids=["extra-count-token", "signed-count", "huge-count", "signed-id",
+            "underscored-id", "extra-facet"])
+    def test_the_grammar_is_strict(self, line, bad, message):
+        text = corpus_get("dodecahedron").text
+        assert line in text
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_polytope(text.replace(line, bad))

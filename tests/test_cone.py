@@ -736,11 +736,11 @@ def test_support_is_checked_before_any_lp(monkeypatch):
     f = subdivided_cp3(24, seed=0)[0]
     g = Fan3.from_data(f.name, f.rays, f.maximal_cones,
                        support=(-f.support[0],) + f.support[1:])
-    want = strict_convexity_witness(wall_classes(g), g.support)
-    assert isinstance(want, NoWitness)
-    with pytest.raises(NoWitness) as err:
+    with pytest.raises(SupportInvalid) as want:
+        certify_support(g, g.support)
+    with pytest.raises(SupportInvalid) as err:
         extremal_walls(g)
-    assert str(err.value) == str(want)
+    assert str(err.value) == str(want.value)
     assert calls == []
 
 
