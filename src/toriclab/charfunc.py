@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 
 from .combinatorics import SimplicialSphere2, Triangle, _Lines
 from .errors import InternalError, ValidationError
 from .lattice import Vec3, det3, is_primitive
+from .value import _Value
 
 COLORS = ("a", "b", "c", "d")
 
@@ -28,16 +28,16 @@ COLOR_VECTORS: dict[str, Vec3] = {
 }
 
 
-@dataclass(frozen=True)
-class FacetColoring:
+class FacetColoring(_Value):
     """Colors in {a, b, c, d}, one per sphere vertex (= polytope facet)."""
 
     colors: tuple[str, ...]
 
-    def __post_init__(self):
-        bad = [c for c in self.colors if c not in COLORS]
+    def __init__(self, colors: tuple[str, ...]):
+        bad = [c for c in colors if c not in COLORS]
         if bad:
             raise ValidationError(f"unknown color {bad[0]!r}")
+        self.__dict__["colors"] = colors
 
     @property
     def m(self) -> int:
@@ -47,25 +47,24 @@ class FacetColoring:
         return all(self.colors[u] != self.colors[v] for u, v in sphere.walls)
 
 
-@dataclass(frozen=True)
-class CharacteristicFunction:
+class CharacteristicFunction(_Value):
     """An assignment of a primitive integer vector to each of m facets."""
 
     vectors: tuple[Vec3, ...]
 
-    def __post_init__(self):
-        # With int entries only, equal vectors pass or fail alike (1.0 == 1
-        # would hide), so each distinct one is checked once: a coloring has
-        # at most four.  A failure is named by the scan over every index.
-        vectors = self.vectors
-        if (all(map(isinstance, chain.from_iterable(vectors), repeat(int)))
+    def __init__(self, vectors: tuple[Vec3, ...]):
+        # With int entries only (no bool, no 1.0, which would equal 1 and
+        # hide), equal vectors pass or fail alike, so each distinct one is
+        # checked once: a coloring has at most four.  A failure is named
+        # by the scan over every index.
+        if not (set(map(type, chain.from_iterable(vectors))) <= {int}
                 and all(len(v) == 3 and is_primitive(v) for v in dict.fromkeys(vectors))):
-            return
-        for i, v in enumerate(vectors):
-            if len(v) != 3 or not all(isinstance(x, int) for x in v):
-                raise ValidationError(f"lambda({i}) = {v!r} is not an integer 3-vector")
-            if not is_primitive(v):
-                raise ValidationError(f"lambda({i}) = {v} is not primitive")
+            for i, v in enumerate(vectors):
+                if len(v) != 3 or not all(type(x) is int for x in v):
+                    raise ValidationError(f"lambda({i}) = {v!r} is not an integer 3-vector")
+                if not is_primitive(v):
+                    raise ValidationError(f"lambda({i}) = {v} is not primitive")
+        self.__dict__["vectors"] = vectors
 
     @property
     def m(self) -> int:
@@ -75,8 +74,7 @@ class CharacteristicFunction:
         return self.vectors[i]
 
 
-@dataclass(frozen=True)
-class CharacteristicPair:
+class CharacteristicPair(_Value):
     """A sphere together with a vector assignment of matching size.
 
     Construction only enforces the size agreement; whether every triangle
@@ -88,10 +86,11 @@ class CharacteristicPair:
     sphere: SimplicialSphere2
     lam: CharacteristicFunction
 
-    def __post_init__(self):
-        if self.sphere.m != self.lam.m:
+    def __init__(self, sphere: SimplicialSphere2, lam: CharacteristicFunction):
+        if sphere.m != lam.m:
             raise ValidationError(
-                f"sphere has {self.sphere.m} vertices but lambda has {self.lam.m} values")
+                f"sphere has {sphere.m} vertices but lambda has {lam.m} values")
+        self.__dict__.update(sphere=sphere, lam=lam)
 
     @cached_property
     def _calculus(self):
@@ -113,12 +112,14 @@ class CharacteristicPair:
         return self._calculus[1]
 
 
-@dataclass(frozen=True)
-class StarVerdict:
+class StarVerdict(_Value):
     """Outcome of the basis condition scan over all triangles."""
 
     ok: bool
     violations: tuple[tuple[Triangle, int], ...]  # (triangle, determinant)
+
+    def __init__(self, ok: bool, violations: tuple[tuple[Triangle, int], ...]):
+        self.__dict__.update(ok=ok, violations=violations)
 
 
 def check_star_condition(pair: CharacteristicPair) -> StarVerdict:

@@ -18,7 +18,6 @@ without a traceback), 2 parse error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from fractions import Fraction
@@ -225,7 +224,8 @@ def cmd_fan_report(args) -> int:
         )
     rpt.add("cone_groups", groups)
     _add_cone_verdicts(rpt, analysis)
-    rpt.add("obstruction_witness", dataclasses.asdict(delzant_obstruction_witness(f)))
+    w = delzant_obstruction_witness(f)
+    rpt.add("obstruction_witness", {key: getattr(w, key) for key in w._fields})
     rpt.emit(args.json)
     return 0 if gb == 24 else 1
 
@@ -244,15 +244,17 @@ def _certified_fan(args, command: str):
 
 
 def _parse_support(arg: str, m: int):
+    from .fan import _rational
+
     parts = [s.strip() for s in arg.split(",")]
     if len(parts) != m:
         raise ValidationError(
             f"support override has {len(parts)} entries, fan has {m} rays"
         )
-    try:
-        return tuple(Fraction(s) for s in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad support value: {exc}") from None
+    values = tuple(map(_rational, parts))
+    if None in values:
+        raise ParseError(f"bad support value: {parts[values.index(None)]!r}")
+    return values
 
 
 def cmd_fan_volume(args) -> int:
@@ -306,8 +308,8 @@ def cmd_fan_witness(args) -> int:
 
     f, rpt = _certified_fan(args, "fan witness")
     w = delzant_obstruction_witness(f)
-    for key, value in dataclasses.asdict(w).items():
-        rpt.add(key, value)
+    for key in w._fields:
+        rpt.add(key, getattr(w, key))
     face = "triangular" if w.dual_face_size == 3 else "quadrangular"
     rpt.add("dual_face", face)
     rpt.emit(args.json)

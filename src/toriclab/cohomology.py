@@ -41,13 +41,13 @@ normalises once instead of at every product and sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charfunc import CharacteristicPair
 from .errors import SupportInvalid, ValidationError
 from .fan import Fan3, characteristic_pair
 from .lattice import Vec3, det3, dot, dual_covector, over_common_denominator
+from .value import _Value
 
 Multiset = tuple[int, int, int]
 # wall (u, v) -> its nonzero entries (t, integral of v_u v_v v_t)
@@ -75,12 +75,14 @@ def _as_multiset(indices, m: int) -> Multiset:
     return t
 
 
-@dataclass(frozen=True)
-class LinearRelation:
+class LinearRelation(_Value):
     """The degree-2 relation sum_i <mu, ray_i> v_i = 0 for a covector mu."""
 
     mu: Vec3
     coeffs: tuple[int, ...]
+
+    def __init__(self, mu: Vec3, coeffs: tuple[int, ...]):
+        self.__dict__.update(mu=mu, coeffs=coeffs)
 
 
 def linear_relation(f: Fan3, mu) -> LinearRelation:
@@ -168,17 +170,21 @@ def chern_number_c1c2(f: Fan3) -> int:
 # volume polynomials
 
 
-@dataclass(frozen=True)
-class VolumePolynomial:
+class VolumePolynomial(_Value):
     """Homogeneous cubic in m variables with exact rational coefficients.
 
     ``terms`` holds the nonzero coefficients as integers
     ``(i, j, k, 6 * coefficient)``, sorted by index multiset
     (i <= j <= k); ``coeffs`` reads them as ``(multiset, coefficient)``.
+    Its ``repr`` shows the fan alone.
     """
 
     fan: Fan3
-    terms: tuple[tuple[int, int, int, int], ...] = field(repr=False)
+    terms: tuple[tuple[int, int, int, int], ...]
+    _hidden = ("terms",)
+
+    def __init__(self, fan: Fan3, terms: tuple[tuple[int, int, int, int], ...]):
+        self.__dict__.update(fan=fan, terms=terms)
 
     @property
     def m(self) -> int:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from collections import Counter, defaultdict
 from itertools import accumulate, chain, groupby, repeat
 from functools import cached_property
 from operator import eq, lt
 
 from .errors import ParseError, ValidationError
+from .value import _Value
 
 Triangle = tuple[int, int, int]
 Wall = tuple[int, int]
@@ -36,8 +36,7 @@ def _canon_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[k:] + cycle[:k]
 
 
-@dataclass(frozen=True)
-class SimplicialSphere2:
+class SimplicialSphere2(_Value):
     """A simplicial 2-sphere on vertex set {0, ..., m-1}.
 
     ``triangles`` are stored sorted; ``oriented`` holds one oriented
@@ -56,6 +55,10 @@ class SimplicialSphere2:
     triangles: tuple[Triangle, ...]
     oriented: tuple[Triangle, ...]
     walls: tuple[Wall, ...]
+
+    def __init__(self, m: int, triangles: tuple[Triangle, ...], oriented: tuple[Triangle, ...],
+                 walls: tuple[Wall, ...]):
+        self.__dict__.update(m=m, triangles=triangles, oriented=oriented, walls=walls)
 
     @classmethod
     def from_triangles(cls, m, triangles, oriented=None) -> "SimplicialSphere2":
@@ -132,7 +135,8 @@ class SimplicialSphere2:
         checked: it must match the triangles and be globally consistent.
         The result shares this sphere's kept wall index; it builds none.
         """
-        sphere = replace(self, oriented=_checked_orientation(oriented, self.triangles))
+        sphere = SimplicialSphere2(self.m, self.triangles,
+                                   _checked_orientation(oriented, self.triangles), self.walls)
         sphere.__dict__["_index"] = self._index  # cached_property slot
         return sphere
 
@@ -259,8 +263,7 @@ def _checked_orientation(oriented, tris) -> tuple[Triangle, ...]:
     return oriented
 
 
-@dataclass(frozen=True)
-class SimplePolytope3:
+class SimplePolytope3(_Value):
     """A combinatorial simple 3-polytope given by facet vertex cycles.
 
     Cycles are stored in the normalized orientation (facet 0's direction as
@@ -269,14 +272,17 @@ class SimplePolytope3:
 
     The half-edge index (:attr:`_index`, see :func:`_half_edges`) is kept:
     :meth:`from_facets` stores the one its validation built, reversed along
-    the facets it flipped; a polytope made by the constructor or
-    ``dataclasses.replace`` validates and orients its cycles the same way
-    on first use, leaving the stored cycles as given.  It is not a field,
-    so equality and hashing see only the fields.
+    the facets it flipped; a polytope made by the constructor validates
+    and orients its cycles the same way on first use, leaving the stored
+    cycles as given.  It is not a field, so equality and hashing see only
+    the fields.
     """
 
     name: str
     facets: tuple[tuple[int, ...], ...]
+
+    def __init__(self, name: str, facets: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(name=name, facets=facets)
 
     @classmethod
     def from_facets(cls, name: str, facets) -> "SimplePolytope3":
@@ -344,8 +350,8 @@ def _half_edges(cycles) -> tuple[list[int], list[int], list[int]]:
             raise ValidationError(f"facet {i} repeats a vertex in its cycle")
 
     flat = list(chain.from_iterable(cycles))
-    if not all(map(isinstance, flat, repeat(int))):
-        i = next(i for i, c in enumerate(cycles) if not all(isinstance(v, int) for v in c))
+    if not set(map(type, flat)) <= {int}:  # no float, no bool
+        i = next(i for i, c in enumerate(cycles) if not all(type(v) is int for v in c))
         raise ValidationError(f"facet {i} = {cycles[i]} has a non-integer vertex id")
     n = len(set(flat))
     # n distinct integers are 0..n-1 iff all lie in that range

@@ -15,9 +15,7 @@ forces a triangular or quadrangular face of the dual polytope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .charfunc import CharacteristicPair
 from .cohomology import _non_positive_edges, certify_support
@@ -25,6 +23,7 @@ from .errors import CertificationFailure, NotFound, NoWitness, ValidationError
 from .exactlp import cone_membership, positive_functional
 from .fan import Fan3, characteristic_pair
 from .lattice import over_common_denominator
+from .value import _Value
 
 __all__ = [
     "WallClass",
@@ -41,8 +40,7 @@ __all__ = [
 UNCERTIFIED_NOTE = "uncertified: no strict convexity witness supplied"
 
 
-@dataclass(frozen=True)
-class WallClass:
+class WallClass(_Value):
     """A wall with its pairing vector over m rays: entry t is the integral
     over the wall class times the class of ray t.
 
@@ -56,14 +54,15 @@ class WallClass:
     entries: tuple[tuple[int, int], ...]
     m: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, wall: tuple[int, int], entries: tuple[tuple[int, int], ...], m: int):
         prev = -1
-        for t, v in self.entries:
-            if not prev < t < self.m or not v:
-                why = (f"outside rays 0..{self.m - 1}" if not 0 <= t < self.m
+        for t, v in entries:
+            if not prev < t < m or not v:
+                why = (f"outside rays 0..{m - 1}" if not 0 <= t < m
                        else "out of ray order" if t <= prev else "zero")
-                raise ValidationError(f"wall class {self.wall}: entry {(t, v)} is {why}")
+                raise ValidationError(f"wall class {wall}: entry {(t, v)} is {why}")
             prev = t
+        self.__dict__.update(wall=wall, entries=entries, m=m)
 
     @property
     def pairing(self) -> tuple[int, ...]:
@@ -73,8 +72,7 @@ class WallClass:
         return tuple(vec)
 
 
-@dataclass(frozen=True)
-class ConeAnalysis:
+class ConeAnalysis(_Value):
     """Grouping and extremality data for the cone spanned by wall classes.
 
     ``classes`` are stored sparse, in wall order; each dense ``pairing``
@@ -89,12 +87,18 @@ class ConeAnalysis:
     classes: tuple[WallClass, ...]
     groups: tuple[tuple[tuple[int, int], ...], ...]
     extremal: tuple[tuple[int, int], ...]
-    witness: Optional[tuple[Fraction, ...]]
-    note: str = ""
+    witness: tuple[Fraction, ...] | None
+    note: str
+
+    def __init__(self, classes: tuple[WallClass, ...],
+                 groups: tuple[tuple[tuple[int, int], ...], ...],
+                 extremal: tuple[tuple[int, int], ...],
+                 witness: tuple[Fraction, ...] | None, note: str = ""):
+        self.__dict__.update(classes=classes, groups=groups, extremal=extremal,
+                             witness=witness, note=note)
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
+class ObstructionWitness(_Value):
     """An extremal positive-curvature wall, relabeled so a1 <= a2, together
     with the vertex it forces to have small degree.
 
@@ -110,6 +114,11 @@ class ObstructionWitness:
     vertex: int
     neighbors: tuple[int, ...]
     dual_face_size: int
+
+    def __init__(self, wall: tuple[int, int], a: tuple[int, int], curvature: int, case: str,
+                 vertex: int, neighbors: tuple[int, ...], dual_face_size: int):
+        self.__dict__.update(wall=wall, a=a, curvature=curvature, case=case, vertex=vertex,
+                             neighbors=neighbors, dual_face_size=dual_face_size)
 
 
 def wall_classes(f: Fan3) -> tuple[WallClass, ...]:

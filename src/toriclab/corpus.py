@@ -8,7 +8,6 @@ out of the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import (
@@ -20,14 +19,17 @@ from .combinatorics import (
 )
 from .errors import NotFound
 from .fan import Fan3, parse_fan, serialize_fan
+from .value import _Value
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(_Value):
     name: str
     kind: str  # "polytope" | "fan"
     text: str
     note: str
+
+    def __init__(self, name: str, kind: str, text: str, note: str):
+        self.__dict__.update(name=name, kind=kind, text=text, note=note)
 
 
 def _tetrahedron() -> SimplePolytope3:

@@ -23,13 +23,13 @@ Two feasibility questions are exposed besides :func:`phase1_simplex`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
 
 from .errors import InternalError
 from .lattice import over_common_denominator
+from .value import _Value
 
 __all__ = [
     "Phase1Result",
@@ -41,16 +41,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Phase1Result:
+class Phase1Result(_Value):
     """Outcome of ``find x >= 0 with A x = b``.
 
     Exactly one of ``solution`` (the x) and ``farkas`` (a vector y with
     y·A <= 0 componentwise and y·b > 0) is set.
     """
 
-    solution: Optional[tuple[Fraction, ...]]
-    farkas: Optional[tuple[Fraction, ...]]
+    solution: tuple[Fraction, ...] | None
+    farkas: tuple[Fraction, ...] | None
+
+    def __init__(self, solution: tuple[Fraction, ...] | None,
+                 farkas: tuple[Fraction, ...] | None):
+        self.__dict__.update(solution=solution, farkas=farkas)
 
     @property
     def feasible(self) -> bool:
@@ -179,8 +182,7 @@ def _phase1_integral(a: list[list[int]], b: list[int]):
     return None, [s * (d - z[ncols + i]) for i, s in enumerate(signs)], d
 
 
-@dataclass(frozen=True)
-class ConeMembership:
+class ConeMembership(_Value):
     """Decision for ``x in cone(generators)`` with its certificate.
 
     On membership, ``coefficients`` re-assemble x exactly; otherwise
@@ -189,8 +191,12 @@ class ConeMembership:
     """
 
     member: bool
-    coefficients: Optional[tuple[Fraction, ...]]
-    separator: Optional[tuple[Fraction, ...]]
+    coefficients: tuple[Fraction, ...] | None
+    separator: tuple[Fraction, ...] | None
+
+    def __init__(self, member: bool, coefficients: tuple[Fraction, ...] | None,
+                 separator: tuple[Fraction, ...] | None):
+        self.__dict__.update(member=member, coefficients=coefficients, separator=separator)
 
 
 def cone_membership(x: Sequence, generators: Sequence[Sequence]) -> ConeMembership:
@@ -213,8 +219,7 @@ def cone_membership(x: Sequence, generators: Sequence[Sequence]) -> ConeMembersh
     return ConeMembership(coef is not None, coef, sep)
 
 
-@dataclass(frozen=True)
-class PositiveFunctional:
+class PositiveFunctional(_Value):
     """Decision for ``exists y with <row, y> >= 1 for every row``.
 
     On success ``y`` is such a vector.  On failure ``farkas`` holds convex
@@ -223,8 +228,12 @@ class PositiveFunctional:
     """
 
     found: bool
-    y: Optional[tuple[Fraction, ...]]
-    farkas: Optional[tuple[Fraction, ...]]
+    y: tuple[Fraction, ...] | None
+    farkas: tuple[Fraction, ...] | None
+
+    def __init__(self, found: bool, y: tuple[Fraction, ...] | None,
+                 farkas: tuple[Fraction, ...] | None):
+        self.__dict__.update(found=found, y=y, farkas=farkas)
 
 
 def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:

@@ -30,22 +30,21 @@ a complete unimodular fan, the curvature is 24.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
-from .combinatorics import SimplicialSphere2, Triangle, _Lines
+from .combinatorics import SimplicialSphere2, Triangle, _Lines, _natural
 from .errors import (IncompleteFan, InternalError, NotUnimodular, ParseError,
                      ValidationError)
 from .lattice import Vec3, add, det3, is_primitive, sub
+from .value import _Value
 
 # the piercing seed of every fan's kept completeness certificate
 COMPLETENESS_SEED = 0
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(_Value):
     """One wall of a fan with its normalized data (see module docstring)."""
 
     pair: tuple[int, int]      # (i1, i2), sorted
@@ -54,23 +53,29 @@ class Wall:
     curvature: int
     classification: str        # convex | flat | concave
 
+    def __init__(self, pair: tuple[int, int], apexes: tuple[int, int], a: tuple[int, int],
+                 curvature: int, classification: str):
+        self.__dict__.update(pair=pair, apexes=apexes, a=a, curvature=curvature,
+                             classification=classification)
+
     @property
     def key(self) -> tuple[int, int]:
         """The wall as a sorted pair, for lookups."""
         return self.pair
 
 
-@dataclass(frozen=True)
-class CompletenessCertificate:
+class CompletenessCertificate(_Value):
     """Evidence from check_complete: the sampled direction and its cone."""
 
     direction: Vec3
     cone: Triangle
     attempts: int
 
+    def __init__(self, direction: Vec3, cone: Triangle, attempts: int):
+        self.__dict__.update(direction=direction, cone=cone, attempts=attempts)
 
-@dataclass(frozen=True)
-class Fan3:
+
+class Fan3(_Value):
     """An immutable simplicial fan in Z^3.
 
     ``sphere`` is the cone complex, validated by :meth:`from_data` as a
@@ -85,18 +90,23 @@ class Fan3:
     sphere: SimplicialSphere2
     support: tuple[Fraction, ...] | None
 
+    def __init__(self, name: str, rays: tuple[Vec3, ...], maximal_cones: tuple[Triangle, ...],
+                 sphere: SimplicialSphere2, support: tuple[Fraction, ...] | None):
+        self.__dict__.update(name=name, rays=rays, maximal_cones=maximal_cones,
+                             sphere=sphere, support=support)
+
     @classmethod
     def from_data(cls, name, rays, cones, support=None) -> "Fan3":
         rays = tuple(map(tuple, rays))
         m = len(rays)
         for i, r in enumerate(rays):
-            if len(r) != 3 or not all(isinstance(x, int) for x in r):
+            if len(r) != 3 or not all(type(x) is int for x in r):
                 raise ValidationError(f"ray {i} = {r} is not an integer 3-vector")
             if not is_primitive(r):
                 raise ValidationError(f"ray {i} = {r} is not primitive")
         cones = tuple(map(tuple, cones))
         for c in cones:
-            if not all(isinstance(i, int) for i in c):
+            if not all(type(i) is int for i in c):
                 raise ValidationError(f"cone {c} has a non-integer ray id")
         cones = tuple(sorted(tuple(sorted(c)) for c in cones))
         for c in cones:
@@ -110,7 +120,8 @@ class Fan3:
         except ValidationError as e:
             raise ValidationError(f"cone complex is not a 2-sphere: {e}") from None
         if support is not None:
-            support = tuple(x if type(x) is Fraction else Fraction(x) for x in support)
+            support = tuple(x if type(x) is Fraction else _support_entry(i, x)
+                            for i, x in enumerate(support))
             if len(support) != m:
                 raise ValidationError(
                     f"{len(support)} support parameters for {m} rays")
@@ -166,6 +177,27 @@ class Fan3:
     def walls(self) -> tuple[Wall, ...]:
         """Walls in deterministic (sorted-pair lexicographic) order."""
         return tuple(self.wall_table.values())
+
+
+def _rational(token: str) -> Fraction | None:
+    """The value of a ``-?<digits>`` or ``-?<digits>/<digits>`` token with
+    a nonzero denominator (a fan's support entry), else None."""
+    num, slash, den = token.partition("/")
+    sign = -1 if num[:1] == "-" else 1
+    p = _natural(num[1:] if sign < 0 else num)
+    q = _natural(den) if slash else 1
+    return None if p is None or not q else Fraction(sign * p, q)
+
+
+def _support_entry(i: int, x) -> Fraction:
+    """Support entry i given as an int or as a string the support grammar
+    reads (:func:`_rational`); floats, bools and
+    anything else are refused."""
+    value = Fraction(x) if type(x) is int else _rational(x) if type(x) is str else None
+    if value is None:
+        raise ValidationError(
+            f"support entry {i} = {x!r} is not a Fraction, an int or a 'p/q' string")
+    return value
 
 
 def _cone_determinants(rays, cones) -> dict[Triangle, int]:
@@ -326,7 +358,8 @@ def parse_fan(text: str) -> Fan3:
         R <id>: <x> <y> <z>          (m lines, ids in order)
         cones <f>
         C: <i> <j> <k>               (f lines)
-        support: <c1> ... <cm>       (optional; rationals as p/q or integers)
+        support: <c1> ... <cm>       (optional; each -?<digits>, or that over
+                                     /<digits>, the denominator not 0)
     """
     doc = _Lines(text)
     name = doc.header("fan3")
@@ -336,10 +369,9 @@ def parse_fan(text: str) -> Fan3:
     line = doc.end("support:")
     support = None
     if line is not None:
-        try:
-            support = [Fraction(t) for t in line[len("support:"):].split()]
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"malformed support parameters {line!r}") from None
+        support = [_rational(t) for t in line[len("support:"):].split()]
+        if None in support:
+            raise ParseError(f"malformed support parameters {line!r}")
     return Fan3.from_data(name, rays, cones, support=support)
 
 

@@ -216,6 +216,12 @@ class TestStarCondition:
                            match=r"^lambda\(3\) = \(1\.0, 0, 0\) is not an integer"):
             CharacteristicFunction((E1, E2, E3, (1.0, 0, 0), E1))
 
+    def test_bool_entry_rejected(self):
+        # (True, 1, 1) == (1, 1, 1) passed, and was written "L 3: True 1 1"
+        with pytest.raises(ValidationError,
+                           match=r"^lambda\(3\) = \(True, 1, 1\) is not an integer"):
+            CharacteristicFunction((E1, E2, E3, (True, 1, 1)))
+
 
 class TestTheorem:
     """Every simple 3-polytope admits a characteristic function: the

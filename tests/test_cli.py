@@ -179,6 +179,22 @@ def test_fan_volume_malformed_support(capsys, fan_file):
     assert "bad support value" in err
 
 
+@pytest.mark.parametrize("entry", ["1.5", "1e1", "+1", "1_0", "1/0", ""])
+def test_fan_volume_support_is_integers_or_p_over_q(capsys, fan_file, entry):
+    # Fraction() read 1.5, 1e1, +1 and 1_0 as 3/2, 10, 1 and 10
+    code, out, err = run(
+        capsys, "fan", "volume", fan_file("cp3"), "--support", f"1,{entry},1,1")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad support value: {entry!r}\n"
+
+
+def test_fan_volume_support_reads_signed_rationals(capsys, fan_file):
+    code, out, _ = run(
+        capsys, "fan", "volume", fan_file("cp3"), "--support", "3/2, 1,1,1")
+    assert code == 0
+    assert "support: (3/2, 1, 1, 1)" in out
+
+
 def test_fan_volume_needs_support(capsys, tmp_path):
     path = tmp_path / "cp3.fan"
     path.write_text(corpus_get("cp3").text.replace("support: 1 1 1 1\n", ""))

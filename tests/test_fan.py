@@ -103,6 +103,26 @@ class TestStructure:
         g = parse_fan(serialize_fan(f))
         assert g == f and all(type(c) is Fraction for c in g.support)
 
+    def test_bools_and_floats_are_refused(self):
+        # True == 1 passed as a ray entry, a cone's ray id or a support
+        # entry, and serialized as "True"; 0.1 became 3602879701896397/2**55
+        rays = [E1, E2, E3, (-1, -1, -1)]
+        with pytest.raises(ValidationError,
+                           match=r"^ray 0 = \(True, 0, 0\) is not an integer 3-vector$"):
+            Fan3.from_data("bad", [(True, 0, 0)] + rays[1:], SIMPLEX_CONES)
+        with pytest.raises(ValidationError,
+                           match=r"^cone \(0, True, 2\) has a non-integer ray id$"):
+            Fan3.from_data("bad", rays, [(0, True, 2)] + SIMPLEX_CONES[1:])
+        for bad in (0.1, True, "1.5", "1/0", None):
+            with pytest.raises(ValidationError,
+                               match=f"^support entry 2 = {re.escape(repr(bad))} is not"):
+                Fan3.from_data("bad", rays, SIMPLEX_CONES, support=[1, 1, bad, 1])
+
+    def test_support_strings_follow_the_document_grammar(self):
+        rays = [E1, E2, E3, (-1, -1, -1)]
+        f = Fan3.from_data("s", rays, SIMPLEX_CONES, support=["-3/4", "0", "12/8", "007"])
+        assert f.support == (Fraction(-3, 4), 0, Fraction(3, 2), 7)
+
     def test_degenerate_cone_rejected(self):
         with pytest.raises(ValidationError, match="degenerate"):
             Fan3.from_data("bad", [E1, E2, (1, 1, 0), (-1, -1, -1)], SIMPLEX_CONES)
@@ -530,6 +550,20 @@ class TestSerialization:
             parse_fan(text.replace("rays 4", "raysfoo 4"))
         with pytest.raises(ParseError, match="^expected 'cones <n>' on line 7$"):
             parse_fan(text.replace("cones 4", "conesXY 4"))
+
+    @pytest.mark.parametrize("entry", ["1.5", "1e1", "+1", "1_0", "1/0", "1/-2", "--1",
+                                       "-/2", "1/", "/2", "1/2/3", "0x1", "inf"])
+    def test_support_entries_are_integers_or_p_over_q(self, entry):
+        # Fraction() read 1.5, 1e1, +1 and 1_0 as 3/2, 10, 1 and 10
+        text = serialize_fan(load_fan("cp3")).replace("support: 1 1 1 1",
+                                                      f"support: 1 {entry} 1 1")
+        with pytest.raises(ParseError, match="^malformed support parameters 'support: 1 "):
+            parse_fan(text)
+
+    def test_support_line_reads_signed_rationals(self):
+        text = serialize_fan(load_fan("cp3")).replace("support: 1 1 1 1",
+                                                      "support: 1 -0 5/2 -12/8")
+        assert parse_fan(text).support == (1, 0, Fraction(5, 2), Fraction(-3, 2))
 
     def test_counts_are_non_negative_decimals_alone(self):
         # a negative count once read line -2 as the cones line

@@ -16,8 +16,9 @@ from toriclab.corpus import corpus_get
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Run toriclab.cli as ``python -m`` would; report the exit code and the
-# loaded toriclab modules on the last line of stderr.
+# Run toriclab.cli as ``python -m`` would; report the exit code, the loaded
+# toriclab modules and the loaded modules of HEAVY on the last line of
+# stderr.
 RUN_CLI = """
 import json, runpy, sys
 sys.argv = ["toriclab", *sys.argv[1:]]
@@ -26,10 +27,15 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m.removeprefix("toriclab.") for m in sys.modules if m.startswith("toriclab."))
-print(json.dumps([code, loaded]), file=sys.stderr)
+heavy = sorted(m for m in {heavy!r} if m in sys.modules)
+print(json.dumps([code, loaded, heavy]), file=sys.stderr)
 """
 
-POLYTOPE = ["charfunc", "combinatorics", "errors", "lattice"]
+# Standard modules that cost milliseconds to import and that no command
+# needs: dataclasses brings inspect, ast, dis and tokenize with it.
+HEAVY = ("dataclasses", "inspect", "typing")
+
+POLYTOPE = ["charfunc", "combinatorics", "errors", "lattice", "value"]
 VOLUME = sorted(POLYTOPE + ["cohomology", "fan"])
 CONE = sorted(VOLUME + ["cone", "exactlp"])
 CORPUS = sorted(POLYTOPE + ["corpus", "fan"])
@@ -79,19 +85,22 @@ COMMANDS = [
 
 
 def _run_cli(tmp_path, argv):
+    """Run one command in a fresh ``python -S``, so that no module ``site``
+    imports can hide one the package imports."""
     (tmp_path / "d.poly").write_text(corpus_get("dodecahedron").text)
     (tmp_path / "cp3.fan").write_text(corpus_get("cp3").text)
-    proc = _python("-c", RUN_CLI, *argv, cwd=tmp_path)
-    code, loaded = json.loads(proc.stderr.splitlines()[-1])
-    return code, loaded, proc.stderr
+    proc = _python("-S", "-c", RUN_CLI.format(heavy=HEAVY), *argv, cwd=tmp_path)
+    code, loaded, heavy = json.loads(proc.stderr.splitlines()[-1])
+    return code, loaded, heavy, proc.stderr
 
 
 @pytest.mark.parametrize("argv, modules", COMMANDS,
                          ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
 def test_each_command_loads_only_its_layers(tmp_path, argv, modules):
-    code, loaded, err = _run_cli(tmp_path, argv)
+    code, loaded, heavy, err = _run_cli(tmp_path, argv)
     assert code == 0, err
     assert loaded == modules
+    assert heavy == []
 
 
 FILE_COMMANDS = [argv[:2] for argv, _ in COMMANDS if argv[0] != "corpus"]
@@ -99,7 +108,7 @@ FILE_COMMANDS = [argv[:2] for argv, _ in COMMANDS if argv[0] != "corpus"]
 
 @pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
 def test_no_command_reading_a_file_loads_the_corpus(tmp_path, command):
-    code, loaded, err = _run_cli(tmp_path, [*command, "missing"])
+    code, loaded, _, err = _run_cli(tmp_path, [*command, "missing"])
     assert code == 2 and "error: cannot read missing" in err
     assert "corpus" not in loaded
 

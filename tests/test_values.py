@@ -1,0 +1,173 @@
+"""The value classes keep the semantics they had as frozen dataclasses: the
+same ``repr`` text, field-wise equality and hashing that ignore the kept
+caches, no assignment, and the same refusals from their constructors."""
+
+from fractions import Fraction
+
+import pytest
+
+from toriclab.charfunc import (CharacteristicFunction, CharacteristicPair, FacetColoring,
+                               StarVerdict)
+from toriclab.cohomology import linear_relation, volume_polynomial
+from toriclab.combinatorics import SimplePolytope3, SimplicialSphere2
+from toriclab.cone import ConeAnalysis, WallClass, delzant_obstruction_witness
+from toriclab.corpus import CorpusEntry
+from toriclab.errors import ValidationError
+from toriclab.exactlp import cone_membership, phase1_simplex, positive_functional
+from toriclab.fan import Fan3, check_complete
+
+TET = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+def sphere():
+    return SimplicialSphere2.from_triangles(4, TET)
+
+
+def lam():
+    return CharacteristicFunction(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+
+
+def fan():
+    return Fan3.from_data("cp3", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], TET,
+                          support=[1, 1, 1, Fraction(1, 2)])
+
+
+def wall_class():
+    return WallClass((0, 1), ((0, 1), (1, 1), (2, 1), (3, 1)), 4)
+
+
+# The texts below are what the classes printed as frozen dataclasses.
+SPHERE = ("SimplicialSphere2(m=4, triangles=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)), "
+          "oriented=((0, 1, 2), (1, 0, 3), (0, 2, 3), (2, 1, 3)), "
+          "walls=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))")
+LAM = "CharacteristicFunction(vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))"
+FAN = ("Fan3(name='cp3', rays=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), "
+       "maximal_cones=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)), "
+       f"sphere={SPHERE}, support=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), "
+       "Fraction(1, 2)))")
+WALL_CLASS = "WallClass(wall=(0, 1), entries=((0, 1), (1, 1), (2, 1), (3, 1)), m=4)"
+
+# class -> (an instance, its fields in order, the parent's repr)
+VALUES = {
+    "FacetColoring": (lambda: FacetColoring(("a", "b", "c", "d")), ["colors"],
+                      "FacetColoring(colors=('a', 'b', 'c', 'd'))"),
+    "CharacteristicFunction": (lam, ["vectors"], LAM),
+    "CharacteristicPair": (lambda: CharacteristicPair(sphere(), lam()), ["sphere", "lam"],
+                           f"CharacteristicPair(sphere={SPHERE}, lam={LAM})"),
+    "StarVerdict": (lambda: StarVerdict(False, (((0, 1, 2), 2),)), ["ok", "violations"],
+                    "StarVerdict(ok=False, violations=(((0, 1, 2), 2),))"),
+    "LinearRelation": (lambda: linear_relation(fan(), (1, 0, 0)), ["mu", "coeffs"],
+                       "LinearRelation(mu=(1, 0, 0), coeffs=(1, 0, 0, -1))"),
+    "VolumePolynomial": (lambda: volume_polynomial(fan()), ["fan", "terms"],
+                         f"VolumePolynomial(fan={FAN})"),
+    "SimplicialSphere2": (sphere, ["m", "triangles", "oriented", "walls"], SPHERE),
+    "SimplePolytope3": (
+        lambda: SimplePolytope3.from_facets("tetrahedron",
+                                            [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)]),
+        ["name", "facets"],
+        "SimplePolytope3(name='tetrahedron', facets=((0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)))"),
+    "WallClass": (wall_class, ["wall", "entries", "m"], WALL_CLASS),
+    "ConeAnalysis": (
+        lambda: ConeAnalysis((wall_class(),), (((0, 1),),), ((0, 1),), None),
+        ["classes", "groups", "extremal", "witness", "note"],
+        f"ConeAnalysis(classes=({WALL_CLASS},), groups=(((0, 1),),), extremal=((0, 1),), "
+        "witness=None, note='')"),
+    "ObstructionWitness": (
+        lambda: delzant_obstruction_witness(fan()),
+        ["wall", "a", "curvature", "case", "vertex", "neighbors", "dual_face_size"],
+        "ObstructionWitness(wall=(0, 1), a=(-1, -1), curvature=4, case='a1 < 0', vertex=1, "
+        "neighbors=(0, 2, 3), dual_face_size=3)"),
+    "CorpusEntry": (lambda: CorpusEntry("cp3", "fan", "fan3 cp3\n", "a note"),
+                    ["name", "kind", "text", "note"],
+                    "CorpusEntry(name='cp3', kind='fan', text='fan3 cp3\\n', note='a note')"),
+    "Phase1Result": (lambda: phase1_simplex([[1, 1]], [Fraction(1, 2)]), ["solution", "farkas"],
+                     "Phase1Result(solution=(Fraction(1, 2), Fraction(0, 1)), farkas=None)"),
+    "ConeMembership": (
+        lambda: cone_membership((1, -1), [(1, 0), (0, 1)]),
+        ["member", "coefficients", "separator"],
+        "ConeMembership(member=False, coefficients=None, "
+        "separator=(Fraction(0, 1), Fraction(-1, 1)))"),
+    "PositiveFunctional": (
+        lambda: positive_functional([(1, 0), (-1, 0)]), ["found", "y", "farkas"],
+        "PositiveFunctional(found=False, y=None, farkas=(Fraction(1, 2), Fraction(1, 2)))"),
+    "Wall": (lambda: fan().walls[0], ["pair", "apexes", "a", "curvature", "classification"],
+             "Wall(pair=(0, 1), apexes=(2, 3), a=(-1, -1), curvature=4, "
+             "classification='convex')"),
+    "CompletenessCertificate": (
+        lambda: check_complete(fan(), 1), ["direction", "cone", "attempts"],
+        "CompletenessCertificate(direction=(-722, 168, 738), cone=(1, 2, 3), attempts=1)"),
+    "Fan3": (fan, ["name", "rays", "maximal_cones", "sphere", "support"], FAN),
+}
+
+# what to read to fill the caches an instance keeps besides its fields
+CACHES = {
+    "CharacteristicPair": ["integrals"],
+    "SimplicialSphere2": ["_index"],
+    "SimplePolytope3": ["_index"],
+    "Fan3": ["certificate", "wall_table", "characteristic_pair", "cone_analysis"],
+}
+
+
+def test_every_value_class_is_pinned():
+    assert len(VALUES) == 18
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_repr_is_the_dataclass_text(name):
+    make, _, text = VALUES[name]
+    value = make()
+    assert type(value).__name__ == name
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_equality_and_hash_are_field_wise(name):
+    make, fields, _ = VALUES[name]
+    value = make()
+    for attr in CACHES.get(name, ()):
+        getattr(value, attr)
+    assert bool(set(vars(value)) - set(fields)) == (name in CACHES)
+    values = tuple(getattr(value, f) for f in fields)
+    copy = type(value)(*values)  # the constructor keeps no cache
+    assert set(vars(copy)) == set(fields)
+    assert copy == value and not copy != value
+    assert hash(copy) == hash(value) == hash(values)
+    assert value != values and values != value
+
+
+def test_a_differing_field_breaks_equality():
+    w = fan().walls[0]
+    other = type(w)(w.pair, w.apexes, w.a, w.curvature, "flat")
+    assert w != other
+    assert fan() != Fan3(*(getattr(fan(), f) for f in VALUES["Fan3"][1][:-1]), None)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_fields_cannot_be_assigned_or_deleted(name):
+    make, fields, _ = VALUES[name]
+    value = make()
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{fields[0]}'$"):
+        setattr(value, fields[0], None)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
+        value.extra = 1
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{fields[-1]}'$"):
+        delattr(value, fields[-1])
+    assert repr(value) == VALUES[name][2]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FacetColoring(("a", "e")), "unknown color 'e'"),
+    (lambda: CharacteristicFunction(((1, 0),)),
+     r"lambda\(0\) = \(1, 0\) is not an integer 3-vector"),
+    (lambda: CharacteristicFunction(((2, 0, 0),)), r"lambda\(0\) = \(2, 0, 0\) is not primitive"),
+    (lambda: CharacteristicPair(sphere(), CharacteristicFunction(((1, 0, 0),))),
+     "sphere has 4 vertices but lambda has 1 values"),
+    (lambda: WallClass((0, 1), ((0, 1), (0, 2)), 4),
+     r"wall class \(0, 1\): entry \(0, 2\) is out of ray order"),
+    (lambda: WallClass((0, 1), ((5, 1),), 4),
+     r"wall class \(0, 1\): entry \(5, 1\) is outside rays 0..3"),
+    (lambda: WallClass((0, 1), ((1, 0),), 4), r"wall class \(0, 1\): entry \(1, 0\) is zero"),
+])
+def test_constructors_refuse_as_before(make, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        make()
