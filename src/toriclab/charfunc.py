@@ -130,7 +130,7 @@ def check_star_condition(pair: CharacteristicPair) -> StarVerdict:
     its determinant.
     """
     bad = []
-    lam = pair.lam
+    lam = pair.lam.vectors
     for t in pair.sphere.triangles:
         d = det3(lam[t[0]], lam[t[1]], lam[t[2]])
         if d not in (1, -1):
@@ -147,74 +147,68 @@ def four_color(sphere: SimplicialSphere2) -> FacetColoring:
     fixed order a, b, c, d.  Vertex 0 therefore always receives 'a' and the
     first differently-colored vertex receives 'b'.
 
-    The choice is incremental.  ``seen[v][c]`` counts the neighbors of v
-    colored c, and ``sat[v]`` the nonzero counts; both are updated whenever
-    a vertex is colored, recolored or uncolored.  A heap holds entries
-    (-saturation, -degree, id) with lazy deletion: an entry is live while
-    its vertex is uncolored and its saturation is current.  Every change of
-    an uncolored vertex's saturation, and every uncoloring, pushes a fresh
-    entry, so each uncolored vertex always has a live entry and the least
-    live entry is the vertex the rule above picks.  A coloring without
-    backtracking therefore costs O(m log m).  The neighbour lists are the
-    sphere's kept ones; their order cannot change a pick, nor the coloring.
+    The choice is incremental, over flat int lists.  ``seen[4 * v + c]``
+    counts the neighbors of v colored c, and ``key[v]`` is v's heap key
+    ``(4 - sat) * D * m + (D - deg) * m + v``, where sat counts the nonzero
+    ``seen`` entries of v, deg is its degree and D the largest degree plus
+    one; one int, ordered as (-saturation, -degree, id).  Both are updated
+    whenever a vertex is colored, recolored or uncolored.  The heap holds
+    keys with lazy deletion: a key is live while its vertex (the key mod
+    m) is uncolored and the key is current.  Every change of an uncolored
+    vertex's key, and every uncoloring, pushes the key, so each uncolored
+    vertex always has a live key and the least live key is the vertex the
+    rule above picks.  A coloring without backtracking therefore costs
+    O(m log m).  The neighbour lists are the sphere's kept ones; their
+    order cannot change a pick, nor the coloring.
 
     The skeleton is planar, so a proper 4-coloring exists; exhaustion of
     the search would indicate corrupted input or a solver bug and raises
     InternalError.
     """
     m = sphere.m
-    adj = sphere._index[1]
-
-    color: list[int | None] = [None] * m  # index into COLORS
-    seen = [[0] * len(COLORS) for _ in range(m)]
-    sat = [0] * m
-    heap = [(0, -len(adj[v]), v) for v in range(m)]
+    adj = sphere._neighbours
+    D = max(map(len, adj)) + 1
+    step = D * m  # one unit of saturation
+    key = [4 * step + (D - len(nbrs)) * m + v for v, nbrs in enumerate(adj)]
+    heap = key[:]
     heapq.heapify(heap)
-
-    def recolor(u: int, c: int | None) -> None:
-        old, color[u] = color[u], c
-        for w in adj[u]:
-            s = sat[w]
-            if old is not None:
-                seen[w][old] -= 1
-                if seen[w][old] == 0:
-                    s -= 1
-            if c is not None:
-                seen[w][c] += 1
-                if seen[w][c] == 1:
-                    s += 1
-            if s != sat[w]:
-                sat[w] = s
-                if color[w] is None:
-                    heapq.heappush(heap, (-s, -len(adj[w]), w))
-        if c is None:
-            heapq.heappush(heap, (-sat[u], -len(adj[u]), u))
-
-    def pick() -> int | None:
-        while heap:
-            neg_sat, _, v = heap[0]
-            if color[v] is None and sat[v] == -neg_sat:
-                return v
-            heapq.heappop(heap)
-        return None
+    color = [-1] * m  # index into COLORS, -1 while uncolored
+    seen = [0] * (4 * m)
 
     # Depth-first search on an explicit stack, one frame per colored
     # vertex: the vertex and the colors still to try, free at the time it
     # was picked.  Recursion would overflow at about a thousand vertices.
     frames: list[tuple[int, Iterator[int]]] = []
-    v = pick()
-    while v is not None:
-        frames.append((v, iter([c for c, n in enumerate(seen[v]) if not n])))
+    while heap:
+        v = heap[0] % m
+        if color[v] >= 0 or key[v] != heap[0]:
+            heapq.heappop(heap)
+            continue
+        frames.append((v, iter([c for c in range(4) if not seen[4 * v + c]])))
         while frames:
             u, untried = frames[-1]
-            c = next(untried, None)
-            recolor(u, c)
-            if c is not None:
+            c = next(untried, -1)
+            old, color[u] = color[u], c
+            for w in adj[u]:
+                i, k = 4 * w, key[w]
+                if old >= 0:
+                    seen[i + old] -= 1
+                    if not seen[i + old]:
+                        k += step
+                if c >= 0:
+                    seen[i + c] += 1
+                    if seen[i + c] == 1:
+                        k -= step
+                if k != key[w]:
+                    key[w] = k
+                    if color[w] < 0:
+                        heapq.heappush(heap, k)
+            if c >= 0:
                 break
+            heapq.heappush(heap, key[u])
             frames.pop()
         else:
             raise InternalError("4-coloring search exhausted on a planar graph")
-        v = pick()
     coloring = FacetColoring(tuple(COLORS[c] for c in color))
     if not coloring.is_proper(sphere):
         raise InternalError("solver produced an improper coloring")

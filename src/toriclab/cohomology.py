@@ -29,7 +29,8 @@ weights; their values at valid support parameters are Euclidean volumes of
 the corresponding simple polytopes.
 
 Support parameters are evaluated over one common denominator: the values
-c_1, ..., c_m are read once, by ``lattice.over_common_denominator``, as
+c_1, ..., c_m, each read as a fan's support entry is (a Fraction, an int
+or a 'p/q' string), become once, by ``lattice.over_common_denominator``,
 integer numerators C_t over their least common denominator D.  Every
 multinomial weight times 6 is an integer, so a volume is the integer sum S
 of 6 * weight * integral * C_i C_j C_k divided by 6 D^3, and an edge
@@ -45,7 +46,7 @@ from fractions import Fraction
 
 from .charfunc import CharacteristicPair
 from .errors import SupportInvalid, ValidationError
-from .fan import Fan3, characteristic_pair
+from .fan import Fan3, _support_entry, characteristic_pair
 from .lattice import Vec3, det3, dot, dual_covector, over_common_denominator
 from .value import _Value
 
@@ -67,7 +68,7 @@ def _as_multiset(indices, m: int) -> Multiset:
     t = tuple(indices)
     if len(t) != 3:
         raise ValidationError(f"need exactly 3 indices, got {indices!r}")
-    if not all(isinstance(i, int) for i in t):
+    if not all(type(i) is int for i in t):
         raise ValidationError(f"indices {indices!r} are not all integers")
     t = tuple(sorted(t))
     if not all(0 <= i < m for i in t):
@@ -87,7 +88,7 @@ class LinearRelation(_Value):
 
 def linear_relation(f: Fan3, mu) -> LinearRelation:
     mu = tuple(mu)
-    if len(mu) != 3 or not all(isinstance(x, int) for x in mu):
+    if len(mu) != 3 or not all(type(x) is int for x in mu):
         raise ValidationError(f"mu = {mu} is not an integer 3-vector")
     return LinearRelation(mu=mu, coeffs=tuple(dot(mu, r) for r in f.rays))
 
@@ -102,7 +103,7 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int], Pairi
     ValidationError when a triangle's vectors are degenerate or, where a
     covector is needed, fail the basis condition.
     """
-    sphere, lam = pair.sphere, pair.lam
+    sphere, lam = pair.sphere, pair.lam.vectors
 
     def covector(i: int, j: int, k: int) -> Vec3:
         try:
@@ -233,7 +234,10 @@ def serialize_volume_polynomial(V: VolumePolynomial) -> str:
 
 
 def _scaled(c, m: int, what: str) -> tuple[list[int], int]:
-    """m values c for the named variables, as numerators over one D."""
+    """m values c for the named variables, as numerators over one D.  Each
+    value is what a fan's support entry may be (``fan._support_entry``):
+    a Fraction, an int (not a bool) or a 'p/q' string."""
+    c = [x if type(x) is Fraction else _support_entry(i, x) for i, x in enumerate(c)]
     (C,), D = over_common_denominator([c])
     if len(C) != m:
         raise ValidationError(f"{len(C)} values for {m} {what}")

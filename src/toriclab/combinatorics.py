@@ -8,10 +8,11 @@ convention used by the signed intersection calculus downstream.
 
 Each polytope keeps one half-edge index (start vertex, facet and twin of
 every half-edge, in int arrays), read by validation, orientation and
-:func:`dual_sphere`.  A sphere keeps one wall index (an int-keyed map from
-directed walls to apexes, and neighbour lists), which its checks, adjacency
-queries, :func:`dual_polytope` and the 4-coloring read.  Faults are named
-after a sort or ordered scan.
+:func:`dual_sphere`, which reads the whole dual sphere off it.  A sphere
+keeps two indexes, each built once: each vertex's neighbour list, read by
+its adjacency queries and the 4-coloring, and an int-keyed map from
+directed walls to apexes, read by :meth:`SimplicialSphere2.wall_apexes`
+and :func:`dual_polytope`.  Faults are named after a sort or ordered scan.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from functools import cached_property
 from operator import eq, lt
 
-from .errors import ParseError, ValidationError
+from .errors import InternalError, ParseError, ValidationError
 from .value import _Value
 
 Triangle = tuple[int, int, int]
@@ -44,11 +45,13 @@ class SimplicialSphere2(_Value):
     wall is traversed once in each direction, i.e. the orientation is
     globally consistent.  ``walls`` are the sorted 2-element faces.
 
-    One wall index is kept (:attr:`_index`): a map from each directed wall
-    ``x * m + y`` to an apex, the two directions of a wall holding its two
-    apexes, and each vertex's neighbours, as stored by
-    :meth:`from_triangles` or built on first use.  It is not a field, so
-    equality and hashing see only the fields.
+    Two indexes are kept, each built on first use unless a maker stores
+    it: the neighbour lists (:attr:`_neighbours`) and the apex map
+    (:attr:`_apexes`), which keys each directed wall ``x * m + y`` to an
+    apex, the two directions of a wall holding its two apexes.
+    :meth:`from_triangles` stores both, :func:`dual_sphere` only the
+    neighbour lists.  They are not fields, so equality and hashing see only
+    the fields.
     """
 
     m: int
@@ -64,27 +67,21 @@ class SimplicialSphere2(_Value):
     def from_triangles(cls, m, triangles, oriented=None) -> "SimplicialSphere2":
         """Validate a triangle list as a 2-sphere and fix an orientation.
 
-        Sorted triangles with ``oriented`` representatives, as from
-        :func:`dual_sphere`, are indexed by their directed walls
-        (:func:`_directed_index`); other input, and any fault, by the scan
-        below, which names the first fault.  The other checks read the kept
-        wall index, by which propagation orients when ``oriented`` is None.
+        The triangles are sorted and scanned, and the first fault is
+        named.  The other checks read the apex map and neighbour lists,
+        by which propagation orients when ``oriented`` is None.
         """
-        tris = triangles = tuple(map(tuple, triangles))
-        if oriented is not None:
-            oriented = tuple(map(tuple, oriented))
-        index = oriented is not None and _directed_index(m, triangles, oriented)
-        if not index:
-            tris = sorted(tuple(sorted(t)) for t in triangles)
-            if len(set(tris)) != len(tris):
-                raise ValidationError("duplicate triangle in sphere")
-            for t in tris:
-                if len(set(t)) != 3:
-                    raise ValidationError(f"degenerate triangle {t}")
-                if not all(0 <= v < m for v in t):
-                    raise ValidationError(f"triangle {t} uses a vertex outside 0..{m - 1}")
-            index = _apex_index(m, tris)
-        nxt, around, walls = index
+        tris = sorted(tuple(sorted(t)) for t in triangles)
+        if len(set(tris)) != len(tris):
+            raise ValidationError("duplicate triangle in sphere")
+        for t in tris:
+            if len(set(t)) != 3:
+                raise ValidationError(f"degenerate triangle {t}")
+            if not all(0 <= v < m for v in t):
+                raise ValidationError(f"triangle {t} uses a vertex outside 0..{m - 1}")
+        nxt, codes = _apex_index(m, tris)
+        walls = tuple(map(divmod, codes, repeat(m)))
+        around = _neighbour_lists(m, walls)
 
         # Euler characteristic of a 2-sphere
         if m - len(walls) + len(tris) != 2:
@@ -110,7 +107,7 @@ class SimplicialSphere2(_Value):
 
         if oriented is None:
             oriented = _orient_by_propagation(m, tris, nxt)
-        if tris is not triangles:  # not checked by _directed_index
+        else:
             oriented = _checked_orientation(oriented, tris)
 
         # connectivity of the whole complex: with every link a cycle, the
@@ -123,9 +120,8 @@ class SimplicialSphere2(_Value):
         if len(seen) != m:
             raise ValidationError("sphere complex is disconnected")
 
-        sphere = cls(m=m, triangles=tuple(tris), oriented=oriented,
-                     walls=tuple(map(divmod, walls, repeat(m))))
-        sphere.__dict__["_index"] = nxt, around  # cached_property slot
+        sphere = cls(m=m, triangles=tuple(tris), oriented=oriented, walls=walls)
+        sphere.__dict__.update(_neighbours=around, _apexes=nxt)  # cached_property slots
         return sphere
 
     def reoriented(self, oriented) -> "SimplicialSphere2":
@@ -133,24 +129,30 @@ class SimplicialSphere2(_Value):
 
         The triangles are already validated, so only the orientation is
         checked: it must match the triangles and be globally consistent.
-        The result shares this sphere's kept wall index; it builds none.
+        The result shares this sphere's two indexes.
         """
         sphere = SimplicialSphere2(self.m, self.triangles,
                                    _checked_orientation(oriented, self.triangles), self.walls)
-        sphere.__dict__["_index"] = self._index  # cached_property slot
+        sphere.__dict__.update(_neighbours=self._neighbours,  # cached_property slots
+                               _apexes=self._apexes)
         return sphere
 
     @cached_property
-    def _index(self) -> tuple[dict[int, int], dict[int, list[int]]]:
-        """The :func:`_apex_index` maps of the stored triangles."""
-        return _apex_index(self.m, self.triangles)[:2]
+    def _neighbours(self) -> list[list[int]]:
+        """Each vertex's neighbours, read off the walls."""
+        return _neighbour_lists(self.m, self.walls)
+
+    @cached_property
+    def _apexes(self) -> dict[int, int]:
+        """The :func:`_apex_index` map of the stored triangles."""
+        return _apex_index(self.m, self.triangles)[0]
 
     def wall_apexes(self, wall: Wall) -> tuple[int, int]:
         """The two vertices completing the given wall to triangles, ascending."""
         u, v = wall
         if u > v:
             u, v = v, u
-        m, nxt = self.m, self._index[0]
+        m, nxt = self.m, self._apexes
         p = nxt.get(u * m + v) if 0 <= u < v < m else None
         if p is None:
             raise ValidationError(f"{(u, v)} is not a wall of this sphere")
@@ -158,10 +160,10 @@ class SimplicialSphere2(_Value):
         return (p, q) if p < q else (q, p)
 
     def vertex_degree(self, v: int) -> int:
-        return len(self._index[1][v])
+        return len(self._neighbours[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._index[1][v]))
+        return tuple(sorted(self._neighbours[v]))
 
     def orientation_sign(self, i: int, j: int, k: int) -> int:
         """+1 if (i, j, k) is an even permutation of the stored oriented
@@ -174,54 +176,32 @@ class SimplicialSphere2(_Value):
         return 1 if rep[rep.index(i) - 2] == j else -1
 
 
-def _apex_index(m: int, tris):
-    """For sorted triangles on 0..m-1: the wall index (wall {u, v} keeps its
-    two apexes under ``u * m + v`` and ``v * m + u``), each vertex's
-    neighbours and the sorted wall codes ``u * m + v`` (u < v).  Names the
-    first wall met that does not lie in two triangles."""
+def _apex_index(m: int, tris) -> tuple[dict[int, int], list[int]]:
+    """For sorted triangles on 0..m-1: the apex map (wall {u, v} keeps its
+    two apexes under ``u * m + v`` and ``v * m + u``) and the sorted wall
+    codes ``u * m + v`` (u < v).  Names the first wall met that does not
+    lie in two triangles."""
     apexes: dict[int, list[int]] = defaultdict(list)
     for a, b, c in tris:
         apexes[a * m + b].append(c)
         apexes[a * m + c].append(b)
         apexes[b * m + c].append(a)
     nxt: dict[int, int] = {}
-    around: dict[int, list[int]] = {v: [] for v in range(m)}
     for w, tops in apexes.items():
         u, v = divmod(w, m)
         if len(tops) != 2:
             raise ValidationError(f"wall {(u, v)} lies in {len(tops)} triangles (expected 2)")
         nxt[w], nxt[v * m + u] = tops
+    return nxt, sorted(apexes)
+
+
+def _neighbour_lists(m: int, walls) -> list[list[int]]:
+    """Each vertex's neighbours, from the walls (u, v)."""
+    around: list[list[int]] = [[] for _ in range(m)]
+    for u, v in walls:
         around[u].append(v)
         around[v].append(u)
-    return nxt, around, sorted(apexes)
-
-
-def _directed_index(m: int, tris, oriented):
-    """As :func:`_apex_index`, for sorted triangles whose aligned
-    representatives run every wall once each way, else None: ``x * m + y``
-    maps to z for each rotation (x, y, z) of a representative."""
-    if len(oriented) != len(tris) or not all(map(lt, tris, tris[1:])):
-        return None
-    nxt: dict[int, int] = {}
-    around: dict[int, list[int]] = {v: [] for v in range(m)}
-    try:
-        for (a, b, c), (x, y, z) in zip(tris, oriented):
-            nxt[x * m + y], nxt[y * m + z], nxt[z * m + x] = z, x, y
-            # it matches (a, b, c) iff it wrote c after a -> b or b -> a
-            if not (0 <= a < b < c < m and c in (nxt.get(a * m + b), nxt.get(b * m + a))):
-                return None
-            around[x].append(y)
-            around[y].append(z)
-            around[z].append(x)
-    except ValueError:  # not a triple
-        return None
-    walls = {a * m + b for a, b, _ in tris}
-    walls.update([a * m + c for a, _, c in tris], [b * m + c for _, b, c in tris])
-    # no directed wall written twice, and 3T/2 walls: each wall in two
-    # triangles, so run once each way
-    if len(nxt) != 3 * len(tris) or 2 * len(walls) != len(nxt):
-        return None
-    return nxt, around, sorted(walls)
+    return around
 
 
 def _orient_by_propagation(m: int, tris, nxt) -> tuple[Triangle, ...]:
@@ -436,19 +416,39 @@ def _orient(index, cycles) -> list[bool]:
 def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     """The dual simplicial 2-sphere: sphere vertex i <-> facet i of p.
 
-    The neighbours of vertex i are the facets of the twins of facet i's
-    half-edges, in cycle order.  Each polytope vertex becomes the triangle
-    (i, b, c) read at its lowest facet i, b and c being the neighbours across
-    the edges the cycle leaves and enters it by.  The triangles are emitted
-    sorted, as :meth:`SimplicialSphere2.from_triangles` checks them in one pass.
+    It is read straight off the half-edge index ``(flat, face, twin)``.
+    With ``across = face[twin[h]]``, the neighbours of vertex i are
+    ``across`` along facet i's cycle, and the walls are the pairs
+    ``(face[h], across[h])`` with ``face[h] < across[h]``.  Each polytope
+    vertex becomes the triangle (i, b, c) read at its lowest facet i, b and
+    c being the neighbours across the edges the cycle leaves and enters it
+    by; that order is its oriented representative.
+
+    No sphere check is repeated, because validating the index already
+    proved what it needs: three distinct facets at every vertex and two
+    at every edge, no two facets sharing two edges, and Euler
+    characteristic 2; :func:`_orient` made the facets one connected,
+    consistently oriented surface.  So the triangles are distinct, every
+    wall lies in two of them, the link of i is facet i's neighbour cycle,
+    and the sphere is connected and consistently oriented.  The counts
+    ``m - W + T = 2`` and ``2W = 3T`` and the strict order of triangles
+    and walls are checked; a failure is an InternalError.
     """
-    flat, face, twin = p._index
+    _, face, twin = p._index
+    m = p.num_facets
     across = list(map(face.__getitem__, twin))
     # at the vertex each half-edge runs into: b across the next half-edge, c
     # across this one, kept where i is the lowest of the three facets
     tris, reps = zip(*sorted(((i, b, c) if b < c else (i, c, b), (i, b, c)) for i, b, c
                              in zip(face, _heads(across, p.facets), across) if b > i < c))
-    return SimplicialSphere2.from_triangles(p.num_facets, tris, oriented=reps)
+    walls = tuple(sorted(compress(zip(face, across), map(lt, face, across))))
+    if (m - len(walls) + len(tris) != 2 or 2 * len(walls) != 3 * len(tris)
+            or not all(map(lt, tris, tris[1:])) or not all(map(lt, walls, walls[1:]))):
+        raise InternalError(f"dual of polytope {p.name!r} is not a 2-sphere")
+    ends = list(accumulate(map(len, p.facets)))
+    sphere = SimplicialSphere2(m, tris, reps, walls)
+    sphere.__dict__["_neighbours"] = list(map(across.__getitem__, map(slice, [0, *ends], ends)))
+    return sphere
 
 
 def dual_polytope(sphere: SimplicialSphere2, name: str) -> SimplePolytope3:
@@ -457,13 +457,12 @@ def dual_polytope(sphere: SimplicialSphere2, name: str) -> SimplePolytope3:
     Facet i of the result corresponds to sphere vertex i; polytope vertex t
     corresponds to sphere triangle number t (position in sphere.triangles).
     The walk around a vertex reads each wall's far apex from the sphere's
-    kept wall index and finds its triangle by bisection; it may start
-    anywhere, as :meth:`SimplePolytope3.from_facets` rotates each cycle.
+    apex map and finds its triangle by bisection; it may start anywhere,
+    as :meth:`SimplePolytope3.from_facets` rotates each cycle.
     """
-    nxt, around = sphere._index
-    m, tris = sphere.m, sphere.triangles
+    nxt, m, tris = sphere._apexes, sphere.m, sphere.triangles
     facets = []
-    for v, nbrs in around.items():
+    for v, nbrs in enumerate(sphere._neighbours):
         # start at the triangle beyond the wall to the first neighbour
         cycle = [bisect_left(tris, tuple(sorted((v, nbrs[0], nxt[v * m + nbrs[0]]))))]
         while True:

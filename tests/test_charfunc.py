@@ -128,6 +128,15 @@ class TestColoringMatchesReference:
         for seed in range(3):
             self.check(subdivided_cp3(m, seed)[0].sphere)
 
+    def test_bipyramid_ties_at_high_degree(self):
+        # two apexes of degree 200 over a 200-gon, m = 202: the first pick,
+        # an apex, is made by degree alone, at a degree past m / 2
+        n = 200
+        tris = [(i, (i + 1) % n, apex) for i in range(n) for apex in (n, n + 1)]
+        s = SimplicialSphere2.from_triangles(n + 2, tris)
+        for t in (s, *(relabelled(s, seed) for seed in range(5))):
+            self.check(t)
+
     def test_relabelled_fullerenes_backtrack(self):
         # Ids set the tie-breaks, so relabelling changes the search; on
         # these fullerene duals most labellings force some backtracking.

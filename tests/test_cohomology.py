@@ -101,7 +101,8 @@ def test_bad_indices_rejected():
         triple_intersection(f, (0, 1, 9))
 
 
-@pytest.mark.parametrize("indices", [(0.9, 1, 2), ("a", 1, 2), (Fraction(1), 1, 2)])
+@pytest.mark.parametrize("indices", [(0.9, 1, 2), ("a", 1, 2), (Fraction(1), 1, 2),
+                                     (True, 2, 3)])
 def test_non_integer_indices_rejected(indices):
     # an index is refused unless it is an int, as a ray entry is; int()
     # used to truncate 0.9 to the (0, 1, 2) integral
@@ -115,7 +116,7 @@ def test_non_integer_indices_rejected(indices):
         volume_polynomial(f).coefficient(indices)
 
 
-@pytest.mark.parametrize("mu", [(1.7, 0, 0), (1, 0), (1, 0, 0, 0), ("1", 0, 0)])
+@pytest.mark.parametrize("mu", [(1.7, 0, 0), (1, 0), (1, 0, 0, 0), ("1", 0, 0), (True, 0, 0)])
 def test_linear_relation_rejects_a_non_integer_3_vector(mu):
     with pytest.raises(ValidationError,
                        match=rf"^mu = {re.escape(str(mu))} is not an integer 3-vector$"):
@@ -444,6 +445,30 @@ def test_support_checks_match_a_fraction_restatement():
             assert str(err.value) == message
         outcomes.add("zero" if min(edges.values()) == 0 else "negative")
     assert outcomes == {"valid", "zero", "negative"}
+
+
+SUPPORT_READERS = {
+    "volume_polynomial": lambda f, c: volume_polynomial(f)(c),
+    "edge_functional": lambda f, c: edge_functional(f, (0, 1), c),
+    "edge_functionals": lambda f, c: edge_functionals(f, c)[(0, 1)],
+    "certify_support": certify_support,
+    "evaluate_volume": lambda f, c: evaluate_volume(volume_polynomial(f), c),
+}
+
+
+@pytest.mark.parametrize("reader", SUPPORT_READERS)
+def test_support_values_are_read_as_a_fans_support_entries(reader):
+    # a Fraction, an int or a 'p/q' string, as Fan3.from_data reads them;
+    # floats and bools used to pass through Fraction()
+    f, read = load_fan("cp3"), SUPPORT_READERS[reader]
+    assert read(f, [1, "3/2", Fraction(1), "-0/5"]) == read(f, [1, Fraction(3, 2), 1, 0])
+    for at, bad in ((0, 0.1), (1, True), (3, 1.5), (2, None), (0, "0.5")):
+        c = [1, 1, 1, 1]
+        c[at] = bad
+        message = (rf"^support entry {at} = {re.escape(repr(bad))} "
+                   rf"is not a Fraction, an int or a 'p/q' string$")
+        with pytest.raises(ValidationError, match=message):
+            read(f, c)
 
 
 def test_support_checks_reject_a_wrong_length():

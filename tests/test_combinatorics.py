@@ -6,16 +6,23 @@ values.  Structural identities (Euler relation, sum over facets of
 (6-k)*p_k = 12, double-dual isomorphism) are asserted as exact invariants.
 """
 
+import random
 import re
 from collections import defaultdict
 
 import pytest
 
 import toriclab.combinatorics as combinatorics_module
-from toriclab.charfunc import four_color
+from toriclab.charfunc import (
+    CharacteristicPair,
+    check_star_condition,
+    coloring_to_charfunc,
+    four_color,
+)
 from toriclab.combinatorics import (
     SimplePolytope3,
     SimplicialSphere2,
+    betti_numbers,
     dual_polytope,
     dual_sphere,
     face_histogram,
@@ -183,7 +190,7 @@ class TestDualSphere:
         flipped = [(a, c, b) for a, b, c in s.oriented]
         r = s.reoriented(flipped)
         assert r == SimplicialSphere2.from_triangles(s.m, s.triangles, oriented=flipped)
-        assert r._index is s._index
+        assert r._neighbours is s._neighbours and r._apexes is s._apexes
         with pytest.raises(ValidationError, match="^orientation traverses edge"):
             s.reoriented(flipped[:1] + list(s.oriented[1:]))
         with pytest.raises(ValidationError, match="do not match triangles"):
@@ -244,10 +251,11 @@ def test_incidence_is_built_once_per_polytope(monkeypatch):
 
 
 def test_wall_index_is_built_once_per_sphere(monkeypatch):
-    # a fan's sphere keeps the wall index of the ordered scan, a dual
-    # sphere the index of the directed-wall pass, and neither builds both
+    # a fan's sphere keeps both indexes of the ordered scan; a dual sphere
+    # keeps the neighbour lists read off the half-edge index and builds
+    # the apex map once, when a query first needs it
     calls = []
-    for name in ("_apex_index", "_directed_index"):
+    for name in ("_apex_index", "_neighbour_lists"):
         def counting(m, *args, name=name, build=getattr(combinatorics_module, name)):
             calls.append((name, m))
             return build(m, *args)
@@ -260,15 +268,40 @@ def test_wall_index_is_built_once_per_sphere(monkeypatch):
     f.wall_table
     characteristic_pair(f).integrals
     delzant_obstruction_witness(f)
-    assert calls == [("_apex_index", 7)]
+    assert calls == [("_apex_index", 7), ("_neighbour_lists", 7)]
 
     calls.clear()
     s = dual_sphere(p)
-    [s.wall_apexes(w) for w in s.walls]
     [(s.neighbors(v), s.vertex_degree(v)) for v in range(s.m)]
     four_color(s)
+    assert calls == []
+    [s.wall_apexes(w) for w in s.walls]
     dual_polytope(s, "x")
-    assert calls == [("_directed_index", 12)]
+    assert calls == [("_apex_index", 12)]
+
+
+def test_polytope_path_builds_no_apex_map(monkeypatch):
+    # parse -> dual -> 4-coloring -> star check -> Betti numbers reads the
+    # neighbour lists alone; the first wall_apexes builds the apex map once
+    calls = []
+    apex_index = combinatorics_module._apex_index
+
+    def counting(m, tris):
+        calls.append(m)
+        return apex_index(m, tris)
+
+    monkeypatch.setattr(combinatorics_module, "_apex_index", counting)
+    for name in POLYTOPE_NAMES:
+        p = parse_polytope(serialize_polytope(load_polytope(name)))
+        s = dual_sphere(p)
+        lam = coloring_to_charfunc(four_color(s))
+        assert check_star_condition(CharacteristicPair(s, lam)).ok
+        assert betti_numbers(s) == (1, s.m - 3, s.m - 3, 1)
+        assert calls == []
+        for w in s.walls:
+            s.wall_apexes(w)
+        assert calls == [s.m]
+        calls.clear()
 
 
 def sphere_answers(s):
@@ -285,12 +318,13 @@ def sphere_answers(s):
 def test_constructed_spheres_answer_the_same():
     stacked = subdivided_cp3(60, seed=1)[0].sphere
     icosa = SimplicialSphere2.from_triangles(12, ICOSA_TRIANGLES)
-    for s in (icosa, dual_sphere(cube()), stacked):
-        assert "_index" in vars(s)
+    for s, kept in ((icosa, {"_neighbours", "_apexes"}), (dual_sphere(cube()), {"_neighbours"}),
+                    (stacked, {"_neighbours", "_apexes"})):
+        assert kept == {"_neighbours", "_apexes"} & set(vars(s))
         for t in (SimplicialSphere2(s.m, s.triangles, s.oriented, s.walls),
                   SimplicialSphere2(m=s.m, triangles=s.triangles, oriented=s.oriented,
                                     walls=s.walls)):
-            assert "_index" not in vars(t)
+            assert not {"_neighbours", "_apexes"} & set(vars(t))
             assert t == s and hash(t) == hash(s)
             assert sphere_answers(t) == sphere_answers(s)
             assert t == s and hash(t) == hash(s)
@@ -340,12 +374,30 @@ def flipped_and_rotated(p):
     return out
 
 
+def relabelled_polytope(p, seed):
+    """p with its facets shuffled, its vertices renumbered and each facet
+    reversed with probability 1/2."""
+    rng = random.Random(seed)
+    perm = list(range(p.num_vertices))
+    rng.shuffle(perm)
+    facets = [tuple(perm[v] for v in (f[::-1] if rng.random() < 0.5 else f)) for f in p.facets]
+    rng.shuffle(facets)
+    return SimplePolytope3.from_facets(p.name, facets)
+
+
 @pytest.mark.parametrize("family", ["corpus", "stacked-60", "stacked-300",
-                                    "stacked-1000", "nanotubes", "flipped"])
+                                    "stacked-1000", "nanotubes", "flipped", "relabelled"])
 def test_dual_path_agrees_with_propagation(family):
     from test_charfunc import nanotube_sphere, relabelled  # it imports this module
 
-    if family == "corpus":
+    if family == "relabelled":
+        # corpus, nanotube and stacked duals with facets and vertices
+        # renumbered and facets flipped (the new facet 0 too, in some copies)
+        originals = [load_polytope(name) for name in POLYTOPE_NAMES]
+        originals += [dual_polytope(t, "x") for t in (nanotube_sphere(3),
+                                                      subdivided_cp3(100, seed=4)[0].sphere)]
+        polytopes = [relabelled_polytope(p, seed) for p in originals for seed in range(4)]
+    elif family == "corpus":
         polytopes = [load_polytope(name) for name in POLYTOPE_NAMES]
     elif family == "nanotubes":
         spheres = [nanotube_sphere(k) for k in (0, 4, 25)]
@@ -372,7 +424,10 @@ def test_dual_path_agrees_with_propagation(family):
         # from either path's index
         assert len({t.orientation_sign(*o) for o in s.oriented}) == 1
         assert sphere_answers(s) == sphere_answers(t.reoriented(s.oriented))
-        # triangles in another order take the ordered scan to the same sphere
+        # the ordered scan, given the dual's triangles in any order and its
+        # orientation, makes the same sphere, answering the same
+        u = SimplicialSphere2.from_triangles(p.num_facets, s.triangles, oriented=s.oriented)
+        assert u == s and sphere_answers(u) == sphere_answers(s)
         assert SimplicialSphere2.from_triangles(s.m, s.triangles[::-1], s.oriented) == s
 
 
