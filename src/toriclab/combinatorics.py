@@ -6,20 +6,21 @@ Parsing normalizes all cycles to a single consistent rotational direction
 dual sphere inherits one global orientation.  That orientation is the sign
 convention used by the signed intersection calculus downstream.
 
-Each polytope keeps one half-edge index (start vertex, facet and twin of
-every half-edge, in int arrays), read by validation, orientation and
-:func:`dual_sphere`, which reads the whole dual sphere off it.  A sphere
-keeps two indexes, each built once: each vertex's neighbour list, read by
-its adjacency queries and the 4-coloring, and an int-keyed map from
-directed walls to apexes, read by :meth:`SimplicialSphere2.wall_apexes`
-and :func:`dual_polytope`.  Faults are named after a sort or ordered scan.
+Polytopes and spheres keep one kind of half-edge index, built by
+:func:`_half_edges` and oriented by :func:`_orient`: the faces are a
+polytope's facet cycles, or a sphere's oriented triangles as 3-cycles.
+Each maker adds its own checks: three facets per polytope vertex; for a
+sphere, proper distinct triangles and one ring round every vertex.  An
+index always runs as its faces are stored.  :func:`dual_sphere` and
+:func:`dual_polytope` read one shape off the other's index.  Faults are
+named after a sort or ordered scan.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import accumulate, chain, compress, groupby, repeat
 from functools import cached_property
 from operator import eq, lt
@@ -29,6 +30,8 @@ from .value import _Value
 
 Triangle = tuple[int, int, int]
 Wall = tuple[int, int]
+Index = tuple[list[int], list[int], list[int], list[int], list[int]]
+_WALL_FAULT = "wall {} lies in {} triangles (expected 2)"
 
 
 def _canon_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -45,13 +48,11 @@ class SimplicialSphere2(_Value):
     wall is traversed once in each direction, i.e. the orientation is
     globally consistent.  ``walls`` are the sorted 2-element faces.
 
-    Two indexes are kept, each built on first use unless a maker stores
-    it: the neighbour lists (:attr:`_neighbours`) and the apex map
-    (:attr:`_apexes`), which keys each directed wall ``x * m + y`` to an
-    apex, the two directions of a wall holding its two apexes.
-    :meth:`from_triangles` stores both, :func:`dual_sphere` only the
-    neighbour lists.  They are not fields, so equality and hashing see only
-    the fields.
+    Three caches are kept, each built on first use unless a maker stores
+    it: the half-edge index (:attr:`_index`; triangle t owns half-edges
+    3t..3t+2 and runs as ``oriented[t]``), the neighbour lists and the
+    apex pairs read off the index.  None is a field, so equality and
+    hashing see only the fields.
     """
 
     m: int
@@ -67,97 +68,130 @@ class SimplicialSphere2(_Value):
     def from_triangles(cls, m, triangles, oriented=None) -> "SimplicialSphere2":
         """Validate a triangle list as a 2-sphere and fix an orientation.
 
-        The triangles are sorted and scanned, and the first fault is
-        named.  The other checks read the apex map and neighbour lists,
-        by which propagation orients when ``oriented`` is None.
+        The sorted triangles, or the given representatives if they match
+        them, become the index, which :func:`_orient` orients (a given
+        orientation must need no flip); each vertex's ring must go once
+        round it.  Without ``oriented``, each triangle runs as the first
+        does, read from the half-edge it was reached by.
         """
-        tris = sorted(tuple(sorted(t)) for t in triangles)
+        given = [tuple(t) for t in triangles]
+        reps = None if oriented is None else tuple(map(tuple, oriented))
+        _int_ids(given + list(reps or ()), "triangle {c}")
+        tris = sorted(tuple(sorted(t)) for t in given)
         if len(set(tris)) != len(tris):
             raise ValidationError("duplicate triangle in sphere")
-        for t in tris:
-            if len(set(t)) != 3:
+        for t in tris:  # each sorted, so its ends are its least and greatest
+            if len(t) != 3 or t[0] == t[1] or t[1] == t[2]:
                 raise ValidationError(f"degenerate triangle {t}")
-            if not all(0 <= v < m for v in t):
+            if t[0] < 0 or t[2] >= m:
                 raise ValidationError(f"triangle {t} uses a vertex outside 0..{m - 1}")
-        nxt, codes = _apex_index(m, tris)
-        walls = tuple(map(divmod, codes, repeat(m)))
-        around = _neighbour_lists(m, walls)
-
-        # Euler characteristic of a 2-sphere
-        if m - len(walls) + len(tris) != 2:
-            raise ValidationError(
-                f"Euler characteristic {m - len(walls) + len(tris)} != 2")
-
-        # The link of every vertex must be one cycle.  Each neighbour u of v
-        # has exactly two link neighbours, the apexes of the wall {u, v}, so
-        # the link is 2-regular; it is one cycle iff a walk from one
-        # neighbour visits all of them.
-        for v in range(m):
-            if not around[v]:
-                raise ValidationError(f"vertex {v} lies in no triangle")
-            start = prev = around[v][0]
-            cur = nxt[v * m + start]
-            steps = 1
-            while cur != start:
-                p = nxt[v * m + cur]
-                prev, cur = cur, nxt[cur * m + v] if p == prev else p
-                steps += 1
-            if steps != len(around[v]):
-                raise ValidationError(f"link of vertex {v} is not a single cycle")
-
-        if oriented is None:
-            oriented = _orient_by_propagation(m, tris, nxt)
-        else:
-            oriented = _checked_orientation(oriented, tris)
-
-        # connectivity of the whole complex: with every link a cycle, the
-        # triangles are connected exactly when the 1-skeleton is
-        seen = frontier = {0}
-        while frontier:
-            frontier = set(chain.from_iterable(map(around.__getitem__, frontier)))
-            frontier -= seen
-            seen |= frontier
-        if len(seen) != m:
+        matched = reps is not None and [tuple(sorted(t)) for t in reps] == tris
+        index = _half_edges(reps if matched else tris, m, _WALL_FAULT)
+        flat, _, twin, codes, _ = index
+        if m - len(codes) + len(tris) != 2:
+            raise ValidationError(f"Euler characteristic {m - len(codes) + len(tris)} != 2")
+        if matched and any(map(eq, flat, map(flat.__getitem__, twin))):
+            # a twin starting where its half-edge starts runs the wall the
+            # same way; the second of the two met is named
+            h = next(h for h, g in enumerate(twin) if g < h and flat[g] == flat[h])
+            raise ValidationError(f"orientation traverses edge "
+                                  f"{(flat[h], flat[h + 1 if h % 3 < 2 else h - 2])} twice")
+        _, entry, parts = _orient(index, tris, "sphere complex is not orientable")
+        around = _rings(flat, twin, m, list(map(flat.__getitem__, twin)))
+        # the rings hold every half-edge exactly when each goes once round
+        if [] in around or sum(map(len, around)) != len(flat):
+            degree = Counter(flat)
+            v = next(v for v, ring in enumerate(around) if not ring or len(ring) != degree[v])
+            raise ValidationError(f"link of vertex {v} is not a single cycle" if around[v]
+                                  else f"vertex {v} lies in no triangle")
+        if reps is not None and not matched:
+            raise ValidationError("oriented representatives do not match triangles")
+        if parts > 1:
             raise ValidationError("sphere complex is disconnected")
-
-        sphere = cls(m=m, triangles=tuple(tris), oriented=oriented, walls=walls)
-        sphere.__dict__.update(_neighbours=around, _apexes=nxt)  # cached_property slots
+        if reps is None:
+            # triangle t, read from the half-edge k it was entered by
+            reps = tuple(tuple(flat[k:k - k % 3 + 3] + flat[k - k % 3:k]) for k in entry)
+        sphere = cls(m=m, triangles=tuple(tris), oriented=reps,
+                     walls=tuple(map(divmod, codes, repeat(m))))
+        sphere.__dict__.update(_index=index, _neighbours=around)  # cached_property slots
         return sphere
 
     def reoriented(self, oriented) -> "SimplicialSphere2":
         """This sphere with other oriented representatives.
 
         The triangles are already validated, so only the orientation is
-        checked: it must match the triangles and be globally consistent.
-        The result shares this sphere's two indexes.
+        checked: each triangle must run as here, or each the other way.  The
+        result shares this sphere's neighbour lists and apex pairs, and its
+        index too, or else a copy with every triangle reversed as
+        :func:`_orient` reverses a face.  Anything else goes to
+        :meth:`from_triangles`, which refuses it.
         """
-        sphere = SimplicialSphere2(self.m, self.triangles,
-                                   _checked_orientation(oriented, self.triangles), self.walls)
-        sphere.__dict__.update(_neighbours=self._neighbours,  # cached_property slots
-                               _apexes=self._apexes)
+        reps = tuple(map(tuple, oriented))
+        _int_ids(reps, "triangle {c}")
+        if [tuple(sorted(t)) for t in reps] != list(self.triangles):
+            raise ValidationError("oriented representatives do not match triangles")
+        # (a, b, c) runs as rep exactly when b follows a in rep
+        same = {rep[rep.index(a) - 2] == b for (a, b, _), rep in zip(reps, self.oriented)}
+        if len(same) > 1:
+            return SimplicialSphere2.from_triangles(self.m, self.triangles, reps)  # refused
+        index = self._index
+        if same == {False}:
+            # half-edges 3t and 3t + 1 swap places, 3t + 2 stays, and each
+            # starts where it ended
+            flat, face, twin, codes, edge = index
+            move = list(range(len(flat)))
+            move[0::3], move[1::3] = move[1::3], move[0::3]
+            flat = flat[:]
+            flat[0::3], flat[2::3] = flat[2::3], flat[0::3]
+            index = (flat, face, list(map(move.__getitem__, map(twin.__getitem__, move))), codes,
+                     list(map(move.__getitem__, edge)))
+        sphere = SimplicialSphere2(self.m, self.triangles, reps, self.walls)
+        sphere.__dict__.update(_index=index, _neighbours=self._neighbours,  # cached_property slots
+                               _apex_pairs=self._apex_pairs)
         return sphere
 
     @cached_property
-    def _neighbours(self) -> list[list[int]]:
-        """Each vertex's neighbours, read off the walls."""
-        return _neighbour_lists(self.m, self.walls)
+    def _index(self) -> Index:
+        """The index of the oriented triangles.  A sphere :func:`dual_sphere`
+        made is already proved, so its index is only built; any other is
+        the one :meth:`from_triangles` builds of the stored fields, which
+        must be the fields it makes."""
+        if "_proved" in self.__dict__:
+            return _half_edges(self.oriented, self.m, _WALL_FAULT)
+        sphere = SimplicialSphere2.from_triangles(self.m, self.triangles, self.oriented)
+        if sphere != self:
+            raise ValidationError("sphere fields do not match its triangles")
+        return sphere._index
 
     @cached_property
-    def _apexes(self) -> dict[int, int]:
-        """The :func:`_apex_index` map of the stored triangles."""
-        return _apex_index(self.m, self.triangles)[0]
+    def _neighbours(self) -> list[list[int]]:
+        """Each vertex's neighbours, in the order of its ring."""
+        flat, _, twin, _, _ = self._index
+        return _rings(flat, twin, self.m, list(map(flat.__getitem__, twin)))
+
+    @cached_property
+    def _apex_pairs(self) -> dict[int, tuple[int, int]]:
+        """Each wall's two apexes, ascending, keyed by its code u * m + v:
+        the third vertices of the triangles on its half-edge and twin.
+        Fans ask for every wall several times; one dict entry is read
+        faster than a bisection in the index and a dozen lookups."""
+        flat, _, twin, codes, edge = self._index
+        third = [0] * len(flat)  # of each half-edge's triangle
+        third[0::3], third[1::3], third[2::3] = flat[2::3], flat[0::3], flat[1::3]
+        return dict(zip(codes, [(p, q) if p < q else (q, p) for p, q in
+                                zip(map(third.__getitem__, edge),
+                                    map(third.__getitem__, map(twin.__getitem__, edge)))]))
 
     def wall_apexes(self, wall: Wall) -> tuple[int, int]:
         """The two vertices completing the given wall to triangles, ascending."""
         u, v = wall
         if u > v:
             u, v = v, u
-        m, nxt = self.m, self._apexes
-        p = nxt.get(u * m + v) if 0 <= u < v < m else None
-        if p is None:
+        m = self.m
+        pair = self._apex_pairs.get(u * m + v) if 0 <= u < v < m else None
+        if pair is None:
             raise ValidationError(f"{(u, v)} is not a wall of this sphere")
-        q = nxt[v * m + u]
-        return (p, q) if p < q else (q, p)
+        return pair
 
     def vertex_degree(self, v: int) -> int:
         return len(self._neighbours[v])
@@ -176,71 +210,19 @@ class SimplicialSphere2(_Value):
         return 1 if rep[rep.index(i) - 2] == j else -1
 
 
-def _apex_index(m: int, tris) -> tuple[dict[int, int], list[int]]:
-    """For sorted triangles on 0..m-1: the apex map (wall {u, v} keeps its
-    two apexes under ``u * m + v`` and ``v * m + u``) and the sorted wall
-    codes ``u * m + v`` (u < v).  Names the first wall met that does not
-    lie in two triangles."""
-    apexes: dict[int, list[int]] = defaultdict(list)
-    for a, b, c in tris:
-        apexes[a * m + b].append(c)
-        apexes[a * m + c].append(b)
-        apexes[b * m + c].append(a)
-    nxt: dict[int, int] = {}
-    for w, tops in apexes.items():
-        u, v = divmod(w, m)
-        if len(tops) != 2:
-            raise ValidationError(f"wall {(u, v)} lies in {len(tops)} triangles (expected 2)")
-        nxt[w], nxt[v * m + u] = tops
-    return nxt, sorted(apexes)
-
-
-def _neighbour_lists(m: int, walls) -> list[list[int]]:
-    """Each vertex's neighbours, from the walls (u, v)."""
-    around: list[list[int]] = [[] for _ in range(m)]
-    for u, v in walls:
-        around[u].append(v)
-        around[v].append(u)
-    return around
-
-
-def _orient_by_propagation(m: int, tris, nxt) -> tuple[Triangle, ...]:
-    """Orient all triangles consistently, seeding from the first one and
-    reading the far apex of each wall from the wall index ``nxt``."""
-    oriented: dict[Triangle, Triangle] = {tris[0]: tris[0]}
-    stack = [tris[0]]
-    while stack:
-        a, b, c = oriented[stack.pop()]
-        for u, v, own in ((a, b, c), (b, c, a), (c, a, b)):
-            apex = nxt[u * m + v] + nxt[v * m + u] - own  # the far one
-            other = tuple(sorted((u, v, apex)))
-            rep = oriented.get(other)
-            if rep is None:
-                oriented[other] = (v, u, apex)  # the shared wall in reverse
-                stack.append(other)
-            elif rep[rep.index(v) - 2] != u:  # u does not follow v
-                raise ValidationError("sphere complex is not orientable")
-    if len(oriented) != len(tris):
-        raise ValidationError("sphere complex is disconnected")
-    return tuple(oriented[t] for t in tris)
-
-
-def _checked_orientation(oriented, tris) -> tuple[Triangle, ...]:
-    """Given oriented representatives as tuples, checked against the sorted
-    triangles ``tris`` and for global consistency."""
-    oriented = tuple(tuple(t) for t in oriented)
-    if [tuple(sorted(t)) for t in oriented] != list(tris):
-        raise ValidationError("oriented representatives do not match triangles")
-    seen: set[tuple[int, int]] = set()
-    for a, b, c in oriented:
-        for e in ((a, b), (b, c), (c, a)):
-            if e in seen:
-                raise ValidationError(f"orientation traverses edge {e} twice")
-            seen.add(e)
-    for u, v in list(seen):
-        if (v, u) not in seen:
-            raise ValidationError(f"orientation is inconsistent across wall {(u, v)}")
-    return oriented
+def _rings(flat, twin, m: int, of) -> list[list]:
+    """``of[h]`` along each vertex's ring in an oriented triangle index: the
+    half-edges h leaving it, each the one after the last one's twin, once
+    round it exactly when its link is one cycle (empty if it has none)."""
+    turn = [g + 1 if g % 3 < 2 else g - 2 for g in twin]
+    rings = [[] for _ in range(m)]
+    for v, h in dict(zip(flat, range(len(flat)))).items():
+        ring, g = rings[v], turn[h]
+        ring.append(of[h])
+        while g != h:
+            ring.append(of[g])
+            g = turn[g]
+    return rings
 
 
 class SimplePolytope3(_Value):
@@ -251,11 +233,10 @@ class SimplePolytope3(_Value):
     starts at its smallest vertex.
 
     The half-edge index (:attr:`_index`, see :func:`_half_edges`) is kept:
-    :meth:`from_facets` stores the one its validation built, reversed along
-    the facets it flipped; a polytope made by the constructor validates
-    and orients its cycles the same way on first use, leaving the stored
-    cycles as given.  It is not a field, so equality and hashing see only
-    the fields.
+    :meth:`from_facets` stores the one its validation built; a polytope
+    made by the constructor builds it the same way on first use, leaving
+    the stored cycles as given.  It is not a field, so equality and hashing
+    see only the fields.
     """
 
     name: str
@@ -267,20 +248,48 @@ class SimplePolytope3(_Value):
     @classmethod
     def from_facets(cls, name: str, facets) -> "SimplePolytope3":
         cycles = [tuple(f) for f in facets]
-        index = _half_edges(cycles)
-        flipped = _orient(index, cycles)
+        if not cycles:
+            raise ValidationError("polytope has no facets")
+        for i, cyc in enumerate(cycles):
+            if len(cyc) < 3:
+                raise ValidationError(f"facet {i} has cycle length {len(cyc)} < 3")
+            if len(set(cyc)) != len(cyc):
+                raise ValidationError(f"facet {i} repeats a vertex in its cycle")
+        flat = _int_ids(cycles, "facet {i} = {c}")
+        n = len(set(flat))
+        # n distinct integers are 0..n-1 iff all lie in that range
+        if min(flat) < 0 or max(flat) >= n:
+            raise ValidationError("vertex ids are not 0-based contiguous integers")
+        incidence = Counter(flat)
+        if set(incidence.values()) != {3}:
+            for v, k in sorted(incidence.items()):
+                if k != 3:
+                    raise ValidationError(f"vertex {v} lies in {k} facets")
+
+        index = _half_edges(cycles, n, "edge {} lies in {} facets")
+        _, face, twin, _, edge = index
+        # each edge's facets, in facet order: edge holds the first half-edge
+        shared = list(zip(map(face.__getitem__, edge),
+                          map(face.__getitem__, map(twin.__getitem__, edge))))
+        if len(set(shared)) != len(shared):
+            for (a, b), k in sorted(Counter(shared).items()):
+                if k > 1:
+                    raise ValidationError(f"facets {a} and {b} share {k} edges")
+        e, f = len(edge), len(cycles)
+        if n - e + f != 2:
+            raise ValidationError(f"Euler characteristic {n - e + f} != 2 (v={n}, e={e}, f={f})")
+        flipped, _, parts = _orient(index, cycles, "facet cycles are not consistently orientable")
+        if parts > 1:
+            raise ValidationError("facet adjacency graph is disconnected")
         p = cls(name=name, facets=tuple(_canon_cycle(c[::-1] if f else c)
                                         for c, f in zip(cycles, flipped)))
         p.__dict__["_index"] = index  # cached_property slot
         return p
 
     @cached_property
-    def _index(self) -> tuple[list[int], list[int], list[int]]:
-        """The :func:`_half_edges` index of the stored facet cycles, oriented
-        by :func:`_orient` as :meth:`from_facets` orients it."""
-        index = _half_edges(self.facets)
-        _orient(index, self.facets)
-        return index
+    def _index(self) -> Index:
+        """The index :meth:`from_facets` builds of the stored facet cycles."""
+        return SimplePolytope3.from_facets(self.name, self.facets)._index
 
     @property
     def num_facets(self) -> int:
@@ -292,13 +301,21 @@ class SimplePolytope3(_Value):
 
     @property
     def edges(self) -> tuple[Wall, ...]:
-        flat = self._index[0]
-        return tuple(sorted({(u, v) if u < v else (v, u)
-                             for u, v in zip(flat, _heads(flat, self.facets))}))
+        return tuple(map(divmod, self._index[3], repeat(self.num_vertices)))
 
     @property
     def num_edges(self) -> int:
-        return len(self._index[2]) // 2
+        return len(self._index[3])
+
+
+def _int_ids(cycles, named: str) -> list:
+    """The cycles' vertex ids, all ints (no float, no bool), else the first
+    other cycle i is named as ``named.format(i=i, c=cycle)``."""
+    flat = list(chain.from_iterable(cycles))
+    if not set(map(type, flat)) <= {int}:
+        i = next(i for i, c in enumerate(cycles) if not all(type(v) is int for v in c))
+        raise ValidationError(f"{named.format(i=i, c=cycles[i])} has a non-integer vertex id")
+    return flat
 
 
 def _heads(flat, cycles) -> list:
@@ -310,113 +327,86 @@ def _heads(flat, cycles) -> list:
     return heads
 
 
-def _half_edges(cycles) -> tuple[list[int], list[int], list[int]]:
-    """Check the cycles describe a simple 3-polytope; return its half-edge
-    index ``(flat, face, twin)``.
+def _half_edges(cycles, n: int, fault: str) -> Index:
+    """The half-edge index ``(flat, face, twin, codes, edge)`` of cycles on
+    0..n-1, refused unless every edge lies in two faces.
 
-    Half-edge h runs from vertex ``flat[h]`` to the next vertex of facet
-    ``face[h]``, facet after facet in cycle order; ``twin[h]`` is the other
+    Half-edge h runs from vertex ``flat[h]`` to the next vertex of face
+    ``face[h]``, face after face in cycle order; ``twin[h]`` is the other
     half-edge on its edge, paired by one sort by the edge code
-    ``min(u, v) * n + max(u, v)``.  Each scan decides with counts and that
-    sort whether anything is wrong; only then does it sort to name the
-    first fault in sorted order.
+    ``min(u, v) * n + max(u, v)``; ``codes`` holds each edge's code,
+    ascending, and ``edge`` its first half-edge.  Counts decide whether an
+    edge is wrong; only then is the first one named, as
+    ``fault.format(edge, count)``.
     """
-    if not cycles:
-        raise ValidationError("polytope has no facets")
-    for i, cyc in enumerate(cycles):
-        if len(cyc) < 3:
-            raise ValidationError(f"facet {i} has cycle length {len(cyc)} < 3")
-        if len(set(cyc)) != len(cyc):
-            raise ValidationError(f"facet {i} repeats a vertex in its cycle")
-
     flat = list(chain.from_iterable(cycles))
-    if not set(map(type, flat)) <= {int}:  # no float, no bool
-        i = next(i for i, c in enumerate(cycles) if not all(type(v) is int for v in c))
-        raise ValidationError(f"facet {i} = {cycles[i]} has a non-integer vertex id")
-    n = len(set(flat))
-    # n distinct integers are 0..n-1 iff all lie in that range
-    if min(flat) < 0 or max(flat) >= n:
-        raise ValidationError("vertex ids are not 0-based contiguous integers")
-
-    incidence = Counter(flat)
-    if set(incidence.values()) != {3}:
-        for v, k in sorted(incidence.items()):
-            if k != 3:
-                raise ValidationError(f"vertex {v} lies in {k} facets")
-
-    face = list(chain.from_iterable(repeat(i, len(c)) for i, c in enumerate(cycles)))
     codes = [u * n + v if u < v else v * n + u for u, v in zip(flat, _heads(flat, cycles))]
     order = sorted(range(len(flat)), key=codes.__getitem__)
     first, second = order[0::2], order[1::2]
     edge_codes = list(map(codes.__getitem__, first))
-    # the sort is stable, so each edge's owners are in facet order
-    one, other = list(map(face.__getitem__, first)), list(map(face.__getitem__, second))
-    # every code exactly twice; two half-edges of one facet on one edge
-    # would need a repeated vertex or a 2-cycle, both refused above
+    # every code exactly twice; two half-edges of one face on one edge
+    # would need a repeated vertex or a 2-cycle, which no maker lets in
     if (edge_codes != list(map(codes.__getitem__, second))
             or not all(map(lt, edge_codes, edge_codes[1:]))):
         for code, hs in groupby(order, codes.__getitem__):
             k = len(list(hs))
             if k != 2:
-                raise ValidationError(f"edge {divmod(code, n)} lies in {k} facets")
-
-    shared = Counter(zip(one, other))
-    if len(shared) != len(one):
-        for (a, b), k in sorted(shared.items()):
-            if k > 1:
-                raise ValidationError(f"facets {a} and {b} share {k} edges")
-
-    e_count, f_count = len(one), len(cycles)
-    if n - e_count + f_count != 2:
-        raise ValidationError(
-            f"Euler characteristic {n - e_count + f_count} != 2 "
-            f"(v={n}, e={e_count}, f={f_count})")
+                raise ValidationError(fault.format(divmod(code, n), k))
     twin = [0] * len(flat)
     for a, b in zip(first, second):
         twin[a], twin[b] = b, a
-    return flat, face, twin
+    face = list(chain.from_iterable(repeat(i, len(c)) for i, c in enumerate(cycles)))
+    return flat, face, twin, edge_codes, first
 
 
-def _orient(index, cycles) -> list[bool]:
-    """Which facets to flip so every edge is run once each way.  Facet 0
-    keeps its direction and the others follow across twins; a twin runs its
-    edge the same way exactly when it starts at the same vertex.  Flipped
-    facets are reversed in the index, in place."""
-    flat, face, twin = index
+def _orient(index: Index, cycles, fault: str) -> tuple[list[bool], list[int], int]:
+    """Reverse faces of an index in place so each edge runs once each way;
+    return which were reversed, each face's entry half-edge and the number
+    of components.  Face 0 (then the first face not reached) keeps its
+    direction, and the faces across its edges follow depth first, each
+    crossed from the twin it was entered by on, in the direction it ends
+    up running."""
+    flat, face, twin, _, edge = index
     same = list(map(eq, flat, map(flat.__getitem__, twin)))
-    across = list(map(face.__getitem__, twin))
     ends = list(accumulate(map(len, cycles)))
     starts = [0, *ends[:-1]]
-    flipped: list[bool | None] = [False] + [None] * (len(cycles) - 1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        flip_i = flipped[i]
-        for j, alike in zip(across[starts[i]:ends[i]], same[starts[i]:ends[i]]):
-            need = alike != flip_i  # as given, j runs the edge the way i ends up
-            if flipped[j] is None:
-                flipped[j] = need
-                stack.append(j)
-            elif flipped[j] != need:
-                raise ValidationError("facet cycles are not consistently orientable")
-    if None in flipped:
-        raise ValidationError("facet adjacency graph is disconnected")
+    flipped: list[bool | None] = [None] * len(cycles)
+    entry, parts = starts[:], 0
+    for seed in range(len(cycles)):
+        if flipped[seed] is not None:
+            continue
+        flipped[seed], stack, parts = False, [seed], parts + 1
+        while stack:
+            i = stack.pop()
+            s, e, h, flip = starts[i], ends[i], entry[i], flipped[i]
+            for h in (chain(range(h, s - 1, -1), range(e - 1, h, -1)) if flip
+                      else chain(range(h, e), range(s, h))):
+                g = twin[h]
+                # j must flip when, as given, it runs the edge the way i ends up
+                j, need = face[g], same[h] != flip
+                if flipped[j] is None:
+                    flipped[j], entry[j] = need, g
+                    stack.append(j)
+                elif flipped[j] != need:
+                    raise ValidationError(fault)
     if any(flipped):
-        # half-edge s + j (v_j -> v_j+1) of a reversed facet moves to
+        # half-edge s + j (v_j -> v_j+1) of a reversed face moves to
         # e - 2 - j, and the last one stays; the move is its own inverse
         move = list(range(len(flat)))
         for s, e, f in zip(starts, ends, flipped):
             if f:
                 flat[s:e] = reversed(flat[s:e])
                 move[s:e - 1] = range(e - 2, s - 1, -1)
-        twin[:] = [move[twin[h]] for h in move]
-    return flipped
+        twin[:] = map(move.__getitem__, map(twin.__getitem__, move))
+        edge[:] = map(move.__getitem__, edge)
+        entry = list(map(move.__getitem__, entry))
+    return flipped, entry, parts
 
 
 def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     """The dual simplicial 2-sphere: sphere vertex i <-> facet i of p.
 
-    It is read straight off the half-edge index ``(flat, face, twin)``.
+    It is read straight off the half-edge index ``(flat, face, twin, ...)``.
     With ``across = face[twin[h]]``, the neighbours of vertex i are
     ``across`` along facet i's cycle, and the walls are the pairs
     ``(face[h], across[h])`` with ``face[h] < across[h]``.  Each polytope
@@ -424,8 +414,9 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     c being the neighbours across the edges the cycle leaves and enters it
     by; that order is its oriented representative.
 
-    No sphere check is repeated, because validating the index already
-    proved what it needs: three distinct facets at every vertex and two
+    No sphere check is repeated, here or when the sphere's own index is
+    first built, because validating the polytope's index already proved
+    what it needs: three distinct facets at every vertex and two
     at every edge, no two facets sharing two edges, and Euler
     characteristic 2; :func:`_orient` made the facets one connected,
     consistently oriented surface.  So the triangles are distinct, every
@@ -434,7 +425,7 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     ``m - W + T = 2`` and ``2W = 3T`` and the strict order of triangles
     and walls are checked; a failure is an InternalError.
     """
-    _, face, twin = p._index
+    _, face, twin, _, _ = p._index
     m = p.num_facets
     across = list(map(face.__getitem__, twin))
     # at the vertex each half-edge runs into: b across the next half-edge, c
@@ -447,7 +438,8 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
         raise InternalError(f"dual of polytope {p.name!r} is not a 2-sphere")
     ends = list(accumulate(map(len, p.facets)))
     sphere = SimplicialSphere2(m, tris, reps, walls)
-    sphere.__dict__["_neighbours"] = list(map(across.__getitem__, map(slice, [0, *ends], ends)))
+    sphere.__dict__.update(_proved=True,  # its index needs no validation
+                           _neighbours=list(map(across.__getitem__, map(slice, [0, *ends], ends))))
     return sphere
 
 
@@ -456,30 +448,12 @@ def dual_polytope(sphere: SimplicialSphere2, name: str) -> SimplePolytope3:
 
     Facet i of the result corresponds to sphere vertex i; polytope vertex t
     corresponds to sphere triangle number t (position in sphere.triangles).
-    The walk around a vertex reads each wall's far apex from the sphere's
-    apex map and finds its triangle by bisection; it may start anywhere,
-    as :meth:`SimplePolytope3.from_facets` rotates each cycle.
+    Facet i's cycle is the triangles of vertex i's ring in the sphere's
+    index (:func:`_rings`), which may start anywhere, as
+    :meth:`SimplePolytope3.from_facets` rotates each cycle.
     """
-    nxt, m, tris = sphere._apexes, sphere.m, sphere.triangles
-    facets = []
-    for v, nbrs in enumerate(sphere._neighbours):
-        # start at the triangle beyond the wall to the first neighbour
-        cycle = [bisect_left(tris, tuple(sorted((v, nbrs[0], nxt[v * m + nbrs[0]]))))]
-        while True:
-            a, b, c = sphere.oriented[cycle[-1]]
-            # cross the wall from v to its successor; ``own`` is this apex
-            succ, own = (b, c) if a == v else (c, a) if b == v else (a, b)
-            apex = nxt[v * m + succ] + nxt[succ * m + v] - own  # the far one
-            nxt_t = bisect_left(tris, tuple(sorted((v, succ, apex))))
-            if nxt_t == cycle[0]:
-                break
-            cycle.append(nxt_t)
-            if len(cycle) > len(nbrs):
-                raise ValidationError(f"triangles around vertex {v} do not close up")
-        if len(cycle) != len(nbrs):
-            raise ValidationError(f"triangles around vertex {v} form more than one cycle")
-        facets.append(tuple(cycle))
-    return SimplePolytope3.from_facets(name, facets)
+    flat, face, twin, _, _ = sphere._index
+    return SimplePolytope3.from_facets(name, _rings(flat, twin, sphere.m, face))
 
 
 def face_histogram(p: SimplePolytope3) -> dict[int, int]:

@@ -83,6 +83,55 @@ def wall_records_bruteforce(rays, triangles):
 
 
 # ---------------------------------------------------------------------------
+# oriented 2-spheres from the definitions
+
+
+def is_oriented_2_sphere(m, reps) -> bool:
+    """Whether the oriented triangles ``reps`` are a consistently oriented
+    simplicial 2-sphere on the vertices 0..m-1, read off the definitions:
+    distinct triangles of three distinct vertex ids; every directed edge
+    once, with its reverse; the link of every vertex one cycle, found by
+    walking it; Euler characteristic 2; and one connected complex."""
+    reps = [tuple(t) for t in reps]
+    for t in reps:
+        if len(t) != 3 or len(set(t)) != 3 or any(type(v) is not int or not 0 <= v < m
+                                                  for v in t):
+            return False
+    if len({frozenset(t) for t in reps}) != len(reps):
+        return False
+    directed = [(t[i], t[(i + 1) % 3]) for t in reps for i in range(3)]
+    runs = set(directed)
+    if len(runs) != len(directed) or any((b, a) not in runs for a, b in directed):
+        return False
+    # the link of v: the edge opposite v in each triangle holding v
+    links = [{} for _ in range(m)]
+    for t in reps:
+        for v, a, b in (t, t[1:] + t[:1], t[2:] + t[:2]):
+            links[v].setdefault(a, []).append(b)
+            links[v].setdefault(b, []).append(a)
+    for link in links:
+        if not link or any(len(ends) != 2 for ends in link.values()):
+            return False
+        start = prev = next(iter(link))
+        cur, steps = link[start][0], 1
+        while cur != start:
+            prev, cur = cur, next(x for x in link[cur] if x != prev)
+            steps += 1
+        if steps != len(link):
+            return False
+    edges = {frozenset(e) for e in directed}
+    if m - len(edges) + len(reps) != 2:
+        return False
+    seen, frontier = {0}, [0]
+    while frontier:
+        for w in links[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == m
+
+
+# ---------------------------------------------------------------------------
 # graph coloring brute force
 
 

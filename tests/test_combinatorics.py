@@ -14,6 +14,7 @@ import pytest
 
 import toriclab.combinatorics as combinatorics_module
 from toriclab.charfunc import (
+    CharacteristicFunction,
     CharacteristicPair,
     check_star_condition,
     coloring_to_charfunc,
@@ -35,6 +36,7 @@ from toriclab.corpus import POLYTOPE_NAMES, corpus_get, load_polytope
 from toriclab.errors import ParseError, ValidationError
 from toriclab.fan import characteristic_pair, parse_fan
 
+from oracles import is_oriented_2_sphere
 from subdivision import subdivided_cp3
 
 TET_FACETS = [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)]
@@ -190,7 +192,17 @@ class TestDualSphere:
         flipped = [(a, c, b) for a, b, c in s.oriented]
         r = s.reoriented(flipped)
         assert r == SimplicialSphere2.from_triangles(s.m, s.triangles, oriented=flipped)
-        assert r._neighbours is s._neighbours and r._apexes is s._apexes
+        # the same orientation shares the index; the reversed one gets its
+        # own, which runs each triangle as its new representative
+        assert s.reoriented(s.oriented)._index is s._index
+        assert r._neighbours is s._neighbours and r._apex_pairs is s._apex_pairs
+        assert r._index is not s._index
+        flat = r._index[0]
+        runs = [tuple(flat[3 * t:3 * t + 3]) for t in range(len(flipped))]
+        assert all(rep in (run, run[1:] + run[:1], run[2:] + run[:2])
+                   for run, rep in zip(runs, flipped))
+        assert sphere_answers(r) == sphere_answers(
+            SimplicialSphere2.from_triangles(s.m, s.triangles, oriented=flipped))
         with pytest.raises(ValidationError, match="^orientation traverses edge"):
             s.reoriented(flipped[:1] + list(s.oriented[1:]))
         with pytest.raises(ValidationError, match="do not match triangles"):
@@ -239,9 +251,9 @@ def test_incidence_is_built_once_per_polytope(monkeypatch):
     calls = []
     half_edges = combinatorics_module._half_edges
 
-    def counting(cycles):
+    def counting(cycles, *args):
         calls.append(len(cycles))
-        return half_edges(cycles)
+        return half_edges(cycles, *args)
 
     monkeypatch.setattr(combinatorics_module, "_half_edges", counting)
     p = parse_polytope(text)
@@ -250,25 +262,32 @@ def test_incidence_is_built_once_per_polytope(monkeypatch):
     assert calls == [12]
 
 
-def test_wall_index_is_built_once_per_sphere(monkeypatch):
-    # a fan's sphere keeps both indexes of the ordered scan; a dual sphere
-    # keeps the neighbour lists read off the half-edge index and builds
-    # the apex map once, when a query first needs it
+def counting_half_edges(monkeypatch):
+    """The vertex count n of every ``_half_edges`` call, as it is made."""
     calls = []
-    for name in ("_apex_index", "_neighbour_lists"):
-        def counting(m, *args, name=name, build=getattr(combinatorics_module, name)):
-            calls.append((name, m))
-            return build(m, *args)
+    half_edges = combinatorics_module._half_edges
 
-        monkeypatch.setattr(combinatorics_module, name, counting)
+    def counting(cycles, n, fault):
+        calls.append(n)
+        return half_edges(cycles, n, fault)
 
+    monkeypatch.setattr(combinatorics_module, "_half_edges", counting)
+    return calls
+
+
+def test_wall_index_is_built_once_per_sphere(monkeypatch):
+    # a fan's sphere keeps the index of its validation, and its oriented
+    # pair shares it; a dual sphere keeps the neighbour lists read off the
+    # polytope's index and builds its own index once, when a query first
+    # needs it
+    calls = counting_half_edges(monkeypatch)
     p = dodecahedron()
     calls.clear()
     f = parse_fan(corpus_get("flatwall").text)
     f.wall_table
     characteristic_pair(f).integrals
     delzant_obstruction_witness(f)
-    assert calls == [("_apex_index", 7), ("_neighbour_lists", 7)]
+    assert calls == [7]
 
     calls.clear()
     s = dual_sphere(p)
@@ -276,23 +295,35 @@ def test_wall_index_is_built_once_per_sphere(monkeypatch):
     four_color(s)
     assert calls == []
     [s.wall_apexes(w) for w in s.walls]
+    assert calls == [12]
     dual_polytope(s, "x")
-    assert calls == [("_apex_index", 12)]
+    assert calls == [12, 20]  # the second is the dual polytope's own index
+
+
+def test_dual_sphere_index_is_built_without_validation(monkeypatch):
+    # dual_sphere proved its sphere, so the first query only builds the
+    # index; a constructor-made copy of it is validated by from_triangles
+    s = dual_sphere(dodecahedron())
+    copy = SimplicialSphere2(s.m, s.triangles, s.oriented, s.walls)
+    apexes = dual_sphere(dodecahedron()).wall_apexes(s.walls[0])
+
+    def validating(*args):
+        raise AssertionError("validated")
+
+    monkeypatch.setattr(SimplicialSphere2, "from_triangles", validating)
+    assert s.wall_apexes(s.walls[0]) == apexes
+    with pytest.raises(AssertionError, match="^validated$"):
+        copy.wall_apexes(s.walls[0])
 
 
 def test_polytope_path_builds_no_apex_map(monkeypatch):
     # parse -> dual -> 4-coloring -> star check -> Betti numbers reads the
-    # neighbour lists alone; the first wall_apexes builds the apex map once
-    calls = []
-    apex_index = combinatorics_module._apex_index
-
-    def counting(m, tris):
-        calls.append(m)
-        return apex_index(m, tris)
-
-    monkeypatch.setattr(combinatorics_module, "_apex_index", counting)
+    # neighbour lists alone; the first wall_apexes builds the sphere's
+    # index once
+    calls = counting_half_edges(monkeypatch)
     for name in POLYTOPE_NAMES:
         p = parse_polytope(serialize_polytope(load_polytope(name)))
+        calls.clear()
         s = dual_sphere(p)
         lam = coloring_to_charfunc(four_color(s))
         assert check_star_condition(CharacteristicPair(s, lam)).ok
@@ -318,16 +349,39 @@ def sphere_answers(s):
 def test_constructed_spheres_answer_the_same():
     stacked = subdivided_cp3(60, seed=1)[0].sphere
     icosa = SimplicialSphere2.from_triangles(12, ICOSA_TRIANGLES)
-    for s, kept in ((icosa, {"_neighbours", "_apexes"}), (dual_sphere(cube()), {"_neighbours"}),
-                    (stacked, {"_neighbours", "_apexes"})):
-        assert kept == {"_neighbours", "_apexes"} & set(vars(s))
+    for s, kept in ((icosa, {"_neighbours", "_index"}), (dual_sphere(cube()), {"_neighbours"}),
+                    (stacked, {"_neighbours", "_index"})):
+        assert kept == {"_neighbours", "_index"} & set(vars(s))
         for t in (SimplicialSphere2(s.m, s.triangles, s.oriented, s.walls),
                   SimplicialSphere2(m=s.m, triangles=s.triangles, oriented=s.oriented,
                                     walls=s.walls)):
-            assert not {"_neighbours", "_apexes"} & set(vars(t))
+            assert not {"_neighbours", "_index"} & set(vars(t))
             assert t == s and hash(t) == hash(s)
             assert sphere_answers(t) == sphere_answers(s)
             assert t == s and hash(t) == hash(s)
+
+
+def test_constructed_spheres_are_validated_on_first_use():
+    # the octahedron with one representative reversed: its pairings summed
+    # to 18, where the sphere's sum to 24; both readers of its index now
+    # refuse it as from_triangles does
+    s = SimplicialSphere2.from_triangles(6, TestValidation.OCTA)
+    lam = CharacteristicFunction(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0),
+                                  (0, 0, -1)))
+    pairings = CharacteristicPair(s, lam).pairings
+    assert sum(x for entries in pairings.values() for _, x in entries) == 24
+    reps = (s.oriented[0][::-1],) + s.oriented[1:]
+    message = r"^orientation traverses edge \(2, 0\) twice$"
+    with pytest.raises(ValidationError, match=message):
+        SimplicialSphere2.from_triangles(6, s.triangles, reps)
+    bad = SimplicialSphere2(s.m, s.triangles, reps, s.walls)
+    with pytest.raises(ValidationError, match=message):
+        CharacteristicPair(bad, lam).pairings
+    with pytest.raises(ValidationError, match=message):
+        dual_polytope(bad, "x")
+    # walls that are not the triangles' own
+    with pytest.raises(ValidationError, match="^sphere fields do not match its triangles$"):
+        SimplicialSphere2(s.m, s.triangles, s.oriented, s.walls[1:]).wall_apexes(s.walls[-1])
 
 
 # The cube without its last facet (3, 7, 4, 0), completed three ways and
@@ -428,7 +482,71 @@ def test_dual_path_agrees_with_propagation(family):
         # orientation, makes the same sphere, answering the same
         u = SimplicialSphere2.from_triangles(p.num_facets, s.triangles, oriented=s.oriented)
         assert u == s and sphere_answers(u) == sphere_answers(s)
+        assert u._index == s._index  # the dual's was built unvalidated
         assert SimplicialSphere2.from_triangles(s.m, s.triangles[::-1], s.oriented) == s
+
+
+def mutations(s, rng):
+    """Faults put into the oriented triangles of s, each as (kind, m,
+    reps, unoriented): one representative reversed, one triangle dropped,
+    one vertex of one triangle relabelled, one vertex more that no
+    triangle uses, the 7-vertex torus summed in at one triangle with two
+    unused vertices (Euler characteristic 2, every used vertex's link a
+    cycle), and a relabelled copy glued on at one vertex or at two.
+    ``unoriented`` is the same triangles with every other orientation left
+    alone: what the propagation path judges."""
+    reps = list(s.oriented)
+    k = rng.randrange(len(reps))
+    a, b, c = reps[k]
+    relabelled = (rng.choice([v for v in range(s.m) if v != a]), b, c)
+    out = [("reverse", s.m, reps[:k] + [(a, c, b)] + reps[k + 1:], reps),
+           ("drop", s.m, reps[:k] + reps[k + 1:], None),
+           ("relabel", s.m, reps[:k] + [relabelled] + reps[k + 1:], None),
+           ("unused", s.m + 1, reps, None)]
+    # torus triangle (0, 1, 3) meets triangle k, 0 -> a, 3 -> b, 1 -> c, so
+    # the torus runs the three walls left open the other way
+    label = {0: a, 3: b, 1: c, 2: s.m, 4: s.m + 1, 5: s.m + 2, 6: s.m + 3}
+    torus = [tuple(map(label.get, t)) for t in TestValidation.TORUS[1:]]
+    out.append(("torus, 2 unused", s.m + 6, reps[:k] + reps[k + 1:] + torus, None))
+    for glued in (1, 2):
+        label = dict(zip(rng.sample(range(s.m), glued), rng.sample(range(s.m), glued)))
+        fresh = iter(range(s.m, 2 * s.m - glued))
+        for v in range(s.m):
+            if v not in label:
+                label[v] = next(fresh)
+        copy = [tuple(label[v] for v in t) for t in reps]
+        out.append((f"glued at {glued}", 2 * s.m - glued, reps + copy, None))
+    return [(kind, m, bad, bad if same is None else same) for kind, m, bad, same in out]
+
+
+def accepts(m, tris, oriented=None) -> bool:
+    """from_triangles's verdict; an accepted sphere must satisfy the oracle."""
+    try:
+        s = SimplicialSphere2.from_triangles(m, tris, oriented)
+    except ValidationError:
+        return False
+    assert is_oriented_2_sphere(s.m, s.oriented)
+    return True
+
+
+@pytest.mark.parametrize("family", ["corpus", "stacked", "nanotubes"])
+def test_verdicts_agree_with_the_oracle(family):
+    from test_charfunc import nanotube_sphere  # it imports this module
+
+    if family == "corpus":
+        spheres = [dual_sphere(load_polytope(name)) for name in POLYTOPE_NAMES]
+    elif family == "stacked":
+        spheres = [subdivided_cp3(m, seed=m)[0].sphere for m in (8, 30, 100, 300)]
+    else:
+        spheres = [nanotube_sphere(k) for k in (0, 3, 10)]
+    rng = random.Random(family)
+    for s in spheres:
+        faults = mutations(s, rng)
+        for kind, m, reps, unoriented in [("none", s.m, s.oriented, s.oriented)] + faults:
+            verdict = is_oriented_2_sphere(m, reps)
+            assert verdict == (kind == "none")
+            assert accepts(m, reps, reps) == verdict, kind
+            assert accepts(m, reps) == is_oriented_2_sphere(m, unoriented), kind
 
 
 def test_constructed_polytopes_dualise_the_same():
@@ -473,6 +591,19 @@ class TestValidation:
             SimplePolytope3.from_facets("bad", TET_FACETS[:3] + [last])
         with pytest.raises(ValidationError, match=f"^{message} has a non-integer vertex id$"):
             dual_sphere(SimplePolytope3("bad", tuple(TET_FACETS[:3]) + (last,)))
+        # the same ids in a sphere's last triangle, which is named as given
+        # (sorting would read 2.9 as a vertex, and fail on '2')
+        tris = TET_FACETS[:3] + [last]
+        named = message.replace("facet 3 = ", "triangle ")
+        for reps in (None, tris):
+            with pytest.raises(ValidationError, match=f"^{named} has a non-integer vertex id$"):
+                SimplicialSphere2.from_triangles(4, tris, reps)
+        # and in the representatives alone, which 2.0 and True would match
+        s = SimplicialSphere2.from_triangles(4, TET_FACETS)
+        for make in (lambda reps: SimplicialSphere2.from_triangles(4, TET_FACETS, reps),
+                     s.reoriented):
+            with pytest.raises(ValidationError, match=f"^{named} has a non-integer vertex id$"):
+                make(tris)
 
     def test_noncontiguous_ids(self):
         bad = [(0, 1, 2), (0, 7, 1), (0, 2, 7), (1, 7, 2)]
@@ -506,13 +637,6 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             SimplePolytope3.from_facets("bad", bad)
 
-    def test_missing_reverse_edge_is_named(self):
-        # from_triangles cannot reach this message: every wall lies in two
-        # triangles by then, so a missing reverse is an edge traversed twice
-        with pytest.raises(ValidationError,
-                           match=r"^orientation is inconsistent across wall \(\d, \d\)$"):
-            combinatorics_module._checked_orientation([(0, 1, 2)], [(0, 1, 2)])
-
     def test_sphere_wall_in_three_triangles(self):
         tris = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
         with pytest.raises(ValidationError, match="wall"):
@@ -526,6 +650,10 @@ class TestValidation:
                 (3, 6, 5), (4, 0, 6), (5, 1, 0), (6, 2, 1)]
         with pytest.raises(ValidationError, match="Euler"):
             SimplicialSphere2.from_triangles(7, tris)
+        # with two vertices more, Euler characteristic 2; and no triangles
+        for m, tris in ((9, tris), (2, [])):
+            with pytest.raises(ValidationError, match=f"^vertex {m - 2} lies in no triangle$"):
+                SimplicialSphere2.from_triangles(m, tris)
 
     def test_sphere_disjoint_union_rejected(self):
         tris = TET_FACETS + [tuple(v + 4 for v in t) for t in TET_FACETS]
@@ -582,10 +710,9 @@ class TestValidation:
         return [tuple(glue[1] if v == glue[0] else v + k for v in t) if glue
                 else tuple(v + k for v in t) for t in tris]
 
-    # Every message of the oriented path, each named as by the ordered
+    # Every message of the oriented path, each named as by an ordered
     # scan.  A missing reverse edge is always also an edge traversed
-    # twice, because every wall already lies in two triangles, so the
-    # scan's "inconsistent across wall" message cannot be reached here.
+    # twice, because every wall already lies in two triangles.
     OCTA = [(0, 2, 3), (0, 2, 5), (0, 3, 4), (0, 4, 5),
             (1, 2, 3), (1, 2, 5), (1, 3, 4), (1, 4, 5)]
     OCTA_REPS = [(0, 3, 2), (0, 2, 5), (0, 4, 3), (0, 5, 4),
@@ -601,6 +728,13 @@ class TestValidation:
                   (1, 3, 2), (2, 4, 1), (7, 3, 1), (1, 4, 5), (6, 1, 5), (8, 5, 1),
                   (7, 1, 6), (7, 8, 1), (7, 4, 2), (5, 7, 2), (3, 5, 4), (7, 5, 3),
                   (5, 7, 6), (7, 5, 8)]
+
+    # two octahedra glued at their poles 0 and 1: consistently oriented,
+    # with Euler characteristic 2, but the link of each pole is two cycles
+    PINCHED = OCTA + [(0, 6, 7), (0, 6, 9), (0, 7, 8), (0, 8, 9),
+                      (1, 6, 7), (1, 6, 9), (1, 7, 8), (1, 8, 9)]
+    PINCHED_REPS = sorted(OCTA_REPS + [(0, 7, 6), (0, 6, 9), (0, 8, 7), (0, 9, 8),
+                                       (1, 6, 7), (1, 9, 6), (1, 7, 8), (1, 8, 9)], key=sorted)
 
     @pytest.mark.parametrize("m, tris, reps, message", [
         (6, OCTA + OCTA[:1], OCTA_REPS + OCTA_REPS[:1], "duplicate triangle in sphere"),
@@ -624,6 +758,13 @@ class TestValidation:
         (11, TORUS + shifted(TET_FACETS, 7),
          sorted(TORUS + shifted(TET_FACETS, 7), key=lambda t: tuple(sorted(t))),
          "sphere complex is disconnected"),
+        (10, PINCHED, PINCHED_REPS, "link of vertex 0 is not a single cycle"),
+        # Euler characteristic 2 with two unused vertices, or with no triangles
+        (9, TORUS, TORUS, "vertex 7 lies in no triangle"),
+        (2, [], [], "vertex 0 lies in no triangle"),
+        # three distinct vertices in four places: a ValueError escaped here
+        (6, OCTA[:7] + [(1, 4, 5, 5)], OCTA_REPS[:7] + [(1, 4, 5, 5)],
+         r"degenerate triangle \(1, 4, 5, 5\)"),
     ])
     def test_oriented_faults_are_named(self, m, tris, reps, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -652,6 +793,11 @@ class TestValidation:
         with pytest.raises(ValidationError,
                            match="^link of vertex 0 is not a single cycle$"):
             SimplicialSphere2.from_triangles(13, tris)
+        # two octahedra at two poles: oriented by propagation, each one a
+        # component of its own
+        with pytest.raises(ValidationError,
+                           match="^link of vertex 0 is not a single cycle$"):
+            SimplicialSphere2.from_triangles(10, self.PINCHED)
 
 
 class TestSerialization:

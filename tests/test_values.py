@@ -102,7 +102,7 @@ VALUES = {
 # what to read to fill the caches an instance keeps besides its fields
 CACHES = {
     "CharacteristicPair": ["integrals"],
-    "SimplicialSphere2": ["_neighbours", "_apexes"],
+    "SimplicialSphere2": ["_neighbours", "_index", "_apex_pairs"],
     "SimplePolytope3": ["_index"],
     "Fan3": ["certificate", "wall_table", "characteristic_pair", "cone_analysis"],
 }
