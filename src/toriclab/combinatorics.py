@@ -78,15 +78,24 @@ class SimplicialSphere2(_Value):
         reps = None if oriented is None else tuple(map(tuple, oriented))
         _int_ids(given + list(reps or ()), "triangle {c}")
         tris = sorted(tuple(sorted(t)) for t in given)
-        if len(set(tris)) != len(tris):
-            raise ValidationError("duplicate triangle in sphere")
         for t in tris:  # each sorted, so its ends are its least and greatest
             if len(t) != 3 or t[0] == t[1] or t[1] == t[2]:
                 raise ValidationError(f"degenerate triangle {t}")
             if t[0] < 0 or t[2] >= m:
                 raise ValidationError(f"triangle {t} uses a vertex outside 0..{m - 1}")
-        matched = reps is not None and [tuple(sorted(t)) for t in reps] == tris
-        index = _half_edges(reps if matched else tris, m, _WALL_FAULT)
+        return cls._from_sorted(m, tuple(tris), reps)
+
+    @classmethod
+    def _from_sorted(cls, m: int, tris: tuple[Triangle, ...], reps=None) -> "SimplicialSphere2":
+        """:meth:`from_triangles` after its checks of single triangles:
+        ``tris`` is sorted, and each triangle is sorted, with three
+        distinct vertices in 0..m-1.  ``Fan3.from_data`` checks its cones
+        that far itself, in its own words, and then calls this."""
+        if not all(map(lt, tris, tris[1:])):
+            raise ValidationError("duplicate triangle in sphere")
+        matched = reps is not None and tuple(map(tuple, map(sorted, reps))) == tris
+        cycles = reps if matched else tris
+        index = _half_edges(cycles, list(chain.from_iterable(cycles)), m, _WALL_FAULT)
         flat, _, twin, codes, _ = index
         if m - len(codes) + len(tris) != 2:
             raise ValidationError(f"Euler characteristic {m - len(codes) + len(tris)} != 2")
@@ -111,7 +120,7 @@ class SimplicialSphere2(_Value):
         if reps is None:
             # triangle t, read from the half-edge k it was entered by
             reps = tuple(tuple(flat[k:k - k % 3 + 3] + flat[k - k % 3:k]) for k in entry)
-        sphere = cls(m=m, triangles=tuple(tris), oriented=reps,
+        sphere = cls(m=m, triangles=tris, oriented=reps,
                      walls=tuple(map(divmod, codes, repeat(m))))
         sphere.__dict__.update(_index=index, _neighbours=around)  # cached_property slots
         return sphere
@@ -157,7 +166,8 @@ class SimplicialSphere2(_Value):
         the one :meth:`from_triangles` builds of the stored fields, which
         must be the fields it makes."""
         if "_proved" in self.__dict__:
-            return _half_edges(self.oriented, self.m, _WALL_FAULT)
+            return _half_edges(self.oriented, list(chain.from_iterable(self.oriented)), self.m,
+                               _WALL_FAULT)
         sphere = SimplicialSphere2.from_triangles(self.m, self.triangles, self.oriented)
         if sphere != self:
             raise ValidationError("sphere fields do not match its triangles")
@@ -266,7 +276,7 @@ class SimplePolytope3(_Value):
                 if k != 3:
                     raise ValidationError(f"vertex {v} lies in {k} facets")
 
-        index = _half_edges(cycles, n, "edge {} lies in {} facets")
+        index = _half_edges(cycles, flat, n, "edge {} lies in {} facets")
         _, face, twin, _, edge = index
         # each edge's facets, in facet order: edge holds the first half-edge
         shared = list(zip(map(face.__getitem__, edge),
@@ -327,9 +337,11 @@ def _heads(flat, cycles) -> list:
     return heads
 
 
-def _half_edges(cycles, n: int, fault: str) -> Index:
+def _half_edges(cycles, flat: list, n: int, fault: str) -> Index:
     """The half-edge index ``(flat, face, twin, codes, edge)`` of cycles on
-    0..n-1, refused unless every edge lies in two faces.
+    0..n-1, refused unless every edge lies in two faces.  ``flat`` is the
+    cycles' vertices, one after another, as the maker already has them; it
+    becomes the index's own list.
 
     Half-edge h runs from vertex ``flat[h]`` to the next vertex of face
     ``face[h]``, face after face in cycle order; ``twin[h]`` is the other
@@ -339,7 +351,6 @@ def _half_edges(cycles, n: int, fault: str) -> Index:
     edge is wrong; only then is the first one named, as
     ``fault.format(edge, count)``.
     """
-    flat = list(chain.from_iterable(cycles))
     codes = [u * n + v if u < v else v * n + u for u, v in zip(flat, _heads(flat, cycles))]
     order = sorted(range(len(flat)), key=codes.__getitem__)
     first, second = order[0::2], order[1::2]
@@ -479,7 +490,9 @@ def betti_numbers(sphere: SimplicialSphere2) -> tuple[int, int, int, int]:
 
 
 def _natural(token: str) -> int | None:
-    """The value of a ``<digits>`` token, else None."""
+    """The value of a ``<digits>`` token, else None.  ``isdecimal`` also
+    takes other scripts' digits, so the caller first checks that the text
+    the token comes from is ASCII, once for the whole line."""
     try:
         return int(token) if token.isdecimal() else None
     except ValueError:  # past int()'s digit limit
@@ -499,8 +512,9 @@ class _Lines:
                                 are written ``C: <ints>``, with no id
 
     Integers are ``-?<digits>``, or ``<digits>`` where they may not be
-    signed; ids and counts are ``<digits>``.  A document ends after its
-    last section.  Refusals are ParseErrors naming the line.
+    signed; ids and counts are ``<digits>``; digits are ASCII 0-9.  A
+    document ends after its last section.  Refusals are ParseErrors naming
+    the line.
     """
 
     def __init__(self, text: str):
@@ -523,7 +537,7 @@ class _Lines:
         tokens = self.lines[at].split() if at < len(self.lines) else []
         if tokens[:1] != [word]:
             raise ParseError(f"expected '{word} <n>' on line {at + 1}")
-        n = _natural(tokens[1]) if len(tokens) == 2 else None
+        n = _natural(tokens[1]) if len(tokens) == 2 and self.lines[at].isascii() else None
         if n is None:
             raise ParseError(f"malformed count line {self.lines[at]!r}")
         self.at = at + 1
@@ -549,8 +563,10 @@ class _Lines:
             got = _natural(label[1]) if numbered and len(label) == 2 else k
             if (not colon or ints is None or len(label) != 1 + numbered or label[0] != tag
                     or got is None or (width is not None and len(ints) != width)
-                    # int() also reads '+1' and '1_0': refused, it reads -?\d+
-                    or "+" in body or "_" in body or (not signed and "-" in body)):
+                    # int() also reads '+1', '1_0' and other scripts' digits:
+                    # refused, it reads -?[0-9]+
+                    or "+" in body or "_" in body or not line.isascii()
+                    or (not signed and "-" in body)):
                 raise ParseError(f"malformed {noun} line {line!r}")
             if got != k:
                 raise ParseError(f"{noun} ids must appear in order; got {label[1]} "

@@ -1,24 +1,17 @@
-"""Built-in corpus of polytopes and fans, embedded as canonical documents.
+"""Built-in corpus of polytopes and fans, shipped as canonical documents.
 
-Every entry is constructed programmatically at import time, serialized, and
-exposed read-only.  Fans carry support parameters that realize them as
-normal fans of concrete polytopes, so the projective workflows run on them
-out of the box.
+Every entry is stored as a literal: the canonical text that
+``serialize_polytope`` or ``serialize_fan`` prints for it.  Loading the
+corpus therefore builds nothing and imports no layer; :func:`load_polytope`
+and :func:`load_fan` import their parser when called.  The tests rebuild
+each entry from its construction and compare the texts byte for byte.
+Fans carry support parameters that realize them as normal fans of concrete
+polytopes, so the projective workflows run on them out of the box.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .combinatorics import (
-    SimplePolytope3,
-    SimplicialSphere2,
-    dual_polytope,
-    parse_polytope,
-    serialize_polytope,
-)
 from .errors import NotFound
-from .fan import Fan3, parse_fan, serialize_fan
 from .value import _Value
 
 
@@ -32,131 +25,160 @@ class CorpusEntry(_Value):
         self.__dict__.update(name=name, kind=kind, text=text, note=note)
 
 
-def _tetrahedron() -> SimplePolytope3:
-    return SimplePolytope3.from_facets(
-        "tetrahedron", [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)])
-
-
-def _cube() -> SimplePolytope3:
-    return SimplePolytope3.from_facets("cube", [
-        (0, 1, 2, 3),
-        (4, 7, 6, 5),
-        (0, 4, 5, 1),
-        (1, 5, 6, 2),
-        (2, 6, 7, 3),
-        (3, 7, 4, 0),
-    ])
-
-
-def _pentagonal_prism() -> SimplePolytope3:
-    return SimplePolytope3.from_facets("pentagonal-prism", [
-        (0, 1, 2, 3, 4),
-        (5, 9, 8, 7, 6),
-        (0, 5, 6, 1),
-        (1, 6, 7, 2),
-        (2, 7, 8, 3),
-        (3, 8, 9, 4),
-        (4, 9, 5, 0),
-    ])
-
-
-def _truncated_tetrahedron() -> SimplePolytope3:
-    # a tetrahedron with one vertex cut off: 2 triangles + 3 quadrilaterals
-    return SimplePolytope3.from_facets("truncated-tetrahedron", [
-        (3, 0, 2, 5),
-        (4, 1, 0, 3),
-        (5, 2, 1, 4),
-        (0, 2, 1),
-        (3, 4, 5),
-    ])
-
-
-def _dodecahedron() -> SimplePolytope3:
-    # dual of the icosahedron: caps around vertices 0 and 11, antiprism band
-    icosa = SimplicialSphere2.from_triangles(12, (
-        [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1)]
-        + [(1, 2, 6), (2, 3, 7), (3, 4, 8), (4, 5, 9), (5, 1, 10)]
-        + [(6, 7, 2), (7, 8, 3), (8, 9, 4), (9, 10, 5), (10, 6, 1)]
-        + [(11, 7, 6), (11, 8, 7), (11, 9, 8), (11, 10, 9), (11, 6, 10)]
-    ))
-    return dual_polytope(icosa, "dodecahedron")
-
-
-E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-
-
-def _cp3_fan() -> Fan3:
-    rays = [E1, E2, E3, (-1, -1, -1)]
-    cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    return Fan3.from_data("cp3", rays, cones, support=[1, 1, 1, 1])
-
-
-def _cube_fan() -> Fan3:
-    rays = [E1, (-1, 0, 0), E2, (0, -1, 0), E3, (0, 0, -1)]
-    cones = [(i, j, k) for i in (0, 1) for j in (2, 3) for k in (4, 5)]
-    return Fan3.from_data("cube-fan", rays, cones, support=[1] * 6)
-
-
-def _blowup_cp3_fan() -> Fan3:
-    rays = [E1, E2, E3, (-1, -1, -1), (1, 1, 1)]
-    cones = [(0, 1, 4), (0, 2, 4), (1, 2, 4),
-             (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    return Fan3.from_data("blowup-cp3", rays, cones, support=[1, 1, 1, 1, 2])
-
-
-def _cp1xcp2_fan() -> Fan3:
-    rays = [E1, (-1, 0, 0), E2, E3, (0, -1, -1)]
-    cones = [(i, j, k) for i in (0, 1) for (j, k) in ((2, 3), (2, 4), (3, 4))]
-    return Fan3.from_data("cp1xcp2", rays, cones, support=[1] * 5)
-
-
-def _flatwall_fan() -> Fan3:
-    # cube fan with the (+,+,+) octant star-subdivided at (1,1,1); the three
-    # inner walls {e_i, e_j} of the subdivided octant are flat (curvature 0)
-    rays = [E1, (-1, 0, 0), E2, (0, -1, 0), E3, (0, 0, -1), (1, 1, 1)]
-    cones = [(i, j, k) for i in (0, 1) for j in (2, 3) for k in (4, 5)
-             if (i, j, k) != (0, 2, 4)]
-    cones += [(6, 2, 4), (0, 6, 4), (0, 2, 6)]
-    return Fan3.from_data("flatwall", rays, cones,
-                          support=[1, 1, 1, 1, 1, 1, Fraction(5, 2)])
-
-
-_POLYTOPE_BUILDERS = {
-    "tetrahedron": (_tetrahedron,
-                    "boundary complex of the 3-simplex"),
-    "cube": (_cube, "the combinatorial 3-cube"),
-    "pentagonal-prism": (_pentagonal_prism,
-                         "prism over a pentagon; smallest 5-gon-bearing prism"),
-    "dodecahedron": (_dodecahedron,
-                     "C20 fullerene: twelve pentagons, no other faces"),
-    "truncated-tetrahedron": (_truncated_tetrahedron,
-                              "tetrahedron with one vertex truncated"),
-}
-
-_FAN_BUILDERS = {
-    "cp3": (_cp3_fan, "normal fan of a lattice 3-simplex (projective 3-space)"),
-    "cube-fan": (_cube_fan, "coordinate octants: normal fan of [-1,1]^3, "
-                            "a product of three lines"),
-    "blowup-cp3": (_blowup_cp3_fan,
-                   "cp3 with one cone star-subdivided (blow-up at a fixed point)"),
-    "cp1xcp2": (_cp1xcp2_fan, "product of a line fan and a plane fan"),
-    "flatwall": (_flatwall_fan, "cube fan with one octant subdivided; "
-                                "contains three flat walls"),
-}
-
-
-def _build() -> dict[str, CorpusEntry]:
-    entries: dict[str, CorpusEntry] = {}
-    for name, (builder, note) in _POLYTOPE_BUILDERS.items():
-        entries[name] = CorpusEntry(name=name, kind="polytope",
-                                    text=serialize_polytope(builder()), note=note)
-    for name, (builder, note) in _FAN_BUILDERS.items():
-        entries[name] = CorpusEntry(name=name, kind="fan",
-                                    text=serialize_fan(builder()), note=note)
-    return entries
-
-
-ENTRIES: dict[str, CorpusEntry] = _build()
+ENTRIES: dict[str, CorpusEntry] = {e.name: e for e in (
+    CorpusEntry("tetrahedron", "polytope", note="boundary complex of the 3-simplex", text="""\
+poly3 tetrahedron
+facets 4
+F 0: 0 1 2
+F 1: 0 3 1
+F 2: 0 2 3
+F 3: 1 3 2
+"""),
+    CorpusEntry("cube", "polytope", note="the combinatorial 3-cube", text="""\
+poly3 cube
+facets 6
+F 0: 0 1 2 3
+F 1: 4 7 6 5
+F 2: 0 4 5 1
+F 3: 1 5 6 2
+F 4: 2 6 7 3
+F 5: 0 3 7 4
+"""),
+    CorpusEntry("pentagonal-prism", "polytope",
+                note="prism over a pentagon; smallest 5-gon-bearing prism", text="""\
+poly3 pentagonal-prism
+facets 7
+F 0: 0 1 2 3 4
+F 1: 5 9 8 7 6
+F 2: 0 5 6 1
+F 3: 1 6 7 2
+F 4: 2 7 8 3
+F 5: 3 8 9 4
+F 6: 0 4 9 5
+"""),
+    CorpusEntry("dodecahedron", "polytope",
+                note="C20 fullerene: twelve pentagons, no other faces", text="""\
+poly3 dodecahedron
+facets 12
+F 0: 0 1 4 3 2
+F 1: 0 5 7 6 1
+F 2: 0 2 8 9 5
+F 3: 2 3 10 11 8
+F 4: 3 4 12 13 10
+F 5: 1 6 14 12 4
+F 6: 5 9 15 16 7
+F 7: 8 11 17 15 9
+F 8: 10 13 18 17 11
+F 9: 12 14 19 18 13
+F 10: 6 7 16 19 14
+F 11: 15 17 18 19 16
+"""),
+    CorpusEntry("truncated-tetrahedron", "polytope",
+                note="tetrahedron with one vertex truncated", text="""\
+poly3 truncated-tetrahedron
+facets 5
+F 0: 0 2 5 3
+F 1: 0 3 4 1
+F 2: 1 4 5 2
+F 3: 0 1 2
+F 4: 3 5 4
+"""),
+    CorpusEntry("cp3", "fan",
+                note="normal fan of a lattice 3-simplex (projective 3-space)", text="""\
+fan3 cp3
+rays 4
+R 0: 1 0 0
+R 1: 0 1 0
+R 2: 0 0 1
+R 3: -1 -1 -1
+cones 4
+C: 0 1 2
+C: 0 1 3
+C: 0 2 3
+C: 1 2 3
+support: 1 1 1 1
+"""),
+    CorpusEntry("cube-fan", "fan", note="coordinate octants: normal fan of [-1,1]^3, "
+                                        "a product of three lines", text="""\
+fan3 cube-fan
+rays 6
+R 0: 1 0 0
+R 1: -1 0 0
+R 2: 0 1 0
+R 3: 0 -1 0
+R 4: 0 0 1
+R 5: 0 0 -1
+cones 8
+C: 0 2 4
+C: 0 2 5
+C: 0 3 4
+C: 0 3 5
+C: 1 2 4
+C: 1 2 5
+C: 1 3 4
+C: 1 3 5
+support: 1 1 1 1 1 1
+"""),
+    CorpusEntry("blowup-cp3", "fan",
+                note="cp3 with one cone star-subdivided (blow-up at a fixed point)", text="""\
+fan3 blowup-cp3
+rays 5
+R 0: 1 0 0
+R 1: 0 1 0
+R 2: 0 0 1
+R 3: -1 -1 -1
+R 4: 1 1 1
+cones 6
+C: 0 1 3
+C: 0 1 4
+C: 0 2 3
+C: 0 2 4
+C: 1 2 3
+C: 1 2 4
+support: 1 1 1 1 2
+"""),
+    CorpusEntry("cp1xcp2", "fan", note="product of a line fan and a plane fan", text="""\
+fan3 cp1xcp2
+rays 5
+R 0: 1 0 0
+R 1: -1 0 0
+R 2: 0 1 0
+R 3: 0 0 1
+R 4: 0 -1 -1
+cones 6
+C: 0 2 3
+C: 0 2 4
+C: 0 3 4
+C: 1 2 3
+C: 1 2 4
+C: 1 3 4
+support: 1 1 1 1 1
+"""),
+    CorpusEntry("flatwall", "fan", note="cube fan with one octant subdivided; "
+                                        "contains three flat walls", text="""\
+fan3 flatwall
+rays 7
+R 0: 1 0 0
+R 1: -1 0 0
+R 2: 0 1 0
+R 3: 0 -1 0
+R 4: 0 0 1
+R 5: 0 0 -1
+R 6: 1 1 1
+cones 10
+C: 0 2 5
+C: 0 2 6
+C: 0 3 4
+C: 0 3 5
+C: 0 4 6
+C: 1 2 4
+C: 1 2 5
+C: 1 3 4
+C: 1 3 5
+C: 2 4 6
+support: 1 1 1 1 1 1 5/2
+"""),
+)}
 
 POLYTOPE_NAMES = tuple(n for n, e in ENTRIES.items() if e.kind == "polytope")
 FAN_NAMES = tuple(n for n, e in ENTRIES.items() if e.kind == "fan")
@@ -175,6 +197,8 @@ def corpus_get(name: str) -> CorpusEntry:
 
 
 def load_polytope(name: str) -> SimplePolytope3:
+    from .combinatorics import parse_polytope
+
     entry = corpus_get(name)
     if entry.kind != "polytope":
         raise NotFound(f"corpus entry {name!r} is a {entry.kind}, not a polytope")
@@ -182,6 +206,8 @@ def load_polytope(name: str) -> SimplePolytope3:
 
 
 def load_fan(name: str) -> Fan3:
+    from .fan import parse_fan
+
     entry = corpus_get(name)
     if entry.kind != "fan":
         raise NotFound(f"corpus entry {name!r} is a {entry.kind}, not a fan")

@@ -115,8 +115,8 @@ class Fan3(_Value):
             if not all(0 <= i < m for i in c):
                 raise ValidationError(f"cone {c} references a ray outside 0..{m - 1}")
         dets = _cone_determinants(rays, cones)
-        try:
-            sphere = SimplicialSphere2.from_triangles(m, cones)
+        try:  # the cones are checked: the sphere checks no cone again
+            sphere = SimplicialSphere2._from_sorted(m, cones)
         except ValidationError as e:
             raise ValidationError(f"cone complex is not a 2-sphere: {e}") from None
         if support is not None:
@@ -182,6 +182,8 @@ class Fan3(_Value):
 def _rational(token: str) -> Fraction | None:
     """The value of a ``-?<digits>`` or ``-?<digits>/<digits>`` token with
     a nonzero denominator (a fan's support entry), else None."""
+    if not token.isascii():
+        return None
     num, slash, den = token.partition("/")
     sign = -1 if num[:1] == "-" else 1
     p = _natural(num[1:] if sign < 0 else num)

@@ -84,16 +84,17 @@ class TestFourColor:
         assert all(c.colors[u] != c.colors[v] for u, v in s.walls)
 
 
-def nanotube_sphere(k):
+def nanotube_sphere(k, n=5):
     """The sphere dual to the (5,0) capped nanotube fullerene C_{20+10k}:
-    two poles of degree 5 and k + 2 rings of five vertices."""
-    top, bottom = 0, 1 + 5 * (k + 2)
+    two poles of degree 5 and k + 2 rings of five vertices; or, given n,
+    the same tube with poles of degree n and rings of n vertices."""
+    top, bottom = 0, 1 + n * (k + 2)
 
     def ring(r, i):
-        return 1 + 5 * r + i % 5
+        return 1 + n * r + i % n
 
     tris = []
-    for i in range(5):
+    for i in range(n):
         tris.append((top, ring(0, i), ring(0, i + 1)))
         for r in range(k + 1):
             tris.append((ring(r, i), ring(r + 1, i), ring(r, i + 1)))
@@ -136,6 +137,16 @@ class TestColoringMatchesReference:
         s = SimplicialSphere2.from_triangles(n + 2, tris)
         for t in (s, *(relabelled(s, seed) for seed in range(5))):
             self.check(t)
+
+    def test_far_apart_poles_of_high_degree(self):
+        # the poles 0 and 241 have degree 120 and no common neighbour.  The
+        # search colours pole 241 late, when a neighbour already holds 'a'.
+        # With a heap-key stride D below 115 (120 less a ring vertex's
+        # degree 5) its degree would outweigh a unit of saturation, so it
+        # would be picked second and coloured 'a'
+        s = nanotube_sphere(0, n=120)
+        self.check(s)
+        assert four_color(s).colors[::241] == ("a", "b")
 
     def test_relabelled_fullerenes_backtrack(self):
         # Ids set the tie-breaks, so relabelling changes the search; on
@@ -271,3 +282,8 @@ class TestSerialization:
         text = format_charfunc(coloring_to_charfunc(four_color(dual_sphere(cube()))))
         with pytest.raises(ParseError, match="^malformed count line 'lambda 6 rays'$"):
             parse_charfunc(text.replace("lambda 6", "lambda 6 rays"))
+        # int() reads '\u0967' (Devanagari one) as 1; the grammar's digits are 0-9
+        line = text.splitlines()[1]
+        bad = line[:-1] + "\u0967"
+        with pytest.raises(ParseError, match=f"^malformed vector line '{bad}'$"):
+            parse_charfunc(text.replace(line, bad))

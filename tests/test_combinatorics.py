@@ -267,9 +267,9 @@ def counting_half_edges(monkeypatch):
     calls = []
     half_edges = combinatorics_module._half_edges
 
-    def counting(cycles, n, fault):
+    def counting(cycles, flat, n, fault):
         calls.append(n)
-        return half_edges(cycles, n, fault)
+        return half_edges(cycles, flat, n, fault)
 
     monkeypatch.setattr(combinatorics_module, "_half_edges", counting)
     return calls
@@ -856,8 +856,12 @@ class TestSerialization:
         ("F 3: 2 3 10 11 8", "F 3: 2 3 1_0 11 8", "malformed facet line 'F 3: 2 3 1_0 11 8'"),
         ("F 11: 15 17 18 19 16", "F 11: 15 17 18 19 16\nF 12: 0 1 2",
          "unexpected trailing line 'F 12: 0 1 2'"),
+        # isdecimal() and int() read every script's digits; the grammar's are 0-9
+        ("F 3: 2 3 10 11 8", "F \u0663: 2 3 10 11 \u0668",
+         "malformed facet line 'F \u0663: 2 3 10 11 \u0668'"),
+        ("facets 12", "facets \uff11\uff12", "malformed count line 'facets \uff11\uff12'"),
     ], ids=["extra-count-token", "signed-count", "huge-count", "signed-id",
-            "underscored-id", "extra-facet"])
+            "underscored-id", "extra-facet", "arabic-indic-digits", "fullwidth-count"])
     def test_the_grammar_is_strict(self, line, bad, message):
         text = corpus_get("dodecahedron").text
         assert line in text

@@ -141,6 +141,23 @@ class TestStructure:
         with pytest.raises(ValidationError, match="not a 2-sphere"):
             Fan3.from_data("bad", [E1, E2, E3, (-1, -1, -1)], SIMPLEX_CONES[:3])
 
+    def test_repeated_cone_rejected(self):
+        with pytest.raises(ValidationError, match="^cone complex is not a 2-sphere: "
+                                                  "duplicate triangle in sphere$"):
+            Fan3.from_data("bad", [E1, E2, E3, (-1, -1, -1)],
+                           SIMPLEX_CONES + [SIMPLEX_CONES[1][::-1]])
+
+    def test_cones_are_checked_once(self, monkeypatch):
+        # from_data checks each cone in its own words, and its sphere is
+        # built past from_triangles' checks of single triangles
+        f = load_fan("flatwall")
+
+        def checking(*args, **kwargs):
+            raise AssertionError("cones checked again")
+
+        monkeypatch.setattr(SimplicialSphere2, "from_triangles", checking)
+        assert Fan3.from_data(f.name, f.rays, f.maximal_cones, f.support) == f
+
 
 class TestWallData:
     def test_cp3_wall(self):
@@ -552,12 +569,19 @@ class TestSerialization:
             parse_fan(text.replace("cones 4", "conesXY 4"))
 
     @pytest.mark.parametrize("entry", ["1.5", "1e1", "+1", "1_0", "1/0", "1/-2", "--1",
-                                       "-/2", "1/", "/2", "1/2/3", "0x1", "inf"])
+                                       "-/2", "1/", "/2", "1/2/3", "0x1", "inf",
+                                       "\u0661", "1/\u0662", "-\u0969"])
     def test_support_entries_are_integers_or_p_over_q(self, entry):
         # Fraction() read 1.5, 1e1, +1 and 1_0 as 3/2, 10, 1 and 10
         text = serialize_fan(load_fan("cp3")).replace("support: 1 1 1 1",
                                                       f"support: 1 {entry} 1 1")
         with pytest.raises(ParseError, match="^malformed support parameters 'support: 1 "):
+            parse_fan(text)
+
+    def test_ray_entries_are_ascii_digits(self):
+        # int() reads '\u0661' (Arabic-Indic one) as 1
+        text = serialize_fan(load_fan("cp3")).replace("R 3: -1 -1 -1", "R 3: -1 -\u0661 -1")
+        with pytest.raises(ParseError, match="^malformed ray line 'R 3: -1 -\u0661 -1'$"):
             parse_fan(text)
 
     def test_support_line_reads_signed_rationals(self):

@@ -38,7 +38,7 @@ HEAVY = ("dataclasses", "inspect", "typing")
 POLYTOPE = ["charfunc", "combinatorics", "errors", "lattice", "value"]
 VOLUME = sorted(POLYTOPE + ["cohomology", "fan"])
 CONE = sorted(VOLUME + ["cone", "exactlp"])
-CORPUS = sorted(POLYTOPE + ["corpus", "fan"])
+CORPUS = ["corpus", "errors", "value"]
 
 
 def _python(*argv, cwd):
@@ -56,6 +56,18 @@ def test_import_loads_no_layer(tmp_path):
                    "print(len(toriclab.corpus.ENTRIES), toriclab.cone.__name__)",
                    cwd=tmp_path)
     assert proc.stdout.splitlines() == ["['toriclab']", "10 toriclab.cone"], proc.stderr
+
+
+def test_corpus_import_loads_no_layer(tmp_path):
+    # the documents are literals: no construction, no parser, and none of
+    # the standard modules the layers bring
+    proc = _python("-S", "-c", "import sys, toriclab.corpus\n"
+                   "print(sorted(m for m in sys.modules if m.startswith('toriclab')))\n"
+                   "print(sorted(m for m in ('fractions', 'random', 'heapq', 're') "
+                   "if m in sys.modules))",
+                   cwd=tmp_path)
+    assert proc.stdout.splitlines() == [
+        "['toriclab', 'toriclab.corpus', 'toriclab.errors', 'toriclab.value']", "[]"], proc.stderr
 
 
 def test_every_exported_name_is_its_modules_object():

@@ -6,10 +6,14 @@ token replaced by, or preceded by, one of ``TOKENS``).  Every refusal of
 ``parse_polytope``, ``parse_fan`` and ``parse_charfunc`` must be a
 ``ToricLabError``, and the command line must refuse each refused
 document on one ``error:`` line, exiting 2 for a parse error and 1 for
-any other refusal, never as an internal error.
+any other refusal, never as an internal error.  A digit written in
+another script, which ``int()`` and ``str.isdecimal`` read, must be
+refused as a parse error on any line but the header.
 """
 
 import random
+
+import pytest
 
 from toriclab.charfunc import (coloring_to_charfunc, format_charfunc, four_color,
                                parse_charfunc)
@@ -55,6 +59,22 @@ def mutate(text: str, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+# zero in scripts whose digits int() reads: Arabic-Indic, Devanagari, fullwidth
+ZEROS = ("\u0660", "\u0966", "\uff10")
+
+
+def other_digit(text: str, rng: random.Random) -> str:
+    """The text with one ASCII digit, off the header line, written in
+    another script."""
+    lines = text.splitlines()
+    start = 0 if lines[0].startswith("lambda") else 1  # lambda has no header
+    i = rng.randrange(start, len(lines))
+    k = rng.choice([k for k, ch in enumerate(lines[i]) if ch in "0123456789"])
+    digit = chr(ord(rng.choice(ZEROS)) + int(lines[i][k]))
+    lines[i] = lines[i][:k] + digit + lines[i][k + 1:]
+    return "\n".join(lines) + "\n"
+
+
 def cases(seed: int, n: int):
     """n mutated documents as (kind, text, refusal or None)."""
     rng = random.Random(seed)
@@ -76,6 +96,15 @@ def test_every_refusal_is_a_toriclab_error():
     parse_errors = sum(isinstance(r, ParseError) for r in refused)
     others = sum(r is not None and not isinstance(r, ParseError) for r in refused)
     assert parse_errors > 2000 and others > 30 and refused.count(None) > 30
+
+
+def test_other_scripts_digits_are_parse_errors():
+    rng, docs = random.Random(2), documents()
+    for _ in range(600):
+        kind, text = rng.choice(docs)
+        text = other_digit(text, rng)
+        with pytest.raises(ParseError, match="^malformed "):
+            PARSERS[kind](text)
 
 
 def test_the_cli_refuses_on_one_line(capsys, tmp_path):
