@@ -244,9 +244,10 @@ def _certified_fan(args, command: str):
 
 
 def _parse_support(arg: str, m: int):
+    from .combinatorics import _SPACE
     from .fan import _rational
 
-    parts = [s.strip() for s in arg.split(",")]
+    parts = [s.strip(_SPACE) for s in arg.split(",")]
     if len(parts) != m:
         raise ValidationError(
             f"support override has {len(parts)} entries, fan has {m} rays"

@@ -17,12 +17,12 @@ The wall pass also records each wall's pairing: the at most four nonzero
 integrals v_u v_v v_t, at the two endpoints and the two apexes t of the
 wall {u, v}.  Both are cached once per pair, as
 ``CharacteristicPair.integrals`` and ``CharacteristicPair.pairings``; a
-fan reaches them through its cached ``Fan3.characteristic_pair``,
-oriented so every cone has a positive determinant, where the wall rule
-reduces to the negated wall coefficients -a1, -a2.  Triple integrals and
-volume polynomials are sparse sums over the table; the Chern number, edge
-functionals and the wall classes of :mod:`toriclab.cone` read the
-pairings.
+fan reaches them through its cached ``Fan3.characteristic_pair``, the
+fan's own sphere, on which every cone has a positive determinant and the
+wall rule reduces to the negated wall coefficients -a1, -a2.  Triple
+integrals and volume polynomials are sparse sums over the table; the
+Chern number, edge functionals and the wall classes of
+:mod:`toriclab.cone` read the pairings.
 
 Volume polynomials collect every degree-3 integral with multinomial
 weights; their values at valid support parameters are Euclidean volumes of

@@ -52,7 +52,8 @@ class SimplicialSphere2(_Value):
     it: the half-edge index (:attr:`_index`; triangle t owns half-edges
     3t..3t+2 and runs as ``oriented[t]``), the neighbour lists and the
     apex pairs read off the index.  None is a field, so equality and
-    hashing see only the fields.
+    hashing see only the fields.  A fan's characteristic pair holds the
+    fan's own sphere, so the two share all three.
     """
 
     m: int
@@ -86,15 +87,18 @@ class SimplicialSphere2(_Value):
         return cls._from_sorted(m, tuple(tris), reps)
 
     @classmethod
-    def _from_sorted(cls, m: int, tris: tuple[Triangle, ...], reps=None) -> "SimplicialSphere2":
+    def _from_sorted(cls, m: int, tris: tuple[Triangle, ...], reps=None,
+                     reverse_first=False) -> "SimplicialSphere2":
         """:meth:`from_triangles` after its checks of single triangles:
         ``tris`` is sorted, and each triangle is sorted, with three
         distinct vertices in 0..m-1.  ``Fan3.from_data`` checks its cones
-        that far itself, in its own words, and then calls this."""
+        that far itself, in its own words, and then calls this, with
+        ``reverse_first`` (triangle 0 seeds the orientation reversed) set
+        when its first cone has a negative determinant."""
         if not all(map(lt, tris, tris[1:])):
             raise ValidationError("duplicate triangle in sphere")
         matched = reps is not None and tuple(map(tuple, map(sorted, reps))) == tris
-        cycles = reps if matched else tris
+        cycles = reps if matched else (tris[0][::-1], *tris[1:]) if reverse_first else tris
         index = _half_edges(cycles, list(chain.from_iterable(cycles)), m, _WALL_FAULT)
         flat, _, twin, codes, _ = index
         if m - len(codes) + len(tris) != 2:
@@ -123,40 +127,6 @@ class SimplicialSphere2(_Value):
         sphere = cls(m=m, triangles=tris, oriented=reps,
                      walls=tuple(map(divmod, codes, repeat(m))))
         sphere.__dict__.update(_index=index, _neighbours=around)  # cached_property slots
-        return sphere
-
-    def reoriented(self, oriented) -> "SimplicialSphere2":
-        """This sphere with other oriented representatives.
-
-        The triangles are already validated, so only the orientation is
-        checked: each triangle must run as here, or each the other way.  The
-        result shares this sphere's neighbour lists and apex pairs, and its
-        index too, or else a copy with every triangle reversed as
-        :func:`_orient` reverses a face.  Anything else goes to
-        :meth:`from_triangles`, which refuses it.
-        """
-        reps = tuple(map(tuple, oriented))
-        _int_ids(reps, "triangle {c}")
-        if [tuple(sorted(t)) for t in reps] != list(self.triangles):
-            raise ValidationError("oriented representatives do not match triangles")
-        # (a, b, c) runs as rep exactly when b follows a in rep
-        same = {rep[rep.index(a) - 2] == b for (a, b, _), rep in zip(reps, self.oriented)}
-        if len(same) > 1:
-            return SimplicialSphere2.from_triangles(self.m, self.triangles, reps)  # refused
-        index = self._index
-        if same == {False}:
-            # half-edges 3t and 3t + 1 swap places, 3t + 2 stays, and each
-            # starts where it ended
-            flat, face, twin, codes, edge = index
-            move = list(range(len(flat)))
-            move[0::3], move[1::3] = move[1::3], move[0::3]
-            flat = flat[:]
-            flat[0::3], flat[2::3] = flat[2::3], flat[0::3]
-            index = (flat, face, list(map(move.__getitem__, map(twin.__getitem__, move))), codes,
-                     list(map(move.__getitem__, edge)))
-        sphere = SimplicialSphere2(self.m, self.triangles, reps, self.walls)
-        sphere.__dict__.update(_index=index, _neighbours=self._neighbours,  # cached_property slots
-                               _apex_pairs=self._apex_pairs)
         return sphere
 
     @cached_property
@@ -499,12 +469,24 @@ def _natural(token: str) -> int | None:
         return None
 
 
+_SPACE = " \t\n\r\f\v"  # ASCII whitespace, the grammar's only separator
+
+
+def _plain(line: str) -> bool:
+    """Whether ``str.split`` splits the line only at ASCII whitespace: it
+    also splits at other scripts' spaces and at U+001C..U+001F."""
+    return line.isascii() and not ("\x1c" in line or "\x1d" in line or "\x1e" in line
+                                   or "\x1f" in line)
+
+
 class _Lines:
     """The line grammar shared by the poly3, fan3 and lambda documents.
 
-    A document is read as its content lines: '#' starts a comment, lines
-    are stripped and blank ones dropped.  It is a sequence of sections,
-    read in order through one cursor:
+    A document is read as its content lines: it is split at newlines
+    only, '#' starts a comment, lines are stripped of ASCII whitespace and
+    blank ones dropped.  Only ASCII whitespace separates tokens; a line
+    holding other whitespace is refused, outside a header's name.  It is
+    a sequence of sections, read in order through one cursor:
 
         <kind> <name>           the header (poly3 and fan3 only)
         <word> <n>              a count: two tokens, n a non-negative decimal
@@ -518,18 +500,19 @@ class _Lines:
     """
 
     def __init__(self, text: str):
-        self.lines = [ln for raw in text.splitlines() if (ln := raw.split("#", 1)[0].strip())]
+        self.lines = [ln for raw in text.split("\n") if (ln := raw.split("#", 1)[0].strip(_SPACE))]
         self.at = 0
 
     def header(self, kind: str) -> str:
         """The name on the ``<kind> <name>`` line."""
         if not self.lines:
             raise ParseError(f"empty {kind.upper()} document")
-        parts = self.lines[0].split(None, 1)
-        if len(parts) != 2 or parts[0] != kind:
-            raise ParseError(f"expected '{kind} <name>', got {self.lines[0]!r}")
+        line = self.lines[0]
+        parts = line.split(None, 1)
+        if len(parts) != 2 or parts[0] != kind or line[len(kind)] not in _SPACE:
+            raise ParseError(f"expected '{kind} <name>', got {line!r}")
         self.at = 1
-        return parts[1]
+        return line[len(kind):].lstrip(_SPACE)
 
     def count(self, word: str) -> int:
         """The n of the ``<word> <n>`` line."""
@@ -537,7 +520,7 @@ class _Lines:
         tokens = self.lines[at].split() if at < len(self.lines) else []
         if tokens[:1] != [word]:
             raise ParseError(f"expected '{word} <n>' on line {at + 1}")
-        n = _natural(tokens[1]) if len(tokens) == 2 and self.lines[at].isascii() else None
+        n = _natural(tokens[1]) if len(tokens) == 2 and _plain(self.lines[at]) else None
         if n is None:
             raise ParseError(f"malformed count line {self.lines[at]!r}")
         self.at = at + 1
@@ -565,7 +548,7 @@ class _Lines:
                     or got is None or (width is not None and len(ints) != width)
                     # int() also reads '+1', '1_0' and other scripts' digits:
                     # refused, it reads -?[0-9]+
-                    or "+" in body or "_" in body or not line.isascii()
+                    or "+" in body or "_" in body or not _plain(line)
                     or (not signed and "-" in body)):
                 raise ParseError(f"malformed {noun} line {line!r}")
             if got != k:

@@ -3,10 +3,13 @@
 All arithmetic is exact (arbitrary-precision integers and fractions).  A
 fan is stored as primitive rays plus maximal cones; the cone complex is
 required to triangulate a 2-sphere.  Each cone's ray determinant is
-computed once and kept on the fan.  :func:`certify_fan` (unimodular cones,
-the wall sign condition and a generic-ray piercing test) runs once per
-fan, before any wall is read, so every analysis refuses a non-fan with
-its error and no other.
+computed once and kept on the fan, and the sphere is oriented by them
+when it is built: its first cone runs in its determinant's direction, so
+on a complete fan every cone runs positively.  :func:`certify_fan`
+(unimodular cones, the wall sign condition and a generic-ray piercing
+test) runs once per fan, before any wall is read, so every analysis
+refuses a non-fan with its error and no other.  The characteristic pair
+of a certified fan is its own sphere with the rays as lambda.
 
 Wall bookkeeping follows a fixed normalization: the wall pair (i1, i2) is
 sorted and its two apexes (i, i') are ordered so that
@@ -34,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
-from .combinatorics import SimplicialSphere2, Triangle, _Lines, _natural
+from .combinatorics import SimplicialSphere2, Triangle, _Lines, _natural, _plain
 from .errors import (IncompleteFan, InternalError, NotUnimodular, ParseError,
                      ValidationError)
 from .lattice import Vec3, add, det3, is_primitive, sub
@@ -79,7 +82,8 @@ class Fan3(_Value):
     """An immutable simplicial fan in Z^3.
 
     ``sphere`` is the cone complex, validated by :meth:`from_data` as a
-    simplicial 2-sphere of non-degenerate cones.  The cone determinants
+    simplicial 2-sphere of non-degenerate cones and oriented in the
+    direction of its first cone's determinant.  The cone determinants
     (:attr:`_cone_dets`, keyed by cone) and the completeness certificate
     are kept once made; they are not fields.
     """
@@ -97,6 +101,9 @@ class Fan3(_Value):
 
     @classmethod
     def from_data(cls, name, rays, cones, support=None) -> "Fan3":
+        """Validate the data; the sphere's orientation is seeded by the first
+        cone in its determinant's direction, so on a complete fan every cone
+        runs positively (any other complex is refused by certification)."""
         rays = tuple(map(tuple, rays))
         m = len(rays)
         for i, r in enumerate(rays):
@@ -116,7 +123,8 @@ class Fan3(_Value):
                 raise ValidationError(f"cone {c} references a ray outside 0..{m - 1}")
         dets = _cone_determinants(rays, cones)
         try:  # the cones are checked: the sphere checks no cone again
-            sphere = SimplicialSphere2._from_sorted(m, cones)
+            sphere = SimplicialSphere2._from_sorted(
+                m, cones, reverse_first=bool(cones) and dets[cones[0]] < 0)
         except ValidationError as e:
             raise ValidationError(f"cone complex is not a 2-sphere: {e}") from None
         if support is not None:
@@ -152,18 +160,20 @@ class Fan3(_Value):
 
     @cached_property
     def characteristic_pair(self) -> CharacteristicPair:
-        """The sphere with its geometric orientation, plus the rays.
+        """The fan's own sphere, plus the rays.
 
-        Triangles are oriented so every ray determinant is positive; the
-        fan is certified first, so this orientation is globally
-        consistent.  The fan's intersection calculus is the signed
-        calculus of this pair, cached on it, so every cone contributes +1.
+        The fan is certified first, so the sphere, oriented by its first
+        cone (see :meth:`from_data`), runs every cone positively.  One
+        determinant checks that: a constructor-made fan whose sphere runs
+        against its cones is refused.  The fan's intersection calculus is
+        the signed calculus of this pair, cached on it, so every cone
+        contributes +1.
         """
         certify_fan(self)
-        oriented = [(i, j, k) if d > 0 else (i, k, j)
-                    for (i, j, k), d in self._cone_dets.items()]
-        sphere = self.sphere.reoriented(oriented)
-        return CharacteristicPair(sphere, CharacteristicFunction(self.rays))
+        a, b, c = self.sphere.oriented[0]
+        if det3(self.rays[a], self.rays[b], self.rays[c]) < 0:
+            raise ValidationError("sphere orientation runs against its cones")
+        return CharacteristicPair(self.sphere, CharacteristicFunction(self.rays))
 
     @cached_property
     def cone_analysis(self):
@@ -372,7 +382,7 @@ def parse_fan(text: str) -> Fan3:
     support = None
     if line is not None:
         support = [_rational(t) for t in line[len("support:"):].split()]
-        if None in support:
+        if None in support or not _plain(line):
             raise ParseError(f"malformed support parameters {line!r}")
     return Fan3.from_data(name, rays, cones, support=support)
 

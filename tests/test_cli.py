@@ -179,7 +179,8 @@ def test_fan_volume_malformed_support(capsys, fan_file):
     assert "bad support value" in err
 
 
-@pytest.mark.parametrize("entry", ["1.5", "1e1", "+1", "1_0", "1/0", "", "1/\u0662"])
+@pytest.mark.parametrize("entry", ["1.5", "1e1", "+1", "1_0", "1/0", "", "1/\u0662",
+                                   "1/2\u2003", "1\x1c"])
 def test_fan_volume_support_is_integers_or_p_over_q(capsys, fan_file, entry):
     # Fraction() read 1.5, 1e1, +1 and 1_0 as 3/2, 10, 1 and 10
     code, out, err = run(

@@ -187,27 +187,6 @@ class TestDualSphere:
             with pytest.raises(ValidationError, match="not a triangle"):
                 s.orientation_sign(*key)
 
-    def test_reoriented_checks_only_the_orientation(self):
-        s = dual_sphere(dodecahedron())
-        flipped = [(a, c, b) for a, b, c in s.oriented]
-        r = s.reoriented(flipped)
-        assert r == SimplicialSphere2.from_triangles(s.m, s.triangles, oriented=flipped)
-        # the same orientation shares the index; the reversed one gets its
-        # own, which runs each triangle as its new representative
-        assert s.reoriented(s.oriented)._index is s._index
-        assert r._neighbours is s._neighbours and r._apex_pairs is s._apex_pairs
-        assert r._index is not s._index
-        flat = r._index[0]
-        runs = [tuple(flat[3 * t:3 * t + 3]) for t in range(len(flipped))]
-        assert all(rep in (run, run[1:] + run[:1], run[2:] + run[:2])
-                   for run, rep in zip(runs, flipped))
-        assert sphere_answers(r) == sphere_answers(
-            SimplicialSphere2.from_triangles(s.m, s.triangles, oriented=flipped))
-        with pytest.raises(ValidationError, match="^orientation traverses edge"):
-            s.reoriented(flipped[:1] + list(s.oriented[1:]))
-        with pytest.raises(ValidationError, match="do not match triangles"):
-            s.reoriented(s.oriented[1:])
-
     def test_wall_apexes(self):
         s = dual_sphere(tet())
         assert sorted(s.wall_apexes((0, 1))) == [2, 3]
@@ -477,7 +456,8 @@ def test_dual_path_agrees_with_propagation(family):
         # one orientation up to a global sign, and the same answers read
         # from either path's index
         assert len({t.orientation_sign(*o) for o in s.oriented}) == 1
-        assert sphere_answers(s) == sphere_answers(t.reoriented(s.oriented))
+        assert sphere_answers(s) == sphere_answers(
+            SimplicialSphere2.from_triangles(t.m, t.triangles, s.oriented))
         # the ordered scan, given the dual's triangles in any order and its
         # orientation, makes the same sphere, answering the same
         u = SimplicialSphere2.from_triangles(p.num_facets, s.triangles, oriented=s.oriented)
@@ -599,11 +579,8 @@ class TestValidation:
             with pytest.raises(ValidationError, match=f"^{named} has a non-integer vertex id$"):
                 SimplicialSphere2.from_triangles(4, tris, reps)
         # and in the representatives alone, which 2.0 and True would match
-        s = SimplicialSphere2.from_triangles(4, TET_FACETS)
-        for make in (lambda reps: SimplicialSphere2.from_triangles(4, TET_FACETS, reps),
-                     s.reoriented):
-            with pytest.raises(ValidationError, match=f"^{named} has a non-integer vertex id$"):
-                make(tris)
+        with pytest.raises(ValidationError, match=f"^{named} has a non-integer vertex id$"):
+            SimplicialSphere2.from_triangles(4, TET_FACETS, tris)
 
     def test_noncontiguous_ids(self):
         bad = [(0, 1, 2), (0, 7, 1), (0, 2, 7), (1, 7, 2)]
@@ -824,6 +801,14 @@ class TestSerialization:
             "facets 4", "facets 4   # facet count")
         assert parse_polytope(noisy) == tet()
 
+    def test_lines_end_at_newline_alone(self):
+        # '\r\n' ends a line; the name keeps characters that are not ASCII
+        # whitespace, U+2028 (a line break to str.splitlines) among them
+        text = serialize_polytope(tet()).replace("\n", "\r\n")
+        assert parse_polytope(text) == tet()
+        text = serialize_polytope(tet()).replace("poly3 tet", "poly3 \ttet\u2028ra\u2003")
+        assert parse_polytope(text).name == "tet\u2028ra\u2003rahedron"
+
     def test_orientation_normalized_on_parse(self):
         # flip one facet of the cube; parsing must restore consistency
         facets = [list(f) for f in CUBE_FACETS]
@@ -860,8 +845,15 @@ class TestSerialization:
         ("F 3: 2 3 10 11 8", "F \u0663: 2 3 10 11 \u0668",
          "malformed facet line 'F \u0663: 2 3 10 11 \u0668'"),
         ("facets 12", "facets \uff11\uff12", "malformed count line 'facets \uff11\uff12'"),
+        # str.split and str.splitlines read these as a space and a line
+        # break; the grammar's separators are ASCII whitespace and '\n'
+        ("poly3 dodecahedron", "poly3\u2003dodecahedron",
+         "expected 'poly3 <name>', got 'poly3\\u2003dodecahedron'"),
+        ("F 3: 2 3 10 11 8", "F 3: 2 3\x8510 11 8", "malformed facet line 'F 3: 2 3\\x8510 11 8'"),
+        ("facets 12", "facets\x1c12", "malformed count line 'facets\\x1c12'"),
     ], ids=["extra-count-token", "signed-count", "huge-count", "signed-id",
-            "underscored-id", "extra-facet", "arabic-indic-digits", "fullwidth-count"])
+            "underscored-id", "extra-facet", "arabic-indic-digits", "fullwidth-count",
+            "em-space-header", "next-line-facet", "separator-count"])
     def test_the_grammar_is_strict(self, line, bad, message):
         text = corpus_get("dodecahedron").text
         assert line in text

@@ -518,14 +518,36 @@ class TestCharacteristicPair:
             assert check_star_condition(pair).ok
 
     def test_sphere_equals_a_full_revalidation(self):
-        # Only the orientation is checked when the pair is built; the
-        # result must be the sphere that a full validation gives.
+        # The pair holds the fan's own sphere, which must be the sphere
+        # that a full validation of its orientation gives.
         fans = all_corpus_fans() + [subdivided_cp3(m, seed=m)[0] for m in (20, 104)]
         for f in fans:
             sphere = characteristic_pair(f).sphere
+            assert sphere is f.sphere
             assert sphere == SimplicialSphere2.from_triangles(
                 f.m, f.sphere.triangles, oriented=sphere.oriented)
-            assert sphere.triangles is f.sphere.triangles
+
+    def test_the_pair_is_the_fans_own_sphere(self):
+        # from_data seeds the orientation with the first cone, run in its
+        # determinant's direction; on a fan every cone then runs positively
+        fans = all_corpus_fans() + [subdivided_cp3(m, seed=s)[0]
+                                    for m in (8, 14, 44, 104, 1004) for s in range(3)]
+        first = set()
+        for f in fans:
+            assert characteristic_pair(f).sphere is f.sphere
+            assert {det3(*(f.rays[i] for i in t)) for t in f.sphere.oriented} == {1}
+            first.add(f._cone_dets[f.maximal_cones[0]])
+        assert first == {-1, 1}  # both seed directions are taken
+
+    def test_a_sphere_running_against_its_cones_is_refused(self):
+        # a constructor-made fan whose sphere is oriented from the sorted
+        # first cone, which has determinant -1
+        f = load_fan("blowup-cp3")
+        assert f._cone_dets[f.maximal_cones[0]] == -1
+        sphere = SimplicialSphere2.from_triangles(f.m, f.maximal_cones)
+        g = Fan3(f.name, f.rays, f.maximal_cones, sphere, f.support)
+        with pytest.raises(ValidationError, match="^sphere orientation runs against its cones$"):
+            characteristic_pair(g)
 
     def test_non_fans_fail_before_the_orientation(self):
         with pytest.raises(IncompleteFan, match="opposite sides"):
@@ -597,6 +619,20 @@ class TestSerialization:
         for bad in ("rays 6 x", "rays +6"):
             with pytest.raises(ParseError, match=f"^malformed count line '{re.escape(bad)}'$"):
                 parse_fan(text.replace("rays 6", bad))
+
+    @pytest.mark.parametrize("line, bad, message", [
+        ("rays 4", "rays 4\u2003", "malformed count line 'rays 4\\u2003'"),
+        ("support: 1 1 1 1", "support: 1\u20031 1 1",
+         "malformed support parameters 'support: 1\\u20031 1 1'"),
+        ("support: 1 1 1 1", "support: 1 1 1\x1f1",
+         "malformed support parameters 'support: 1 1 1\\x1f1'"),
+    ], ids=["em-space-count", "em-space-support", "separator-support"])
+    def test_only_ascii_whitespace_separates(self, line, bad, message):
+        # str.split reads these as spaces, and str.strip strips them
+        text = serialize_fan(load_fan("cp3"))
+        assert line in text
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_fan(text.replace(line, bad))
 
     def test_overlong_integers_are_refused(self):
         # past the interpreter's digit limit (4300 by default) int() raises

@@ -8,7 +8,9 @@ token replaced by, or preceded by, one of ``TOKENS``).  Every refusal of
 document on one ``error:`` line, exiting 2 for a parse error and 1 for
 any other refusal, never as an internal error.  A digit written in
 another script, which ``int()`` and ``str.isdecimal`` read, must be
-refused as a parse error on any line but the header.
+refused as a parse error on any line but the header, and so must a space
+written as whitespace that is not ASCII, which ``str.split`` and
+``str.splitlines`` read as a separator or a line break.
 """
 
 import random
@@ -75,6 +77,21 @@ def other_digit(text: str, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+# whitespace that str.split or str.splitlines takes and the grammar does
+# not: ASCII information separators, NEL, no-break, em and ideographic
+# space, line separator
+SPACES = ("\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u2028", "\u3000")
+
+
+def other_space(text: str, rng: random.Random) -> str:
+    """The text with one space, on any line, written as other whitespace."""
+    lines = text.splitlines()
+    i = rng.choice([i for i, line in enumerate(lines) if " " in line])
+    k = rng.choice([k for k, ch in enumerate(lines[i]) if ch == " "])
+    lines[i] = lines[i][:k] + rng.choice(SPACES) + lines[i][k + 1:]
+    return "\n".join(lines) + "\n"
+
+
 def cases(seed: int, n: int):
     """n mutated documents as (kind, text, refusal or None)."""
     rng = random.Random(seed)
@@ -104,6 +121,17 @@ def test_other_scripts_digits_are_parse_errors():
         kind, text = rng.choice(docs)
         text = other_digit(text, rng)
         with pytest.raises(ParseError, match="^malformed "):
+            PARSERS[kind](text)
+
+
+def test_other_whitespace_is_a_parse_error():
+    # it does not separate a header's kind from its name, and any other
+    # line holding it is malformed
+    rng, docs = random.Random(3), documents()
+    for _ in range(600):
+        kind, text = rng.choice(docs)
+        text = other_space(text, rng)
+        with pytest.raises(ParseError, match="^(malformed |expected '(poly3|fan3) <name>')"):
             PARSERS[kind](text)
 
 
