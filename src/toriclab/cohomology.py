@@ -5,21 +5,25 @@ index multisets, and each of those has a closed form:
 
   * a triangle {i, j, k} of the sphere: the sign of the vector determinant
     taken in the triangle's oriented order;
-  * a wall {i, j} with apexes p < q: v_i^2 v_j = -<mu, lambda(q)> v_i v_j v_q,
-    where mu is the covector with <mu, lambda(i)> = 1 that vanishes on
-    lambda(j) and lambda(p) (the linear relation of mu times v_i v_j);
+  * a wall {u, v} (u < v) with apexes p < q: with d = det(lambda(u),
+    lambda(v), lambda(p)) = +-1, lambda(q) has Cramer coordinates a_u =
+    d det(lambda(q), lambda(v), lambda(p)), a_v = d det(lambda(u),
+    lambda(q), lambda(p)) in the basis (lambda(u), lambda(v), lambda(p)),
+    and v_u^2 v_v = -a_u v_u v_v v_q, v_v^2 v_u = -a_v v_u v_v v_q (the
+    relations of the covectors dual to that basis, times v_u v_v);
   * a vertex i: v_i^3 = -sum over neighbours t of <mu, lambda(t)> v_i^2 v_t,
     with mu the dual covector of lambda(i) in the first triangle containing i.
 
 :func:`integral_table` computes exactly these nonzero values, keyed by
 sorted multiset, in one pass over the triangles and one over the walls.
-The wall pass also records each wall's pairing: the at most four nonzero
-integrals v_u v_v v_t, at the two endpoints and the two apexes t of the
-wall {u, v}.  Both are cached once per pair, as
-``CharacteristicPair.integrals`` and ``CharacteristicPair.pairings``; a
-fan reaches them through its cached ``Fan3.characteristic_pair``, the
-fan's own sphere, on which every cone has a positive determinant and the
-wall rule reduces to the negated wall coefficients -a1, -a2.  Triple
+The wall pass takes each wall relation once, by that Cramer kernel, and
+records the wall's pairing: the at most four nonzero integrals
+v_u v_v v_t, at the two endpoints and the two apexes t of the wall.  Both
+are cached once per pair, as ``CharacteristicPair.integrals`` and
+``CharacteristicPair.pairings``; a fan reaches them through its cached
+``Fan3.characteristic_pair``, the fan's own sphere, on which every cone
+has a positive determinant, so the squares are the negated wall
+coefficients -a1, -a2, and ``Fan3.wall_table`` reads them there.  Triple
 integrals and volume polynomials are sparse sums over the table; the
 Chern number, edge functionals and the wall classes of
 :mod:`toriclab.cone` read the pairings.
@@ -58,10 +62,7 @@ Pairings = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 # (c_1 v_1 + ... + c_m v_m)^3 / 3!, by its number of distinct indices: the
 # weights are 1, 1/2 and 1/6
 _SIX_WEIGHT = {3: 6, 2: 3, 1: 1}
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
+_BASIS_FAULT = "triangle {} violates the basis condition; the signed calculus needs it to hold"
 
 
 def _as_multiset(indices, m: int) -> Multiset:
@@ -99,9 +100,9 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int], Pairi
     v_u v_v v_t), keyed by wall in ``sphere.walls`` order.
 
     Use ``pair.integrals`` and ``pair.pairings``, which build these once
-    and keep them.  Raises
-    ValidationError when a triangle's vectors are degenerate or, where a
-    covector is needed, fail the basis condition.
+    and keep them.  Raises ValidationError when a triangle's vectors are
+    degenerate or, at a vertex's cube covector or a wall's triangle
+    (u, v, p), fail the basis condition.
     """
     sphere, lam = pair.sphere, pair.lam.vectors
 
@@ -109,9 +110,7 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int], Pairi
         try:
             return dual_covector(lam[i], lam[j], lam[k])
         except ValueError:
-            raise ValidationError(
-                f"triangle {(i, j, k)} violates the basis condition; "
-                f"the signed calculus needs it to hold") from None
+            raise ValidationError(_BASIS_FAULT.format((i, j, k))) from None
 
     table: dict[Multiset, int] = {}
     first: dict[int, Multiset] = {}
@@ -119,7 +118,7 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int], Pairi
         d = det3(lam[a], lam[b], lam[c])
         if d == 0:
             raise ValidationError(f"triangle {key} has degenerate vectors (det 0)")
-        table[key] = _sign(d)
+        table[key] = 1 if d > 0 else -1
         for i in key:
             first.setdefault(i, key)
     cube_mu = {i: covector(i, *(x for x in tri if x != i))
@@ -127,14 +126,19 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int], Pairi
 
     cubes = [0] * sphere.m
     pairings: Pairings = {}
-    for u, v in sphere.walls:
-        p, q = sphere.wall_apexes((u, v))
-        near, far = table[tuple(sorted((u, v, p)))], table[tuple(sorted((u, v, q)))]
+    for (u, v), (x, y) in zip(sphere.walls, sphere._apex_pairs.values()):
+        p, q = (x, y) if x < y else (y, x)
+        lu, lv, lp, lq = lam[u], lam[v], lam[p], lam[q]
+        d = det3(lu, lv, lp)  # then lambda(q)'s Cramer coordinates a_u, a_v
+        if d != 1 and d != -1:
+            raise ValidationError(_BASIS_FAULT.format((u, v, p)))
+        near = table[(p, u, v) if p < u else (u, p, v) if p < v else (u, v, p)]
+        far = table[(q, u, v) if q < u else (u, q, v) if q < v else (u, v, q)]
         entries = []
-        for i, j in ((u, v), (v, u)):
-            square = -dot(covector(i, j, p), lam[q]) * far
+        for i, j, square in ((u, v, -d * det3(lq, lv, lp) * far),
+                             (v, u, -d * det3(lu, lq, lp) * far)):
             if square:
-                table[tuple(sorted((i, i, j)))] = square
+                table[(u, u, v) if i == u else (u, v, v)] = square
                 cubes[i] -= dot(cube_mu[i], lam[j]) * square
                 entries.append((i, square))
         pairings[(u, v)] = (*entries, (p, near), (q, far))

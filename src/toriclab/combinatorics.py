@@ -23,7 +23,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, groupby, repeat
 from functools import cached_property
-from operator import eq, lt
+from operator import add, eq, lt, mul
 
 from .errors import InternalError, ParseError, ValidationError
 from .value import _Value
@@ -151,16 +151,17 @@ class SimplicialSphere2(_Value):
 
     @cached_property
     def _apex_pairs(self) -> dict[int, tuple[int, int]]:
-        """Each wall's two apexes, ascending, keyed by its code u * m + v:
-        the third vertices of the triangles on its half-edge and twin.
-        Fans ask for every wall several times; one dict entry is read
-        faster than a bisection in the index and a dozen lookups."""
+        """Each wall (u, v)'s two apexes keyed by its code u * m + v, in
+        ``walls`` order: first the one whose triangle runs u -> v, then the
+        one across the twin.  Fans ask for every wall several times; one
+        dict entry is read faster than a bisection and a dozen lookups."""
         flat, _, twin, codes, edge = self._index
         third = [0] * len(flat)  # of each half-edge's triangle
         third[0::3], third[1::3], third[2::3] = flat[2::3], flat[0::3], flat[1::3]
-        return dict(zip(codes, [(p, q) if p < q else (q, p) for p, q in
-                                zip(map(third.__getitem__, edge),
-                                    map(third.__getitem__, map(twin.__getitem__, edge)))]))
+        twins = list(map(twin.__getitem__, edge))
+        return dict(zip(codes, [(x, y) if s < t else (y, x) for s, t, x, y in zip(
+            map(flat.__getitem__, edge), map(flat.__getitem__, twins),
+            map(third.__getitem__, edge), map(third.__getitem__, twins))]))
 
     def wall_apexes(self, wall: Wall) -> tuple[int, int]:
         """The two vertices completing the given wall to triangles, ascending."""
@@ -171,7 +172,7 @@ class SimplicialSphere2(_Value):
         pair = self._apex_pairs.get(u * m + v) if 0 <= u < v < m else None
         if pair is None:
             raise ValidationError(f"{(u, v)} is not a wall of this sphere")
-        return pair
+        return pair if pair[0] < pair[1] else (pair[1], pair[0])
 
     def vertex_degree(self, v: int) -> int:
         return len(self._neighbours[v])
@@ -227,20 +228,22 @@ class SimplePolytope3(_Value):
 
     @classmethod
     def from_facets(cls, name: str, facets) -> "SimplePolytope3":
-        cycles = [tuple(f) for f in facets]
+        cycles = list(map(tuple, facets))
         if not cycles:
             raise ValidationError("polytope has no facets")
-        for i, cyc in enumerate(cycles):
-            if len(cyc) < 3:
-                raise ValidationError(f"facet {i} has cycle length {len(cyc)} < 3")
-            if len(set(cyc)) != len(cyc):
-                raise ValidationError(f"facet {i} repeats a vertex in its cycle")
         flat = _int_ids(cycles, "facet {i} = {c}")
-        n = len(set(flat))
-        # n distinct integers are 0..n-1 iff all lie in that range
-        if min(flat) < 0 or max(flat) >= n:
-            raise ValidationError("vertex ids are not 0-based contiguous integers")
+        lengths = list(map(len, cycles))
+        if min(lengths) < 3 or list(map(len, map(set, cycles))) != lengths:
+            for i, cyc in enumerate(cycles):
+                if len(cyc) < 3:
+                    raise ValidationError(f"facet {i} has cycle length {len(cyc)} < 3")
+                if len(set(cyc)) != len(cyc):
+                    raise ValidationError(f"facet {i} repeats a vertex in its cycle")
         incidence = Counter(flat)
+        n = len(incidence)
+        # n distinct integers are 0..n-1 iff all lie in that range
+        if min(incidence) < 0 or max(incidence) >= n:
+            raise ValidationError("vertex ids are not 0-based contiguous integers")
         if set(incidence.values()) != {3}:
             for v, k in sorted(incidence.items()):
                 if k != 3:
@@ -248,14 +251,16 @@ class SimplePolytope3(_Value):
 
         index = _half_edges(cycles, flat, n, "edge {} lies in {} facets")
         _, face, twin, _, edge = index
-        # each edge's facets, in facet order: edge holds the first half-edge
-        shared = list(zip(map(face.__getitem__, edge),
+        # each edge's facets a < b as a * f + b: edge holds the first half-edge
+        f = len(cycles)
+        shared = list(map(add, map(mul, map(face.__getitem__, edge), repeat(f)),
                           map(face.__getitem__, map(twin.__getitem__, edge))))
         if len(set(shared)) != len(shared):
-            for (a, b), k in sorted(Counter(shared).items()):
+            for code, k in sorted(Counter(shared).items()):
                 if k > 1:
-                    raise ValidationError(f"facets {a} and {b} share {k} edges")
-        e, f = len(edge), len(cycles)
+                    raise ValidationError("facets {} and {} share {} edges".format(
+                        *divmod(code, f), k))
+        e = len(edge)
         if n - e + f != 2:
             raise ValidationError(f"Euler characteristic {n - e + f} != 2 (v={n}, e={e}, f={f})")
         flipped, _, parts = _orient(index, cycles, "facet cycles are not consistently orientable")

@@ -17,12 +17,16 @@ sorted and its two apexes (i, i') are ordered so that
     det(ray(i1), ray(i2), ray(i))  = +1
     det(ray(i1), ray(i2), ray(i')) = -1
 
-The apex determinants are read off the kept cone determinants; on a
-certified fan they are +-1 with opposite signs, so the first decides the
-order.  Then the integers a1 = det(ray(i'), ray(i2), ray(i)),
-a2 = det(ray(i1), ray(i'), ray(i)) satisfy the exact wall relation
+and the integers a1, a2 satisfy the exact wall relation
 
     ray(i) + ray(i') = a1 * ray(i1) + a2 * ray(i2).
+
+With apexes p < q and d = det(ray(i1), ray(i2), ray(p)), (i, i') is
+(p, q) if d > 0, else (q, p), and a1, a2 are the Cramer coordinates of
+ray(q) in the basis (ray(i1), ray(i2), ray(p)), the third being -1 on a
+fan: the wall relation the fan pair's intersection calculus takes at the
+wall (:mod:`toriclab.cohomology`).  The wall table reads them off the
+pair's pairings and re-verifies the relation.
 
 The unimodular curvature of the wall is 2 - a1 - a2; its sign equals the
 sign of det(ray(i1)-ray(i'), ray(i2)-ray(i'), ray(i)-ray(i')), which
@@ -40,7 +44,7 @@ from .charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
 from .combinatorics import SimplicialSphere2, Triangle, _Lines, _natural, _plain
 from .errors import (IncompleteFan, InternalError, NotUnimodular, ParseError,
                      ValidationError)
-from .lattice import Vec3, add, det3, is_primitive, sub
+from .lattice import Vec3, det3, is_primitive
 from .value import _Value
 
 # the piercing seed of every fan's kept completeness certificate
@@ -154,9 +158,11 @@ class Fan3(_Value):
     @cached_property
     def wall_table(self) -> dict[tuple[int, int], Wall]:
         """All walls keyed by sorted pair, in ``sphere.walls`` order, made
-        once, after :func:`certify_fan`."""
+        once, after :func:`certify_fan`, off the fan pair's pairings."""
         certify_fan(self)
-        return {w: _compute_wall(self, w) for w in self.sphere.walls}
+        pairings = self.characteristic_pair.pairings
+        return {w: _read_wall(self.rays, w, sides, entries) for w, sides, entries in
+                zip(self.sphere.walls, self.sphere._apex_pairs.values(), pairings.values())}
 
     @cached_property
     def characteristic_pair(self) -> CharacteristicPair:
@@ -232,27 +238,29 @@ def _apex_determinants(f: Fan3, wall: tuple[int, int]) -> tuple[int, int, int, i
     return p, q, dp, dq
 
 
-def _compute_wall(f: Fan3, wall_pair: tuple[int, int]) -> Wall:
-    """The normalized wall of a certified fan (see module docstring)."""
-    i1, i2 = wall_pair
-    p, q, dp, _ = _apex_determinants(f, wall_pair)
-    i, ip = (p, q) if dp > 0 else (q, p)
-    l1, l2 = f.rays[i1], f.rays[i2]
-    li, lp = f.rays[i], f.rays[ip]
-    a1 = det3(lp, l2, li)
-    a2 = det3(l1, lp, li)
-    if add(li, lp) != add(tuple(a1 * x for x in l1), tuple(a2 * x for x in l2)):
+def _read_wall(rays, wall: tuple[int, int], sides: tuple[int, int], entries) -> Wall:
+    """The normalized wall (u, v) off its pairing entries (u, -a_u * far),
+    (v, -a_v * far) (each unless 0), (p, near), (q, far) in the calculus of
+    a pair with the rays as lambda; near is d if p is ``sides[0]``, the apex
+    whose triangle runs u -> v, else -d.  The relation and side are checked."""
+    u, v = wall
+    (p, near), (q, far) = entries[-2:]
+    squares = dict(entries[:-2])
+    a1, a2 = -far * squares.get(u, 0), -far * squares.get(v, 0)
+    i, ip = (p, q) if (near > 0) == (p == sides[0]) else (q, p)
+    (x1, y1, z1), (x2, y2, z2), (x, y, z), (xp, yp, zp) = rays[u], rays[v], rays[i], rays[ip]
+    if (x + xp, y + yp, z + zp) != (a1 * x1 + a2 * x2, a1 * y1 + a2 * y2, a1 * z1 + a2 * z2):
         raise InternalError(
-            f"wall relation failed at ({i1},{i2}): "
-            f"ray({i})+ray({ip}) != {a1}*ray({i1})+{a2}*ray({i2})")
+            f"wall relation failed at ({u},{v}): "
+            f"ray({i})+ray({ip}) != {a1}*ray({u})+{a2}*ray({v})")
     curv = 2 - a1 - a2
-    side = det3(sub(l1, lp), sub(l2, lp), sub(li, lp))
+    side = det3((x1 - xp, y1 - yp, z1 - zp), (x2 - xp, y2 - yp, z2 - zp),
+                (x - xp, y - yp, z - zp))
     if side != curv:
         raise InternalError(
-            f"wall ({i1},{i2}): side determinant {side} != curvature {curv}")
+            f"wall ({u},{v}): side determinant {side} != curvature {curv}")
     cls = "convex" if curv > 0 else ("flat" if curv == 0 else "concave")
-    return Wall(pair=(i1, i2), apexes=(i, ip), a=(a1, a2),
-                curvature=curv, classification=cls)
+    return Wall((u, v), (i, ip), (a1, a2), curv, cls)
 
 
 def wall_data(f: Fan3, pair) -> Wall:
@@ -288,16 +296,19 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
     """Certify completeness, or raise IncompleteFan naming the failure.
 
     The cone complex is already a simplicial 2-sphere (``Fan3.from_data``
-    validates it).  Two tests remain: (a) at every wall the two apex rays
-    lie strictly on opposite sides of the wall's plane, (b) a pseudo-random
-    generic rational direction lies in exactly one maximal cone (resampled
-    while it hits a cone boundary).  The sampler is seeded by ``seed``, so
-    runs are reproducible.  Without a seed this is the fan's kept
-    certificate, ``Fan3.certificate``, made at ``COMPLETENESS_SEED``; a
-    seed makes a fresh one.
+    validates it; a sphere that is not the cones is a ValidationError).
+    Two tests remain: (a) at every wall the two apex rays lie strictly on
+    opposite sides of the wall's plane, (b) a pseudo-random generic
+    rational direction lies in exactly one maximal cone (resampled while
+    it hits a cone boundary).  The sampler is seeded by ``seed``, so runs
+    are reproducible.  Without a seed this is the fan's kept certificate,
+    ``Fan3.certificate``, made at ``COMPLETENESS_SEED``; a seed makes a
+    fresh one.
     """
     if seed is None:
         return f.certificate
+    if f.sphere.m != f.m or f.sphere.triangles != f.maximal_cones:
+        raise ValidationError("the fan's sphere is not its cone complex")
     # (a) apexes strictly on opposite sides of each wall plane
     for u, v in f.sphere.walls:
         p, q, dp, dq = _apex_determinants(f, (u, v))

@@ -22,28 +22,8 @@ def det3(a: Vec3, b: Vec3, c: Vec3) -> int:
     )
 
 
-def cross(a: Vec3, b: Vec3) -> Vec3:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def dot(a: Vec3, b: Vec3) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def sub(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def add(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def neg(a: Vec3) -> Vec3:
-    return (-a[0], -a[1], -a[2])
 
 
 def is_primitive(a: Vec3) -> bool:
@@ -59,8 +39,8 @@ def dual_covector(a: Vec3, b: Vec3, c: Vec3) -> Vec3:
     d = det3(a, b, c)
     if d not in (1, -1):
         raise ValueError(f"({a}, {b}, {c}) is not a lattice basis: det = {d}")
-    bc = cross(b, c)
-    return bc if d == 1 else neg(bc)
+    return (d * (b[1] * c[2] - b[2] * c[1]), d * (b[2] * c[0] - b[0] * c[2]),
+            d * (b[0] * c[1] - b[1] * c[0]))  # d times b x c
 
 
 def over_common_denominator(rows) -> tuple[list[list[int]], int]:

@@ -9,12 +9,14 @@ tetrahedra — pure convex geometry, no cohomology.
 """
 
 import itertools
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from toriclab.charfunc import CharacteristicFunction, CharacteristicPair
+from toriclab.charfunc import (CharacteristicFunction, CharacteristicPair,
+                               coloring_to_charfunc, four_color)
 from toriclab.cohomology import (
     certify_support,
     chern_number_c1c2,
@@ -31,8 +33,9 @@ from toriclab.cohomology import (
 from toriclab.combinatorics import SimplicialSphere2, betti_numbers, dual_sphere
 from toriclab.corpus import FAN_NAMES, load_fan, load_polytope
 from toriclab.errors import IncompleteFan, SupportInvalid, ValidationError
-from toriclab.fan import Fan3, characteristic_pair, check_complete
+from toriclab.fan import Fan3, characteristic_pair, check_complete, parse_fan
 
+from branched import branched_cover_text
 from oracles import (integral_table_oracle, polytope_volume_oracle,
                      volume_value_reference)
 from subdivision import subdivided_cp3
@@ -576,3 +579,69 @@ def test_signed_table_caches_per_pair():
     assert pair.pairings is pair.pairings
     f = load_fan("cp3")
     assert characteristic_pair(f).integrals is characteristic_pair(f).integrals
+
+
+def _flipped_colouring_pairs(seed=24, draws=6):
+    """The colouring pair of every corpus polytope with at most 8 facets,
+    then ``draws`` copies with each entry of each vector negated at random:
+    signed colour vectors still meet the basis condition, and the pairs
+    are not fans."""
+    rng = random.Random(seed)
+    for name in ("tetrahedron", "truncated-tetrahedron", "cube", "pentagonal-prism"):
+        sphere = dual_sphere(load_polytope(name))
+        lam = coloring_to_charfunc(four_color(sphere)).vectors
+        yield name, CharacteristicPair(sphere, CharacteristicFunction(lam))
+        for _ in range(draws):
+            flipped = tuple(tuple(-x if rng.random() < 0.5 else x for x in v) for v in lam)
+            yield name, CharacteristicPair(sphere, CharacteristicFunction(flipped))
+
+
+def test_sign_flipped_colouring_pairs_match_linear_system_oracle():
+    # the wall kernel on non-fan pairs: each table, normalised at one
+    # triangle by the library's own value, is the one the relations pin
+    signs = set()
+    for name, pair in _flipped_colouring_pairs():
+        sphere, lam = pair.sphere, pair.lam
+        assert sphere.m <= 8
+        signs.update(pair.integrals[t] for t in sphere.triangles)
+        base = min(sphere.triangles)
+        oracle = integral_table_oracle(
+            lam.vectors, sphere.triangles,
+            normalize=(base, signed_triple_intersection(pair, base)))
+        for ms in all_multisets(sphere.m):
+            assert signed_triple_intersection(pair, ms) == oracle[ms], (name, lam, ms)
+    assert signs == {-1, 1}
+
+
+def test_branched_cover_pairings_sum_to_48():
+    # the double cover of the sphere of directions, read as a pair: twice
+    # the Chern number of a fan, with every wall relation of the cover
+    f = parse_fan(branched_cover_text())
+    pair = CharacteristicPair(f.sphere, CharacteristicFunction(f.rays))
+    assert sum(v for entries in pair.pairings.values() for _, v in entries) == 48
+
+
+def test_the_calculus_is_built_once_and_dualises_one_covector_per_ray(monkeypatch):
+    # walls, Chern number, volume and wall classes of a fan read one wall
+    # relation per wall: integral_table runs once, and dual_covector only
+    # for the cube covectors, at most one per ray
+    import toriclab.cohomology as cohomology_module
+    from toriclab.cone import signed_wall_classes, wall_classes
+
+    built, duals = [], []
+    table, dual = cohomology_module.integral_table, cohomology_module.dual_covector
+    monkeypatch.setattr(cohomology_module, "integral_table",
+                        lambda pair: built.append(pair) or table(pair))
+    monkeypatch.setattr(cohomology_module, "dual_covector",
+                        lambda *vectors: duals.append(vectors) or dual(*vectors))
+    fans = [load_fan(name) for name in FAN_NAMES]
+    fans += [subdivided_cp3(m, seed=s)[0] for m in (14, 104) for s in range(3)]
+    for f in fans:
+        built.clear()
+        duals.clear()
+        f.walls
+        assert chern_number_c1c2(f) == 24
+        evaluate_volume(volume_polynomial(f), f.support)
+        assert signed_wall_classes(characteristic_pair(f)) == wall_classes(f)
+        assert built == [characteristic_pair(f)], f.name
+        assert 0 < len(duals) <= f.m, f.name

@@ -565,6 +565,7 @@ class TestValidation:
         ((1, 3, "2"), r"facet 3 = \(1, 3, '2'\)"),
         ((1, 3, 2.0), r"facet 3 = \(1, 3, 2.0\)"),
         ((True, 3, 2), r"facet 3 = \(True, 3, 2\)"),  # True == 1, serialized as "True"
+        ((1, 3, [2]), r"facet 3 = \(1, 3, \[2\]\)"),  # no set() takes it
     ])
     def test_non_integer_vertex_id(self, last, message):
         with pytest.raises(ValidationError, match=f"^{message} has a non-integer vertex id$"):

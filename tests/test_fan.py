@@ -30,8 +30,8 @@ from toriclab.fan import (
     Fan3,
     Wall,
     _apex_determinants,
-    _compute_wall,
     _pierce,
+    _read_wall,
     certify_fan,
     characteristic_pair,
     check_complete,
@@ -45,11 +45,19 @@ from toriclab.fan import (
 )
 from toriclab.charfunc import (CharacteristicFunction, CharacteristicPair,
                                check_star_condition)
-from toriclab.lattice import add, det3, sub
+from toriclab.lattice import det3
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 SIMPLEX_CONES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+def add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def all_corpus_fans():
@@ -414,9 +422,13 @@ class TestWallNormalization:
         f = make()
         records = wall_records_bruteforce(f.rays, f.maximal_cones)
         assert None in records.values()
-        for key, record in records.items():
-            if record is not None:
-                assert _compute_wall(f, key) == Wall(*record)
+        # the walls read off the pairings of the (non-fan) pair agree
+        # with the search wherever it succeeds
+        pair = CharacteristicPair(f.sphere, CharacteristicFunction(f.rays))
+        for (key, entries), sides in zip(pair.pairings.items(),
+                                         f.sphere._apex_pairs.values()):
+            if records[key] is not None:
+                assert _read_wall(f.rays, key, sides, entries) == Wall(*records[key])
         # certification names the first wall the search cannot order
         u, v = min(key for key, record in records.items() if record is None)
         with pytest.raises(IncompleteFan, match=rf"of wall \({u}, {v}\) do not lie"):
@@ -548,6 +560,21 @@ class TestCharacteristicPair:
         g = Fan3(f.name, f.rays, f.maximal_cones, sphere, f.support)
         with pytest.raises(ValidationError, match="^sphere orientation runs against its cones$"):
             characteristic_pair(g)
+
+    @pytest.mark.parametrize("sphere", ["cp3", "one vertex too many"])
+    def test_a_sphere_that_is_not_the_cones_is_refused(self, sphere):
+        from toriclab.cohomology import chern_number_c1c2
+
+        cube = load_fan("cube-fan")
+        own = cube.sphere  # its own triangles, but on 7 vertices
+        s = (load_fan("cp3").sphere if sphere == "cp3"
+             else SimplicialSphere2(cube.m + 1, own.triangles, own.oriented, own.walls))
+        for entry in (certify_fan, characteristic_pair, gauss_bonnet_sum,
+                      chern_number_c1c2, lambda f: check_complete(f, seed=1)):
+            f = Fan3("x", cube.rays, cube.maximal_cones, s, None)
+            with pytest.raises(ValidationError,
+                               match="^the fan's sphere is not its cone complex$"):
+                entry(f)
 
     def test_non_fans_fail_before_the_orientation(self):
         with pytest.raises(IncompleteFan, match="opposite sides"):
