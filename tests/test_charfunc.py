@@ -6,30 +6,41 @@ oracle; star-condition expectations are hand-computed 3x3 determinants.
 """
 
 import itertools
+import json
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from fullerenes import ICOSAHEDRON, leapfrog
 from oracles import (
     apply_matrix,
+    det3x3,
     dsatur_coloring,
     has_proper_coloring,
     random_unimodular,
 )
 from subdivision import subdivided_cp3
 from test_combinatorics import ICOSA_TRIANGLES, cube, dodecahedron, tet
+from toriclab._kempe import kempe_color
 from toriclab.charfunc import (
     COLOR_VECTORS,
     CharacteristicFunction,
     CharacteristicPair,
     FacetColoring,
+    _search,
     check_star_condition,
     coloring_to_charfunc,
     format_charfunc,
     four_color,
     parse_charfunc,
 )
-from toriclab.combinatorics import SimplicialSphere2, dual_sphere
+from toriclab.combinatorics import (SimplicialSphere2, dual_polytope, dual_sphere,
+                                    serialize_polytope)
 from toriclab.corpus import POLYTOPE_NAMES, load_polytope
 from toriclab.errors import ParseError, ValidationError
 from toriclab.lattice import det3
@@ -158,6 +169,159 @@ class TestColoringMatchesReference:
         assert sum(n > 0 for n in undone) >= 20
 
 
+def bipyramid(n):
+    """The double cone over an n-gon: apexes n and n + 1 of degree n."""
+    return SimplicialSphere2.from_triangles(
+        n + 2, [(i, (i + 1) % n, apex) for i in range(n) for apex in (n, n + 1)])
+
+
+def reference_spheres():
+    """Every corpus polytope's sphere and every input of
+    TestColoringMatchesReference."""
+    for name in POLYTOPE_NAMES:
+        yield dual_sphere(load_polytope(name))
+    for m in (8, 30, 100, 300):
+        for seed in range(3):
+            yield subdivided_cp3(m, seed)[0].sphere
+    s = bipyramid(200)
+    yield s
+    yield from (relabelled(s, seed) for seed in range(5))
+    yield nanotube_sphere(0, n=120)
+    for s in (dual_sphere(load_polytope("dodecahedron")), nanotube_sphere(4),
+              nanotube_sphere(10)):
+        yield from (relabelled(s, seed) for seed in range(10))
+
+
+def leapfrog_sphere(m):
+    """The dual of the icosahedral fullerene C_{2m - 4} made by leapfrogs
+    from the dodecahedron: m = 32, 92, 272, 812, 2432, ..."""
+    n, tris = 12, ICOSAHEDRON
+    while n < m:
+        n, tris = leapfrog(n, tris)
+    assert n == m
+    return SimplicialSphere2.from_triangles(n, tris)
+
+
+def proper(colors, sphere):
+    return all(colors[u] != colors[v] for u, v in sphere.walls)
+
+
+class TestSearchBudget:
+    """Stage 1 of ``four_color`` assigns at most 10m + 1000 colors; past
+    them, stage 2 (``toriclab._kempe``) colors the sphere."""
+
+    def test_reference_spheres_use_a_tenth_of_the_budget(self):
+        for s in reference_spheres():
+            coloring, counters = _search(s)
+            assert counters["budget"] == 10 * s.m + 1000
+            assert counters["stage"] == 1
+            assert max(counters[k] for k in ("nodes", "undone", "swaps", "restarts")) \
+                <= counters["budget"] // 10, (s.m, counters)
+            assert coloring == four_color(s)
+
+    def test_counters_count_the_reference_search(self):
+        # every color assigned either stays or is undone once
+        for seed in range(10):
+            s = relabelled(nanotube_sphere(4), seed)
+            _, counters = _search(s)
+            _, undone = dsatur_coloring(s.m, s.walls)
+            assert counters["undone"] == undone
+            assert counters["nodes"] == s.m + undone
+
+    def test_kempe_stage_colors_every_reference_sphere(self):
+        spheres = [*reference_spheres(), subdivided_cp3(1100, seed=1)[0].sphere,
+                   *(relabelled(leapfrog_sphere(272), seed) for seed in range(3))]
+        for s in spheres:
+            color, swaps, restarts = kempe_color(s._neighbours)
+            assert set(color) <= {0, 1, 2, 3} and proper(color, s)
+            assert restarts <= 2
+
+    def test_kempe_stage_is_deterministic(self):
+        s = relabelled(nanotube_sphere(178), 3)
+        assert kempe_color(s._neighbours) == kempe_color(s._neighbours)
+
+
+# Color each sphere read from stdin as (m, triangles) and print the
+# counters of each search, with its time and its verdicts, as JSON.
+COLOR_CHILD = """
+import json, sys, time
+from toriclab.charfunc import (CharacteristicPair, _search, check_star_condition,
+                               coloring_to_charfunc)
+from toriclab.combinatorics import SimplicialSphere2
+out = []
+for m, tris in json.load(sys.stdin):
+    s = SimplicialSphere2.from_triangles(m, tris)
+    start = time.perf_counter()
+    coloring, counters = _search(s)
+    counters["seconds"] = time.perf_counter() - start
+    counters["proper"] = coloring.is_proper(s)
+    counters["star_ok"] = check_star_condition(
+        CharacteristicPair(s, coloring_to_charfunc(coloring))).ok
+    out.append(counters)
+print(json.dumps(out))
+"""
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child(argv, timeout, stdin=None):
+    """Run a fresh interpreter on the package; a stall fails the test by
+    ``subprocess.TimeoutExpired`` instead of hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + (
+        [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *argv], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def color_in_child(spheres, timeout):
+    proc = _child(["-c", COLOR_CHILD], timeout,
+                  stdin=json.dumps([(s.m, s.triangles) for s in spheres]))
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    for run in runs:
+        assert run["proper"] and run["star_ok"], run
+        # stage 2 runs exactly when stage 1 has used its whole budget
+        assert (run["stage"] == 2) == (run["nodes"] == run["budget"]), run
+    return runs
+
+
+class TestStalls:
+    """Labellings on which the backtracking search alone ran for minutes."""
+
+    def test_relabelled_c1800_nanotube(self):
+        # seed 3 was still backtracking after 60 s with no budget
+        (run,) = color_in_child([relabelled(nanotube_sphere(178), 3)], timeout=30)
+        assert run["stage"] == 2 and run["swaps"] + run["restarts"] > 0
+
+    def test_relabelled_leapfrog_fullerenes(self):
+        # C1620 and C4860: most labellings exhaust the budget
+        spheres = [relabelled(leapfrog_sphere(m), seed)
+                   for m in (812, 2432) for seed in range(10)]
+        runs = color_in_child(spheres, timeout=120)
+        assert sum(run["stage"] == 2 for run in runs) >= 10
+        assert sum(run["swaps"] for run in runs) > 0
+
+    def test_polytope_report_on_c4860(self, tmp_path):
+        sphere = relabelled(leapfrog_sphere(2432), 0)
+        path = tmp_path / "c4860.poly"
+        path.write_text(serialize_polytope(dual_polytope(sphere, "C4860")))
+        run = ("import json, runpy, sys\n"
+               "sys.argv = ['toriclab', 'polytope', 'report', sys.argv[1]]\n"
+               "code = 0\n"
+               "try:\n"
+               "    runpy.run_module('toriclab.cli', run_name='__main__')\n"
+               "except SystemExit as exc:\n"
+               "    code = exc.code\n"
+               "print(json.dumps([code, 'toriclab._kempe' in sys.modules]), file=sys.stderr)\n")
+        proc = _child(["-c", run, str(path)], timeout=60)
+        code, repaired = json.loads(proc.stderr.splitlines()[-1])
+        assert code == 0, proc.stderr
+        assert repaired  # stage 2 colored it
+        assert "fullerene: yes" in proc.stdout.splitlines()
+        assert "star_condition: ok" in proc.stdout.splitlines()
+
+
 class TestColoringToCharfunc:
     def test_color_vector_triples_are_bases(self):
         vs = list(COLOR_VECTORS.values())
@@ -189,6 +353,33 @@ class TestStarCondition:
         verdict = check_star_condition(CharacteristicPair(dual_sphere(tet()), lam))
         assert not verdict.ok
         assert verdict.violations == (((0, 1, 3), 2),)
+
+    def test_matches_the_per_triangle_scan(self):
+        # random lambdas, most of them failing, and colorings moved by a
+        # random lattice basis change, which pass
+        rng = random.Random(20261019)
+        spheres = [dual_sphere(cube()), icosahedron(), dual_sphere(dodecahedron()),
+                   subdivided_cp3(30, seed=2)[0].sphere]
+        verdicts = []
+        for s in spheres:
+            coloring = coloring_to_charfunc(four_color(s)).vectors
+            for trial in range(20):
+                if trial % 2:
+                    pool = [v for v in (tuple(rng.randint(-2, 2) for _ in range(3))
+                                        for _ in range(rng.randint(3, 7)))
+                            if math.gcd(*v) == 1]
+                    lam = tuple(rng.choice(pool or [E1]) for _ in range(s.m))
+                else:
+                    u = random_unimodular(rng, det_sign=rng.choice((1, -1)))
+                    lam = tuple(apply_matrix(u, v) for v in coloring)
+                expected = tuple((t, d) for t in s.triangles
+                                 if (d := det3x3([lam[i] for i in t])) not in (1, -1))
+                verdict = check_star_condition(
+                    CharacteristicPair(s, CharacteristicFunction(lam)))
+                assert verdict.violations == expected
+                assert verdict.ok == (not expected)
+                verdicts.append(verdict.ok)
+        assert 20 <= verdicts.count(False) < len(verdicts)
 
     def test_cube_fan_vectors(self):
         # antipodal facet pairs carry opposite unit vectors

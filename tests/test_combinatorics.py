@@ -36,6 +36,7 @@ from toriclab.corpus import POLYTOPE_NAMES, corpus_get, load_polytope
 from toriclab.errors import ParseError, ValidationError
 from toriclab.fan import characteristic_pair, parse_fan
 
+from fullerenes import ICOSAHEDRON, check_fullerene_dual, goldberg_coxeter, leapfrog
 from oracles import is_oriented_2_sphere
 from subdivision import subdivided_cp3
 
@@ -132,6 +133,32 @@ class TestHistogram:
         assert is_fullerene(dodecahedron())
         assert not is_fullerene(cube())
         assert not is_fullerene(tet())
+
+
+class TestFullereneFamilies:
+    """The library-free constructions of ``tests/fullerenes.py``, checked by
+    counting there and by the library here."""
+
+    @pytest.mark.parametrize("k, l", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 1), (3, 3),
+                                      (4, 1), (5, 2)])
+    def test_goldberg_coxeter_of_the_icosahedron(self, k, l):
+        m, tris = goldberg_coxeter(k, l)
+        assert m == 10 * (k * k + k * l + l * l) + 2
+        check_fullerene_dual(m, tris)
+        p = dual_polytope(SimplicialSphere2.from_triangles(m, tris), f"GC({k},{l})")
+        assert p.num_vertices == 20 * (k * k + k * l + l * l)
+        assert is_fullerene(p)
+        assert face_histogram(p) == {k: n for k, n in ((5, 12), (6, m - 12)) if n}
+
+    def test_leapfrogs_from_the_dodecahedron(self):
+        # dual sizes of C20, C60, C180, C540, C1620: each leapfrog triples
+        sizes, (m, tris) = [], (12, ICOSAHEDRON)
+        for _ in range(4):
+            m, tris = leapfrog(m, tris)
+            check_fullerene_dual(m, tris)
+            sizes.append(m)
+        assert sizes == [32, 92, 272, 812]
+        assert is_fullerene(dual_polytope(SimplicialSphere2.from_triangles(m, tris), "C1620"))
 
 
 class TestDualSphere:
