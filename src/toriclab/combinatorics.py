@@ -7,13 +7,14 @@ dual sphere inherits one global orientation.  That orientation is the sign
 convention used by the signed intersection calculus downstream.
 
 Polytopes and spheres keep one kind of half-edge index, built by
-:func:`_half_edges` and oriented by :func:`_orient`: the faces are a
-polytope's facet cycles, or a sphere's oriented triangles as 3-cycles.
-Each maker adds its own checks: three facets per polytope vertex; for a
-sphere, proper distinct triangles and one ring round every vertex.  An
-index always runs as its faces are stored.  :func:`dual_sphere` and
-:func:`dual_polytope` read one shape off the other's index.  Faults are
-named after a sort or ordered scan.
+:func:`_half_edges` and, when a face must turn, oriented by
+:func:`_orient`: the faces are a polytope's facet cycles, or a sphere's
+oriented triangles as 3-cycles.  Each maker adds its own checks: three
+facets per polytope vertex; for a sphere, proper distinct triangles and
+one ring round every vertex.  An index always runs as its faces are
+stored.  :func:`dual_sphere` and :func:`dual_polytope` read one shape off
+the other's index.  Facts are decided by bulk tests over whole lists; a
+sort or an ordered scan runs only once one fails, to name the fault.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ Triangle = tuple[int, int, int]
 Wall = tuple[int, int]
 Index = tuple[list[int], list[int], list[int], list[int], list[int]]
 _WALL_FAULT = "wall {} lies in {} triangles (expected 2)"
-
-
-def _canon_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate a cycle so its smallest vertex comes first (direction kept)."""
-    k = cycle.index(min(cycle))
-    return cycle[k:] + cycle[:k]
 
 
 class SimplicialSphere2(_Value):
@@ -70,10 +65,12 @@ class SimplicialSphere2(_Value):
         """Validate a triangle list as a 2-sphere and fix an orientation.
 
         The sorted triangles, or the given representatives if they match
-        them, become the index, which :func:`_orient` orients (a given
-        orientation must need no flip); each vertex's ring must go once
-        round it.  Without ``oriented``, each triangle runs as the first
-        does, read from the half-edge it was reached by.
+        them, become the index, which :func:`_orient` orients; each
+        vertex's ring must go once round it.  Without ``oriented``, each
+        triangle runs as the first does, read from the half-edge it was
+        reached by.  A given orientation must run every wall once each way,
+        so nothing turns: then only the connection is checked, by
+        :func:`_connected`.
         """
         given = [tuple(t) for t in triangles]
         reps = None if oriented is None else tuple(map(tuple, oriented))
@@ -109,7 +106,11 @@ class SimplicialSphere2(_Value):
             h = next(h for h, g in enumerate(twin) if g < h and flat[g] == flat[h])
             raise ValidationError(f"orientation traverses edge "
                                   f"{(flat[h], flat[h + 1 if h % 3 < 2 else h - 2])} twice")
-        _, entry, parts = _orient(index, tris, "sphere complex is not orientable")
+        if matched:  # every wall already runs once each way: no triangle turns
+            connected = _connected(index[1], twin, repeat(3, len(tris)))
+        else:
+            _, entry, parts = _orient(index, tris, "sphere complex is not orientable")
+            connected = parts == 1
         around = _rings(flat, twin, m, list(map(flat.__getitem__, twin)))
         # the rings hold every half-edge exactly when each goes once round
         if [] in around or sum(map(len, around)) != len(flat):
@@ -119,7 +120,7 @@ class SimplicialSphere2(_Value):
                                   else f"vertex {v} lies in no triangle")
         if reps is not None and not matched:
             raise ValidationError("oriented representatives do not match triangles")
-        if parts > 1:
+        if not connected:
             raise ValidationError("sphere complex is disconnected")
         if reps is None:
             # triangle t, read from the half-edge k it was entered by
@@ -228,6 +229,17 @@ class SimplePolytope3(_Value):
 
     @classmethod
     def from_facets(cls, name: str, facets) -> "SimplePolytope3":
+        """Validate facet cycles as a simple 3-polytope and normalize them.
+
+        Cycles must have length >= 3 and no repeated vertex, the vertex
+        ids must be 0..n-1, each in three facets, and every edge must lie
+        in two facets, no two facets sharing two edges, with Euler
+        characteristic 2.  When some edge runs the same way in both its
+        facets, :func:`_orient` turns facets to agree with facet 0, or
+        refuses; when none does, as in a document written consistently,
+        nothing turns and only the connection is checked, by
+        :func:`_connected`.  Each stored cycle starts at its least vertex.
+        """
         cycles = list(map(tuple, facets))
         if not cycles:
             raise ValidationError("polytope has no facets")
@@ -263,11 +275,18 @@ class SimplePolytope3(_Value):
         e = len(edge)
         if n - e + f != 2:
             raise ValidationError(f"Euler characteristic {n - e + f} != 2 (v={n}, e={e}, f={f})")
-        flipped, _, parts = _orient(index, cycles, "facet cycles are not consistently orientable")
-        if parts > 1:
+        if any(map(eq, flat, map(flat.__getitem__, twin))):
+            flipped, _, parts = _orient(index, cycles,
+                                        "facet cycles are not consistently orientable")
+            cycles = [c[::-1] if turn else c for c, turn in zip(cycles, flipped)]
+            connected = parts == 1
+        else:  # every edge already runs once each way: no facet turns
+            connected = _connected(face, twin, lengths)
+        if not connected:
             raise ValidationError("facet adjacency graph is disconnected")
-        p = cls(name=name, facets=tuple(_canon_cycle(c[::-1] if f else c)
-                                        for c, f in zip(cycles, flipped)))
+        # each cycle rotated to start at its least vertex, direction kept
+        p = cls(name=name, facets=tuple([c[k:] + c[:k] for c, k in zip(
+            cycles, map(tuple.index, cycles, map(min, cycles)))]))
         p.__dict__["_index"] = index  # cached_property slot
         return p
 
@@ -341,7 +360,7 @@ def _half_edges(cycles, flat: list, n: int, fault: str) -> Index:
     twin = [0] * len(flat)
     for a, b in zip(first, second):
         twin[a], twin[b] = b, a
-    face = list(chain.from_iterable(repeat(i, len(c)) for i, c in enumerate(cycles)))
+    face = list(chain.from_iterable(map(repeat, range(len(cycles)), map(len, cycles))))
     return flat, face, twin, edge_codes, first
 
 
@@ -351,7 +370,13 @@ def _orient(index: Index, cycles, fault: str) -> tuple[list[bool], list[int], in
     of components.  Face 0 (then the first face not reached) keeps its
     direction, and the faces across its edges follow depth first, each
     crossed from the twin it was entered by on, in the direction it ends
-    up running."""
+    up running.
+
+    An index in which no twin starts where its half-edge starts turns no
+    face; where the entries are not read (polytopes, and spheres given an
+    orientation), the makers then check only :func:`_connected` instead.
+    A sphere made without an orientation reads its representatives off
+    the entries, so it always comes here."""
     flat, face, twin, _, edge = index
     same = list(map(eq, flat, map(flat.__getitem__, twin)))
     ends = list(accumulate(map(len, cycles)))
@@ -389,6 +414,25 @@ def _orient(index: Index, cycles, fault: str) -> tuple[list[bool], list[int], in
     return flipped, entry, parts
 
 
+def _connected(face: list[int], twin: list[int], lengths) -> bool:
+    """Whether the faces of an index, of the given lengths, form one
+    component: a walk from face 0 through each face's neighbours, the
+    faces across its own slice of half-edges, reaches every face."""
+    ends = list(accumulate(lengths))
+    if not ends:  # a sphere without triangles, refused by its rings
+        return True
+    across = list(map(face.__getitem__, twin))
+    around = list(map(across.__getitem__, map(slice, [0, *ends], ends)))
+    seen = [False] * len(ends)
+    seen[0], reached = True, [0]
+    for i in reached:  # grows as it is read
+        for j in around[i]:
+            if not seen[j]:
+                seen[j] = True
+                reached.append(j)
+    return len(reached) == len(ends)
+
+
 def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     """The dual simplicial 2-sphere: sphere vertex i <-> facet i of p.
 
@@ -404,10 +448,12 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     first built, because validating the polytope's index already proved
     what it needs: three distinct facets at every vertex and two
     at every edge, no two facets sharing two edges, and Euler
-    characteristic 2; :func:`_orient` made the facets one connected,
-    consistently oriented surface.  So the triangles are distinct, every
-    wall lies in two of them, the link of i is facet i's neighbour cycle,
-    and the sphere is connected and consistently oriented.  The counts
+    characteristic 2; the facets are one connected, consistently oriented
+    surface (turned by :func:`_orient` where needed).  So the triangles
+    are distinct, every wall lies in two of them, the link of i is facet
+    i's neighbour cycle, and the sphere is connected and consistently
+    oriented.  The triangles are sorted by one integer each, the sorted
+    triangle's code ``(i * m + lo) * m + hi``.  The counts
     ``m - W + T = 2`` and ``2W = 3T`` and the strict order of triangles
     and walls are checked; a failure is an InternalError.
     """
@@ -416,8 +462,11 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     across = list(map(face.__getitem__, twin))
     # at the vertex each half-edge runs into: b across the next half-edge, c
     # across this one, kept where i is the lowest of the three facets
-    tris, reps = zip(*sorted(((i, b, c) if b < c else (i, c, b), (i, b, c)) for i, b, c
-                             in zip(face, _heads(across, p.facets), across) if b > i < c))
+    reps = [(i, b, c) for i, b, c in zip(face, _heads(across, p.facets), across) if b > i < c]
+    # sorted by the sorted triangle's code (i * m + lo) * m + hi
+    keys = [(i * m + b) * m + c if b < c else (i * m + c) * m + b for i, b, c in reps]
+    reps = tuple(map(reps.__getitem__, sorted(range(len(reps)), key=keys.__getitem__)))
+    tris = tuple([(i, b, c) if b < c else (i, c, b) for i, b, c in reps])
     walls = tuple(sorted(compress(zip(face, across), map(lt, face, across))))
     if (m - len(walls) + len(tris) != 2 or 2 * len(walls) != 3 * len(tris)
             or not all(map(lt, tris, tris[1:])) or not all(map(lt, walls, walls[1:]))):
@@ -502,6 +551,12 @@ class _Lines:
     signed; ids and counts are ``<digits>``; digits are ASCII 0-9.  A
     document ends after its last section.  Refusals are ParseErrors naming
     the line.
+
+    A block of records whose labels are written exactly ``<tag> <k>``
+    (``<tag>``), as the serializers write them, is accepted by a few tests
+    over the whole block (:meth:`records`); any other block, valid or not,
+    is read line by line, so every refusal and every other acceptance is
+    the line scan's.
     """
 
     def __init__(self, text: str):
@@ -535,9 +590,28 @@ class _Lines:
                 numbered: bool = True, signed: bool = True) -> list[tuple[int, ...]]:
         """The integers of n records ``<tag> <k>:`` (``<tag>:`` unless
         ``numbered``), ``width`` of them if given, none negative unless
-        ``signed``."""
+        ``signed``.
+
+        The block is read at once when it is spelled as written out, each
+        label exactly ``<tag> <k>`` (or ``<tag>``) before its colon: one
+        test of the joined bodies' characters, one comparison of all the
+        labels, and ``int`` over every body token.  Any other block, valid
+        or not, is scanned line by line, which names the first fault."""
         at, self.at = self.at, self.at + n
         lines = self.lines[at:self.at]
+        if lines and len(lines) == n:
+            heads, colons, bodies = zip(*map(str.partition, lines, repeat(":")))
+            text = " ".join(bodies)
+            if (heads == (tuple(map(f"{tag} %d".__mod__, range(n))) if numbered else (tag,) * n)
+                    and "" not in colons and _plain(text) and "+" not in text
+                    and "_" not in text and (signed or "-" not in text)):
+                try:
+                    out = list(map(tuple, map(map, repeat(int), map(str.split, bodies))))
+                except ValueError:  # a token that is not -?[0-9]+, or too long
+                    pass
+                else:
+                    if width is None or set(map(len, out)) == {width}:
+                        return out
         if len(lines) < n:
             lines.append("")  # the first missing line, refused below
         out = []

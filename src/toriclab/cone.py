@@ -3,13 +3,19 @@
 Every wall pairs against the m ray classes through the degree-3 integrals.
 A :class:`WallClass` stores only the pairing's at most four nonzero
 entries, read off ``CharacteristicPair.pairings``; the dense m-vector is
-derived when ``WallClass.pairing`` is read, for the exact LPs and the
+derived when ``WallClass.pairing`` is read, for the witness LP and the
 reports.  These vectors generate a cone; this module groups them by
 positive proportionality (one dict keyed by each class's sparse primitive
 integer vector), decides which groups sit on extreme rays (one exact LP
 per group, each answer certified), finds or refutes a strict-convexity
 witness, and extracts the positive-curvature extremal wall whose endpoint
 forces a triangular or quadrangular face of the dual polytope.
+
+The extremality LPs read the classes in H2 coordinates: every pairing
+vector p satisfies sum_t p[t] * ray_t = 0, and the three rays of the
+first maximal cone are a basis of Z^3, so the m - 3 entries off that cone
+fix the other three.  The rows of those three rays are dropped, and each
+membership found is checked again on the full sparse vectors.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from fractions import Fraction
 
 from .charfunc import CharacteristicPair
 from .cohomology import _non_positive_edges, certify_support
-from .errors import CertificationFailure, NotFound, NoWitness, ValidationError
+from .errors import (CertificationFailure, InternalError, NotFound, NoWitness,
+                     ValidationError)
 from .exactlp import cone_membership, positive_functional
 from .fan import Fan3, characteristic_pair
 from .lattice import over_common_denominator
@@ -220,13 +227,22 @@ def _analyse_cone(f: Fan3) -> ConeAnalysis:
 
     grouped = _group_classes(classes)
     groups = tuple(tuple(cls.wall for cls in g) for g in grouped)
-    # the LPs take dense rows: each class is expanded once per analysis
-    rows = [[cls.pairing for cls in g] for g in grouped]
+    # dense rows in H2 coordinates (see the module docstring), each class
+    # expanded once per analysis; the three rays dropped are a basis, as
+    # the fan is certified unimodular, so a separator padded with zeros
+    # pairs with each full vector as with its kept rows
+    kept = {t: k for k, t in enumerate(sorted(set(range(f.m)) - set(f.maximal_cones[0])))}
+    rows = [[(cls, _kept_row(cls, kept)) for cls in g] for g in grouped]
     extremal = []
-    for gi, g in enumerate(groups):
-        outside = [p for gj, other in enumerate(rows) if gj != gi for p in other]
-        if not cone_membership(rows[gi][0], outside).member:
-            extremal.append(g[0])
+    for gi, g in enumerate(rows):
+        rep, x = g[0]
+        outside = [pair for gj, other in enumerate(rows) if gj != gi for pair in other]
+        res = cone_membership(x, [row for _, row in outside])
+        if not res.member:
+            extremal.append(rep.wall)
+        elif _combination(res.coefficients, [cls for cls, _ in outside]) != dict(rep.entries):
+            raise InternalError(f"membership of wall class {rep.wall} does not "
+                                f"reassemble its full vector")
     return ConeAnalysis(
         classes=classes,
         groups=groups,
@@ -234,6 +250,27 @@ def _analyse_cone(f: Fan3) -> ConeAnalysis:
         witness=witness,
         note=note,
     )
+
+
+def _kept_row(cls: WallClass, kept: dict[int, int]) -> list[int]:
+    """The class's dense pairing on the kept rays, ``kept`` mapping each
+    ray to its row."""
+    row = [0] * len(kept)
+    for t, v in cls.entries:
+        if t in kept:
+            row[kept[t]] = v
+    return row
+
+
+def _combination(coefficients, classes) -> dict[int, Fraction]:
+    """The nonzero entries of sum_j coefficients[j] * classes[j], from the
+    full sparse class vectors."""
+    total: dict[int, Fraction] = {}
+    for c, cls in zip(coefficients, classes):
+        if c:
+            for t, v in cls.entries:
+                total[t] = total.get(t, 0) + c * v
+    return {t: v for t, v in total.items() if v}
 
 
 def _wall_labelings(w):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from fullerenes import ICOSAHEDRON, leapfrog
+from fullerenes import ICOSAHEDRON, goldberg_coxeter, leapfrog
 from oracles import (
     apply_matrix,
     det3x3,
@@ -301,6 +301,15 @@ class TestStalls:
         runs = color_in_child(spheres, timeout=120)
         assert sum(run["stage"] == 2 for run in runs) >= 10
         assert sum(run["swaps"] for run in runs) > 0
+
+    def test_relabelled_chiral_goldberg_coxeter_fullerenes(self):
+        # GC(k, l) with l > 0: the chiral icosahedral fullerenes up to
+        # C3020, ten labellings each
+        families = [SimplicialSphere2.from_triangles(*goldberg_coxeter(k, l)) for k, l in (
+            (1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (5, 2), (6, 3), (7, 4), (9, 5))]
+        spheres = [relabelled(s, seed) for s in families for seed in range(10)]
+        runs = color_in_child(spheres, timeout=120)
+        assert len(runs) == 90  # each colours properly with the star condition ok
 
     def test_polytope_report_on_c4860(self, tmp_path):
         sphere = relabelled(leapfrog_sphere(2432), 0)

@@ -30,6 +30,9 @@ from toriclab.combinatorics import (
     is_fullerene,
     parse_polytope,
     serialize_polytope,
+    _connected,
+    _half_edges,
+    _orient,
 )
 from toriclab.cone import delzant_obstruction_witness
 from toriclab.corpus import POLYTOPE_NAMES, corpus_get, load_polytope
@@ -803,6 +806,96 @@ class TestValidation:
         with pytest.raises(ValidationError,
                            match="^link of vertex 0 is not a single cycle$"):
             SimplicialSphere2.from_triangles(10, self.PINCHED)
+
+
+class TestOrientationShortcut:
+    """Facets or triangles that already run every edge once each way turn
+    nothing, and only their connection is checked; the others are turned
+    by the depth-first pass.  Both reach the same verdicts."""
+
+    TORUS, RP2 = TestValidation.TORUS, TestValidation.RP2
+    shifted = staticmethod(TestValidation.shifted)
+
+    @staticmethod
+    def oriented_dual_cycles(tris):
+        """The facet cycles dual to a consistently oriented closed surface,
+        facet v walking round vertex v from the triangle (v, a, b) to the
+        one holding (v, b, c), so that every facet runs the same way."""
+        cycles = []
+        for v in range(max(map(max, tris)) + 1):
+            step = {}
+            for k, t in enumerate(tris):
+                if v in t:
+                    i = t.index(v)
+                    step[t[i - 2]] = (t[i - 1], k)
+            a, cyc = next(iter(step)), []
+            while len(cyc) < len(step):
+                a, k = step[a]
+                cyc.append(k)
+            cycles.append(tuple(cyc))
+        return cycles
+
+    @staticmethod
+    def runs_each_edge_once_each_way(cycles):
+        darts = [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
+        return len(set(darts)) == len(darts) and {(v, u) for u, v in darts} == set(darts)
+
+    @staticmethod
+    def every_other_reversed(cycles):
+        return [c[::-1] if i % 2 else c for i, c in enumerate(cycles)]
+
+    def polytopes(self):
+        yield from (load_polytope(name) for name in POLYTOPE_NAMES)
+        # the 1154-facet stacked dual
+        yield dual_polytope(subdivided_cp3(1154, seed=1)[0].sphere, "stacked")
+
+    def test_turned_facets_give_the_same_polytope_and_index(self):
+        for p in self.polytopes():
+            assert self.runs_each_edge_once_each_way(p.facets)
+            # an index runs as the cycles it was made of, here the stored ones
+            p = SimplePolytope3.from_facets(p.name, p.facets)
+            q = SimplePolytope3.from_facets(p.name, self.every_other_reversed(p.facets))
+            assert q == p and q._index == p._index
+
+    def test_connection_agrees_with_the_orientation_pass(self):
+        tet2 = TET_FACETS + self.shifted(TET_FACETS, 4)
+        for cycles, connected in ((TET_FACETS, True), (CUBE_FACETS, True), (tet2, False),
+                                  (self.oriented_dual_cycles(TET_FACETS + self.shifted(
+                                      self.TORUS, 4)), False)):
+            n = max(map(max, cycles)) + 1
+            index = _half_edges(cycles, [v for c in cycles for v in c], n, "{} {}")
+            assert _connected(index[1], index[2], map(len, cycles)) == connected
+            assert (_orient(index, cycles, "")[2] == 1) == connected
+
+    def test_disconnected_facets_are_refused_either_way(self):
+        cycles = self.oriented_dual_cycles(TET_FACETS + self.shifted(self.TORUS, 4))
+        assert self.runs_each_edge_once_each_way(cycles)
+        for facets in (cycles, self.every_other_reversed(cycles)):
+            with pytest.raises(ValidationError,
+                               match="^facet adjacency graph is disconnected$"):
+                SimplePolytope3.from_facets("bad", facets)
+        # two tetrahedra have Euler characteristic 4, refused before that
+        with pytest.raises(ValidationError, match=r"^Euler characteristic 4 != 2 "):
+            SimplePolytope3.from_facets("bad", TET_FACETS + self.shifted(TET_FACETS, 4))
+
+    def test_orientability_messages(self):
+        cycles = TestValidation.dual_cycles(self.RP2 + self.shifted(self.RP2, 6))
+        for facets in (cycles, self.every_other_reversed(cycles)):
+            with pytest.raises(ValidationError,
+                               match="^facet cycles are not consistently orientable$"):
+                SimplePolytope3.from_facets("bad", facets)
+        with pytest.raises(ValidationError, match="^sphere complex is not orientable$"):
+            SimplicialSphere2.from_triangles(12, self.RP2 + self.shifted(self.RP2, 6))
+
+    def test_a_given_orientation_is_kept(self):
+        for p in self.polytopes():
+            s = dual_sphere(p)
+            t = SimplicialSphere2.from_triangles(s.m, s.triangles, oriented=s.oriented)
+            assert t == s and t.oriented == s.oriented
+            # without it, each triangle runs as the first one, as sorted
+            u = SimplicialSphere2.from_triangles(s.m, s.triangles)
+            assert u.oriented[0] == s.triangles[0]
+            assert len({u.orientation_sign(*r) for r in s.oriented}) == 1
 
 
 class TestSerialization:

@@ -33,6 +33,7 @@ from toriclab.cohomology import certify_support
 from toriclab.corpus import FAN_NAMES, load_fan
 from toriclab.errors import InternalError, NoWitness, SupportInvalid, ValidationError
 from toriclab.exactlp import (
+    ConeMembership,
     Phase1Result,
     cone_membership,
     phase1_simplex,
@@ -357,6 +358,39 @@ def test_blowup_middle_group_not_extremal():
               for g in an.groups}
     left, middle, right = by_rep[(0, 1)], by_rep[(0, 3)], by_rep[(0, 4)]
     assert middle == tuple(a + b for a, b in zip(left, right))
+
+
+def _dense_extremal(an):
+    """The extremal representatives by LPs over the full dense pairing
+    vectors, each group's first class against every class outside it."""
+    pairing = {cls.wall: cls.pairing for cls in an.classes}
+    return tuple(g[0] for gi, g in enumerate(an.groups) if not cone_membership(
+        pairing[g[0]], [pairing[w] for gj, h in enumerate(an.groups) if gj != gi for w in h]
+    ).member)
+
+
+def test_h2_coordinates_keep_every_extremal_verdict():
+    # the LPs drop the rows of the first cone's rays; on the full rows
+    # they reach the same verdicts
+    fans = [load_fan(name) for name in FAN_NAMES] + [
+        support_free(subdivided_cp3(m, seed)[0]) for m in range(8, 25, 4) for seed in range(3)
+    ]
+    for f in fans:
+        an = extremal_walls(f)
+        assert an.extremal == _dense_extremal(an), f.name
+
+
+def test_a_membership_must_reassemble_the_full_vector(monkeypatch):
+    # an answer on the kept rows is checked again on every row
+    import toriclab.cone as cone_module
+
+    def zero(x, generators):
+        return ConeMembership(True, (Fraction(0),) * len(generators), None)
+
+    monkeypatch.setattr(cone_module, "cone_membership", zero)
+    with pytest.raises(InternalError, match=r"^membership of wall class \(0, 1\) does not "
+                                            r"reassemble its full vector$"):
+        extremal_walls(support_free(load_fan("blowup-cp3")))
 
 
 def test_grouping_collects_positive_multiples_only():

@@ -131,11 +131,17 @@ def test_cone_lps_at_m24_without_support(monkeypatch):
     assert an.extremal
     members = [(x, gens, res) for x, gens, res in answers if res.member]
     reps = {g[0] for g in an.groups} - set(an.extremal)
-    assert sorted(x for x, _, _ in members) == sorted(
-        cls.pairing for cls in an.classes if cls.wall in reps
+    # the LPs read the pairings on the rays outside the first cone (H2
+    # coordinates), which determine the whole vector
+    kept = [t for t in range(f.m) if t not in f.maximal_cones[0]]
+    full = {tuple(cls.pairing[t] for t in kept): cls.pairing for cls in an.classes}
+    assert len(full) == len({cls.pairing for cls in an.classes})  # one full vector each
+    assert sorted(tuple(x) for x, _, _ in members) == sorted(
+        tuple(cls.pairing[t] for t in kept) for cls in an.classes if cls.wall in reps
     )
     for x, gens, res in members:
         assert all(c >= 0 for c in res.coefficients)
+        x, gens = full[tuple(x)], [full[tuple(g)] for g in gens]
         for k in range(f.m):
             assert sum(c * g[k] for c, g in zip(res.coefficients, gens)) == x[k]
 
