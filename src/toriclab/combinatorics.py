@@ -11,9 +11,12 @@ Polytopes and spheres keep one kind of half-edge index, built by
 :func:`_orient`: the faces are a polytope's facet cycles, or a sphere's
 oriented triangles as 3-cycles.  Each maker adds its own checks: three
 facets per polytope vertex; for a sphere, proper distinct triangles and
-one ring round every vertex.  An index always runs as its faces are
-stored.  :func:`dual_sphere` and :func:`dual_polytope` read one shape off
-the other's index.  Facts are decided by bulk tests over whole lists; a
+one ring round every vertex.  An index runs each face in its stored
+direction; :meth:`SimplePolytope3.from_facets` keeps the index of the
+cycles as given (turned where needed), while each stored cycle starts at
+its least vertex, and a polytope made by the constructor gets the index
+of its stored cycles.  :func:`dual_sphere` and :func:`dual_polytope` read
+one shape off the other's index.  Facts are decided by bulk tests over whole lists; a
 sort or an ordered scan runs only once one fails, to name the fault.
 """
 
@@ -65,12 +68,10 @@ class SimplicialSphere2(_Value):
         """Validate a triangle list as a 2-sphere and fix an orientation.
 
         The sorted triangles, or the given representatives if they match
-        them, become the index, which :func:`_orient` orients; each
-        vertex's ring must go once round it.  Without ``oriented``, each
-        triangle runs as the first does, read from the half-edge it was
-        reached by.  A given orientation must run every wall once each way,
-        so nothing turns: then only the connection is checked, by
-        :func:`_connected`.
+        them, become the index, which :func:`_orient` orients (a given
+        orientation must need no flip); each vertex's ring must go once
+        round it.  Without ``oriented``, each triangle runs as the first
+        does, read from the half-edge it was reached by.
         """
         given = [tuple(t) for t in triangles]
         reps = None if oriented is None else tuple(map(tuple, oriented))
@@ -106,11 +107,7 @@ class SimplicialSphere2(_Value):
             h = next(h for h, g in enumerate(twin) if g < h and flat[g] == flat[h])
             raise ValidationError(f"orientation traverses edge "
                                   f"{(flat[h], flat[h + 1 if h % 3 < 2 else h - 2])} twice")
-        if matched:  # every wall already runs once each way: no triangle turns
-            connected = _connected(index[1], twin, repeat(3, len(tris)))
-        else:
-            _, entry, parts = _orient(index, tris, "sphere complex is not orientable")
-            connected = parts == 1
+        _, entry, parts = _orient(index, tris, "sphere complex is not orientable")
         around = _rings(flat, twin, m, list(map(flat.__getitem__, twin)))
         # the rings hold every half-edge exactly when each goes once round
         if [] in around or sum(map(len, around)) != len(flat):
@@ -120,7 +117,7 @@ class SimplicialSphere2(_Value):
                                   else f"vertex {v} lies in no triangle")
         if reps is not None and not matched:
             raise ValidationError("oriented representatives do not match triangles")
-        if not connected:
+        if parts > 1:
             raise ValidationError("sphere complex is disconnected")
         if reps is None:
             # triangle t, read from the half-edge k it was entered by
@@ -292,7 +289,10 @@ class SimplePolytope3(_Value):
 
     @cached_property
     def _index(self) -> Index:
-        """The index :meth:`from_facets` builds of the stored facet cycles."""
+        """The index :meth:`from_facets` builds of the stored facet cycles.
+        A polytope :meth:`from_facets` made keeps the index of its cycles
+        as given (turned where needed), so a face's half-edges need not
+        start where its stored cycle starts."""
         return SimplePolytope3.from_facets(self.name, self.facets)._index
 
     @property
@@ -373,10 +373,8 @@ def _orient(index: Index, cycles, fault: str) -> tuple[list[bool], list[int], in
     up running.
 
     An index in which no twin starts where its half-edge starts turns no
-    face; where the entries are not read (polytopes, and spheres given an
-    orientation), the makers then check only :func:`_connected` instead.
-    A sphere made without an orientation reads its representatives off
-    the entries, so it always comes here."""
+    face; :meth:`SimplePolytope3.from_facets`, which does not read the
+    entries, then checks only :func:`_connected` instead."""
     flat, face, twin, _, edge = index
     same = list(map(eq, flat, map(flat.__getitem__, twin)))
     ends = list(accumulate(map(len, cycles)))
@@ -419,8 +417,6 @@ def _connected(face: list[int], twin: list[int], lengths) -> bool:
     component: a walk from face 0 through each face's neighbours, the
     faces across its own slice of half-edges, reaches every face."""
     ends = list(accumulate(lengths))
-    if not ends:  # a sphere without triangles, refused by its rings
-        return True
     across = list(map(face.__getitem__, twin))
     around = list(map(across.__getitem__, map(slice, [0, *ends], ends)))
     seen = [False] * len(ends)

@@ -231,8 +231,8 @@ def _analyse_cone(f: Fan3) -> ConeAnalysis:
     # expanded once per analysis; the three rays dropped are a basis, as
     # the fan is certified unimodular, so a separator padded with zeros
     # pairs with each full vector as with its kept rows
-    kept = {t: k for k, t in enumerate(sorted(set(range(f.m)) - set(f.maximal_cones[0])))}
-    rows = [[(cls, _kept_row(cls, kept)) for cls in g] for g in grouped]
+    kept = [t for t in range(f.m) if t not in f.maximal_cones[0]]
+    rows = [[(cls, list(map(cls.pairing.__getitem__, kept))) for cls in g] for g in grouped]
     extremal = []
     for gi, g in enumerate(rows):
         rep, x = g[0]
@@ -250,16 +250,6 @@ def _analyse_cone(f: Fan3) -> ConeAnalysis:
         witness=witness,
         note=note,
     )
-
-
-def _kept_row(cls: WallClass, kept: dict[int, int]) -> list[int]:
-    """The class's dense pairing on the kept rays, ``kept`` mapping each
-    ray to its row."""
-    row = [0] * len(kept)
-    for t, v in cls.entries:
-        if t in kept:
-            row[kept[t]] = v
-    return row
 
 
 def _combination(coefficients, classes) -> dict[int, Fraction]:
