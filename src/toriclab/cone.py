@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .charfunc import CharacteristicPair
-from .cohomology import _non_positive_edges, certify_support
+from .cohomology import _non_positive_edges, _scaled, certify_support
 from .errors import (CertificationFailure, InternalError, NotFound, NoWitness,
                      ValidationError)
 from .exactlp import cone_membership, positive_functional
@@ -166,18 +166,19 @@ def strict_convexity_witness(classes, c_tilde=None):
 
     With ``c_tilde`` the check is pure verification — the products are the
     edge functionals of the candidate support, decided on its integer
-    numerators over one common denominator.  Without it, a feasibility
-    LP searches for any witness; infeasibility comes back with convex
-    coefficients combining the pairing vectors to zero, which makes a
-    positive functional impossible.  The refusal is a return value, not an
+    numerators over one common denominator; each entry is read as a fan's
+    support entry is: a Fraction, an int (not a bool) or a 'p/q' string.
+    Without it, a feasibility LP searches for any witness; infeasibility
+    comes back with convex coefficients combining the pairing vectors to
+    zero, which makes a positive functional impossible.  The refusal is a return value, not an
     exception.
     """
     if c_tilde is not None:
-        (C,), D = over_common_denominator([c_tilde])
-        classes = tuple(classes)
-        if classes and len(C) != classes[0].m:
-            raise ValidationError(f"candidate has {len(C)} entries for "
+        c_tilde, classes = tuple(c_tilde), tuple(classes)
+        if classes and len(c_tilde) != classes[0].m:
+            raise ValidationError(f"candidate has {len(c_tilde)} entries for "
                                   f"{classes[0].m} rays")
+        C, D = _scaled(c_tilde, len(c_tilde), "rays")
         failing = tuple(wall for wall, _ in _non_positive_edges(
             ((cls.wall, cls.entries) for cls in classes), C))
         if failing:

@@ -6,10 +6,11 @@ required to triangulate a 2-sphere.  Each cone's ray determinant is
 computed once and kept on the fan, and the sphere is oriented by them
 when it is built: its first cone runs in its determinant's direction, so
 on a complete fan every cone runs positively.  :func:`certify_fan`
-(unimodular cones, the wall sign condition and a generic-ray piercing
-test) runs once per fan, before any wall is read, so every analysis
-refuses a non-fan with its error and no other.  The characteristic pair
-of a certified fan is its own sphere with the rays as lambda.
+(unimodular cones, every cone running positively and a generic-ray
+piercing test) runs once per fan, before any wall is read, so every
+analysis refuses a non-fan with its error and no other.  The
+characteristic pair of a certified fan is its own sphere with the rays as
+lambda.
 
 Wall bookkeeping follows a fixed normalization: the wall pair (i1, i2) is
 sorted and its two apexes (i, i') are ordered so that
@@ -168,17 +169,13 @@ class Fan3(_Value):
     def characteristic_pair(self) -> CharacteristicPair:
         """The fan's own sphere, plus the rays.
 
-        The fan is certified first, so the sphere, oriented by its first
-        cone (see :meth:`from_data`), runs every cone positively.  One
-        determinant checks that: a constructor-made fan whose sphere runs
-        against its cones is refused.  The fan's intersection calculus is
-        the signed calculus of this pair, cached on it, so every cone
-        contributes +1.
+        The fan is certified first, and certification refuses any sphere
+        that does not run every cone positively (:func:`check_complete`),
+        a constructor-made one run against its cones included.  The fan's
+        intersection calculus is the signed calculus of this pair, cached
+        on it, so every cone contributes +1.
         """
         certify_fan(self)
-        a, b, c = self.sphere.oriented[0]
-        if det3(self.rays[a], self.rays[b], self.rays[c]) < 0:
-            raise ValidationError("sphere orientation runs against its cones")
         return CharacteristicPair(self.sphere, CharacteristicFunction(self.rays))
 
     @cached_property
@@ -224,18 +221,6 @@ def _cone_determinants(rays, cones) -> dict[Triangle, int]:
     if 0 in dets:
         raise ValidationError(f"cone {cones[dets.index(0)]} is degenerate: det = 0")
     return dict(zip(cones, dets))
-
-
-def _apex_determinants(f: Fan3, wall: tuple[int, int]) -> tuple[int, int, int, int]:
-    """The apexes p < q of the sorted wall (u, v) and det(ray(u), ray(v),
-    ray(x)) at x = p, q: the kept determinant of the cone {u, v, x},
-    negated exactly when u < x < v (sorting is then one transposition)."""
-    u, v = wall
-    p, q = f.sphere.wall_apexes(wall)
-    dets = f._cone_dets
-    dp, dq = (dets[x, u, v] if x < u else -dets[u, x, v] if x < v else dets[u, v, x]
-              for x in (p, q))
-    return p, q, dp, dq
 
 
 def _read_wall(rays, wall: tuple[int, int], sides: tuple[int, int], entries) -> Wall:
@@ -297,25 +282,36 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
 
     The cone complex is already a simplicial 2-sphere (``Fan3.from_data``
     validates it; a sphere that is not the cones is a ValidationError).
-    Two tests remain: (a) at every wall the two apex rays lie strictly on
-    opposite sides of the wall's plane, (b) a pseudo-random generic
-    rational direction lies in exactly one maximal cone (resampled while
-    it hits a cone boundary).  The sampler is seeded by ``seed``, so runs
-    are reproducible.  Without a seed this is the fan's kept certificate,
-    ``Fan3.certificate``, made at ``COMPLETENESS_SEED``; a seed makes a
-    fresh one.
+    Two tests remain.  (a) Every cone runs positively: its kept
+    determinant, read in the sphere's order, is positive.  The sphere is
+    connected and runs each wall once each way, so the signs agree exactly
+    when every wall has its two apex rays strictly on opposite sides of
+    its plane; else the first wall that does not is named (IncompleteFan),
+    and if there is none every cone runs negatively (ValidationError).
+    (b) A pseudo-random generic integer direction lies in exactly one
+    maximal cone (resampled while it hits a cone boundary).  The sampler
+    is seeded by ``seed``, so runs are reproducible.  Without a seed this
+    is the fan's kept certificate, ``Fan3.certificate``, made at
+    ``COMPLETENESS_SEED``; a seed makes a fresh one.
     """
     if seed is None:
         return f.certificate
     if f.sphere.m != f.m or f.sphere.triangles != f.maximal_cones:
         raise ValidationError("the fan's sphere is not its cone complex")
-    # (a) apexes strictly on opposite sides of each wall plane
-    for u, v in f.sphere.walls:
-        p, q, dp, dq = _apex_determinants(f, (u, v))
-        if (dp > 0) == (dq > 0):
-            raise IncompleteFan(
-                f"apexes {p}, {q} of wall ({u}, {v}) do not lie strictly on "
-                f"opposite sides (determinants {dp}, {dq})")
+    f.sphere._index  # a constructor-made sphere is validated here
+    # (a) each cone's oriented sign: its kept determinant, negated when the
+    # sphere runs it as an odd permutation of its sorted rays
+    signs = {(d > 0) == ((x < y) + (y < z) + (z < x) == 2)
+             for d, (x, y, z) in zip(f._cone_dets.values(), f.sphere.oriented)}
+    if signs != {True}:
+        for u, v in f.sphere.walls:
+            p, q = f.sphere.wall_apexes((u, v))
+            dp, dq = (det3(f.rays[u], f.rays[v], f.rays[x]) for x in (p, q))
+            if (dp > 0) == (dq > 0):
+                raise IncompleteFan(
+                    f"apexes {p}, {q} of wall ({u}, {v}) do not lie strictly on "
+                    f"opposite sides (determinants {dp}, {dq})")
+        raise ValidationError("sphere orientation runs against its cones")
 
     # (b) generic-ray piercing
     rng = random.Random(seed)

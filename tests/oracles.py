@@ -53,6 +53,17 @@ def det3x3(rows) -> int:
 # wall normalization by search
 
 
+def _wall_apexes(triangles):
+    """Each wall (u, v), u < v, of a triangle list, in sorted order, with
+    the vertices completing it to triangles, ascending."""
+    apexes = {}
+    for t in triangles:
+        for k in range(3):
+            u, v = sorted(t[:k] + t[k + 1:])
+            apexes.setdefault((u, v), []).append(t[k])
+    return {wall: sorted(apexes[wall]) for wall in sorted(apexes)}
+
+
 def wall_records_bruteforce(rays, triangles):
     """Every wall {u, v} (u < v) of a triangle list, normalized by trying
     all four orderings of its pair and apexes: the first (i1, i2, i, i')
@@ -60,17 +71,11 @@ def wall_records_bruteforce(rays, triangles):
     ``(pair, apexes, a, curvature, classification)`` with
     a1 = det(i', i2, i) and a2 = det(i1, i', i).  A wall that no ordering
     normalizes maps to None."""
-    apexes = {}
-    for t in triangles:
-        for k in range(3):
-            u, v = sorted(t[:k] + t[k + 1:])
-            apexes.setdefault((u, v), []).append(t[k])
-
     def det(i, j, k):
         return det3x3((rays[i], rays[j], rays[k]))
 
     records = {}
-    for (u, v), (p, q) in sorted(apexes.items()):
+    for (u, v), (p, q) in _wall_apexes(triangles).items():
         records[(u, v)] = None
         for i1, i2, i, ip in ((u, v, p, q), (u, v, q, p), (v, u, p, q), (v, u, q, p)):
             if det(i1, i2, i) == 1 and det(i1, i2, ip) == -1:
@@ -80,6 +85,18 @@ def wall_records_bruteforce(rays, triangles):
                 records[(u, v)] = ((i1, i2), (i, ip), a, curv, cls)
                 break
     return records
+
+
+def same_side_wall_bruteforce(rays, triangles):
+    """The completeness test's wall sign condition, one wall at a time:
+    the first sorted wall (u, v) whose apexes p < q give determinants
+    dp = det(u, v, p) and dq = det(u, v, q) of one sign, as
+    ``(u, v, p, q, dp, dq)``; None when every wall separates its apexes."""
+    for (u, v), (p, q) in _wall_apexes(triangles).items():
+        dp, dq = (det3x3((rays[u], rays[v], rays[x])) for x in (p, q))
+        if (dp > 0) == (dq > 0):
+            return u, v, p, q, dp, dq
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -548,13 +548,28 @@ def test_candidate_check_reads_fraction_classes():
     for c in classes:
         q = Fraction(rng.randrange(1, 9), rng.randrange(1, 7))
         scaled.append(WallClass(c.wall, tuple((t, v * q) for t, v in c.entries), c.m))
-    for cand in ((1,) * 6, (1, -1, 1, 1, 1, 1), ("1/2", 2, 0.5, 1, 3, Fraction(1, 3))):
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for cand in ((1,) * 6, (1, -1, 1, 1, 1, 1), ("1/2", 2, half, 1, 3, third)):
         want = strict_convexity_witness(classes, cand)
         got = strict_convexity_witness(scaled, cand)
         if isinstance(want, NoWitness):
             assert got.failing == want.failing and str(got) == str(want)
         else:
             assert got == want
+
+
+@pytest.mark.parametrize("entry", [0.5, True])
+def test_candidate_entries_are_read_as_support_entries(entry):
+    f = load_fan("cube-fan")
+    cand = (entry, 1, 1, 1, 1, 1)
+    message = rf"^support entry 0 = {entry!r} is not a Fraction, an int or a 'p/q' string$"
+    with pytest.raises(ValidationError, match=message):
+        certify_support(f, cand)
+    with pytest.raises(ValidationError, match=message):
+        strict_convexity_witness(wall_classes(f), cand)
+    # the entry count is checked before any entry is read
+    with pytest.raises(ValidationError, match="^candidate has 7 entries for 6 rays$"):
+        strict_convexity_witness(wall_classes(f), cand + (1,))
 
 
 def _certify_support_failing(f, c):

@@ -15,7 +15,7 @@ import pytest
 
 from branched import branched_cover_text
 from oracles import (apply_matrix, det3x3, random_unimodular,
-                     wall_records_bruteforce)
+                     same_side_wall_bruteforce, wall_records_bruteforce)
 from subdivision import subdivided_cp3
 from toriclab.corpus import FAN_NAMES, load_fan
 from toriclab.combinatorics import SimplicialSphere2
@@ -29,7 +29,6 @@ import toriclab.fan as fan_module
 from toriclab.fan import (
     Fan3,
     Wall,
-    _apex_determinants,
     _pierce,
     _read_wall,
     certify_fan,
@@ -351,8 +350,9 @@ def _pierce_reference(f, x):
 
 
 def _certificate_reference(f, seed):
-    """Part (c) of check_complete restated: the first sampled direction off
-    every cone boundary, its cone and the number of draws."""
+    """Part (b) of check_complete restated: the first sampled direction off
+    every cone boundary, its cone and the number of draws, or, when that
+    direction lies in no cone or in several, the refusal as (class, text)."""
     rng = random.Random(seed)
     for attempt in range(1, 65):
         direction = tuple(rng.randint(-997, 997) for _ in range(3))
@@ -360,8 +360,53 @@ def _certificate_reference(f, seed):
             continue
         hits, boundary = _pierce_reference(f, direction)
         if not boundary:
-            assert len(hits) == 1
-            return direction, hits[0], attempt
+            if len(hits) == 1:
+                return direction, hits[0], attempt
+            return IncompleteFan, (
+                f"generic direction {direction} lies in no maximal cone" if not hits else
+                f"generic direction {direction} lies in {len(hits)} maximal cones: {hits}")
+
+
+def _completeness_reference(f, seed):
+    """check_complete restated: the wall sign condition one wall at a time
+    (the oracle), then :func:`_certificate_reference`."""
+    wall = same_side_wall_bruteforce(f.rays, f.maximal_cones)
+    if wall is None:
+        return _certificate_reference(f, seed)
+    u, v, p, q, dp, dq = wall
+    return IncompleteFan, (f"apexes {p}, {q} of wall ({u}, {v}) do not lie strictly on "
+                           f"opposite sides (determinants {dp}, {dq})")
+
+
+def _completeness_outcome(f, seed):
+    """check_complete(f, seed) as (direction, cone, attempts), or its
+    refusal as (class, text)."""
+    try:
+        cert = check_complete(f, seed)
+    except ToricLabError as e:
+        return type(e), str(e)
+    return cert.direction, cert.cone, cert.attempts
+
+
+def _sweep_fan(name):
+    """A corpus fan, a subdivided cp3 on that many rays, or a named sphere
+    of cones that is no fan."""
+    if name == "pair":
+        return _antipodal_cube_fan()
+    if name == "notfan":
+        return Fan3.from_data("notfan", [E1, E2, E3, (1, 1, 1)], SIMPLEX_CONES)
+    if name == "branched":
+        return parse_fan(branched_cover_text())
+    return TestPiercing.fan(name)
+
+
+def _negated_ray_fans():
+    """Each small fan with one ray negated: spheres of cones that break
+    the wall sign condition at many different walls."""
+    for f in [*all_corpus_fans(), subdivided_cp3(8, seed=8)[0]]:
+        for i in range(f.m):
+            rays = [tuple(-x for x in r) if j == i else r for j, r in enumerate(f.rays)]
+            yield Fan3.from_data(f"{f.name}-{i}", rays, f.maximal_cones)
 
 
 def _antipodal_cube_fan():
@@ -434,19 +479,22 @@ class TestWallNormalization:
         with pytest.raises(IncompleteFan, match=rf"of wall \({u}, {v}\) do not lie"):
             f.wall_table
 
-    @pytest.mark.parametrize("name", [*FAN_NAMES, 20, 104, 1004, "pair", "notfan"])
-    def test_apex_determinants_are_read_off_the_cones(self, name):
-        if name == "pair":
-            f = _antipodal_cube_fan()
-        elif name == "notfan":
-            f = Fan3.from_data("notfan", [E1, E2, E3, (1, 1, 1)], SIMPLEX_CONES)
-        else:
-            f = TestPiercing.fan(name)
-        for u, v in f.sphere.walls:
-            p, q = f.sphere.wall_apexes((u, v))
-            assert _apex_determinants(f, (u, v)) == (
-                p, q, det3(f.rays[u], f.rays[v], f.rays[p]),
-                det3(f.rays[u], f.rays[v], f.rays[q])), (name, u, v)
+    @pytest.mark.parametrize("name", [*FAN_NAMES, 20, 104, 1004, "pair", "notfan",
+                                      "branched"])
+    def test_completeness_matches_the_per_wall_rule(self, name):
+        # the sign scan certifies, or names the wall, as the rule does
+        f = _sweep_fan(name)
+        for seed in (0, 1):
+            assert _completeness_outcome(f, seed) == _completeness_reference(f, seed)
+
+    def test_negated_rays_are_named_at_the_walls_of_the_rule(self):
+        named = set()
+        for f in _negated_ray_fans():
+            want = _completeness_reference(f, 0)
+            assert want[0] is IncompleteFan and "opposite sides" in want[1], f.name
+            assert _completeness_outcome(f, 0) == want, f.name
+            named.add(re.search(r"wall \(\d+, \d+\)", want[1])[0])
+        assert len(named) >= 8
 
 
 class TestCertification:
@@ -470,9 +518,7 @@ class TestCertification:
         f = parse_fan(text)
         # unimodular, and every wall has its apexes on opposite sides
         assert check_unimodular(f).ok
-        for wall in f.sphere.walls:
-            _, _, dp, dq = _apex_determinants(f, wall)
-            assert dp * dq == -1
+        assert same_side_wall_bruteforce(f.rays, f.maximal_cones) is None
         with pytest.raises(IncompleteFan, match="lies in 2 maximal cones") as e:
             certify_fan(f)
         for analysis in self.analyses():
@@ -557,9 +603,19 @@ class TestCharacteristicPair:
         f = load_fan("blowup-cp3")
         assert f._cone_dets[f.maximal_cones[0]] == -1
         sphere = SimplicialSphere2.from_triangles(f.m, f.maximal_cones)
-        g = Fan3(f.name, f.rays, f.maximal_cones, sphere, f.support)
-        with pytest.raises(ValidationError, match="^sphere orientation runs against its cones$"):
-            characteristic_pair(g)
+        # one representative reversed, or a wall missing: the sphere itself
+        # is refused first
+        reps = (sphere.oriented[0][::-1], *sphere.oriented[1:])
+        reversed_one = SimplicialSphere2(f.m, sphere.triangles, reps, sphere.walls)
+        own = f.sphere
+        no_wall = SimplicialSphere2(f.m, own.triangles, own.oriented, own.walls[1:])
+        for s, message in ((sphere, "^sphere orientation runs against its cones$"),
+                           (reversed_one, r"^orientation traverses edge \(1, 0\) twice$"),
+                           (no_wall, "^sphere fields do not match its triangles$")):
+            for entry in (certify_fan, characteristic_pair, lambda g: check_complete(g, 1)):
+                g = Fan3(f.name, f.rays, f.maximal_cones, s, f.support)
+                with pytest.raises(ValidationError, match=message):
+                    entry(g)
 
     @pytest.mark.parametrize("sphere", ["cp3", "one vertex too many"])
     def test_a_sphere_that_is_not_the_cones_is_refused(self, sphere):
