@@ -6,16 +6,26 @@ entries, read off ``CharacteristicPair.pairings``; the dense m-vector is
 derived when ``WallClass.pairing`` is read, for the witness LP and the
 reports.  These vectors generate a cone; this module groups them by
 positive proportionality (one dict keyed by each class's sparse primitive
-integer vector), decides which groups sit on extreme rays (one exact LP
-per group, each answer certified), finds or refutes a strict-convexity
-witness, and extracts the positive-curvature extremal wall whose endpoint
-forces a triangular or quadrangular face of the dual polytope.
+integer vector), decides which groups sit on extreme rays, finds or
+refutes a strict-convexity witness, and extracts the positive-curvature
+extremal wall whose endpoint forces a triangular or quadrangular face of
+the dual polytope.
 
-The extremality LPs read the classes in H2 coordinates: every pairing
+Wall classes span the Mori cone (Reid, "Decomposition of toric
+morphisms", 1983), and the classes of one group are positive multiples of
+its representative, so a group is extremal exactly when its
+representative is not a nonnegative combination of the other groups'
+representatives.  All groups are decided in one
+:func:`~toriclab.exactlp.cone_sweep` over the representatives, one
+column per group, each answer certified there.
+
+The sweep reads the representatives in H2 coordinates: every pairing
 vector p satisfies sum_t p[t] * ray_t = 0, and the three rays of the
 first maximal cone are a basis of Z^3, so the m - 3 entries off that cone
 fix the other three.  The rows of those three rays are dropped, and each
-membership found is checked again on the full sparse vectors.
+answer is checked again on the full sparse vectors: a membership must
+reassemble its representative, and a separator must pair positively with
+the representative and nonpositively with every class outside its group.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from .charfunc import CharacteristicPair
 from .cohomology import _non_positive_edges, _scaled, certify_support
 from .errors import (CertificationFailure, InternalError, NotFound, NoWitness,
                      ValidationError)
-from .exactlp import cone_membership, positive_functional
+from .exactlp import cone_membership, cone_sweep, positive_functional
 from .fan import Fan3, characteristic_pair
 from .lattice import over_common_denominator
 from .value import _Value
@@ -199,14 +209,15 @@ def strict_convexity_witness(classes, c_tilde=None):
 
 
 def extremal_walls(f: Fan3) -> ConeAnalysis:
-    """Group the wall classes, test each group for extremality by exact
-    LP, and attach the support-parameter convexity witness when one is
-    available.  A fan's own support is certified first, by
-    :func:`toriclab.cohomology.certify_support`, which raises
+    """Group the wall classes, decide every group's extremality in one
+    exact dual-simplex sweep, and attach the support-parameter convexity
+    witness when one is available.  A fan's own support is certified
+    first, by :func:`toriclab.cohomology.certify_support`, which raises
     SupportInvalid before any LP is solved.
 
     A group is extremal when its representative vector is not a
-    nonnegative combination of the classes outside the group.  Fans
+    nonnegative combination of the classes outside the group, that is, of
+    the other groups' representatives (see the module docstring).  Fans
     without support parameters still get the full grouping and
     extremality scan, but the analysis is marked uncertified.  The
     analysis is computed once per fan and cached as
@@ -228,22 +239,32 @@ def _analyse_cone(f: Fan3) -> ConeAnalysis:
 
     grouped = _group_classes(classes)
     groups = tuple(tuple(cls.wall for cls in g) for g in grouped)
-    # dense rows in H2 coordinates (see the module docstring), each class
-    # expanded once per analysis; the three rays dropped are a basis, as
-    # the fan is certified unimodular, so a separator padded with zeros
-    # pairs with each full vector as with its kept rows
+    # the representatives' rows in H2 coordinates (see the module
+    # docstring); the three rays dropped are a basis, as the fan is
+    # certified unimodular, so a separator padded with zeros pairs with
+    # each full vector as with its kept rows
     kept = [t for t in range(f.m) if t not in f.maximal_cones[0]]
-    rows = [[(cls, list(map(cls.pairing.__getitem__, kept))) for cls in g] for g in grouped]
+    reps = [g[0] for g in grouped]
+    answers = cone_sweep([[rep.pairing[t] for t in kept] for rep in reps])
     extremal = []
-    for gi, g in enumerate(rows):
-        rep, x = g[0]
-        outside = [pair for gj, other in enumerate(rows) if gj != gi for pair in other]
-        res = cone_membership(x, [row for _, row in outside])
-        if not res.member:
-            extremal.append(rep.wall)
-        elif _combination(res.coefficients, [cls for cls, _ in outside]) != dict(rep.entries):
-            raise InternalError(f"membership of wall class {rep.wall} does not "
-                                f"reassemble its full vector")
+    full = [0] * f.m
+    for gi, (rep, res) in enumerate(zip(reps, answers)):
+        # each certificate read as integers over one positive scale
+        if res.member:
+            (coefficients,), scale = over_common_denominator([res.coefficients])
+            if _combination(coefficients, reps) != {t: scale * v for t, v in rep.entries}:
+                raise InternalError(f"membership of wall class {rep.wall} does not "
+                                    f"reassemble its full vector")
+            continue
+        (sep,), _ = over_common_denominator([res.separator])
+        for t, y in zip(kept, sep):
+            full[t] = y
+        if sum(full[t] * v for t, v in rep.entries) <= 0 or any(
+                sum(full[t] * v for t, v in cls.entries) > 0
+                for gj, g in enumerate(grouped) if gj != gi for cls in g):
+            raise InternalError(f"separator of wall class {rep.wall} fails on "
+                                f"a class outside its group or on the class")
+        extremal.append(rep.wall)
     return ConeAnalysis(
         classes=classes,
         groups=groups,
@@ -253,10 +274,10 @@ def _analyse_cone(f: Fan3) -> ConeAnalysis:
     )
 
 
-def _combination(coefficients, classes) -> dict[int, Fraction]:
+def _combination(coefficients, classes) -> dict[int, int]:
     """The nonzero entries of sum_j coefficients[j] * classes[j], from the
     full sparse class vectors."""
-    total: dict[int, Fraction] = {}
+    total: dict[int, int] = {}
     for c, cls in zip(coefficients, classes):
         if c:
             for t, v in cls.entries:

@@ -1,16 +1,19 @@
 """Exact rational linear programming.
 
-A small phase-1 simplex with Bland's pivoting rule, which terminates
-without cycling.  It pivots fraction-free: the system is read into
+A small phase-1 simplex and a dual-simplex sweep, both with Bland's
+pivoting rule, which terminates without cycling.  They pivot
+fraction-free, through one kernel (:func:`_pivot`): a system is read into
 integers once, by :func:`toriclab.lattice.over_common_denominator`, and
 every tableau entry and certificate stays an integer over one common
-denominator.  There are no tolerances anywhere: every verdict comes with a
-certificate that is re-verified by exact substitution before it is
-returned, so a caller can trust either answer unconditionally.  Every entry
-point poses one system to the same verified solve and only translates its
-answer.
+denominator.  An entry is read as a fan's support entry is: a Fraction, an
+int (not a bool) or a 'p/q' string; floats, bools and anything else are
+refused with ValidationError.  There are no tolerances anywhere: every
+verdict comes with a certificate that is re-verified by exact substitution
+before it is returned, so a caller can trust either answer
+unconditionally.
 
-Two feasibility questions are exposed besides :func:`phase1_simplex`:
+Two feasibility questions are exposed besides :func:`phase1_simplex`,
+each posed to the same verified phase-1 solve:
 
 * :func:`cone_membership` — is a vector a nonnegative combination of given
   generators?  Yields the coefficients, or a separating functional that is
@@ -19,6 +22,18 @@ Two feasibility questions are exposed besides :func:`phase1_simplex`:
   with every row?  Posed as Gordan's alternative, it yields the vector, or
   convex-combination coefficients exhibiting 0 as a convex combination of
   the rows (which makes any positive pairing impossible).
+
+:func:`cone_sweep` asks the membership question of every vector of a list
+against the others, in one tableau whose columns are the vectors: one
+elimination finds a basis, then each vector in turn is decided by the dual
+simplex from the basis the one before it ended in, with its own column as
+right-hand side and barred from entering.  The costs are zero, so every
+basis is dual feasible and every ratio ties at 0: Bland's rule leaves on
+the basic variable of least index with a negative value and enters on the
+least-index column with a negative entry in that row.  That is the primal
+smallest-subscript rule run on the dual program, so the sweep is finite
+for the reason the phase-1 simplex is (R. G. Bland, "New finite pivoting
+rules for the simplex method", 1977).
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
-from .errors import InternalError
+from .errors import InternalError, ValidationError
 from .lattice import over_common_denominator
 from .value import _Value
 
@@ -38,7 +53,10 @@ __all__ = [
     "phase1_simplex",
     "cone_membership",
     "positive_functional",
+    "cone_sweep",
 ]
+
+_ZERO = Fraction(0)
 
 
 class Phase1Result(_Value):
@@ -60,6 +78,23 @@ class Phase1Result(_Value):
         return self.solution is not None
 
 
+def _integral(rows) -> tuple[list[list[int]], int]:
+    """:func:`~toriclab.lattice.over_common_denominator` of the rows, each
+    entry read as ``fan._support_entry`` reads a support entry."""
+    rows = [list(r) for r in rows]
+    for r in rows:
+        for k, x in enumerate(r):
+            if type(x) is not int and type(x) is not Fraction:
+                from .fan import _rational  # the support grammar, for strings only
+
+                value = _rational(x) if type(x) is str else None
+                if value is None:
+                    raise ValidationError(
+                        f"LP entry {x!r} is not a Fraction, an int or a 'p/q' string")
+                r[k] = value
+    return over_common_denominator(rows)
+
+
 def phase1_simplex(rows: Sequence[Sequence], rhs: Sequence) -> Phase1Result:
     """Solve ``A x = b, x >= 0`` exactly, where ``rows`` are the rows of A.
 
@@ -73,15 +108,11 @@ def phase1_simplex(rows: Sequence[Sequence], rhs: Sequence) -> Phase1Result:
     picks the same entering column, leaving row and tie-breaks as on the
     rational system; the solution and the artificial reduced costs, hence
     the Farkas vector, are unchanged as well.  The tableau is then pivoted
-    fraction-free (Edmonds/Bareiss): it holds integers ``T`` and ``z``
-    together with the basis determinant ``d > 0``, and the rational tableau
-    and reduced costs are ``T / d`` and ``z / d``.  Pivoting on
-    ``p = T[r][e] > 0`` keeps row r, maps every other row (and z) to
-    ``(p * T[i] - T[i][e] * T[r]) // d``, a division that is exact, and
-    sets ``d = p``.  Signs and ratio comparisons are read off the integers,
-    so the pivots are those of the rational tableau.
+    fraction-free (Edmonds/Bareiss, :func:`_pivot`), so signs and ratio
+    comparisons are read off integers and the pivots are those of the
+    rational tableau.
     """
-    *a, b = over_common_denominator([*rows, rhs])[0]
+    *a, b = _integral([*rows, rhs])[0]
     return Phase1Result(*_verified(a, b, "simplex produced a non-solution",
                                    "invalid infeasibility certificate"))
 
@@ -100,6 +131,32 @@ def _verified(a: list[list[int]], b: list[int], bad_solution: str, bad_farkas: s
     if any(sum(map(mul, y, col)) > 0 for col in zip(*a)) or sum(map(mul, y, b)) <= 0:
         raise InternalError(bad_farkas)
     return None, tuple(Fraction(v, d) for v in y)
+
+
+def _pivot(tab: list[list[int]], r: int, e: int, d: int) -> int:
+    """Pivot the fraction-free tableau ``tab`` on its nonzero entry (r, e),
+    in place, and return the new denominator.
+
+    ``tab`` holds integers ``T`` over the basis determinant ``d > 0``: the
+    rational tableau is ``T / d``.  With ``p = T[r][e]`` made positive by
+    negating row r if need be (which leaves ``T[r] / p`` as it is), row r
+    is kept, every other row maps to ``(p * T[i] - T[i][e] * T[r]) // d``,
+    a division that is exact, and the new denominator is ``p``.
+    """
+    prow = tab[r]
+    p = prow[e]
+    if p < 0:
+        prow = tab[r] = [-x for x in prow]
+        p = -p
+    for i, row in enumerate(tab):
+        if i == r:
+            continue
+        c = row[e]
+        if c:
+            tab[i] = [(p * x - c * y) // d for x, y in zip(row, prow)]
+        elif p != d:
+            tab[i] = [p * x // d for x in row]
+    return p
 
 
 def _phase1_integral(a: list[list[int]], b: list[int]):
@@ -123,27 +180,28 @@ def _phase1_integral(a: list[list[int]], b: list[int]):
             b[i] = -b[i]
             signs[i] = -1
 
-    # Tableau: real columns, artificial columns, right-hand side.
+    # Tableau: real columns, artificial columns, right-hand side, and last
+    # the reduced-cost row for minimizing the artificial sum: cost 1 on
+    # each artificial, 0 elsewhere, minus the sum of the (basic) rows.
     tab = []
     for i in range(nrows):
         row = a[i] + [0] * nrows + [b[i]]
         row[ncols + i] = 1
         tab.append(row)
+    tab.append([-sum(col) for col in zip(*a)] + [0] * nrows + [-sum(b)])
     basis = [ncols + i for i in range(nrows)]
-
-    # Reduced-cost row for minimizing the artificial sum: cost 1 on each
-    # artificial, 0 elsewhere, minus the sum of the (basic) rows.
-    z = [-sum(col) for col in zip(*a)] + [0] * nrows + [-sum(b)]
     d = 1
 
     while True:
+        z = tab[-1]
         enter = next((j for j in range(ncols + nrows) if z[j] < 0), None)
         if enter is None:
             break
         # Least ratio T[i][-1] / T[i][enter], ties to the least basic
         # variable, compared by cross-multiplication.
         pivot = None
-        for i, row in enumerate(tab):
+        for i in range(nrows):
+            row = tab[i]
             t = row[enter]
             if t <= 0:
                 continue
@@ -154,21 +212,10 @@ def _phase1_integral(a: list[list[int]], b: list[int]):
             pivot, num, den = i, row[-1], t
         if pivot is None:
             raise InternalError("phase-1 objective unbounded below")
-        prow = tab[pivot]
-        p = prow[enter]
-        for i, row in enumerate(tab):
-            if i == pivot:
-                continue
-            c = row[enter]
-            if c:
-                tab[i] = [(p * x - c * y) // d for x, y in zip(row, prow)]
-            elif p != d:
-                tab[i] = [p * x // d for x in row]
-        c = z[enter]
-        z = [(p * x - c * y) // d for x, y in zip(z, prow)]
-        d = p
+        d = _pivot(tab, pivot, enter, d)
         basis[pivot] = enter
 
+    z = tab[-1]
     if z[-1] == 0:
         # The solution is x / d.
         x = [0] * ncols
@@ -202,7 +249,7 @@ class ConeMembership(_Value):
 def cone_membership(x: Sequence, generators: Sequence[Sequence]) -> ConeMembership:
     """Decide whether x is a nonnegative combination of the generators."""
     # One common scale for x and the generators changes neither answer.
-    target, *gens = over_common_denominator([x, *generators])[0]
+    target, *gens = _integral([x, *generators])[0]
     dim = len(target)
     if any(len(g) != dim for g in gens):
         raise InternalError("generator dimension mismatch")
@@ -244,7 +291,7 @@ def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:
     certificate, or the verified Farkas vector (z, t) has z·r_i + t <= 0
     and t > 0, so y = -scale·z/t pairs to at least 1 with every row.
     """
-    mat, scale = over_common_denominator(rows)
+    mat, scale = _integral(rows)
     if not mat:
         return PositiveFunctional(True, (), None)
     dim = len(mat[0])
@@ -258,3 +305,101 @@ def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:
         return PositiveFunctional(False, None, pi)
     *z, t = zt
     return PositiveFunctional(True, tuple(-scale * v / t for v in z), None)
+
+
+def cone_sweep(vectors: Sequence[Sequence]) -> tuple[ConeMembership, ...]:
+    """For each vector, whether it is a nonnegative combination of the
+    others, decided in one dual-simplex sweep (see the module docstring).
+
+    Answer i has one coefficient per vector, 0 on vector i itself, or a
+    separator that pairs nonpositively with every other vector and
+    positively with vector i.  Each is verified by substitution, as
+    :func:`cone_membership` verifies its answer, and agrees with
+    ``cone_membership(vectors[i], vectors without i)``.
+    """
+    cols = _integral(vectors)[0]
+    if any(len(c) != len(cols[0]) for c in cols):
+        raise InternalError("vector dimension mismatch")
+    sparse = [[(t, v) for t, v in enumerate(c) if v] for c in cols]
+    answers = []
+    for i, (x, y, d) in enumerate(_sweep_integral(cols)):
+        if x is not None:
+            rest = [-d * v for v in cols[i]]
+            for xj, col in zip(x, sparse):
+                for t, v in col if xj else ():
+                    rest[t] += xj * v
+            if x[i] or min(x) < 0 or any(rest):
+                raise InternalError(f"membership coefficients of vector {i} "
+                                    f"failed verification")
+            answers.append(ConeMembership(
+                True, tuple(Fraction(v, d) if v else _ZERO for v in x), None))
+        else:
+            pairs = [sum(y[t] * v for t, v in col) for col in sparse]
+            if pairs[i] <= 0 or any(s > 0 for j, s in enumerate(pairs) if j != i):
+                raise InternalError(f"separator of vector {i} fails on a vector "
+                                    f"or on vector {i}")
+            answers.append(ConeMembership(False, None, tuple(Fraction(v, d) for v in y)))
+    return tuple(answers)
+
+
+def _sweep_integral(cols: list[list[int]]):
+    """:func:`cone_sweep` on integer vectors, unverified: per vector, in
+    order, ``(x, None, d)`` with the coefficients ``x / d`` or
+    ``(None, y, d)`` with the separator ``y / d``, where ``d > 0``.
+
+    The tableau has a row per coordinate and holds the k vectors as real
+    columns, then the identity, which turns into ``d * B^-1``: its row r
+    pairs with vector j to the tableau entry ``T[r][j]``.  So the right-hand
+    side ``B^-1 * vector i`` is column i, and when row r has a negative
+    value there and no negative entry on an allowed column, minus row r of
+    ``B^-1`` separates.  A row the elimination leaves without a nonzero
+    real entry pairs to 0 with every vector, hence with every right-hand
+    side, and is dropped.
+    """
+    k = len(cols)
+    n = len(cols[0]) if k else 0
+    tab = [[c[t] for c in cols] + [int(s == t) for s in range(n)] for t in range(n)]
+    d = 1
+    # elimination to a basis of real columns, each row on its least-index
+    # nonzero entry; basis[r] is row r's basic column
+    basis = []
+    r = 0
+    while r < len(tab):
+        e = next((j for j, v in enumerate(tab[r][:k]) if v), None)
+        if e is None:
+            del tab[r]
+            continue
+        d = _pivot(tab, r, e, d)
+        basis.append(e)
+        r += 1
+
+    for i in range(k):
+        if i in basis:
+            # vector i is its own solution; it leaves on the least-index
+            # column left in its row, or no other vector reaches that row
+            # and the row itself separates (it pairs to d with vector i
+            # and to 0 with every other)
+            r = basis.index(i)
+            e = next((j for j, v in enumerate(tab[r][:k]) if v and j != i), None)
+            if e is None:
+                yield None, tab[r][k:], d
+                continue
+            d = _pivot(tab, r, e, d)
+            basis[r] = e
+        while True:
+            leave = min(((basis[r], r) for r in range(len(tab)) if tab[r][i] < 0),
+                        default=None)
+            if leave is None:
+                x = [0] * k
+                for r, j in enumerate(basis):
+                    x[j] = tab[r][i]
+                yield x, None, d
+                break
+            r = leave[1]
+            row = tab[r]
+            e = next((j for j in range(k) if row[j] < 0 and j != i), None)
+            if e is None:
+                yield None, [-v for v in row[k:]], d
+                break
+            d = _pivot(tab, r, e, d)
+            basis[r] = e

@@ -36,6 +36,7 @@ from toriclab.exactlp import (
     ConeMembership,
     Phase1Result,
     cone_membership,
+    cone_sweep,
     phase1_simplex,
     positive_functional,
 )
@@ -109,10 +110,22 @@ def test_phase1_matches_the_rational_tableau_on_random_systems():
     assert 100 <= feasible <= 300
 
 
+def _membership_systems(f):
+    """The extremality question of every group of f as one membership
+    system: its representative against every class outside it, in the H2
+    coordinates the analysis reads (the rays off the first cone)."""
+    an = extremal_walls(f)
+    kept = [t for t in range(f.m) if t not in f.maximal_cones[0]]
+    row = {cls.wall: [cls.pairing[t] for t in kept] for cls in an.classes}
+    return [(row[g[0]], [row[w] for h in an.groups if h is not g for w in h])
+            for g in an.groups]
+
+
 @pytest.fixture(scope="module")
 def library_lps():
-    """Every system the cone analysis hands to the simplex: extremality
-    and positive-functional LPs on the corpus fans, on support-free star
+    """Every system the simplex gets from the library's questions:
+    positive-functional LPs, and the extremality of every group posed as
+    one membership LP, on the corpus fans, on support-free star
     subdivisions of cp3 with m = 8..14 and on the antipodal cube pair.
     Those LPs are built from integers and enter the simplex through its
     integer entry point, which is recorded here."""
@@ -131,6 +144,8 @@ def library_lps():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactlp, "_phase1_integral", recording)
         for f in fans:
+            for x, generators in _membership_systems(f):
+                cone_membership(x, generators)
             strict_convexity_witness(extremal_walls(f).classes)
         strict_convexity_witness(signed_wall_classes(_antipodal_cube_pair()))
     return systems
@@ -174,13 +189,28 @@ def test_every_entry_point_verifies_the_certificate_it_gets(monkeypatch):
             call()
 
 
-def test_phase1_reads_floats_decimals_and_strings_as_fractions():
-    from decimal import Decimal
-
+def test_phase1_reads_strings_as_fractions():
     exact = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), 1]], [1, Fraction(-1, 2)]
-    loose = [[0.5, "1/3"], [Decimal("0.25"), True]], ["1", -0.5]
-    assert phase1_simplex(*loose) == phase1_simplex(*exact)
+    written = [["1/2", "1/3"], ["1/4", "1"]], ["1", "-1/2"]
+    assert phase1_simplex(*written) == phase1_simplex(*exact)
     assert phase1_simplex(*exact) == Phase1Result(*phase1_reference(*exact))
+
+
+@pytest.mark.parametrize("call, entry", [
+    (lambda: positive_functional([(0.1, True), (1, 1)]), "0.1"),
+    (lambda: cone_membership((0.5, 0.5), [(1, 0), (0, 1)]), "0.5"),
+    (lambda: phase1_simplex([[Fraction(1, 2), True]], [1]), "True"),
+    (lambda: phase1_simplex([[1]], [__import__("decimal").Decimal("0.25")]),
+     "Decimal('0.25')"),
+    (lambda: cone_sweep([(1, 0), (0, 1.0)]), "1.0"),
+    (lambda: cone_membership((1, 0), [(1, "1.5")]), "'1.5'"),
+])
+def test_lp_entries_are_read_as_support_entries(call, entry):
+    # floats and bools are refused, as in a fan's support, however exact
+    # their value
+    with pytest.raises(ValidationError, match=rf"^LP entry {re.escape(entry)} is not "
+                                              r"a Fraction, an int or a 'p/q' string$"):
+        call()
 
 
 def test_positive_functional_on_fractional_rows():
@@ -296,6 +326,91 @@ def test_positive_functional_agrees_with_hull_oracle():
 
 
 # ---------------------------------------------------------------------------
+# the membership sweep
+
+
+def _random_vector_lists(count, seed):
+    """Small seeded lists of 1 to 5 vectors in dimension 1 to 4, entries
+    in -2..2 with some halves and thirds.  Some lists are rank-deficient
+    (the last coordinate repeats the first), some repeat a vector or hold
+    a zero vector, and some give one vector a coordinate no other vector
+    reaches."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randrange(1, 5)
+        dens = rng.choice([(1,), (1,), (1, 2, 3)])
+        vecs = [[Fraction(rng.randrange(-2, 3), rng.choice(dens)) for _ in range(dim)]
+                for _ in range(rng.randrange(1, 6))]
+        if dim > 1 and rng.random() < 0.25:
+            for v in vecs:
+                v[-1] = v[0]
+        if rng.random() < 0.2:
+            vecs.insert(rng.randrange(len(vecs) + 1), list(rng.choice(vecs)))
+        if rng.random() < 0.15:
+            vecs.insert(rng.randrange(len(vecs) + 1), [0] * dim)
+        if rng.random() < 0.2:
+            lone, t = rng.randrange(len(vecs)), rng.randrange(dim)
+            for j, v in enumerate(vecs):
+                v[t] = rng.choice((-1, 1)) if j == lone else 0
+        yield [tuple(v) for v in vecs]
+
+
+def test_sweep_agrees_with_membership_and_bruteforce():
+    members = separated = 0
+    for vecs in _random_vector_lists(400, seed=28):
+        answers = cone_sweep(vecs)
+        assert len(answers) == len(vecs)
+        for i, (x, res) in enumerate(zip(vecs, answers)):
+            others = vecs[:i] + vecs[i + 1:]
+            assert res.member == cone_membership(x, others).member
+            assert res.member == cone_member_bruteforce(x, others)
+            assert (res.coefficients is None) != (res.separator is None)
+            if res.member:
+                members += 1
+                c = res.coefficients
+                assert len(c) == len(vecs) and c[i] == 0 and min(c) >= 0
+                assert all(sum(a * v[k] for a, v in zip(c, vecs)) == x[k]
+                           for k in range(len(x)))
+            else:
+                separated += 1
+                pair = [sum(map(mul, res.separator, v)) for v in vecs]
+                assert pair[i] > 0
+                assert all(p <= 0 for j, p in enumerate(pair) if j != i)
+    assert members >= 400 and separated >= 400
+
+
+def test_sweep_decides_a_vector_alone_on_its_coordinate():
+    # vector 0 is the only one with a third coordinate: the sweep starts
+    # with it basic, no other column reaches its row, and that row of the
+    # inverse basis separates it
+    vecs = [(1, 1, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    answers = cone_sweep(vecs)
+    assert [res.member for res in answers] == [False, False, False, True]
+    assert answers[0].separator == (0, 0, 1)
+    assert answers[3].coefficients == (0, 1, 1, 0)
+    assert cone_sweep([]) == ()
+    assert cone_sweep([(0, 0)]) == (ConeMembership(True, (0,), None),)
+
+
+def test_the_sweep_verifies_every_certificate(monkeypatch):
+    import toriclab.exactlp as exactlp
+
+    sweep = exactlp._sweep_integral
+
+    def tampered(cols):
+        for x, y, d in sweep(cols):
+            yield ([0] * len(x), None, d) if x is not None else (None, [-v for v in y], d)
+
+    monkeypatch.setattr(exactlp, "_sweep_integral", tampered)
+    for vecs, message in (
+        ([(1, 1), (1, 0), (0, 1)], "membership coefficients of vector 0 failed verification"),
+        ([(1, 0), (0, 1)], "separator of vector 0 fails on a vector or on vector 0"),
+    ):
+        with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+            cone_sweep(vecs)
+
+
+# ---------------------------------------------------------------------------
 # wall classes
 
 
@@ -374,7 +489,7 @@ def test_h2_coordinates_keep_every_extremal_verdict():
     # they reach the same verdicts
     fans = [load_fan(name) for name in FAN_NAMES] + [
         support_free(subdivided_cp3(m, seed)[0]) for m in range(8, 25, 4) for seed in range(3)
-    ]
+    ] + [support_free(subdivided_cp3(30, seed=0)[0])]
     for f in fans:
         an = extremal_walls(f)
         assert an.extremal == _dense_extremal(an), f.name
@@ -384,12 +499,27 @@ def test_a_membership_must_reassemble_the_full_vector(monkeypatch):
     # an answer on the kept rows is checked again on every row
     import toriclab.cone as cone_module
 
-    def zero(x, generators):
-        return ConeMembership(True, (Fraction(0),) * len(generators), None)
+    def zero(vectors):
+        return tuple(ConeMembership(True, (Fraction(0),) * len(vectors), None)
+                     for _ in vectors)
 
-    monkeypatch.setattr(cone_module, "cone_membership", zero)
+    monkeypatch.setattr(cone_module, "cone_sweep", zero)
     with pytest.raises(InternalError, match=r"^membership of wall class \(0, 1\) does not "
                                             r"reassemble its full vector$"):
+        extremal_walls(support_free(load_fan("blowup-cp3")))
+
+
+def test_a_separator_must_hold_on_every_class_outside_its_group(monkeypatch):
+    import toriclab.cone as cone_module
+
+    def negated(vectors):
+        return tuple(res if res.member else
+                     ConeMembership(False, None, tuple(-v for v in res.separator))
+                     for res in cone_sweep(vectors))
+
+    monkeypatch.setattr(cone_module, "cone_sweep", negated)
+    with pytest.raises(InternalError, match=r"^separator of wall class \(0, 1\) fails on a "
+                                            r"class outside its group or on the class$"):
         extremal_walls(support_free(load_fan("blowup-cp3")))
 
 
@@ -754,19 +884,19 @@ def test_obstruction_wall_is_extremal():
 def test_cone_lps_are_solved_once_per_fan(monkeypatch):
     import toriclab.cone as cone_module
 
-    calls = []
+    sweeps = []
 
-    def counting(x, generators):
-        calls.append(x)
-        return cone_membership(x, generators)
+    def counting(vectors):
+        sweeps.append(len(vectors))
+        return cone_sweep(vectors)
 
-    monkeypatch.setattr(cone_module, "cone_membership", counting)
+    monkeypatch.setattr(cone_module, "cone_sweep", counting)
     for name in FAN_NAMES:
-        calls.clear()
+        sweeps.clear()
         f = load_fan(name)
         an = extremal_walls(f)
         delzant_obstruction_witness(f)
-        assert len(calls) == len(an.groups), name
+        assert sweeps == [len(an.groups)], name
         # an uncertified copy is a new fan with its own analysis
         assert extremal_walls(support_free(f)) is not an
 
@@ -775,13 +905,13 @@ def test_support_is_checked_before_any_lp(monkeypatch):
     import toriclab.cone as cone_module
     from toriclab.fan import Fan3
 
-    calls = []
+    sweeps = []
 
-    def counting(x, generators):
-        calls.append(x)
-        return cone_membership(x, generators)
+    def counting(vectors):
+        sweeps.append(vectors)
+        return cone_sweep(vectors)
 
-    monkeypatch.setattr(cone_module, "cone_membership", counting)
+    monkeypatch.setattr(cone_module, "cone_sweep", counting)
     f = subdivided_cp3(24, seed=0)[0]
     g = Fan3.from_data(f.name, f.rays, f.maximal_cones,
                        support=(-f.support[0],) + f.support[1:])
@@ -790,7 +920,7 @@ def test_support_is_checked_before_any_lp(monkeypatch):
     with pytest.raises(SupportInvalid) as err:
         extremal_walls(g)
     assert str(err.value) == str(want.value)
-    assert calls == []
+    assert sweeps == []
 
 
 def test_wall_pairings_are_built_once_per_pair(monkeypatch):

@@ -118,32 +118,34 @@ def test_cone_lps_at_m24_without_support(monkeypatch):
 
     g = subdivided_cp3(24, seed=24)[0]
     f = Fan3.from_data(g.name, g.rays, g.maximal_cones)
-    solve = cone_module.cone_membership
-    answers = []
+    solve = cone_module.cone_sweep
+    sweeps = []
 
-    def recording(x, generators):
-        answers.append((x, generators, solve(x, generators)))
-        return answers[-1][2]
+    def recording(vectors):
+        sweeps.append((vectors, solve(vectors)))
+        return sweeps[-1][1]
 
-    monkeypatch.setattr(cone_module, "cone_membership", recording)
+    monkeypatch.setattr(cone_module, "cone_sweep", recording)
     an = extremal_walls(f)
-    assert len(answers) == len(an.groups)
+    [(vectors, answers)] = sweeps
+    assert len(vectors) == len(answers) == len(an.groups)
     assert an.extremal
-    members = [(x, gens, res) for x, gens, res in answers if res.member]
-    reps = {g[0] for g in an.groups} - set(an.extremal)
-    # the LPs read the pairings on the rays outside the first cone (H2
-    # coordinates), which determine the whole vector
+    # the sweep reads each group's representative on the rays outside the
+    # first cone (H2 coordinates), which determine the whole vector
     kept = [t for t in range(f.m) if t not in f.maximal_cones[0]]
     full = {tuple(cls.pairing[t] for t in kept): cls.pairing for cls in an.classes}
     assert len(full) == len({cls.pairing for cls in an.classes})  # one full vector each
-    assert sorted(tuple(x) for x, _, _ in members) == sorted(
-        tuple(cls.pairing[t] for t in kept) for cls in an.classes if cls.wall in reps
-    )
-    for x, gens, res in members:
-        assert all(c >= 0 for c in res.coefficients)
-        x, gens = full[tuple(x)], [full[tuple(g)] for g in gens]
-        for k in range(f.m):
-            assert sum(c * g[k] for c, g in zip(res.coefficients, gens)) == x[k]
+    reps = [g[0] for g in an.groups]
+    pairing = {cls.wall: cls.pairing for cls in an.classes}
+    assert [tuple(x) for x in vectors] == [tuple(pairing[w][t] for t in kept) for w in reps]
+    assert tuple(w for w, res in zip(reps, answers) if not res.member) == an.extremal
+    gens = [full[tuple(g)] for g in vectors]
+    for i, res in enumerate(answers):
+        if res.member:
+            assert res.coefficients[i] == 0
+            assert all(c >= 0 for c in res.coefficients)
+            for k in range(f.m):
+                assert sum(c * g[k] for c, g in zip(res.coefficients, gens)) == gens[i][k]
 
     w = delzant_obstruction_witness(f)
     assert w.dual_face_size in (3, 4)
