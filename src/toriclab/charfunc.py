@@ -114,6 +114,12 @@ class CharacteristicPair(_Value):
         keyed by wall in ``sphere.walls`` order; built with the integrals."""
         return self._calculus[1]
 
+    @cached_property
+    def _wall_classes(self):
+        from .cone import _build_wall_classes  # cone imports this module
+
+        return _build_wall_classes(self)
+
 
 class StarVerdict(_Value):
     """Outcome of the basis condition scan over all triangles."""

@@ -58,10 +58,6 @@ Multiset = tuple[int, int, int]
 # wall (u, v) -> its nonzero entries (t, integral of v_u v_v v_t)
 Pairings = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
-# six times the multinomial weight of a monomial in
-# (c_1 v_1 + ... + c_m v_m)^3 / 3!, by its number of distinct indices: the
-# weights are 1, 1/2 and 1/6
-_SIX_WEIGHT = {3: 6, 2: 3, 1: 1}
 _BASIS_FAULT = "triangle {} violates the basis condition; the signed calculus needs it to hold"
 
 
@@ -180,8 +176,9 @@ class VolumePolynomial(_Value):
 
     ``terms`` holds the nonzero coefficients as integers
     ``(i, j, k, 6 * coefficient)``, sorted by index multiset
-    (i <= j <= k); ``coeffs`` reads them as ``(multiset, coefficient)``.
-    Its ``repr`` shows the fan alone.
+    (i <= j <= k), weighted by :func:`_weighted`, as ``coefficient`` is;
+    ``coeffs`` reads them as ``(multiset, coefficient)``, with one shared
+    ``Fraction`` per distinct coefficient.  Its ``repr`` shows the fan alone.
     """
 
     fan: Fan3
@@ -197,12 +194,12 @@ class VolumePolynomial(_Value):
 
     @property
     def coeffs(self) -> tuple[tuple[Multiset, Fraction], ...]:
-        return tuple(((i, j, k), Fraction(w, 6)) for i, j, k, w in self.terms)
+        sixths = {w: Fraction(w, 6) for w in {term[3] for term in self.terms}}
+        return tuple(((i, j, k), sixths[w]) for i, j, k, w in self.terms)
 
     def coefficient(self, indices) -> Fraction:
         key = _as_multiset(indices, self.m)
-        six = _SIX_WEIGHT[len(set(key))] * triple_intersection(self.fan, key)
-        return Fraction(six, 6)
+        return Fraction(_weighted([(key, triple_intersection(self.fan, key))])[0][3], 6)
 
     def __call__(self, c) -> Fraction:
         return self._value(*_scaled(c, self.m, "variables"))
@@ -220,9 +217,15 @@ def volume_polynomial(f: Fan3) -> VolumePolynomial:
     c_i^2 c_j it is the integral over 2; of c_i^3 over 6 — the multinomial
     weights of (c_1 v_1 + ... + c_m v_m)^3 / 3!.
     """
-    terms = tuple((*key, _SIX_WEIGHT[len(set(key))] * v)
-                  for key, v in sorted(characteristic_pair(f).integrals.items()))
+    terms = tuple(_weighted(sorted(characteristic_pair(f).integrals.items())))
     return VolumePolynomial(fan=f, terms=terms)
+
+
+def _weighted(integrals) -> list[tuple[int, int, int, int]]:
+    """``(i, j, k, 6 * weight * integral)`` for each ``((i, j, k), integral)``
+    with i <= j <= k: the weight of c_i c_j c_k in (c_1 v_1 + ... + c_m
+    v_m)^3 / 3! is 1/6, 1/2 or 1 as (i != j) + (j != k) is 0, 1 or 2."""
+    return [(i, j, k, (1, 3, 6)[(i != j) + (j != k)] * v) for (i, j, k), v in integrals]
 
 
 def serialize_volume_polynomial(V: VolumePolynomial) -> str:

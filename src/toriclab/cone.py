@@ -4,11 +4,13 @@ Every wall pairs against the m ray classes through the degree-3 integrals.
 A :class:`WallClass` stores only the pairing's at most four nonzero
 entries, read off ``CharacteristicPair.pairings``; the dense m-vector is
 derived when ``WallClass.pairing`` is read, for the witness LP and the
-reports.  These vectors generate a cone; this module groups them by
-positive proportionality (one dict keyed by each class's sparse primitive
-integer vector), decides which groups sit on extreme rays, finds or
-refutes a strict-convexity witness, and extracts the positive-curvature
-extremal wall whose endpoint forces a triangular or quadrangular face of
+reports.  A pair's classes are built once and kept on the pair, so
+:func:`wall_classes` and :func:`signed_wall_classes` hand back one tuple.
+These vectors generate a cone; this module groups them by positive
+proportionality (one dict keyed by each class's sparse primitive integer
+vector), decides which groups sit on extreme rays, finds or refutes a
+strict-convexity witness, and extracts the positive-curvature extremal
+wall whose endpoint forces a triangular or quadrangular face of
 the dual polytope.
 
 Wall classes span the Mori cone (Reid, "Decomposition of toric
@@ -64,7 +66,8 @@ class WallClass(_Value):
     Only the nonzero entries are stored, as ``(t, value)`` pairs sorted by
     t, so two classes are equal exactly when their vectors are.  There are
     at most four, and the two apexes are always among them, so the vector
-    is never zero.  The dense vector ``pairing`` is built when read.
+    is never zero.  Each t is an int and each value an int or a Fraction
+    (no float, no bool).  The dense vector ``pairing`` is built when read.
     """
 
     wall: tuple[int, int]
@@ -74,6 +77,9 @@ class WallClass(_Value):
     def __init__(self, wall: tuple[int, int], entries: tuple[tuple[int, int], ...], m: int):
         prev = -1
         for t, v in entries:
+            if type(t) is not int or type(v) is not int and type(v) is not Fraction:
+                raise ValidationError(f"wall class {wall}: entry {(t, v)} is not an int "
+                                      f"ray id with an int or Fraction value")
             if not prev < t < m or not v:
                 why = (f"outside rays 0..{m - 1}" if not 0 <= t < m
                        else "out of ray order" if t <= prev else "zero")
@@ -146,7 +152,14 @@ def wall_classes(f: Fan3) -> tuple[WallClass, ...]:
 
 def signed_wall_classes(pair: CharacteristicPair) -> tuple[WallClass, ...]:
     """Wall classes of a general characteristic pair, via the signed
-    integrals, in ``pair.sphere.walls`` order.  No fan required."""
+    integrals, in ``pair.sphere.walls`` order.  No fan required.  They are
+    built once per pair and kept on it; :func:`wall_classes` reads the
+    same tuple off a fan's pair."""
+    return pair._wall_classes
+
+
+def _build_wall_classes(pair: CharacteristicPair) -> tuple[WallClass, ...]:
+    """The uncached computation behind :func:`signed_wall_classes`."""
     m = pair.lam.m
     return tuple(WallClass(key, tuple(sorted(entries)), m)
                  for key, entries in pair.pairings.items())

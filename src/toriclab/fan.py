@@ -40,12 +40,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, starmap
+from math import gcd
 
 from .charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
 from .combinatorics import SimplicialSphere2, Triangle, _Lines, _natural, _plain
 from .errors import (IncompleteFan, InternalError, NotUnimodular, ParseError,
                      ValidationError)
-from .lattice import Vec3, det3, is_primitive
+from .lattice import Vec3, det3
 from .value import _Value
 
 # the piercing seed of every fan's kept completeness certificate
@@ -108,24 +110,30 @@ class Fan3(_Value):
     def from_data(cls, name, rays, cones, support=None) -> "Fan3":
         """Validate the data; the sphere's orientation is seeded by the first
         cone in its determinant's direction, so on a complete fan every cone
-        runs positively (any other complex is refused by certification)."""
+        runs positively (any other complex is refused by certification).
+        Rays and cones are checked in bulk; a per-item scan names the
+        first fault once a bulk test fails."""
         rays = tuple(map(tuple, rays))
         m = len(rays)
-        for i, r in enumerate(rays):
-            if len(r) != 3 or not all(type(x) is int for x in r):
-                raise ValidationError(f"ray {i} = {r} is not an integer 3-vector")
-            if not is_primitive(r):
-                raise ValidationError(f"ray {i} = {r} is not primitive")
+        if (set(map(len, rays)) - {3} or not set(map(type, chain(*rays))) <= {int}
+                or not set(starmap(gcd, rays)) <= {1}):
+            for i, r in enumerate(rays):
+                if len(r) != 3 or not all(type(x) is int for x in r):
+                    raise ValidationError(f"ray {i} = {r} is not an integer 3-vector")
+                if gcd(*r) != 1:
+                    raise ValidationError(f"ray {i} = {r} is not primitive")
         cones = tuple(map(tuple, cones))
-        for c in cones:
-            if not all(type(i) is int for i in c):
-                raise ValidationError(f"cone {c} has a non-integer ray id")
-        cones = tuple(sorted(tuple(sorted(c)) for c in cones))
-        for c in cones:
-            if len(set(c)) != 3:
-                raise ValidationError(f"cone {c} does not have 3 distinct rays")
-            if not all(0 <= i < m for i in c):
-                raise ValidationError(f"cone {c} references a ray outside 0..{m - 1}")
+        ids = list(chain(*cones))
+        if not set(map(type, ids)) <= {int}:
+            c = next(c for c in cones if not all(type(i) is int for i in c))
+            raise ValidationError(f"cone {c} has a non-integer ray id")
+        cones = tuple(sorted(map(tuple, map(sorted, cones))))
+        if set(map(len, map(set, cones))) - {3} or ids and not 0 <= min(ids) <= max(ids) < m:
+            for c in cones:
+                if len(set(c)) != 3:
+                    raise ValidationError(f"cone {c} does not have 3 distinct rays")
+                if not all(0 <= i < m for i in c):
+                    raise ValidationError(f"cone {c} references a ray outside 0..{m - 1}")
         dets = _cone_determinants(rays, cones)
         try:  # the cones are checked: the sphere checks no cone again
             sphere = SimplicialSphere2._from_sorted(
@@ -353,13 +361,14 @@ def _pierce(f: Fan3, x: Vec3):
     """
     hits = []
     boundary = False
+    rays = f.rays
     for c, d in f._cone_dets.items():
-        la, lb, lc = (f.rays[i] for i in c)
+        la, lb, lc = rays[c[0]], rays[c[1]], rays[c[2]]
         s = 1 if d > 0 else -1
-        coeffs = (s * det3(x, lb, lc), s * det3(la, x, lc), s * det3(la, lb, x))
-        if all(t > 0 for t in coeffs):
+        p, q, r = s * det3(x, lb, lc), s * det3(la, x, lc), s * det3(la, lb, x)
+        if p > 0 and q > 0 and r > 0:
             hits.append(c)
-        elif all(t >= 0 for t in coeffs):
+        elif p >= 0 and q >= 0 and r >= 0:
             boundary = True
     return hits, boundary
 

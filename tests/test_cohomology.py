@@ -260,6 +260,16 @@ def test_cp3_volume_is_perfect_cube():
         assert v.coefficient(ms) == multinomial / 6, ms
 
 
+def test_coefficient_and_coeffs_weigh_alike():
+    fans = [load_fan(name) for name in FAN_NAMES] + [subdivided_cp3(104, seed=104)[0]]
+    for f in fans:
+        v = volume_polynomial(f)
+        coeffs = dict(v.coeffs)
+        assert len(coeffs) == len(v.coeffs) == len(characteristic_pair(f).integrals)
+        for key, c in v.coeffs:
+            assert v.coefficient(key) == coeffs[key], (f.name, key)
+
+
 def test_random_supports_match_geometry_oracle():
     # The polynomial must agree with raw convex geometry away from the
     # corpus supports too, wherever the support stays valid.

@@ -541,6 +541,12 @@ def test_grouping_collects_positive_multiples_only():
     (((0, 1), (1, 2), (2, 0)), r"entry \(2, 0\) is zero"),
     (((0, 1), (3, 2)), r"entry \(3, 2\) is outside rays 0..2"),
     (((-1, 1), (0, 2)), r"entry \(-1, 1\) is outside rays 0..2"),
+    # floats and bools were grouped by their binary value
+    (((0, 0.1), (1, True)), r"entry \(0, 0\.1\) is not an int ray id with an int or "
+                            r"Fraction value"),
+    (((0, 1), (1, True)), r"entry \(1, True\) is not an int ray id with an int or "
+                          r"Fraction value"),
+    (((True, 1),), r"entry \(True, 1\) is not an int ray id with an int or Fraction value"),
 ])
 def test_wall_class_refuses_entries_outside_its_sparse_form(entries, why):
     with pytest.raises(ValidationError, match=rf"^wall class \(0, 1\): {why}$"):

@@ -154,6 +154,34 @@ class TestStructure:
             Fan3.from_data("bad", [E1, E2, E3, (-1, -1, -1)],
                            SIMPLEX_CONES + [SIMPLEX_CONES[1][::-1]])
 
+    @pytest.mark.parametrize("rays, message", [
+        # the bulk tests meet ray 2's float before ray 1's factor 2, but the
+        # first ray at fault is named
+        ([E1, (0, 2, 0), (0, 0, 1.5), (-1, -1, -1)], r"ray 1 = \(0, 2, 0\) is not primitive"),
+        ([E1, (0, 1.5, 0), (0, 0, 2), (-1, -1, -1)],
+         r"ray 1 = \(0, 1\.5, 0\) is not an integer 3-vector"),
+    ])
+    def test_first_of_two_bad_rays_is_named(self, rays, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Fan3.from_data("bad", rays, SIMPLEX_CONES)
+
+    def test_non_integer_id_is_named_in_the_given_cone_order(self):
+        # sorted, (0, 2, 2.5) would come first
+        cones = [(0, 1, 2), (1, 3, 2.0), (0, 2, 2.5), (1, 2, 3)]
+        with pytest.raises(ValidationError,
+                           match=r"^cone \(1, 3, 2\.0\) has a non-integer ray id$"):
+            Fan3.from_data("bad", [E1, E2, E3, (-1, -1, -1)], cones)
+
+    @pytest.mark.parametrize("cones, message", [
+        ([(0, 1, 2), (3, 2, 2), (4, 1, 0), (1, 2, 3)],
+         r"cone \(0, 1, 4\) references a ray outside 0..3"),
+        ([(0, 1, 2), (1, 3, 5), (3, 0, 0), (1, 2, 3)],
+         r"cone \(0, 0, 3\) does not have 3 distinct rays"),
+    ])
+    def test_first_faulty_cone_in_sorted_order_is_named(self, cones, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Fan3.from_data("bad", [E1, E2, E3, (-1, -1, -1)], cones)
+
     def test_cones_are_checked_once(self, monkeypatch):
         # from_data checks each cone in its own words, and its sphere is
         # built past from_triangles' checks of single triangles

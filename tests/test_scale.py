@@ -105,6 +105,40 @@ def test_volume_values_match_the_fraction_sum(m):
     assert v(f.support) == volume == evaluate_volume(v, f.support)
 
 
+def test_support_pipeline_builds_classes_and_sixths_once(monkeypatch):
+    # work counters: the 3m - 6 wall classes are built once, on the pair,
+    # and V.coeffs makes one Fraction per distinct coefficient at most
+    import toriclab.cohomology as cohomology_module
+    from toriclab.cone import WallClass
+
+    f, volume = subdivided_cp3(104, seed=104)
+    built = []
+    init = WallClass.__init__
+
+    def counting_init(self, wall, entries, m):
+        built.append(wall)
+        init(self, wall, entries, m)
+
+    monkeypatch.setattr(WallClass, "__init__", counting_init)
+    assert gauss_bonnet_sum(f) == chern_number_c1c2(f) == 24
+    v = volume_polynomial(f)
+    assert evaluate_volume(v, f.support) == volume
+    classes = wall_classes(f)
+    assert signed_wall_classes(characteristic_pair(f)) is classes
+    assert len(built) == len(set(built)) == len(classes) == 3 * f.m - 6
+
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(cohomology_module, "Fraction", counting_fraction)
+    coeffs = v.coeffs
+    assert len(coeffs) == len(v.terms)
+    assert len(made) <= len({c for _, c in coeffs}) < len(coeffs)
+
+
 @pytest.mark.parametrize("m", [6, 9])
 def test_small_fans_match_the_oracles(m):
     f, volume = subdivided_cp3(m, seed=m)
