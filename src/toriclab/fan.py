@@ -128,9 +128,10 @@ class Fan3(_Value):
             c = next(c for c in cones if not all(type(i) is int for i in c))
             raise ValidationError(f"cone {c} has a non-integer ray id")
         cones = tuple(sorted(map(tuple, map(sorted, cones))))
-        if set(map(len, map(set, cones))) - {3} or ids and not 0 <= min(ids) <= max(ids) < m:
+        if ({*map(len, cones), *map(len, map(set, cones))} - {3}
+                or ids and not 0 <= min(ids) <= max(ids) < m):
             for c in cones:
-                if len(set(c)) != 3:
+                if len(c) != 3 or len(set(c)) != 3:
                     raise ValidationError(f"cone {c} does not have 3 distinct rays")
                 if not all(0 <= i < m for i in c):
                     raise ValidationError(f"cone {c} references a ray outside 0..{m - 1}")

@@ -1,11 +1,13 @@
 """Tests for the exact LP engine and the effective-cone analysis.
 
-The simplex is validated three independent ways: every certificate is
+The engine is validated three independent ways: every certificate is
 re-verified by exact substitution inside the library, the decisions are
 compared against subset-enumeration oracles (`cone_member_bruteforce`,
-`zero_in_convex_hull`) that share no code with the simplex, and its whole
-answer is compared with `phase1_reference`, a rational tableau that makes
-the same Bland pivots.
+`zero_in_convex_hull`) that share no code with the engine, and the
+verdict on every phase-1 system ``A x = b, x >= 0``, posed as the
+membership of b in the cone of A's columns, is compared with
+`phase1_reference`, a rational primal tableau with Bland's rule, and its
+certificate checked here by substitution.
 """
 
 import itertools
@@ -34,10 +36,8 @@ from toriclab.corpus import FAN_NAMES, load_fan
 from toriclab.errors import InternalError, NoWitness, SupportInvalid, ValidationError
 from toriclab.exactlp import (
     ConeMembership,
-    Phase1Result,
     cone_membership,
     cone_sweep,
-    phase1_simplex,
     positive_functional,
 )
 from toriclab.fan import Fan3
@@ -52,28 +52,47 @@ def support_free(f):
 
 
 # ---------------------------------------------------------------------------
-# phase-1 simplex
+# phase-1 systems: A x = b, x >= 0 is the membership of b in the cone of
+# the columns of A
+
+
+def _columns(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _check_certificate(vectors, target, member, coefficients, separator):
+    """The answer for ``target in cone(vectors)``, by substitution: the
+    coefficients are nonnegative and reassemble the target, or the
+    separator pairs nonpositively with every vector and positively with
+    the target."""
+    if member:
+        assert min(coefficients, default=0) >= 0
+        assert all(sum(c * v[t] for c, v in zip(coefficients, vectors)) == target[t]
+                   for t in range(len(target)))
+    else:
+        assert all(sum(map(mul, separator, v)) <= 0 for v in vectors)
+        assert sum(map(mul, separator, target)) > 0
 
 
 def test_phase1_solves_a_square_system():
-    res = phase1_simplex([[1, 0], [0, 1]], [3, 5])
-    assert res.feasible
-    assert res.solution == (3, 5)
+    res = cone_membership([3, 5], _columns([[1, 0], [0, 1]]))
+    assert res.member
+    assert res.coefficients == (3, 5)
 
 
 def test_phase1_detects_infeasibility_with_certificate():
     # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold.
-    res = phase1_simplex([[1, 1], [1, 1]], [1, 2])
-    assert not res.feasible
-    y = res.farkas
-    assert y[0] + y[1] == 0  # y^T A = 0
+    res = cone_membership([1, 2], _columns([[1, 1], [1, 1]]))
+    assert not res.member
+    y = res.separator
+    assert y[0] + y[1] <= 0  # y pairs nonpositively with both columns (1, 1)
     assert y[0] * 1 + y[1] * 2 > 0
 
 
 def test_phase1_requires_nonnegativity():
     # x = -1 has no nonnegative solution even though the system is square.
-    res = phase1_simplex([[1]], [-1])
-    assert not res.feasible
+    res = cone_membership([-1], _columns([[1]]))
+    assert not res.member
 
 
 def _random_systems(count, seed):
@@ -104,9 +123,11 @@ def _random_systems(count, seed):
 def test_phase1_matches_the_rational_tableau_on_random_systems():
     feasible = 0
     for rows, rhs in _random_systems(400, seed=4):
-        got = phase1_simplex(rows, rhs)
-        assert got == Phase1Result(*phase1_reference(rows, rhs))
-        feasible += got.feasible
+        cols = _columns(rows)
+        got = cone_membership(rhs, cols)
+        assert got.member == (phase1_reference(rows, rhs)[0] is not None)
+        _check_certificate(cols, rhs, got.member, got.coefficients, got.separator)
+        feasible += got.member
     assert 100 <= feasible <= 300
 
 
@@ -123,26 +144,29 @@ def _membership_systems(f):
 
 @pytest.fixture(scope="module")
 def library_lps():
-    """Every system the simplex gets from the library's questions:
-    positive-functional LPs, and the extremality of every group posed as
-    one membership LP, on the corpus fans, on support-free star
+    """Every system the engine gets from the library's questions, with its
+    unverified integer answer: the extremality sweep of every fan, the
+    extremality of every group posed as one membership LP, and the
+    positive-functional LPs, on the corpus fans, on support-free star
     subdivisions of cp3 with m = 8..14 and on the antipodal cube pair.
-    Those LPs are built from integers and enter the simplex through its
-    integer entry point, which is recorded here."""
+    They are recorded where they enter the engine, one
+    ``(vectors, i, answer)`` per vector decided: is vector i a
+    nonnegative combination of the others?"""
     import toriclab.exactlp as exactlp
 
-    solve = exactlp._phase1_integral
+    sweep = exactlp._sweep_integral
     systems = []
 
-    def recording(rows, rhs):
-        systems.append((rows, rhs))
-        return solve(rows, rhs)
+    def recording(cols, start):
+        for i, answer in enumerate(sweep(cols, start), start):
+            systems.append((cols, i, answer))
+            yield answer
 
     fans = [load_fan(name) for name in FAN_NAMES] + [
         support_free(subdivided_cp3(m, seed=m)[0]) for m in range(8, 15)
     ]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactlp, "_phase1_integral", recording)
+        mp.setattr(exactlp, "_sweep_integral", recording)
         for f in fans:
             for x, generators in _membership_systems(f):
                 cone_membership(x, generators)
@@ -153,54 +177,58 @@ def library_lps():
 
 def test_phase1_matches_the_rational_tableau_on_library_lps(library_lps):
     feasible = 0
-    for rows, rhs in library_lps:
-        got = phase1_simplex(rows, rhs)
-        assert got == Phase1Result(*phase1_reference(rows, rhs))
-        feasible += got.feasible
-    # 148 systems, 54 of them feasible
+    for cols, i, (x, y, d) in library_lps:
+        others = cols[:i] + cols[i + 1:]
+        rows = [[v[t] for v in others] for t in range(len(cols[i]))]
+        assert (x is not None) == (phase1_reference(rows, cols[i])[0] is not None)
+        if x is not None:
+            assert x[i] == 0
+            x = x[:i] + x[i + 1:]
+        _check_certificate(others, [d * v for v in cols[i]], x is not None, x, y)
+        feasible += x is not None
+    # 285 systems, 107 of them feasible
     assert len(library_lps) >= 140
     assert 50 <= feasible <= len(library_lps) - 50
 
 
 def test_every_entry_point_verifies_the_certificate_it_gets(monkeypatch):
-    # The integer simplex hands back a wrong answer of either kind: a zero
-    # solution, or a negated Farkas vector.  Each public entry point must
+    # The integer sweep hands back a wrong answer of either kind: zero
+    # coefficients, or a negated separator.  Each public entry point must
     # refuse it rather than return it.
     import toriclab.exactlp as exactlp
 
-    solve = exactlp._phase1_integral
+    sweep = exactlp._sweep_integral
 
-    def tampered(a, b):
-        x, y, d = solve(a, b)
-        if x is not None:
-            return [0] * len(x), None, d
-        return None, [-v for v in y], d
+    def tampered(cols, start):
+        for x, y, d in sweep(cols, start):
+            yield ([0] * len(x), None, d) if x is not None else (None, [-v for v in y], d)
 
-    monkeypatch.setattr(exactlp, "_phase1_integral", tampered)
+    monkeypatch.setattr(exactlp, "_sweep_integral", tampered)
+    coefficients = "membership coefficients of vector 2 failed verification"
+    separator = "separator of vector 2 fails on a vector or on vector 2"
     for call, message in (
-        (lambda: phase1_simplex([[1, 0], [0, 1]], [3, 5]), "non-solution"),
-        (lambda: phase1_simplex([[1, 1], [1, 1]], [1, 2]), "infeasibility certificate"),
-        (lambda: cone_membership([1, 1], [[1, 0], [0, 1]]), "membership coefficients"),
-        (lambda: cone_membership([-1, 0], [[1, 0], [0, 1]]), "separator fails"),
-        (lambda: positive_functional([[1, 0], [0, 1]]), "functional failed"),
-        (lambda: positive_functional([[1], [-1]]), "convex certificate"),
+        (lambda: cone_membership([1, 1], [[1, 0], [0, 1]]), coefficients),
+        (lambda: cone_membership([-1, 0], [[1, 0], [0, 1]]), separator),
+        (lambda: positive_functional([[1, 0], [0, 1]]), separator),
+        (lambda: positive_functional([[1], [-1]]), coefficients),
     ):
-        with pytest.raises(InternalError, match=message):
+        with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
             call()
 
 
 def test_phase1_reads_strings_as_fractions():
     exact = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), 1]], [1, Fraction(-1, 2)]
     written = [["1/2", "1/3"], ["1/4", "1"]], ["1", "-1/2"]
-    assert phase1_simplex(*written) == phase1_simplex(*exact)
-    assert phase1_simplex(*exact) == Phase1Result(*phase1_reference(*exact))
+    got = cone_membership(exact[1], _columns(exact[0]))
+    assert cone_membership(written[1], _columns(written[0])) == got
+    assert got.member == (phase1_reference(*exact)[0] is not None)
 
 
 @pytest.mark.parametrize("call, entry", [
     (lambda: positive_functional([(0.1, True), (1, 1)]), "0.1"),
     (lambda: cone_membership((0.5, 0.5), [(1, 0), (0, 1)]), "0.5"),
-    (lambda: phase1_simplex([[Fraction(1, 2), True]], [1]), "True"),
-    (lambda: phase1_simplex([[1]], [__import__("decimal").Decimal("0.25")]),
+    (lambda: cone_membership([1], [[Fraction(1, 2)], [True]]), "True"),
+    (lambda: cone_membership([__import__("decimal").Decimal("0.25")], [[1]]),
      "Decimal('0.25')"),
     (lambda: cone_sweep([(1, 0), (0, 1.0)]), "1.0"),
     (lambda: cone_membership((1, 0), [(1, "1.5")]), "'1.5'"),
@@ -211,6 +239,34 @@ def test_lp_entries_are_read_as_support_entries(call, entry):
     with pytest.raises(ValidationError, match=rf"^LP entry {re.escape(entry)} is not "
                                               r"a Fraction, an int or a 'p/q' string$"):
         call()
+
+
+@pytest.mark.parametrize("call, lengths", [
+    (lambda: cone_membership((1, 0), [(1, 0), (0, 1, 0)]), "2, 3"),
+    (lambda: cone_membership((1, 0, 0), [(1, 0), (0, 1)]), "2, 3"),
+    (lambda: positive_functional([(1, 0), (1,)]), "1, 2"),
+    (lambda: cone_sweep([(1, 0), (0, 1), ()]), "0, 2"),
+])
+def test_ragged_lp_input_is_refused(call, lengths):
+    # vectors of different lengths are the caller's fault, named as such
+    with pytest.raises(ValidationError,
+                       match=rf"^LP vectors have different lengths: {lengths}$"):
+        call()
+
+
+def test_cone_module_exposes_the_lp_entry_points(monkeypatch):
+    # `perfbench/run.py --trace` wraps these two names on toriclab.cone,
+    # so the analysis must call them through that module
+    import toriclab.cone as cone_module
+    import toriclab.exactlp as exactlp
+
+    assert cone_module.cone_membership is exactlp.cone_membership
+    assert cone_module.positive_functional is exactlp.positive_functional
+    calls = []
+    monkeypatch.setattr(cone_module, "positive_functional",
+                        lambda rows: calls.append(rows) or exactlp.positive_functional(rows))
+    strict_convexity_witness(wall_classes(load_fan("cp3")))
+    assert len(calls) == 1
 
 
 def test_positive_functional_on_fractional_rows():
@@ -397,8 +453,8 @@ def test_the_sweep_verifies_every_certificate(monkeypatch):
 
     sweep = exactlp._sweep_integral
 
-    def tampered(cols):
-        for x, y, d in sweep(cols):
+    def tampered(cols, start):
+        for x, y, d in sweep(cols, start):
             yield ([0] * len(x), None, d) if x is not None else (None, [-v for v in y], d)
 
     monkeypatch.setattr(exactlp, "_sweep_integral", tampered)

@@ -177,6 +177,9 @@ class TestStructure:
          r"cone \(0, 1, 4\) references a ray outside 0..3"),
         ([(0, 1, 2), (1, 3, 5), (3, 0, 0), (1, 2, 3)],
          r"cone \(0, 0, 3\) does not have 3 distinct rays"),
+        # three distinct ids, but four of them
+        ([(0, 1, 2), (3, 2, 1, 3), (0, 1, 3), (0, 2, 3)],
+         r"cone \(1, 2, 3, 3\) does not have 3 distinct rays"),
     ])
     def test_first_faulty_cone_in_sorted_order_is_named(self, cones, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):

@@ -6,7 +6,8 @@ of the wall classes by the linear relations, the Betti numbers, and the
 closed-form volume of the cut simplex.  Small
 fans are compared entry by entry with the oracles in ``oracles.py``, which
 share no code with the library.  The exact-LP route of the cone analysis
-runs on a support-free fan with m = 24 and its certificates are checked.
+runs on a support-free fan with m = 24 and its certificates are checked,
+and the positive-functional LP at m = 74 is held to a pivot budget.
 Polytopes of about 1100 facets are held to the f-vector, the Betti numbers,
 a proper coloring with the star condition, and the double dual.
 """
@@ -187,6 +188,26 @@ def test_cone_lps_at_m24_without_support(monkeypatch):
 
     y = strict_convexity_witness(an.classes)
     assert all(sum(a * b for a, b in zip(y, cls.pairing)) >= 1 for cls in an.classes)
+
+
+def test_positive_functional_pivots_at_m74_without_support(monkeypatch):
+    # Gordan's form, e_{n+1} in the cone of the vectors (row, 1), has a
+    # right-hand side that is zero but in one entry; a primal simplex under
+    # Bland's rule stalls on it (896 pivots here), the dual sweep takes 128
+    import toriclab.exactlp as exactlp
+
+    g = subdivided_cp3(74, seed=74)[0]
+    classes = wall_classes(Fan3.from_data(g.name, g.rays, g.maximal_cones))
+    pivot, pivots = exactlp._pivot, []
+
+    def counting(*args):
+        pivots.append(args[2])
+        return pivot(*args)
+
+    monkeypatch.setattr(exactlp, "_pivot", counting)
+    y = strict_convexity_witness(classes)
+    assert all(sum(a * b for a, b in zip(y, cls.pairing)) >= 1 for cls in classes)
+    assert len(pivots) <= 200
 
 
 @pytest.mark.parametrize("family", ["nanotube", "stacked"])

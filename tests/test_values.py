@@ -13,7 +13,7 @@ from toriclab.combinatorics import SimplePolytope3, SimplicialSphere2
 from toriclab.cone import ConeAnalysis, WallClass, delzant_obstruction_witness
 from toriclab.corpus import CorpusEntry
 from toriclab.errors import ValidationError
-from toriclab.exactlp import cone_membership, phase1_simplex, positive_functional
+from toriclab.exactlp import cone_membership, positive_functional
 from toriclab.fan import Fan3, check_complete
 
 TET = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -80,8 +80,6 @@ VALUES = {
     "CorpusEntry": (lambda: CorpusEntry("cp3", "fan", "fan3 cp3\n", "a note"),
                     ["name", "kind", "text", "note"],
                     "CorpusEntry(name='cp3', kind='fan', text='fan3 cp3\\n', note='a note')"),
-    "Phase1Result": (lambda: phase1_simplex([[1, 1]], [Fraction(1, 2)]), ["solution", "farkas"],
-                     "Phase1Result(solution=(Fraction(1, 2), Fraction(0, 1)), farkas=None)"),
     "ConeMembership": (
         lambda: cone_membership((1, -1), [(1, 0), (0, 1)]),
         ["member", "coefficients", "separator"],
@@ -109,7 +107,7 @@ CACHES = {
 
 
 def test_every_value_class_is_pinned():
-    assert len(VALUES) == 18
+    assert len(VALUES) == 17
 
 
 @pytest.mark.parametrize("name", VALUES)
