@@ -10,7 +10,6 @@ budget, :mod:`toriclab._kempe` colors the sphere by Kempe-chain repair.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain
@@ -211,6 +210,8 @@ def _search(sphere: SimplicialSphere2) -> tuple[FacetColoring, dict[str, int]]:
     assigned) and ``undone`` (colors taken back), its ``budget``, the
     ``stage`` that colored the sphere, and stage 2's Kempe ``swaps`` and
     ``restarts``."""
+    import heapq  # here, so the fan commands that import this module skip it
+
     m = sphere.m
     adj = sphere._neighbours
     D = max(map(len, adj)) + 1

@@ -12,23 +12,20 @@ every number is exact (integers, or rationals rendered ``p/q``), and a
 report is byte-deterministic for a fixed input except for the trailing
 timing field.  Exit codes: 0 all checks pass, 1 validation or
 certification failure (or an internal error, reported on one line
-without a traceback), 2 parse error.
+without a traceback), 2 parse or usage error.
+
+One table, ``_COMMANDS``, holds each command's handler, argument, flags,
+value options and help line; a small reader checks a command line and
+prints help and usage errors from it, so start-up loads no ``argparse``.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from fractions import Fraction
+from types import SimpleNamespace
 
-from .errors import (
-    NotUnimodular,
-    ParseError,
-    SupportInvalid,
-    ToricLabError,
-    ValidationError,
-)
+from .errors import NotUnimodular, ParseError, SupportInvalid, ToricLabError, ValidationError
 
 __all__ = ["main"]
 
@@ -40,8 +37,6 @@ def _digest(text: str) -> str:
 
 def _fmt(value):
     """Render one value for the text report."""
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, (list, tuple)):
@@ -50,7 +45,8 @@ def _fmt(value):
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
+    fractions = sys.modules.get("fractions")  # no Fraction exists before it loads
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return value.numerator if value.denominator == 1 else str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -73,8 +69,7 @@ class Report:
         self.items.append((key, value))
 
     def emit(self, as_json: bool) -> None:
-        ms = int((time.perf_counter() - self._start) * 1000)
-        self.add("timing_ms", ms)
+        self.add("timing_ms", int((time.perf_counter() - self._start) * 1000))
         if as_json:
             import json  # only --json reports need it
             data = {k: _jsonable(v) for k, v in self.items}
@@ -95,10 +90,6 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-
-
-def _histogram_str(hist: dict[int, int]) -> str:
-    return " ".join(f"{k}^{hist[k]}" for k in sorted(hist))
 
 
 # ---------------------------------------------------------------------------
@@ -128,21 +119,16 @@ def cmd_polytope_report(args) -> int:
     rpt.add("facets", p.num_facets)
     rpt.add("vertices", p.num_vertices)
     rpt.add("edges", p.num_edges)
-    rpt.add("face_histogram", _histogram_str(hist))
+    rpt.add("face_histogram", " ".join(f"{k}^{hist[k]}" for k in sorted(hist)))
     rpt.add("fullerene", is_fullerene(p))
     coloring, lam, verdict = _coloring_block(sphere)
     rpt.add("coloring", "".join(coloring.colors))
-    rpt.add(
-        "charfunc",
-        {str(i): lam[i] for i in range(lam.m)},
-    )
+    rpt.add("charfunc", {str(i): lam[i] for i in range(lam.m)})
     rpt.add("star_condition", "ok" if verdict.ok else "violated")
     rpt.add("betti", betti_numbers(sphere))
     rpt.add("quasitoric", "YES")
-    if min(hist) >= 5:
-        rpt.add("delzant", "NO (every face has at least 5 sides)")
-    else:
-        rpt.add("delzant", "not excluded (has a face with at most 4 sides)")
+    rpt.add("delzant", "NO (every face has at least 5 sides)" if min(hist) >= 5
+            else "not excluded (has a face with at most 4 sides)")
     rpt.emit(args.json)
     return 0 if verdict.ok else 1
 
@@ -150,8 +136,7 @@ def cmd_polytope_report(args) -> int:
 def cmd_polytope_color(args) -> int:
     from .combinatorics import dual_sphere, parse_polytope
 
-    text = _read(args.file)
-    p = parse_polytope(text)
+    p = parse_polytope(_read(args.file))
     coloring, lam, verdict = _coloring_block(dual_sphere(p))
     for i in range(lam.m):
         x, y, z = lam[i]
@@ -189,22 +174,15 @@ def cmd_fan_report(args) -> int:
         certify_fan(f)
     except NotUnimodular as exc:
         rpt.add("unimodular", False)
-        rpt.add(
-            "unimodular_violations",
-            {str(tri): det for tri, det in exc.violations},
-        )
+        rpt.add("unimodular_violations", {str(tri): det for tri, det in exc.violations})
         rpt.emit(args.json)
         return 1
     rpt.add("unimodular", True)
     rpt.add("complete", True)
     rpt.add("completeness_seed", COMPLETENESS_SEED)
 
-    walls = {}
-    for w in f.walls:
-        walls[str(w.key)] = (
-            f"a=({w.a[0]}, {w.a[1]}) curvature={w.curvature} {w.classification}"
-        )
-    rpt.add("walls", walls)
+    rpt.add("walls", {str(w.key): f"a=({w.a[0]}, {w.a[1]}) curvature={w.curvature} "
+                                  f"{w.classification}" for w in f.walls})
 
     gb = gauss_bonnet_sum(f)
     rpt.add("gauss_bonnet_sum", gb)
@@ -216,13 +194,9 @@ def cmd_fan_report(args) -> int:
 
     analysis = extremal_walls(f)
     by_wall = {c.wall: c for c in analysis.classes}
-    groups = {}
-    for idx, g in enumerate(analysis.groups):
-        groups[f"group_{idx}"] = (
-            "walls " + " ".join(str(w) for w in g)
-            + " pairing " + _fmt(by_wall[g[0]].pairing)
-        )
-    rpt.add("cone_groups", groups)
+    rpt.add("cone_groups", {f"group_{i}": "walls " + " ".join(map(str, g)) + " pairing "
+                            + _fmt(by_wall[g[0]].pairing)
+                            for i, g in enumerate(analysis.groups)})
     _add_cone_verdicts(rpt, analysis)
     w = delzant_obstruction_witness(f)
     rpt.add("obstruction_witness", {key: getattr(w, key) for key in w._fields})
@@ -249,9 +223,7 @@ def _parse_support(arg: str, m: int):
 
     parts = [s.strip(_SPACE) for s in arg.split(",")]
     if len(parts) != m:
-        raise ValidationError(
-            f"support override has {len(parts)} entries, fan has {m} rays"
-        )
+        raise ValidationError(f"support override has {len(parts)} entries, fan has {m} rays")
     values = tuple(map(_rational, parts))
     if None in values:
         raise ParseError(f"bad support value: {parts[values.index(None)]!r}")
@@ -268,13 +240,10 @@ def cmd_fan_volume(args) -> int:
     elif f.support is not None:
         support = f.support
     else:
-        raise ValidationError(
-            "no support parameters: none in the file and no --support given"
-        )
+        raise ValidationError("no support parameters: none in the file and no --support given")
     rpt.add("support", support)
 
-    functionals = {str(k): v for k, v in edge_functionals(f, support).items()}
-    rpt.add("edge_functionals", functionals)
+    rpt.add("edge_functionals", {str(k): v for k, v in edge_functionals(f, support).items()})
     try:
         certify_support(f, support)
     except SupportInvalid:
@@ -294,25 +263,23 @@ def cmd_fan_extremal(args) -> int:
     f, rpt = _certified_fan(args, "fan extremal")
     analysis = extremal_walls(f)
     rpt.add("wall_classes", {str(c.wall): c.pairing for c in analysis.classes})
-    rpt.add(
-        "groups",
-        {f"group_{i}": " ".join(str(w) for w in g)
-         for i, g in enumerate(analysis.groups)},
-    )
+    rpt.add("groups", {f"group_{i}": " ".join(map(str, g))
+                       for i, g in enumerate(analysis.groups)})
     _add_cone_verdicts(rpt, analysis)
     rpt.emit(args.json)
     return 0
 
 
 def cmd_fan_witness(args) -> int:
-    from .cone import delzant_obstruction_witness
+    from .cone import delzant_obstruction_witness, extremal_walls
 
     f, rpt = _certified_fan(args, "fan witness")
     w = delzant_obstruction_witness(f)
     for key in w._fields:
         rpt.add(key, getattr(w, key))
-    face = "triangular" if w.dual_face_size == 3 else "quadrangular"
-    rpt.add("dual_face", face)
+    rpt.add("dual_face", "triangular" if w.dual_face_size == 3 else "quadrangular")
+    if extremal_walls(f).witness is None:  # the analysis the witness search cached
+        rpt.add("note", extremal_walls(f).note)
     rpt.emit(args.json)
     return 0
 
@@ -324,8 +291,7 @@ def cmd_fan_witness(args) -> int:
 def cmd_corpus_list(args) -> int:
     from .corpus import corpus_get, corpus_names
 
-    for name in corpus_names():
-        entry = corpus_get(name)
+    for entry in map(corpus_get, corpus_names()):
         print(f"{entry.name} ({entry.kind}): {entry.note}")
     return 0
 
@@ -333,81 +299,115 @@ def cmd_corpus_list(args) -> int:
 def cmd_corpus_get(args) -> int:
     from .corpus import corpus_get
 
-    entry = corpus_get(args.name)
-    sys.stdout.write(entry.text)
+    sys.stdout.write(corpus_get(args.name).text)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# command table and argument reading
+
+_GROUPS = {
+    "polytope": "combinatorial polytope commands",
+    "fan": "lattice fan commands",
+    "corpus": "built-in example documents",
+}
+_JSON = {"json": "structured JSON report"}
+# (group, command) -> handler name, positional argument, flags, value
+# options and help line; flags and value options map a long name to its help
+_COMMANDS = {
+    ("polytope", "report"): ("cmd_polytope_report", "file", _JSON, {},
+                             "full validation and invariant report"),
+    ("polytope", "color"): ("cmd_polytope_color", "file", {}, {},
+                            "4-coloring and characteristic function"),
+    ("fan", "report"): ("cmd_fan_report", "file", _JSON, {}, "full certification report"),
+    ("fan", "volume"): ("cmd_fan_volume", "file",
+                        {"polynomial": "include the full volume polynomial", **_JSON},
+                        {"support": "comma-separated rationals c1,...,cm"},
+                        "edge functionals and volume"),
+    ("fan", "extremal"): ("cmd_fan_extremal", "file", _JSON, {}, "effective-cone analysis"),
+    ("fan", "witness"): ("cmd_fan_witness", "file", _JSON, {},
+                         "small-face obstruction witness"),
+    ("corpus", "list"): ("cmd_corpus_list", None, {}, {}, "list entries"),
+    ("corpus", "get"): ("cmd_corpus_get", "name", {}, {}, "print one entry"),
+}
 
 
-def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="toriclab",
-        description="exact invariants of simple 3-polytopes and unimodular fans",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+def _help(usage: str, about: str, heading: str, rows: dict) -> int:
+    width = max(map(len, rows)) + 2
+    print(f"usage: {usage}\n\n{about}\n\n{heading}:",
+          *(f"  {name:{width}}{line}" for name, line in rows.items()), sep="\n")
+    return 0
 
-    poly = sub.add_parser("polytope", help="combinatorial polytope commands")
-    psub = poly.add_subparsers(dest="subcommand", required=True)
-    p_report = psub.add_parser("report", help="full validation and invariant report")
-    p_report.add_argument("file")
-    p_report.add_argument("--json", action="store_true")
-    p_report.set_defaults(func=cmd_polytope_report)
-    p_color = psub.add_parser("color", help="4-coloring and characteristic function")
-    p_color.add_argument("file")
-    p_color.set_defaults(func=cmd_polytope_color)
 
-    fan = sub.add_parser("fan", help="lattice fan commands")
-    fsub = fan.add_subparsers(dest="subcommand", required=True)
-    f_report = fsub.add_parser("report", help="full certification report")
-    f_report.add_argument("file")
-    f_report.add_argument("--json", action="store_true")
-    f_report.set_defaults(func=cmd_fan_report)
-    f_volume = fsub.add_parser("volume", help="edge functionals and volume")
-    f_volume.add_argument("file")
-    f_volume.add_argument("--support", help="comma-separated rationals c1,...,cm")
-    f_volume.add_argument("--polynomial", action="store_true",
-                          help="include the full volume polynomial")
-    f_volume.add_argument("--json", action="store_true")
-    f_volume.set_defaults(func=cmd_fan_volume)
-    f_ext = fsub.add_parser("extremal", help="effective-cone analysis")
-    f_ext.add_argument("file")
-    f_ext.add_argument("--json", action="store_true")
-    f_ext.set_defaults(func=cmd_fan_extremal)
-    f_wit = fsub.add_parser("witness", help="small-face obstruction witness")
-    f_wit.add_argument("file")
-    f_wit.add_argument("--json", action="store_true")
-    f_wit.set_defaults(func=cmd_fan_witness)
+def _fail(usage: str, prog: str, message: str) -> int:
+    print(f"usage: {usage}\n{prog}: error: {message}", file=sys.stderr)
+    return 2
 
-    corpus = sub.add_parser("corpus", help="built-in example documents")
-    csub = corpus.add_subparsers(dest="subcommand", required=True)
-    c_list = csub.add_parser("list", help="list entries")
-    c_list.set_defaults(func=cmd_corpus_list)
-    c_get = csub.add_parser("get", help="print one entry")
-    c_get.add_argument("name")
-    c_get.set_defaults(func=cmd_corpus_get)
 
-    return top
+def _read_argv(words: list):
+    """The table key and the arguments of a command line, or the exit code
+    after printing its help (0) or a usage error (2)."""
+    prog, choices, key = "toriclab", _GROUPS, ()
+    about = "exact invariants of simple 3-polytopes and unimodular fans"
+    for title in ("command", "subcommand"):
+        usage = f"{prog} [-h] {{{','.join(choices)}}} ..."
+        word = words.pop(0) if words else ""
+        if word == "-h" or len(word) > 2 and "--help".startswith(word):
+            return _help(usage, about, "commands", choices)
+        if word not in choices:
+            return _fail(usage, prog, f"invalid {title}: {word!r}" if word
+                         else f"the following arguments are required: {title}")
+        prog, about, key = f"{prog} {word}", choices[word], (*key, word)
+        choices = {c: spec[4] for (g, c), spec in _COMMANDS.items() if g == word}
+
+    _, positional, flags, values, about = _COMMANDS[key]
+    wanted = [positional] if positional else []
+    rows = {f"--{n} {n.upper()}" if n in values else f"--{n}": line
+            for n, line in {**values, **flags}.items()}
+    usage = " ".join([prog, "[-h]", *map("[{}]".format, rows), *wanted])
+    args, found = {**dict.fromkeys(values), **dict.fromkeys(flags, False)}, []
+    while words:
+        word = words.pop(0)
+        if word == "--":
+            found += words
+            break
+        if word[:1] != "-" or word == "-":
+            found.append(word)
+            continue
+        # a long option, --name or --name=value, may be shortened to a unique prefix
+        name, eq, value = word[2:].partition("=") if word[:2] == "--" else ("", "", "")
+        names = [n for n in (*values, *flags, "help") if name and n.startswith(name)]
+        if word == "-h" or names == ["help"]:
+            return _help(usage, about, "options",
+                         {"-h, --help": "show this help message and exit", **rows})
+        if len(names) != 1 or names[0] in flags and eq:
+            return _fail(usage, prog, f"unrecognized arguments: {word}")
+        if names[0] in values and not eq:
+            if not words:
+                return _fail(usage, prog, f"argument --{names[0]}: expected one argument")
+            value = words.pop(0)  # whatever it is, so that --support -1,3,3,3 reads
+        args[names[0]] = value if names[0] in values else True
+    if found[len(wanted):]:
+        return _fail(usage, prog, "unrecognized arguments: " + " ".join(found[len(wanted):]))
+    if len(found) < len(wanted):
+        return _fail(usage, prog, f"the following arguments are required: {positional}")
+    args.update(zip(wanted, found))
+    return key, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if isinstance(read := _read_argv(list(sys.argv[1:] if argv is None else argv)), int):
+        return read
+    key, args = read
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # looked up when dispatched, so a handler replaced on the module runs
+        return globals()[_COMMANDS[key][0]](args)
     except ToricLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     except Exception as exc:
-        print(
-            f"error: internal error in {args.command} {args.subcommand}: "
-            f"{type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
+        print(f"error: internal error in {' '.join(key)}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
 
 

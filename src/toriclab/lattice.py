@@ -7,7 +7,6 @@ only in :func:`over_common_denominator`, the package's one such reader.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 Vec3 = tuple[int, int, int]
@@ -55,6 +54,7 @@ def over_common_denominator(rows) -> tuple[list[list[int]], int]:
     try:
         dens = {x.denominator for r in rows for x in r}
     except AttributeError:
+        from fractions import Fraction  # only values other than ints and Fractions need it
         rows = [[Fraction(x) for x in r] for r in rows]
         dens = {x.denominator for r in rows for x in r}
     scale = lcm(*dens)

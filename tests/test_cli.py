@@ -236,6 +236,20 @@ def test_fan_witness_cube(capsys, fan_file):
     assert "dual_face: quadrangular" in out
 
 
+def test_fan_witness_notes_an_uncertified_analysis(capsys, tmp_path):
+    # with no support, fan witness carries the note fan report prints
+    path = tmp_path / "cp3.fan"
+    path.write_text(corpus_get("cp3").text.replace("support: 1 1 1 1\n", ""))
+    note = "uncertified: no strict convexity witness supplied"
+    code, out, _ = run(capsys, "fan", "report", str(path))
+    assert code == 0 and f"strict_convexity_witness: {note}" in out.splitlines()
+    code, out, _ = run(capsys, "fan", "witness", str(path))
+    assert code == 0
+    assert out.splitlines()[-3:-1] == ["dual_face: triangular", f"note: {note}"]
+    code, out, _ = run(capsys, "fan", "witness", str(path), "--json")
+    assert code == 0 and json.loads(out)["note"] == note
+
+
 def test_unexpected_exception_is_reported_without_traceback(
     capsys, fan_file, monkeypatch
 ):
@@ -397,3 +411,114 @@ def test_corpus_get_unknown(capsys):
     code, _, err = run(capsys, "corpus", "get", "no-such-entry")
     assert code == 1
     assert "no corpus entry" in err
+
+
+# ---------------------------------------------------------------------------
+# reading the command line
+
+
+def without_timing(capsys, *argv):
+    """The run with its timing line dropped, in text and in JSON."""
+    code, out, err = run(capsys, *argv)
+    return code, [ln for ln in out.splitlines() if "timing_ms" not in ln], err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--support", "2,1,1,1", "--polynomial", "--json", "{}"],
+    ["--json", "{}", "--polynomial", "--support", "2,1,1,1"],
+    ["{}", "--sup", "2,1,1,1", "--poly", "--js"],
+    ["{}", "--support=2,1,1,1", "--polynomial", "--json"],
+    ["--json", "--polynomial", "--support", "2,1,1,1", "--", "{}"],
+], ids=["options before the file", "around it", "unique prefixes", "name=value",
+        "double dash ends the options"])
+def test_options_read_as_argparse_read_them(capsys, fan_file, argv):
+    path = fan_file("cp3")
+    expected = without_timing(capsys, "fan", "volume", path, "--support", "2,1,1,1",
+                              "--polynomial", "--json")
+    assert expected[0] == 0
+    assert '  "volume": "125/6",' in expected[1] and '  "polynomial": [' in expected[1]
+    assert without_timing(capsys, "fan", "volume", *(a.format(path) for a in argv)) == expected
+
+
+def test_double_dash_reads_a_file_named_like_an_option(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-cp3.fan").write_text(corpus_get("cp3").text)
+    code, out, err = run(capsys, "fan", "report", "--json", "--", "-cp3.fan")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["input"] == "-cp3.fan"
+    code, out, err = run(capsys, "fan", "report", "-cp3.fan")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: -cp3.fan" in err
+
+
+def test_negative_support_values_read_in_both_spellings(capsys, fan_file):
+    # the value option takes the next word whatever it is
+    path = fan_file("cp3")
+    spaced = without_timing(capsys, "fan", "volume", path, "--support", "-1,3,3,3")
+    assert spaced == without_timing(capsys, "fan", "volume", path, "--support=-1,3,3,3")
+    assert spaced[0] == 0
+    assert "support: (-1, 3, 3, 3)" in spaced[1]
+    assert "volume: 256/3" in spaced[1]
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["toriclab", "corpus", "get", "cp3"])
+    assert main() == 0
+    assert capsys.readouterr().out == corpus_get("cp3").text
+
+
+HELP = [
+    (["-h"], "toriclab [-h] {polytope,fan,corpus} ...",
+     ["polytope  combinatorial polytope commands", "fan       lattice fan commands",
+      "corpus    built-in example documents"]),
+    (["--help"], "toriclab [-h] {polytope,fan,corpus} ...",
+     ["polytope  combinatorial polytope commands"]),
+    (["fan", "-h"], "toriclab fan [-h] {report,volume,extremal,witness} ...",
+     ["report    full certification report", "volume    edge functionals and volume",
+      "extremal  effective-cone analysis", "witness   small-face obstruction witness"]),
+    (["corpus", "--help"], "toriclab corpus [-h] {list,get} ...",
+     ["list  list entries", "get   print one entry"]),
+    (["fan", "volume", "x.fan", "--support", "1", "-h"],
+     "toriclab fan volume [-h] [--support SUPPORT] [--polynomial] [--json] file",
+     ["--support SUPPORT  comma-separated rationals c1,...,cm",
+      "--polynomial       include the full volume polynomial",
+      "--json             structured JSON report"]),
+    (["polytope", "color", "--he"], "toriclab polytope color [-h] file",
+     ["-h, --help  show this help message and exit"]),
+]
+
+
+@pytest.mark.parametrize("argv, usage, lines", HELP, ids=[" ".join(h[0]) for h in HELP])
+def test_help_lists_the_table_and_exits_0(capsys, argv, usage, lines):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"usage: {usage}"
+    assert [ln for ln in out.splitlines() if ln.strip() in lines] == [f"  {ln}" for ln in lines]
+
+
+USAGE_ERRORS = [
+    ([], "toriclab: error: the following arguments are required: command"),
+    (["knot"], "toriclab: error: invalid command: 'knot'"),
+    (["fan"], "toriclab fan: error: the following arguments are required: subcommand"),
+    (["fan", "cone"], "toriclab fan: error: invalid subcommand: 'cone'"),
+    (["fan", "report"], "toriclab fan report: error: the following arguments are required: file"),
+    (["corpus", "get"], "toriclab corpus get: error: the following arguments are required: name"),
+    (["fan", "report", "cp3.fan", "--bogus"],
+     "toriclab fan report: error: unrecognized arguments: --bogus"),
+    (["polytope", "color", "d.poly", "--json"],
+     "toriclab polytope color: error: unrecognized arguments: --json"),
+    (["fan", "report", "a.fan", "b.fan"],
+     "toriclab fan report: error: unrecognized arguments: b.fan"),
+    (["fan", "volume", "cp3.fan", "--support"],
+     "toriclab fan volume: error: argument --support: expected one argument"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "no arguments" for argv, _ in USAGE_ERRORS])
+def test_usage_errors_exit_2_with_usage_and_error_lines(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: " + message.split(":")[0] + " [-h]")
+    assert error == message

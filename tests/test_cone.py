@@ -40,9 +40,10 @@ from toriclab.exactlp import (
     cone_sweep,
     positive_functional,
 )
-from toriclab.fan import Fan3
+from toriclab.fan import Fan3, certify_fan
 
-from oracles import cone_member_bruteforce, phase1_reference, zero_in_convex_hull
+from oracles import (apply_matrix, cone_member_bruteforce, phase1_reference,
+                     random_unimodular, zero_in_convex_hull)
 from subdivision import subdivided_cp3
 
 
@@ -810,6 +811,47 @@ def test_lp_witness_found_without_candidate():
         assert not isinstance(res, NoWitness), name
         for cls in classes:
             assert sum(a * b for a, b in zip(res, cls.pairing)) >= 1
+
+
+# A complete unimodular fan that is not projective: the one fan with m = 7
+# rays and wall coefficients |a_i| <= 2 whose wall classes admit no
+# positive functional (Oda's example has Picard number 4 too).
+NON_PROJECTIVE_RAYS = ((1, 0, 0), (-1, 1, -2), (0, 0, 1), (0, 1, 0), (1, -1, 1),
+                       (0, 1, -1), (-1, 0, -1))
+NON_PROJECTIVE_CONES = ((0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+                        (1, 3, 5), (1, 3, 6), (1, 4, 6), (2, 3, 6), (2, 4, 6))
+
+
+def _non_projective_images(count, seed):
+    """The fan, then count images of it, each under a random GL(3, Z) map
+    and a random relabelling of its rays."""
+    yield Fan3.from_data("non-projective", NON_PROJECTIVE_RAYS, NON_PROJECTIVE_CONES)
+    rng = random.Random(seed)
+    for _ in range(count):
+        u = random_unimodular(rng, det_sign=rng.choice((1, -1)))
+        perm = list(range(7))
+        rng.shuffle(perm)
+        rays = [None] * 7
+        for i, ray in enumerate(NON_PROJECTIVE_RAYS):
+            rays[perm[i]] = apply_matrix(u, ray)
+        cones = [tuple(sorted(perm[i] for i in cone)) for cone in NON_PROJECTIVE_CONES]
+        yield Fan3.from_data("non-projective", rays, cones)
+
+
+def test_a_non_projective_fan_is_refused_with_a_farkas_certificate():
+    for f in _non_projective_images(20, seed=1607):
+        certify_fan(f)
+        classes = wall_classes(f)
+        assert len(classes) == 15
+        res = strict_convexity_witness(classes)
+        assert isinstance(res, NoWitness)
+        assert sorted(res.farkas)[-4:] == [0] + [Fraction(1, 3)] * 3
+        # convex coefficients combining the pairing vectors to zero
+        assert all(c >= 0 for c in res.farkas) and sum(res.farkas) == 1
+        assert all(sum(c * cls.pairing[t] for c, cls in zip(res.farkas, classes)) == 0
+                   for t in range(f.m))
+        assert extremal_walls(f).witness is None
+        assert extremal_walls(f).note == UNCERTIFIED_NOTE
 
 
 def test_both_witness_routes_accept_the_same_classes():

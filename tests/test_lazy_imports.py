@@ -17,8 +17,8 @@ from toriclab.corpus import corpus_get
 ROOT = Path(__file__).resolve().parents[1]
 
 # Run toriclab.cli as ``python -m`` would; report the exit code, the loaded
-# toriclab modules and the loaded modules of HEAVY on the last line of
-# stderr.
+# toriclab modules and which of the probed standard modules it loaded, on
+# the last line of stderr.
 RUN_CLI = """
 import json, runpy, sys
 sys.argv = ["toriclab", *sys.argv[1:]]
@@ -32,8 +32,12 @@ print(json.dumps([code, loaded, heavy]), file=sys.stderr)
 """
 
 # Standard modules that cost milliseconds to import and that no command
-# needs: dataclasses brings inspect, ast, dis and tokenize with it.
-HEAVY = ("dataclasses", "inspect", "typing")
+# needs: dataclasses brings inspect, ast, dis and tokenize with it, and
+# argparse brings gettext and locale.
+HEAVY = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
+# Loaded only where they are used: fractions (with decimal) by the layers
+# that make rationals, heapq by the coloring search.
+RATIONAL = ("fractions", "decimal")
 
 POLYTOPE = ["charfunc", "combinatorics", "errors", "lattice", "value"]
 VOLUME = sorted(POLYTOPE + ["cohomology", "fan"])
@@ -84,38 +88,40 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(toriclab, "integral_table")  # not exported
 
 
+# each command line, its toriclab modules and the standard modules it must
+# not load besides HEAVY
 COMMANDS = [
-    (["polytope", "report", "d.poly", "--json"], POLYTOPE),
-    (["polytope", "color", "d.poly"], POLYTOPE),
-    (["fan", "volume", "cp3.fan", "--polynomial"], VOLUME),
-    (["fan", "report", "cp3.fan"], CONE),
-    (["fan", "extremal", "cp3.fan"], CONE),
-    (["fan", "witness", "cp3.fan", "--json"], CONE),
-    (["corpus", "list"], CORPUS),
-    (["corpus", "get", "cp3"], CORPUS),
+    (["polytope", "report", "d.poly", "--json"], POLYTOPE, RATIONAL),
+    (["polytope", "color", "d.poly"], POLYTOPE, RATIONAL),
+    (["fan", "volume", "cp3.fan", "--polynomial"], VOLUME, ("heapq",)),
+    (["fan", "report", "cp3.fan"], CONE, ("heapq",)),
+    (["fan", "extremal", "cp3.fan"], CONE, ("heapq",)),
+    (["fan", "witness", "cp3.fan", "--json"], CONE, ("heapq",)),
+    (["corpus", "list"], CORPUS, RATIONAL),
+    (["corpus", "get", "cp3"], CORPUS, RATIONAL),
 ]
 
 
-def _run_cli(tmp_path, argv):
+def _run_cli(tmp_path, argv, unused=()):
     """Run one command in a fresh ``python -S``, so that no module ``site``
     imports can hide one the package imports."""
     (tmp_path / "d.poly").write_text(corpus_get("dodecahedron").text)
     (tmp_path / "cp3.fan").write_text(corpus_get("cp3").text)
-    proc = _python("-S", "-c", RUN_CLI.format(heavy=HEAVY), *argv, cwd=tmp_path)
+    proc = _python("-S", "-c", RUN_CLI.format(heavy=HEAVY + unused), *argv, cwd=tmp_path)
     code, loaded, heavy = json.loads(proc.stderr.splitlines()[-1])
     return code, loaded, heavy, proc.stderr
 
 
-@pytest.mark.parametrize("argv, modules", COMMANDS,
-                         ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
-def test_each_command_loads_only_its_layers(tmp_path, argv, modules):
-    code, loaded, heavy, err = _run_cli(tmp_path, argv)
+@pytest.mark.parametrize("argv, modules, unused", COMMANDS,
+                         ids=[" ".join(argv[:2]) for argv, _, _ in COMMANDS])
+def test_each_command_loads_only_its_layers(tmp_path, argv, modules, unused):
+    code, loaded, heavy, err = _run_cli(tmp_path, argv, unused)
     assert code == 0, err
     assert loaded == modules
     assert heavy == []
 
 
-FILE_COMMANDS = [argv[:2] for argv, _ in COMMANDS if argv[0] != "corpus"]
+FILE_COMMANDS = [argv[:2] for argv, _, _ in COMMANDS if argv[0] != "corpus"]
 
 
 @pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
