@@ -126,9 +126,6 @@ class StarVerdict(_Value):
     ok: bool
     violations: tuple[tuple[Triangle, int], ...]  # (triangle, determinant)
 
-    def __init__(self, ok: bool, violations: tuple[tuple[Triangle, int], ...]):
-        self.__dict__.update(ok=ok, violations=violations)
-
 
 def check_star_condition(pair: CharacteristicPair) -> StarVerdict:
     """Check det(lambda(i), lambda(j), lambda(k)) = +-1 on every triangle.

@@ -49,6 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .charfunc import CharacteristicPair
+from .combinatorics import _int_key
 from .errors import SupportInvalid, ValidationError
 from .fan import Fan3, _support_entry, characteristic_pair
 from .lattice import Vec3, det3, dot, dual_covector, over_common_denominator
@@ -62,12 +63,9 @@ _BASIS_FAULT = "triangle {} violates the basis condition; the signed calculus ne
 
 
 def _as_multiset(indices, m: int) -> Multiset:
-    t = tuple(indices)
+    t = _int_key(indices)
     if len(t) != 3:
         raise ValidationError(f"need exactly 3 indices, got {indices!r}")
-    if not all(type(i) is int for i in t):
-        raise ValidationError(f"indices {indices!r} are not all integers")
-    t = tuple(sorted(t))
     if not all(0 <= i < m for i in t):
         raise ValidationError(f"index out of range in {t}")
     return t
@@ -78,9 +76,6 @@ class LinearRelation(_Value):
 
     mu: Vec3
     coeffs: tuple[int, ...]
-
-    def __init__(self, mu: Vec3, coeffs: tuple[int, ...]):
-        self.__dict__.update(mu=mu, coeffs=coeffs)
 
 
 def linear_relation(f: Fan3, mu) -> LinearRelation:
@@ -185,9 +180,6 @@ class VolumePolynomial(_Value):
     terms: tuple[tuple[int, int, int, int], ...]
     _hidden = ("terms",)
 
-    def __init__(self, fan: Fan3, terms: tuple[tuple[int, int, int, int], ...]):
-        self.__dict__.update(fan=fan, terms=terms)
-
     @property
     def m(self) -> int:
         return self.fan.m
@@ -265,7 +257,7 @@ def edge_functional(f: Fan3, pair, c) -> Fraction:
     polytope edge dual to the wall has positive length, so positivity over
     all walls certifies that c are genuine support parameters for the fan.
     """
-    key = tuple(sorted(pair))
+    key = _int_key(pair)
     entries = characteristic_pair(f).pairings.get(key)
     if entries is None:
         raise ValidationError(f"{key} is not a wall of this fan")

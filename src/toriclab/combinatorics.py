@@ -59,10 +59,6 @@ class SimplicialSphere2(_Value):
     oriented: tuple[Triangle, ...]
     walls: tuple[Wall, ...]
 
-    def __init__(self, m: int, triangles: tuple[Triangle, ...], oriented: tuple[Triangle, ...],
-                 walls: tuple[Wall, ...]):
-        self.__dict__.update(m=m, triangles=triangles, oriented=oriented, walls=walls)
-
     @classmethod
     def from_triangles(cls, m, triangles, oriented=None) -> "SimplicialSphere2":
         """Validate a triangle list as a 2-sphere and fix an orientation.
@@ -122,8 +118,7 @@ class SimplicialSphere2(_Value):
         if reps is None:
             # triangle t, read from the half-edge k it was entered by
             reps = tuple(tuple(flat[k:k - k % 3 + 3] + flat[k - k % 3:k]) for k in entry)
-        sphere = cls(m=m, triangles=tris, oriented=reps,
-                     walls=tuple(map(divmod, codes, repeat(m))))
+        sphere = cls(m, tris, reps, walls=tuple(map(divmod, codes, repeat(m))))
         sphere.__dict__.update(_index=index, _neighbours=around)  # cached_property slots
         return sphere
 
@@ -163,9 +158,7 @@ class SimplicialSphere2(_Value):
 
     def wall_apexes(self, wall: Wall) -> tuple[int, int]:
         """The two vertices completing the given wall to triangles, ascending."""
-        u, v = wall
-        if u > v:
-            u, v = v, u
+        u, v = _int_key(wall)
         m = self.m
         pair = self._apex_pairs.get(u * m + v) if 0 <= u < v < m else None
         if pair is None:
@@ -173,15 +166,17 @@ class SimplicialSphere2(_Value):
         return pair if pair[0] < pair[1] else (pair[1], pair[0])
 
     def vertex_degree(self, v: int) -> int:
-        return len(self._neighbours[v])
+        return len(self.neighbors(v))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if type(v) is not int or not 0 <= v < self.m:
+            raise ValidationError(f"{v!r} is not a vertex of this sphere (0..{self.m - 1})")
         return tuple(sorted(self._neighbours[v]))
 
     def orientation_sign(self, i: int, j: int, k: int) -> int:
         """+1 if (i, j, k) is an even permutation of the stored oriented
         representative of the triangle {i, j, k}, else -1."""
-        key = tuple(sorted((i, j, k)))
+        key = _int_key((i, j, k))
         n = bisect_left(self.triangles, key)
         if n == len(self.triangles) or self.triangles[n] != key:
             raise ValidationError(f"{key} is not a triangle of this sphere")
@@ -220,9 +215,6 @@ class SimplePolytope3(_Value):
 
     name: str
     facets: tuple[tuple[int, ...], ...]
-
-    def __init__(self, name: str, facets: tuple[tuple[int, ...], ...]):
-        self.__dict__.update(name=name, facets=facets)
 
     @classmethod
     def from_facets(cls, name: str, facets) -> "SimplePolytope3":
@@ -320,6 +312,15 @@ def _int_ids(cycles, named: str) -> list:
         i = next(i for i, c in enumerate(cycles) if not all(type(v) is int for v in c))
         raise ValidationError(f"{named.format(i=i, c=cycles[i])} has a non-integer vertex id")
     return flat
+
+
+def _int_key(ids) -> tuple[int, ...]:
+    """The ids sorted, refused unless each is an int: a float or a bool
+    would pass for the int it equals (0.0 or True for 0 or 1)."""
+    key = tuple(ids)
+    if not all(type(i) is int for i in key):
+        raise ValidationError(f"indices {ids!r} are not all integers")
+    return tuple(sorted(key))
 
 
 def _heads(flat, cycles) -> list:

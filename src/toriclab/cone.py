@@ -111,14 +111,7 @@ class ConeAnalysis(_Value):
     groups: tuple[tuple[tuple[int, int], ...], ...]
     extremal: tuple[tuple[int, int], ...]
     witness: tuple[Fraction, ...] | None
-    note: str
-
-    def __init__(self, classes: tuple[WallClass, ...],
-                 groups: tuple[tuple[tuple[int, int], ...], ...],
-                 extremal: tuple[tuple[int, int], ...],
-                 witness: tuple[Fraction, ...] | None, note: str = ""):
-        self.__dict__.update(classes=classes, groups=groups, extremal=extremal,
-                             witness=witness, note=note)
+    note: str = ""
 
 
 class ObstructionWitness(_Value):
@@ -137,11 +130,6 @@ class ObstructionWitness(_Value):
     vertex: int
     neighbors: tuple[int, ...]
     dual_face_size: int
-
-    def __init__(self, wall: tuple[int, int], a: tuple[int, int], curvature: int, case: str,
-                 vertex: int, neighbors: tuple[int, ...], dual_face_size: int):
-        self.__dict__.update(wall=wall, a=a, curvature=curvature, case=case, vertex=vertex,
-                             neighbors=neighbors, dual_face_size=dual_face_size)
 
 
 def wall_classes(f: Fan3) -> tuple[WallClass, ...]:

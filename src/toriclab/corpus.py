@@ -21,9 +21,6 @@ class CorpusEntry(_Value):
     text: str
     note: str
 
-    def __init__(self, name: str, kind: str, text: str, note: str):
-        self.__dict__.update(name=name, kind=kind, text=text, note=note)
-
 
 ENTRIES: dict[str, CorpusEntry] = {e.name: e for e in (
     CorpusEntry("tetrahedron", "polytope", note="boundary complex of the 3-simplex", text="""\

@@ -95,10 +95,6 @@ class ConeMembership(_Value):
     coefficients: tuple[Fraction, ...] | None
     separator: tuple[Fraction, ...] | None
 
-    def __init__(self, member: bool, coefficients: tuple[Fraction, ...] | None,
-                 separator: tuple[Fraction, ...] | None):
-        self.__dict__.update(member=member, coefficients=coefficients, separator=separator)
-
 
 def cone_membership(x: Sequence, generators: Sequence[Sequence]) -> ConeMembership:
     """Decide whether x is a nonnegative combination of the generators.
@@ -125,10 +121,6 @@ class PositiveFunctional(_Value):
     found: bool
     y: tuple[Fraction, ...] | None
     farkas: tuple[Fraction, ...] | None
-
-    def __init__(self, found: bool, y: tuple[Fraction, ...] | None,
-                 farkas: tuple[Fraction, ...] | None):
-        self.__dict__.update(found=found, y=y, farkas=farkas)
 
 
 def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:

@@ -44,7 +44,7 @@ from itertools import chain, starmap
 from math import gcd
 
 from .charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
-from .combinatorics import SimplicialSphere2, Triangle, _Lines, _natural, _plain
+from .combinatorics import SimplicialSphere2, Triangle, _Lines, _int_key, _natural, _plain
 from .errors import (IncompleteFan, InternalError, NotUnimodular, ParseError,
                      ValidationError)
 from .lattice import Vec3, det3
@@ -63,11 +63,6 @@ class Wall(_Value):
     curvature: int
     classification: str        # convex | flat | concave
 
-    def __init__(self, pair: tuple[int, int], apexes: tuple[int, int], a: tuple[int, int],
-                 curvature: int, classification: str):
-        self.__dict__.update(pair=pair, apexes=apexes, a=a, curvature=curvature,
-                             classification=classification)
-
     @property
     def key(self) -> tuple[int, int]:
         """The wall as a sorted pair, for lookups."""
@@ -80,9 +75,6 @@ class CompletenessCertificate(_Value):
     direction: Vec3
     cone: Triangle
     attempts: int
-
-    def __init__(self, direction: Vec3, cone: Triangle, attempts: int):
-        self.__dict__.update(direction=direction, cone=cone, attempts=attempts)
 
 
 class Fan3(_Value):
@@ -100,11 +92,6 @@ class Fan3(_Value):
     maximal_cones: tuple[Triangle, ...]
     sphere: SimplicialSphere2
     support: tuple[Fraction, ...] | None
-
-    def __init__(self, name: str, rays: tuple[Vec3, ...], maximal_cones: tuple[Triangle, ...],
-                 sphere: SimplicialSphere2, support: tuple[Fraction, ...] | None):
-        self.__dict__.update(name=name, rays=rays, maximal_cones=maximal_cones,
-                             sphere=sphere, support=support)
 
     @classmethod
     def from_data(cls, name, rays, cones, support=None) -> "Fan3":
@@ -147,8 +134,7 @@ class Fan3(_Value):
             if len(support) != m:
                 raise ValidationError(
                     f"{len(support)} support parameters for {m} rays")
-        fan = cls(name=name, rays=rays, maximal_cones=cones,
-                  sphere=sphere, support=support)
+        fan = cls(name, rays, cones, sphere, support)
         fan.__dict__["_cone_dets"] = dets  # cached_property slot
         return fan
 
@@ -259,7 +245,7 @@ def _read_wall(rays, wall: tuple[int, int], sides: tuple[int, int], entries) -> 
 
 def wall_data(f: Fan3, pair) -> Wall:
     """The normalized wall record for an unordered wall pair."""
-    key = tuple(sorted(pair))
+    key = _int_key(pair)
     try:
         return f.wall_table[key]
     except KeyError:
@@ -332,8 +318,7 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
         if on_boundary:
             continue
         if len(hits) == 1:
-            return CompletenessCertificate(direction=direction, cone=hits[0],
-                                           attempts=attempt)
+            return CompletenessCertificate(direction, hits[0], attempt)
         if not hits:
             raise IncompleteFan(
                 f"generic direction {direction} lies in no maximal cone")

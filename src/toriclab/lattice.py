@@ -44,18 +44,7 @@ def dual_covector(a: Vec3, b: Vec3, c: Vec3) -> Vec3:
 
 def over_common_denominator(rows) -> tuple[list[list[int]], int]:
     """The rows times one positive integer D, the least common denominator
-    of all their entries: the integer numerator rows and D.
-
-    Ints and Fractions are read through ``numerator``/``denominator``
-    without building a Fraction; anything else ``Fraction`` accepts
-    (floats, Decimals, strings) is converted first.
-    """
-    rows = [list(r) for r in rows]
-    try:
-        dens = {x.denominator for r in rows for x in r}
-    except AttributeError:
-        from fractions import Fraction  # only values other than ints and Fractions need it
-        rows = [[Fraction(x) for x in r] for r in rows]
-        dens = {x.denominator for r in rows for x in r}
-    scale = lcm(*dens)
+    of all their entries (ints and Fractions, read through ``numerator``
+    and ``denominator``): the integer numerator rows and D."""
+    scale = lcm(*{x.denominator for r in rows for x in r})
     return [[x.numerator * (scale // x.denominator) for x in r] for r in rows], scale

@@ -349,11 +349,9 @@ def test_every_fan_command_certifies_first(capsys, tmp_path):
                       "on opposite sides (determinants 1, 1)\n"}
 
 
-def test_branched_cover_is_refused_with_the_library_message(capsys, tmp_path,
-                                                            monkeypatch):
+def test_branched_cover_is_refused_with_the_library_message(capsys, tmp_path):
     # Every wall check passes on the degree-2 cover of the sphere; each
     # command refuses it with certify_fan's message, as the library does.
-    monkeypatch.delenv("TORICLAB_SEED", raising=False)
     path = tmp_path / "branched-cover.fan"
     path.write_text(branched_cover_text())
     with pytest.raises(IncompleteFan, match="lies in 2 maximal cones") as e:

@@ -33,7 +33,8 @@ from toriclab.cohomology import (
 from toriclab.combinatorics import SimplicialSphere2, betti_numbers, dual_sphere
 from toriclab.corpus import FAN_NAMES, load_fan, load_polytope
 from toriclab.errors import IncompleteFan, SupportInvalid, ValidationError
-from toriclab.fan import Fan3, characteristic_pair, check_complete, parse_fan
+from toriclab.fan import (Fan3, characteristic_pair, check_complete, classify_wall,
+                         parse_fan, wall_data)
 
 from branched import branched_cover_text
 from oracles import (integral_table_oracle, polytope_volume_oracle,
@@ -105,10 +106,11 @@ def test_bad_indices_rejected():
 
 
 @pytest.mark.parametrize("indices", [(0.9, 1, 2), ("a", 1, 2), (Fraction(1), 1, 2),
-                                     (True, 2, 3)])
+                                     (True, 2, 3), (0.0, 1, 2)])
 def test_non_integer_indices_rejected(indices):
     # an index is refused unless it is an int, as a ray entry is; int()
-    # used to truncate 0.9 to the (0, 1, 2) integral
+    # used to truncate 0.9 to the (0, 1, 2) integral, and the wall and
+    # triangle lookups read 0.0 and True as 0 and 1
     f = load_fan("cp3")
     message = rf"^indices {re.escape(repr(indices))} are not all integers$"
     with pytest.raises(ValidationError, match=message):
@@ -117,6 +119,14 @@ def test_non_integer_indices_rejected(indices):
         signed_triple_intersection(characteristic_pair(f), indices)
     with pytest.raises(ValidationError, match=message):
         volume_polynomial(f).coefficient(indices)
+    with pytest.raises(ValidationError, match=message):
+        f.sphere.orientation_sign(*indices)
+    pair = indices[:2]
+    message = rf"^indices {re.escape(repr(pair))} are not all integers$"
+    for lookup in (wall_data, classify_wall, lambda f, pair: edge_functional(f, pair, f.support),
+                   lambda f, pair: f.sphere.wall_apexes(pair)):
+        with pytest.raises(ValidationError, match=message):
+            lookup(f, pair)
 
 
 @pytest.mark.parametrize("mu", [(1.7, 0, 0), (1, 0), (1, 0, 0, 0), ("1", 0, 0), (True, 0, 0)])

@@ -175,6 +175,11 @@ class TestDualSphere:
         assert s.m == 6
         assert len(s.triangles) == 8
         assert all(s.vertex_degree(v) == 4 for v in range(6))
+        for v in (-1, 6, 99, True, 1.0):
+            for lookup in (s.vertex_degree, s.neighbors):
+                with pytest.raises(ValidationError,
+                                   match=rf"^{v!r} is not a vertex of this sphere \(0..5\)$"):
+                    lookup(v)
 
     def test_dodecahedron_dual_is_icosahedron(self):
         s = dual_sphere(dodecahedron())
@@ -223,6 +228,14 @@ class TestDualSphere:
         # the cube's facets 0 and 1 are opposite
         with pytest.raises(ValidationError, match=r"^\(0, 1\) is not a wall of this sphere$"):
             dual_sphere(cube()).wall_apexes((1, 0))
+        for wall in ((-1, 0), (3, 99)):
+            with pytest.raises(ValidationError,
+                               match=rf"^{re.escape(str(wall))} is not a wall of this sphere$"):
+                s.wall_apexes(wall)
+        for wall in ((0.0, 1), (True, 2), (0, 1.0)):
+            with pytest.raises(ValidationError,
+                               match=rf"^indices {re.escape(repr(wall))} are not all integers$"):
+                s.wall_apexes(wall)
 
     def test_double_dual_recovers_polytope(self):
         polytopes = [SimplePolytope3.from_facets("x", facets) for facets in

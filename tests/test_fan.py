@@ -231,6 +231,10 @@ class TestWallData:
         # rays 0 and 1 of the cube fan are antipodal, never adjacent
         with pytest.raises(ValidationError, match="not a wall"):
             wall_data(load_fan("cube-fan"), (0, 1))
+        for pair in ((-1, 0), (0, 99)):
+            with pytest.raises(ValidationError,
+                               match=rf"^{re.escape(str(pair))} is not a wall of this fan$"):
+                wall_data(load_fan("cube-fan"), pair)
 
     def test_wall_relation_exact_everywhere(self):
         for f in all_corpus_fans():
@@ -543,8 +547,7 @@ class TestCertification:
                 volume_polynomial, lambda f: edge_functionals(f, [1] * f.m),
                 wall_classes, extremal_walls, delzant_obstruction_witness]
 
-    def test_branched_cover_is_refused_by_every_analysis(self, monkeypatch):
-        monkeypatch.delenv("TORICLAB_SEED", raising=False)
+    def test_branched_cover_is_refused_by_every_analysis(self):
         text = branched_cover_text()
         f = parse_fan(text)
         # unimodular, and every wall has its apexes on opposite sides
@@ -558,7 +561,6 @@ class TestCertification:
             assert str(got.value) == str(e.value), analysis
 
     def test_one_piercing_pass_per_fan(self, monkeypatch):
-        monkeypatch.delenv("TORICLAB_SEED", raising=False)
         directions = []
         pierce = fan_module._pierce
 

@@ -68,7 +68,6 @@ def _digest(code, out, err):
 
 @pytest.fixture
 def documents(tmp_path, monkeypatch):
-    monkeypatch.delenv("TORICLAB_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
     for path, text in _documents().items():
         (tmp_path / path).write_text(text)

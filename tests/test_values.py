@@ -1,6 +1,7 @@
 """The value classes keep the semantics they had as frozen dataclasses: the
 same ``repr`` text, field-wise equality and hashing that ignore the kept
-caches, no assignment, and the same refusals from their constructors."""
+caches, no assignment, and the same refusals from their constructors, which bind
+the fields as a dataclass's would."""
 
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from toriclab.corpus import CorpusEntry
 from toriclab.errors import ValidationError
 from toriclab.exactlp import cone_membership, positive_functional
 from toriclab.fan import Fan3, check_complete
+from toriclab.value import _Value
 
 TET = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
@@ -105,6 +107,10 @@ CACHES = {
     "Fan3": ["certificate", "wall_table", "characteristic_pair", "cone_analysis"],
 }
 
+# the classes whose own ``__init__`` checks the fields; the others bind
+# and store them with ``_Value.__init__``
+VALIDATING = {"FacetColoring", "CharacteristicFunction", "CharacteristicPair", "WallClass"}
+
 
 def test_every_value_class_is_pinned():
     assert len(VALUES) == 17
@@ -131,6 +137,34 @@ def test_equality_and_hash_are_field_wise(name):
     assert copy == value and not copy != value
     assert hash(copy) == hash(value) == hash(values)
     assert value != values and values != value
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_the_constructor_binds_the_fields(name):
+    make, fields, _ = VALUES[name]
+    value = make()
+    cls = type(value)
+    assert ("__init__" in vars(cls)) == (name in VALIDATING)
+    assert (cls.__init__ is _Value.__init__) == (name not in VALIDATING)
+    values = [getattr(value, f) for f in fields]
+    assert cls(**dict(zip(fields, values))) == value
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == value
+    with pytest.raises(TypeError, match=f"missing .*'{fields[0]}'"):
+        cls(**dict(zip(fields[1:], values[1:])))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{fields[0]}'"):
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError, match="positional arguments"):
+        cls(*values, None)
+
+
+def test_a_field_left_out_takes_its_class_default():
+    analysis = ConeAnalysis(classes=(wall_class(),), groups=(((0, 1),),),
+                            extremal=((0, 1),), witness=None)
+    assert analysis.note == ""
+    assert analysis == ConeAnalysis((wall_class(),), (((0, 1),),), ((0, 1),), None, "")
+    assert analysis != ConeAnalysis((wall_class(),), (((0, 1),),), ((0, 1),), None, "x")
 
 
 def test_a_differing_field_breaks_equality():
