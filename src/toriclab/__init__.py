@@ -28,16 +28,16 @@ _EXPORTS = {
     "charfunc": ("CharacteristicFunction", "CharacteristicPair", "FacetColoring",
                  "check_star_condition", "coloring_to_charfunc", "four_color",
                  "parse_charfunc"),
-    "cohomology": ("certify_support", "chern_number_c1c2", "edge_functional",
+    "cohomology": ("WallClass", "certify_support", "chern_number_c1c2", "edge_functional",
                    "edge_functionals", "evaluate_volume", "linear_relation",
                    "serialize_volume_polynomial", "signed_triple_intersection",
                    "triple_intersection", "volume_polynomial"),
     "combinatorics": ("SimplePolytope3", "SimplicialSphere2", "betti_numbers",
                       "dual_polytope", "dual_sphere", "face_histogram", "is_fullerene",
                       "parse_polytope", "serialize_polytope"),
-    "cone": ("ConeAnalysis", "ObstructionWitness", "WallClass",
-             "delzant_obstruction_witness", "extremal_walls", "signed_wall_classes",
-             "strict_convexity_witness", "wall_classes"),
+    "cone": ("ConeAnalysis", "ObstructionWitness", "delzant_obstruction_witness",
+             "extremal_walls", "signed_wall_classes", "strict_convexity_witness",
+             "wall_classes"),
     "corpus": ("corpus_get", "corpus_names", "load_fan", "load_polytope"),
     "errors": ("CertificationFailure", "IncompleteFan", "InternalError", "NotFound",
                "NoWitness", "NotUnimodular", "ParseError", "SupportInvalid",

@@ -6,17 +6,18 @@ those four form a lattice basis, so the resulting assignment automatically
 satisfies the basis condition on every triangle of the sphere.  The
 coloring is a DSATUR backtracking search under a node budget; past the
 budget, :mod:`toriclab._kempe` colors the sphere by Kempe-chain repair.
+A characteristic pair keeps its intersection calculus, built on first use
+by :mod:`toriclab.cohomology`: the integrals and one class per wall.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import chain
 
 from .combinatorics import SimplicialSphere2, Triangle, _Lines
 from .errors import InternalError, ValidationError
-from .lattice import Vec3, det3, is_primitive
+from .lattice import Vec3, det3, primitive_vectors
 from .value import _Value
 
 COLORS = ("a", "b", "c", "d")
@@ -55,18 +56,7 @@ class CharacteristicFunction(_Value):
     vectors: tuple[Vec3, ...]
 
     def __init__(self, vectors: tuple[Vec3, ...]):
-        # With int entries only (no bool, no 1.0, which would equal 1 and
-        # hide), equal vectors pass or fail alike, so each distinct one is
-        # checked once: a coloring has at most four.  A failure is named
-        # by the scan over every index.
-        if not (set(map(type, chain.from_iterable(vectors))) <= {int}
-                and all(len(v) == 3 and is_primitive(v) for v in dict.fromkeys(vectors))):
-            for i, v in enumerate(vectors):
-                if len(v) != 3 or not all(type(x) is int for x in v):
-                    raise ValidationError(f"lambda({i}) = {v!r} is not an integer 3-vector")
-                if not is_primitive(v):
-                    raise ValidationError(f"lambda({i}) = {v} is not primitive")
-        self.__dict__["vectors"] = vectors
+        self.__dict__["vectors"] = primitive_vectors(vectors, "lambda({})")
 
     @property
     def m(self) -> int:
@@ -108,16 +98,10 @@ class CharacteristicPair(_Value):
         return self._calculus[0]
 
     @property
-    def pairings(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-        """Each wall's nonzero entries ``(t, integral of v_u v_v v_t)``,
-        keyed by wall in ``sphere.walls`` order; built with the integrals."""
+    def wall_classes(self) -> tuple:
+        """Each wall's :class:`~toriclab.cohomology.WallClass`, in
+        ``sphere.walls`` order; built with the integrals."""
         return self._calculus[1]
-
-    @cached_property
-    def _wall_classes(self):
-        from .cone import _build_wall_classes  # cone imports this module
-
-        return _build_wall_classes(self)
 
 
 class StarVerdict(_Value):

@@ -218,13 +218,12 @@ def _certified_fan(args, command: str):
 
 
 def _parse_support(arg: str, m: int):
-    from .combinatorics import _SPACE
-    from .fan import _rational
+    from .combinatorics import _SPACE, _rationals
 
     parts = [s.strip(_SPACE) for s in arg.split(",")]
     if len(parts) != m:
         raise ValidationError(f"support override has {len(parts)} entries, fan has {m} rays")
-    values = tuple(map(_rational, parts))
+    values = tuple(_rationals(parts))
     if None in values:
         raise ParseError(f"bad support value: {parts[values.index(None)]!r}")
     return values

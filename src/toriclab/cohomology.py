@@ -17,47 +17,47 @@ index multisets, and each of those has a closed form:
 :func:`integral_table` computes exactly these nonzero values, keyed by
 sorted multiset, in one pass over the triangles and one over the walls.
 The wall pass takes each wall relation once, by that Cramer kernel, and
-records the wall's pairing: the at most four nonzero integrals
-v_u v_v v_t, at the two endpoints and the two apexes t of the wall.  Both
-are cached once per pair, as ``CharacteristicPair.integrals`` and
-``CharacteristicPair.pairings``; a fan reaches them through its cached
-``Fan3.characteristic_pair``, the fan's own sphere, on which every cone
-has a positive determinant, so the squares are the negated wall
-coefficients -a1, -a2, and ``Fan3.wall_table`` reads them there.  Triple
-integrals and volume polynomials are sparse sums over the table; the
-Chern number, edge functionals and the wall classes of
-:mod:`toriclab.cone` read the pairings.
+builds the wall's class, a :class:`WallClass`: the at most four nonzero
+integrals v_u v_v v_t, at the two endpoints and the two apexes t of the
+wall, sorted by t.  Both are cached once per pair, as
+``CharacteristicPair.integrals`` and ``CharacteristicPair.wall_classes``;
+a fan reaches them through its cached ``Fan3.characteristic_pair``, the
+fan's own sphere, on which every cone has a positive determinant, so the
+squares are the negated wall coefficients -a1, -a2, and
+``Fan3.wall_table`` reads them there.  Triple integrals and volume
+polynomials are sparse sums over the table; the Chern number, the edge
+functionals and :mod:`toriclab.cone` read the classes.
 
 Volume polynomials collect every degree-3 integral with multinomial
 weights; their values at valid support parameters are Euclidean volumes of
 the corresponding simple polytopes.
 
 Support parameters are evaluated over one common denominator: the values
-c_1, ..., c_m, each read as a fan's support entry is (a Fraction, an int
-or a 'p/q' string), become once, by ``lattice.over_common_denominator``,
-integer numerators C_t over their least common denominator D.  Every
-multinomial weight times 6 is an integer, so a volume is the integer sum S
-of 6 * weight * integral * C_i C_j C_k divided by 6 D^3, and an edge
-functional is the integer sum E of integral * C_t divided by D.  Signs are
-decided on S and E alone; a ``Fraction`` is built only for a value handed
-back to the caller or named in a ``SupportInvalid`` message, so each query
-normalises once instead of at every product and sum.
+c_1, ..., c_m, each read by ``combinatorics._exact`` as a fan's support
+entry is (a Fraction, an int or a 'p/q' string), become once, by
+``lattice.over_common_denominator``, integer numerators C_t over their
+least common denominator D.  Every multinomial weight times 6 is an
+integer, so a volume is the integer sum S of 6 * weight * integral *
+C_i C_j C_k divided by 6 D^3, and an edge functional is the integer sum E
+of integral * C_t divided by D.  Signs are decided on S and E alone; a
+``Fraction`` is built only for a value handed back to the caller or named
+in a ``SupportInvalid`` message, so each query normalises once instead of
+at every product and sum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 
 from .charfunc import CharacteristicPair
-from .combinatorics import _int_key
+from .combinatorics import _exact, _int_key
 from .errors import SupportInvalid, ValidationError
-from .fan import Fan3, _support_entry, characteristic_pair
+from .fan import Fan3, characteristic_pair
 from .lattice import Vec3, det3, dot, dual_covector, over_common_denominator
 from .value import _Value
 
 Multiset = tuple[int, int, int]
-# wall (u, v) -> its nonzero entries (t, integral of v_u v_v v_t)
-Pairings = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 _BASIS_FAULT = "triangle {} violates the basis condition; the signed calculus needs it to hold"
 
@@ -69,6 +69,44 @@ def _as_multiset(indices, m: int) -> Multiset:
     if not all(0 <= i < m for i in t):
         raise ValidationError(f"index out of range in {t}")
     return t
+
+
+class WallClass(_Value):
+    """A wall with its pairing vector over m rays: entry t is the integral
+    over the wall class times the class of ray t.
+
+    Only the nonzero entries are stored, as ``(t, value)`` pairs sorted by
+    t, so two classes are equal exactly when their vectors are.  There are
+    at most four, and the two apexes are always among them, so the vector
+    is never zero.  Each t is an int and each value an int or a Fraction
+    (no float, no bool).  The dense vector ``pairing`` is built when read.
+    """
+
+    wall: tuple[int, int]
+    entries: tuple[tuple[int, int], ...]
+    m: int
+
+    def __init__(self, wall: tuple[int, int], entries: tuple[tuple[int, int], ...], m: int):
+        prev = -1
+        for e in entries if type(entries) is tuple else (entries,):
+            if (type(e) is not tuple or len(e) != 2 or type(e[0]) is not int
+                    or type(e[1]) is not int and type(e[1]) is not Fraction):
+                raise ValidationError(f"wall class {wall}: entry {e!r} is not an int "
+                                      f"ray id with an int or Fraction value")
+            t, v = e
+            if not prev < t < m or not v:
+                why = (f"outside rays 0..{m - 1}" if not 0 <= t < m
+                       else "out of ray order" if t <= prev else "zero")
+                raise ValidationError(f"wall class {wall}: entry {e} is {why}")
+            prev = t
+        self.__dict__.update(wall=wall, entries=entries, m=m)
+
+    @property
+    def pairing(self) -> tuple[int, ...]:
+        vec = [0] * self.m
+        for t, v in self.entries:
+            vec[t] = v
+        return tuple(vec)
 
 
 class LinearRelation(_Value):
@@ -85,14 +123,15 @@ def linear_relation(f: Fan3, mu) -> LinearRelation:
     return LinearRelation(mu=mu, coeffs=tuple(dot(mu, r) for r in f.rays))
 
 
-def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int], Pairings]:
+def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int],
+                                                    tuple[WallClass, ...]]:
     """Every nonzero degree-3 integral of the pair, keyed by sorted
-    multiset, and every wall's nonzero pairing entries (t, integral of
-    v_u v_v v_t), keyed by wall in ``sphere.walls`` order.
+    multiset, and every wall's class, whose entries (t, integral of
+    v_u v_v v_t) are sorted by ray id, in ``sphere.walls`` order.
 
-    Use ``pair.integrals`` and ``pair.pairings``, which build these once
-    and keep them.  Raises ValidationError when a triangle's vectors are
-    degenerate or, at a vertex's cube covector or a wall's triangle
+    Use ``pair.integrals`` and ``pair.wall_classes``, which build these
+    once and keep them.  Raises ValidationError when a triangle's vectors
+    are degenerate or, at a vertex's cube covector or a wall's triangle
     (u, v, p), fail the basis condition.
     """
     sphere, lam = pair.sphere, pair.lam.vectors
@@ -115,8 +154,9 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int], Pairi
     cube_mu = {i: covector(i, *(x for x in tri if x != i))
                for i, tri in first.items()}
 
-    cubes = [0] * sphere.m
-    pairings: Pairings = {}
+    m = sphere.m
+    cubes = [0] * m
+    classes = []
     for (u, v), (x, y) in zip(sphere.walls, sphere._apex_pairs.values()):
         p, q = (x, y) if x < y else (y, x)
         lu, lv, lp, lq = lam[u], lam[v], lam[p], lam[q]
@@ -125,18 +165,18 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int], Pairi
             raise ValidationError(_BASIS_FAULT.format((u, v, p)))
         near = table[(p, u, v) if p < u else (u, p, v) if p < v else (u, v, p)]
         far = table[(q, u, v) if q < u else (u, q, v) if q < v else (u, v, q)]
-        entries = []
+        entries = [(p, near), (q, far)]
         for i, j, square in ((u, v, -d * det3(lq, lv, lp) * far),
                              (v, u, -d * det3(lu, lq, lp) * far)):
             if square:
                 table[(u, u, v) if i == u else (u, v, v)] = square
                 cubes[i] -= dot(cube_mu[i], lam[j]) * square
-                entries.append((i, square))
-        pairings[(u, v)] = (*entries, (p, near), (q, far))
+                insort(entries, (i, square))
+        classes.append(WallClass((u, v), tuple(entries), m))
     for i, cube in enumerate(cubes):
         if cube:
             table[(i, i, i)] = cube
-    return table, pairings
+    return table, tuple(classes)
 
 
 def triple_intersection(f: Fan3, indices) -> int:
@@ -158,8 +198,8 @@ def chern_number_c1c2(f: Fan3) -> int:
     second elementary symmetric class with the first one.  It must equal
     gauss_bonnet_sum(f); a mismatch indicates an internal bug.
     """
-    pairings = characteristic_pair(f).pairings
-    return sum(v for entries in pairings.values() for _, v in entries)
+    classes = characteristic_pair(f).wall_classes
+    return sum(v for cls in classes for _, v in cls.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +274,9 @@ def serialize_volume_polynomial(V: VolumePolynomial) -> str:
 
 def _scaled(c, m: int, what: str) -> tuple[list[int], int]:
     """m values c for the named variables, as numerators over one D.  Each
-    value is what a fan's support entry may be (``fan._support_entry``):
-    a Fraction, an int (not a bool) or a 'p/q' string."""
-    c = [x if type(x) is Fraction else _support_entry(i, x) for i, x in enumerate(c)]
-    (C,), D = over_common_denominator([c])
+    value is read as a fan's support entry is, by
+    :func:`~toriclab.combinatorics._exact`."""
+    (C,), D = over_common_denominator([_exact(c, "support entry {i} = {x}")])
     if len(C) != m:
         raise ValidationError(f"{len(C)} values for {m} {what}")
     return C, D
@@ -258,28 +297,29 @@ def edge_functional(f: Fan3, pair, c) -> Fraction:
     all walls certifies that c are genuine support parameters for the fan.
     """
     key = _int_key(pair)
-    entries = characteristic_pair(f).pairings.get(key)
-    if entries is None:
+    classes = characteristic_pair(f).wall_classes  # in the order of f.sphere.walls
+    n = bisect_left(f.sphere.walls, key)
+    if n == len(classes) or classes[n].wall != key:
         raise ValidationError(f"{key} is not a wall of this fan")
     C, D = _scaled(c, f.m, "rays")
-    return Fraction(_edge_numerator(entries, C), D)
+    return Fraction(_edge_numerator(classes[n].entries, C), D)
 
 
 def edge_functionals(f: Fan3, c) -> dict[tuple[int, int], Fraction]:
     """:func:`edge_functional` at every wall, keyed by sorted wall pair in
     the order of ``f.walls``; c is read once for all of them."""
     C, D = _scaled(c, f.m, "rays")
-    return {key: Fraction(_edge_numerator(entries, C), D)
-            for key, entries in characteristic_pair(f).pairings.items()}
+    return {cls.wall: Fraction(_edge_numerator(cls.entries, C), D)
+            for cls in characteristic_pair(f).wall_classes}
 
 
-def _non_positive_edges(walls, C: list[int]) -> list[tuple[tuple[int, int], int]]:
-    """(wall, edge numerator at C) for each (wall, entries) with one <= 0."""
-    return [(w, e) for w, entries in walls if (e := _edge_numerator(entries, C)) <= 0]
+def _non_positive_edges(classes, C: list[int]) -> list[tuple[tuple[int, int], int]]:
+    """(wall, edge numerator at C) for each class with one <= 0."""
+    return [(cls.wall, e) for cls in classes if (e := _edge_numerator(cls.entries, C)) <= 0]
 
 
 def _certify_scaled(f: Fan3, C: list[int], D: int) -> None:
-    bad = _non_positive_edges(characteristic_pair(f).pairings.items(), C)
+    bad = _non_positive_edges(characteristic_pair(f).wall_classes, C)
     if bad:
         detail = ", ".join(f"wall {p}: {Fraction(e, D)}" for p, e in bad)
         raise SupportInvalid(f"non-positive edge functionals: {detail}")

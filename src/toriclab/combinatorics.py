@@ -158,11 +158,11 @@ class SimplicialSphere2(_Value):
 
     def wall_apexes(self, wall: Wall) -> tuple[int, int]:
         """The two vertices completing the given wall to triangles, ascending."""
-        u, v = _int_key(wall)
-        m = self.m
+        key, m = _int_key(wall), self.m
+        u, v = key if len(key) == 2 else (0, 0)  # no wall
         pair = self._apex_pairs.get(u * m + v) if 0 <= u < v < m else None
         if pair is None:
-            raise ValidationError(f"{(u, v)} is not a wall of this sphere")
+            raise ValidationError(f"{key} is not a wall of this sphere")
         return pair if pair[0] < pair[1] else (pair[1], pair[0])
 
     def vertex_degree(self, v: int) -> int:
@@ -315,9 +315,12 @@ def _int_ids(cycles, named: str) -> list:
 
 
 def _int_key(ids) -> tuple[int, ...]:
-    """The ids sorted, refused unless each is an int: a float or a bool
-    would pass for the int it equals (0.0 or True for 0 or 1)."""
-    key = tuple(ids)
+    """The ids sorted, refused unless they are a sequence of ints: a float
+    or a bool would pass for the int it equals (0.0 or True for 0 or 1)."""
+    try:
+        key = tuple(ids)
+    except TypeError:
+        raise ValidationError(f"indices {ids!r} are not a sequence") from None
     if not all(type(i) is int for i in key):
         raise ValidationError(f"indices {ids!r} are not all integers")
     return tuple(sorted(key))
@@ -518,6 +521,38 @@ def _natural(token: str) -> int | None:
         return int(token) if token.isdecimal() else None
     except ValueError:  # past int()'s digit limit
         return None
+
+
+def _rationals(tokens) -> list:
+    """Each token's Fraction if it is ``-?<digits>`` or ``-?<digits>/<digits>``
+    with a nonzero denominator (a fan's support entry), else None."""
+    from fractions import Fraction  # the polytope commands never read one
+
+    values = []
+    for token in tokens:
+        num, slash, den = token.partition("/")
+        sign = -1 if num[:1] == "-" else 1
+        p = _natural(num[1:] if sign < 0 else num) if token.isascii() else None
+        q = _natural(den) if slash else 1
+        values.append(None if p is None or not q else Fraction(sign * p, q))
+    return values
+
+
+def _exact(values, named: str) -> list:
+    """The values as exact numbers, each a Fraction or an int (not a bool),
+    kept as the same object, or a string :func:`_rationals` reads; anything
+    else is refused, the first named as ``named.format(i=i, x=repr(x))``."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        from fractions import Fraction  # loaded already if a value is one
+
+        for i, x in enumerate(values):
+            if type(x) is not int and type(x) is not Fraction:
+                values[i] = _rationals([x])[0] if type(x) is str else None
+                if values[i] is None:
+                    raise ValidationError(f"{named.format(i=i, x=repr(x))} is not a "
+                                          f"Fraction, an int or a 'p/q' string")
+    return values
 
 
 _SPACE = " \t\n\r\f\v"  # ASCII whitespace, the grammar's only separator

@@ -1,11 +1,12 @@
 """Effective-cone analysis of wall classes.
 
 Every wall pairs against the m ray classes through the degree-3 integrals.
-A :class:`WallClass` stores only the pairing's at most four nonzero
-entries, read off ``CharacteristicPair.pairings``; the dense m-vector is
-derived when ``WallClass.pairing`` is read, for the witness LP and the
-reports.  A pair's classes are built once and kept on the pair, so
-:func:`wall_classes` and :func:`signed_wall_classes` hand back one tuple.
+A :class:`~toriclab.cohomology.WallClass` stores only the pairing's at
+most four nonzero entries; the dense m-vector is derived when
+``WallClass.pairing`` is read, for the witness LP and the reports.  The
+intersection calculus builds a pair's classes once, with its integrals,
+and keeps them as ``CharacteristicPair.wall_classes``, so
+:func:`wall_classes` and :func:`signed_wall_classes` hand back that tuple.
 These vectors generate a cone; this module groups them by positive
 proportionality (one dict keyed by each class's sparse primitive integer
 vector), decides which groups sit on extreme rays, finds or refutes a
@@ -36,7 +37,7 @@ import math
 from fractions import Fraction
 
 from .charfunc import CharacteristicPair
-from .cohomology import _non_positive_edges, _scaled, certify_support
+from .cohomology import WallClass, _non_positive_edges, _scaled, certify_support
 from .errors import (CertificationFailure, InternalError, NotFound, NoWitness,
                      ValidationError)
 from .exactlp import cone_membership, cone_sweep, positive_functional
@@ -57,42 +58,6 @@ __all__ = [
 ]
 
 UNCERTIFIED_NOTE = "uncertified: no strict convexity witness supplied"
-
-
-class WallClass(_Value):
-    """A wall with its pairing vector over m rays: entry t is the integral
-    over the wall class times the class of ray t.
-
-    Only the nonzero entries are stored, as ``(t, value)`` pairs sorted by
-    t, so two classes are equal exactly when their vectors are.  There are
-    at most four, and the two apexes are always among them, so the vector
-    is never zero.  Each t is an int and each value an int or a Fraction
-    (no float, no bool).  The dense vector ``pairing`` is built when read.
-    """
-
-    wall: tuple[int, int]
-    entries: tuple[tuple[int, int], ...]
-    m: int
-
-    def __init__(self, wall: tuple[int, int], entries: tuple[tuple[int, int], ...], m: int):
-        prev = -1
-        for t, v in entries:
-            if type(t) is not int or type(v) is not int and type(v) is not Fraction:
-                raise ValidationError(f"wall class {wall}: entry {(t, v)} is not an int "
-                                      f"ray id with an int or Fraction value")
-            if not prev < t < m or not v:
-                why = (f"outside rays 0..{m - 1}" if not 0 <= t < m
-                       else "out of ray order" if t <= prev else "zero")
-                raise ValidationError(f"wall class {wall}: entry {(t, v)} is {why}")
-            prev = t
-        self.__dict__.update(wall=wall, entries=entries, m=m)
-
-    @property
-    def pairing(self) -> tuple[int, ...]:
-        vec = [0] * self.m
-        for t, v in self.entries:
-            vec[t] = v
-        return tuple(vec)
 
 
 class ConeAnalysis(_Value):
@@ -140,17 +105,11 @@ def wall_classes(f: Fan3) -> tuple[WallClass, ...]:
 
 def signed_wall_classes(pair: CharacteristicPair) -> tuple[WallClass, ...]:
     """Wall classes of a general characteristic pair, via the signed
-    integrals, in ``pair.sphere.walls`` order.  No fan required.  They are
-    built once per pair and kept on it; :func:`wall_classes` reads the
-    same tuple off a fan's pair."""
-    return pair._wall_classes
-
-
-def _build_wall_classes(pair: CharacteristicPair) -> tuple[WallClass, ...]:
-    """The uncached computation behind :func:`signed_wall_classes`."""
-    m = pair.lam.m
-    return tuple(WallClass(key, tuple(sorted(entries)), m)
-                 for key, entries in pair.pairings.items())
+    integrals, in ``pair.sphere.walls`` order.  No fan required.  The
+    intersection calculus builds them once per pair, as
+    ``pair.wall_classes``; :func:`wall_classes` reads the same tuple off a
+    fan's pair."""
+    return pair.wall_classes
 
 
 def _group_classes(classes) -> list[list[WallClass]]:
@@ -181,8 +140,8 @@ def strict_convexity_witness(classes, c_tilde=None):
     support entry is: a Fraction, an int (not a bool) or a 'p/q' string.
     Without it, a feasibility LP searches for any witness; infeasibility
     comes back with convex coefficients combining the pairing vectors to
-    zero, which makes a positive functional impossible.  The refusal is a return value, not an
-    exception.
+    zero, which makes a positive functional impossible.  The refusal is a
+    return value, not an exception.
     """
     if c_tilde is not None:
         c_tilde, classes = tuple(c_tilde), tuple(classes)
@@ -190,8 +149,7 @@ def strict_convexity_witness(classes, c_tilde=None):
             raise ValidationError(f"candidate has {len(c_tilde)} entries for "
                                   f"{classes[0].m} rays")
         C, D = _scaled(c_tilde, len(c_tilde), "rays")
-        failing = tuple(wall for wall, _ in _non_positive_edges(
-            ((cls.wall, cls.entries) for cls in classes), C))
+        failing = tuple(wall for wall, _ in _non_positive_edges(classes, C))
         if failing:
             return NoWitness(
                 "candidate pairs non-positively with walls "

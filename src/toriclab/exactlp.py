@@ -6,9 +6,10 @@ pivoting rule, which terminates without cycling.  The sweep pivots
 fraction-free, through one kernel (:func:`_pivot`): a system is read into
 integers once, by :func:`toriclab.lattice.over_common_denominator`, and
 every tableau entry and certificate stays an integer over one common
-denominator.  An entry is read as a fan's support entry is: a Fraction, an
-int (not a bool) or a 'p/q' string; floats, bools and anything else are
-refused with ValidationError, and so are vectors of different lengths.
+denominator.  An entry is read as a fan's support entry is, by
+``combinatorics._exact``: a Fraction, an int (not a bool) or a 'p/q'
+string; floats, bools and anything else are refused with
+ValidationError, and so are vectors of different lengths.
 There are no tolerances anywhere: every verdict comes with a certificate
 that is re-verified by exact substitution before it is returned, so a
 caller can trust either answer unconditionally.
@@ -46,6 +47,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
+from .combinatorics import _exact
 from .errors import InternalError, ValidationError
 from .lattice import over_common_denominator
 from .value import _Value
@@ -63,23 +65,13 @@ _ZERO = Fraction(0)
 
 def _integral(rows) -> tuple[list[list[int]], int]:
     """:func:`~toriclab.lattice.over_common_denominator` of the rows, each
-    entry read as ``fan._support_entry`` reads a support entry.  Rows of
-    different lengths are refused."""
-    rows = [list(r) for r in rows]
+    entry read by :func:`~toriclab.combinatorics._exact`, as a fan's
+    support entries are.  Rows of different lengths are refused."""
+    rows = [_exact(r, "LP entry {x}") for r in rows]
     lengths = sorted({len(r) for r in rows})
     if len(lengths) > 1:
         raise ValidationError(f"LP vectors have different lengths: "
                               f"{', '.join(map(str, lengths))}")
-    for r in rows:
-        for k, x in enumerate(r):
-            if type(x) is not int and type(x) is not Fraction:
-                from .fan import _rational  # the support grammar, for strings only
-
-                value = _rational(x) if type(x) is str else None
-                if value is None:
-                    raise ValidationError(
-                        f"LP entry {x!r} is not a Fraction, an int or a 'p/q' string")
-                r[k] = value
     return over_common_denominator(rows)
 
 

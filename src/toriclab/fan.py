@@ -27,7 +27,8 @@ With apexes p < q and d = det(ray(i1), ray(i2), ray(p)), (i, i') is
 ray(q) in the basis (ray(i1), ray(i2), ray(p)), the third being -1 on a
 fan: the wall relation the fan pair's intersection calculus takes at the
 wall (:mod:`toriclab.cohomology`).  The wall table reads them off the
-pair's pairings and re-verifies the relation.
+pair's wall classes, each value found by its ray id, and re-verifies the
+relation and the side determinant.
 
 The unimodular curvature of the wall is 2 - a1 - a2; its sign equals the
 sign of det(ray(i1)-ray(i'), ray(i2)-ray(i'), ray(i)-ray(i')), which
@@ -40,14 +41,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, starmap
-from math import gcd
+from itertools import chain
 
 from .charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
-from .combinatorics import SimplicialSphere2, Triangle, _Lines, _int_key, _natural, _plain
+from .combinatorics import (SimplicialSphere2, Triangle, _exact, _int_key, _Lines, _plain,
+                            _rationals)
 from .errors import (IncompleteFan, InternalError, NotUnimodular, ParseError,
                      ValidationError)
-from .lattice import Vec3, det3
+from .lattice import Vec3, det3, primitive_vectors
 from .value import _Value
 
 # the piercing seed of every fan's kept completeness certificate
@@ -100,15 +101,8 @@ class Fan3(_Value):
         runs positively (any other complex is refused by certification).
         Rays and cones are checked in bulk; a per-item scan names the
         first fault once a bulk test fails."""
-        rays = tuple(map(tuple, rays))
+        rays = primitive_vectors(rays, "ray {}")
         m = len(rays)
-        if (set(map(len, rays)) - {3} or not set(map(type, chain(*rays))) <= {int}
-                or not set(starmap(gcd, rays)) <= {1}):
-            for i, r in enumerate(rays):
-                if len(r) != 3 or not all(type(x) is int for x in r):
-                    raise ValidationError(f"ray {i} = {r} is not an integer 3-vector")
-                if gcd(*r) != 1:
-                    raise ValidationError(f"ray {i} = {r} is not primitive")
         cones = tuple(map(tuple, cones))
         ids = list(chain(*cones))
         if not set(map(type, ids)) <= {int}:
@@ -129,8 +123,8 @@ class Fan3(_Value):
         except ValidationError as e:
             raise ValidationError(f"cone complex is not a 2-sphere: {e}") from None
         if support is not None:
-            support = tuple(x if type(x) is Fraction else _support_entry(i, x)
-                            for i, x in enumerate(support))
+            support = tuple(Fraction(x) if type(x) is int else x
+                            for x in _exact(support, "support entry {i} = {x}"))
             if len(support) != m:
                 raise ValidationError(
                     f"{len(support)} support parameters for {m} rays")
@@ -154,11 +148,10 @@ class Fan3(_Value):
     @cached_property
     def wall_table(self) -> dict[tuple[int, int], Wall]:
         """All walls keyed by sorted pair, in ``sphere.walls`` order, made
-        once, after :func:`certify_fan`, off the fan pair's pairings."""
+        once, after :func:`certify_fan`, off the fan pair's wall classes."""
         certify_fan(self)
-        pairings = self.characteristic_pair.pairings
-        return {w: _read_wall(self.rays, w, sides, entries) for w, sides, entries in
-                zip(self.sphere.walls, self.sphere._apex_pairs.values(), pairings.values())}
+        return {cls.wall: _read_wall(self.rays, sides, cls) for sides, cls in
+                zip(self.sphere._apex_pairs.values(), self.characteristic_pair.wall_classes)}
 
     @cached_property
     def characteristic_pair(self) -> CharacteristicPair:
@@ -187,29 +180,6 @@ class Fan3(_Value):
         return tuple(self.wall_table.values())
 
 
-def _rational(token: str) -> Fraction | None:
-    """The value of a ``-?<digits>`` or ``-?<digits>/<digits>`` token with
-    a nonzero denominator (a fan's support entry), else None."""
-    if not token.isascii():
-        return None
-    num, slash, den = token.partition("/")
-    sign = -1 if num[:1] == "-" else 1
-    p = _natural(num[1:] if sign < 0 else num)
-    q = _natural(den) if slash else 1
-    return None if p is None or not q else Fraction(sign * p, q)
-
-
-def _support_entry(i: int, x) -> Fraction:
-    """Support entry i given as an int or as a string the support grammar
-    reads (:func:`_rational`); floats, bools and
-    anything else are refused."""
-    value = Fraction(x) if type(x) is int else _rational(x) if type(x) is str else None
-    if value is None:
-        raise ValidationError(
-            f"support entry {i} = {x!r} is not a Fraction, an int or a 'p/q' string")
-    return value
-
-
 def _cone_determinants(rays, cones) -> dict[Triangle, int]:
     """det3 of each cone's rays, keyed by cone; a degenerate cone is refused."""
     dets = [det3(rays[a], rays[b], rays[c]) for a, b, c in cones]
@@ -218,15 +188,17 @@ def _cone_determinants(rays, cones) -> dict[Triangle, int]:
     return dict(zip(cones, dets))
 
 
-def _read_wall(rays, wall: tuple[int, int], sides: tuple[int, int], entries) -> Wall:
-    """The normalized wall (u, v) off its pairing entries (u, -a_u * far),
-    (v, -a_v * far) (each unless 0), (p, near), (q, far) in the calculus of
-    a pair with the rays as lambda; near is d if p is ``sides[0]``, the apex
-    whose triangle runs u -> v, else -d.  The relation and side are checked."""
-    u, v = wall
-    (p, near), (q, far) = entries[-2:]
-    squares = dict(entries[:-2])
-    a1, a2 = -far * squares.get(u, 0), -far * squares.get(v, 0)
+def _read_wall(rays, sides: tuple[int, int], cls) -> Wall:
+    """The normalized wall (u, v) off its class in the calculus of a pair
+    with the rays as lambda, which pairs it to -a_u * far at u and -a_v *
+    far at v, near at its lesser apex p and far at its other apex q; near
+    is d if p is ``sides[0]``, the apex whose triangle runs u -> v, else -d.
+    The relation and side are checked."""
+    u, v = cls.wall
+    p, q = sorted(sides)
+    pairing = dict(cls.entries)
+    near, far = pairing[p], pairing[q]
+    a1, a2 = -far * pairing.get(u, 0), -far * pairing.get(v, 0)
     i, ip = (p, q) if (near > 0) == (p == sides[0]) else (q, p)
     (x1, y1, z1), (x2, y2, z2), (x, y, z), (xp, yp, zp) = rays[u], rays[v], rays[i], rays[ip]
     if (x + xp, y + yp, z + zp) != (a1 * x1 + a2 * x2, a1 * y1 + a2 * y2, a1 * z1 + a2 * z2):
@@ -383,7 +355,7 @@ def parse_fan(text: str) -> Fan3:
     line = doc.end("support:")
     support = None
     if line is not None:
-        support = [_rational(t) for t in line[len("support:"):].split()]
+        support = _rationals(line[len("support:"):].split())
         if None in support or not _plain(line):
             raise ParseError(f"malformed support parameters {line!r}")
     return Fan3.from_data(name, rays, cones, support=support)

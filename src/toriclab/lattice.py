@@ -2,12 +2,16 @@
 
 Everything here is plain Python int arithmetic, so values never overflow
 and no floating point is involved anywhere.  Rationals become integers
-only in :func:`over_common_denominator`, the package's one such reader.
+only in :func:`over_common_denominator`, the package's one such reader,
+and rays and lambda values are checked only by :func:`primitive_vectors`.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
+
+from .errors import ValidationError
 
 Vec3 = tuple[int, int, int]
 
@@ -25,9 +29,22 @@ def dot(a: Vec3, b: Vec3) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def is_primitive(a: Vec3) -> bool:
-    """True iff a is nonzero and its entries have gcd 1."""
-    return gcd(gcd(abs(a[0]), abs(a[1])), abs(a[2])) == 1
+def primitive_vectors(vectors, label: str) -> tuple[Vec3, ...]:
+    """The vectors as a tuple of int tuples, refused unless each is a
+    primitive integer 3-vector, naming the first fault's index i as
+    ``label.format(i)``.  With int entries only (no bool, no 1.0, which
+    would equal 1 and hide), equal vectors pass or fail alike, so shape and
+    gcd are tested once per distinct vector (a coloring has at most four)."""
+    vectors = tuple(map(tuple, vectors))
+    distinct = dict.fromkeys(vectors)
+    if not (set(map(type, chain.from_iterable(vectors))) <= {int}
+            and {(len(v), gcd(*v)) for v in distinct} <= {(3, 1)}):
+        for i, v in enumerate(vectors):
+            if len(v) != 3 or not all(type(x) is int for x in v):
+                raise ValidationError(f"{label.format(i)} = {v} is not an integer 3-vector")
+            if gcd(*v) != 1:
+                raise ValidationError(f"{label.format(i)} = {v} is not primitive")
+    return vectors
 
 
 def dual_covector(a: Vec3, b: Vec3, c: Vec3) -> Vec3:

@@ -436,6 +436,18 @@ class TestStarCondition:
                            match=r"^lambda\(3\) = \(1\.0, 0, 0\) is not an integer"):
             CharacteristicFunction((E1, E2, E3, (1.0, 0, 0), E1))
 
+    def test_list_vectors_are_read_as_tuples(self):
+        # a list of lists escaped as "unhashable type: 'list'", and a list
+        # of tuples was kept as a list, unequal to the tuple and unhashable
+        lam = CharacteristicFunction((E1, E2, E3, (1, 1, 1)))
+        for given in ([list(E1), list(E2), list(E3), [1, 1, 1]], [E1, E2, E3, (1, 1, 1)]):
+            read = CharacteristicFunction(given)
+            assert read == lam and hash(read) == hash(lam)
+            assert type(read.vectors) is tuple and all(type(v) is tuple for v in read.vectors)
+        with pytest.raises(ValidationError,
+                           match=r"^lambda\(1\) = \(0, 2, 0\) is not primitive$"):
+            CharacteristicFunction([[1, 0, 0], [0, 2, 0]])
+
     def test_bool_entry_rejected(self):
         # (True, 1, 1) == (1, 1, 1) passed, and was written "L 3: True 1 1"
         with pytest.raises(ValidationError,

@@ -129,6 +129,21 @@ def test_non_integer_indices_rejected(indices):
             lookup(f, pair)
 
 
+@pytest.mark.parametrize("key", [5, None])
+def test_keys_that_are_no_sequence_rejected(key):
+    # each escaped as a bare TypeError ("... object is not iterable")
+    f = load_fan("cp3")
+    pair = characteristic_pair(f)
+    for lookup in (lambda: triple_intersection(f, key),
+                   lambda: signed_triple_intersection(pair, key),
+                   lambda: volume_polynomial(f).coefficient(key),
+                   lambda: wall_data(f, key), lambda: classify_wall(f, key),
+                   lambda: edge_functional(f, key, f.support),
+                   lambda: f.sphere.wall_apexes(key)):
+        with pytest.raises(ValidationError, match=rf"^indices {key!r} are not a sequence$"):
+            lookup()
+
+
 @pytest.mark.parametrize("mu", [(1.7, 0, 0), (1, 0), (1, 0, 0, 0), ("1", 0, 0), (True, 0, 0)])
 def test_linear_relation_rejects_a_non_integer_3_vector(mu):
     with pytest.raises(ValidationError,
@@ -596,7 +611,7 @@ def test_signed_calculus_needs_the_star_condition(last, message):
 def test_signed_table_caches_per_pair():
     pair = _cube_pair()
     assert pair.integrals is pair.integrals
-    assert pair.pairings is pair.pairings
+    assert pair.wall_classes is pair.wall_classes
     f = load_fan("cp3")
     assert characteristic_pair(f).integrals is characteristic_pair(f).integrals
 
@@ -638,7 +653,7 @@ def test_branched_cover_pairings_sum_to_48():
     # the Chern number of a fan, with every wall relation of the cover
     f = parse_fan(branched_cover_text())
     pair = CharacteristicPair(f.sphere, CharacteristicFunction(f.rays))
-    assert sum(v for entries in pair.pairings.values() for _, v in entries) == 48
+    assert sum(v for cls in pair.wall_classes for _, v in cls.entries) == 48
 
 
 def test_the_calculus_is_built_once_and_dualises_one_covector_per_ray(monkeypatch):

@@ -228,7 +228,7 @@ class TestDualSphere:
         # the cube's facets 0 and 1 are opposite
         with pytest.raises(ValidationError, match=r"^\(0, 1\) is not a wall of this sphere$"):
             dual_sphere(cube()).wall_apexes((1, 0))
-        for wall in ((-1, 0), (3, 99)):
+        for wall in ((-1, 0), (3, 99), (0, 1, 2), (0,)):
             with pytest.raises(ValidationError,
                                match=rf"^{re.escape(str(wall))} is not a wall of this sphere$"):
                 s.wall_apexes(wall)
@@ -384,21 +384,21 @@ def test_constructed_spheres_answer_the_same():
 
 
 def test_constructed_spheres_are_validated_on_first_use():
-    # the octahedron with one representative reversed: its pairings summed
-    # to 18, where the sphere's sum to 24; both readers of its index now
-    # refuse it as from_triangles does
+    # the octahedron with one representative reversed: its wall classes
+    # summed to 18, where the sphere's sum to 24; both readers of its index
+    # now refuse it as from_triangles does
     s = SimplicialSphere2.from_triangles(6, TestValidation.OCTA)
     lam = CharacteristicFunction(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0),
                                   (0, 0, -1)))
-    pairings = CharacteristicPair(s, lam).pairings
-    assert sum(x for entries in pairings.values() for _, x in entries) == 24
+    classes = CharacteristicPair(s, lam).wall_classes
+    assert sum(x for cls in classes for _, x in cls.entries) == 24
     reps = (s.oriented[0][::-1],) + s.oriented[1:]
     message = r"^orientation traverses edge \(2, 0\) twice$"
     with pytest.raises(ValidationError, match=message):
         SimplicialSphere2.from_triangles(6, s.triangles, reps)
     bad = SimplicialSphere2(s.m, s.triangles, reps, s.walls)
     with pytest.raises(ValidationError, match=message):
-        CharacteristicPair(bad, lam).pairings
+        CharacteristicPair(bad, lam).wall_classes
     with pytest.raises(ValidationError, match=message):
         dual_polytope(bad, "x")
     # walls that are not the triangles' own

@@ -502,13 +502,12 @@ class TestWallNormalization:
         f = make()
         records = wall_records_bruteforce(f.rays, f.maximal_cones)
         assert None in records.values()
-        # the walls read off the pairings of the (non-fan) pair agree
+        # the walls read off the wall classes of the (non-fan) pair agree
         # with the search wherever it succeeds
         pair = CharacteristicPair(f.sphere, CharacteristicFunction(f.rays))
-        for (key, entries), sides in zip(pair.pairings.items(),
-                                         f.sphere._apex_pairs.values()):
-            if records[key] is not None:
-                assert _read_wall(f.rays, key, sides, entries) == Wall(*records[key])
+        for cls, sides in zip(pair.wall_classes, f.sphere._apex_pairs.values()):
+            if records[cls.wall] is not None:
+                assert _read_wall(f.rays, sides, cls) == Wall(*records[cls.wall])
         # certification names the first wall the search cannot order
         u, v = min(key for key, record in records.items() if record is None)
         with pytest.raises(IncompleteFan, match=rf"of wall \({u}, {v}\) do not lie"):

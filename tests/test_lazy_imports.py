@@ -2,6 +2,7 @@
 the layers it runs.  Module sets are read in fresh processes, since this
 one has every layer loaded already."""
 
+import ast
 import importlib
 import json
 import os
@@ -86,6 +87,27 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         toriclab.no_such_name
     assert not hasattr(toriclab, "integral_table")  # not exported
+
+
+# The layers, lowest first: a module imports only modules before it, at
+# module level or inside a function, but for the lazy imports in UPWARD:
+# a pair's intersection calculus, stage 2 of the coloring and a fan's
+# cone analysis.
+LAYERS = ("value", "errors", "lattice", "combinatorics", "exactlp", "charfunc", "_kempe",
+          "fan", "cohomology", "cone", "corpus", "cli")
+UPWARD = {("charfunc", "cohomology"), ("charfunc", "_kempe"), ("fan", "cone")}
+
+
+def test_each_layer_imports_only_layers_below_it():
+    package = ROOT / "src" / "toriclab"
+    assert sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__") == sorted(LAYERS)
+    imports = set()
+    for name in LAYERS:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        imports |= {(name, node.module) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert all(module in LAYERS for _, module in imports), imports
+    assert {(a, b) for a, b in imports if LAYERS.index(b) >= LAYERS.index(a)} == UPWARD
 
 
 # each command line, its toriclab modules and the standard modules it must

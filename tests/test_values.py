@@ -192,6 +192,8 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     (lambda: CharacteristicFunction(((1, 0),)),
      r"lambda\(0\) = \(1, 0\) is not an integer 3-vector"),
     (lambda: CharacteristicFunction(((2, 0, 0),)), r"lambda\(0\) = \(2, 0, 0\) is not primitive"),
+    (lambda: CharacteristicFunction([[1, 0, 0], [1, 0]]),
+     r"lambda\(1\) = \(1, 0\) is not an integer 3-vector"),
     (lambda: CharacteristicPair(sphere(), CharacteristicFunction(((1, 0, 0),))),
      "sphere has 4 vertices but lambda has 1 values"),
     (lambda: WallClass((0, 1), ((0, 1), (0, 2)), 4),
@@ -199,6 +201,13 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     (lambda: WallClass((0, 1), ((5, 1),), 4),
      r"wall class \(0, 1\): entry \(5, 1\) is outside rays 0..3"),
     (lambda: WallClass((0, 1), ((1, 0),), 4), r"wall class \(0, 1\): entry \(1, 0\) is zero"),
+    # an entry that is no (ray id, value) pair escaped as a bare ValueError
+    # or TypeError
+    (lambda: WallClass((0, 1), ((0, 1, 2),), 4),
+     r"wall class \(0, 1\): entry \(0, 1, 2\) is not an int ray id with an int or "
+     r"Fraction value"),
+    (lambda: WallClass((0, 1), 5, 4),
+     r"wall class \(0, 1\): entry 5 is not an int ray id with an int or Fraction value"),
 ])
 def test_constructors_refuse_as_before(make, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
