@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import cached_property
 
-from .combinatorics import SimplicialSphere2, Triangle, _Lines
+from .combinatorics import SimplicialSphere2, Triangle, _Lines, _sequence, _sequences
 from .errors import InternalError, ValidationError
 from .lattice import Vec3, det3, primitive_vectors
 from .value import _Value
@@ -36,6 +36,7 @@ class FacetColoring(_Value):
     colors: tuple[str, ...]
 
     def __init__(self, colors: tuple[str, ...]):
+        colors = _sequence(colors, "colors")
         if not all(map(COLORS.__contains__, colors)):
             bad = next(c for c in colors if c not in COLORS)
             raise ValidationError(f"unknown color {bad!r}")
@@ -56,7 +57,8 @@ class CharacteristicFunction(_Value):
     vectors: tuple[Vec3, ...]
 
     def __init__(self, vectors: tuple[Vec3, ...]):
-        self.__dict__["vectors"] = primitive_vectors(vectors, "lambda({})")
+        self.__dict__["vectors"] = primitive_vectors(
+            _sequences(vectors, "lambda", "lambda({})"), "lambda({})")
 
     @property
     def m(self) -> int:

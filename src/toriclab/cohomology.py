@@ -51,7 +51,7 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 
 from .charfunc import CharacteristicPair
-from .combinatorics import _exact, _int_key
+from .combinatorics import _exact, _int_key, _sequence
 from .errors import SupportInvalid, ValidationError
 from .fan import Fan3, characteristic_pair
 from .lattice import Vec3, det3, dot, dual_covector, over_common_denominator
@@ -78,8 +78,9 @@ class WallClass(_Value):
     Only the nonzero entries are stored, as ``(t, value)`` pairs sorted by
     t, so two classes are equal exactly when their vectors are.  There are
     at most four, and the two apexes are always among them, so the vector
-    is never zero.  Each t is an int and each value an int or a Fraction
-    (no float, no bool).  The dense vector ``pairing`` is built when read.
+    is never zero.  Each t and each value is an int (no bool, float or
+    Fraction), as every value is an intersection number of integral
+    classes.  The dense vector ``pairing`` is built when read.
     """
 
     wall: tuple[int, int]
@@ -89,10 +90,9 @@ class WallClass(_Value):
     def __init__(self, wall: tuple[int, int], entries: tuple[tuple[int, int], ...], m: int):
         prev = -1
         for e in entries if type(entries) is tuple else (entries,):
-            if (type(e) is not tuple or len(e) != 2 or type(e[0]) is not int
-                    or type(e[1]) is not int and type(e[1]) is not Fraction):
+            if type(e) is not tuple or len(e) != 2 or not type(e[0]) is type(e[1]) is int:
                 raise ValidationError(f"wall class {wall}: entry {e!r} is not an int "
-                                      f"ray id with an int or Fraction value")
+                                      f"ray id with an int value")
             t, v = e
             if not prev < t < m or not v:
                 why = (f"outside rays 0..{m - 1}" if not 0 <= t < m
@@ -117,7 +117,7 @@ class LinearRelation(_Value):
 
 
 def linear_relation(f: Fan3, mu) -> LinearRelation:
-    mu = tuple(mu)
+    mu = _sequence(mu, "mu")
     if len(mu) != 3 or not all(type(x) is int for x in mu):
         raise ValidationError(f"mu = {mu} is not an integer 3-vector")
     return LinearRelation(mu=mu, coeffs=tuple(dot(mu, r) for r in f.rays))
@@ -276,7 +276,8 @@ def _scaled(c, m: int, what: str) -> tuple[list[int], int]:
     """m values c for the named variables, as numerators over one D.  Each
     value is read as a fan's support entry is, by
     :func:`~toriclab.combinatorics._exact`."""
-    (C,), D = over_common_denominator([_exact(c, "support entry {i} = {x}")])
+    (C,), D = over_common_denominator([_exact(_sequence(c, "support"),
+                                              "support entry {i} = {x}")])
     if len(C) != m:
         raise ValidationError(f"{len(C)} values for {m} {what}")
     return C, D

@@ -69,8 +69,9 @@ class SimplicialSphere2(_Value):
         round it.  Without ``oriented``, each triangle runs as the first
         does, read from the half-edge it was reached by.
         """
-        given = [tuple(t) for t in triangles]
-        reps = None if oriented is None else tuple(map(tuple, oriented))
+        given = list(_sequences(triangles, "triangles", "triangle {}"))
+        reps = (None if oriented is None
+                else _sequences(oriented, "oriented", "oriented triangle {}"))
         _int_ids(given + list(reps or ()), "triangle {c}")
         tris = sorted(tuple(sorted(t)) for t in given)
         for t in tris:  # each sorted, so its ends are its least and greatest
@@ -229,7 +230,7 @@ class SimplePolytope3(_Value):
         nothing turns and only the connection is checked, by
         :func:`_connected`.  Each stored cycle starts at its least vertex.
         """
-        cycles = list(map(tuple, facets))
+        cycles = list(_sequences(facets, "facets", "facet {}"))
         if not cycles:
             raise ValidationError("polytope has no facets")
         flat = _int_ids(cycles, "facet {i} = {c}")
@@ -312,6 +313,27 @@ def _int_ids(cycles, named: str) -> list:
         i = next(i for i, c in enumerate(cycles) if not all(type(v) is int for v in c))
         raise ValidationError(f"{named.format(i=i, c=cycles[i])} has a non-integer vertex id")
     return flat
+
+
+def _sequence(x, named: str) -> tuple:
+    """``tuple(x)``, refused unless x is iterable, as ``{named} = {x!r}``."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ValidationError(f"{named} = {x!r} is not a sequence") from None
+
+
+def _sequences(rows, named: str, row: str) -> tuple[tuple, ...]:
+    """The rows as a tuple of tuples, in one pass if each row is iterable;
+    the rows (``named``) or the first row i that is not (``row.format(i)``)
+    is refused as :func:`_sequence` refuses it."""
+    rows = _sequence(rows, named)
+    try:
+        return tuple(map(tuple, rows))
+    except TypeError:
+        for i, r in enumerate(rows):
+            _sequence(r, row.format(i))
+        raise
 
 
 def _int_key(ids) -> tuple[int, ...]:
@@ -592,6 +614,8 @@ class _Lines:
     """
 
     def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise ParseError(f"document must be a str, not {type(text).__name__}")
         self.lines = [ln for raw in text.split("\n") if (ln := raw.split("#", 1)[0].strip(_SPACE))]
         self.at = 0
 

@@ -2,7 +2,7 @@
 
 Every wall pairs against the m ray classes through the degree-3 integrals.
 A :class:`~toriclab.cohomology.WallClass` stores only the pairing's at
-most four nonzero entries; the dense m-vector is derived when
+most four nonzero entries, all ints; the dense m-vector is derived when
 ``WallClass.pairing`` is read, for the witness LP and the reports.  The
 intersection calculus builds a pair's classes once, with its integrals,
 and keeps them as ``CharacteristicPair.wall_classes``, so
@@ -18,9 +18,10 @@ Wall classes span the Mori cone (Reid, "Decomposition of toric
 morphisms", 1983), and the classes of one group are positive multiples of
 its representative, so a group is extremal exactly when its
 representative is not a nonnegative combination of the other groups'
-representatives.  All groups are decided in one
-:func:`~toriclab.exactlp.cone_sweep` over the representatives, one
-column per group, each answer certified there.
+representatives.  All groups are decided in one sweep over the
+representatives, one column per group: the sweep of
+:func:`~toriclab.exactlp.cone_sweep`, whose verified answers are read
+here as it makes them, integers over one positive denominator.
 
 The sweep reads the representatives in H2 coordinates: every pairing
 vector p satisfies sum_t p[t] * ray_t = 0, and the three rays of the
@@ -38,11 +39,11 @@ from fractions import Fraction
 
 from .charfunc import CharacteristicPair
 from .cohomology import WallClass, _non_positive_edges, _scaled, certify_support
+from .combinatorics import _sequence
 from .errors import (CertificationFailure, InternalError, NotFound, NoWitness,
                      ValidationError)
-from .exactlp import cone_membership, cone_sweep, positive_functional
+from .exactlp import _checked_sweep, cone_membership, positive_functional
 from .fan import Fan3, characteristic_pair
-from .lattice import over_common_denominator
 from .value import _Value
 
 __all__ = [
@@ -76,7 +77,7 @@ class ConeAnalysis(_Value):
     groups: tuple[tuple[tuple[int, int], ...], ...]
     extremal: tuple[tuple[int, int], ...]
     witness: tuple[Fraction, ...] | None
-    note: str = ""
+    note: str
 
 
 class ObstructionWitness(_Value):
@@ -116,16 +117,14 @@ def _group_classes(classes) -> list[list[WallClass]]:
     """The classes grouped by positive proportionality, groups in
     first-appearance order and classes in input order within each.
 
-    Positively proportional nonzero vectors (integer or rational) share
-    one primitive integer vector, so that vector's nonzero entries
-    ``(t, x)`` are the group's key.
+    Positively proportional nonzero integer vectors share one primitive
+    vector, the vector over the gcd of its entries, so that vector's
+    nonzero entries ``(t, x)`` are the group's key.
     """
     groups: dict[tuple[tuple[int, int], ...], list[WallClass]] = {}
     for cls in classes:
-        (ints,), _ = over_common_denominator([[v for _, v in cls.entries]])
-        g = math.gcd(*ints)
-        key = tuple((t, x // g) for (t, _), x in zip(cls.entries, ints))
-        groups.setdefault(key, []).append(cls)
+        g = math.gcd(*(v for _, v in cls.entries))
+        groups.setdefault(tuple((t, v // g) for t, v in cls.entries), []).append(cls)
     return list(groups.values())
 
 
@@ -144,7 +143,7 @@ def strict_convexity_witness(classes, c_tilde=None):
     return value, not an exception.
     """
     if c_tilde is not None:
-        c_tilde, classes = tuple(c_tilde), tuple(classes)
+        c_tilde, classes = _sequence(c_tilde, "candidate"), tuple(classes)
         if classes and len(c_tilde) != classes[0].m:
             raise ValidationError(f"candidate has {len(c_tilde)} entries for "
                                   f"{classes[0].m} rays")
@@ -204,20 +203,18 @@ def _analyse_cone(f: Fan3) -> ConeAnalysis:
     # each full vector as with its kept rows
     kept = [t for t in range(f.m) if t not in f.maximal_cones[0]]
     reps = [g[0] for g in grouped]
-    answers = cone_sweep([[rep.pairing[t] for t in kept] for rep in reps])
+    answers = _checked_sweep([list(map(rep.pairing.__getitem__, kept)) for rep in reps])
     extremal = []
     full = [0] * f.m
-    for gi, (rep, res) in enumerate(zip(reps, answers)):
-        # each certificate read as integers over one positive scale
-        if res.member:
-            (coefficients,), scale = over_common_denominator([res.coefficients])
-            if _combination(coefficients, reps) != {t: scale * v for t, v in rep.entries}:
+    # each certificate is integers x or y over its d > 0
+    for gi, (rep, (x, y, d)) in enumerate(zip(reps, answers)):
+        if x is not None:
+            if _combination(x, reps) != {t: d * v for t, v in rep.entries}:
                 raise InternalError(f"membership of wall class {rep.wall} does not "
                                     f"reassemble its full vector")
             continue
-        (sep,), _ = over_common_denominator([res.separator])
-        for t, y in zip(kept, sep):
-            full[t] = y
+        for t, v in zip(kept, y):
+            full[t] = v
         if sum(full[t] * v for t, v in rep.entries) <= 0 or any(
                 sum(full[t] * v for t, v in cls.entries) > 0
                 for gj, g in enumerate(grouped) if gj != gi for cls in g):

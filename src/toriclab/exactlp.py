@@ -6,10 +6,13 @@ pivoting rule, which terminates without cycling.  The sweep pivots
 fraction-free, through one kernel (:func:`_pivot`): a system is read into
 integers once, by :func:`toriclab.lattice.over_common_denominator`, and
 every tableau entry and certificate stays an integer over one common
-denominator.  An entry is read as a fan's support entry is, by
-``combinatorics._exact``: a Fraction, an int (not a bool) or a 'p/q'
-string; floats, bools and anything else are refused with
-ValidationError, and so are vectors of different lengths.
+denominator.  Fractions are made only for the answers the entry points
+below return; :mod:`toriclab.cone`, whose vectors are integers, reads
+the verified integer answers of :func:`_checked_sweep`.  An entry is
+read as a fan's support entry is, by ``combinatorics._exact``: a
+Fraction, an int (not a bool) or a 'p/q' string; floats, bools and
+anything else are refused with ValidationError, and so are vectors of
+different lengths and vectors or lists of them that are not iterable.
 There are no tolerances anywhere: every verdict comes with a certificate
 that is re-verified by exact substitution before it is returned, so a
 caller can trust either answer unconditionally.
@@ -44,10 +47,10 @@ simplex method", 1977).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
-from .combinatorics import _exact
+from .combinatorics import _exact, _sequence, _sequences
 from .errors import InternalError, ValidationError
 from .lattice import over_common_denominator
 from .value import _Value
@@ -67,7 +70,7 @@ def _integral(rows) -> tuple[list[list[int]], int]:
     """:func:`~toriclab.lattice.over_common_denominator` of the rows, each
     entry read by :func:`~toriclab.combinatorics._exact`, as a fan's
     support entries are.  Rows of different lengths are refused."""
-    rows = [_exact(r, "LP entry {x}") for r in rows]
+    rows = [_exact(r, "LP entry {x}") for r in _sequences(rows, "LP vectors", "LP vector {}")]
     lengths = sorted({len(r) for r in rows})
     if len(lengths) > 1:
         raise ValidationError(f"LP vectors have different lengths: "
@@ -95,11 +98,9 @@ def cone_membership(x: Sequence, generators: Sequence[Sequence]) -> ConeMembersh
     coefficients are read off it without the 0 on x itself.
     """
     # One common scale for x and the generators changes neither answer.
-    cols = _integral([*generators, x])[0]
-    res = _checked(cols, len(cols) - 1)[0]
-    if res.member:
-        return ConeMembership(True, res.coefficients[:-1], None)
-    return res
+    cols = _integral([*_sequence(generators, "generators"), x])[0]
+    [(coefficients, y, d)] = _checked_sweep(cols, len(cols) - 1)
+    return _membership(coefficients and coefficients[:-1], y, d)
 
 
 class PositiveFunctional(_Value):
@@ -127,11 +128,11 @@ def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:
     """
     mat, scale = _integral(rows)
     dim = len(mat[0]) if mat else 0
-    res = _checked([*([*r, 1] for r in mat), [0] * dim + [1]], len(mat))[0]
-    if res.member:
-        return PositiveFunctional(False, None, res.coefficients[:-1])
-    *z, t = res.separator
-    return PositiveFunctional(True, tuple(-scale * v / t for v in z), None)
+    [(x, y, d)] = _checked_sweep([*([*r, 1] for r in mat), [0] * dim + [1]], len(mat))
+    if x is not None:
+        return PositiveFunctional(False, None, _membership(x[:-1], None, d).coefficients)
+    *z, t = y
+    return PositiveFunctional(True, tuple(Fraction(-scale * v, t) for v in z), None)
 
 
 def cone_sweep(vectors: Sequence[Sequence]) -> tuple[ConeMembership, ...]:
@@ -143,15 +144,22 @@ def cone_sweep(vectors: Sequence[Sequence]) -> tuple[ConeMembership, ...]:
     positively with vector i.  Each is verified by substitution and agrees
     with ``cone_membership(vectors[i], vectors without i)``.
     """
-    return tuple(_checked(_integral(vectors)[0]))
+    return tuple(_membership(*answer) for answer in _checked_sweep(_integral(vectors)[0]))
 
 
-def _checked(cols: list[list[int]], start: int = 0) -> list[ConeMembership]:
+def _membership(x: list[int] | None, y: list[int] | None, d: int) -> ConeMembership:
+    """A checked answer of :func:`_checked_sweep` read as rationals."""
+    over_d = tuple(Fraction(v, d) if v else _ZERO for v in (y if x is None else x))
+    return ConeMembership(False, None, over_d) if x is None else ConeMembership(True, over_d, None)
+
+
+def _checked_sweep(cols: list[list[int]], start: int = 0) -> Iterator[tuple]:
     """The answers of :func:`_sweep_integral` for the integer vectors from
-    ``start`` on, each checked by substitution (a failed check raises
-    InternalError) and read as rationals."""
+    ``start`` on, as it gives them, ``(x, None, d)`` or ``(None, y, d)``,
+    each checked by substitution first (a failed check raises
+    InternalError).  :mod:`toriclab.cone` reads them as they are; the
+    public entries read them as rationals."""
     sparse = [[(t, v) for t, v in enumerate(c) if v] for c in cols]
-    answers = []
     for i, (x, y, d) in enumerate(_sweep_integral(cols, start), start):
         if x is not None:
             rest = [-d * v for v in cols[i]]
@@ -161,15 +169,12 @@ def _checked(cols: list[list[int]], start: int = 0) -> list[ConeMembership]:
             if x[i] or min(x) < 0 or any(rest):
                 raise InternalError(f"membership coefficients of vector {i} "
                                     f"failed verification")
-            answers.append(ConeMembership(
-                True, tuple(Fraction(v, d) if v else _ZERO for v in x), None))
         else:
             pairs = [sum(y[t] * v for t, v in col) for col in sparse]
             if pairs[i] <= 0 or any(s > 0 for j, s in enumerate(pairs) if j != i):
                 raise InternalError(f"separator of vector {i} fails on a vector "
                                     f"or on vector {i}")
-            answers.append(ConeMembership(False, None, tuple(Fraction(v, d) for v in y)))
-    return answers
+        yield x, y, d
 
 
 def _pivot(tab: list[list[int]], r: int, e: int, d: int) -> int:

@@ -22,13 +22,12 @@ and the integers a1, a2 satisfy the exact wall relation
 
     ray(i) + ray(i') = a1 * ray(i1) + a2 * ray(i2).
 
-With apexes p < q and d = det(ray(i1), ray(i2), ray(p)), (i, i') is
-(p, q) if d > 0, else (q, p), and a1, a2 are the Cramer coordinates of
-ray(q) in the basis (ray(i1), ray(i2), ray(p)), the third being -1 on a
-fan: the wall relation the fan pair's intersection calculus takes at the
-wall (:mod:`toriclab.cohomology`).  The wall table reads them off the
-pair's wall classes, each value found by its ray id, and re-verifies the
-relation and the side determinant.
+The wall table is read after certification, so every cone runs
+positively: i is the apex whose triangle runs i1 -> i2 in the sphere, and
+the fan pair's intersection calculus (:mod:`toriclab.cohomology`) pairs
+the wall's class to 1 at both apexes and to -a1, -a2 at i1, i2.  The
+table reads a1, a2 there and re-verifies the relation and the side
+determinant.
 
 The unimodular curvature of the wall is 2 - a1 - a2; its sign equals the
 sign of det(ray(i1)-ray(i'), ray(i2)-ray(i'), ray(i)-ray(i')), which
@@ -45,7 +44,7 @@ from itertools import chain
 
 from .charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
 from .combinatorics import (SimplicialSphere2, Triangle, _exact, _int_key, _Lines, _plain,
-                            _rationals)
+                            _rationals, _sequence, _sequences)
 from .errors import (IncompleteFan, InternalError, NotUnimodular, ParseError,
                      ValidationError)
 from .lattice import Vec3, det3, primitive_vectors
@@ -101,9 +100,9 @@ class Fan3(_Value):
         runs positively (any other complex is refused by certification).
         Rays and cones are checked in bulk; a per-item scan names the
         first fault once a bulk test fails."""
-        rays = primitive_vectors(rays, "ray {}")
+        rays = primitive_vectors(_sequences(rays, "rays", "ray {}"), "ray {}")
         m = len(rays)
-        cones = tuple(map(tuple, cones))
+        cones = _sequences(cones, "cones", "cone {}")
         ids = list(chain(*cones))
         if not set(map(type, ids)) <= {int}:
             c = next(c for c in cones if not all(type(i) is int for i in c))
@@ -123,8 +122,8 @@ class Fan3(_Value):
         except ValidationError as e:
             raise ValidationError(f"cone complex is not a 2-sphere: {e}") from None
         if support is not None:
-            support = tuple(Fraction(x) if type(x) is int else x
-                            for x in _exact(support, "support entry {i} = {x}"))
+            support = _exact(_sequence(support, "support"), "support entry {i} = {x}")
+            support = tuple(Fraction(x) if type(x) is int else x for x in support)
             if len(support) != m:
                 raise ValidationError(
                     f"{len(support)} support parameters for {m} rays")
@@ -189,17 +188,14 @@ def _cone_determinants(rays, cones) -> dict[Triangle, int]:
 
 
 def _read_wall(rays, sides: tuple[int, int], cls) -> Wall:
-    """The normalized wall (u, v) off its class in the calculus of a pair
-    with the rays as lambda, which pairs it to -a_u * far at u and -a_v *
-    far at v, near at its lesser apex p and far at its other apex q; near
-    is d if p is ``sides[0]``, the apex whose triangle runs u -> v, else -d.
-    The relation and side are checked."""
-    u, v = cls.wall
-    p, q = sorted(sides)
+    """The normalized wall (u, v) off its class in the calculus of a
+    certified fan's pair.  Every cone runs positively, so the class pairs
+    the wall to 1 at both apexes and to -a1, -a2 at u, v, and ``sides``,
+    the apex whose triangle runs u -> v first, is (i, i').  The relation
+    and the side determinant are checked again."""
+    (u, v), (i, ip) = cls.wall, sides
     pairing = dict(cls.entries)
-    near, far = pairing[p], pairing[q]
-    a1, a2 = -far * pairing.get(u, 0), -far * pairing.get(v, 0)
-    i, ip = (p, q) if (near > 0) == (p == sides[0]) else (q, p)
+    a1, a2 = -pairing.get(u, 0), -pairing.get(v, 0)
     (x1, y1, z1), (x2, y2, z2), (x, y, z), (xp, yp, zp) = rays[u], rays[v], rays[i], rays[ip]
     if (x + xp, y + yp, z + zp) != (a1 * x1 + a2 * x2, a1 * y1 + a2 * y2, a1 * z1 + a2 * z2):
         raise InternalError(

@@ -29,13 +29,12 @@ def dot(a: Vec3, b: Vec3) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def primitive_vectors(vectors, label: str) -> tuple[Vec3, ...]:
-    """The vectors as a tuple of int tuples, refused unless each is a
-    primitive integer 3-vector, naming the first fault's index i as
+def primitive_vectors(vectors: tuple[tuple, ...], label: str) -> tuple[Vec3, ...]:
+    """The vectors, a tuple of tuples, refused unless each is a primitive
+    integer 3-vector, naming the first fault's index i as
     ``label.format(i)``.  With int entries only (no bool, no 1.0, which
     would equal 1 and hide), equal vectors pass or fail alike, so shape and
     gcd are tested once per distinct vector (a coloring has at most four)."""
-    vectors = tuple(map(tuple, vectors))
     distinct = dict.fromkeys(vectors)
     if not (set(map(type, chain.from_iterable(vectors))) <= {int}
             and {(len(v), gcd(*v)) for v in distinct} <= {(3, 1)}):

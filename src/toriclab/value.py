@@ -3,12 +3,12 @@
 Polytopes, spheres, fans and the records the layers return are immutable
 values.  Two are equal when they are of one class and their fields are
 equal, and an instance hashes as the tuple of its fields.  A class names
-its fields as class annotations, in order, with any default in the class
-body; ``__init__`` binds its arguments to them as Python binds a
-signature and stores them in ``self.__dict__``, where a
-``cached_property`` keeps its values too; those are not fields, so
-equality, hashing and ``repr`` leave them out.  Defining a class
-generates no code, so importing a layer stays cheap.
+its fields as class annotations, in order, none with a default;
+``__init__`` binds its arguments to them as Python binds a signature and
+stores them in ``self.__dict__``, where a ``cached_property`` keeps its
+values too; those are not fields, so equality, hashing and ``repr``
+leave them out.  Defining a class generates no code, so importing a
+layer stays cheap.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class _Value:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
-        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -38,14 +37,14 @@ class _Value:
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
         """The field values of any other call, bound as Python binds the
-        signature ``(field, ..., field=default)``, else TypeError."""
+        signature ``(field, ..., field)``, else TypeError."""
         fields = cls._fields
         given = dict(zip(fields, args))
         faults = [f"unexpected keyword argument {f!r}" for f in kwargs if f not in fields]
         faults += [f"multiple values for argument {f!r}" for f in kwargs if f in given]
         if len(args) > len(fields):
             faults.append(f"{len(args)} positional arguments for {len(fields)} fields")
-        given = {**cls._defaults, **given, **kwargs}
+        given.update(kwargs)
         faults += [f"missing argument {f!r}" for f in fields if f not in given]
         if faults:
             raise TypeError(f"{cls.__qualname__}(): {'; '.join(faults)}")

@@ -36,6 +36,7 @@ from toriclab.corpus import FAN_NAMES, load_fan
 from toriclab.errors import InternalError, NoWitness, SupportInvalid, ValidationError
 from toriclab.exactlp import (
     ConeMembership,
+    _checked_sweep,
     cone_membership,
     cone_sweep,
     positive_functional,
@@ -556,11 +557,10 @@ def test_a_membership_must_reassemble_the_full_vector(monkeypatch):
     # an answer on the kept rows is checked again on every row
     import toriclab.cone as cone_module
 
-    def zero(vectors):
-        return tuple(ConeMembership(True, (Fraction(0),) * len(vectors), None)
-                     for _ in vectors)
+    def zero(cols):
+        return [([0] * len(cols), None, 1) for _ in cols]
 
-    monkeypatch.setattr(cone_module, "cone_sweep", zero)
+    monkeypatch.setattr(cone_module, "_checked_sweep", zero)
     with pytest.raises(InternalError, match=r"^membership of wall class \(0, 1\) does not "
                                             r"reassemble its full vector$"):
         extremal_walls(support_free(load_fan("blowup-cp3")))
@@ -569,12 +569,11 @@ def test_a_membership_must_reassemble_the_full_vector(monkeypatch):
 def test_a_separator_must_hold_on_every_class_outside_its_group(monkeypatch):
     import toriclab.cone as cone_module
 
-    def negated(vectors):
-        return tuple(res if res.member else
-                     ConeMembership(False, None, tuple(-v for v in res.separator))
-                     for res in cone_sweep(vectors))
+    def negated(cols):
+        return [(x, y, d) if x is not None else (x, [-v for v in y], d)
+                for x, y, d in _checked_sweep(cols)]
 
-    monkeypatch.setattr(cone_module, "cone_sweep", negated)
+    monkeypatch.setattr(cone_module, "_checked_sweep", negated)
     with pytest.raises(InternalError, match=r"^separator of wall class \(0, 1\) fails on a "
                                             r"class outside its group or on the class$"):
         extremal_walls(support_free(load_fan("blowup-cp3")))
@@ -599,11 +598,12 @@ def test_grouping_collects_positive_multiples_only():
     (((0, 1), (3, 2)), r"entry \(3, 2\) is outside rays 0..2"),
     (((-1, 1), (0, 2)), r"entry \(-1, 1\) is outside rays 0..2"),
     # floats and bools were grouped by their binary value
-    (((0, 0.1), (1, True)), r"entry \(0, 0\.1\) is not an int ray id with an int or "
-                            r"Fraction value"),
-    (((0, 1), (1, True)), r"entry \(1, True\) is not an int ray id with an int or "
-                          r"Fraction value"),
-    (((True, 1),), r"entry \(True, 1\) is not an int ray id with an int or Fraction value"),
+    (((0, 0.1), (1, True)), r"entry \(0, 0\.1\) is not an int ray id with an int value"),
+    (((0, 1), (1, True)), r"entry \(1, True\) is not an int ray id with an int value"),
+    (((True, 1),), r"entry \(True, 1\) is not an int ray id with an int value"),
+    # every entry is an intersection number of integral classes
+    (((0, Fraction(1, 2)),), r"entry \(0, Fraction\(1, 2\)\) is not an int ray id with an "
+                             r"int value"),
 ])
 def test_wall_class_refuses_entries_outside_its_sparse_form(entries, why):
     with pytest.raises(ValidationError, match=rf"^wall class \(0, 1\): {why}$"):
@@ -693,7 +693,7 @@ def test_extremality_invariant_under_rescaling_and_permutation():
     rng = random.Random(3)
     scaled = []
     for c in base.classes:
-        q = Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
+        q = rng.randrange(1, 9)
         scaled.append(WallClass(c.wall, tuple((t, v * q) for t, v in c.entries), c.m))
     rng.shuffle(scaled)
     groups = _group_classes(scaled)
@@ -734,12 +734,12 @@ def test_candidate_of_the_wrong_length_is_refused():
             strict_convexity_witness(classes, cand)
 
 
-def test_candidate_check_reads_fraction_classes():
+def test_candidate_check_reads_rescaled_classes():
     classes = wall_classes(load_fan("cube-fan"))
     rng = random.Random(5)
     scaled = []
     for c in classes:
-        q = Fraction(rng.randrange(1, 9), rng.randrange(1, 7))
+        q = rng.randrange(1, 9)
         scaled.append(WallClass(c.wall, tuple((t, v * q) for t, v in c.entries), c.m))
     half, third = Fraction(1, 2), Fraction(1, 3)
     for cand in ((1,) * 6, (1, -1, 1, 1, 1, 1), ("1/2", 2, half, 1, 3, third)):
@@ -990,11 +990,11 @@ def test_cone_lps_are_solved_once_per_fan(monkeypatch):
 
     sweeps = []
 
-    def counting(vectors):
-        sweeps.append(len(vectors))
-        return cone_sweep(vectors)
+    def counting(cols):
+        sweeps.append(len(cols))
+        return _checked_sweep(cols)
 
-    monkeypatch.setattr(cone_module, "cone_sweep", counting)
+    monkeypatch.setattr(cone_module, "_checked_sweep", counting)
     for name in FAN_NAMES:
         sweeps.clear()
         f = load_fan(name)
@@ -1011,11 +1011,11 @@ def test_support_is_checked_before_any_lp(monkeypatch):
 
     sweeps = []
 
-    def counting(vectors):
-        sweeps.append(vectors)
-        return cone_sweep(vectors)
+    def counting(cols):
+        sweeps.append(cols)
+        return _checked_sweep(cols)
 
-    monkeypatch.setattr(cone_module, "cone_sweep", counting)
+    monkeypatch.setattr(cone_module, "_checked_sweep", counting)
     f = subdivided_cp3(24, seed=0)[0]
     g = Fan3.from_data(f.name, f.rays, f.maximal_cones,
                        support=(-f.support[0],) + f.support[1:])
@@ -1053,3 +1053,21 @@ def test_wall_pairings_are_built_once_per_pair(monkeypatch):
         assert signed_wall_classes(characteristic_pair(f)) == classes
         extremal_walls(f)
         assert built == [characteristic_pair(f)], name
+
+
+# the digest of the analysis and obstruction reprs of the fans below; a
+# change in the groups, the verdicts, the witnesses or their reprs shows here
+ANALYSIS_DIGEST = "74c56d6320685e58133123cb1f5566faf25e7afa7a66a56f4549ef142b1623c7"
+
+
+def test_analysis_reprs_match_the_recorded_digest():
+    import hashlib
+
+    fans = [load_fan(name) for name in FAN_NAMES] + [
+        support_free(subdivided_cp3(m, seed)[0]) for m in (8, 14, 24, 44) for seed in range(3)
+    ]
+    digest = hashlib.sha256()
+    for f in fans:
+        digest.update(repr(extremal_walls(f)).encode())
+        digest.update(repr(delzant_obstruction_witness(f)).encode())
+    assert digest.hexdigest() == ANALYSIS_DIGEST

@@ -21,6 +21,7 @@ from toriclab.corpus import FAN_NAMES, load_fan
 from toriclab.combinatorics import SimplicialSphere2
 from toriclab.errors import (
     IncompleteFan,
+    InternalError,
     ParseError,
     ToricLabError,
     ValidationError,
@@ -502,16 +503,29 @@ class TestWallNormalization:
         f = make()
         records = wall_records_bruteforce(f.rays, f.maximal_cones)
         assert None in records.values()
-        # the walls read off the wall classes of the (non-fan) pair agree
-        # with the search wherever it succeeds
-        pair = CharacteristicPair(f.sphere, CharacteristicFunction(f.rays))
-        for cls, sides in zip(pair.wall_classes, f.sphere._apex_pairs.values()):
-            if records[cls.wall] is not None:
-                assert _read_wall(f.rays, sides, cls) == Wall(*records[cls.wall])
         # certification names the first wall the search cannot order
         u, v = min(key for key, record in records.items() if record is None)
         with pytest.raises(IncompleteFan, match=rf"of wall \({u}, {v}\) do not lie"):
             f.wall_table
+
+    def test_the_read_checks_the_relation_and_the_side(self):
+        # the read takes the apex integrals of a certified fan as 1; a class
+        # or an apex order its calculus cannot make is refused by the checks
+        from toriclab.cohomology import WallClass
+
+        f = load_fan("cp3")
+        cls, sides = characteristic_pair(f).wall_classes[0], f.sphere._apex_pairs[1]
+        assert (cls.wall, sides) == ((0, 1), (2, 3))
+        assert _read_wall(f.rays, sides, cls) == f.walls[0] == Wall(
+            (0, 1), (2, 3), (-1, -1), 4, "convex")
+        wrong = WallClass((0, 1), ((0, 2),) + cls.entries[1:], 4)
+        with pytest.raises(InternalError, match=r"^wall relation failed at \(0,1\): "
+                                                r"ray\(2\)\+ray\(3\) != -2\*ray\(0\)"
+                                                r"\+-1\*ray\(1\)$"):
+            _read_wall(f.rays, sides, wrong)
+        with pytest.raises(InternalError, match=r"^wall \(0,1\): side determinant -4 != "
+                                                r"curvature 4$"):
+            _read_wall(f.rays, sides[::-1], cls)
 
     @pytest.mark.parametrize("name", [*FAN_NAMES, 20, 104, 1004, "pair", "notfan",
                                       "branched"])

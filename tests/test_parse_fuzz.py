@@ -195,3 +195,10 @@ def test_other_spellings_parse_to_the_same_object():
         spelled = respell(text, rng)
         assert spelled != text
         assert PARSERS[kind](spelled) == PARSERS[kind](text), spelled
+
+
+@pytest.mark.parametrize("parse", PARSERS.values())
+def test_a_document_that_is_no_str_is_a_parse_error(parse):
+    for doc, kind in ((None, "NoneType"), (5, "int"), (b"fan3 x\n", "bytes")):
+        with pytest.raises(ParseError, match=f"^document must be a str, not {kind}$"):
+            parse(doc)

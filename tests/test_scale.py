@@ -153,14 +153,14 @@ def test_cone_lps_at_m24_without_support(monkeypatch):
 
     g = subdivided_cp3(24, seed=24)[0]
     f = Fan3.from_data(g.name, g.rays, g.maximal_cones)
-    solve = cone_module.cone_sweep
+    solve = cone_module._checked_sweep
     sweeps = []
 
-    def recording(vectors):
-        sweeps.append((vectors, solve(vectors)))
+    def recording(cols):
+        sweeps.append((cols, list(solve(cols))))
         return sweeps[-1][1]
 
-    monkeypatch.setattr(cone_module, "cone_sweep", recording)
+    monkeypatch.setattr(cone_module, "_checked_sweep", recording)
     an = extremal_walls(f)
     [(vectors, answers)] = sweeps
     assert len(vectors) == len(answers) == len(an.groups)
@@ -173,14 +173,15 @@ def test_cone_lps_at_m24_without_support(monkeypatch):
     reps = [g[0] for g in an.groups]
     pairing = {cls.wall: cls.pairing for cls in an.classes}
     assert [tuple(x) for x in vectors] == [tuple(pairing[w][t] for t in kept) for w in reps]
-    assert tuple(w for w, res in zip(reps, answers) if not res.member) == an.extremal
+    assert tuple(w for w, (x, _, _) in zip(reps, answers) if x is None) == an.extremal
     gens = [full[tuple(g)] for g in vectors]
-    for i, res in enumerate(answers):
-        if res.member:
-            assert res.coefficients[i] == 0
-            assert all(c >= 0 for c in res.coefficients)
+    for i, (x, _, d) in enumerate(answers):
+        # integer coefficients x over d > 0
+        if x is not None:
+            assert x[i] == 0 and d > 0
+            assert all(c >= 0 for c in x)
             for k in range(f.m):
-                assert sum(c * g[k] for c, g in zip(res.coefficients, gens)) == gens[i][k]
+                assert sum(c * g[k] for c, g in zip(x, gens)) == d * gens[i][k]
 
     w = delzant_obstruction_witness(f)
     assert w.dual_face_size in (3, 4)
