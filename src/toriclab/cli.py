@@ -111,8 +111,8 @@ def cmd_polytope_report(args) -> int:
                                 is_fullerene, parse_polytope)
 
     text = _read(args.file)
-    p = parse_polytope(text)
     rpt = Report("polytope report", args.file, text)
+    p = parse_polytope(text)
     sphere = dual_sphere(p)
     hist = face_histogram(p)
     rpt.add("name", p.name)
@@ -164,8 +164,8 @@ def cmd_fan_report(args) -> int:
     from .fan import COMPLETENESS_SEED, certify_fan, gauss_bonnet_sum, parse_fan
 
     text = _read(args.file)
-    f = parse_fan(text)
     rpt = Report("fan report", args.file, text)
+    f = parse_fan(text)
     rpt.add("name", f.name)
     rpt.add("rays", f.m)
     rpt.add("cones", len(f.maximal_cones))
@@ -205,14 +205,15 @@ def cmd_fan_report(args) -> int:
 
 
 def _certified_fan(args, command: str):
-    """The prologue of every fan analysis but the report: read, parse and
-    certify the file, then open the report with the fan's name."""
+    """The prologue of every fan analysis but the report: read the file,
+    open the report, whose timing covers what follows, parse and certify
+    the fan, and add its name."""
     from .fan import certify_fan, parse_fan
 
     text = _read(args.file)
+    rpt = Report(command, args.file, text)
     f = parse_fan(text)
     certify_fan(f)
-    rpt = Report(command, args.file, text)
     rpt.add("name", f.name)
     return f, rpt
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from fractions import Fraction
+from functools import cached_property
 
 from .charfunc import CharacteristicPair
 from .combinatorics import _exact, _int_key, _sequence
@@ -207,18 +208,22 @@ def chern_number_c1c2(f: Fan3) -> int:
 
 
 class VolumePolynomial(_Value):
-    """Homogeneous cubic in m variables with exact rational coefficients.
+    """Homogeneous cubic in m variables with exact rational coefficients,
+    a function of its one field, the fan.
 
     ``terms`` holds the nonzero coefficients as integers
     ``(i, j, k, 6 * coefficient)``, sorted by index multiset
-    (i <= j <= k), weighted by :func:`_weighted`, as ``coefficient`` is;
-    ``coeffs`` reads them as ``(multiset, coefficient)``, with one shared
-    ``Fraction`` per distinct coefficient.  Its ``repr`` shows the fan alone.
+    (i <= j <= k), weighted by :func:`_weighted`, as ``coefficient`` is; it
+    is a cache, filled by :func:`volume_polynomial`.  ``coeffs`` reads the
+    terms as ``(multiset, coefficient)``, with one shared ``Fraction`` per
+    distinct coefficient.
     """
 
     fan: Fan3
-    terms: tuple[tuple[int, int, int, int], ...]
-    _hidden = ("terms",)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple(_weighted(sorted(characteristic_pair(self.fan).integrals.items())))
 
     @property
     def m(self) -> int:
@@ -249,8 +254,9 @@ def volume_polynomial(f: Fan3) -> VolumePolynomial:
     c_i^2 c_j it is the integral over 2; of c_i^3 over 6 — the multinomial
     weights of (c_1 v_1 + ... + c_m v_m)^3 / 3!.
     """
-    terms = tuple(_weighted(sorted(characteristic_pair(f).integrals.items())))
-    return VolumePolynomial(fan=f, terms=terms)
+    V = VolumePolynomial(f)
+    V.terms  # fills the cached_property slot
+    return V
 
 
 def _weighted(integrals) -> list[tuple[int, int, int, int]]:

@@ -140,10 +140,19 @@ def strict_convexity_witness(classes, c_tilde=None):
     Without it, a feasibility LP searches for any witness; infeasibility
     comes back with convex coefficients combining the pairing vectors to
     zero, which makes a positive functional impossible.  The refusal is a
-    return value, not an exception.
+    return value, not an exception; classes that are not a sequence of
+    WallClass values over one m are refused with ValidationError.
     """
+    classes = _sequence(classes, "classes")
+    for i, cls in enumerate(classes):
+        if not isinstance(cls, WallClass):
+            raise ValidationError(f"class {i} = {cls!r} is not a WallClass")
+    ms = sorted({cls.m for cls in classes})
+    if len(ms) > 1:
+        raise ValidationError(f"classes are over different numbers of rays: "
+                              f"{', '.join(map(str, ms))}")
     if c_tilde is not None:
-        c_tilde, classes = _sequence(c_tilde, "candidate"), tuple(classes)
+        c_tilde = _sequence(c_tilde, "candidate")
         if classes and len(c_tilde) != classes[0].m:
             raise ValidationError(f"candidate has {len(c_tilde)} entries for "
                                   f"{classes[0].m} rays")

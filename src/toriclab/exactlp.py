@@ -2,17 +2,20 @@
 
 One question is answered here: is a vector a nonnegative combination of
 given vectors?  It is answered by one dual-simplex sweep with Bland's
-pivoting rule, which terminates without cycling.  The sweep pivots
-fraction-free, through one kernel (:func:`_pivot`): a system is read into
+pivoting rule, which terminates without cycling.  The sweep pivots on
+integers, through one kernel (:func:`_pivot`): a system is read into
 integers once, by :func:`toriclab.lattice.over_common_denominator`, and
-every tableau entry and certificate stays an integer over one common
-denominator.  Fractions are made only for the answers the entry points
-below return; :mod:`toriclab.cone`, whose vectors are integers, reads
-the verified integer answers of :func:`_checked_sweep`.  An entry is
-read as a fan's support entry is, by ``combinatorics._exact``: a
-Fraction, an int (not a bool) or a 'p/q' string; floats, bools and
-anything else are refused with ValidationError, and so are vectors of
-different lengths and vectors or lists of them that are not iterable.
+each tableau row is kept on its own scale, as the primitive integer
+multiple of its rational row, so a pivot rewrites only the rows it
+changes.  Each certificate is integers over one positive denominator,
+read off the rows it comes from.  Fractions are made only for the
+answers the entry points below return; :mod:`toriclab.cone`, whose
+vectors are integers, reads the verified integer answers of
+:func:`_checked_sweep`.  An entry is read as a fan's support entry is,
+by ``combinatorics._exact``: a Fraction, an int (not a bool) or a 'p/q'
+string; floats, bools and anything else are refused with
+ValidationError, and so are vectors of different lengths and vectors or
+lists of them that are not iterable.
 There are no tolerances anywhere: every verdict comes with a certificate
 that is re-verified by exact substitution before it is returned, so a
 caller can trust either answer unconditionally.
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from math import gcd, lcm
 
 from .combinatorics import _exact, _sequence, _sequences
 from .errors import InternalError, ValidationError
@@ -177,15 +181,16 @@ def _checked_sweep(cols: list[list[int]], start: int = 0) -> Iterator[tuple]:
         yield x, y, d
 
 
-def _pivot(tab: list[list[int]], r: int, e: int, d: int) -> int:
-    """Pivot the fraction-free tableau ``tab`` on its nonzero entry (r, e),
-    in place, and return the new denominator.
+def _pivot(tab: list[list[int]], r: int, e: int) -> None:
+    """Pivot the tableau ``tab`` on its nonzero entry (r, e), in place.
 
-    ``tab`` holds integers ``T`` over the basis determinant ``d > 0``: the
-    rational tableau is ``T / d``.  With ``p = T[r][e]`` made positive by
-    negating row r if need be (which leaves ``T[r] / p`` as it is), row r
-    is kept, every other row maps to ``(p * T[i] - T[i][e] * T[r]) // d``,
-    a division that is exact, and the new denominator is ``p``.
+    Each row of ``tab`` is an integer multiple of its row of the rational
+    tableau, and a row with a basic column is the primitive multiple
+    whose basic entry is positive.  Row r is negated if need be, so that
+    its entry ``p`` in column e, its new basic entry, is positive.  One
+    rule rewrites the rest: a row with a nonzero entry ``c`` in column e
+    becomes ``p * row - c * tab[r]`` over the gcd of its entries, and every
+    other row is left as it is, the same list.
     """
     prow = tab[r]
     p = prow[e]
@@ -193,14 +198,11 @@ def _pivot(tab: list[list[int]], r: int, e: int, d: int) -> int:
         prow = tab[r] = [-x for x in prow]
         p = -p
     for i, row in enumerate(tab):
-        if i == r:
-            continue
         c = row[e]
-        if c:
-            tab[i] = [(p * x - c * y) // d for x, y in zip(row, prow)]
-        elif p != d:
-            tab[i] = [p * x // d for x in row]
-    return p
+        if c and i != r:
+            row = [p * x - c * y for x, y in zip(row, prow)]
+            g = gcd(*row)
+            tab[i] = [x // g for x in row] if g > 1 else row
 
 
 def _sweep_integral(cols: list[list[int]], start: int):
@@ -210,18 +212,20 @@ def _sweep_integral(cols: list[list[int]], start: int):
     ``y / d``, where ``d > 0``.
 
     The tableau has a row per coordinate and holds the k vectors as real
-    columns, then the identity, which turns into ``d * B^-1``: its row r
-    pairs with vector j to the tableau entry ``T[r][j]``.  So the right-hand
-    side ``B^-1 * vector i`` is column i, and when row r has a negative
-    value there and no negative entry on an allowed column, minus row r of
-    ``B^-1`` separates.  A row the elimination leaves without a nonzero
-    real entry pairs to 0 with every vector, hence with every right-hand
-    side, and is dropped.
+    columns, then the identity, which turns into ``B^-1``: row r of the
+    rational tableau is ``T[r] / b``, where ``b > 0`` is the entry of row r
+    in its basic column, and ``T[r]`` is primitive (see :func:`_pivot`).
+    Row r pairs with vector j to the tableau entry ``T[r][j]``, so the
+    right-hand side ``B^-1 * vector i`` is column i.  When row r has a
+    negative value there and no negative entry on an allowed column, minus
+    row r of ``B^-1`` separates, over ``b``; coefficients are read over the
+    lcm of the basic entries of the rows they read.  A row the elimination
+    leaves without a nonzero real entry pairs to 0 with every vector,
+    hence with every right-hand side, and is dropped.
     """
     k = len(cols)
     n = len(cols[0]) if k else 0
     tab = [[c[t] for c in cols] + [int(s == t) for s in range(n)] for t in range(n)]
-    d = 1
     # elimination to a basis of real columns, each row on its least-index
     # nonzero entry; basis[r] is row r's basic column
     basis = []
@@ -231,7 +235,7 @@ def _sweep_integral(cols: list[list[int]], start: int):
         if e is None:
             del tab[r]
             continue
-        d = _pivot(tab, r, e, d)
+        _pivot(tab, r, e)
         basis.append(e)
         r += 1
 
@@ -239,29 +243,30 @@ def _sweep_integral(cols: list[list[int]], start: int):
         if i in basis:
             # vector i is its own solution; it leaves on the least-index
             # column left in its row, or no other vector reaches that row
-            # and the row itself separates (it pairs to d with vector i
-            # and to 0 with every other)
+            # and the row itself separates (it pairs to its basic entry
+            # with vector i and to 0 with every other)
             r = basis.index(i)
             e = next((j for j, v in enumerate(tab[r][:k]) if v and j != i), None)
             if e is None:
-                yield None, tab[r][k:], d
+                yield None, tab[r][k:], tab[r][i]
                 continue
-            d = _pivot(tab, r, e, d)
+            _pivot(tab, r, e)
             basis[r] = e
         while True:
             leave = min(((basis[r], r) for r in range(len(tab)) if tab[r][i] < 0),
                         default=None)
             if leave is None:
+                d = lcm(*(row[j] for j, row in zip(basis, tab) if row[i]))
                 x = [0] * k
-                for r, j in enumerate(basis):
-                    x[j] = tab[r][i]
+                for j, row in zip(basis, tab):
+                    x[j] = row[i] * d // row[j]
                 yield x, None, d
                 break
             r = leave[1]
             row = tab[r]
             e = next((j for j in range(k) if row[j] < 0 and j != i), None)
             if e is None:
-                yield None, [-v for v in row[k:]], d
+                yield None, [-v for v in row[k:]], row[basis[r]]
                 break
-            d = _pivot(tab, r, e, d)
+            _pivot(tab, r, e)
             basis[r] = e

@@ -16,17 +16,14 @@ from __future__ import annotations
 
 class _Value:
     """Field-wise ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__``
-    (the text ``Name(field=value, ...)``, without the fields a class lists
-    in ``_hidden``); assigning or deleting an attribute raises
-    AttributeError."""
+    (the text ``Name(field=value, ...)``); assigning or deleting an
+    attribute raises AttributeError."""
 
     __slots__ = ()
-    _hidden = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -64,7 +61,7 @@ class _Value:
 
     def __repr__(self) -> str:
         d = self.__dict__
-        return f"{type(self).__qualname__}({', '.join(f'{f}={d[f]!r}' for f in self._shown)})"
+        return f"{type(self).__qualname__}({', '.join(f'{f}={d[f]!r}' for f in self._fields)})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

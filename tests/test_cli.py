@@ -123,6 +123,25 @@ def test_fan_report_json_deterministic_modulo_timing(capsys, fan_file):
     assert a == b
 
 
+@pytest.mark.parametrize("argv, target, parse", [
+    (("fan", "extremal"), "toriclab.fan.parse_fan", parse_fan),
+    (("fan", "report"), "toriclab.fan.parse_fan", parse_fan),
+    (("polytope", "report"), "toriclab.combinatorics.parse_polytope", parse_polytope),
+])
+def test_timing_covers_parsing(capsys, monkeypatch, fan_file, poly_file, argv, target, parse):
+    import time
+
+    def slow(text):
+        time.sleep(0.051)
+        return parse(text)
+
+    monkeypatch.setattr(target, slow)
+    path = fan_file("cp3") if argv[0] == "fan" else poly_file("dodecahedron")
+    code, out, _ = run(capsys, *argv, path, "--json")
+    assert code == 0
+    assert json.loads(out)["timing_ms"] >= 50
+
+
 def test_fan_volume_default_support(capsys, fan_file):
     code, out, _ = run(capsys, "fan", "volume", fan_file("cp3"))
     assert code == 0

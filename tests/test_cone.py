@@ -193,6 +193,38 @@ def test_phase1_matches_the_rational_tableau_on_library_lps(library_lps):
     assert 50 <= feasible <= len(library_lps) - 50
 
 
+def test_every_pivot_rewrites_only_its_column_and_keeps_rows_primitive(library_lps, monkeypatch):
+    # Each pivot of the library's systems leaves a row with a zero entry in
+    # the pivot column as the same list, and after it every row with a basic
+    # column is primitive, with a positive basic entry, the only nonzero
+    # entry of that column.  Elimination drops rows only past the basic
+    # ones, so a basic row keeps its index.
+    import toriclab.exactlp as exactlp
+
+    pivot = exactlp._pivot
+    basis, pivots = {}, []
+
+    def checking(tab, r, e):
+        before = list(tab)
+        pivot(tab, r, e)
+        basis[r] = e
+        pivots.append((r, e))
+        for i, (old, new) in enumerate(zip(before, tab)):
+            assert i == r or (new is old) == (old[e] == 0)
+        for i, j in basis.items():
+            assert tab[i][j] > 0 and math.gcd(*tab[i]) == 1
+            assert not any(row[j] for row in tab[:i] + tab[i + 1:])
+
+    monkeypatch.setattr(exactlp, "_pivot", checking)
+    systems = {}
+    for cols, i, _ in library_lps:
+        systems.setdefault(id(cols), (cols, i))  # a sweep starts at its first vector
+    for cols, start in systems.values():
+        basis.clear()
+        list(exactlp._sweep_integral(cols, start))
+    assert len(pivots) >= 1000
+
+
 def test_every_entry_point_verifies_the_certificate_it_gets(monkeypatch):
     # The integer sweep hands back a wrong answer of either kind: zero
     # coefficients, or a negated separator.  Each public entry point must
@@ -734,6 +766,27 @@ def test_candidate_of_the_wrong_length_is_refused():
             strict_convexity_witness(classes, cand)
 
 
+@pytest.mark.parametrize("args, message", [
+    # classes that are no sequence escaped as a bare TypeError, and an item
+    # that is no WallClass as a bare AttributeError (on .m or .pairing)
+    ((5,), "classes = 5 is not a sequence"),
+    ((5, (1, 1)), "classes = 5 is not a sequence"),
+    (([5], (1,)), "class 0 = 5 is not a WallClass"),
+    (([5],), "class 0 = 5 is not a WallClass"),
+])
+def test_classes_that_are_no_wall_classes_are_refused(args, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        strict_convexity_witness(*args)
+
+
+@pytest.mark.parametrize("c_tilde", [None, (1,) * 4])
+def test_classes_over_different_numbers_of_rays_are_refused(c_tilde):
+    classes = wall_classes(load_fan("cp3")) + wall_classes(load_fan("cube-fan"))
+    with pytest.raises(ValidationError,
+                       match="^classes are over different numbers of rays: 4, 6$"):
+        strict_convexity_witness(classes, c_tilde)
+
+
 def test_candidate_check_reads_rescaled_classes():
     classes = wall_classes(load_fan("cube-fan"))
     rng = random.Random(5)
@@ -1071,3 +1124,41 @@ def test_analysis_reprs_match_the_recorded_digest():
         digest.update(repr(extremal_walls(f)).encode())
         digest.update(repr(delzant_obstruction_witness(f)).encode())
     assert digest.hexdigest() == ANALYSIS_DIGEST
+
+
+# the digest of the rational answers of the LP entry points on the systems
+# the library poses, on random systems with mixed denominators, and of the
+# strict convexity witnesses of the corpus fans; a change in any
+# coefficient, separator, functional or refutation shows here
+LP_ANSWERS_DIGEST = "d77b6973af36f3995174ebe0e649770f83296979d494db6914409992308d9e72"
+
+
+def _answer_text(res) -> str:
+    """The repr of an answer, with a NoWitness's certificates shown."""
+    if isinstance(res, NoWitness):
+        return f"NoWitness({str(res)!r}, farkas={res.farkas!r}, failing={res.failing!r})"
+    return repr(res)
+
+
+def test_lp_answers_match_the_recorded_digest(library_lps):
+    import hashlib
+
+    answers = []
+    for cols in {id(cols): cols for cols, _, _ in library_lps}.values():
+        answers += [cone_sweep(cols), positive_functional(cols)]
+    answers += [cone_membership(cols[i], cols[:i] + cols[i + 1:]) for cols, i, _ in library_lps]
+    for rows, rhs in _random_systems(200, seed=5):
+        cols = _columns(rows)
+        answers += [cone_membership(rhs, cols), cone_sweep([*cols, rhs])]
+        if rows and rows[0]:
+            answers.append(positive_functional(rows))
+    for f in map(load_fan, FAN_NAMES):
+        classes = wall_classes(f)
+        answers += [strict_convexity_witness(classes),
+                    strict_convexity_witness(classes, f.support)]
+    answers.append(strict_convexity_witness(signed_wall_classes(_antipodal_cube_pair())))
+    digest = hashlib.sha256()
+    for res in answers:
+        digest.update(_answer_text(res).encode())
+    assert len(answers) >= 1000
+    assert digest.hexdigest() == LP_ANSWERS_DIGEST

@@ -486,6 +486,16 @@ class TestPiercing:
             assert (cert.direction, cert.cone, cert.attempts) == \
                 _certificate_reference(f, seed)
 
+    def test_a_draw_on_a_ray_is_drawn_again(self):
+        # ray 0 is the first draw of seed 0, so the kept certificate hits a
+        # cone boundary once and takes the second draw
+        rays = [(732, -209, 555), (-2, -2, -1), (47, 164, 0), (-777, 47, -554)]
+        f = Fan3.from_data("cp3", rays, SIMPLEX_CONES)
+        assert _pierce(f, rays[0])[1]
+        cert = check_complete(f)
+        assert (cert.direction, cert.cone, cert.attempts) == ((826, -136, -915), (0, 1, 2), 2)
+        assert (cert.direction, cert.cone, cert.attempts) == _certificate_reference(f, 0)
+
 
 class TestWallNormalization:
     @pytest.mark.parametrize("name", [*FAN_NAMES, 20, 104, 1004])

@@ -62,7 +62,7 @@ VALUES = {
                     "StarVerdict(ok=False, violations=(((0, 1, 2), 2),))"),
     "LinearRelation": (lambda: linear_relation(fan(), (1, 0, 0)), ["mu", "coeffs"],
                        "LinearRelation(mu=(1, 0, 0), coeffs=(1, 0, 0, -1))"),
-    "VolumePolynomial": (lambda: volume_polynomial(fan()), ["fan", "terms"],
+    "VolumePolynomial": (lambda: volume_polynomial(fan()), ["fan"],
                          f"VolumePolynomial(fan={FAN})"),
     "SimplicialSphere2": (sphere, ["m", "triangles", "oriented", "walls"], SPHERE),
     "SimplePolytope3": (
@@ -104,6 +104,7 @@ VALUES = {
 # what to read to fill the caches an instance keeps besides its fields
 CACHES = {
     "CharacteristicPair": ["integrals"],
+    "VolumePolynomial": ["terms"],
     "SimplicialSphere2": ["_neighbours", "_index", "_apex_pairs"],
     "SimplePolytope3": ["_index"],
     "Fan3": ["certificate", "wall_table", "characteristic_pair", "cone_analysis"],
