@@ -2,9 +2,13 @@
 
 The layers, from combinatorics to certificates:
 
-* :mod:`toriclab.combinatorics` — simple 3-polytopes as facet cycles and
-  oriented simplicial 2-spheres, with duality both ways.
-* :mod:`toriclab.charfunc` — proper 4-colorings and the characteristic
+* :mod:`toriclab.combinatorics` — oriented simplicial 2-spheres and the
+  document line grammar.
+* :mod:`toriclab.polytope` — simple 3-polytopes as facet cycles, with
+  duality both ways.
+* :mod:`toriclab.charfunc` — characteristic functions and pairs, and the
+  star condition.
+* :mod:`toriclab.coloring` — proper 4-colorings and the characteristic
   functions they induce.
 * :mod:`toriclab.fan` — unimodular simplicial fans: wall coefficients,
   curvature, the Gauss-Bonnet sum, and completeness certification.
@@ -25,16 +29,14 @@ that defines ``X``, as listed in ``_EXPORTS``.
 import importlib
 
 _EXPORTS = {
-    "charfunc": ("CharacteristicFunction", "CharacteristicPair", "FacetColoring",
-                 "check_star_condition", "coloring_to_charfunc", "four_color",
+    "charfunc": ("CharacteristicFunction", "CharacteristicPair", "check_star_condition",
                  "parse_charfunc"),
     "cohomology": ("WallClass", "certify_support", "chern_number_c1c2", "edge_functional",
                    "edge_functionals", "evaluate_volume", "linear_relation",
                    "serialize_volume_polynomial", "signed_triple_intersection",
                    "triple_intersection", "volume_polynomial"),
-    "combinatorics": ("SimplePolytope3", "SimplicialSphere2", "betti_numbers",
-                      "dual_polytope", "dual_sphere", "face_histogram", "is_fullerene",
-                      "parse_polytope", "serialize_polytope"),
+    "coloring": ("FacetColoring", "coloring_to_charfunc", "four_color"),
+    "combinatorics": ("SimplicialSphere2", "betti_numbers"),
     "cone": ("ConeAnalysis", "ObstructionWitness", "delzant_obstruction_witness",
              "extremal_walls", "signed_wall_classes", "strict_convexity_witness",
              "wall_classes"),
@@ -46,6 +48,8 @@ _EXPORTS = {
     "fan": ("Fan3", "Wall", "certify_fan", "characteristic_pair", "check_complete",
             "check_unimodular", "classify_wall", "curvature", "gauss_bonnet_sum",
             "parse_fan", "serialize_fan", "wall_data"),
+    "polytope": ("SimplePolytope3", "dual_polytope", "dual_sphere", "face_histogram",
+                 "is_fullerene", "parse_polytope", "serialize_polytope"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

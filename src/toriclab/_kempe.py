@@ -1,4 +1,4 @@
-"""Stage 2 of :func:`toriclab.charfunc.four_color`, run only when the
+"""Stage 2 of :func:`toriclab.coloring.four_color`, run only when the
 backtracking search of stage 1 runs out of its node budget.
 
 Smallest-last greedy coloring (Matula and Beck): vertices are removed one
@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import random
 
-from .charfunc import _BIT, _FREE
+from .coloring import _BIT, _FREE
 from .errors import InternalError
 
 _RESTARTS = 64

@@ -4,8 +4,11 @@ Subcommands mirror the library layers: ``polytope`` for combinatorial
 input (validation, coloring, characteristic pair, Betti numbers),
 ``fan`` for lattice input (curvature, Gauss-Bonnet, volume, effective
 cone, obstruction witness), and ``corpus`` for the built-in examples.
-Each command imports only the layers it runs, so a call of ``polytope
-color`` never loads the fan layers and only ``corpus`` loads the corpus.
+Each command imports only the layers it runs: a fan command loads
+neither ``polytope`` nor ``coloring``, a call of ``polytope color`` never
+loads the fan layers, and only ``corpus`` loads the corpus.  A report's
+digest comes from CPython's own SHA-256 where the interpreter has it, so
+no command loads OpenSSL through ``hashlib``.
 
 Reports are plain text by default and structured JSON with ``--json``;
 every number is exact (integers, or rationals rendered ``p/q``), and a
@@ -31,8 +34,16 @@ __all__ = ["main"]
 
 
 def _digest(text: str) -> str:
-    import hashlib  # only reports carry a digest
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    """The text's SHA-256 in 16 hex digits, from CPython's own SHA-256
+    where the interpreter has it: ``hashlib`` would load OpenSSL."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # a build without it
+        from hashlib import sha256
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def _fmt(value):
@@ -97,8 +108,8 @@ def _read(path: str) -> str:
 
 
 def _coloring_block(sphere):
-    from .charfunc import (CharacteristicPair, check_star_condition,
-                           coloring_to_charfunc, four_color)
+    from .charfunc import CharacteristicPair, check_star_condition
+    from .coloring import coloring_to_charfunc, four_color
 
     coloring = four_color(sphere)
     lam = coloring_to_charfunc(coloring)
@@ -107,8 +118,8 @@ def _coloring_block(sphere):
 
 
 def cmd_polytope_report(args) -> int:
-    from .combinatorics import (betti_numbers, dual_sphere, face_histogram,
-                                is_fullerene, parse_polytope)
+    from .combinatorics import betti_numbers
+    from .polytope import dual_sphere, face_histogram, is_fullerene, parse_polytope
 
     text = _read(args.file)
     rpt = Report("polytope report", args.file, text)
@@ -134,7 +145,7 @@ def cmd_polytope_report(args) -> int:
 
 
 def cmd_polytope_color(args) -> int:
-    from .combinatorics import dual_sphere, parse_polytope
+    from .polytope import dual_sphere, parse_polytope
 
     p = parse_polytope(_read(args.file))
     coloring, lam, verdict = _coloring_block(dual_sphere(p))

@@ -89,6 +89,8 @@ class WallClass(_Value):
     m: int
 
     def __init__(self, wall: tuple[int, int], entries: tuple[tuple[int, int], ...], m: int):
+        if type(m) is not int:
+            raise ValidationError(f"wall class {wall}: ray count m = {m!r} is not an int")
         prev = -1
         for e in entries if type(entries) is tuple else (entries,):
             if type(e) is not tuple or len(e) != 2 or not type(e[0]) is type(e[1]) is int:

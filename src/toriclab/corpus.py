@@ -186,15 +186,13 @@ def corpus_names() -> tuple[str, ...]:
 
 
 def corpus_get(name: str) -> CorpusEntry:
-    try:
+    if isinstance(name, str) and name in ENTRIES:
         return ENTRIES[name]
-    except KeyError:
-        raise NotFound(f"no corpus entry named {name!r}; "
-                       f"available: {', '.join(ENTRIES)}") from None
+    raise NotFound(f"no corpus entry named {name!r}; available: {', '.join(ENTRIES)}")
 
 
 def load_polytope(name: str) -> SimplePolytope3:
-    from .combinatorics import parse_polytope
+    from .polytope import parse_polytope
 
     entry = corpus_get(name)
     if entry.kind != "polytope":

@@ -19,20 +19,14 @@ from oracles import (
     random_unimodular,
     zero_in_convex_hull,
 )
-from toriclab.charfunc import (
-    CharacteristicFunction,
-    CharacteristicPair,
-    check_star_condition,
-    coloring_to_charfunc,
-    four_color,
-)
+from toriclab.charfunc import CharacteristicFunction, CharacteristicPair, check_star_condition
 from toriclab.cohomology import (
     chern_number_c1c2,
     linear_relation,
     triple_intersection,
     volume_polynomial,
 )
-from toriclab.combinatorics import dual_polytope, dual_sphere, face_histogram
+from toriclab.coloring import coloring_to_charfunc, four_color
 from toriclab.cone import (
     delzant_obstruction_witness,
     extremal_walls,
@@ -43,6 +37,7 @@ from toriclab.cone import (
 from toriclab.corpus import FAN_NAMES, load_fan, load_polytope
 from toriclab.errors import NoWitness
 from toriclab.fan import Fan3, gauss_bonnet_sum
+from toriclab.polytope import dual_polytope, dual_sphere, face_histogram
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 

@@ -28,19 +28,16 @@ from subdivision import subdivided_cp3
 from test_combinatorics import ICOSA_TRIANGLES, cube, dodecahedron, tet
 from toriclab._kempe import kempe_color
 from toriclab.charfunc import (
-    COLOR_VECTORS,
     CharacteristicFunction,
     CharacteristicPair,
-    FacetColoring,
-    _search,
     check_star_condition,
-    coloring_to_charfunc,
     format_charfunc,
-    four_color,
     parse_charfunc,
 )
-from toriclab.combinatorics import (SimplicialSphere2, dual_polytope, dual_sphere,
-                                    serialize_polytope)
+from toriclab.coloring import (COLOR_VECTORS, FacetColoring, _search, coloring_to_charfunc,
+                               four_color)
+from toriclab.combinatorics import SimplicialSphere2
+from toriclab.polytope import dual_polytope, dual_sphere, serialize_polytope
 from toriclab.corpus import POLYTOPE_NAMES, load_polytope
 from toriclab.errors import ParseError, ValidationError
 from toriclab.lattice import det3
@@ -245,8 +242,8 @@ class TestSearchBudget:
 # counters of each search, with its time and its verdicts, as JSON.
 COLOR_CHILD = """
 import json, sys, time
-from toriclab.charfunc import (CharacteristicPair, _search, check_star_condition,
-                               coloring_to_charfunc)
+from toriclab.charfunc import CharacteristicPair, check_star_condition
+from toriclab.coloring import _search, coloring_to_charfunc
 from toriclab.combinatorics import SimplicialSphere2
 out = []
 for m, tris in json.load(sys.stdin):
@@ -461,7 +458,7 @@ class TestTheorem:
 
     def test_construction_succeeds_everywhere(self):
         from test_combinatorics import PRISM5_FACETS, TRUNC_TET_FACETS
-        from toriclab.combinatorics import SimplePolytope3
+        from toriclab.polytope import SimplePolytope3
 
         polys = [
             tet(), cube(), dodecahedron(),

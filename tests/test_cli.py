@@ -6,11 +6,11 @@ import pytest
 
 from branched import branched_cover_text
 from toriclab.cli import main
-from toriclab.combinatorics import parse_polytope
 from toriclab.corpus import FAN_NAMES, POLYTOPE_NAMES, corpus_get
 from toriclab.cohomology import certify_support
 from toriclab.errors import IncompleteFan, SupportInvalid
 from toriclab.fan import Fan3, certify_fan, parse_fan, serialize_fan
+from toriclab.polytope import parse_polytope
 
 
 def run(capsys, *argv):
@@ -126,7 +126,7 @@ def test_fan_report_json_deterministic_modulo_timing(capsys, fan_file):
 @pytest.mark.parametrize("argv, target, parse", [
     (("fan", "extremal"), "toriclab.fan.parse_fan", parse_fan),
     (("fan", "report"), "toriclab.fan.parse_fan", parse_fan),
-    (("polytope", "report"), "toriclab.combinatorics.parse_polytope", parse_polytope),
+    (("polytope", "report"), "toriclab.polytope.parse_polytope", parse_polytope),
 ])
 def test_timing_covers_parsing(capsys, monkeypatch, fan_file, poly_file, argv, target, parse):
     import time

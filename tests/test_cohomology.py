@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from toriclab.charfunc import (CharacteristicFunction, CharacteristicPair,
-                               coloring_to_charfunc, four_color)
+from toriclab.charfunc import CharacteristicFunction, CharacteristicPair
+from toriclab.coloring import coloring_to_charfunc, four_color
 from toriclab.cohomology import (
     certify_support,
     chern_number_c1c2,
@@ -30,11 +30,12 @@ from toriclab.cohomology import (
     triple_intersection,
     volume_polynomial,
 )
-from toriclab.combinatorics import SimplicialSphere2, betti_numbers, dual_sphere
+from toriclab.combinatorics import SimplicialSphere2, betti_numbers
 from toriclab.corpus import FAN_NAMES, load_fan, load_polytope
 from toriclab.errors import IncompleteFan, SupportInvalid, ValidationError
 from toriclab.fan import (Fan3, characteristic_pair, check_complete, classify_wall,
                          parse_fan, wall_data)
+from toriclab.polytope import dual_sphere
 
 from branched import branched_cover_text
 from oracles import (integral_table_oracle, polytope_volume_oracle,

@@ -13,26 +13,19 @@ from collections import defaultdict
 import pytest
 
 import toriclab.combinatorics as combinatorics_module
-from toriclab.charfunc import (
-    CharacteristicFunction,
-    CharacteristicPair,
-    check_star_condition,
-    coloring_to_charfunc,
-    four_color,
-)
-from toriclab.combinatorics import (
+import toriclab.polytope as polytope_module
+from toriclab.charfunc import CharacteristicFunction, CharacteristicPair, check_star_condition
+from toriclab.coloring import coloring_to_charfunc, four_color
+from toriclab.combinatorics import SimplicialSphere2, betti_numbers, _half_edges, _orient
+from toriclab.polytope import (
     SimplePolytope3,
-    SimplicialSphere2,
-    betti_numbers,
+    _connected,
     dual_polytope,
     dual_sphere,
     face_histogram,
     is_fullerene,
     parse_polytope,
     serialize_polytope,
-    _connected,
-    _half_edges,
-    _orient,
 )
 from toriclab.cone import delzant_obstruction_witness
 from toriclab.corpus import POLYTOPE_NAMES, corpus_get, load_polytope
@@ -277,7 +270,7 @@ def test_incidence_is_built_once_per_polytope(monkeypatch):
         calls.append(len(cycles))
         return half_edges(cycles, *args)
 
-    monkeypatch.setattr(combinatorics_module, "_half_edges", counting)
+    monkeypatch.setattr(polytope_module, "_half_edges", counting)
     p = parse_polytope(text)
     dual_sphere(p)
     assert (p.num_edges, len(p.edges)) == (30, 30)
@@ -293,7 +286,8 @@ def counting_half_edges(monkeypatch):
         calls.append(n)
         return half_edges(cycles, flat, n, fault)
 
-    monkeypatch.setattr(combinatorics_module, "_half_edges", counting)
+    for module in (combinatorics_module, polytope_module):
+        monkeypatch.setattr(module, "_half_edges", counting)
     return calls
 
 

@@ -1,14 +1,15 @@
 """Corpus integrity: every built-in document is the serialization of its
 construction, and validates end to end."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from toriclab.cohomology import edge_functional
-from toriclab.combinatorics import (
+from toriclab.combinatorics import SimplicialSphere2
+from toriclab.polytope import (
     SimplePolytope3,
-    SimplicialSphere2,
     dual_polytope,
     dual_sphere,
     face_histogram,
@@ -229,6 +230,15 @@ def test_only_dodecahedron_is_a_fullerene():
 def test_unknown_name_raises():
     with pytest.raises(NotFound, match="no corpus entry"):
         corpus_get("no-such-entry")
+
+
+@pytest.mark.parametrize("name", [["cp3"], {"cp3": 1}, None, 3, b"cp3"], ids=repr)
+@pytest.mark.parametrize("load", [corpus_get, load_fan, load_polytope])
+def test_a_name_that_is_no_str_is_not_found(load, name):
+    # an unhashable name escaped as a bare TypeError
+    with pytest.raises(NotFound, match=rf"^no corpus entry named {re.escape(repr(name))}; "
+                                       rf"available: tetrahedron, cube, "):
+        load(name)
 
 
 def test_kind_mismatch_raises():

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import toriclab
-from toriclab.combinatorics import parse_polytope
 from toriclab.fan import parse_fan
+from toriclab.polytope import parse_polytope
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))

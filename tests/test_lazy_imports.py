@@ -3,7 +3,9 @@ the layers it runs.  Module sets are read in fresh processes, since this
 one has every layer loaded already."""
 
 import ast
+import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import toriclab
-from toriclab.corpus import corpus_get
+from toriclab.corpus import corpus_get, corpus_names
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,25 +34,32 @@ heavy = sorted(m for m in {heavy!r} if m in sys.modules)
 print(json.dumps([code, loaded, heavy]), file=sys.stderr)
 """
 
+# CPython's own SHA-256 module, _sha2 on 3.12+ and _sha256 before, if
+# this interpreter has it
+SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+BUILTIN_SHA256 = importlib.util.find_spec(SHA256) is not None
 # Standard modules that cost milliseconds to import and that no command
-# needs: dataclasses brings inspect, ast, dis and tokenize with it, and
-# argparse brings gettext and locale.
-HEAVY = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
+# needs: dataclasses brings inspect, ast, dis and tokenize with it,
+# argparse brings gettext and locale, and _hashlib is OpenSSL, which a
+# report's digest needs only where CPython has no SHA-256 of its own.
+HEAVY = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale",
+         *(("_hashlib",) if BUILTIN_SHA256 else ()))
 # Loaded only where they are used: fractions (with decimal) by the layers
 # that make rationals, heapq by the coloring search.
 RATIONAL = ("fractions", "decimal")
 
-POLYTOPE = ["charfunc", "combinatorics", "errors", "lattice", "value"]
-VOLUME = sorted(POLYTOPE + ["cohomology", "fan"])
+PAIR = ["charfunc", "combinatorics", "errors", "lattice", "value"]
+POLYTOPE = sorted(PAIR + ["coloring", "polytope"])
+VOLUME = sorted(PAIR + ["cohomology", "fan"])
 CONE = sorted(VOLUME + ["cone", "exactlp"])
 CORPUS = ["corpus", "errors", "value"]
 
 
-def _python(*argv, cwd):
+def _python(*argv, cwd, input=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, input=input,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -93,9 +102,9 @@ def test_unknown_name_raises_attribute_error():
 # module level or inside a function, but for the lazy imports in UPWARD:
 # a pair's intersection calculus, stage 2 of the coloring and a fan's
 # cone analysis.
-LAYERS = ("value", "errors", "lattice", "combinatorics", "exactlp", "charfunc", "_kempe",
-          "fan", "cohomology", "cone", "corpus", "cli")
-UPWARD = {("charfunc", "cohomology"), ("charfunc", "_kempe"), ("fan", "cone")}
+LAYERS = ("value", "errors", "lattice", "combinatorics", "polytope", "exactlp", "charfunc",
+          "coloring", "_kempe", "fan", "cohomology", "cone", "corpus", "cli")
+UPWARD = {("charfunc", "cohomology"), ("coloring", "_kempe"), ("fan", "cone")}
 
 
 def test_each_layer_imports_only_layers_below_it():
@@ -174,3 +183,25 @@ def test_polytope_color_loads_neither_hashlib_nor_json(tmp_path):
     run = PROBE.format(run='runpy.run_module("toriclab.cli", run_name="__main__")')
     color = _python("-c", run, "polytope", "color", "d.poly", cwd=tmp_path)
     assert color.stdout.splitlines()[-2:] == ["exit 0", bare.stdout.strip()], color.stderr
+
+
+# Compute cli._digest of each text read from stdin, with the modules named
+# on the command line hidden as if the interpreter had none of them; print
+# the digests and which SHA-256 provider loaded.
+DIGEST = """
+import json, sys
+for name in sys.argv[1:]:
+    sys.modules[name] = None
+from toriclab.cli import _digest
+digests = list(map(_digest, json.load(sys.stdin)))
+print(json.dumps([digests, [m for m in ("_sha2", "_sha256", "hashlib") if sys.modules.get(m)]]))
+"""
+
+
+@pytest.mark.parametrize("hidden", [(), ("_sha2", "_sha256")], ids=["built-in", "hashlib"])
+def test_digest_is_the_sha256_prefix_on_every_path(tmp_path, hidden):
+    texts = [*(corpus_get(name).text for name in corpus_names()), "", "poly3 \u00e9t\u00e9 \u03a9\n"]
+    proc = _python("-S", "-c", DIGEST, *hidden, cwd=tmp_path, input=json.dumps(texts))
+    digests, loaded = json.loads(proc.stdout)
+    assert digests == [hashlib.sha256(text.encode()).hexdigest()[:16] for text in texts]
+    assert loaded == [SHA256 if BUILTIN_SHA256 and not hidden else "hashlib"], proc.stderr

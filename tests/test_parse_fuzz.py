@@ -18,13 +18,13 @@ import random
 
 import pytest
 
-from toriclab.charfunc import (coloring_to_charfunc, format_charfunc, four_color,
-                               parse_charfunc)
+from toriclab.charfunc import format_charfunc, parse_charfunc
 from toriclab.cli import main
-from toriclab.combinatorics import dual_sphere, parse_polytope
+from toriclab.coloring import coloring_to_charfunc, four_color
 from toriclab.corpus import FAN_NAMES, POLYTOPE_NAMES, corpus_get, load_polytope
 from toriclab.errors import ParseError, ToricLabError
 from toriclab.fan import parse_fan
+from toriclab.polytope import dual_sphere, parse_polytope
 
 TOKENS = ("-1", "+1", "1_0", "x", "1/0", ":", "#", "0", "7")
 PARSERS = {"poly3": parse_polytope, "fan3": parse_fan, "lambda": parse_charfunc}

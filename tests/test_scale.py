@@ -16,14 +16,14 @@ from fractions import Fraction
 
 import pytest
 
-from toriclab.charfunc import (CharacteristicPair, check_star_condition,
-                               coloring_to_charfunc, four_color)
+from toriclab.charfunc import CharacteristicPair, check_star_condition
 from toriclab.cohomology import (
     chern_number_c1c2,
     evaluate_volume,
     volume_polynomial,
 )
-from toriclab.combinatorics import betti_numbers, dual_polytope, dual_sphere
+from toriclab.coloring import coloring_to_charfunc, four_color
+from toriclab.combinatorics import betti_numbers
 from toriclab.cone import (
     delzant_obstruction_witness,
     extremal_walls,
@@ -32,6 +32,7 @@ from toriclab.cone import (
     wall_classes,
 )
 from toriclab.fan import Fan3, characteristic_pair, check_complete, gauss_bonnet_sum
+from toriclab.polytope import dual_polytope, dual_sphere
 
 from oracles import (integral_table_oracle, polytope_volume_oracle,
                      volume_value_reference)

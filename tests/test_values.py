@@ -3,21 +3,23 @@ same ``repr`` text, field-wise equality and hashing that ignore the kept
 caches, no assignment, and the same refusals from their constructors, which bind
 the fields as a dataclass's would."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from toriclab.charfunc import (CharacteristicFunction, CharacteristicPair, FacetColoring,
-                               StarVerdict)
+from toriclab.charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
 from toriclab.cohomology import (certify_support, edge_functionals, evaluate_volume,
                                  linear_relation, volume_polynomial)
-from toriclab.combinatorics import SimplePolytope3, SimplicialSphere2
+from toriclab.coloring import FacetColoring
+from toriclab.combinatorics import SimplicialSphere2
 from toriclab.cone import (ConeAnalysis, WallClass, delzant_obstruction_witness,
                            strict_convexity_witness, wall_classes)
 from toriclab.corpus import CorpusEntry
 from toriclab.errors import ValidationError
 from toriclab.exactlp import cone_membership, cone_sweep, positive_functional
 from toriclab.fan import Fan3, check_complete
+from toriclab.polytope import SimplePolytope3
 from toriclab.value import _Value
 
 TET = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -206,6 +208,17 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 def test_constructors_refuse_as_before(make, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         make()
+
+
+# a count that is not an int escaped as a bare TypeError from a comparison
+@pytest.mark.parametrize("m", [None, "4", [4], (4,), {}, b"4", True, 4.0], ids=repr)
+def test_counts_that_are_no_int_are_refused(m):
+    with pytest.raises(ValidationError, match=rf"^vertex count m = {re.escape(repr(m))} "
+                                              rf"is not an int$"):
+        SimplicialSphere2.from_triangles(m, TET)
+    with pytest.raises(ValidationError, match=rf"^wall class \(0, 1\): ray count "
+                                              rf"m = {re.escape(repr(m))} is not an int$"):
+        WallClass((0, 1), ((0, 1),), m)
 
 
 
