@@ -1,9 +1,10 @@
 """Exact invariants of simple 3-polytopes and unimodular fans in Z^3.
 
-The layers, from combinatorics to certificates:
+The layers, from input to certificates:
 
-* :mod:`toriclab.combinatorics` — oriented simplicial 2-spheres and the
-  document line grammar.
+* :mod:`toriclab.read` — the one reader of outside input: the document
+  line grammar and the check of every data argument.
+* :mod:`toriclab.combinatorics` — oriented simplicial 2-spheres.
 * :mod:`toriclab.polytope` — simple 3-polytopes as facet cycles, with
   duality both ways.
 * :mod:`toriclab.charfunc` — characteristic functions and pairs, and the
@@ -20,6 +21,13 @@ The layers, from combinatorics to certificates:
 * :mod:`toriclab.cli` — the ``toriclab`` command.
 
 All arithmetic is exact (integers and fractions); nothing here floats.
+
+Arguments that are library objects (a ``Fan3``, a sphere, a polytope, a
+characteristic function or pair, a coloring, a ``Wall``, a ``WallClass``
+or a ``VolumePolynomial``) are trusted: anything else in their place is a
+mistake in the calling code and may fail with any Python error.  Every
+other argument is data, read by :mod:`toriclab.read`, and a bad value is
+refused with a ``ToricLabError``.
 
 Names resolve on first use: ``import toriclab`` loads no layer, and
 ``toriclab.X`` (or ``from toriclab import X``) imports only the module

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .combinatorics import SimplicialSphere2, Triangle, _Lines, _sequences
+from .combinatorics import SimplicialSphere2, Triangle
 from .errors import ValidationError
-from .lattice import Vec3, det3, primitive_vectors
+from .lattice import Vec3, det3
+from .read import _Lines, _sequences, primitive_vectors
 from .value import _Value
 
 
@@ -102,7 +103,7 @@ def check_star_condition(pair: CharacteristicPair) -> StarVerdict:
 
 def parse_charfunc(text: str) -> CharacteristicFunction:
     """Parse a CHARFUNC block, `lambda <m>` then m lines `L <id>: <x> <y> <z>`
-    (line grammar: :class:`~toriclab.combinatorics._Lines`)."""
+    (line grammar: :class:`~toriclab.read._Lines`)."""
     doc = _Lines(text)
     vectors = doc.records("L", "vector", doc.count("lambda"), width=3)
     doc.end()

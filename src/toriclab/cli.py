@@ -229,21 +229,10 @@ def _certified_fan(args, command: str):
     return f, rpt
 
 
-def _parse_support(arg: str, m: int):
-    from .combinatorics import _SPACE, _rationals
-
-    parts = [s.strip(_SPACE) for s in arg.split(",")]
-    if len(parts) != m:
-        raise ValidationError(f"support override has {len(parts)} entries, fan has {m} rays")
-    values = tuple(_rationals(parts))
-    if None in values:
-        raise ParseError(f"bad support value: {parts[values.index(None)]!r}")
-    return values
-
-
 def cmd_fan_volume(args) -> int:
     from .cohomology import (certify_support, edge_functionals,
                              serialize_volume_polynomial, volume_polynomial)
+    from .read import _parse_support
 
     f, rpt = _certified_fan(args, "fan volume")
     if args.support is not None:

@@ -33,16 +33,15 @@ weights; their values at valid support parameters are Euclidean volumes of
 the corresponding simple polytopes.
 
 Support parameters are evaluated over one common denominator: the values
-c_1, ..., c_m, each read by ``combinatorics._exact`` as a fan's support
-entry is (a Fraction, an int or a 'p/q' string), become once, by
-``lattice.over_common_denominator``, integer numerators C_t over their
-least common denominator D.  Every multinomial weight times 6 is an
-integer, so a volume is the integer sum S of 6 * weight * integral *
-C_i C_j C_k divided by 6 D^3, and an edge functional is the integer sum E
-of integral * C_t divided by D.  Signs are decided on S and E alone; a
-``Fraction`` is built only for a value handed back to the caller or named
-in a ``SupportInvalid`` message, so each query normalises once instead of
-at every product and sum.
+c_1, ..., c_m, each read as a fan's support entry is (a Fraction, an int
+or a 'p/q' string), become once, by :func:`toriclab.read.integral`,
+integer numerators C_t over their least common denominator D.  Every
+multinomial weight times 6 is an integer, so a volume is the integer sum S
+of 6 * weight * integral * C_i C_j C_k divided by 6 D^3, and an edge
+functional is the integer sum E of integral * C_t divided by D.  Signs are
+decided on S and E alone; a ``Fraction`` is built only for a value handed
+back to the caller or named in a ``SupportInvalid`` message, so each query
+normalises once instead of at every product and sum.
 """
 
 from __future__ import annotations
@@ -52,10 +51,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .charfunc import CharacteristicPair
-from .combinatorics import _exact, _int_key, _sequence
 from .errors import SupportInvalid, ValidationError
 from .fan import Fan3, characteristic_pair
-from .lattice import Vec3, det3, dot, dual_covector, over_common_denominator
+from .lattice import Vec3, det3, dot, dual_covector
+from .read import _as_multiset, _int_key, _sequence, integral
 from .value import _Value
 
 Multiset = tuple[int, int, int]
@@ -63,18 +62,10 @@ Multiset = tuple[int, int, int]
 _BASIS_FAULT = "triangle {} violates the basis condition; the signed calculus needs it to hold"
 
 
-def _as_multiset(indices, m: int) -> Multiset:
-    t = _int_key(indices)
-    if len(t) != 3:
-        raise ValidationError(f"need exactly 3 indices, got {indices!r}")
-    if not all(0 <= i < m for i in t):
-        raise ValidationError(f"index out of range in {t}")
-    return t
-
-
 class WallClass(_Value):
-    """A wall with its pairing vector over m rays: entry t is the integral
-    over the wall class times the class of ray t.
+    """A wall (u, v), a pair of ray ids u < v, with its pairing vector
+    over m rays: entry t is the integral over the wall class times the
+    class of ray t.
 
     Only the nonzero entries are stored, as ``(t, value)`` pairs sorted by
     t, so two classes are equal exactly when their vectors are.  There are
@@ -91,6 +82,10 @@ class WallClass(_Value):
     def __init__(self, wall: tuple[int, int], entries: tuple[tuple[int, int], ...], m: int):
         if type(m) is not int:
             raise ValidationError(f"wall class {wall}: ray count m = {m!r} is not an int")
+        if not (type(wall) is tuple and len(wall) == 2 and type(wall[0]) is type(wall[1]) is int
+                and 0 <= wall[0] < wall[1] < m):
+            raise ValidationError(f"wall class {wall!r}: wall is not a pair u < v of rays "
+                                  f"0..{m - 1}")
         prev = -1
         for e in entries if type(entries) is tuple else (entries,):
             if type(e) is not tuple or len(e) != 2 or not type(e[0]) is type(e[1]) is int:
@@ -241,7 +236,8 @@ class VolumePolynomial(_Value):
         return Fraction(_weighted([(key, triple_intersection(self.fan, key))])[0][3], 6)
 
     def __call__(self, c) -> Fraction:
-        return self._value(*_scaled(c, self.m, "variables"))
+        (C,), D = integral((c,), self.m, "{} values for {} variables")
+        return self._value(C, D)
 
     def _value(self, C: list[int], D: int) -> Fraction:
         """The value at c_t = C[t] / D."""
@@ -280,17 +276,6 @@ def serialize_volume_polynomial(V: VolumePolynomial) -> str:
     return "\n".join(out) + "\n"
 
 
-def _scaled(c, m: int, what: str) -> tuple[list[int], int]:
-    """m values c for the named variables, as numerators over one D.  Each
-    value is read as a fan's support entry is, by
-    :func:`~toriclab.combinatorics._exact`."""
-    (C,), D = over_common_denominator([_exact(_sequence(c, "support"),
-                                              "support entry {i} = {x}")])
-    if len(C) != m:
-        raise ValidationError(f"{len(C)} values for {m} {what}")
-    return C, D
-
-
 def _edge_numerator(entries, C: list[int]) -> int:
     """D times the edge functional of a wall with pairing entries
     (t, value), at c_t = C[t] / D."""
@@ -310,14 +295,14 @@ def edge_functional(f: Fan3, pair, c) -> Fraction:
     n = bisect_left(f.sphere.walls, key)
     if n == len(classes) or classes[n].wall != key:
         raise ValidationError(f"{key} is not a wall of this fan")
-    C, D = _scaled(c, f.m, "rays")
+    (C,), D = integral((c,), f.m)
     return Fraction(_edge_numerator(classes[n].entries, C), D)
 
 
 def edge_functionals(f: Fan3, c) -> dict[tuple[int, int], Fraction]:
     """:func:`edge_functional` at every wall, keyed by sorted wall pair in
     the order of ``f.walls``; c is read once for all of them."""
-    C, D = _scaled(c, f.m, "rays")
+    (C,), D = integral((c,), f.m)
     return {cls.wall: Fraction(_edge_numerator(cls.entries, C), D)
             for cls in characteristic_pair(f).wall_classes}
 
@@ -336,7 +321,8 @@ def _certify_scaled(f: Fan3, C: list[int], D: int) -> None:
 
 def certify_support(f: Fan3, c) -> None:
     """Raise SupportInvalid listing every wall with a non-positive edge."""
-    _certify_scaled(f, *_scaled(c, f.m, "rays"))
+    (C,), D = integral((c,), f.m)
+    _certify_scaled(f, C, D)
 
 
 def evaluate_volume(V: VolumePolynomial, c) -> Fraction:
@@ -346,6 +332,6 @@ def evaluate_volume(V: VolumePolynomial, c) -> Fraction:
     this is certified by edge-functional positivity before evaluating,
     over the same common denominator.
     """
-    C, D = _scaled(c, V.m, "rays")
+    (C,), D = integral((c,), V.m)
     _certify_scaled(V.fan, C, D)
     return V._value(C, D)

@@ -14,9 +14,10 @@ import heapq
 from collections.abc import Iterator
 
 from .charfunc import CharacteristicFunction, CharacteristicPair, check_star_condition
-from .combinatorics import SimplicialSphere2, _sequence
+from .combinatorics import SimplicialSphere2
 from .errors import InternalError, ValidationError
 from .lattice import Vec3
+from .read import _sequence
 from .value import _Value
 
 COLORS = ("a", "b", "c", "d")

@@ -38,12 +38,12 @@ import math
 from fractions import Fraction
 
 from .charfunc import CharacteristicPair
-from .cohomology import WallClass, _non_positive_edges, _scaled, certify_support
-from .combinatorics import _sequence
+from .cohomology import WallClass, _non_positive_edges, certify_support
 from .errors import (CertificationFailure, InternalError, NotFound, NoWitness,
                      ValidationError)
 from .exactlp import _checked_sweep, cone_membership, positive_functional
 from .fan import Fan3, characteristic_pair
+from .read import _sequence, integral
 from .value import _Value
 
 __all__ = [
@@ -134,9 +134,8 @@ def strict_convexity_witness(classes, c_tilde=None):
     was produced.
 
     With ``c_tilde`` the check is pure verification — the products are the
-    edge functionals of the candidate support, decided on its integer
-    numerators over one common denominator; each entry is read as a fan's
-    support entry is: a Fraction, an int (not a bool) or a 'p/q' string.
+    edge functionals of the candidate support, read as a fan's support is
+    and decided on its integer numerators over one common denominator.
     Without it, a feasibility LP searches for any witness; infeasibility
     comes back with convex coefficients combining the pairing vectors to
     zero, which makes a positive functional impossible.  The refusal is a
@@ -152,11 +151,8 @@ def strict_convexity_witness(classes, c_tilde=None):
         raise ValidationError(f"classes are over different numbers of rays: "
                               f"{', '.join(map(str, ms))}")
     if c_tilde is not None:
-        c_tilde = _sequence(c_tilde, "candidate")
-        if classes and len(c_tilde) != classes[0].m:
-            raise ValidationError(f"candidate has {len(c_tilde)} entries for "
-                                  f"{classes[0].m} rays")
-        C, D = _scaled(c_tilde, len(c_tilde), "rays")
+        (C,), D = integral((c_tilde,), classes[0].m if classes else None,
+                           "candidate has {} entries for {} rays", row="candidate")
         failing = tuple(wall for wall, _ in _non_positive_edges(classes, C))
         if failing:
             return NoWitness(

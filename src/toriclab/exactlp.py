@@ -4,19 +4,14 @@ One question is answered here: is a vector a nonnegative combination of
 given vectors?  It is answered by one dual-simplex sweep with Bland's
 pivoting rule, which terminates without cycling.  The sweep pivots on
 integers, through one kernel (:func:`_pivot`): a system is read into
-integers once, by :func:`toriclab.lattice.over_common_denominator`, and
-each tableau row is kept on its own scale, as the primitive integer
-multiple of its rational row, so a pivot rewrites only the rows it
-changes.  Each certificate is integers over one positive denominator,
-read off the rows it comes from.  Fractions are made only for the
-answers the entry points below return; :mod:`toriclab.cone`, whose
-vectors are integers, reads the verified integer answers of
-:func:`_checked_sweep`.  An entry is read as a fan's support entry is,
-by ``combinatorics._exact``: a Fraction, an int (not a bool) or a 'p/q'
-string; floats, bools and anything else are refused with
-ValidationError, and so are vectors of different lengths and vectors or
-lists of them that are not iterable.
-There are no tolerances anywhere: every verdict comes with a certificate
+integers once, by :func:`toriclab.read.integral`, each entry as a fan's
+support entry is, and each tableau row is kept on its own scale, as the
+primitive integer multiple of its rational row, so a pivot rewrites only
+the rows it changes.  Each certificate is integers over one positive
+denominator, read off the rows it comes from.  Fractions are made only
+for the answers the entry points below return; :mod:`toriclab.cone`,
+whose vectors are integers, reads the verified integer answers of
+:func:`_checked_sweep`.  There are no tolerances anywhere: every verdict comes with a certificate
 that is re-verified by exact substitution before it is returned, so a
 caller can trust either answer unconditionally.
 
@@ -54,9 +49,8 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .combinatorics import _exact, _sequence, _sequences
-from .errors import InternalError, ValidationError
-from .lattice import over_common_denominator
+from .errors import InternalError
+from .read import _sequence, integral
 from .value import _Value
 
 __all__ = [
@@ -70,16 +64,8 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-def _integral(rows) -> tuple[list[list[int]], int]:
-    """:func:`~toriclab.lattice.over_common_denominator` of the rows, each
-    entry read by :func:`~toriclab.combinatorics._exact`, as a fan's
-    support entries are.  Rows of different lengths are refused."""
-    rows = [_exact(r, "LP entry {x}") for r in _sequences(rows, "LP vectors", "LP vector {}")]
-    lengths = sorted({len(r) for r in rows})
-    if len(lengths) > 1:
-        raise ValidationError(f"LP vectors have different lengths: "
-                              f"{', '.join(map(str, lengths))}")
-    return over_common_denominator(rows)
+_LP = {"count": "LP vectors have different lengths: {}", "named": "LP vectors",
+       "row": "LP vector {}", "entry": "LP entry {x}"}  # the entry points' words
 
 
 class ConeMembership(_Value):
@@ -102,7 +88,7 @@ def cone_membership(x: Sequence, generators: Sequence[Sequence]) -> ConeMembersh
     coefficients are read off it without the 0 on x itself.
     """
     # One common scale for x and the generators changes neither answer.
-    cols = _integral([*_sequence(generators, "generators"), x])[0]
+    cols = integral([*_sequence(generators, "generators"), x], **_LP)[0]
     [(coefficients, y, d)] = _checked_sweep(cols, len(cols) - 1)
     return _membership(coefficients and coefficients[:-1], y, d)
 
@@ -130,7 +116,7 @@ def positive_functional(rows: Sequence[Sequence]) -> PositiveFunctional:
     z·r_i + t <= 0 and t > 0, so y = -scale·z/t pairs to at least 1 with
     every row.
     """
-    mat, scale = _integral(rows)
+    mat, scale = integral(rows, **_LP)
     dim = len(mat[0]) if mat else 0
     [(x, y, d)] = _checked_sweep([*([*r, 1] for r in mat), [0] * dim + [1]], len(mat))
     if x is not None:
@@ -148,7 +134,7 @@ def cone_sweep(vectors: Sequence[Sequence]) -> tuple[ConeMembership, ...]:
     positively with vector i.  Each is verified by substitution and agrees
     with ``cone_membership(vectors[i], vectors without i)``.
     """
-    return tuple(_membership(*answer) for answer in _checked_sweep(_integral(vectors)[0]))
+    return tuple(_membership(*answer) for answer in _checked_sweep(integral(vectors, **_LP)[0]))
 
 
 def _membership(x: list[int] | None, y: list[int] | None, d: int) -> ConeMembership:

@@ -40,14 +40,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 from .charfunc import CharacteristicFunction, CharacteristicPair, StarVerdict
-from .combinatorics import (SimplicialSphere2, Triangle, _exact, _int_key, _Lines, _plain,
-                            _rationals, _sequence, _sequences)
+from .combinatorics import SimplicialSphere2, Triangle
 from .errors import (IncompleteFan, InternalError, NotUnimodular, ParseError,
                      ValidationError)
-from .lattice import Vec3, det3, primitive_vectors
+from .lattice import Vec3, det3
+from .read import (_int_ids, _int_key, _Lines, _name, _plain, _rationals, _sequences,
+                   exact_rows, primitive_vectors)
 from .value import _Value
 
 # the piercing seed of every fan's kept completeness certificate
@@ -98,15 +98,14 @@ class Fan3(_Value):
         """Validate the data; the sphere's orientation is seeded by the first
         cone in its determinant's direction, so on a complete fan every cone
         runs positively (any other complex is refused by certification).
-        Rays and cones are checked in bulk; a per-item scan names the
-        first fault once a bulk test fails."""
+        The name must be one a ``fan3`` header reads back.  Rays and cones
+        are checked in bulk; a per-item scan names the first fault once a
+        bulk test fails."""
+        _name(name, "fan3")
         rays = primitive_vectors(_sequences(rays, "rays", "ray {}"), "ray {}")
         m = len(rays)
         cones = _sequences(cones, "cones", "cone {}")
-        ids = list(chain(*cones))
-        if not set(map(type, ids)) <= {int}:
-            c = next(c for c in cones if not all(type(i) is int for i in c))
-            raise ValidationError(f"cone {c} has a non-integer ray id")
+        ids = _int_ids(cones, "cone {c} has a non-integer ray id")
         cones = tuple(sorted(map(tuple, map(sorted, cones))))
         if ({*map(len, cones), *map(len, map(set, cones))} - {3}
                 or ids and not 0 <= min(ids) <= max(ids) < m):
@@ -122,11 +121,8 @@ class Fan3(_Value):
         except ValidationError as e:
             raise ValidationError(f"cone complex is not a 2-sphere: {e}") from None
         if support is not None:
-            support = _exact(_sequence(support, "support"), "support entry {i} = {x}")
+            (support,) = exact_rows((support,), m, "{} support parameters for {} rays")
             support = tuple(Fraction(x) if type(x) is int else x for x in support)
-            if len(support) != m:
-                raise ValidationError(
-                    f"{len(support)} support parameters for {m} rays")
         fan = cls(name, rays, cones, sphere, support)
         fan.__dict__["_cone_dets"] = dets  # cached_property slot
         return fan
@@ -253,12 +249,14 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
     and if there is none every cone runs negatively (ValidationError).
     (b) A pseudo-random generic integer direction lies in exactly one
     maximal cone (resampled while it hits a cone boundary).  The sampler
-    is seeded by ``seed``, so runs are reproducible.  Without a seed this
+    is seeded by ``seed``, an int, so runs are reproducible.  Without a seed this
     is the fan's kept certificate, ``Fan3.certificate``, made at
     ``COMPLETENESS_SEED``; a seed makes a fresh one.
     """
     if seed is None:
         return f.certificate
+    if type(seed) is not int:
+        raise ValidationError(f"seed = {seed!r} is not an int")
     if f.sphere.m != f.m or f.sphere.triangles != f.maximal_cones:
         raise ValidationError("the fan's sphere is not its cone complex")
     f.sphere._index  # a constructor-made sphere is validated here
@@ -334,7 +332,7 @@ def characteristic_pair(f: Fan3) -> CharacteristicPair:
 
 
 def parse_fan(text: str) -> Fan3:
-    """Parse a FAN3 document (line grammar: :class:`~toriclab.combinatorics._Lines`):
+    """Parse a FAN3 document (line grammar: :class:`~toriclab.read._Lines`):
         fan3 <name>
         rays <m>
         R <id>: <x> <y> <z>          (m lines, ids in order)

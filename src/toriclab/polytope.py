@@ -22,9 +22,9 @@ from itertools import accumulate, compress, repeat
 from functools import cached_property
 from operator import add, eq, lt, mul
 
-from .combinatorics import (Index, SimplicialSphere2, Wall, _half_edges, _heads, _int_ids,
-                            _Lines, _orient, _rings, _sequences)
+from .combinatorics import Index, SimplicialSphere2, Wall, _half_edges, _heads, _orient, _rings
 from .errors import InternalError, ValidationError
+from .read import _int_ids, _Lines, _name, _sequences
 from .value import _Value
 
 
@@ -49,19 +49,21 @@ class SimplePolytope3(_Value):
     def from_facets(cls, name: str, facets) -> "SimplePolytope3":
         """Validate facet cycles as a simple 3-polytope and normalize them.
 
-        Cycles must have length >= 3 and no repeated vertex, the vertex
-        ids must be 0..n-1, each in three facets, and every edge must lie
-        in two facets, no two facets sharing two edges, with Euler
-        characteristic 2.  When some edge runs the same way in both its
-        facets, :func:`_orient` turns facets to agree with facet 0, or
-        refuses; when none does, as in a document written consistently,
-        nothing turns and only the connection is checked, by
-        :func:`_connected`.  Each stored cycle starts at its least vertex.
+        The name must be one a ``poly3`` header reads back.  Cycles must have
+        length >= 3 and no repeated vertex, the vertex ids must be 0..n-1,
+        each in three facets, and every edge must lie in two facets, no
+        two facets sharing two edges, with Euler characteristic 2.  When
+        some edge runs the same way in both its facets, :func:`_orient`
+        turns facets to agree with facet 0, or refuses; when none does, as
+        in a document written consistently, nothing turns and only the
+        connection is checked, by :func:`_connected`.  Each stored cycle
+        starts at its least vertex.
         """
+        _name(name, "poly3")
         cycles = list(_sequences(facets, "facets", "facet {}"))
         if not cycles:
             raise ValidationError("polytope has no facets")
-        flat = _int_ids(cycles, "facet {i} = {c}")
+        flat = _int_ids(cycles, "facet {i} = {c} has a non-integer vertex id")
         lengths = list(map(len, cycles))
         if min(lengths) < 3 or list(map(len, map(set, cycles))) != lengths:
             for i, cyc in enumerate(cycles):
@@ -219,7 +221,7 @@ def is_fullerene(p: SimplePolytope3) -> bool:
 
 
 def parse_polytope(text: str) -> SimplePolytope3:
-    """Parse a POLY3 document (line grammar: :class:`_Lines`):
+    """Parse a POLY3 document (line grammar: :class:`~toriclab.read._Lines`):
         poly3 <name>
         facets <m>
         F <id>: <v1> <v2> ... <vk>     (m lines, ids 0..m-1 in order)

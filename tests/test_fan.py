@@ -369,6 +369,15 @@ class TestCheckComplete:
         assert a == b
         assert check_complete(f) == check_complete(f, seed=0)
 
+    # a seed that is no int escaped from random.Random as a bare TypeError,
+    # or was taken as a seed (a float, a str, bytes, a bool)
+    @pytest.mark.parametrize("seed", [(1,), [1], {}, {1}, Fraction(1), object(), 1.5, "x",
+                                      b"ab", True], ids=repr)
+    def test_seeds_that_are_no_int_are_refused(self, seed):
+        with pytest.raises(ValidationError, match=rf"^seed = {re.escape(repr(seed))} "
+                                                  rf"is not an int$"):
+            check_complete(load_fan("cube-fan"), seed)
+
 
 def _pierce_reference(f, x):
     """Cones with x in their interior, and whether x hit a cone boundary,

@@ -48,7 +48,7 @@ HEAVY = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale",
 # that make rationals, heapq by the coloring search.
 RATIONAL = ("fractions", "decimal")
 
-PAIR = ["charfunc", "combinatorics", "errors", "lattice", "value"]
+PAIR = ["charfunc", "combinatorics", "errors", "lattice", "read", "value"]
 POLYTOPE = sorted(PAIR + ["coloring", "polytope"])
 VOLUME = sorted(PAIR + ["cohomology", "fan"])
 CONE = sorted(VOLUME + ["cone", "exactlp"])
@@ -102,8 +102,8 @@ def test_unknown_name_raises_attribute_error():
 # module level or inside a function, but for the lazy imports in UPWARD:
 # a pair's intersection calculus, stage 2 of the coloring and a fan's
 # cone analysis.
-LAYERS = ("value", "errors", "lattice", "combinatorics", "polytope", "exactlp", "charfunc",
-          "coloring", "_kempe", "fan", "cohomology", "cone", "corpus", "cli")
+LAYERS = ("value", "errors", "read", "lattice", "combinatorics", "polytope", "exactlp",
+          "charfunc", "coloring", "_kempe", "fan", "cohomology", "cone", "corpus", "cli")
 UPWARD = {("charfunc", "cohomology"), ("coloring", "_kempe"), ("fan", "cone")}
 
 
@@ -117,6 +117,8 @@ def test_each_layer_imports_only_layers_below_it():
                     if isinstance(node, ast.ImportFrom) and node.level == 1}
     assert all(module in LAYERS for _, module in imports), imports
     assert {(a, b) for a, b in imports if LAYERS.index(b) >= LAYERS.index(a)} == UPWARD
+    # the one reader of outside input stands on the errors alone
+    assert {b for a, b in imports if a == "read"} == {"errors"}
 
 
 # each command line, its toriclab modules and the standard modules it must

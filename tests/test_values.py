@@ -18,8 +18,9 @@ from toriclab.cone import (ConeAnalysis, WallClass, delzant_obstruction_witness,
 from toriclab.corpus import CorpusEntry
 from toriclab.errors import ValidationError
 from toriclab.exactlp import cone_membership, cone_sweep, positive_functional
-from toriclab.fan import Fan3, check_complete
-from toriclab.polytope import SimplePolytope3
+from toriclab.fan import Fan3, check_complete, parse_fan, serialize_fan
+from toriclab.polytope import (SimplePolytope3, dual_polytope, parse_polytope,
+                               serialize_polytope)
 from toriclab.value import _Value
 
 TET = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -220,6 +221,39 @@ def test_counts_that_are_no_int_are_refused(m):
                                               rf"m = {re.escape(repr(m))} is not an int$"):
         WallClass((0, 1), ((0, 1),), m)
 
+
+# a wall that is no pair u < v of ray ids was stored, and named in a
+# strict-convexity refusal as given
+@pytest.mark.parametrize("wall", [None, "wall", (1, 0), (0, 0), (0,), (0, 1, 2), [0, 1],
+                                  (-1, 1), (0, 4), (True, 2), (0, 1.0)], ids=repr)
+def test_walls_that_are_no_ray_pair_are_refused(wall):
+    with pytest.raises(ValidationError, match=rf"^wall class {re.escape(repr(wall))}: "
+                                              rf"wall is not a pair u < v of rays 0\.\.3$"):
+        WallClass(wall, ((2, -1),), 4)
+
+
+# a name the header line does not read back broke parse(serialize(x)) == x:
+# None and 5 came back as 'None' and '5', ' a' as 'a', 'a#b' as 'a', and ''
+# and 'a\nb' did not parse
+CUBE = [(0, 1, 2, 3), (4, 7, 6, 5), (0, 4, 5, 1), (1, 5, 6, 2), (2, 6, 7, 3), (3, 7, 4, 0)]
+
+
+@pytest.mark.parametrize("name", [None, 5, b"a", " a", "a ", "a#b", "", "a\nb", "\u2003"],
+                         ids=repr)
+def test_names_a_header_does_not_read_back_are_refused(name):
+    for make, kind in ((lambda: Fan3.from_data(name, fan().rays, TET), "fan3"),
+                       (lambda: SimplePolytope3.from_facets(name, CUBE), "poly3"),
+                       (lambda: dual_polytope(sphere(), name), "poly3")):
+        with pytest.raises(ValidationError, match=rf"^name {re.escape(repr(name))} does not "
+                                                  rf"read back from a '{kind} <name>' line$"):
+            make()
+
+
+@pytest.mark.parametrize("name", ["a b", "a\tb", "\u00e9t\u00e9", "\u2003x", "x/1"], ids=repr)
+def test_names_a_header_reads_back_round_trip(name):
+    f = Fan3.from_data(name, fan().rays, TET)
+    p = SimplePolytope3.from_facets(name, CUBE)
+    assert parse_fan(serialize_fan(f)) == f and parse_polytope(serialize_polytope(p)) == p
 
 
 # each call hands a non-iterable argument or row to the place where the
