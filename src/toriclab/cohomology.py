@@ -192,9 +192,11 @@ def signed_triple_intersection(pair: CharacteristicPair, indices) -> int:
 def chern_number_c1c2(f: Fan3) -> int:
     """Sum over walls J of sum over t of the integral of v_J v_t.
 
-    An independent route to the total curvature: the double sum pairs the
-    second elementary symmetric class with the first one.  It must equal
-    gauss_bonnet_sum(f); a mismatch indicates an internal bug.
+    The double sum pairs the second elementary symmetric class with the
+    first one.  It equals gauss_bonnet_sum(f) by construction, not by an
+    independent route: a fan's wall table reads a1 and a2 off the wall
+    class, so each wall's curvature 2 - a1 - a2 is the sum of its class's
+    entries.
     """
     classes = characteristic_pair(f).wall_classes
     return sum(v for cls in classes for _, v in cls.entries)

@@ -19,17 +19,14 @@ morphisms", 1983), and the classes of one group are positive multiples of
 its representative, so a group is extremal exactly when its
 representative is not a nonnegative combination of the other groups'
 representatives.  All groups are decided in one sweep over the
-representatives, one column per group: the sweep of
-:func:`~toriclab.exactlp.cone_sweep`, whose verified answers are read
-here as it makes them, integers over one positive denominator.
-
-The sweep reads the representatives in H2 coordinates: every pairing
-vector p satisfies sum_t p[t] * ray_t = 0, and the three rays of the
-first maximal cone are a basis of Z^3, so the m - 3 entries off that cone
-fix the other three.  The rows of those three rays are dropped, and each
-answer is checked again on the full sparse vectors: a membership must
-reassemble its representative, and a separator must pair positively with
-the representative and nonpositively with every class outside its group.
+representatives' pairing vectors, one column per group, solved on their
+H2 coordinates: the sweep of :func:`~toriclab.exactlp.cone_sweep`, whose
+answers it verifies on the whole vectors and this module reads as it
+makes them, integers over one positive denominator.  A separator checked
+against every other representative holds against every class outside
+the group, since each such class is a representative times a positive
+factor (both share their group's primitive vector, so the factor is the
+class's gcd over the representative's).
 """
 
 from __future__ import annotations
@@ -39,8 +36,7 @@ from fractions import Fraction
 
 from .charfunc import CharacteristicPair
 from .cohomology import WallClass, _non_positive_edges, certify_support
-from .errors import (CertificationFailure, InternalError, NotFound, NoWitness,
-                     ValidationError)
+from .errors import CertificationFailure, NotFound, NoWitness, ValidationError
 from .exactlp import _checked_sweep, cone_membership, positive_functional
 from .fan import Fan3, characteristic_pair
 from .read import _sequence, integral
@@ -202,48 +198,18 @@ def _analyse_cone(f: Fan3) -> ConeAnalysis:
 
     grouped = _group_classes(classes)
     groups = tuple(tuple(cls.wall for cls in g) for g in grouped)
-    # the representatives' rows in H2 coordinates (see the module
-    # docstring); the three rays dropped are a basis, as the fan is
-    # certified unimodular, so a separator padded with zeros pairs with
-    # each full vector as with its kept rows
+    # solved on the H2 coordinates, the rays off the first cone, and
+    # checked on the whole vectors (see toriclab.exactlp)
     kept = [t for t in range(f.m) if t not in f.maximal_cones[0]]
-    reps = [g[0] for g in grouped]
-    answers = _checked_sweep([list(map(rep.pairing.__getitem__, kept)) for rep in reps])
-    extremal = []
-    full = [0] * f.m
-    # each certificate is integers x or y over its d > 0
-    for gi, (rep, (x, y, d)) in enumerate(zip(reps, answers)):
-        if x is not None:
-            if _combination(x, reps) != {t: d * v for t, v in rep.entries}:
-                raise InternalError(f"membership of wall class {rep.wall} does not "
-                                    f"reassemble its full vector")
-            continue
-        for t, v in zip(kept, y):
-            full[t] = v
-        if sum(full[t] * v for t, v in rep.entries) <= 0 or any(
-                sum(full[t] * v for t, v in cls.entries) > 0
-                for gj, g in enumerate(grouped) if gj != gi for cls in g):
-            raise InternalError(f"separator of wall class {rep.wall} fails on "
-                                f"a class outside its group or on the class")
-        extremal.append(rep.wall)
+    answers = _checked_sweep([g[0].pairing for g in grouped], rows=kept)
+    extremal = tuple(g[0].wall for g, (x, _, _) in zip(grouped, answers) if x is None)
     return ConeAnalysis(
         classes=classes,
         groups=groups,
-        extremal=tuple(extremal),
+        extremal=extremal,
         witness=witness,
         note=note,
     )
-
-
-def _combination(coefficients, classes) -> dict[int, int]:
-    """The nonzero entries of sum_j coefficients[j] * classes[j], from the
-    full sparse class vectors."""
-    total: dict[int, int] = {}
-    for c, cls in zip(coefficients, classes):
-        if c:
-            for t, v in cls.entries:
-                total[t] = total.get(t, 0) + c * v
-    return {t: v for t, v in total.items() if v}
 
 
 def _wall_labelings(w):

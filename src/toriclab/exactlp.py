@@ -11,9 +11,10 @@ the rows it changes.  Each certificate is integers over one positive
 denominator, read off the rows it comes from.  Fractions are made only
 for the answers the entry points below return; :mod:`toriclab.cone`,
 whose vectors are integers, reads the verified integer answers of
-:func:`_checked_sweep`.  There are no tolerances anywhere: every verdict comes with a certificate
-that is re-verified by exact substitution before it is returned, so a
-caller can trust either answer unconditionally.
+:func:`_checked_sweep`.  There are no tolerances anywhere: every verdict
+comes with a certificate that is re-verified by exact substitution, on
+the whole vectors, before it is returned, so a caller can trust either
+answer unconditionally.
 
 Three entry points pose the question, and one verifier checks every answer:
 
@@ -41,6 +42,16 @@ value and enters on the least-index column with a negative entry in that
 row.  That is the primal smallest-subscript rule run on the dual program,
 so the sweep is finite (R. G. Bland, "New finite pivoting rules for the
 simplex method", 1977).
+
+A caller may have the sweep solve on some coordinates of the vectors
+only, and have its answers checked on the whole vectors.  The cone
+analysis solves on H2 coordinates: every wall class's pairing vector p
+satisfies sum_t p[t] * ray_t = 0, and the three rays of a unimodular
+fan's first maximal cone are a basis of Z^3, so the m - 3 entries off
+that cone fix the other three.  A combination that reassembles the kept
+entries then reassembles the whole vector, and a separator padded with
+zeros pairs with each whole vector as with its kept entries; the one
+verifier checks both on the whole vectors all the same.
 """
 
 from __future__ import annotations
@@ -143,14 +154,19 @@ def _membership(x: list[int] | None, y: list[int] | None, d: int) -> ConeMembers
     return ConeMembership(False, None, over_d) if x is None else ConeMembership(True, over_d, None)
 
 
-def _checked_sweep(cols: list[list[int]], start: int = 0) -> Iterator[tuple]:
+def _checked_sweep(cols: Sequence[Sequence[int]], start: int = 0,
+                   rows: list[int] | None = None) -> Iterator[tuple]:
     """The answers of :func:`_sweep_integral` for the integer vectors from
     ``start`` on, as it gives them, ``(x, None, d)`` or ``(None, y, d)``,
-    each checked by substitution first (a failed check raises
-    InternalError).  :mod:`toriclab.cone` reads them as they are; the
-    public entries read them as rationals."""
+    each checked by substitution on the whole vectors first (a failed
+    check raises InternalError).  Given ``rows``, the sweep solves on those
+    coordinates of the vectors only (see the module docstring), and each
+    separator is padded with zeros on the other coordinates before it is
+    checked and returned.  :mod:`toriclab.cone` reads the answers as they
+    are; the public entries read them as rationals."""
+    solved = cols if rows is None else [[c[t] for t in rows] for c in cols]
     sparse = [[(t, v) for t, v in enumerate(c) if v] for c in cols]
-    for i, (x, y, d) in enumerate(_sweep_integral(cols, start), start):
+    for i, (x, y, d) in enumerate(_sweep_integral(solved, start), start):
         if x is not None:
             rest = [-d * v for v in cols[i]]
             for xj, col in zip(x, sparse):
@@ -160,6 +176,10 @@ def _checked_sweep(cols: list[list[int]], start: int = 0) -> Iterator[tuple]:
                 raise InternalError(f"membership coefficients of vector {i} "
                                     f"failed verification")
         else:
+            if rows is not None:
+                short, y = y, [0] * len(cols[i])
+                for t, v in zip(rows, short):
+                    y[t] = v
             pairs = [sum(y[t] * v for t, v in col) for col in sparse]
             if pairs[i] <= 0 or any(s > 0 for j, s in enumerate(pairs) if j != i):
                 raise InternalError(f"separator of vector {i} fails on a vector "

@@ -15,25 +15,31 @@ from math import gcd, lcm
 from .errors import ParseError, ValidationError
 
 
+_TEXT = (str, bytes, bytearray)  # iterable, but read as a sequence only by mistake
+
+
 def _sequence(x, named: str) -> tuple:
-    """``tuple(x)``, refused unless x is iterable, as ``{named} = {x!r}``."""
-    try:
-        return tuple(x)
-    except TypeError:
-        raise ValidationError(f"{named} = {x!r} is not a sequence") from None
+    """``tuple(x)``, refused unless x is iterable and not text, as
+    ``{named} = {x!r}``: ``tuple('1111')`` would read a str as its digits."""
+    if not isinstance(x, _TEXT):
+        try:
+            return tuple(x)
+        except TypeError:
+            pass
+    raise ValidationError(f"{named} = {x!r} is not a sequence")
 
 
 def _sequences(rows, named: str, row: str) -> tuple[tuple, ...]:
-    """The rows as a tuple of tuples, in one pass if each row is iterable;
-    the rows (``named``) or the first row i that is not (``row.format(i)``)
-    is refused as :func:`_sequence` refuses it."""
+    """The rows as a tuple of tuples, in one pass if no row is text and
+    each is iterable; the rows (``named``) or the first row i that is not a
+    sequence (``row.format(i)``) is refused as :func:`_sequence` refuses it."""
     rows = _sequence(rows, named)
-    try:
-        return tuple(map(tuple, rows))
-    except TypeError:
-        for i, r in enumerate(rows):
-            _sequence(r, row.format(i))
-        raise
+    if not any(issubclass(t, _TEXT) for t in {*map(type, rows)}):
+        try:
+            return tuple(map(tuple, rows))
+        except TypeError:
+            pass
+    return tuple(_sequence(r, row.format(i)) for i, r in enumerate(rows))
 
 
 def _int_key(ids) -> tuple[int, ...]:

@@ -153,7 +153,9 @@ def library_lps():
     subdivisions of cp3 with m = 8..14 and on the antipodal cube pair.
     They are recorded where they enter the engine, one
     ``(vectors, i, answer)`` per vector decided: is vector i a
-    nonnegative combination of the others?"""
+    nonnegative combination of the others?  The extremality sweep hands
+    the verifier whole vectors but the engine only their H2 rows, the rays
+    off the first cone, so these are the systems the digests below pin."""
     import toriclab.exactlp as exactlp
 
     sweep = exactlp._sweep_integral
@@ -586,29 +588,75 @@ def test_h2_coordinates_keep_every_extremal_verdict():
 
 
 def test_a_membership_must_reassemble_the_full_vector(monkeypatch):
-    # an answer on the kept rows is checked again on every row
-    import toriclab.cone as cone_module
+    # the cone's sweep solves on the kept rows; the sweep's one verifier
+    # checks each answer on the whole vectors the cone hands over
+    import toriclab.exactlp as exactlp
 
-    def zero(cols):
-        return [([0] * len(cols), None, 1) for _ in cols]
+    def zero(cols, start):
+        return (([0] * len(cols), None, 1) for _ in cols[start:])
 
-    monkeypatch.setattr(cone_module, "_checked_sweep", zero)
-    with pytest.raises(InternalError, match=r"^membership of wall class \(0, 1\) does not "
-                                            r"reassemble its full vector$"):
+    monkeypatch.setattr(exactlp, "_sweep_integral", zero)
+    with pytest.raises(InternalError, match=r"^membership coefficients of vector 0 "
+                                            r"failed verification$"):
         extremal_walls(support_free(load_fan("blowup-cp3")))
 
 
 def test_a_separator_must_hold_on_every_class_outside_its_group(monkeypatch):
+    import toriclab.exactlp as exactlp
+
+    sweep = exactlp._sweep_integral
+
+    def negated(cols, start):
+        for x, y, d in sweep(cols, start):
+            yield (x, y, d) if x is not None else (x, [-v for v in y], d)
+
+    monkeypatch.setattr(exactlp, "_sweep_integral", negated)
+    with pytest.raises(InternalError, match=r"^separator of vector 0 fails on a "
+                                            r"vector or on vector 0$"):
+        extremal_walls(support_free(load_fan("blowup-cp3")))
+
+
+def test_an_answer_on_some_rows_is_checked_on_the_whole_vectors():
+    # on row 0 alone each of (1, 1) and (1, -1) is the other, but not on
+    # both rows: the membership the sweep finds there is refused
+    with pytest.raises(InternalError, match=r"^membership coefficients of vector 0 "
+                                            r"failed verification$"):
+        list(_checked_sweep([[1, 1], [1, -1]], rows=[0]))
+    # a separator found on row 0 comes back padded with zeros
+    assert next(_checked_sweep([[1, 5], [0, 7]], rows=[0])) == (None, [1, 0], 1)
+
+
+def test_every_separator_of_the_cone_sweep_holds_on_every_class(monkeypatch):
+    # the verifier checks a separator against the other representatives;
+    # every class outside the group is one of them times a positive factor
     import toriclab.cone as cone_module
 
-    def negated(cols):
-        return [(x, y, d) if x is not None else (x, [-v for v in y], d)
-                for x, y, d in _checked_sweep(cols)]
+    recorded = []
 
-    monkeypatch.setattr(cone_module, "_checked_sweep", negated)
-    with pytest.raises(InternalError, match=r"^separator of wall class \(0, 1\) fails on a "
-                                            r"class outside its group or on the class$"):
-        extremal_walls(support_free(load_fan("blowup-cp3")))
+    def recording(cols, rows=None):
+        recorded.append(list(_checked_sweep(cols, rows=rows)))
+        return recorded[-1]
+
+    monkeypatch.setattr(cone_module, "_checked_sweep", recording)
+    fans = [load_fan(name) for name in FAN_NAMES] + [
+        support_free(subdivided_cp3(m, seed=m)[0]) for m in range(8, 25)
+    ]
+    separators = 0
+    for f in fans:
+        recorded.clear()
+        an = extremal_walls(f)
+        [answers] = recorded
+        entries = {cls.wall: cls.entries for cls in an.classes}
+        for g, (x, y, _) in zip(an.groups, answers):
+            if x is not None:
+                continue
+            assert len(y) == f.m
+            for h in an.groups:
+                for w in h:
+                    pair = sum(y[t] * v for t, v in entries[w])
+                    assert pair > 0 if h is g else pair <= 0, (f.name, g[0], w)
+            separators += 1
+    assert separators >= 300  # 313 on these 22 fans
 
 
 def test_grouping_collects_positive_multiples_only():
@@ -1043,9 +1091,9 @@ def test_cone_lps_are_solved_once_per_fan(monkeypatch):
 
     sweeps = []
 
-    def counting(cols):
-        sweeps.append(len(cols))
-        return _checked_sweep(cols)
+    def counting(cols, rows=None):
+        sweeps.append((cols, rows))
+        return _checked_sweep(cols, rows=rows)
 
     monkeypatch.setattr(cone_module, "_checked_sweep", counting)
     for name in FAN_NAMES:
@@ -1053,7 +1101,11 @@ def test_cone_lps_are_solved_once_per_fan(monkeypatch):
         f = load_fan(name)
         an = extremal_walls(f)
         delzant_obstruction_witness(f)
-        assert sweeps == [len(an.groups)], name
+        # the representatives' whole vectors, solved on the rays off the
+        # first cone
+        pairing = {cls.wall: cls.pairing for cls in an.classes}
+        kept = [t for t in range(f.m) if t not in f.maximal_cones[0]]
+        assert sweeps == [([pairing[g[0]] for g in an.groups], kept)], name
         # an uncertified copy is a new fan with its own analysis
         assert extremal_walls(support_free(f)) is not an
 
@@ -1064,9 +1116,9 @@ def test_support_is_checked_before_any_lp(monkeypatch):
 
     sweeps = []
 
-    def counting(cols):
+    def counting(cols, rows=None):
         sweeps.append(cols)
-        return _checked_sweep(cols)
+        return _checked_sweep(cols, rows=rows)
 
     monkeypatch.setattr(cone_module, "_checked_sweep", counting)
     f = subdivided_cp3(24, seed=0)[0]

@@ -157,32 +157,37 @@ def test_cone_lps_at_m24_without_support(monkeypatch):
     solve = cone_module._checked_sweep
     sweeps = []
 
-    def recording(cols):
-        sweeps.append((cols, list(solve(cols))))
-        return sweeps[-1][1]
+    def recording(cols, rows=None):
+        sweeps.append((cols, rows, list(solve(cols, rows=rows))))
+        return sweeps[-1][2]
 
     monkeypatch.setattr(cone_module, "_checked_sweep", recording)
     an = extremal_walls(f)
-    [(vectors, answers)] = sweeps
+    [(vectors, rows, answers)] = sweeps
     assert len(vectors) == len(answers) == len(an.groups)
     assert an.extremal
-    # the sweep reads each group's representative on the rays outside the
-    # first cone (H2 coordinates), which determine the whole vector
+    # the cone hands over each group's representative whole, to be solved
+    # on the rays outside the first cone (H2 coordinates), which determine
+    # the whole vector
     kept = [t for t in range(f.m) if t not in f.maximal_cones[0]]
-    full = {tuple(cls.pairing[t] for t in kept): cls.pairing for cls in an.classes}
-    assert len(full) == len({cls.pairing for cls in an.classes})  # one full vector each
+    assert rows == kept
+    assert len({tuple(cls.pairing[t] for t in kept) for cls in an.classes}) == len(
+        {cls.pairing for cls in an.classes})  # one whole vector each
     reps = [g[0] for g in an.groups]
     pairing = {cls.wall: cls.pairing for cls in an.classes}
-    assert [tuple(x) for x in vectors] == [tuple(pairing[w][t] for t in kept) for w in reps]
+    assert list(vectors) == [pairing[w] for w in reps]
     assert tuple(w for w, (x, _, _) in zip(reps, answers) if x is None) == an.extremal
-    gens = [full[tuple(g)] for g in vectors]
-    for i, (x, _, d) in enumerate(answers):
-        # integer coefficients x over d > 0
+    for i, (x, y, d) in enumerate(answers):
+        # integer coefficients x or a separator y over d > 0, on every ray
+        assert d > 0
         if x is not None:
-            assert x[i] == 0 and d > 0
+            assert x[i] == 0
             assert all(c >= 0 for c in x)
             for k in range(f.m):
-                assert sum(c * g[k] for c, g in zip(x, gens)) == d * gens[i][k]
+                assert sum(c * g[k] for c, g in zip(x, vectors)) == d * vectors[i][k]
+        else:
+            pairs = [sum(a * b for a, b in zip(y, g)) for g in vectors]
+            assert pairs[i] > 0 and all(p <= 0 for j, p in enumerate(pairs) if j != i)
 
     w = delzant_obstruction_witness(f)
     assert w.dual_face_size in (3, 4)

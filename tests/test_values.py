@@ -288,6 +288,15 @@ NO_SEQUENCE = [
     (lambda: evaluate_volume(volume_polynomial(fan()), 5), "support = 5"),
     (lambda: volume_polynomial(fan())(5), "support = 5"),
     (lambda: strict_convexity_witness(wall_classes(fan()), 5), "candidate = 5"),
+    # text is iterable, but tuple() reads it character by character: '1111'
+    # would be the support (1, 1, 1, 1) and b'\x01\x00\x00' the mu (1, 0, 0)
+    (lambda: certify_support(fan(), "1111"), "support = '1111'"),
+    (lambda: Fan3.from_data("x", RAYS, TET, support="1111"), "support = '1111'"),
+    (lambda: volume_polynomial(fan())("1234"), "support = '1234'"),
+    (lambda: FacetColoring("abcd"), "colors = 'abcd'"),
+    (lambda: linear_relation(fan(), b"\x01\x00\x00"), r"mu = b'\\x01\\x00\\x00'"),
+    (lambda: Fan3.from_data("x", "abcd", TET), "rays = 'abcd'"),
+    (lambda: cone_sweep([(1,), bytearray(b"\x01")]), r"LP vector 1 = bytearray\(b'\\x01'\)"),
 ]
 
 
