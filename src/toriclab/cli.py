@@ -168,16 +168,28 @@ def _add_cone_verdicts(rpt: Report, analysis) -> None:
             analysis.note if analysis.witness is None else analysis.witness)
 
 
+def _fan(args, command: str, certified: bool = True):
+    """The prologue of every fan command: read the file, open the report,
+    whose timing covers what follows, parse the fan, add its name and
+    certify it, but for the report, which reports a non-unimodular fan."""
+    from .fan import certify_fan, parse_fan
+
+    text = _read(args.file)
+    rpt = Report(command, args.file, text)
+    f = parse_fan(text)
+    rpt.add("name", f.name)
+    if certified:
+        certify_fan(f)
+    return f, rpt
+
+
 def cmd_fan_report(args) -> int:
     from .cohomology import chern_number_c1c2
     from .combinatorics import betti_numbers
     from .cone import delzant_obstruction_witness, extremal_walls
-    from .fan import COMPLETENESS_SEED, certify_fan, gauss_bonnet_sum, parse_fan
+    from .fan import COMPLETENESS_SEED, certify_fan, gauss_bonnet_sum
 
-    text = _read(args.file)
-    rpt = Report("fan report", args.file, text)
-    f = parse_fan(text)
-    rpt.add("name", f.name)
+    f, rpt = _fan(args, "fan report", certified=False)
     rpt.add("rays", f.m)
     rpt.add("cones", len(f.maximal_cones))
 
@@ -215,26 +227,12 @@ def cmd_fan_report(args) -> int:
     return 0 if gb == 24 else 1
 
 
-def _certified_fan(args, command: str):
-    """The prologue of every fan analysis but the report: read the file,
-    open the report, whose timing covers what follows, parse and certify
-    the fan, and add its name."""
-    from .fan import certify_fan, parse_fan
-
-    text = _read(args.file)
-    rpt = Report(command, args.file, text)
-    f = parse_fan(text)
-    certify_fan(f)
-    rpt.add("name", f.name)
-    return f, rpt
-
-
 def cmd_fan_volume(args) -> int:
     from .cohomology import (certify_support, edge_functionals,
                              serialize_volume_polynomial, volume_polynomial)
     from .read import _parse_support
 
-    f, rpt = _certified_fan(args, "fan volume")
+    f, rpt = _fan(args, "fan volume")
     if args.support is not None:
         support = _parse_support(args.support, f.m)
     elif f.support is not None:
@@ -260,7 +258,7 @@ def cmd_fan_volume(args) -> int:
 def cmd_fan_extremal(args) -> int:
     from .cone import extremal_walls
 
-    f, rpt = _certified_fan(args, "fan extremal")
+    f, rpt = _fan(args, "fan extremal")
     analysis = extremal_walls(f)
     rpt.add("wall_classes", {str(c.wall): c.pairing for c in analysis.classes})
     rpt.add("groups", {f"group_{i}": " ".join(map(str, g))
@@ -273,13 +271,14 @@ def cmd_fan_extremal(args) -> int:
 def cmd_fan_witness(args) -> int:
     from .cone import delzant_obstruction_witness, extremal_walls
 
-    f, rpt = _certified_fan(args, "fan witness")
+    f, rpt = _fan(args, "fan witness")
     w = delzant_obstruction_witness(f)
     for key in w._fields:
         rpt.add(key, getattr(w, key))
     rpt.add("dual_face", "triangular" if w.dual_face_size == 3 else "quadrangular")
-    if extremal_walls(f).witness is None:  # the analysis the witness search cached
-        rpt.add("note", extremal_walls(f).note)
+    analysis = extremal_walls(f)  # the analysis the witness search cached
+    if analysis.witness is None:
+        rpt.add("note", analysis.note)
     rpt.emit(args.json)
     return 0
 
@@ -289,9 +288,9 @@ def cmd_fan_witness(args) -> int:
 
 
 def cmd_corpus_list(args) -> int:
-    from .corpus import corpus_get, corpus_names
+    from .corpus import ENTRIES
 
-    for entry in map(corpus_get, corpus_names()):
+    for entry in ENTRIES.values():
         print(f"{entry.name} ({entry.kind}): {entry.note}")
     return 0
 

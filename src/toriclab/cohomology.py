@@ -52,9 +52,9 @@ from functools import cached_property
 
 from .charfunc import CharacteristicPair
 from .errors import SupportInvalid, ValidationError
-from .fan import Fan3, characteristic_pair
+from .fan import Fan3, characteristic_pair, wall_data
 from .lattice import Vec3, det3, dot, dual_covector
-from .read import _as_multiset, _int_key, _sequence, integral
+from .read import _as_multiset, _int_vector, _wall_class, integral
 from .value import _Value
 
 Multiset = tuple[int, int, int]
@@ -80,23 +80,7 @@ class WallClass(_Value):
     m: int
 
     def __init__(self, wall: tuple[int, int], entries: tuple[tuple[int, int], ...], m: int):
-        if type(m) is not int:
-            raise ValidationError(f"wall class {wall}: ray count m = {m!r} is not an int")
-        if not (type(wall) is tuple and len(wall) == 2 and type(wall[0]) is type(wall[1]) is int
-                and 0 <= wall[0] < wall[1] < m):
-            raise ValidationError(f"wall class {wall!r}: wall is not a pair u < v of rays "
-                                  f"0..{m - 1}")
-        prev = -1
-        for e in entries if type(entries) is tuple else (entries,):
-            if type(e) is not tuple or len(e) != 2 or not type(e[0]) is type(e[1]) is int:
-                raise ValidationError(f"wall class {wall}: entry {e!r} is not an int "
-                                      f"ray id with an int value")
-            t, v = e
-            if not prev < t < m or not v:
-                why = (f"outside rays 0..{m - 1}" if not 0 <= t < m
-                       else "out of ray order" if t <= prev else "zero")
-                raise ValidationError(f"wall class {wall}: entry {e} is {why}")
-            prev = t
+        wall, entries, m = _wall_class(wall, entries, m)
         self.__dict__.update(wall=wall, entries=entries, m=m)
 
     @property
@@ -115,9 +99,7 @@ class LinearRelation(_Value):
 
 
 def linear_relation(f: Fan3, mu) -> LinearRelation:
-    mu = _sequence(mu, "mu")
-    if len(mu) != 3 or not all(type(x) is int for x in mu):
-        raise ValidationError(f"mu = {mu} is not an integer 3-vector")
+    mu = _int_vector(mu, "mu")
     return LinearRelation(mu=mu, coeffs=tuple(dot(mu, r) for r in f.rays))
 
 
@@ -269,12 +251,8 @@ def _weighted(integrals) -> list[tuple[int, int, int, int]]:
 def serialize_volume_polynomial(V: VolumePolynomial) -> str:
     """One line per nonzero coefficient: `<p/q> : <i>^<e> ...`, sorted by
     multidegree — a stable, diffable dump."""
-    out = []
-    for key, coeff in sorted(V.coeffs):
-        parts = []
-        for var in sorted(set(key)):
-            parts.append(f"{var}^{key.count(var)}")
-        out.append(f"{coeff} : " + " ".join(parts))
+    out = [f"{coeff} : " + " ".join(f"{var}^{key.count(var)}" for var in sorted(set(key)))
+           for key, coeff in sorted(V.coeffs)]
     return "\n".join(out) + "\n"
 
 
@@ -292,13 +270,10 @@ def edge_functional(f: Fan3, pair, c) -> Fraction:
     polytope edge dual to the wall has positive length, so positivity over
     all walls certifies that c are genuine support parameters for the fan.
     """
-    key = _int_key(pair)
-    classes = characteristic_pair(f).wall_classes  # in the order of f.sphere.walls
-    n = bisect_left(f.sphere.walls, key)
-    if n == len(classes) or classes[n].wall != key:
-        raise ValidationError(f"{key} is not a wall of this fan")
+    key = wall_data(f, pair).key
+    cls = characteristic_pair(f).wall_classes[bisect_left(f.sphere.walls, key)]
     (C,), D = integral((c,), f.m)
-    return Fraction(_edge_numerator(classes[n].entries, C), D)
+    return Fraction(_edge_numerator(cls.entries, C), D)
 
 
 def edge_functionals(f: Fan3, c) -> dict[tuple[int, int], Fraction]:

@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import eq, lt
 
 from .errors import ValidationError
-from .read import _int_ids, _int_key, _sequences
+from .read import _id_triples, _int, _int_ids, _int_key, _sequences, _vertex
 from .value import _Value
 
 Triangle = tuple[int, int, int]
@@ -60,29 +60,25 @@ class SimplicialSphere2(_Value):
         round it.  Without ``oriented``, each triangle runs as the first
         does, read from the half-edge it was reached by.
         """
-        if type(m) is not int:
-            raise ValidationError(f"vertex count m = {m!r} is not an int")
+        m = _int(m, "vertex count m")
         given = list(_sequences(triangles, "triangles", "triangle {}"))
         reps = (None if oriented is None
                 else _sequences(oriented, "oriented", "oriented triangle {}"))
-        _int_ids(given + list(reps or ()), "triangle {c} has a non-integer vertex id")
-        tris = sorted(tuple(sorted(t)) for t in given)
-        for t in tris:  # each sorted, so its ends are its least and greatest
-            if len(t) != 3 or t[0] == t[1] or t[1] == t[2]:
-                raise ValidationError(f"degenerate triangle {t}")
-            if t[0] < 0 or t[2] >= m:
-                raise ValidationError(f"triangle {t} uses a vertex outside 0..{m - 1}")
-        return cls._from_sorted(m, tuple(tris), reps)
+        ids = _int_ids(given + list(reps or ()), "triangle {c} has a non-integer vertex id")
+        tris = _id_triples(given, ids, m, "degenerate triangle {}",
+                           "triangle {} uses a vertex outside 0..{}")
+        return cls._from_sorted(m, tris, reps)
 
     @classmethod
     def _from_sorted(cls, m: int, tris: tuple[Triangle, ...], reps=None,
                      reverse_first=False) -> "SimplicialSphere2":
         """:meth:`from_triangles` after its checks of single triangles:
         ``tris`` is sorted, and each triangle is sorted, with three
-        distinct vertices in 0..m-1.  ``Fan3.from_data`` checks its cones
-        that far itself, in its own words, and then calls this, with
-        ``reverse_first`` (triangle 0 seeds the orientation reversed) set
-        when its first cone has a negative determinant."""
+        distinct vertices in 0..m-1 (:func:`~toriclab.read._id_triples`).
+        ``Fan3.from_data`` reads its cones by that reader too, in its own
+        words, and then calls this, with ``reverse_first`` (triangle 0
+        seeds the orientation reversed) set when its first cone has a
+        negative determinant."""
         if not all(map(lt, tris, tris[1:])):
             raise ValidationError("duplicate triangle in sphere")
         matched = reps is not None and tuple(map(tuple, map(sorted, reps))) == tris
@@ -164,9 +160,7 @@ class SimplicialSphere2(_Value):
         return len(self.neighbors(v))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if type(v) is not int or not 0 <= v < self.m:
-            raise ValidationError(f"{v!r} is not a vertex of this sphere (0..{self.m - 1})")
-        return tuple(sorted(self._neighbours[v]))
+        return tuple(sorted(self._neighbours[_vertex(v, self.m)]))
 
     def orientation_sign(self, i: int, j: int, k: int) -> int:
         """+1 if (i, j, k) is an even permutation of the stored oriented
@@ -192,7 +186,6 @@ def _rings(flat, twin, m: int, of) -> list[list]:
             ring.append(of[g])
             g = turn[g]
     return rings
-
 
 
 def _heads(flat, cycles) -> list:

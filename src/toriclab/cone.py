@@ -37,22 +37,12 @@ from fractions import Fraction
 from .charfunc import CharacteristicPair
 from .cohomology import WallClass, _non_positive_edges, certify_support
 from .errors import CertificationFailure, NotFound, NoWitness, ValidationError
+# cone_membership is not called here: a traced perfbench run wraps both LP
+# entry points by name on this module
 from .exactlp import _checked_sweep, cone_membership, positive_functional
 from .fan import Fan3, characteristic_pair
 from .read import _sequence, integral
 from .value import _Value
-
-__all__ = [
-    "WallClass",
-    "ConeAnalysis",
-    "ObstructionWitness",
-    "wall_classes",
-    "signed_wall_classes",
-    "cone_membership",
-    "extremal_walls",
-    "strict_convexity_witness",
-    "delzant_obstruction_witness",
-]
 
 UNCERTIFIED_NOTE = "uncertified: no strict convexity witness supplied"
 
@@ -151,20 +141,14 @@ def strict_convexity_witness(classes, c_tilde=None):
                            "candidate has {} entries for {} rays", row="candidate")
         failing = tuple(wall for wall, _ in _non_positive_edges(classes, C))
         if failing:
-            return NoWitness(
-                "candidate pairs non-positively with walls "
-                + ", ".join(str(w) for w in failing),
-                failing=failing,
-            )
+            return NoWitness("candidate pairs non-positively with walls "
+                             + ", ".join(str(w) for w in failing), failing=failing)
         return tuple(Fraction(v, D) for v in C)
     res = positive_functional([cls.pairing for cls in classes])
     if res.found:
         return res.y
-    return NoWitness(
-        "wall classes admit no positive functional: "
-        "zero is a convex combination of the pairing vectors",
-        farkas=res.farkas,
-    )
+    return NoWitness("wall classes admit no positive functional: zero is a convex "
+                     "combination of the pairing vectors", farkas=res.farkas)
 
 
 def extremal_walls(f: Fan3) -> ConeAnalysis:
@@ -203,22 +187,7 @@ def _analyse_cone(f: Fan3) -> ConeAnalysis:
     kept = [t for t in range(f.m) if t not in f.maximal_cones[0]]
     answers = _checked_sweep([g[0].pairing for g in grouped], rows=kept)
     extremal = tuple(g[0].wall for g, (x, _, _) in zip(grouped, answers) if x is None)
-    return ConeAnalysis(
-        classes=classes,
-        groups=groups,
-        extremal=extremal,
-        witness=witness,
-        note=note,
-    )
-
-
-def _wall_labelings(w):
-    """Both valid normalizations of a wall: the recorded one and its
-    mirror with the roles of the two endpoints (and apexes) swapped."""
-    i1, i2 = w.pair
-    a1, a2 = w.a
-    yield i1, i2, a1, a2
-    yield i2, i1, a2, a1
+    return ConeAnalysis(classes, groups, extremal, witness, note)
 
 
 def delzant_obstruction_witness(f: Fan3) -> ObstructionWitness:
@@ -231,20 +200,18 @@ def delzant_obstruction_witness(f: Fan3) -> ObstructionWitness:
     exactly 4, so the dual polytope has a triangular or quadrangular face.
     """
     analysis = extremal_walls(f)
-    extremal_groups = [
-        g for g in analysis.groups if g[0] in analysis.extremal
-    ]
-    qualifying = sorted(
-        w for g in extremal_groups for w in g
-        if f.wall_table[w].curvature > 0
-    )
+    qualifying = sorted(w for g in analysis.groups if g[0] in analysis.extremal for w in g
+                        if f.wall_table[w].curvature > 0)
     if not qualifying:
         raise NotFound("no extremal wall of positive curvature")
     key = qualifying[0]
     w = f.wall_table[key]
 
     attempts = []
-    for i1, i2, a1, a2 in _wall_labelings(w):
+    # the recorded normalization of the wall, then its mirror, with the
+    # two endpoints (and apexes) swapped
+    (u, v), (au, av) = w.pair, w.a
+    for i1, i2, a1, a2 in ((u, v, au, av), (v, u, av, au)):
         if a1 > a2:
             continue
         expected = 3 if a1 < 0 else 4
@@ -252,18 +219,11 @@ def delzant_obstruction_witness(f: Fan3) -> ObstructionWitness:
         attempts.append((i1, i2, a1, a2, expected, degree))
         if degree == expected:
             return ObstructionWitness(
-                wall=(i1, i2),
-                a=(a1, a2),
-                curvature=w.curvature,
-                case="a1 < 0" if a1 < 0 else "a1 = 0",
-                vertex=i2,
-                neighbors=f.sphere.neighbors(i2),
-                dual_face_size=degree,
-            )
+                wall=(i1, i2), a=(a1, a2), curvature=w.curvature,
+                case="a1 < 0" if a1 < 0 else "a1 = 0", vertex=i2,
+                neighbors=f.sphere.neighbors(i2), dual_face_size=degree)
     detail = "; ".join(
         f"labeling ({i1},{i2}) a=({a1},{a2}) needs degree {e}, found {d}"
         for i1, i2, a1, a2, e, d in attempts
     )
-    raise CertificationFailure(
-        f"extremal wall {key} violates the degree claim: {detail}"
-    )
+    raise CertificationFailure(f"extremal wall {key} violates the degree claim: {detail}")

@@ -2,16 +2,16 @@
 
 Every entry is stored as a literal: the canonical text that
 ``serialize_polytope`` or ``serialize_fan`` prints for it.  Loading the
-corpus therefore builds nothing and imports no layer; :func:`load_polytope`
-and :func:`load_fan` import their parser when called.  The tests rebuild
-each entry from its construction and compare the texts byte for byte.
-Fans carry support parameters that realize them as normal fans of concrete
-polytopes, so the projective workflows run on them out of the box.
+corpus therefore builds nothing and imports no layer; a name is read by
+:mod:`toriclab.read`, and :func:`load_polytope` and :func:`load_fan`
+import their parser, when called.  The tests rebuild each entry from its
+construction and compare the texts byte for byte.  Fans carry support
+parameters that realize them as normal fans of concrete polytopes, so
+the projective workflows run on them out of the box.
 """
 
 from __future__ import annotations
 
-from .errors import NotFound
 from .value import _Value
 
 
@@ -186,24 +186,22 @@ def corpus_names() -> tuple[str, ...]:
 
 
 def corpus_get(name: str) -> CorpusEntry:
-    if isinstance(name, str) and name in ENTRIES:
-        return ENTRIES[name]
-    raise NotFound(f"no corpus entry named {name!r}; available: {', '.join(ENTRIES)}")
+    from .read import _corpus_entry  # importing the corpus loads no layer
+
+    return _corpus_entry(name, ENTRIES)
 
 
 def load_polytope(name: str) -> SimplePolytope3:
     from .polytope import parse_polytope
 
-    entry = corpus_get(name)
-    if entry.kind != "polytope":
-        raise NotFound(f"corpus entry {name!r} is a {entry.kind}, not a polytope")
-    return parse_polytope(entry.text)
+    from .read import _corpus_entry
+
+    return parse_polytope(_corpus_entry(name, ENTRIES, "polytope").text)
 
 
 def load_fan(name: str) -> Fan3:
     from .fan import parse_fan
 
-    entry = corpus_get(name)
-    if entry.kind != "fan":
-        raise NotFound(f"corpus entry {name!r} is a {entry.kind}, not a fan")
-    return parse_fan(entry.text)
+    from .read import _corpus_entry
+
+    return parse_fan(_corpus_entry(name, ENTRIES, "fan").text)

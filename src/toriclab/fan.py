@@ -7,10 +7,11 @@ computed once and kept on the fan, and the sphere is oriented by them
 when it is built: its first cone runs in its determinant's direction, so
 on a complete fan every cone runs positively.  :func:`certify_fan`
 (unimodular cones, every cone running positively and a generic-ray
-piercing test) runs once per fan, before any wall is read, so every
-analysis refuses a non-fan with its error and no other.  The
-characteristic pair of a certified fan is its own sphere with the rays as
-lambda.
+piercing test) runs before any wall is read, so every analysis refuses a
+non-fan with its error and no other.  Only the completeness certificate
+is kept on the fan; the unimodularity scan of the kept determinants runs
+again on every call.  The characteristic pair of a certified fan is its
+own sphere with the rays as lambda.
 
 Wall bookkeeping follows a fixed normalization: the wall pair (i1, i2) is
 sorted and its two apexes (i, i') are ordered so that
@@ -46,8 +47,8 @@ from .combinatorics import SimplicialSphere2, Triangle
 from .errors import (IncompleteFan, InternalError, NotUnimodular, ParseError,
                      ValidationError)
 from .lattice import Vec3, det3
-from .read import (_int_ids, _int_key, _Lines, _name, _plain, _rationals, _sequences,
-                   exact_rows, primitive_vectors)
+from .read import (_id_triples, _int, _int_ids, _int_key, _Lines, _name, _plain, _rationals,
+                   _sequences, exact_rows, primitive_vectors)
 from .value import _Value
 
 # the piercing seed of every fan's kept completeness certificate
@@ -105,15 +106,9 @@ class Fan3(_Value):
         rays = primitive_vectors(_sequences(rays, "rays", "ray {}"), "ray {}")
         m = len(rays)
         cones = _sequences(cones, "cones", "cone {}")
-        ids = _int_ids(cones, "cone {c} has a non-integer ray id")
-        cones = tuple(sorted(map(tuple, map(sorted, cones))))
-        if ({*map(len, cones), *map(len, map(set, cones))} - {3}
-                or ids and not 0 <= min(ids) <= max(ids) < m):
-            for c in cones:
-                if len(c) != 3 or len(set(c)) != 3:
-                    raise ValidationError(f"cone {c} does not have 3 distinct rays")
-                if not all(0 <= i < m for i in c):
-                    raise ValidationError(f"cone {c} references a ray outside 0..{m - 1}")
+        cones = _id_triples(cones, _int_ids(cones, "cone {c} has a non-integer ray id"), m,
+                            "cone {} does not have 3 distinct rays",
+                            "cone {} references a ray outside 0..{}")
         dets = _cone_determinants(rays, cones)
         try:  # the cones are checked: the sphere checks no cone again
             sphere = SimplicialSphere2._from_sorted(
@@ -255,8 +250,7 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
     """
     if seed is None:
         return f.certificate
-    if type(seed) is not int:
-        raise ValidationError(f"seed = {seed!r} is not an int")
+    seed = _int(seed, "seed")
     if f.sphere.m != f.m or f.sphere.triangles != f.maximal_cones:
         raise ValidationError("the fan's sphere is not its cone complex")
     f.sphere._index  # a constructor-made sphere is validated here

@@ -5,6 +5,12 @@ Bulk tests decide; an ordered scan runs only once one fails.  Exact
 numbers are ints (not bools), Fractions, or ``-?<digits>[/<digits>]``
 strings with a nonzero denominator; ``fractions`` is imported only where
 a Fraction is made, so no polytope command loads it.
+
+Each rule is written once, its words taken from the caller where callers
+differ: counts and seeds are read by ``_int``, a sphere's vertex by
+``_vertex``, cones and triangles by ``_id_triples``, integer 3-vectors by
+``_int_vector``, a wall class's fields by ``_wall_class`` and corpus names
+by ``_corpus_entry``.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from math import gcd, lcm
 
-from .errors import ParseError, ValidationError
+from .errors import NotFound, ParseError, ValidationError
 
 
 _TEXT = (str, bytes, bytearray)  # iterable, but read as a sequence only by mistake
@@ -42,6 +48,13 @@ def _sequences(rows, named: str, row: str) -> tuple[tuple, ...]:
     return tuple(_sequence(r, row.format(i)) for i, r in enumerate(rows))
 
 
+def _int(x, named: str, *args) -> int:
+    """x, refused unless it is an int (no bool), as ``named.format(*args)``."""
+    if type(x) is not int:
+        raise ValidationError(f"{named.format(*args)} = {x!r} is not an int")
+    return x
+
+
 def _int_key(ids) -> tuple[int, ...]:
     """The ids sorted, refused unless they are a sequence of ints: a float
     or a bool would pass for the int it equals (0.0 or True for 0 or 1)."""
@@ -64,6 +77,13 @@ def _as_multiset(indices, m: int) -> tuple[int, int, int]:
     return t
 
 
+def _vertex(v, m: int) -> int:
+    """v, refused unless it is an int vertex of a sphere on 0..m-1."""
+    if type(v) is not int or not 0 <= v < m:
+        raise ValidationError(f"{v!r} is not a vertex of this sphere (0..{m - 1})")
+    return v
+
+
 def _int_ids(cycles, named: str) -> list:
     """The cycles' ids, one after another, all ints (no float, no bool), else
     the first other cycle i is refused as ``named.format(i=i, c=cycle)``."""
@@ -72,6 +92,32 @@ def _int_ids(cycles, named: str) -> list:
         i = next(i for i, c in enumerate(cycles) if not all(type(v) is int for v in c))
         raise ValidationError(named.format(i=i, c=cycles[i]))
     return flat
+
+
+def _id_triples(rows, ids: list, m: int, degenerate: str,
+                outside: str) -> tuple[tuple[int, int, int], ...]:
+    """The rows sorted, each sorted, refused unless each is three distinct
+    ids in 0..m-1, tested in bulk with ``ids`` (the rows' :func:`_int_ids`);
+    the first other row t is refused as ``degenerate.format(t)`` or
+    ``outside.format(t, m - 1)``."""
+    rows = tuple(sorted(map(tuple, map(sorted, rows))))
+    if ({*map(len, rows), *map(len, map(set, rows))} - {3}
+            or ids and not 0 <= min(ids) <= max(ids) < m):
+        for t in rows:
+            if len(t) != 3 or len(set(t)) != 3:
+                raise ValidationError(degenerate.format(t))
+            if not all(0 <= i < m for i in t):
+                raise ValidationError(outside.format(t, m - 1))
+    return rows
+
+
+def _int_vector(x, named: str) -> tuple:
+    """x as a tuple (:func:`_sequence`), refused unless it is three ints
+    (no bool, no float), as ``{named} = {v} is not an integer 3-vector``."""
+    v = _sequence(x, named)
+    if len(v) != 3 or not all(type(i) is int for i in v):
+        raise ValidationError(f"{named} = {v} is not an integer 3-vector")
+    return v
 
 
 def primitive_vectors(vectors: tuple[tuple, ...], label: str) -> tuple[tuple[int, int, int], ...]:
@@ -83,11 +129,33 @@ def primitive_vectors(vectors: tuple[tuple, ...], label: str) -> tuple[tuple[int
     if not (set(map(type, chain.from_iterable(vectors))) <= {int}
             and {(len(v), gcd(*v)) for v in dict.fromkeys(vectors)} <= {(3, 1)}):
         for i, v in enumerate(vectors):
-            if len(v) != 3 or not all(type(x) is int for x in v):
-                raise ValidationError(f"{label.format(i)} = {v} is not an integer 3-vector")
+            _int_vector(v, label.format(i))
             if gcd(*v) != 1:
                 raise ValidationError(f"{label.format(i)} = {v} is not primitive")
     return vectors
+
+
+def _wall_class(wall, entries, m) -> tuple:
+    """A wall class's fields, refused unless m is an int, the wall a tuple
+    u < v in 0..m-1 and the entries a tuple of int pairs (t, value), t
+    rising in 0..m-1 and no value zero."""
+    _int(m, "wall class {}: ray count m", wall)
+    if not (type(wall) is tuple and len(wall) == 2 and type(wall[0]) is type(wall[1]) is int
+            and 0 <= wall[0] < wall[1] < m):
+        raise ValidationError(f"wall class {wall!r}: wall is not a pair u < v of rays "
+                              f"0..{m - 1}")
+    prev = -1
+    for e in entries if type(entries) is tuple else (entries,):
+        if type(e) is not tuple or len(e) != 2 or not type(e[0]) is type(e[1]) is int:
+            raise ValidationError(f"wall class {wall}: entry {e!r} is not an int "
+                                  f"ray id with an int value")
+        t, v = e
+        if not prev < t < m or not v:
+            why = (f"outside rays 0..{m - 1}" if not 0 <= t < m
+                   else "out of ray order" if t <= prev else "zero")
+            raise ValidationError(f"wall class {wall}: entry {e} is {why}")
+        prev = t
+    return wall, entries, m
 
 
 def _natural(token: str) -> int | None:
@@ -298,3 +366,12 @@ def _name(name, kind: str) -> str:
     except ParseError:
         pass
     raise ValidationError(f"name {name!r} does not read back from a '{kind} <name>' line")
+
+
+def _corpus_entry(name, entries: dict, kind: str | None = None):
+    """``entries[name]``, of that kind if one is given, else NotFound."""
+    if isinstance(name, str) and name in entries:
+        if kind is None or entries[name].kind == kind:
+            return entries[name]
+        raise NotFound(f"corpus entry {name!r} is a {entries[name].kind}, not a {kind}")
+    raise NotFound(f"no corpus entry named {name!r}; available: {', '.join(entries)}")

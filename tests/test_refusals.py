@@ -12,7 +12,9 @@ trusted entry fails :func:`test_every_public_callable_has_a_row`, so new
 API is covered by construction.
 """
 
+import ast
 import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -149,3 +151,94 @@ def test_bad_data_is_refused_or_accepted_but_never_escapes(name):
             except Exception as exc:  # any other error escaped the readers
                 escaped.append(f"argument {i} = {bad!r}: {type(exc).__name__}: {exc}")
     assert escaped == []
+
+
+# Each data argument is read before it is used: its first load, past
+# ``is None`` and ``is not None`` tests, is an argument of a call to a name
+# its module imports from ``toriclab.read`` (directly, or inside a tuple,
+# list or starred display), or of a public callable with a row, which
+# reads it in turn.
+
+def _is_none_test(name, parent) -> bool:
+    test = parent.get(name)
+    return (isinstance(test, ast.Compare) and test.left is name and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None)
+
+
+def _read_by(name, parent, callees: set) -> bool:
+    node = name
+    while isinstance(parent.get(node), (ast.Tuple, ast.List, ast.Starred)):
+        node = parent[node]
+    call = parent.get(node)
+    return (isinstance(call, ast.Call)
+            and (node in call.args or any(k.value is node for k in call.keywords))
+            and ast.unparse(call.func) in callees)
+
+
+def _unread(source: str, params, callees: set) -> list[str]:
+    """The parameters of the one function in ``source`` whose first load is
+    not an argument of a call to one of ``callees`` (spelled as called:
+    ``name`` or ``self.name``)."""
+    (fn,) = ast.parse(textwrap.dedent(source)).body
+    assert isinstance(fn, ast.FunctionDef), "no function to check"
+    parent = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+    loads = sorted((n for n in ast.walk(fn) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)), key=lambda n: (n.lineno, n.col_offset))
+    unread = []
+    for p in params:
+        first = next((n for n in loads if n.id == p and not _is_none_test(n, parent)), None)
+        if first is None or not _read_by(first, parent, callees):
+            unread.append(p)
+    return unread
+
+
+def _function(call):
+    """The function object a row's callable runs."""
+    if isinstance(call, type):
+        return call.__init__
+    if inspect.ismethod(call):
+        return call.__func__
+    return call if inspect.isfunction(call) else type(call).__call__
+
+
+def _readers(module) -> set:
+    """The names a module imports from ``.read``, at top level or in a function."""
+    tree = ast.parse(inspect.getsource(module))
+    return {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "read"
+            for a in node.names}
+
+
+def test_every_data_argument_is_read_before_it_is_used():
+    unread = []
+    for name, (call, _, data) in sorted(ROWS.items()):
+        fn = _function(call)
+        params = list(inspect.signature(call).parameters)
+        owner = fn.__qualname__.rpartition(".")[0]
+        methods = {f"self.{n.rpartition('.')[2]}" for n in ROWS if n.startswith(f"{owner}.")}
+        callees = _readers(inspect.getmodule(fn)) | set(ROWS) | methods
+        unread += [f"{name}: {p}" for p in _unread(inspect.getsource(fn),
+                                                   [params[i] for i in data], callees)]
+    assert unread == []
+
+
+def test_the_read_rule_flags_a_use_before_reading_only():
+    compared = """
+        def f(m, seed=None):
+            if seed is None:
+                seed = 0
+            if m > 3:
+                return _int(seed, "seed")
+            return _int(m, "m")
+    """
+    read_first = """
+        def g(m, rows):
+            m = _int(m, "m")
+            rows = _sequences((*rows,), "rows", "row {}")
+            return [r for r in rows if len(r) == m]
+    """
+    callees = {"_int", "_sequences"}
+    assert _unread(compared, ["m", "seed"], callees) == ["m"]
+    assert _unread(read_first, ["m", "rows"], callees) == []
