@@ -110,44 +110,38 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int],
     v_u v_v v_t) are sorted by ray id, in ``sphere.walls`` order.
 
     Use ``pair.integrals`` and ``pair.wall_classes``, which build these
-    once and keep them.  Raises ValidationError when a triangle's vectors
-    are degenerate or, at a vertex's cube covector or a wall's triangle
-    (u, v, p), fail the basis condition.
+    once and keep them.  Raises ValidationError naming the first triangle,
+    sorted, whose vectors are not a lattice basis (degenerate ones too):
+    each triangle's determinant is computed once, in its oriented order,
+    and each wall's det(lambda(u), lambda(v), lambda(p)) and each vertex's
+    cube covector are read off it.
     """
     sphere, lam = pair.sphere, pair.lam.vectors
-
-    def covector(i: int, j: int, k: int) -> Vec3:
-        try:
-            return dual_covector(lam[i], lam[j], lam[k])
-        except ValueError:
-            raise ValidationError(_BASIS_FAULT.format((i, j, k))) from None
-
     table: dict[Multiset, int] = {}
-    first: dict[int, Multiset] = {}
+    cube_mu: dict[int, Vec3] = {}  # off each vertex's first triangle
     for key, (a, b, c) in zip(sphere.triangles, sphere.oriented):
         d = det3(lam[a], lam[b], lam[c])
-        if d == 0:
-            raise ValidationError(f"triangle {key} has degenerate vectors (det 0)")
-        table[key] = 1 if d > 0 else -1
-        for i in key:
-            first.setdefault(i, key)
-    cube_mu = {i: covector(i, *(x for x in tri if x != i))
-               for i, tri in first.items()}
+        if d != 1 and d != -1:
+            raise ValidationError(_BASIS_FAULT.format(key) if d
+                                  else f"triangle {key} has degenerate vectors (det 0)")
+        table[key] = d
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):  # det(i, j, k) = d
+            if i not in cube_mu:
+                cube_mu[i] = dual_covector(d, lam[j], lam[k])
 
     m = sphere.m
     cubes = [0] * m
     classes = []
     for (u, v), (x, y) in zip(sphere.walls, sphere._apex_pairs.values()):
         p, q = (x, y) if x < y else (y, x)
-        lu, lv, lp, lq = lam[u], lam[v], lam[p], lam[q]
-        d = det3(lu, lv, lp)  # then lambda(q)'s Cramer coordinates a_u, a_v
-        if d != 1 and d != -1:
-            raise ValidationError(_BASIS_FAULT.format((u, v, p)))
         near = table[(p, u, v) if p < u else (u, p, v) if p < v else (u, v, p)]
         far = table[(q, u, v) if q < u else (u, q, v) if q < v else (u, v, q)]
+        # x's triangle runs u -> v -> x, so d = det(lambda(u), lambda(v),
+        # lambda(p)); then lambda(q)'s Cramer coordinates a_u, a_v
+        d = near if p == x else -near
         entries = [(p, near), (q, far)]
-        for i, j, square in ((u, v, -d * det3(lq, lv, lp) * far),
-                             (v, u, -d * det3(lu, lq, lp) * far)):
+        for i, j, square in ((u, v, -d * det3(lam[q], lam[v], lam[p]) * far),
+                             (v, u, -d * det3(lam[u], lam[q], lam[p]) * far)):
             if square:
                 table[(u, u, v) if i == u else (u, v, v)] = square
                 cubes[i] -= dot(cube_mu[i], lam[j]) * square

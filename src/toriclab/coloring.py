@@ -13,11 +13,11 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator
 
-from .charfunc import CharacteristicFunction, CharacteristicPair, check_star_condition
+from .charfunc import CharacteristicFunction
 from .combinatorics import SimplicialSphere2
-from .errors import InternalError, ValidationError
+from .errors import InternalError
 from .lattice import Vec3
-from .read import _sequence
+from .read import _colors
 from .value import _Value
 
 COLORS = ("a", "b", "c", "d")
@@ -36,11 +36,7 @@ class FacetColoring(_Value):
     colors: tuple[str, ...]
 
     def __init__(self, colors: tuple[str, ...]):
-        colors = _sequence(colors, "colors")
-        if not all(map(COLORS.__contains__, colors)):
-            bad = next(c for c in colors if c not in COLORS)
-            raise ValidationError(f"unknown color {bad!r}")
-        self.__dict__["colors"] = colors
+        self.__dict__["colors"] = _colors(colors, COLORS)
 
     @property
     def m(self) -> int:
@@ -94,9 +90,9 @@ def four_color(sphere: SimplicialSphere2) -> FacetColoring:
     Some labellings of large fullerene duals still backtrack for minutes,
     so stage 1 assigns at most 10m + 1000 colors.  Past that,
     stage 2 (:mod:`toriclab._kempe`) colors the sphere afresh by
-    smallest-last greedy coloring with Kempe-chain swaps, and its coloring
-    is re-verified by :meth:`FacetColoring.is_proper` and
-    :func:`check_star_condition`.
+    smallest-last greedy coloring with Kempe-chain swaps.  Either coloring
+    is re-verified by :meth:`FacetColoring.is_proper`, which implies the
+    star condition (see the module docstring).
 
     The skeleton is planar, so a proper 4-coloring exists; a failure of
     both stages would indicate corrupted input or a solver bug and raises
@@ -173,11 +169,8 @@ def _search(sphere: SimplicialSphere2) -> tuple[FacetColoring, dict[str, int]]:
         color, counters["swaps"], counters["restarts"] = kempe_color(adj)
         counters["stage"] = 2
     coloring = FacetColoring(tuple(map(COLORS.__getitem__, color)))
-    if not coloring.is_proper(sphere):
+    if not coloring.is_proper(sphere):  # so it meets the star condition too
         raise InternalError("solver produced an improper coloring")
-    if counters["stage"] == 2 and not check_star_condition(
-            CharacteristicPair(sphere, coloring_to_charfunc(coloring))).ok:
-        raise InternalError("solver produced a coloring that fails the star condition")
     return coloring, counters
 
 

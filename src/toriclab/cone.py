@@ -36,12 +36,12 @@ from fractions import Fraction
 
 from .charfunc import CharacteristicPair
 from .cohomology import WallClass, _non_positive_edges, certify_support
-from .errors import CertificationFailure, NotFound, NoWitness, ValidationError
+from .errors import CertificationFailure, NotFound, NoWitness
 # cone_membership is not called here: a traced perfbench run wraps both LP
 # entry points by name on this module
 from .exactlp import _checked_sweep, cone_membership, positive_functional
 from .fan import Fan3, characteristic_pair
-from .read import _sequence, integral
+from .read import _classes, integral
 from .value import _Value
 
 UNCERTIFIED_NOTE = "uncertified: no strict convexity witness supplied"
@@ -128,14 +128,7 @@ def strict_convexity_witness(classes, c_tilde=None):
     return value, not an exception; classes that are not a sequence of
     WallClass values over one m are refused with ValidationError.
     """
-    classes = _sequence(classes, "classes")
-    for i, cls in enumerate(classes):
-        if not isinstance(cls, WallClass):
-            raise ValidationError(f"class {i} = {cls!r} is not a WallClass")
-    ms = sorted({cls.m for cls in classes})
-    if len(ms) > 1:
-        raise ValidationError(f"classes are over different numbers of rays: "
-                              f"{', '.join(map(str, ms))}")
+    classes = _classes(classes, WallClass)
     if c_tilde is not None:
         (C,), D = integral((c_tilde,), classes[0].m if classes else None,
                            "candidate has {} entries for {} rays", row="candidate")

@@ -28,7 +28,7 @@ class InternalError(ToricLabError):
 
 
 class IncompleteFan(ToricLabError):
-    """A fan failed a completeness test.  ``fan.certify_fan`` runs them
+    """A fan failed a completeness test.  ``Fan3.certificate`` runs them
     before any wall is read, so every fan analysis refuses a non-fan."""
 
 

@@ -5,13 +5,13 @@ fan is stored as primitive rays plus maximal cones; the cone complex is
 required to triangulate a 2-sphere.  Each cone's ray determinant is
 computed once and kept on the fan, and the sphere is oriented by them
 when it is built: its first cone runs in its determinant's direction, so
-on a complete fan every cone runs positively.  :func:`certify_fan`
-(unimodular cones, every cone running positively and a generic-ray
-piercing test) runs before any wall is read, so every analysis refuses a
-non-fan with its error and no other.  Only the completeness certificate
-is kept on the fan; the unimodularity scan of the kept determinants runs
-again on every call.  The characteristic pair of a certified fan is its
-own sphere with the rays as lambda.
+on a complete fan every cone runs positively.  The fan's one
+certification, ``Fan3.certificate`` (unimodular cones, every cone
+running positively and a generic-ray piercing test), is made before any
+wall is read and kept, so every analysis refuses a non-fan with its
+error and no other, and the kept determinants are scanned for
+unimodularity once per fan.  The characteristic pair of a certified fan
+is its own sphere with the rays as lambda.
 
 Wall bookkeeping follows a fixed normalization: the wall pair (i1, i2) is
 sorted and its two apexes (i, i') are ordered so that
@@ -84,8 +84,8 @@ class Fan3(_Value):
     ``sphere`` is the cone complex, validated by :meth:`from_data` as a
     simplicial 2-sphere of non-degenerate cones and oriented in the
     direction of its first cone's determinant.  The cone determinants
-    (:attr:`_cone_dets`, keyed by cone) and the completeness certificate
-    are kept once made; they are not fields.
+    (:attr:`_cone_dets`, keyed by cone) and the certification
+    (:attr:`certificate`) are kept once made; they are not fields.
     """
 
     name: str
@@ -132,28 +132,31 @@ class Fan3(_Value):
 
     @cached_property
     def certificate(self) -> "CompletenessCertificate":
-        """:func:`check_complete`'s certificate at ``COMPLETENESS_SEED``."""
+        """The fan's one certification, kept once made: :func:`check_unimodular`
+        (raising NotUnimodular), then :func:`check_complete` at ``COMPLETENESS_SEED``."""
+        verdict = check_unimodular(self)
+        if not verdict.ok:
+            raise NotUnimodular(verdict.violations)
         return check_complete(self, COMPLETENESS_SEED)
 
     @cached_property
     def wall_table(self) -> dict[tuple[int, int], Wall]:
         """All walls keyed by sorted pair, in ``sphere.walls`` order, made
-        once, after :func:`certify_fan`, off the fan pair's wall classes."""
-        certify_fan(self)
-        return {cls.wall: _read_wall(self.rays, sides, cls) for sides, cls in
-                zip(self.sphere._apex_pairs.values(), self.characteristic_pair.wall_classes)}
+        once, off the fan pair's wall classes, so after the fan's certification."""
+        return {cls.wall: _read_wall(self.rays, sides, cls) for cls, sides in
+                zip(self.characteristic_pair.wall_classes, self.sphere._apex_pairs.values())}
 
     @cached_property
     def characteristic_pair(self) -> CharacteristicPair:
         """The fan's own sphere, plus the rays.
 
-        The fan is certified first, and certification refuses any sphere
+        The fan is certified first (``certificate``), which refuses any sphere
         that does not run every cone positively (:func:`check_complete`),
         a constructor-made one run against its cones included.  The fan's
         intersection calculus is the signed calculus of this pair, cached
         on it, so every cone contributes +1.
         """
-        certify_fan(self)
+        self.certificate
         return CharacteristicPair(self.sphere, CharacteristicFunction(self.rays))
 
     @cached_property
@@ -244,9 +247,9 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
     and if there is none every cone runs negatively (ValidationError).
     (b) A pseudo-random generic integer direction lies in exactly one
     maximal cone (resampled while it hits a cone boundary).  The sampler
-    is seeded by ``seed``, an int, so runs are reproducible.  Without a seed this
-    is the fan's kept certificate, ``Fan3.certificate``, made at
-    ``COMPLETENESS_SEED``; a seed makes a fresh one.
+    is seeded by ``seed``, an int, so runs are reproducible; a seed makes a
+    fresh certificate.  Without one this is the fan's kept certification,
+    ``Fan3.certificate``, which raises NotUnimodular first.
     """
     if seed is None:
         return f.certificate
@@ -290,12 +293,8 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
 
 
 def certify_fan(f: Fan3) -> CompletenessCertificate:
-    """The one certification of a fan, run before its walls are read:
-    :func:`check_unimodular` (raising NotUnimodular), then the kept
-    ``Fan3.certificate`` (raising IncompleteFan)."""
-    verdict = check_unimodular(f)
-    if not verdict.ok:
-        raise NotUnimodular(verdict.violations)
+    """The fan's one certification, ``Fan3.certificate``: made on the
+    first call, which raises NotUnimodular or IncompleteFan, and kept."""
     return f.certificate
 
 

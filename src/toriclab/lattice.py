@@ -23,14 +23,9 @@ def dot(a: Vec3, b: Vec3) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def dual_covector(a: Vec3, b: Vec3, c: Vec3) -> Vec3:
-    """Integer covector m with <m,a> = 1, <m,b> = <m,c> = 0.
-
-    Requires det3(a, b, c) = +-1, i.e. (a, b, c) is a lattice basis.
-    """
-    d = det3(a, b, c)
-    if d not in (1, -1):
-        raise ValueError(f"({a}, {b}, {c}) is not a lattice basis: det = {d}")
+def dual_covector(d: int, b: Vec3, c: Vec3) -> Vec3:
+    """Integer covector m with <m,a> = 1, <m,b> = <m,c> = 0 for a lattice
+    basis (a, b, c) of determinant d = +-1: d times b x c."""
     return (d * (b[1] * c[2] - b[2] * c[1]), d * (b[2] * c[0] - b[0] * c[2]),
-            d * (b[0] * c[1] - b[1] * c[0]))  # d times b x c
+            d * (b[0] * c[1] - b[1] * c[0]))
 

@@ -9,8 +9,9 @@ a Fraction is made, so no polytope command loads it.
 Each rule is written once, its words taken from the caller where callers
 differ: counts and seeds are read by ``_int``, a sphere's vertex by
 ``_vertex``, cones and triangles by ``_id_triples``, integer 3-vectors by
-``_int_vector``, a wall class's fields by ``_wall_class`` and corpus names
-by ``_corpus_entry``.
+``_int_vector``, a wall class's fields by ``_wall_class``, colors and
+wall classes by ``_colors`` and ``_classes`` (handed the allowed colors
+or the class, as no layer is imported here) and corpus names by ``_corpus_entry``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,30 @@ def _sequences(rows, named: str, row: str) -> tuple[tuple, ...]:
         except TypeError:
             pass
     return tuple(_sequence(r, row.format(i)) for i, r in enumerate(rows))
+
+
+def _colors(colors, allowed) -> tuple:
+    """The colors as a tuple (:func:`_sequence`), refused unless each is
+    one of ``allowed``, naming the first other one."""
+    colors = _sequence(colors, "colors")
+    if not all(map(allowed.__contains__, colors)):
+        bad = next(c for c in colors if c not in allowed)
+        raise ValidationError(f"unknown color {bad!r}")
+    return colors
+
+
+def _classes(classes, kind: type) -> tuple:
+    """The classes as a tuple (:func:`_sequence`), refused unless each is
+    a ``kind`` and all are over one number of rays, their ``m``."""
+    classes = _sequence(classes, "classes")
+    for i, cls in enumerate(classes):
+        if not isinstance(cls, kind):
+            raise ValidationError(f"class {i} = {cls!r} is not a {kind.__name__}")
+    ms = sorted({cls.m for cls in classes})
+    if len(ms) > 1:
+        raise ValidationError(f"classes are over different numbers of rays: "
+                              f"{', '.join(map(str, ms))}")
+    return classes
 
 
 def _int(x, named: str, *args) -> int:

@@ -9,13 +9,14 @@ tetrahedra — pure convex geometry, no cohomology.
 """
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from toriclab.charfunc import CharacteristicFunction, CharacteristicPair
+from toriclab.charfunc import CharacteristicFunction, CharacteristicPair, check_star_condition
 from toriclab.coloring import coloring_to_charfunc, four_color
 from toriclab.cohomology import (
     certify_support,
@@ -596,17 +597,56 @@ def test_signed_relations_annihilate():
 
 
 @pytest.mark.parametrize("last, message", [
-    ((1, 1, 2), r"triangle \(3, 0, 1\) violates the basis condition; "
+    ((1, 1, 2), r"triangle \(0, 1, 3\) violates the basis condition; "
                 "the signed calculus needs it to hold"),
     ((1, 1, 0), r"triangle \(0, 1, 3\) has degenerate vectors \(det 0\)"),
+    # det 2 on triangle (1, 2, 4), which is no vertex's first triangle and
+    # no wall's (u, v, p) with p its lower apex: checks made only there
+    # missed it, and the classes then made broke 8 of the 27 relation sums
+    (((2, 1, 1), (-1, -2, -1), (-1, 0, 0), (2, -1, 0), (-2, 0, -1)),
+     r"triangle \(1, 2, 4\) violates the basis condition; "
+     "the signed calculus needs it to hold"),
 ])
 def test_signed_calculus_needs_the_star_condition(last, message):
-    # the tetrahedron with lambda = e1, e2, e3 and a fourth vector
-    tet = dual_sphere(load_polytope("tetrahedron"))
-    pair = CharacteristicPair(tet, CharacteristicFunction(((1, 0, 0), (0, 1, 0),
-                                                           (0, 0, 1), last)))
+    # the tetrahedron with lambda = e1, e2, e3 and a fourth vector, or
+    # blowup-cp3's sphere with a whole lambda
+    if len(last) == 3:
+        sphere = dual_sphere(load_polytope("tetrahedron"))
+        lam = ((1, 0, 0), (0, 1, 0), (0, 0, 1), last)
+    else:
+        sphere, lam = load_fan("blowup-cp3").sphere, last
     with pytest.raises(ValidationError, match=f"^{message}$"):
-        integral_table(pair)
+        integral_table(CharacteristicPair(sphere, CharacteristicFunction(lam)))
+
+
+def test_the_calculus_refuses_exactly_the_pairs_that_fail_the_star_condition():
+    # 300 lambdas with entries in -2..2 on the spheres of the corpus fans
+    # with m <= 6: the rays, each negated at random (still a basis on every
+    # triangle), then, in two draws of three, one vector replaced by a
+    # random primitive one.  The table is made exactly when every triangle
+    # is a basis, and a refusal names the first one that is not.
+    rng = random.Random(40)
+    fans = [f for f in map(load_fan, FAN_NAMES) if f.m <= 6]
+    refused = 0
+    for n in range(300):
+        f = fans[n % len(fans)]
+        lam = [tuple(x * rng.choice((1, -1)) for x in r) for r in f.rays]
+        if rng.random() < 2 / 3:
+            v = (0, 0, 0)
+            while math.gcd(*v) != 1:
+                v = tuple(rng.randint(-2, 2) for _ in range(3))
+            lam[rng.randrange(f.m)] = v
+        assert {x for r in lam for x in r} <= set(range(-2, 3))
+        pair = CharacteristicPair(f.sphere, CharacteristicFunction(lam))
+        verdict = check_star_condition(pair)
+        if verdict.ok:
+            integral_table(pair)
+            continue
+        refused += 1
+        tri = verdict.violations[0][0]
+        with pytest.raises(ValidationError, match=re.escape(f"triangle {tri} ")):
+            integral_table(pair)
+    assert 100 < refused < 200
 
 
 def test_signed_table_caches_per_pair():

@@ -325,6 +325,30 @@ class TestCheckUnimodular:
         characteristic_pair(f)
         assert calls == [10]
 
+    def test_the_scan_runs_once_per_fan(self, monkeypatch, tmp_path, capsys):
+        # the kept certificate holds the verdict: certification, walls, the
+        # pair and the cone analysis scan the determinants once, and so does
+        # each fan command
+        from toriclab.cli import main
+        from toriclab.cone import extremal_walls
+
+        calls = []
+        scan = fan_module.check_unimodular
+        monkeypatch.setattr(fan_module, "check_unimodular",
+                            lambda f: calls.append(f.name) or scan(f))
+        text = serialize_fan(load_fan("cube-fan"))
+        f = parse_fan(text)
+        for entry in (certify_fan, lambda g: g.wall_table, characteristic_pair,
+                      extremal_walls, check_complete):
+            entry(f)
+        assert calls == ["cube-fan"]
+        path = tmp_path / "cube-fan.fan"
+        path.write_text(text)
+        for command in ("report", "volume", "extremal", "witness"):
+            calls.clear()
+            assert main(["fan", command, str(path)]) == 0, capsys.readouterr().err
+            assert calls == ["cube-fan"], command
+
     def test_constructor_fan_builds_them_on_first_read(self):
         f = load_fan("cube-fan")
         g = Fan3(f.name, f.rays, f.maximal_cones, f.sphere, f.support)
