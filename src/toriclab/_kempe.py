@@ -11,8 +11,9 @@ the colored vertices of colors a and b reachable from v's a-neighbours
 through a- and b-colored vertices swap a and b, which keeps the coloring
 proper, and frees a at v unless that chain reaches a b-neighbour of v.
 With four colored neighbours some pair always works; with five none may,
-and the pass restarts with its ties broken by a seeded permutation.
-Everything runs on explicit stacks, without recursion.
+and the pass restarts with its ties broken by a seeded permutation; after
+``_RESTARTS`` passes it gives up, to stage 1 with no budget.  Everything
+runs on explicit stacks, without recursion.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ import heapq
 import random
 
 from .coloring import _BIT, _FREE
-from .errors import InternalError
 
 _RESTARTS = 64
 _PAIRS = tuple((a, b) for a in range(4) for b in range(4) if a != b)
 
 
-def kempe_color(adj: list[list[int]]) -> tuple[list[int], int, int]:
+def kempe_color(adj: list[list[int]]) -> tuple[list[int] | None, int, int]:
     """A proper 4-coloring (colors 0..3) of the planar graph with neighbour
-    lists ``adj``, with the number of Kempe swaps and of restarts made."""
+    lists ``adj``, or None once ``_RESTARTS`` passes have failed, with the
+    number of Kempe swaps and of restarts made."""
     m = len(adj)
     swaps = 0
     for restart in range(_RESTARTS):
@@ -49,7 +50,7 @@ def kempe_color(adj: list[list[int]]) -> tuple[list[int], int, int]:
             swaps += 1
         else:
             return color, swaps, restart
-    raise InternalError(f"Kempe repair failed after {_RESTARTS} restarts")
+    return None, swaps, _RESTARTS
 
 
 def _smallest_last(adj: list[list[int]], rank) -> list[int]:

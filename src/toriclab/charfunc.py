@@ -88,8 +88,7 @@ def check_star_condition(pair: CharacteristicPair) -> StarVerdict:
     its determinant, in triangle order.  One determinant is computed per
     distinct triple of vectors met (a coloring has at most 24).
     """
-    lam = pair.lam.vectors
-    tris = pair.sphere.triangles
+    lam, tris = pair.lam.vectors, pair.sphere.triangles
     vectors = list(dict.fromkeys(lam))
     code = list(map(dict(zip(vectors, range(len(vectors)))).__getitem__, lam))
     det = {t: det3(vectors[t[0]], vectors[t[1]], vectors[t[2]])
@@ -111,7 +110,5 @@ def parse_charfunc(text: str) -> CharacteristicFunction:
 
 
 def format_charfunc(lam: CharacteristicFunction) -> str:
-    out = [f"lambda {lam.m}"]
-    for i, (x, y, z) in enumerate(lam.vectors):
-        out.append(f"L {i}: {x} {y} {z}")
+    out = [f"lambda {lam.m}"] + [f"L {i}: {x} {y} {z}" for i, (x, y, z) in enumerate(lam.vectors)]
     return "\n".join(out) + "\n"

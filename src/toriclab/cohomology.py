@@ -5,28 +5,29 @@ index multisets, and each of those has a closed form:
 
   * a triangle {i, j, k} of the sphere: the sign of the vector determinant
     taken in the triangle's oriented order;
-  * a wall {u, v} (u < v) with apexes p < q: with d = det(lambda(u),
-    lambda(v), lambda(p)) = +-1, lambda(q) has Cramer coordinates a_u =
-    d det(lambda(q), lambda(v), lambda(p)), a_v = d det(lambda(u),
-    lambda(q), lambda(p)) in the basis (lambda(u), lambda(v), lambda(p)),
-    and v_u^2 v_v = -a_u v_u v_v v_q, v_v^2 v_u = -a_v v_u v_v v_q (the
-    relations of the covectors dual to that basis, times v_u v_v);
+  * a wall {u, v} (u < v) whose triangles run u -> v -> x and v -> u -> y,
+    of determinants dx, dy = +-1: lambda(y) has Cramer coordinates a_u =
+    dx det(lambda(y), lambda(v), lambda(x)), a_v = dx det(lambda(u),
+    lambda(y), lambda(x)) in the basis (lambda(u), lambda(v), lambda(x)),
+    and v_u^2 v_v = -a_u dy, v_v^2 v_u = -a_v dy (the relations of the
+    covectors dual to that basis, times v_u v_v);
   * a vertex i: v_i^3 = -sum over neighbours t of <mu, lambda(t)> v_i^2 v_t,
     with mu the dual covector of lambda(i) in the first triangle containing i.
 
 :func:`integral_table` computes exactly these nonzero values, keyed by
-sorted multiset, in one pass over the triangles and one over the walls.
-The wall pass takes each wall relation once, by that Cramer kernel, and
-builds the wall's class, a :class:`WallClass`: the at most four nonzero
-integrals v_u v_v v_t, at the two endpoints and the two apexes t of the
-wall, sorted by t.  Both are cached once per pair, as
+sorted multiset, in one pass over the triangles, whose determinants it
+keeps in a list, and one over the walls, each read off the sphere's
+half-edge index: its two triangles, apexes and determinants.  The wall
+pass builds each wall's class, a :class:`WallClass`: the at most four
+nonzero integrals v_u v_v v_t, at the two endpoints and the two apexes t
+of the wall, sorted by t.  Both are cached once per pair, as
 ``CharacteristicPair.integrals`` and ``CharacteristicPair.wall_classes``;
-a fan reaches them through its cached ``Fan3.characteristic_pair``, the
-fan's own sphere, on which every cone has a positive determinant, so the
-squares are the negated wall coefficients -a1, -a2, and
-``Fan3.wall_table`` reads them there.  Triple integrals and volume
-polynomials are sparse sums over the table; the Chern number, the edge
-functionals and :mod:`toriclab.cone` read the classes.
+a fan reaches them through its cached ``Fan3.characteristic_pair``, on
+which every cone runs positively, so the squares are the negated wall
+coefficients -a1, -a2, and ``Fan3.wall_table`` reads them there.  Triple
+integrals and volume polynomials are sparse sums over the table; the
+Chern number, the edge functionals and :mod:`toriclab.cone` read the
+classes.
 
 Volume polynomials collect every degree-3 integral with multinomial
 weights; their values at valid support parameters are Euclidean volumes of
@@ -46,7 +47,7 @@ normalises once instead of at every product and sum.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 
@@ -58,9 +59,6 @@ from .read import _as_multiset, _int_vector, _wall_class, integral
 from .value import _Value
 
 Multiset = tuple[int, int, int]
-
-_BASIS_FAULT = "triangle {} violates the basis condition; the signed calculus needs it to hold"
-
 
 class WallClass(_Value):
     """A wall (u, v), a pair of ray ids u < v, with its pairing vector
@@ -111,42 +109,45 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int],
 
     Use ``pair.integrals`` and ``pair.wall_classes``, which build these
     once and keep them.  Raises ValidationError naming the first triangle,
-    sorted, whose vectors are not a lattice basis (degenerate ones too):
-    each triangle's determinant is computed once, in its oriented order,
-    and each wall's det(lambda(u), lambda(v), lambda(p)) and each vertex's
-    cube covector are read off it.
+    sorted, whose vectors are not a lattice basis (degenerate ones too).
+    Each triangle's determinant is computed once, into a list indexed like
+    ``sphere.triangles``; each wall reads its triangles, apexes and their
+    determinants off the half-edge index, and each vertex its covector.
     """
     sphere, lam = pair.sphere, pair.lam.vectors
-    table: dict[Multiset, int] = {}
-    cube_mu: dict[int, Vec3] = {}  # off each vertex's first triangle
-    for key, (a, b, c) in zip(sphere.triangles, sphere.oriented):
-        d = det3(lam[a], lam[b], lam[c])
-        if d != 1 and d != -1:
-            raise ValidationError(_BASIS_FAULT.format(key) if d
-                                  else f"triangle {key} has degenerate vectors (det 0)")
-        table[key] = d
-        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):  # det(i, j, k) = d
-            if i not in cube_mu:
-                cube_mu[i] = dual_covector(d, lam[j], lam[k])
-
-    m = sphere.m
-    cubes = [0] * m
-    classes = []
-    for (u, v), (x, y) in zip(sphere.walls, sphere._apex_pairs.values()):
-        p, q = (x, y) if x < y else (y, x)
-        near = table[(p, u, v) if p < u else (u, p, v) if p < v else (u, v, p)]
-        far = table[(q, u, v) if q < u else (u, q, v) if q < v else (u, v, q)]
-        # x's triangle runs u -> v -> x, so d = det(lambda(u), lambda(v),
-        # lambda(p)); then lambda(q)'s Cramer coordinates a_u, a_v
-        d = near if p == x else -near
-        entries = [(p, near), (q, far)]
-        for i, j, square in ((u, v, -d * det3(lam[q], lam[v], lam[p]) * far),
-                             (v, u, -d * det3(lam[u], lam[q], lam[p]) * far)):
-            if square:
-                table[(u, u, v) if i == u else (u, v, v)] = square
-                cubes[i] -= dot(cube_mu[i], lam[j]) * square
-                insort(entries, (i, square))
-        classes.append(WallClass((u, v), tuple(entries), m))
+    dets = list(map(det3, *(map(lam.__getitem__, col) for col in zip(*sphere.oriented))))
+    if not {*dets} <= {1, -1}:
+        key, d = next((k, d) for k, d in zip(sphere.triangles, dets) if d != 1 and d != -1)
+        raise ValidationError(f"triangle {key} violates the basis condition; the signed "
+                              f"calculus needs it to hold" if d
+                              else f"triangle {key} has degenerate vectors (det 0)")
+    table: dict[Multiset, int] = dict(zip(sphere.triangles, dets))
+    # half-edge h runs flat[h] -> head[h] in triangle h // 3, opposite apex[h]
+    flat, _, twin, _, edge = sphere._index
+    head, apex = flat[1:] + flat[:1], flat[-1:] + flat[:-1]
+    head[2::3], apex[0::3] = flat[0::3], flat[2::3]
+    m, first = sphere.m, dict(zip(reversed(flat), range(len(flat) - 1, -1, -1)))
+    mu = [dual_covector(dets[h // 3], lam[head[h]], lam[apex[h]])
+          for h in map(first.__getitem__, range(m))]  # off each vertex's first triangle
+    cubes, classes, new = [0] * m, [], object.__new__
+    for wall, h in zip(sphere.walls, edge):
+        (u, v), g = wall, twin[h]
+        if flat[h] != u:
+            h, g = g, h
+        x, y, dx, dy = apex[h], apex[g], dets[h // 3], dets[g // 3]  # u -> v -> x
+        lu, lv, lx, ly = lam[u], lam[v], lam[x], lam[y]
+        entries = [(x, dx), (y, dy)]
+        if square := dx * dy * det3(lx, lv, ly):  # -a_u dy
+            table[(u, u, v)] = square
+            cubes[u] -= dot(mu[u], lv) * square
+            entries.append((u, square))
+        if square := dx * dy * det3(lu, lx, ly):  # -a_v dy
+            table[(u, v, v)] = square
+            cubes[v] -= dot(mu[v], lu) * square
+            entries.append((v, square))
+        entries.sort()
+        classes.append(cls := new(WallClass))  # made here, so not read again
+        cls.__dict__.update(wall=wall, entries=tuple(entries), m=m)
     for i, cube in enumerate(cubes):
         if cube:
             table[(i, i, i)] = cube

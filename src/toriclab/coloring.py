@@ -5,7 +5,8 @@ The constructive route goes sphere -> proper 4-coloring -> vectors
 those four form a lattice basis, so the resulting assignment automatically
 satisfies the basis condition on every triangle of the sphere.  The
 coloring is a DSATUR backtracking search under a node budget; past the
-budget, :mod:`toriclab._kempe` colors the sphere by Kempe-chain repair.
+budget, :mod:`toriclab._kempe` colors the sphere by Kempe-chain repair,
+and should that give up, the search runs again with no budget.
 """
 
 from __future__ import annotations
@@ -90,35 +91,51 @@ def four_color(sphere: SimplicialSphere2) -> FacetColoring:
     Some labellings of large fullerene duals still backtrack for minutes,
     so stage 1 assigns at most 10m + 1000 colors.  Past that,
     stage 2 (:mod:`toriclab._kempe`) colors the sphere afresh by
-    smallest-last greedy coloring with Kempe-chain swaps.  Either coloring
-    is re-verified by :meth:`FacetColoring.is_proper`, which implies the
-    star condition (see the module docstring).
-
-    The skeleton is planar, so a proper 4-coloring exists; a failure of
-    both stages would indicate corrupted input or a solver bug and raises
-    InternalError.
+    smallest-last greedy coloring with Kempe-chain swaps.  Should that
+    give up, stage 1 runs again with no budget: the skeleton is planar, so
+    the exhaustive search finds a coloring.  It is re-verified by
+    :meth:`FacetColoring.is_proper`, which implies the star condition (see
+    the module docstring); a failure is a solver bug (InternalError).
     """
     return _search(sphere)[0]
 
 
 def _search(sphere: SimplicialSphere2) -> tuple[FacetColoring, dict[str, int]]:
-    """:func:`four_color`, with its counters: stage 1's ``nodes`` (colors
-    assigned) and ``undone`` (colors taken back), its ``budget``, the
-    ``stage`` that colored the sphere, and stage 2's Kempe ``swaps`` and
-    ``restarts``."""
-    m = sphere.m
+    """:func:`four_color`, with its counters: the last stage-1 run's ``nodes``
+    (colors assigned) and ``undone`` (taken back), the first run's ``budget``, the
+    ``stage`` that colored it (3: stage 1 unbudgeted) and Kempe ``swaps`` and ``restarts``."""
     adj = sphere._neighbours
+    # ten times or more the colors assigned on the corpus and on the
+    # reference spheres of the tests, so those keep their colorings
+    budget = 10 * sphere.m + 1000
+    color, nodes, undone = _dsatur(adj, budget)
+    counters = {"nodes": nodes, "undone": undone, "budget": budget, "stage": 1,
+                "swaps": 0, "restarts": 0}
+    if -1 in color:  # the budget ran out; no other call compiles stage 2
+        from ._kempe import kempe_color
+
+        color, counters["swaps"], counters["restarts"] = kempe_color(adj)
+        counters["stage"] = 2
+        if color is None:  # stage 2 gave up: stage 1 again, with no budget
+            color, counters["nodes"], counters["undone"] = _dsatur(adj, float("inf"))
+            counters["stage"] = 3
+    coloring = FacetColoring(tuple(map(COLORS.__getitem__, color)))
+    if not coloring.is_proper(sphere):  # so it meets the star condition too
+        raise InternalError("solver produced an improper coloring")
+    return coloring, counters
+
+
+def _dsatur(adj: list[list[int]], budget) -> tuple[list[int], int, int]:
+    """Stage 1 on neighbour lists ``adj``, ``budget`` colors at most: the colors
+    (index into ``COLORS``, else -1), the colors assigned and those taken back."""
+    m = len(adj)
     D = max(map(len, adj)) + 1
     step = D * m  # one unit of saturation
     base = [(D - len(nbrs)) * m + v for v, nbrs in enumerate(adj)]
     key = [4 * step + b for b in base]
     heap = key[:]
     heapq.heapify(heap)
-    color = [-1] * m  # index into COLORS, -1 while uncolored
-    mask = [0] * m
-    # ten times or more the colors assigned on the corpus and on the
-    # reference spheres of the tests, so those keep their colorings
-    budget = 10 * m + 1000
+    color, mask = [-1] * m, [0] * m
     nodes = undone = 0
     heappop, heappush = heapq.heappop, heapq.heappush
 
@@ -161,17 +178,7 @@ def _search(sphere: SimplicialSphere2) -> tuple[FacetColoring, dict[str, int]]:
             frames.pop()
         else:
             raise InternalError("4-coloring search exhausted on a planar graph")
-    counters = {"nodes": nodes, "undone": undone, "budget": budget, "stage": 1,
-                "swaps": 0, "restarts": 0}
-    if -1 in color:  # the budget ran out; no other call compiles stage 2
-        from ._kempe import kempe_color
-
-        color, counters["swaps"], counters["restarts"] = kempe_color(adj)
-        counters["stage"] = 2
-    coloring = FacetColoring(tuple(map(COLORS.__getitem__, color)))
-    if not coloring.is_proper(sphere):  # so it meets the star condition too
-        raise InternalError("solver produced an improper coloring")
-    return coloring, counters
+    return color, nodes, undone
 
 
 def coloring_to_charfunc(coloring: FacetColoring) -> CharacteristicFunction:

@@ -282,9 +282,5 @@ def betti_numbers(sphere: SimplicialSphere2) -> tuple[int, int, int, int]:
     """Even-degree Betti numbers (b0, b2, b4, b6) via the h-vector of the
     sphere; for an m-vertex 2-sphere this works out to (1, m-3, m-3, 1)."""
     fvec = (1, sphere.m, len(sphere.walls), len(sphere.triangles))
-    n = 3
-    h = []
-    for k in range(n + 1):
-        h.append(sum((-1) ** (k - i) * math.comb(n - i, k - i) * fvec[i]
-                     for i in range(k + 1)))
-    return tuple(h)
+    return tuple(sum((-1) ** (k - i) * math.comb(3 - i, k - i) * fvec[i] for i in range(k + 1))
+                 for k in range(4))

@@ -143,7 +143,7 @@ class Fan3(_Value):
     def wall_table(self) -> dict[tuple[int, int], Wall]:
         """All walls keyed by sorted pair, in ``sphere.walls`` order, made
         once, off the fan pair's wall classes, so after the fan's certification."""
-        return {cls.wall: _read_wall(self.rays, sides, cls) for cls, sides in
+        return {wc.wall: _read_wall(self.rays, sides, wc) for wc, sides in
                 zip(self.characteristic_pair.wall_classes, self.sphere._apex_pairs.values())}
 
     @cached_property
@@ -181,15 +181,17 @@ def _cone_determinants(rays, cones) -> dict[Triangle, int]:
     return dict(zip(cones, dets))
 
 
-def _read_wall(rays, sides: tuple[int, int], cls) -> Wall:
-    """The normalized wall (u, v) off its class in the calculus of a
-    certified fan's pair.  Every cone runs positively, so the class pairs
-    the wall to 1 at both apexes and to -a1, -a2 at u, v, and ``sides``,
-    the apex whose triangle runs u -> v first, is (i, i').  The relation
-    and the side determinant are checked again."""
-    (u, v), (i, ip) = cls.wall, sides
-    pairing = dict(cls.entries)
-    a1, a2 = -pairing.get(u, 0), -pairing.get(v, 0)
+def _read_wall(rays, sides: tuple[int, int], wc) -> Wall:
+    """The normalized wall off its class ``wc`` in a certified fan's
+    calculus, with ``sides`` the apex whose triangle runs u -> v first,
+    then the other, as the module docstring reads it, checks included."""
+    (u, v), (i, ip) = wc.wall, sides
+    a1 = a2 = 0
+    for t, value in wc.entries:  # at most four
+        if t == u:
+            a1 = -value
+        elif t == v:
+            a2 = -value
     (x1, y1, z1), (x2, y2, z2), (x, y, z), (xp, yp, zp) = rays[u], rays[v], rays[i], rays[ip]
     if (x + xp, y + yp, z + zp) != (a1 * x1 + a2 * x2, a1 * y1 + a2 * y2, a1 * z1 + a2 * z2):
         raise InternalError(
@@ -201,8 +203,8 @@ def _read_wall(rays, sides: tuple[int, int], cls) -> Wall:
     if side != curv:
         raise InternalError(
             f"wall ({u},{v}): side determinant {side} != curvature {curv}")
-    cls = "convex" if curv > 0 else ("flat" if curv == 0 else "concave")
-    return Wall((u, v), (i, ip), (a1, a2), curv, cls)
+    kind = "convex" if curv > 0 else ("flat" if curv == 0 else "concave")
+    return Wall((u, v), (i, ip), (a1, a2), curv, kind)
 
 
 def wall_data(f: Fan3, pair) -> Wall:
@@ -304,9 +306,7 @@ def _pierce(f: Fan3, x: Vec3):
     By Cramer's rule the barycentric coordinates of x are det3(...) / d, so
     their signs are those of the integers det3(...) * sign(d).
     """
-    hits = []
-    boundary = False
-    rays = f.rays
+    hits, boundary, rays = [], False, f.rays
     for c, d in f._cone_dets.items():
         la, lb, lc = rays[c[0]], rays[c[1]], rays[c[2]]
         s = 1 if d > 0 else -1
@@ -351,11 +351,9 @@ def parse_fan(text: str) -> Fan3:
 def serialize_fan(f: Fan3) -> str:
     """Canonical FAN3 text; parse(serialize(f)) == f, bit-exact."""
     out = [f"fan3 {f.name}", f"rays {f.m}"]
-    for i, (x, y, z) in enumerate(f.rays):
-        out.append(f"R {i}: {x} {y} {z}")
+    out += [f"R {i}: {x} {y} {z}" for i, (x, y, z) in enumerate(f.rays)]
     out.append(f"cones {len(f.maximal_cones)}")
-    for c in f.maximal_cones:
-        out.append(f"C: {c[0]} {c[1]} {c[2]}")
+    out += [f"C: {a} {b} {c}" for a, b, c in f.maximal_cones]
     if f.support is not None:
         out.append("support: " + " ".join(str(c) for c in f.support))
     return "\n".join(out) + "\n"

@@ -308,6 +308,19 @@ class TestStalls:
         runs = color_in_child(spheres, timeout=120)
         assert len(runs) == 90  # each colours properly with the star condition ok
 
+    def test_both_stages_giving_up_leaves_the_unbudgeted_search(self, monkeypatch):
+        # C1620 with labelling 7 exhausts the budget (9120 colors); with no
+        # Kempe pass allowed, stage 1 runs again without a budget and ends
+        # after 14211 colors
+        import toriclab._kempe as kempe
+
+        monkeypatch.setattr(kempe, "_RESTARTS", 0)
+        s = relabelled(leapfrog_sphere(812), 7)
+        coloring, counters = _search(s)
+        assert counters["stage"] == 3 and counters["nodes"] > counters["budget"]
+        assert coloring.is_proper(s) and coloring == four_color(s)
+        assert check_star_condition(CharacteristicPair(s, coloring_to_charfunc(coloring))).ok
+
     def test_polytope_report_on_c4860(self, tmp_path):
         sphere = relabelled(leapfrog_sphere(2432), 0)
         path = tmp_path / "c4860.poly"

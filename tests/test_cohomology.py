@@ -19,6 +19,7 @@ import pytest
 from toriclab.charfunc import CharacteristicFunction, CharacteristicPair, check_star_condition
 from toriclab.coloring import coloring_to_charfunc, four_color
 from toriclab.cohomology import (
+    WallClass,
     certify_support,
     chern_number_c1c2,
     edge_functional,
@@ -640,13 +641,46 @@ def test_the_calculus_refuses_exactly_the_pairs_that_fail_the_star_condition():
         pair = CharacteristicPair(f.sphere, CharacteristicFunction(lam))
         verdict = check_star_condition(pair)
         if verdict.ok:
-            integral_table(pair)
+            assert_classes_read_back(integral_table(pair)[1])
             continue
         refused += 1
         tri = verdict.violations[0][0]
         with pytest.raises(ValidationError, match=re.escape(f"triangle {tri} ")):
             integral_table(pair)
     assert 100 < refused < 200
+
+
+def assert_classes_read_back(classes):
+    """The calculus makes its classes without the public reader: each must
+    be the class that reader makes of its fields."""
+    for cls in classes:
+        assert WallClass(cls.wall, cls.entries, cls.m) == cls, cls
+
+
+def test_the_classes_of_the_corpus_fans_read_back():
+    for name in FAN_NAMES:
+        f = load_fan(name)
+        assert_classes_read_back(characteristic_pair(f).wall_classes)
+        pair = CharacteristicPair(f.sphere, CharacteristicFunction(f.rays))
+        assert pair.wall_classes == characteristic_pair(f).wall_classes, name
+
+
+def test_a_constructor_made_sphere_builds_its_index_for_the_calculus():
+    # a sign-flipped pair on a sphere made by the constructor, whose
+    # half-edge index the wall pass builds, and checks, on first use
+    s = load_fan("blowup-cp3").sphere
+    sphere = SimplicialSphere2(s.m, s.triangles, s.oriented, s.walls)
+    assert "_index" not in vars(sphere)
+    lam = [(-x, -y, -z) if i in (0, 2) else (x, y, z)
+           for i, (x, y, z) in enumerate(load_fan("blowup-cp3").rays)]
+    pair = CharacteristicPair(sphere, CharacteristicFunction(lam))
+    assert sorted({pair.integrals[t] for t in s.triangles}) == [-1, 1]
+    assert "_index" in vars(sphere)
+    assert_classes_read_back(pair.wall_classes)
+    base = min(s.triangles)
+    oracle = integral_table_oracle(lam, s.triangles, normalize=(base, pair.integrals[base]))
+    for ms in all_multisets(s.m):
+        assert signed_triple_intersection(pair, ms) == oracle[ms], ms
 
 
 def test_signed_table_caches_per_pair():

@@ -18,6 +18,7 @@ import pytest
 
 from toriclab.charfunc import CharacteristicPair, check_star_condition
 from toriclab.cohomology import (
+    WallClass,
     chern_number_c1c2,
     evaluate_volume,
     volume_polynomial,
@@ -40,7 +41,7 @@ from subdivision import subdivided_cp3
 from test_charfunc import nanotube_sphere
 
 
-@pytest.fixture(scope="module", params=[20, 60, 200])
+@pytest.fixture(scope="module", params=[20, 60, 200, 1004])
 def subdivided(request):
     m = request.param
     f, volume = subdivided_cp3(m, seed=m)
@@ -78,6 +79,12 @@ def test_wall_classes_read_off_the_wall_relation(subdivided):
         assert sum(cls.pairing) == w.curvature, w.key
 
 
+def test_the_calculus_makes_classes_its_reader_reads_back(subdivided):
+    f, _ = subdivided
+    for cls in wall_classes(f):
+        assert WallClass(cls.wall, cls.entries, cls.m) == cls, cls
+
+
 def test_signed_classes_equal_unsigned(subdivided):
     f, _ = subdivided
     assert signed_wall_classes(characteristic_pair(f)) == wall_classes(f)
@@ -109,25 +116,22 @@ def test_volume_values_match_the_fraction_sum(m):
 
 def test_support_pipeline_builds_classes_and_sixths_once(monkeypatch):
     # work counters: the 3m - 6 wall classes are built once, on the pair,
-    # and V.coeffs makes one Fraction per distinct coefficient at most
+    # by one run of the calculus, and V.coeffs makes one Fraction per
+    # distinct coefficient at most
     import toriclab.cohomology as cohomology_module
-    from toriclab.cone import WallClass
 
     f, volume = subdivided_cp3(104, seed=104)
     built = []
-    init = WallClass.__init__
-
-    def counting_init(self, wall, entries, m):
-        built.append(wall)
-        init(self, wall, entries, m)
-
-    monkeypatch.setattr(WallClass, "__init__", counting_init)
+    table = cohomology_module.integral_table
+    monkeypatch.setattr(cohomology_module, "integral_table",
+                        lambda pair: built.append(table(pair)) or built[-1])
     assert gauss_bonnet_sum(f) == chern_number_c1c2(f) == 24
     v = volume_polynomial(f)
     assert evaluate_volume(v, f.support) == volume
     classes = wall_classes(f)
     assert signed_wall_classes(characteristic_pair(f)) is classes
-    assert len(built) == len(set(built)) == len(classes) == 3 * f.m - 6
+    assert [made for _, made in built] == [classes]
+    assert len({cls.wall for cls in classes}) == len(classes) == 3 * f.m - 6
 
     made = []
 
