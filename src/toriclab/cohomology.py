@@ -123,9 +123,9 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int],
                               else f"triangle {key} has degenerate vectors (det 0)")
     table: dict[Multiset, int] = dict(zip(sphere.triangles, dets))
     # half-edge h runs flat[h] -> head[h] in triangle h // 3, opposite apex[h]
-    flat, _, twin, _, edge = sphere._index
-    head, apex = flat[1:] + flat[:1], flat[-1:] + flat[:-1]
-    head[2::3], apex[0::3] = flat[0::3], flat[2::3]
+    (flat, _, twin, _, edge), apex = sphere._index, sphere._apexes
+    head = flat[1:] + flat[:1]
+    head[2::3] = flat[0::3]
     m, first = sphere.m, dict(zip(reversed(flat), range(len(flat) - 1, -1, -1)))
     mu = [dual_covector(dets[h // 3], lam[head[h]], lam[apex[h]])
           for h in map(first.__getitem__, range(m))]  # off each vertex's first triangle

@@ -119,7 +119,8 @@ def _search(sphere: SimplicialSphere2) -> tuple[FacetColoring, dict[str, int]]:
         if color is None:  # stage 2 gave up: stage 1 again, with no budget
             color, counters["nodes"], counters["undone"] = _dsatur(adj, float("inf"))
             counters["stage"] = 3
-    coloring = FacetColoring(tuple(map(COLORS.__getitem__, color)))
+    coloring = object.__new__(FacetColoring)  # made here, so not read again
+    coloring.__dict__["colors"] = tuple(map(COLORS.__getitem__, color))
     if not coloring.is_proper(sphere):  # so it meets the star condition too
         raise InternalError("solver produced an improper coloring")
     return coloring, counters
@@ -183,5 +184,6 @@ def _dsatur(adj: list[list[int]], budget) -> tuple[list[int], int, int]:
 
 def coloring_to_charfunc(coloring: FacetColoring) -> CharacteristicFunction:
     """Replace colors by vectors: a, b, c, d -> e1, e2, e3, e1+e2+e3."""
-    return CharacteristicFunction(
-        tuple(COLOR_VECTORS[c] for c in coloring.colors))
+    lam = object.__new__(CharacteristicFunction)  # primitive by construction, not read again
+    lam.__dict__["vectors"] = tuple(map(COLOR_VECTORS.__getitem__, coloring.colors))
+    return lam

@@ -37,12 +37,12 @@ class SimplicialSphere2(_Value):
     wall is traversed once in each direction, i.e. the orientation is
     globally consistent.  ``walls`` are the sorted 2-element faces.
 
-    Three caches are kept, each built on first use unless a maker stores
+    Four caches are kept, each built on first use unless a maker stores
     it: the half-edge index (:attr:`_index`; triangle t owns half-edges
-    3t..3t+2 and runs as ``oriented[t]``), the neighbour lists and the
-    apex pairs read off the index.  None is a field, so equality and
-    hashing see only the fields.  A fan's characteristic pair holds the
-    fan's own sphere, so the two share all three.
+    3t..3t+2 and runs as ``oriented[t]``), and, read off it, the neighbour
+    lists, each half-edge's apex and the walls' apex pairs.  None is a
+    field, so equality and hashing see only the fields.  A fan's
+    characteristic pair holds the fan's own sphere, so the two share all four.
     """
 
     m: int
@@ -134,15 +134,19 @@ class SimplicialSphere2(_Value):
         return _rings(flat, twin, self.m, list(map(flat.__getitem__, twin)))
 
     @cached_property
+    def _apexes(self) -> list[int]:
+        """Each half-edge's apex, the third vertex of its triangle."""
+        flat = self._index[0]
+        return list(chain.from_iterable(zip(flat[2::3], flat[0::3], flat[1::3])))
+
+    @cached_property
     def _apex_pairs(self) -> dict[int, tuple[int, int]]:
         """Each wall (u, v)'s two apexes keyed by its code u * m + v, in
         ``walls`` order: first the one whose triangle runs u -> v, then the
         one across the twin.  Fans ask for every wall several times; one
         dict entry is read faster than a bisection and a dozen lookups."""
         flat, _, twin, codes, edge = self._index
-        third = [0] * len(flat)  # of each half-edge's triangle
-        third[0::3], third[1::3], third[2::3] = flat[2::3], flat[0::3], flat[1::3]
-        twins = list(map(twin.__getitem__, edge))
+        third, twins = self._apexes, list(map(twin.__getitem__, edge))
         return dict(zip(codes, [(x, y) if s < t else (y, x) for s, t, x, y in zip(
             map(flat.__getitem__, edge), map(flat.__getitem__, twins),
             map(third.__getitem__, edge), map(third.__getitem__, twins))]))

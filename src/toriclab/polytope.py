@@ -11,14 +11,14 @@ faces the facet cycles, with three facets checked at every vertex.
 :meth:`SimplePolytope3.from_facets` keeps the index of the cycles as given
 (turned where needed), while each stored cycle starts at its least vertex,
 and a polytope made by the constructor gets the index of its stored
-cycles.  :func:`dual_sphere` and :func:`dual_polytope` read one shape off
-the other's index.
+cycles.  Its facets' neighbour lists and sorted facet-pair codes are kept
+too, and are the dual sphere's neighbour lists and walls.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, repeat
 from functools import cached_property
 from operator import add, eq, lt, mul
 
@@ -38,8 +38,8 @@ class SimplePolytope3(_Value):
     The half-edge index (:attr:`_index`, see :func:`_half_edges`) is kept:
     :meth:`from_facets` stores the one its validation built; a polytope
     made by the constructor builds it the same way on first use, leaving
-    the stored cycles as given.  It is not a field, so equality and hashing
-    see only the fields.
+    the stored cycles as given; so are the lists read off it, :attr:`_neighbours`
+    and :attr:`_pairs`.  None is a field, so equality and hashing see only fields.
     """
 
     name: str
@@ -52,12 +52,12 @@ class SimplePolytope3(_Value):
         The name must be one a ``poly3`` header reads back.  Cycles must have
         length >= 3 and no repeated vertex, the vertex ids must be 0..n-1,
         each in three facets, and every edge must lie in two facets, no
-        two facets sharing two edges, with Euler characteristic 2.  When
-        some edge runs the same way in both its facets, :func:`_orient`
-        turns facets to agree with facet 0, or refuses; when none does, as
-        in a document written consistently, nothing turns and only the
-        connection is checked, by :func:`_connected`.  Each stored cycle
-        starts at its least vertex.
+        two facets sharing two edges (the kept facet-pair codes rise
+        strictly), with Euler characteristic 2.  When some edge runs the
+        same way in both its facets, :func:`_orient` turns facets to agree
+        with facet 0, or refuses; when none does, nothing turns and only
+        the connection is checked, by :func:`_connected` on the kept
+        neighbour lists.  Each stored cycle starts at its least vertex.
         """
         _name(name, "poly3")
         cycles = list(_sequences(facets, "facets", "facet {}"))
@@ -82,32 +82,24 @@ class SimplePolytope3(_Value):
                     raise ValidationError(f"vertex {v} lies in {k} facets")
 
         index = _half_edges(cycles, flat, n, "edge {} lies in {} facets")
-        _, face, twin, _, edge = index
-        # each edge's facets a < b as a * f + b: edge holds the first half-edge
-        f = len(cycles)
-        shared = list(map(add, map(mul, map(face.__getitem__, edge), repeat(f)),
-                          map(face.__getitem__, map(twin.__getitem__, edge))))
-        if len(set(shared)) != len(shared):
-            for code, k in sorted(Counter(shared).items()):
-                if k > 1:
-                    raise ValidationError("facets {} and {} share {} edges".format(
-                        *divmod(code, f), k))
-        e = len(edge)
+        pairs, f, e = _facet_pairs(index, len(cycles)), len(cycles), len(index[4])
+        if not all(map(lt, pairs, pairs[1:])):  # ascending, so the least repeat is met first
+            code = next(a for a, b in zip(pairs, pairs[1:]) if a == b)
+            raise ValidationError("facets {} and {} share {} edges".format(
+                *divmod(code, f), pairs.count(code)))
         if n - e + f != 2:
             raise ValidationError(f"Euler characteristic {n - e + f} != 2 (v={n}, e={e}, f={f})")
-        if any(map(eq, flat, map(flat.__getitem__, twin))):
+        parts = 0  # every edge already runs once each way: no facet turns
+        if any(map(eq, flat, map(flat.__getitem__, index[2]))):
             flipped, _, parts = _orient(index, cycles,
                                         "facet cycles are not consistently orientable")
             cycles = [c[::-1] if turn else c for c, turn in zip(cycles, flipped)]
-            connected = parts == 1
-        else:  # every edge already runs once each way: no facet turns
-            connected = _connected(face, twin, lengths)
-        if not connected:
-            raise ValidationError("facet adjacency graph is disconnected")
         # each cycle rotated to start at its least vertex, direction kept
         p = cls(name=name, facets=tuple([c[k:] + c[:k] for c, k in zip(
             cycles, map(tuple.index, cycles, map(min, cycles)))]))
-        p.__dict__["_index"] = index  # cached_property slot
+        p.__dict__.update(_index=index, _pairs=pairs)  # cached_property slots
+        if parts > 1 or not parts and not _connected(p._neighbours):
+            raise ValidationError("facet adjacency graph is disconnected")
         return p
 
     @cached_property
@@ -117,6 +109,18 @@ class SimplePolytope3(_Value):
         as given (turned where needed), so a face's half-edges need not
         start where its stored cycle starts."""
         return SimplePolytope3.from_facets(self.name, self.facets)._index
+
+    @cached_property
+    def _neighbours(self) -> list[list[int]]:
+        """Each facet's neighbours, across its half-edges in index order."""
+        _, face, twin, _, _ = self._index
+        across, ends = list(map(face.__getitem__, twin)), list(accumulate(map(len, self.facets)))
+        return list(map(across.__getitem__, map(slice, [0, *ends], ends)))
+
+    @cached_property
+    def _pairs(self) -> list[int]:
+        """:func:`_facet_pairs`: the walls of the dual."""
+        return _facet_pairs(self._index, self.num_facets)
 
     @property
     def num_facets(self) -> int:
@@ -135,30 +139,33 @@ class SimplePolytope3(_Value):
         return len(self._index[3])
 
 
-def _connected(face: list[int], twin: list[int], lengths) -> bool:
-    """Whether the faces of an index, of the given lengths, form one
-    component: a walk from face 0 through each face's neighbours, the
-    faces across its own slice of half-edges, reaches every face."""
-    ends = list(accumulate(lengths))
-    across = list(map(face.__getitem__, twin))
-    around = list(map(across.__getitem__, map(slice, [0, *ends], ends)))
-    seen = [False] * len(ends)
+def _facet_pairs(index: Index, f: int) -> list[int]:
+    """Each edge's two faces a < b as a * f + b, ascending: ``edge`` holds
+    its first half-edge, which lies in a."""
+    _, face, twin, _, edge = index
+    return sorted(map(add, map(mul, map(face.__getitem__, edge), repeat(f)),
+                      map(face.__getitem__, map(twin.__getitem__, edge))))
+
+
+def _connected(around: list[list[int]]) -> bool:
+    """Whether faces with these neighbour lists form one component: a walk
+    from face 0 through each face's neighbours reaches every face."""
+    seen = [False] * len(around)
     seen[0], reached = True, [0]
     for i in reached:  # grows as it is read
         for j in around[i]:
             if not seen[j]:
                 seen[j] = True
                 reached.append(j)
-    return len(reached) == len(ends)
+    return len(reached) == len(around)
 
 
 def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     """The dual simplicial 2-sphere: sphere vertex i <-> facet i of p.
 
-    It is read straight off the half-edge index ``(flat, face, twin, ...)``.
-    With ``across = face[twin[h]]``, the neighbours of vertex i are
-    ``across`` along facet i's cycle, and the walls are the pairs
-    ``(face[h], across[h])`` with ``face[h] < across[h]``.  Each polytope
+    It is read off the polytope's kept lists: its neighbour lists are the
+    facets' own (``across = face[twin[h]]`` along each facet's cycle in the
+    index), and its walls the sorted facet-pair codes.  Each polytope
     vertex becomes the triangle (i, b, c) read at its lowest facet i, b and
     c being the neighbours across the edges the cycle leaves and enters it
     by; that order is its oriented representative.
@@ -176,9 +183,8 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     ``m - W + T = 2`` and ``2W = 3T`` and the strict order of triangles
     and walls are checked; a failure is an InternalError.
     """
-    _, face, twin, _, _ = p._index
-    m = p.num_facets
-    across = list(map(face.__getitem__, twin))
+    face, m = p._index[1], p.num_facets
+    across = list(chain.from_iterable(p._neighbours))
     # at the vertex each half-edge runs into: b across the next half-edge, c
     # across this one, kept where i is the lowest of the three facets
     reps = [(i, b, c) for i, b, c in zip(face, _heads(across, p.facets), across) if b > i < c]
@@ -186,14 +192,12 @@ def dual_sphere(p: SimplePolytope3) -> SimplicialSphere2:
     keys = [(i * m + b) * m + c if b < c else (i * m + c) * m + b for i, b, c in reps]
     reps = tuple(map(reps.__getitem__, sorted(range(len(reps)), key=keys.__getitem__)))
     tris = tuple([(i, b, c) if b < c else (i, c, b) for i, b, c in reps])
-    walls = tuple(sorted(compress(zip(face, across), map(lt, face, across))))
+    walls = tuple(map(divmod, p._pairs, repeat(m)))
     if (m - len(walls) + len(tris) != 2 or 2 * len(walls) != 3 * len(tris)
             or not all(map(lt, tris, tris[1:])) or not all(map(lt, walls, walls[1:]))):
         raise InternalError(f"dual of polytope {p.name!r} is not a 2-sphere")
-    ends = list(accumulate(map(len, p.facets)))
     sphere = SimplicialSphere2(m, tris, reps, walls)
-    sphere.__dict__.update(_proved=True,  # its index needs no validation
-                           _neighbours=list(map(across.__getitem__, map(slice, [0, *ends], ends))))
+    sphere.__dict__.update(_proved=True, _neighbours=p._neighbours)  # its index is not validated
     return sphere
 
 
@@ -212,12 +216,12 @@ def dual_polytope(sphere: SimplicialSphere2, name: str) -> SimplePolytope3:
 
 def face_histogram(p: SimplePolytope3) -> dict[int, int]:
     """Counts of facets by cycle length k (k >= 3)."""
-    return dict(sorted(Counter(len(f) for f in p.facets).items()))
+    return dict(sorted(Counter(map(len, p.facets)).items()))
 
 
 def is_fullerene(p: SimplePolytope3) -> bool:
     """True iff every facet is a pentagon or a hexagon."""
-    return set(face_histogram(p)) <= {5, 6}
+    return set(map(len, p.facets)) <= {5, 6}
 
 
 def parse_polytope(text: str) -> SimplePolytope3:

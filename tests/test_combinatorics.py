@@ -351,6 +351,46 @@ def test_polytope_path_builds_no_apex_map(monkeypatch):
         calls.clear()
 
 
+def test_the_polytope_path_builds_one_index(monkeypatch):
+    # parse -> dual -> 4-coloring -> characteristic function -> star check
+    # builds the polytope's index alone: the dual holds the polytope's own
+    # neighbour lists, and its walls are the kept facet-pair codes
+    calls = counting_half_edges(monkeypatch)
+    for name in POLYTOPE_NAMES:
+        calls.clear()
+        p = parse_polytope(corpus_get(name).text)
+        s = dual_sphere(p)
+        lam = coloring_to_charfunc(four_color(s))
+        assert check_star_condition(CharacteristicPair(s, lam)).ok
+        assert calls == [p.num_vertices]
+        assert s._neighbours is p._neighbours
+        assert s.walls == tuple(divmod(code, s.m) for code in p._pairs)
+
+
+def test_a_constructed_polytope_dualises_to_the_same_lists():
+    # a constructor-made polytope builds its index, neighbour lists and
+    # facet-pair codes on first use.  Written consistently, each cycle at
+    # its least vertex, the parsed polytope's index runs as its stored
+    # cycles, so the neighbour lists are equal; with facets turned and
+    # rotated, they are equal up to where each ring starts
+    def rings(s):
+        return [r[r.index(min(r)):] + r[:r.index(min(r))] for r in s._neighbours]
+
+    stacked = dual_polytope(subdivided_cp3(60, seed=1)[0].sphere, "stacked")
+    for p in [load_polytope(name) for name in POLYTOPE_NAMES] + [stacked]:
+        for text, exact in ((serialize_polytope(p), True),
+                            (serialize_polytope(SimplePolytope3(p.name, tuple(
+                                flipped_and_rotated(p)))), False)):
+            parsed = parse_polytope(text)
+            q = SimplePolytope3(parsed.name, parsed.facets)
+            assert not {"_index", "_neighbours", "_pairs"} & set(vars(q))
+            s, t = dual_sphere(parsed), dual_sphere(q)
+            assert (t.m, t.triangles, t.oriented, t.walls) == (s.m, s.triangles, s.oriented,
+                                                               s.walls)
+            assert q._pairs == parsed._pairs
+            assert (t._neighbours == s._neighbours) if exact else rings(t) == rings(s)
+
+
 def sphere_answers(s):
     return (s.walls,
             [s.wall_apexes(w) for w in s.walls],
@@ -871,7 +911,9 @@ class TestOrientationShortcut:
                                       self.TORUS, 4)), False)):
             n = max(map(max, cycles)) + 1
             index = _half_edges(cycles, [v for c in cycles for v in c], n, "{} {}")
-            assert _connected(index[1], index[2], map(len, cycles)) == connected
+            # each face's neighbours, the faces across its half-edges
+            across = iter([index[1][g] for g in index[2]])
+            assert _connected([[next(across) for _ in c] for c in cycles]) == connected
             assert (_orient(index, cycles, "")[2] == 1) == connected
 
     def test_disconnected_facets_are_refused_either_way(self):

@@ -9,7 +9,9 @@ share no code with the library.  The exact-LP route of the cone analysis
 runs on a support-free fan with m = 24 and its certificates are checked,
 and the positive-functional LP at m = 74 is held to a pivot budget.
 Polytopes of about 1100 facets are held to the f-vector, the Betti numbers,
-a proper coloring with the star condition, and the double dual.
+a proper coloring with the star condition, and the double dual; the dual
+spheres of about 1000 facets to the validated sphere of their triangles,
+with faulty documents of that size refused as small ones are.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ from toriclab.cohomology import (
     volume_polynomial,
 )
 from toriclab.coloring import coloring_to_charfunc, four_color
-from toriclab.combinatorics import betti_numbers
+from toriclab.combinatorics import SimplicialSphere2, betti_numbers
 from toriclab.cone import (
     delzant_obstruction_witness,
     extremal_walls,
@@ -32,8 +34,9 @@ from toriclab.cone import (
     strict_convexity_witness,
     wall_classes,
 )
+from toriclab.errors import ValidationError
 from toriclab.fan import Fan3, characteristic_pair, check_complete, gauss_bonnet_sum
-from toriclab.polytope import dual_polytope, dual_sphere
+from toriclab.polytope import SimplePolytope3, dual_polytope, dual_sphere
 
 from oracles import (integral_table_oracle, polytope_volume_oracle,
                      volume_value_reference)
@@ -249,3 +252,48 @@ def test_polytope_invariants_at_scale(family):
 def _canon(cycle):
     k = cycle.index(min(cycle))
     return cycle[k:] + cycle[:k]
+
+
+def _two_shared_edges(p):
+    """p's facet cycles with facets 0 and b, sharing the edge x -> y that
+    opens facet 0, made to share two: that edge becomes x - p1 and p4 - y,
+    with new vertices p1..p4 between them and two new triangular facets."""
+    x, y = p.facets[0][:2]
+    b = next(i for i, f in enumerate(p.facets) if i and x in f and y in f)
+    p1, p2, p3, p4 = range(p.num_vertices, p.num_vertices + 4)
+    cycles = [list(f) for f in p.facets]
+    cycles[0][1:1] = [p1, p2, p4]  # x, p1, p2, p4, y
+    f = cycles[b]
+    k = f.index(y)  # f runs y -> x
+    f[k + 1:k + 1] = [p4, p3, p1]
+    return [tuple(f) for f in cycles] + [(p1, p3, p2), (p2, p3, p4)], b
+
+
+@pytest.mark.parametrize("family", ["nanotube", "stacked"])
+@pytest.mark.parametrize("turned", [False, True])
+def test_dual_sphere_reads_the_kept_lists_at_scale(family, turned):
+    # the (5,0) nanotube C_2000 (1002 facets), or the dual of a stacked
+    # sphere on 1000 vertices; turned, every other facet is reversed and
+    # each rotated, so from_facets orients them
+    from test_combinatorics import TestOrientationShortcut, flipped_and_rotated
+
+    t = nanotube_sphere(198) if family == "nanotube" else subdivided_cp3(1000, seed=4)[0].sphere
+    p = dual_polytope(t, family)
+    cycles = flipped_and_rotated(p) if turned else list(p.facets)
+    q = SimplePolytope3.from_facets(family, cycles)
+    assert q == p
+    s = dual_sphere(q)
+    u = SimplicialSphere2.from_triangles(s.m, s.triangles, oriented=s.oriented)
+    assert (s.triangles, s.walls) == (u.triangles, u.walls)
+    assert [_canon(tuple(r)) for r in s._neighbours] == [_canon(tuple(r)) for r in u._neighbours]
+    # the same cycles refused, with the messages of small documents
+    shared, b = _two_shared_edges(p)
+    torus = TestOrientationShortcut.oriented_dual_cycles(TestOrientationShortcut.TORUS)
+    apart = list(p.facets) + [tuple(v + p.num_vertices for v in f) for f in torus]
+    if turned:
+        shared, apart = (flipped_and_rotated(SimplePolytope3(family, tuple(c)))
+                         for c in (shared, apart))
+    with pytest.raises(ValidationError, match=f"^facets 0 and {b} share 2 edges$"):
+        SimplePolytope3.from_facets(family, shared)
+    with pytest.raises(ValidationError, match="^facet adjacency graph is disconnected$"):
+        SimplePolytope3.from_facets(family, apart)

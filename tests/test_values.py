@@ -108,8 +108,8 @@ VALUES = {
 CACHES = {
     "CharacteristicPair": ["integrals"],
     "VolumePolynomial": ["terms"],
-    "SimplicialSphere2": ["_neighbours", "_index", "_apex_pairs"],
-    "SimplePolytope3": ["_index"],
+    "SimplicialSphere2": ["_neighbours", "_index", "_apexes", "_apex_pairs"],
+    "SimplePolytope3": ["_index", "_neighbours", "_pairs"],
     "Fan3": ["certificate", "wall_table", "characteristic_pair", "cone_analysis"],
 }
 
