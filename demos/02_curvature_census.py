@@ -6,9 +6,9 @@ Across every wall of a complete unimodular fan in Z^3 the four incident
 rays satisfy one integral relation; its two coefficients (a1, a2) give
 the wall curvature 2 - a1 - a2.  Summed over all walls the curvature is
 always exactly 24, whatever the fan — a discrete Gauss–Bonnet theorem.
-The same 24 falls out of a completely different computation: a Chern
-number evaluated in the degree-reduced intersection calculus.  This
-script tabulates both on the whole bundled corpus.
+The Chern number c1c2 of the intersection calculus is the same sum read
+the other way: each wall class's integrals add up to the wall's
+curvature.  This script tabulates both on the whole bundled corpus.
 """
 
 from toriclab import chern_number_c1c2, gauss_bonnet_sum
@@ -20,7 +20,7 @@ for name in FAN_NAMES:
 
     # per-wall data: coefficients, curvature, convex/flat/concave
     for w in f.walls:
-        print(f"  wall {w.key}: a = ({w.a[0]:>2}, {w.a[1]:>2})   "
+        print(f"  wall {w.pair}: a = ({w.a[0]:>2}, {w.a[1]:>2})   "
               f"curvature {w.curvature:>2}   {w.classification}")
 
     total = gauss_bonnet_sum(f)
@@ -29,7 +29,7 @@ for name in FAN_NAMES:
     print(f"  chern number   : {chern}")
     assert total == 24 == chern
 
-print("\nevery fan sums to 24, and the intersection-theoretic route agrees")
+print("\nevery fan sums to 24, and so does its Chern number")
 
 # the flat-wall fan is the interesting one: subdividing an octant of the
 # box fan creates three flat walls (curvature 0), yet the twelve convex

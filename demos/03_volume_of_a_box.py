@@ -14,7 +14,7 @@ polytope (the support is valid).
 from fractions import Fraction
 
 from toriclab import (
-    edge_functional,
+    edge_functionals,
     serialize_volume_polynomial,
     volume_polynomial,
 )
@@ -45,8 +45,8 @@ print(f"\nvolume of the squeezed box: {V(squeezed)}")
 
 # edge functionals are the exact edge lengths of the cut-out polytope
 print("\nedge functionals at the squeezed support:")
-for w in box.walls:
-    print(f"  wall {w.key}: {edge_functional(box, w.key, squeezed)}")
+for pair, length in edge_functionals(box, squeezed).items():
+    print(f"  wall {pair}: {length}")
 
 # push one facet past its opposite and the support stops being valid:
 # four edges collapse to length <= 0 and certification refuses it

@@ -23,8 +23,8 @@ The layers, from input to certificates:
 All arithmetic is exact (integers and fractions); nothing here floats.
 
 Arguments that are library objects (a ``Fan3``, a sphere, a polytope, a
-characteristic function or pair, a coloring, a ``Wall``, a ``WallClass``
-or a ``VolumePolynomial``) are trusted: anything else in their place is a
+characteristic function or pair, a coloring, a ``WallClass`` or a
+``VolumePolynomial``) are trusted: anything else in their place is a
 mistake in the calling code and may fail with any Python error.  Every
 other argument is data, read by :mod:`toriclab.read`, and a bad value is
 refused with a ``ToricLabError``.
@@ -39,10 +39,9 @@ import importlib
 _EXPORTS = {
     "charfunc": ("CharacteristicFunction", "CharacteristicPair", "check_star_condition",
                  "parse_charfunc"),
-    "cohomology": ("WallClass", "certify_support", "chern_number_c1c2", "edge_functional",
-                   "edge_functionals", "evaluate_volume", "linear_relation",
-                   "serialize_volume_polynomial", "signed_triple_intersection",
-                   "triple_intersection", "volume_polynomial"),
+    "cohomology": ("WallClass", "certify_support", "chern_number_c1c2", "edge_functionals",
+                   "linear_relation", "serialize_volume_polynomial",
+                   "signed_triple_intersection", "volume_polynomial"),
     "coloring": ("FacetColoring", "coloring_to_charfunc", "four_color"),
     "combinatorics": ("SimplicialSphere2", "betti_numbers"),
     "cone": ("ConeAnalysis", "ObstructionWitness", "delzant_obstruction_witness",
@@ -53,9 +52,8 @@ _EXPORTS = {
                "NoWitness", "NotUnimodular", "ParseError", "SupportInvalid",
                "ToricLabError", "ValidationError"),
     "exactlp": ("cone_membership", "positive_functional"),
-    "fan": ("Fan3", "Wall", "certify_fan", "characteristic_pair", "check_complete",
-            "check_unimodular", "classify_wall", "curvature", "gauss_bonnet_sum",
-            "parse_fan", "serialize_fan", "wall_data"),
+    "fan": ("Fan3", "Wall", "characteristic_pair", "check_complete", "check_unimodular",
+            "gauss_bonnet_sum", "parse_fan", "serialize_fan", "wall_data"),
     "polytope": ("SimplePolytope3", "dual_polytope", "dual_sphere", "face_histogram",
                  "is_fullerene", "parse_polytope", "serialize_polytope"),
 }

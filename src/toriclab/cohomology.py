@@ -47,13 +47,12 @@ normalises once instead of at every product and sum.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 
 from .charfunc import CharacteristicPair
 from .errors import SupportInvalid, ValidationError
-from .fan import Fan3, characteristic_pair, wall_data
+from .fan import Fan3, characteristic_pair
 from .lattice import Vec3, det3, dot, dual_covector
 from .read import _as_multiset, _int_vector, _wall_class, integral
 from .value import _Value
@@ -154,14 +153,9 @@ def integral_table(pair: CharacteristicPair) -> tuple[dict[Multiset, int],
     return table, tuple(classes)
 
 
-def triple_intersection(f: Fan3, indices) -> int:
-    """The integral of v_i v_j v_k over the fan's toric space."""
-    key = _as_multiset(indices, f.m)
-    return characteristic_pair(f).integrals.get(key, 0)
-
-
 def signed_triple_intersection(pair: CharacteristicPair, indices) -> int:
-    """Integral of v_i v_j v_k for an arbitrary characteristic pair."""
+    """Integral of v_i v_j v_k for an arbitrary characteristic pair; a fan's
+    integral over its toric space is that of ``characteristic_pair(f)``."""
     key = _as_multiset(indices, pair.lam.m)
     return pair.integrals.get(key, 0)
 
@@ -212,14 +206,13 @@ class VolumePolynomial(_Value):
 
     def coefficient(self, indices) -> Fraction:
         key = _as_multiset(indices, self.m)
-        return Fraction(_weighted([(key, triple_intersection(self.fan, key))])[0][3], 6)
+        value = characteristic_pair(self.fan).integrals.get(key, 0)
+        return Fraction(_weighted([(key, value)])[0][3], 6)
 
     def __call__(self, c) -> Fraction:
+        """The value at c; it is a volume only at support parameters that
+        :func:`certify_support` accepts for the fan."""
         (C,), D = integral((c,), self.m, "{} values for {} variables")
-        return self._value(C, D)
-
-    def _value(self, C: list[int], D: int) -> Fraction:
-        """The value at c_t = C[t] / D."""
         S = sum(w * C[i] * C[j] * C[k] for i, j, k, w in self.terms)
         return Fraction(S, 6 * D ** 3)
 
@@ -257,23 +250,17 @@ def _edge_numerator(entries, C: list[int]) -> int:
     return sum(C[t] * v for t, v in entries)
 
 
-def edge_functional(f: Fan3, pair, c) -> Fraction:
-    """The derivative of the volume polynomial along a wall, evaluated at c.
+def edge_functionals(f: Fan3, c) -> dict[tuple[int, int], Fraction]:
+    """The derivative of the volume polynomial along each wall, evaluated
+    at c, keyed by sorted wall pair in the order of ``f.walls``; c is read
+    once for all of them.
 
     By Euler's identity on the (linear) second partial d_i d_j V, the value
-    is sum_t c_t * integral(v_i v_j v_t).  It is positive exactly when the
-    polytope edge dual to the wall has positive length, so positivity over
-    all walls certifies that c are genuine support parameters for the fan.
+    at wall (i, j) is sum_t c_t * integral(v_i v_j v_t).  It is positive
+    exactly when the polytope edge dual to the wall has positive length, so
+    positivity over all walls certifies that c are genuine support
+    parameters for the fan (:func:`certify_support`).
     """
-    key = wall_data(f, pair).key
-    cls = characteristic_pair(f).wall_classes[bisect_left(f.sphere.walls, key)]
-    (C,), D = integral((c,), f.m)
-    return Fraction(_edge_numerator(cls.entries, C), D)
-
-
-def edge_functionals(f: Fan3, c) -> dict[tuple[int, int], Fraction]:
-    """:func:`edge_functional` at every wall, keyed by sorted wall pair in
-    the order of ``f.walls``; c is read once for all of them."""
     (C,), D = integral((c,), f.m)
     return {cls.wall: Fraction(_edge_numerator(cls.entries, C), D)
             for cls in characteristic_pair(f).wall_classes}
@@ -284,26 +271,10 @@ def _non_positive_edges(classes, C: list[int]) -> list[tuple[tuple[int, int], in
     return [(cls.wall, e) for cls in classes if (e := _edge_numerator(cls.entries, C)) <= 0]
 
 
-def _certify_scaled(f: Fan3, C: list[int], D: int) -> None:
+def certify_support(f: Fan3, c) -> None:
+    """Raise SupportInvalid listing every wall with a non-positive edge."""
+    (C,), D = integral((c,), f.m)
     bad = _non_positive_edges(characteristic_pair(f).wall_classes, C)
     if bad:
         detail = ", ".join(f"wall {p}: {Fraction(e, D)}" for p, e in bad)
         raise SupportInvalid(f"non-positive edge functionals: {detail}")
-
-
-def certify_support(f: Fan3, c) -> None:
-    """Raise SupportInvalid listing every wall with a non-positive edge."""
-    (C,), D = integral((c,), f.m)
-    _certify_scaled(f, C, D)
-
-
-def evaluate_volume(V: VolumePolynomial, c) -> Fraction:
-    """Volume of the polytope cut out by support parameters c.
-
-    The parameters must define a polytope whose normal fan is V's fan;
-    this is certified by edge-functional positivity before evaluating,
-    over the same common denominator.
-    """
-    (C,), D = integral((c,), V.m)
-    _certify_scaled(V.fan, C, D)
-    return V._value(C, D)

@@ -64,11 +64,6 @@ class Wall(_Value):
     curvature: int
     classification: str        # convex | flat | concave
 
-    @property
-    def key(self) -> tuple[int, int]:
-        """The wall as a sorted pair, for lookups."""
-        return self.pair
-
 
 class CompletenessCertificate(_Value):
     """Evidence from check_complete: the sampled direction and its cone."""
@@ -216,14 +211,6 @@ def wall_data(f: Fan3, pair) -> Wall:
         raise ValidationError(f"{key} is not a wall of this fan") from None
 
 
-def curvature(w: Wall) -> int:
-    return w.curvature
-
-
-def classify_wall(f: Fan3, pair) -> str:
-    return wall_data(f, pair).classification
-
-
 def gauss_bonnet_sum(f: Fan3) -> int:
     """Total unimodular curvature over all walls (24 for complete fans)."""
     return sum(w.curvature for w in f.walls)
@@ -292,12 +279,6 @@ def check_complete(f: Fan3, seed: int | None = None) -> CompletenessCertificate:
             f"cones: {hits}")
     raise InternalError("piercing test kept hitting cone boundaries; "
                         "input is degenerate beyond repair")
-
-
-def certify_fan(f: Fan3) -> CompletenessCertificate:
-    """The fan's one certification, ``Fan3.certificate``: made on the
-    first call, which raises NotUnimodular or IncompleteFan, and kept."""
-    return f.certificate
 
 
 def _pierce(f: Fan3, x: Vec3):

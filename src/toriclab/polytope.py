@@ -39,7 +39,8 @@ class SimplePolytope3(_Value):
     :meth:`from_facets` stores the one its validation built; a polytope
     made by the constructor builds it the same way on first use, leaving
     the stored cycles as given; so are the lists read off it, :attr:`_neighbours`
-    and :attr:`_pairs`.  None is a field, so equality and hashing see only fields.
+    and :attr:`_pairs`, each kept from that validation where it made them.
+    None is a field, so equality and hashing see only fields.
     """
 
     name: str
@@ -107,8 +108,12 @@ class SimplePolytope3(_Value):
         """The index :meth:`from_facets` builds of the stored facet cycles.
         A polytope :meth:`from_facets` made keeps the index of its cycles
         as given (turned where needed), so a face's half-edges need not
-        start where its stored cycle starts."""
-        return SimplePolytope3.from_facets(self.name, self.facets)._index
+        start where its stored cycle starts.  The lists the validation read
+        off that index (:attr:`_pairs`, and :attr:`_neighbours` once made)
+        are kept too, not read again."""
+        valid = SimplePolytope3.from_facets(self.name, self.facets).__dict__
+        self.__dict__.update({k: valid[k] for k in ("_pairs", "_neighbours") if k in valid})
+        return valid["_index"]
 
     @cached_property
     def _neighbours(self) -> list[list[int]]:

@@ -24,7 +24,7 @@ from toriclab.charfunc import CharacteristicFunction, CharacteristicPair, check_
 from toriclab.cohomology import (
     chern_number_c1c2,
     linear_relation,
-    triple_intersection,
+    signed_triple_intersection,
     volume_polynomial,
 )
 from toriclab.coloring import coloring_to_charfunc, four_color
@@ -37,7 +37,7 @@ from toriclab.cone import (
 )
 from toriclab.corpus import FAN_NAMES, load_fan, load_polytope
 from toriclab.errors import NoWitness
-from toriclab.fan import Fan3, gauss_bonnet_sum
+from toriclab.fan import Fan3, characteristic_pair, gauss_bonnet_sum
 from toriclab.polytope import dual_polytope, dual_sphere, face_histogram
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -76,8 +76,9 @@ def test_criterion_03_distinct_triples_are_simplex_indicators():
     checked = 0
     for f in all_fans():
         faces = {tuple(sorted(t)) for t in f.sphere.triangles}
+        pair = characteristic_pair(f)
         for triple in combinations(range(f.m), 3):
-            value = triple_intersection(f, triple)
+            value = signed_triple_intersection(pair, triple)
             assert value in (0, 1)
             assert value == (1 if triple in faces else 0)
             checked += 1
@@ -92,7 +93,8 @@ def test_criterion_04_linear_relations_annihilate_wall_classes():
             coeffs = linear_relation(f, mu).coeffs
             for w in f.walls:
                 total = sum(
-                    coeffs[t] * triple_intersection(f, w.key + (t,))
+                    coeffs[t] * signed_triple_intersection(characteristic_pair(f),
+                                                           w.pair + (t,))
                     for t in range(f.m)
                 )
                 assert total == 0
@@ -228,18 +230,20 @@ def test_criterion_10_unimodular_transform_invariance():
     transforms = 0
     for name in FAN_NAMES:
         f = load_fan(name)
-        base_curv = {w.key: w.curvature for w in f.walls}
+        base_curv = {w.pair: w.curvature for w in f.walls}
         base_extremal = extremal_walls(f).extremal
         keys = list(combinations_with_replacement(range(f.m), 3))
-        base_table = {k: triple_intersection(f, k) for k in keys}
+        base_table = {k: signed_triple_intersection(characteristic_pair(f), k)
+                      for k in keys}
         for _ in range(20):
             u = random_unimodular(rng, bound=5,
                                   det_sign=rng.choice((1, -1)))
             g = Fan3.from_data(f.name, [apply_matrix(u, r) for r in f.rays],
                                f.maximal_cones, support=f.support)
-            assert {w.key: w.curvature for w in g.walls} == base_curv
+            assert {w.pair: w.curvature for w in g.walls} == base_curv
             assert gauss_bonnet_sum(g) == 24
-            assert {k: triple_intersection(g, k) for k in keys} == base_table
+            assert {k: signed_triple_intersection(characteristic_pair(g), k)
+                    for k in keys} == base_table
             assert extremal_walls(g).extremal == base_extremal
             transforms += 1
     elapsed = time.perf_counter() - start

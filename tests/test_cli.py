@@ -9,7 +9,7 @@ from toriclab.cli import main
 from toriclab.corpus import FAN_NAMES, POLYTOPE_NAMES, corpus_get
 from toriclab.cohomology import certify_support
 from toriclab.errors import IncompleteFan, SupportInvalid
-from toriclab.fan import Fan3, certify_fan, parse_fan, serialize_fan
+from toriclab.fan import Fan3, check_complete, parse_fan, serialize_fan
 from toriclab.polytope import parse_polytope
 
 
@@ -103,7 +103,6 @@ def test_fan_report_all_corpus_fans(capsys, fan_file, name):
     assert "complete: yes" in out
     assert "gauss_bonnet_sum: 24" in out
     assert "gauss_bonnet_check: PASS" in out
-    assert "chern_matches_gauss_bonnet: yes" in out
     assert "obstruction_witness:" in out
 
 
@@ -313,6 +312,20 @@ def test_missing_file_is_a_parse_error(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("argv, data", [
+    (("fan", "report"), b"\xff\xfe" + "fan3 cp3\n".encode("utf-16-le")),
+    (("polytope", "color"), corpus_get("cube").text.encode() + b"\xc3"),
+], ids=["fan-utf16-bom", "polytope-truncated-utf8"])
+def test_a_document_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, argv, data):
+    # the file opens, but its bytes do not decode: refused as an unreadable
+    # file is, not as an internal error
+    path = tmp_path / "doc"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte "), err
+
+
 def test_garbage_grammar_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "bad.fan"
     path.write_text("garbage nonsense\n")
@@ -370,11 +383,11 @@ def test_every_fan_command_certifies_first(capsys, tmp_path):
 
 def test_branched_cover_is_refused_with_the_library_message(capsys, tmp_path):
     # Every wall check passes on the degree-2 cover of the sphere; each
-    # command refuses it with certify_fan's message, as the library does.
+    # command refuses it with check_complete's message, as the library does.
     path = tmp_path / "branched-cover.fan"
     path.write_text(branched_cover_text())
     with pytest.raises(IncompleteFan, match="lies in 2 maximal cones") as e:
-        certify_fan(parse_fan(branched_cover_text()))
+        check_complete(parse_fan(branched_cover_text()))
     for cmd in ("report", "volume", "extremal", "witness"):
         code, out, err = run(capsys, "fan", cmd, str(path))
         assert (code, out, err) == (1, "", f"error: {e.value}\n"), cmd

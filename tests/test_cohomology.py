@@ -22,21 +22,17 @@ from toriclab.cohomology import (
     WallClass,
     certify_support,
     chern_number_c1c2,
-    edge_functional,
     edge_functionals,
-    evaluate_volume,
     integral_table,
     linear_relation,
     serialize_volume_polynomial,
     signed_triple_intersection,
-    triple_intersection,
     volume_polynomial,
 )
 from toriclab.combinatorics import SimplicialSphere2, betti_numbers
 from toriclab.corpus import FAN_NAMES, load_fan, load_polytope
 from toriclab.errors import IncompleteFan, SupportInvalid, ValidationError
-from toriclab.fan import (Fan3, characteristic_pair, check_complete, classify_wall,
-                         parse_fan, wall_data)
+from toriclab.fan import Fan3, characteristic_pair, check_complete, parse_fan, wall_data
 from toriclab.polytope import dual_sphere
 
 from branched import branched_cover_text
@@ -55,20 +51,20 @@ def all_multisets(m):
 
 
 def test_distinct_triples_cp3():
-    f = load_fan("cp3")
+    pair = characteristic_pair(load_fan("cp3"))
     # the number for three distinct classes is 1 exactly when the
     # corresponding rays span a maximal cone
-    assert triple_intersection(f, (0, 1, 2)) == 1
-    assert triple_intersection(f, (0, 1, 3)) == 1
+    assert signed_triple_intersection(pair, (0, 1, 2)) == 1
+    assert signed_triple_intersection(pair, (0, 1, 3)) == 1
 
 
 def test_distinct_triples_scan_matches_cone_membership():
     for name in FAN_NAMES:
         f = load_fan(name)
-        cones = set(f.maximal_cones)
+        cones, pair = set(f.maximal_cones), characteristic_pair(f)
         for trip in itertools.combinations(range(f.m), 3):
             expected = 1 if tuple(sorted(trip)) in cones else 0
-            assert triple_intersection(f, trip) == expected, (name, trip)
+            assert signed_triple_intersection(pair, trip) == expected, (name, trip)
 
 
 def test_square_times_adjacent_is_minus_wall_coefficient():
@@ -76,36 +72,37 @@ def test_square_times_adjacent_is_minus_wall_coefficient():
     # wall relation across the wall {i, j}
     for name in FAN_NAMES:
         f = load_fan(name)
+        pair = characteristic_pair(f)
         for w in f.walls:
             i, j = w.pair
             ai, aj = w.a
-            assert triple_intersection(f, (i, i, j)) == -ai, (name, w.pair)
-            assert triple_intersection(f, (j, j, i)) == -aj, (name, w.pair)
+            assert signed_triple_intersection(pair, (i, i, j)) == -ai, (name, w.pair)
+            assert signed_triple_intersection(pair, (j, j, i)) == -aj, (name, w.pair)
 
 
 def test_square_examples():
     # hand reductions on the coordinate-cube fan and cp3
-    cube = load_fan("cube-fan")
-    assert triple_intersection(cube, (0, 0, 2)) == 0
-    assert triple_intersection(cube, (0, 0, 0)) == 0
-    cp3 = load_fan("cp3")
-    assert triple_intersection(cp3, (0, 0, 1)) == 1
-    assert triple_intersection(cp3, (0, 0, 0)) == 1
+    cube = characteristic_pair(load_fan("cube-fan"))
+    assert signed_triple_intersection(cube, (0, 0, 2)) == 0
+    assert signed_triple_intersection(cube, (0, 0, 0)) == 0
+    cp3 = characteristic_pair(load_fan("cp3"))
+    assert signed_triple_intersection(cp3, (0, 0, 1)) == 1
+    assert signed_triple_intersection(cp3, (0, 0, 0)) == 1
 
 
 def test_non_wall_distinct_pair_inside_repeat():
     # {i, i, j} for a non-adjacent pair reduces to zero: u_i u_j is already
     # zero in the face ring.
-    cube = load_fan("cube-fan")
-    assert triple_intersection(cube, (0, 0, 1)) == 0  # antipodal rays
+    cube = characteristic_pair(load_fan("cube-fan"))
+    assert signed_triple_intersection(cube, (0, 0, 1)) == 0  # antipodal rays
 
 
 def test_bad_indices_rejected():
-    f = load_fan("cp3")
+    pair = characteristic_pair(load_fan("cp3"))
     with pytest.raises(ValidationError):
-        triple_intersection(f, (0, 1))
+        signed_triple_intersection(pair, (0, 1))
     with pytest.raises(ValidationError):
-        triple_intersection(f, (0, 1, 9))
+        signed_triple_intersection(pair, (0, 1, 9))
 
 
 @pytest.mark.parametrize("indices", [(0.9, 1, 2), ("a", 1, 2), (Fraction(1), 1, 2),
@@ -117,8 +114,6 @@ def test_non_integer_indices_rejected(indices):
     f = load_fan("cp3")
     message = rf"^indices {re.escape(repr(indices))} are not all integers$"
     with pytest.raises(ValidationError, match=message):
-        triple_intersection(f, indices)
-    with pytest.raises(ValidationError, match=message):
         signed_triple_intersection(characteristic_pair(f), indices)
     with pytest.raises(ValidationError, match=message):
         volume_polynomial(f).coefficient(indices)
@@ -126,7 +121,8 @@ def test_non_integer_indices_rejected(indices):
         f.sphere.orientation_sign(*indices)
     pair = indices[:2]
     message = rf"^indices {re.escape(repr(pair))} are not all integers$"
-    for lookup in (wall_data, classify_wall, lambda f, pair: edge_functional(f, pair, f.support),
+    for lookup in (wall_data, lambda f, pair: wall_data(f, pair).classification,
+                   lambda f, pair: edge_functionals(f, f.support)[wall_data(f, pair).pair],
                    lambda f, pair: f.sphere.wall_apexes(pair)):
         with pytest.raises(ValidationError, match=message):
             lookup(f, pair)
@@ -137,11 +133,10 @@ def test_keys_that_are_no_sequence_rejected(key):
     # each escaped as a bare TypeError ("... object is not iterable")
     f = load_fan("cp3")
     pair = characteristic_pair(f)
-    for lookup in (lambda: triple_intersection(f, key),
-                   lambda: signed_triple_intersection(pair, key),
+    for lookup in (lambda: signed_triple_intersection(pair, key),
                    lambda: volume_polynomial(f).coefficient(key),
-                   lambda: wall_data(f, key), lambda: classify_wall(f, key),
-                   lambda: edge_functional(f, key, f.support),
+                   lambda: wall_data(f, key), lambda: wall_data(f, key).classification,
+                   lambda: edge_functionals(f, f.support)[wall_data(f, key).pair],
                    lambda: f.sphere.wall_apexes(key)):
         with pytest.raises(ValidationError, match=rf"^indices {key!r} are not a sequence$"):
             lookup()
@@ -162,8 +157,9 @@ def test_full_tables_match_linear_system_oracle():
     for name in FAN_NAMES:
         f = load_fan(name)
         oracle = integral_table_oracle(f.rays, f.maximal_cones)
+        pair = characteristic_pair(f)
         for ms in all_multisets(f.m):
-            assert triple_intersection(f, ms) == oracle[ms], (name, ms)
+            assert signed_triple_intersection(pair, ms) == oracle[ms], (name, ms)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +186,7 @@ def test_relations_annihilate_every_table():
             rel = linear_relation(f, mu)
             for pair in itertools.combinations_with_replacement(range(f.m), 2):
                 total = sum(
-                    c * triple_intersection(f, pair + (t,))
+                    c * signed_triple_intersection(characteristic_pair(f), pair + (t,))
                     for t, c in enumerate(rel.coeffs)
                 )
                 assert total == 0, (name, mu, pair)
@@ -203,7 +199,8 @@ def test_wall_curvature_equals_column_sum():
         f = load_fan(name)
         for w in f.walls:
             i, j = w.pair
-            total = sum(triple_intersection(f, (i, j, t)) for t in range(f.m))
+            total = sum(signed_triple_intersection(characteristic_pair(f), (i, j, t))
+                        for t in range(f.m))
             assert total == w.curvature, (name, w.pair)
 
 
@@ -245,12 +242,14 @@ def test_volume_values_match_geometry_oracle():
 
 def test_cube_volume_is_8():
     f = load_fan("cube-fan")
-    assert evaluate_volume(volume_polynomial(f), f.support) == 8
+    certify_support(f, f.support)
+    assert volume_polynomial(f)(f.support) == 8
 
 
 def test_cp3_volume_is_32_over_3():
     f = load_fan("cp3")
-    assert evaluate_volume(volume_polynomial(f), f.support) == Fraction(32, 3)
+    certify_support(f, f.support)
+    assert volume_polynomial(f)(f.support) == Fraction(32, 3)
 
 
 def test_cube_volume_factors_as_product_of_widths():
@@ -356,9 +355,9 @@ def test_third_differences_recover_the_table():
     # intersection numbers — the two constructions are mutually inverse.
     for name in ("cp3", "flatwall"):
         f = load_fan(name)
-        v = volume_polynomial(f)
+        v, pair = volume_polynomial(f), characteristic_pair(f)
         for ms in all_multisets(f.m):
-            assert _third_difference(v, f.m, *ms) == triple_intersection(f, ms), (
+            assert _third_difference(v, f.m, *ms) == signed_triple_intersection(pair, ms), (
                 name,
                 ms,
             )
@@ -393,9 +392,8 @@ def test_volume_serialization_format():
 
 def test_degenerate_support_rejected():
     f = load_fan("cube-fan")
-    v = volume_polynomial(f)
     with pytest.raises(SupportInvalid) as err:
-        evaluate_volume(v, (1, -1, 1, 1, 1, 1))
+        certify_support(volume_polynomial(f).fan, (1, -1, 1, 1, 1, 1))
     # The slab 1 <= x1 <= 1 is flat, so the four edges parallel to the
     # first axis collapse to points.
     msg = str(err.value)
@@ -406,30 +404,33 @@ def test_degenerate_support_rejected():
 
 def test_edge_functional_examples():
     cube = load_fan("cube-fan")
-    assert edge_functional(cube, (0, 2), cube.support) == 2
+    assert edge_functionals(cube, cube.support)[wall_data(cube, (0, 2)).pair] == 2
     cp3 = load_fan("cp3")
-    assert edge_functional(cp3, (0, 1), cp3.support) == 4
+    assert edge_functionals(cp3, cp3.support)[wall_data(cp3, (0, 1)).pair] == 4
 
 
 def test_edge_functional_needs_a_wall():
     # rays 0 and 1 of the cube fan are opposite
     with pytest.raises(ValidationError, match=r"^\(0, 1\) is not a wall of this fan$"):
-        edge_functional(load_fan("cube-fan"), (1, 0), [1] * 6)
+        cube = load_fan("cube-fan")
+        edge_functionals(cube, [1] * 6)[wall_data(cube, (1, 0)).pair]
 
 
 def test_edge_functional_vanishes_on_collapsed_edge():
     cube = load_fan("cube-fan")
     # The flat slab collapses the edges parallel to the first axis.
     c = (1, -1, 1, 1, 1, 1)
-    assert edge_functional(cube, (2, 4), c) == 0
-    assert edge_functional(cube, (1, 2), c) == 2
+    edges = edge_functionals(cube, c)
+    assert edges[wall_data(cube, (2, 4)).pair] == 0
+    assert edges[wall_data(cube, (1, 2)).pair] == 2
 
 
 def test_edge_functionals_positive_at_corpus_supports():
     for name in FAN_NAMES:
         f = load_fan(name)
+        edges = edge_functionals(f, f.support)
         for w in f.walls:
-            assert edge_functional(f, w.pair, f.support) > 0, (name, w.pair)
+            assert edges[w.pair] > 0, (name, w.pair)
 
 
 def _edge_reference(f, c):
@@ -439,8 +440,8 @@ def _edge_reference(f, c):
     c = [Fraction(x) for x in c]
     edges = {}
     for w in f.walls:
-        u, v = w.key
-        edges[w.key] = sum((c[t] * table.get(tuple(sorted((u, v, t))), 0)
+        u, v = w.pair
+        edges[w.pair] = sum((c[t] * table.get(tuple(sorted((u, v, t))), 0)
                             for t in range(f.m)), Fraction(0))
     bad = [f"wall {k}: {e}" for k, e in edges.items() if e <= 0]
     message = "non-positive edge functionals: " + ", ".join(bad) if bad else None
@@ -466,21 +467,27 @@ def _invalid_supports():
         yield f, [x + (-1) ** (t + k) * t * tiny for t, x in enumerate(f.support)]
 
 
+def _certified_volume(f, c):
+    """The volume at c, after certify_support has accepted c."""
+    certify_support(f, c)
+    return volume_polynomial(f)(c)
+
+
 def test_support_checks_match_a_fraction_restatement():
     outcomes = set()
     for f, c in _invalid_supports():
         edges, message = _edge_reference(f, c)
         assert edge_functionals(f, c) == edges
-        assert list(edge_functionals(f, c)) == [w.key for w in f.walls]
+        assert list(edge_functionals(f, c)) == [w.pair for w in f.walls]
         for key, e in edges.items():
-            assert edge_functional(f, key, c) == e
+            assert edge_functionals(f, c)[wall_data(f, key).pair] == e
         v = volume_polynomial(f)
         if message is None:
             certify_support(f, c)
-            assert evaluate_volume(v, c) == volume_value_reference(v.coeffs, c)
+            assert _certified_volume(f, c) == volume_value_reference(v.coeffs, c)
             outcomes.add("valid")
             continue
-        for check in (lambda: certify_support(f, c), lambda: evaluate_volume(v, c)):
+        for check in (lambda: certify_support(f, c), lambda: _certified_volume(f, c)):
             with pytest.raises(SupportInvalid) as err:
                 check()
             assert str(err.value) == message
@@ -490,10 +497,10 @@ def test_support_checks_match_a_fraction_restatement():
 
 SUPPORT_READERS = {
     "volume_polynomial": lambda f, c: volume_polynomial(f)(c),
-    "edge_functional": lambda f, c: edge_functional(f, (0, 1), c),
+    "edge_functional": lambda f, c: edge_functionals(f, c)[wall_data(f, (0, 1)).pair],
     "edge_functionals": lambda f, c: edge_functionals(f, c)[(0, 1)],
     "certify_support": certify_support,
-    "evaluate_volume": lambda f, c: evaluate_volume(volume_polynomial(f), c),
+    "evaluate_volume": _certified_volume,
 }
 
 
@@ -515,8 +522,8 @@ def test_support_values_are_read_as_a_fans_support_entries(reader):
 def test_support_checks_reject_a_wrong_length():
     f = load_fan("cp3")
     for check in (lambda c: certify_support(f, c), lambda c: edge_functionals(f, c),
-                  lambda c: edge_functional(f, (0, 1), c),
-                  lambda c: evaluate_volume(volume_polynomial(f), c)):
+                  lambda c: edge_functionals(f, c)[wall_data(f, (0, 1)).pair],
+                  lambda c: _certified_volume(f, c)):
         with pytest.raises(ValidationError, match="^3 values for 4 rays$"):
             check((1, 1, 1))
 
@@ -527,12 +534,12 @@ def test_support_checks_reject_a_wrong_length():
 
 def test_signed_specializes_to_unsigned_on_fans():
     for name in FAN_NAMES:
+        # a pair made from the fan's data, outside the fan, against the fan's own
         f = load_fan(name)
-        pair = characteristic_pair(f)
+        pair = CharacteristicPair(f.sphere, CharacteristicFunction(f.rays))
         for ms in all_multisets(f.m):
-            assert signed_triple_intersection(pair, ms) == triple_intersection(
-                f, ms
-            ), (name, ms)
+            assert signed_triple_intersection(pair, ms) == signed_triple_intersection(
+                characteristic_pair(f), ms), (name, ms)
 
 
 def _cube_pair():
@@ -751,7 +758,7 @@ def test_the_calculus_is_built_once_and_dualises_one_covector_per_ray(monkeypatc
         duals.clear()
         f.walls
         assert chern_number_c1c2(f) == 24
-        evaluate_volume(volume_polynomial(f), f.support)
+        _certified_volume(f, f.support)
         assert signed_wall_classes(characteristic_pair(f)) == wall_classes(f)
         assert built == [characteristic_pair(f)], f.name
         assert 0 < len(duals) <= f.m, f.name

@@ -391,6 +391,21 @@ def test_a_constructed_polytope_dualises_to_the_same_lists():
             assert (t._neighbours == s._neighbours) if exact else rings(t) == rings(s)
 
 
+def test_a_constructed_polytope_keeps_its_validated_lists(monkeypatch):
+    # the constructor-made polytope is validated when its index is first
+    # built; the facet-pair codes and neighbour lists read then are kept,
+    # so its dual reads the codes once, as a parsed polytope's does
+    parsed = parse_polytope(corpus_get("dodecahedron").text)
+    calls = []
+    facet_pairs = polytope_module._facet_pairs
+    monkeypatch.setattr(polytope_module, "_facet_pairs",
+                        lambda *args: calls.append(args[1]) or facet_pairs(*args))
+    p = SimplePolytope3(parsed.name, parsed.facets)
+    assert dual_sphere(p) == dual_sphere(parsed)
+    assert calls == [12]
+    assert p._neighbours == parsed._neighbours and p._pairs == parsed._pairs
+
+
 def sphere_answers(s):
     return (s.walls,
             [s.wall_apexes(w) for w in s.walls],

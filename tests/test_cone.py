@@ -41,7 +41,7 @@ from toriclab.exactlp import (
     cone_sweep,
     positive_functional,
 )
-from toriclab.fan import Fan3, certify_fan
+from toriclab.fan import Fan3, check_complete
 
 from oracles import (apply_matrix, cone_member_bruteforce, phase1_reference,
                      random_unimodular, zero_in_convex_hull)
@@ -736,12 +736,12 @@ def cp3_1004():
 def test_sparse_classes_at_scale(cp3_1004):
     f = cp3_1004
     classes = wall_classes(f)
-    assert [cls.wall for cls in classes] == [w.key for w in f.walls]
+    assert [cls.wall for cls in classes] == [w.pair for w in f.walls]
     for cls, w in zip(classes, f.walls):
         rays = [t for t, _ in cls.entries]
-        assert 1 <= len(rays) <= 4 and rays == sorted(set(rays)), w.key
-        assert all(v != 0 for _, v in cls.entries), w.key
-        assert sum(v for _, v in cls.entries) == w.curvature, w.key
+        assert 1 <= len(rays) <= 4 and rays == sorted(set(rays)), w.pair
+        assert all(v != 0 for _, v in cls.entries), w.pair
+        assert sum(v for _, v in cls.entries) == w.curvature, w.pair
     # reference: group the dense vectors by their primitive vector
     dense: dict[tuple[int, ...], list] = {}
     for cls in classes:
@@ -941,7 +941,7 @@ def _non_projective_images(count, seed):
 
 def test_a_non_projective_fan_is_refused_with_a_farkas_certificate():
     for f in _non_projective_images(20, seed=1607):
-        certify_fan(f)
+        check_complete(f)
         classes = wall_classes(f)
         assert len(classes) == 15
         res = strict_convexity_witness(classes)
@@ -1135,8 +1135,7 @@ def test_support_is_checked_before_any_lp(monkeypatch):
 def test_wall_pairings_are_built_once_per_pair(monkeypatch):
     import toriclab.cohomology as cohomology_module
     from toriclab.cohomology import (certify_support, chern_number_c1c2,
-                                     edge_functionals, evaluate_volume,
-                                     volume_polynomial)
+                                     edge_functionals, volume_polynomial)
     from toriclab.fan import characteristic_pair
 
     built = []
@@ -1153,7 +1152,7 @@ def test_wall_pairings_are_built_once_per_pair(monkeypatch):
         chern_number_c1c2(f)
         certify_support(f, f.support)
         edge_functionals(f, f.support)
-        evaluate_volume(volume_polynomial(f), f.support)
+        volume_polynomial(f)(f.support)  # certified above
         classes = wall_classes(f)
         assert signed_wall_classes(characteristic_pair(f)) == classes
         extremal_walls(f)

@@ -93,22 +93,22 @@ EXPORTED = """
     FacetColoring Fan3 IncompleteFan InternalError NoWitness NotFound
     NotUnimodular ObstructionWitness ParseError
     SimplePolytope3 SimplicialSphere2 SupportInvalid ToricLabError
-    ValidationError Wall WallClass betti_numbers certify_fan certify_support
+    ValidationError Wall WallClass betti_numbers certify_support
     characteristic_pair check_complete check_star_condition check_unimodular
-    chern_number_c1c2 classify_wall coloring_to_charfunc cone_membership
-    corpus_get corpus_names curvature delzant_obstruction_witness
-    dual_polytope dual_sphere edge_functional edge_functionals
-    evaluate_volume extremal_walls face_histogram four_color
+    chern_number_c1c2 coloring_to_charfunc cone_membership
+    corpus_get corpus_names delzant_obstruction_witness
+    dual_polytope dual_sphere edge_functionals
+    extremal_walls face_histogram four_color
     gauss_bonnet_sum is_fullerene linear_relation load_fan load_polytope
     parse_charfunc parse_fan parse_polytope positive_functional
     serialize_fan serialize_polytope serialize_volume_polynomial
     signed_triple_intersection signed_wall_classes strict_convexity_witness
-    triple_intersection volume_polynomial wall_classes wall_data
+    volume_polynomial wall_classes wall_data
 """.split()
 
 
 def test_name_table_names_the_defining_module():
-    assert len(EXPORTED) == 62
+    assert len(EXPORTED) == 56
     assert sorted(toriclab.__all__) == sorted(EXPORTED)
     for name, module in toriclab._MODULE_OF.items():
         obj = getattr(importlib.import_module(f"toriclab.{module}"), name)

@@ -32,12 +32,9 @@ from toriclab.fan import (
     Wall,
     _pierce,
     _read_wall,
-    certify_fan,
     characteristic_pair,
     check_complete,
     check_unimodular,
-    classify_wall,
-    curvature,
     gauss_bonnet_sum,
     parse_fan,
     serialize_fan,
@@ -218,7 +215,6 @@ class TestWallData:
         assert wall_data(f, (0, 3)).curvature == 4
         assert wall_data(f, (0, 4)).curvature == 2
         assert wall_data(f, (0, 1)).curvature == 2
-        assert curvature(wall_data(f, (0, 4))) == 2
 
     def test_flat_walls(self):
         f = load_fan("flatwall")
@@ -227,7 +223,7 @@ class TestWallData:
             assert w.a == (1, 1)
             assert w.curvature == 0
             assert w.classification == "flat"
-        assert classify_wall(f, (0, 3)) == "convex"
+        assert wall_data(f, (0, 3)).classification == "convex"
 
     def test_not_a_wall(self):
         # rays 0 and 1 of the cube fan are antipodal, never adjacent
@@ -320,7 +316,7 @@ class TestCheckUnimodular:
 
         monkeypatch.setattr(fan_module, "_cone_determinants", counting)
         f = parse_fan(text)
-        certify_fan(f)
+        check_complete(f)
         f.wall_table
         characteristic_pair(f)
         assert calls == [10]
@@ -338,7 +334,7 @@ class TestCheckUnimodular:
                             lambda f: calls.append(f.name) or scan(f))
         text = serialize_fan(load_fan("cube-fan"))
         f = parse_fan(text)
-        for entry in (certify_fan, lambda g: g.wall_table, characteristic_pair,
+        for entry in (check_complete, lambda g: g.wall_table, characteristic_pair,
                       extremal_walls, check_complete):
             entry(f)
         assert calls == ["cube-fan"]
@@ -614,7 +610,7 @@ class TestCertification:
         assert check_unimodular(f).ok
         assert same_side_wall_bruteforce(f.rays, f.maximal_cones) is None
         with pytest.raises(IncompleteFan, match="lies in 2 maximal cones") as e:
-            certify_fan(f)
+            check_complete(f)
         for analysis in self.analyses():
             with pytest.raises(IncompleteFan) as got:
                 analysis(parse_fan(text))
@@ -630,7 +626,7 @@ class TestCertification:
 
         monkeypatch.setattr(fan_module, "_pierce", counting)
         f = load_fan("blowup-cp3")
-        cert = certify_fan(f)
+        cert = check_complete(f)
         assert check_complete(f) is cert
         for analysis in self.analyses():
             analysis(f)
@@ -705,7 +701,7 @@ class TestCharacteristicPair:
         for s, message in ((sphere, "^sphere orientation runs against its cones$"),
                            (reversed_one, r"^orientation traverses edge \(1, 0\) twice$"),
                            (no_wall, "^sphere fields do not match its triangles$")):
-            for entry in (certify_fan, characteristic_pair, lambda g: check_complete(g, 1)):
+            for entry in (check_complete, characteristic_pair, lambda g: check_complete(g, 1)):
                 g = Fan3(f.name, f.rays, f.maximal_cones, s, f.support)
                 with pytest.raises(ValidationError, match=message):
                     entry(g)
@@ -718,7 +714,7 @@ class TestCharacteristicPair:
         own = cube.sphere  # its own triangles, but on 7 vertices
         s = (load_fan("cp3").sphere if sphere == "cp3"
              else SimplicialSphere2(cube.m + 1, own.triangles, own.oriented, own.walls))
-        for entry in (certify_fan, characteristic_pair, gauss_bonnet_sum,
+        for entry in (check_complete, characteristic_pair, gauss_bonnet_sum,
                       chern_number_c1c2, lambda f: check_complete(f, seed=1)):
             f = Fan3("x", cube.rays, cube.maximal_cones, s, None)
             with pytest.raises(ValidationError,

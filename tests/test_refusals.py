@@ -51,9 +51,8 @@ TRUSTED = {
     "check_star_condition": "takes a pair",
     "signed_wall_classes": "takes a pair",
     "coloring_to_charfunc": "takes a coloring",
-    "curvature": "takes a Wall",
     "serialize_volume_polynomial": "takes a VolumePolynomial",
-    **dict.fromkeys(["certify_fan", "characteristic_pair", "check_unimodular",
+    **dict.fromkeys(["characteristic_pair", "check_unimodular",
                      "chern_number_c1c2", "delzant_obstruction_witness", "extremal_walls",
                      "gauss_bonnet_sum", "serialize_fan", "volume_polynomial", "wall_classes"],
                     "takes a Fan3"),
@@ -73,12 +72,9 @@ def _rows():
         "parse_charfunc": (tl.parse_charfunc, ("lambda 1\nL 0: 1 0 0\n",), (0,)),
         "WallClass": (tl.WallClass, ((0, 1), ((0, -1), (2, 1)), 4), (0, 1, 2)),
         "certify_support": (tl.certify_support, (f, (1, 1, 1, 1)), (1,)),
-        "edge_functional": (tl.edge_functional, (f, (0, 1), (1, 1, 1, 1)), (1, 2)),
         "edge_functionals": (tl.edge_functionals, (f, (1, 1, 1, 1)), (1,)),
-        "evaluate_volume": (tl.evaluate_volume, (V, (1, 1, 1, 1)), (1,)),
         "linear_relation": (tl.linear_relation, (f, (1, 0, 0)), (1,)),
         "signed_triple_intersection": (tl.signed_triple_intersection, (pair, (0, 1, 2)), (1,)),
-        "triple_intersection": (tl.triple_intersection, (f, (0, 1, 2)), (1,)),
         "VolumePolynomial.__call__": (V, ((1, 1, 1, 1),), (0,)),
         "VolumePolynomial.coefficient": (V.coefficient, ((0, 1, 2),), (0,)),
         "FacetColoring": (tl.FacetColoring, (("a", "b", "c", "d"),), (0,)),
@@ -99,7 +95,6 @@ def _rows():
         "exactlp.cone_sweep": (exactlp.cone_sweep, ([(1, 0), (0, 1), (1, 1)],), (0,)),
         "Fan3.from_data": (tl.Fan3.from_data, ("x", f.rays, tet, (1, 1, 1, 1)), (0, 1, 2, 3)),
         "check_complete": (tl.check_complete, (f, 7), (1,)),
-        "classify_wall": (tl.classify_wall, (f, (0, 1)), (1,)),
         "wall_data": (tl.wall_data, (f, (0, 1)), (1,)),
         "parse_fan": (tl.parse_fan, (tl.corpus_get("cp3").text,), (0,)),
         "SimplePolytope3.from_facets": (tl.SimplePolytope3.from_facets,

@@ -21,8 +21,8 @@ import pytest
 from toriclab.charfunc import CharacteristicPair, check_star_condition
 from toriclab.cohomology import (
     WallClass,
+    certify_support,
     chern_number_c1c2,
-    evaluate_volume,
     volume_polynomial,
 )
 from toriclab.coloring import coloring_to_charfunc, four_color
@@ -72,14 +72,14 @@ def test_wall_classes_read_off_the_wall_relation(subdivided):
     # wall's curvature 2 - a1 - a2.
     f, _ = subdivided
     classes = wall_classes(f)
-    assert [cls.wall for cls in classes] == [w.key for w in f.walls]
+    assert [cls.wall for cls in classes] == [w.pair for w in f.walls]
     for w, cls in zip(f.walls, classes):
         (i1, i2), (i, ip), (a1, a2) = w.pair, w.apexes, w.a
         expected = [0] * f.m
         expected[i] = expected[ip] = 1
         expected[i1], expected[i2] = -a1, -a2
-        assert list(cls.pairing) == expected, w.key
-        assert sum(cls.pairing) == w.curvature, w.key
+        assert list(cls.pairing) == expected, w.pair
+        assert sum(cls.pairing) == w.curvature, w.pair
 
 
 def test_the_calculus_makes_classes_its_reader_reads_back(subdivided):
@@ -101,7 +101,8 @@ def test_betti_numbers(subdivided):
 def test_volume_is_the_cut_simplex_and_cubic(subdivided):
     f, volume = subdivided
     v = volume_polynomial(f)
-    assert evaluate_volume(v, f.support) == volume
+    certify_support(f, f.support)
+    assert v(f.support) == volume
     for t in (2, 3):
         assert v([t * c for c in f.support]) == t ** 3 * volume
 
@@ -114,7 +115,8 @@ def test_volume_values_match_the_fraction_sum(m):
     for c in (f.support, [2 * x for x in f.support], third,
               [-x for x in f.support], [str(x) for x in third]):
         assert v(c) == volume_value_reference(v.coeffs, c)
-    assert v(f.support) == volume == evaluate_volume(v, f.support)
+    certify_support(f, f.support)
+    assert v(f.support) == volume
 
 
 def test_support_pipeline_builds_classes_and_sixths_once(monkeypatch):
@@ -130,7 +132,8 @@ def test_support_pipeline_builds_classes_and_sixths_once(monkeypatch):
                         lambda pair: built.append(table(pair)) or built[-1])
     assert gauss_bonnet_sum(f) == chern_number_c1c2(f) == 24
     v = volume_polynomial(f)
-    assert evaluate_volume(v, f.support) == volume
+    certify_support(f, f.support)
+    assert v(f.support) == volume
     classes = wall_classes(f)
     assert signed_wall_classes(characteristic_pair(f)) is classes
     assert [made for _, made in built] == [classes]
